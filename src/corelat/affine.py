@@ -238,10 +238,6 @@ def apply(rs: RootSystemData, w, q):
     return x
 
 
-def act_affine_root(el: AffineElement, ar: AffineRoot) -> AffineRoot:
-    return el.act_root(ar)
-
-
 def affine_simple_root(rs: RootSystemData, i: int) -> AffineRoot:
     """alpha_i for i >= 1; alpha_0 = -highest_root + delta."""
     if i == 0:
@@ -275,7 +271,7 @@ def _size_prefactor(rs: RootSystemData, i: int) -> int:
     """2 / |alpha_i|^2: 1 for long simple roots (and alpha_0), r for short."""
     if i == 0:
         return 1
-    return int(1 / rs.simple_d[i - 1])
+    return rootsys.coroot_scale(rs, i - 1)
 
 
 def size_i_word(rs: RootSystemData, word, i: int) -> Fraction:

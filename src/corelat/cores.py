@@ -281,11 +281,6 @@ def all_cores(a: int, max_boxes: int) -> list[Partition]:
     return sorted(seen, key=lambda p: (sum(p), p))
 
 
-def simultaneous_core_check(parts: Partition, a: int, b: int) -> bool:
-    """Hook-scan check that ``parts`` is both an a-core and a b-core."""
-    return is_core(parts, a) and is_core(parts, b)
-
-
 def self_conjugate_partitions_up_to(max_boxes: int) -> list[Partition]:
     """All self-conjugate partitions with at most ``max_boxes`` boxes.
 

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
 
-from . import linalg, sommers
+from . import rootsys, sommers
 from .rootsys import RootSystemData
 from .sommers import DEFAULT_CAP, FeasibilityError
 
@@ -30,15 +28,12 @@ class SeriesMismatchError(ValueError):
         super().__init__(f"power series disagree first at degree {degree}: {lhs} != {rhs}")
 
 
-@lru_cache(maxsize=None)
 def _coweight_gram_scaled(rs: RootSystemData):
-    """(N, N*G) with G the Gram matrix of the fundamental coweights and N a
-    common denominator, so that quadratic forms stay in integer arithmetic."""
-    a_inv = rs.cartan_inverse
-    g = linalg.matmul(linalg.transpose(a_inv), linalg.matmul(rs.gram_coroot, a_inv))
-    denom = lcm(*[x.denominator for row in g for x in row])
-    scaled = linalg.as_int_matrix(tuple(tuple(x * denom for x in row) for row in g))
-    return denom, scaled
+    """(f, f*G) with G = D^-1 A^-1 the Gram matrix of the fundamental
+    coweights, so that quadratic forms stay in integer arithmetic."""
+    scaled = tuple(tuple(rootsys.coroot_scale(rs, i) * x for x in row)
+                   for i, row in enumerate(rs.cartan_adjugate))
+    return rs.index_of_connection, scaled
 
 
 _ENUMERATOR_CACHE: dict = {}

@@ -36,10 +36,6 @@ def matvec(a, v) -> tuple:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
-def transpose(a) -> tuple:
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
-
-
 def det(a) -> Fraction:
     """Determinant by fraction-free-ish Gaussian elimination (exact)."""
     n = len(a)
@@ -82,26 +78,5 @@ def inverse(a) -> Matrix:
     return freeze(row[n:] for row in rows)
 
 
-def as_int_matrix(a) -> tuple:
-    """Cast a rational matrix with integer entries to plain ints."""
-    out = []
-    for row in a:
-        int_row = []
-        for x in row:
-            if x != int(x):
-                raise ValueError(f"entry {x} is not an integer")
-            int_row.append(int(x))
-        out.append(tuple(int_row))
-    return tuple(out)
-
-
 def vec_add(u, v) -> tuple:
     return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u, v) -> tuple:
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v) -> tuple:
-    return tuple(c * x for x in v)

@@ -9,8 +9,9 @@ Conventions used throughout the package:
   long root to a short root.
 * Lattice points are stored as integer coordinate vectors in the
   simple-coroot basis.  All inner products are evaluated through the
-  rational Gram matrix ``gram_coroot[i][j] = <alphacheck_i, alphacheck_j>``,
-  so no irrational ambient coordinates ever appear.
+  integer Gram matrix ``gram_coroot[i][j] = <alphacheck_i, alphacheck_j>``,
+  which is D^-1 A with D = diag(|alpha_i|^2 / 2), so no irrational ambient
+  coordinates ever appear and integer inputs give integer sums.
 * Positive roots are generated by reflection closure from the simple roots
   and sorted by (height, coefficient vector).
 """
@@ -173,7 +174,7 @@ class RootSystemData:
 
     cartan_type: CartanType
     cartan_matrix: tuple[tuple[int, ...], ...]
-    gram_coroot: tuple[tuple[Fraction, ...], ...]
+    gram_coroot: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
     highest_root_coeffs: tuple[int, ...]
     coxeter_number: int
@@ -186,7 +187,7 @@ class RootSystemData:
     coweight_coords: tuple[tuple[Fraction, ...], ...]
     # derived helpers
     simple_d: tuple[Fraction, ...]
-    cartan_inverse: tuple[tuple[Fraction, ...], ...]
+    cartan_adjugate: tuple[tuple[int, ...], ...]  # f * A^-1
     highest_root_coroot_coords: tuple[int, ...]
     weyl_order: int
 
@@ -204,40 +205,33 @@ def build(t: CartanType) -> RootSystemData:
     n = t.rank
     a = cartan_matrix(t)
     d = _symmetrizer(a)
-    gram = linalg.freeze(
-        tuple(Fraction(a[i][j]) / d[i] for j in range(n)) for i in range(n)
-    )
+    # 2 / |alpha_i|^2 = 1 / d_i is 1 for long and r for short simple roots
+    scale = [x.denominator for x in d]
+    assert all(x.numerator == 1 for x in d)
+    gram = linalg.freeze(tuple(scale[i] * a[i][j] for j in range(n)) for i in range(n))
     for i in range(n):
         for j in range(n):
             assert gram[i][j] == gram[j][i], "coroot Gram matrix must be symmetric"
+    r = max(scale)
+    r_d = [r // k for k in scale]
 
-    root_gram = [[Fraction(a[i][j]) * d[j] for j in range(n)] for i in range(n)]
-
-    def root_norm2(coeffs):
-        return sum(
-            coeffs[i] * coeffs[j] * root_gram[i][j]
-            for i in range(n) for j in range(n)
-            if coeffs[i] and coeffs[j]
-        )
-
-    coeff_list = _positive_roots_by_closure(a, n)
     roots = []
-    for coeffs in coeff_list:
-        norm2_val = root_norm2(coeffs)
+    for coeffs in _positive_roots_by_closure(a, n):
         pair_vec = tuple(sum(coeffs[j] * a[j][i] for j in range(n)) for i in range(n))
-        roots.append(Root(coeffs, sum(coeffs), norm2_val == 2, pair_vec))
+        # r |alpha|^2 = r sum_i c_i d_i <alphacheck_i, alpha>, an integer
+        r_norm2 = sum(c * s * p for c, s, p in zip(coeffs, r_d, pair_vec) if c)
+        roots.append(Root(coeffs, sum(coeffs), r_norm2 == 2 * r, pair_vec))
 
     h = 1 + roots[-1].height
     if len(roots) != n * h // 2:
         raise AssertionError(f"{t}: {len(roots)} positive roots, expected n*h/2 = {n * h // 2}")
-    top = [r for r in roots if r.height == h - 1]
+    top = [root for root in roots if root.height == h - 1]
     if len(top) != 1:
         raise AssertionError(f"{t}: highest root is not unique")
     highest = top[0]
-    if root_norm2(highest.coeffs) != 2:
+    if not highest.is_long:
         raise AssertionError(f"{t}: highest root is not normalized to length^2 = 2")
 
-    r = int(1 / min(d))
     if r == 1:
         dual_cox = h
     else:
@@ -253,10 +247,10 @@ def build(t: CartanType) -> RootSystemData:
     assert len(exponents) == n
 
     f = int(linalg.det(a))
-    a_inv = linalg.inverse(a)
-    coweights = tuple(tuple(a_inv[k][i] for k in range(n)) for i in range(n))
-    rho = tuple(sum(a_inv[k][i] for i in range(n)) for k in range(n))
-    hr_coroot = tuple(int(highest.coeffs[i] * d[i]) for i in range(n))
+    adj = linalg.freeze(tuple(int(f * x) for x in row) for row in linalg.inverse(a))
+    coweights = tuple(tuple(Fraction(adj[k][i], f) for k in range(n)) for i in range(n))
+    rho = tuple(Fraction(sum(row), f) for row in adj)
+    hr_coroot = tuple(c // k for c, k in zip(highest.coeffs, scale))
     marks = highest.coeffs
 
     return RootSystemData(
@@ -274,7 +268,7 @@ def build(t: CartanType) -> RootSystemData:
         rho_check_coords=rho,
         coweight_coords=coweights,
         simple_d=d,
-        cartan_inverse=a_inv,
+        cartan_adjugate=adj,
         highest_root_coroot_coords=hr_coroot,
         weyl_order=factorial(n) * prod(marks) * f,
     )
@@ -307,29 +301,32 @@ def _pair_vec(rs: RootSystemData, coeffs) -> tuple[int, ...]:
 
 def inner(rs: RootSystemData, x, y) -> Fraction:
     """Inner product of two vectors given in simple-coroot coordinates."""
-    g = rs.gram_coroot
-    n = rs.rank
-    return sum(
-        x[i] * y[j] * g[i][j]
-        for i in range(n) for j in range(n)
-        if x[i] and y[j]
-    ) or Fraction(0)
+    return Fraction(sum(
+        xi * sum(g * yj for g, yj in zip(row, y, strict=True) if yj)
+        for xi, row in zip(x, rs.gram_coroot, strict=True) if xi
+    ))
+
 
 def norm2(rs: RootSystemData, v) -> Fraction:
     """Squared length v^T G v of a rational vector in simple-coroot coordinates."""
     return inner(rs, v, v)
 
 
+def coroot_scale(rs: RootSystemData, i: int) -> int:
+    """2 / |alpha_i|^2 for the simple root alpha_i (0-based): 1 if long, r if short."""
+    return rs.gram_coroot[i][i] // 2
+
+
 def coweight_pairing(rs: RootSystemData, i: int, x) -> Fraction:
     """<omegacheck_i, x> for x in simple-coroot coordinates; omegacheck_0 = 0."""
     if i == 0:
         return Fraction(0)
-    return x[i - 1] / rs.simple_d[i - 1]
+    return Fraction(x[i - 1] * coroot_scale(rs, i - 1))
 
 
 def rho_pairing(rs: RootSystemData, x) -> Fraction:
-    """<rhocheck, x> = sum_i x_i / d_i."""
-    return sum((xi / di for xi, di in zip(x, rs.simple_d) if xi), Fraction(0))
+    """<rhocheck, x> = sum_i x_i * 2 / |alpha_i|^2."""
+    return Fraction(sum(xi * coroot_scale(rs, i) for i, xi in enumerate(x) if xi))
 
 
 def to_json_dict(rs: RootSystemData) -> dict:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import ceil, floor, gcd, prod
 from typing import Iterator
 
 import numpy as np
@@ -120,10 +120,8 @@ def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot",
         raise ValueError("dilation factor must be nonnegative")
     if lattice not in ("coroot", "coweight"):
         raise ValueError(f"unknown lattice {lattice!r}")
-    n = rs.rank
-    a_inv = rs.cartan_inverse
+    adj = rs.cartan_adjugate
     det = rs.index_of_connection
-    adj = linalg.as_int_matrix(tuple(tuple(x * det for x in row) for row in a_inv))
     points = []
     count = 0
     for m in iter_alcove_m(rs, b):
@@ -185,9 +183,8 @@ def _direct_scan(sr: SommersRegion, box_cap: int) -> list[tuple[int, ...]] | Non
     rs = sr.rs
     n = rs.rank
     verts = region_vertices(rs, sr.b)
-    import math
-    lo = [min(math.floor(v[i]) for v in verts) - 1 for i in range(n)]
-    hi = [max(math.ceil(v[i]) for v in verts) + 1 for i in range(n)]
+    lo = [min(floor(v[i]) for v in verts) - 1 for i in range(n)]
+    hi = [max(ceil(v[i]) for v in verts) + 1 for i in range(n)]
     volume = prod(h - l + 1 for l, h in zip(lo, hi))
     if volume > box_cap:
         return None

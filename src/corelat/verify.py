@@ -130,7 +130,7 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
     failures = []
     for t in types:
         rs = build_named(t)
-        prefactors = [1] + [int(1 / d) for d in rs.simple_d]
+        prefactors = [1] + [rootsys.coroot_scale(rs, i) for i in range(rs.rank)]
         by_element: dict = {}
 
         def dfs(el, letters, totals):

@@ -122,6 +122,14 @@ def test_criterion_6_f4_g2_quasipolynomial_reference_constants():
     leading constants 1/4608 and 1/72 -- larger than the stated reference
     constants by factors of 4 and 2 -- so this criterion, as stated,
     fails; the FAIL line below documents the measured discrepancy.
+
+    Diagnosis: the factors are the ranks.  The fit equals the closed form
+    ``predicted_enumerator_polynomial`` on every coprime residue (criterion
+    6b), and that closed form is exactly rank * stated (pinned by
+    test_criterion_6_stated_constants_omit_rank_factor).  The stated
+    constants are the expected-size formula (r g / h) n (b-1)(h+b+1)/24
+    without its factor n, an omission type A rules out: the (a, b)-core
+    mean (a-1)(b-1)(a+b+1)/24 needs that factor.
     """
     ehrhart.clear_enumerator_cache()
     start = time.perf_counter()
@@ -144,6 +152,19 @@ def test_criterion_6_f4_g2_quasipolynomial_reference_constants():
     ok = not mismatches and elapsed < 300.0
     report(6, ok, f"interpolated in {elapsed:.1f}s; " +
            ("; ".join(mismatches) if mismatches else "all residues match"))
+
+
+def test_criterion_6_stated_constants_omit_rank_factor():
+    """The closed form that criterion 6b matches to the fit on every coprime
+    residue is the stated reference polynomial times the rank."""
+    stated = {
+        "G2": ehrhart.poly_from_roots(Fraction(1, 144), [1, -1, -5, -7]),
+        "F4": ehrhart.poly_from_roots(Fraction(1, 18432), [1, -1, -5, -7, -11, -13]),
+    }
+    for name, reference in stated.items():
+        rs = build_named(name)
+        assert ehrhart.predicted_enumerator_polynomial(rs) == \
+            tuple(rs.rank * c for c in reference)
 
 
 def test_criterion_6_internal_consistency():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from corelat import linalg, rootsys
+from corelat import ehrhart, linalg, rootsys
 from corelat.rootsys import CartanType, CartanTypeError, build_named
 
 # (h, dual Coxeter, exponents, marks, index of connection, r)
@@ -84,17 +84,25 @@ def test_structure_invariants(name):
     assert len(by_height[h - 1]) == 1
     # every root length is 2 or 2/r
     for root in rs.positive_roots:
-        norm = rootsys.norm2(rs, _coroot_coords(rs, root))
         assert root.is_long == (rootsys.norm2(rs, _root_vec(rs, root)) == 2)
+    # the coroot Gram is the integer matrix D^-1 A, D = diag(|alpha_i|^2 / 2)
+    a, d = rs.cartan_matrix, rs.simple_d
+    assert all(type(x) is int for row in rs.gram_coroot for x in row)
+    assert rs.gram_coroot == tuple(tuple(a[i][j] / d[i] for j in range(n)) for i in range(n))
+    # the adjugate: adj(A) A = f I
+    f = rs.index_of_connection
+    assert linalg.matmul(rs.cartan_adjugate, a) == tuple(
+        tuple(f * (i == j) for j in range(n)) for i in range(n))
+    # the coweight Gram inverts the root Gram <alpha_i, alpha_j> = d_j A[i][j]
+    denom, scaled = ehrhart._coweight_gram_scaled(rs)
+    root_gram = [[d[j] * a[i][j] for j in range(n)] for i in range(n)]
+    assert linalg.matmul(scaled, root_gram) == tuple(
+        tuple(denom * (i == j) for j in range(n)) for i in range(n))
 
 
 def _root_vec(rs, root):
     # root in simple-coroot coordinates: alpha_i = d_i alphacheck_i
     return tuple(c * d for c, d in zip(root.coeffs, rs.simple_d))
-
-
-def _coroot_coords(rs, root):
-    return root.coeffs
 
 
 @pytest.mark.parametrize("name", ALL_IMPLEMENTED)

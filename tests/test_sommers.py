@@ -133,6 +133,11 @@ def test_enumerate_cores_counts():
     cs = enumerate_cores(c2, 5)
     assert len(cs) == 6 and cs.mean_size == 5
     assert enumerate_cores(a2, 1).points == ((0, 0),)
+    # rank 1: the box scan runs over a single axis
+    a1 = build_named("A1")
+    for b, count in ((1, 1), (3, 2), (5, 3), (7, 4)):
+        cs = enumerate_cores(a1, b)
+        assert len(cs) == count and cs.direct_checked
 
 
 def test_enumerate_cores_matches_simultaneous_cores():
