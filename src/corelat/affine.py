@@ -18,10 +18,10 @@ Action conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from . import linalg, rootsys
@@ -155,53 +155,94 @@ def translation_element(rs: RootSystemData, q) -> AffineElement:
     return AffineElement(rs, eye, eye, eye, eye, tuple(q))
 
 
+class _Reflection(NamedTuple):
+    """A generator s_i as sparse rank-one data, each field a tuple of the
+    (index, value) pairs of a vector's nonzero entries.
+
+    On simple-coroot coordinates s_i is x -> x - (<p, x> - shift) c; its
+    finite part on simple-root coordinates is alpha -> alpha - <rp, alpha> rc.
+    """
+
+    c: tuple[tuple[int, int], ...]
+    p: tuple[tuple[int, int], ...]
+    rc: tuple[tuple[int, int], ...]
+    rp: tuple[tuple[int, int], ...]
+    shift: int
+
+
+def _sparse(vec) -> tuple[tuple[int, int], ...]:
+    return tuple((l, x) for l, x in enumerate(vec) if x)
+
+
+@lru_cache(maxsize=None)
+def _reflections(rs: RootSystemData) -> tuple[_Reflection, ...]:
+    """s_0, s_1, ..., s_n as sparse reflection data.
+
+    s_0 reflects in <x, hr> = 1: p = hr^T A, c = hr_check, rp = A hr_check
+    (alpha -> <alpha, hr_check>), rc = hr.  s_i has p = row i of A,
+    rp = column i of A and c = rc = e_i.
+    """
+    n = rs.rank
+    a = rs.cartan_matrix
+    hr = rs.highest_root_coeffs
+    hrc = rs.highest_root_coroot_coords
+    out = [_Reflection(
+        _sparse(hrc),
+        _sparse(sum(hr[j] * a[j][i] for j in range(n)) for i in range(n)),
+        _sparse(hr),
+        _sparse(sum(a[j][i] * hrc[i] for i in range(n)) for j in range(n)),
+        1,
+    )]
+    for i in range(n):
+        e_i = ((i, 1),)
+        out.append(_Reflection(e_i, _sparse(a[i]), e_i, _sparse(a[j][i] for j in range(n)), 0))
+    return tuple(out)
+
+
+def _reflect_rows(mat: list[list[int]], c, p) -> None:
+    """mat <- (I - c p^T) mat in place: only the rows in the support of c change."""
+    w = [0] * len(mat)
+    for l, x in p:
+        w = [wk + x * mk for wk, mk in zip(w, mat[l])]
+    for l, y in c:
+        mat[l] = [mk - y * wk for mk, wk in zip(mat[l], w)]
+
+
+def word_to_element(rs: RootSystemData, letters: Iterable[int]) -> AffineElement:
+    """The element s_{a_1} s_{a_2} ... s_{a_l} spelled by the letters a_1 ... a_l.
+
+    Left-multiplies the identity by the letters from the right end, in
+    place and in integers.  A letter s = I - c p^T changes only the rows of
+    ``m`` in the support of c; as s is an involution, m^-1 becomes m^-1 s,
+    whose transpose changes only in the rows in the support of p, so the
+    inverses are carried transposed (the same holds on the root side).
+    """
+    refl = _reflections(rs)
+    n = rs.rank
+    m, m_inv_t, root_m, root_m_inv_t = (
+        [[int(i == j) for j in range(n)] for i in range(n)] for _ in range(4))
+    v = [0] * n
+    for i in reversed(tuple(letters)):
+        r = refl[i]
+        _reflect_rows(m, r.c, r.p)
+        _reflect_rows(m_inv_t, r.p, r.c)
+        _reflect_rows(root_m, r.rc, r.rp)
+        _reflect_rows(root_m_inv_t, r.rp, r.rc)
+        t = sum(x * v[l] for l, x in r.p) - r.shift
+        for l, y in r.c:
+            v[l] -= t * y
+    return AffineElement(rs, linalg.freeze(m), linalg.freeze(zip(*m_inv_t)),
+                         linalg.freeze(root_m), linalg.freeze(zip(*root_m_inv_t)), tuple(v))
+
+
 @lru_cache(maxsize=None)
 def _letter_elements(rs: RootSystemData) -> tuple[AffineElement, ...]:
     """The generators s_0, s_1, ..., s_n as affine elements."""
-    n = rs.rank
-    a = rs.cartan_matrix
-    out = []
-
-    def reflection_pair(pair_row, coroot_dir, root_pair_row, root_dir):
-        # coroot side: x -> x - (pair_row . x) * coroot_dir
-        m = tuple(
-            tuple((1 if l == j else 0) - coroot_dir[l] * pair_row[j] for j in range(n))
-            for l in range(n)
-        )
-        rm = tuple(
-            tuple((1 if l == j else 0) - root_dir[l] * root_pair_row[j] for j in range(n))
-            for l in range(n)
-        )
-        return m, rm
-
-    # s_0: finite part is the reflection through the highest root.
-    hr = rs.highest_root_coeffs
-    hrc = rs.highest_root_coroot_coords
-    # <x, hr> for x in coroot coords: row vector hr^T A
-    hr_pair = tuple(sum(hr[j] * a[j][i] for j in range(n)) for i in range(n))
-    # <alpha, hr_check> for alpha in root coords: row vector (A hrc)
-    hr_root_pair = tuple(sum(a[j][i] * hrc[i] for i in range(n)) for j in range(n))
-    m0, rm0 = reflection_pair(hr_pair, hrc, hr_root_pair, hr)
-    out.append(AffineElement(rs, m0, m0, rm0, rm0, hrc))
-
-    for i in range(n):
-        pair_row = tuple(a[i][j] for j in range(n))          # <x, alpha_i>
-        root_pair_row = tuple(a[j][i] for j in range(n))     # <alpha, alphacheck_i>
-        e_i = tuple(int(l == i) for l in range(n))
-        m, rm = reflection_pair(pair_row, e_i, root_pair_row, e_i)
-        out.append(AffineElement(rs, m, m, rm, rm, (0,) * n))
-    return tuple(out)
+    return tuple(word_to_element(rs, (i,)) for i in range(rs.rank + 1))
 
 
 def letter_element(rs: RootSystemData, i: int) -> AffineElement:
     return _letter_elements(rs)[i]
-
-
-def word_to_element(rs: RootSystemData, letters: Iterable[int]) -> AffineElement:
-    el = identity_element(rs)
-    for i in letters:
-        el = el.compose(letter_element(rs, i))
-    return el
 
 
 def _apply_letter(rs: RootSystemData, i: int, x):
@@ -306,27 +347,63 @@ def size_lattice_total(rs: RootSystemData, q) -> Fraction:
 # Alcove reduction and the dilation element w_b
 # ---------------------------------------------------------------------------
 
-def _wall_violation(rs: RootSystemData, x):
-    """First violated wall of the fundamental alcove, in index order 0..n.
+def _scaled(x) -> tuple[int, list[int]]:
+    """(L, L x) for the least common denominator L of the rational vector x."""
+    x = [Fraction(c) for c in x]
+    scale = lcm(*(c.denominator for c in x))
+    return scale, [c.numerator * (scale // c.denominator) for c in x]
 
-    Returns (letter, on_wall_root) where letter is None if x is inside;
-    raises PointOnWallError when x lies exactly on a bounding wall.
+
+def alcove_distance(rs: RootSystemData, x) -> int:
+    """Number of affine hyperplanes <., alpha> = k separating x from the fundamental alcove.
+
+    With p = <x, alpha> off the walls, they are k = 1, ..., floor(p) for
+    p > 0 and k = 0, -1, ..., ceil(p) for p < 0.  This is the length of the
+    element ``alcove_reduce`` returns and its number of reflection steps;
+    for b rhocheck / h it is the sum over alpha > 0 of floor(b ht(alpha) / h).
     """
+    scale, pt = _scaled(x)
+    total = 0
+    for root in rs.positive_roots:
+        p = sum(k * c for k, c in zip(pt, root.pair_vec) if k)
+        total += p // scale if p > 0 else -p // scale + 1
+    return total
+
+
+def _violated_wall(rs: RootSystemData, vals, scale: int) -> tuple[int, int] | None:
+    """Lowest-index violated wall (0 = the affine wall) of the fundamental alcove.
+
+    ``vals`` are the scaled pairings scale * <x, alpha_j>.  Returns the
+    letter and t = scale * (<x, p> - shift) of its reflection, or None when
+    x is inside; raises PointOnWallError when x lies on a bounding wall.
+    """
+    hr = rs.highest_root_coeffs
+    hr_val = sum(c * v for c, v in zip(hr, vals))
+    if hr_val == scale:
+        raise PointOnWallError(AffineRoot(tuple(-c for c in hr), 1))
+    if hr_val > scale:
+        return 0, hr_val - scale
+    for j, v in enumerate(vals):
+        if v == 0:
+            raise PointOnWallError(affine_simple_root(rs, j + 1))
+        if v < 0:
+            return j + 1, v
+    return None
+
+
+def _to_dominant(rs: RootSystemData, vals: list) -> list[int]:
+    """Letters of the finite simple reflections that take a vector with
+    simple-root pairings ``vals`` into the dominant chamber, in the order
+    applied (always the lowest-index negative pairing); updates ``vals``."""
     n = rs.rank
     a = rs.cartan_matrix
-    hr = rs.highest_root_coeffs
-    vals = [sum(a[j][l] * x[l] for l in range(n)) for j in range(n)]
-    hr_val = sum(hr[j] * vals[j] for j in range(n))
-    if hr_val == 1:
-        raise PointOnWallError(AffineRoot(tuple(-c for c in hr), 1))
-    if hr_val > 1:
-        return 0
-    for j in range(n):
-        if vals[j] == 0:
-            raise PointOnWallError(affine_simple_root(rs, j + 1))
-        if vals[j] < 0:
-            return j + 1
-    return None
+    applied = []
+    while (j := next((j for j, v in enumerate(vals) if v < 0), None)) is not None:
+        t = vals[j]
+        for k in range(n):
+            vals[k] -= t * a[k][j]
+        applied.append(j + 1)
+    return applied
 
 
 def alcove_reduce(rs: RootSystemData, x):
@@ -334,17 +411,45 @@ def alcove_reduce(rs: RootSystemData, x):
 
     Returns (u, y) with y = u(x) strictly inside the alcove; u is the
     product of the applied simple affine reflections.  At each step the
-    lowest-index violated wall is reflected (0 = the affine wall).
+    lowest-index violated wall is reflected (0 = the affine wall).  Each
+    step crosses one separating hyperplane, so the reduction takes exactly
+    ``alcove_distance(rs, x)`` steps.
+
+    The point is kept as the integer vector L x, and a reflection updates
+    its simple-root pairings along one sparse column of A (A hr_check for
+    s_0).  The same update without the affine shift moves the pairings of
+    w(rhocheck), w the finite part of u.  As rhocheck is regular, w is then
+    spelled by the reflections that bring w(rhocheck) back to the dominant
+    chamber, and u = t_v w with v = y - w(x).
     """
-    y = tuple(Fraction(c) for c in x)
-    u = identity_element(rs)
-    for _ in range(10_000_000):
-        letter = _wall_violation(rs, y)
-        if letter is None:
-            return u, y
-        y = _apply_letter(rs, letter, y)
-        u = letter_element(rs, letter).compose(u)
-    raise RuntimeError("alcove reduction did not terminate")
+    scale, pt = _scaled(x)
+    start = list(pt)
+    vals = [sum(c * k for c, k in zip(row, pt)) for row in rs.cartan_matrix]
+    rho_vals = [1] * rs.rank
+    hr = rs.highest_root_coeffs
+    refl = _reflections(rs)
+    steps = alcove_distance(rs, x)
+    taken = 0
+    while (wall := _violated_wall(rs, vals, scale)) is not None and taken < steps:
+        letter, t = wall
+        t_rho = rho_vals[letter - 1] if letter else sum(c * v for c, v in zip(hr, rho_vals))
+        r = refl[letter]
+        for l, y in r.c:
+            pt[l] -= t * y
+        for k, y in r.rp:
+            vals[k] -= t * y
+            rho_vals[k] -= t_rho * y
+        taken += 1
+    if wall is not None or taken != steps:
+        raise AssertionError(
+            f"alcove reduction in {rs.cartan_type} took {taken} reflections"
+            f"{' without reaching the alcove' if wall else ''}, predicted {steps}")
+    w = word_to_element(rs, _to_dominant(rs, rho_vals))
+    scaled_v = [k - sum(c * k0 for c, k0 in zip(row, start)) for k, row in zip(pt, w.m)]
+    if any(k % scale for k in scaled_v):
+        raise AssertionError(f"alcove reduction in {rs.cartan_type}: y - w(x) is not a coroot")
+    u = replace(w, v=tuple(k // scale for k in scaled_v))
+    return u, tuple(Fraction(k, scale) for k in pt)
 
 
 @lru_cache(maxsize=None)
@@ -402,18 +507,9 @@ def dominant_representative(rs: RootSystemData, q) -> AffineElement:
     """
     h = rs.coxeter_number
     x = tuple(Fraction(c) / h - qi for c, qi in zip(rs.rho_check_coords, q))
-    el = translation_element(rs, tuple(-qi for qi in q))
-    n = rs.rank
-    a = rs.cartan_matrix
-    while True:
-        for j in range(n):
-            val = sum(a[j][l] * x[l] for l in range(n))
-            if val < 0:
-                x = _apply_letter(rs, j + 1, x)
-                el = letter_element(rs, j + 1).compose(el)
-                break
-        else:
-            return el
+    vals = [sum(c * xl for c, xl in zip(row, x)) for row in rs.cartan_matrix]
+    shift = translation_element(rs, tuple(-qi for qi in q))
+    return word_to_element(rs, _to_dominant(rs, vals)[::-1]).compose(shift)
 
 
 @dataclass

@@ -36,29 +36,6 @@ def matvec(a, v) -> tuple:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
-def det(a) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    n = len(a)
-    rows = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        result *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return sign * result
-
-
 def inverse(a) -> Matrix:
     """Exact inverse via Gauss-Jordan; raises ValueError if singular."""
     n = len(a)

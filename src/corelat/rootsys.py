@@ -133,39 +133,69 @@ def _symmetrizer(a) -> tuple[Fraction, ...]:
     return tuple(x / top for x in d)
 
 
-def _positive_roots_by_closure(a, n):
-    """Close the simple roots under 'add a simple root when the result is a root'.
+def _closure_pair_vecs(a, n) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Positive roots mapped to their pairing vectors, in (height, coefficients) order.
 
-    alpha + alpha_j is a root iff p - <alpha, alphacheck_j> > 0, where p is
-    the number of steps the root string through alpha extends in the
-    -alpha_j direction.  Building layer by layer makes p computable from
-    the roots already found.
+    Closes the simple roots under 'add a simple root when the result is a
+    root': alpha + alpha_j is a root iff p - <alpha, alphacheck_j> > 0,
+    where p is the number of steps the root string through alpha extends in
+    the -alpha_j direction.  Building layer by layer makes p computable from
+    the roots already found; a negative pairing needs no walk, as p >= 0.
+    The pairing vector of alpha + alpha_j is that of alpha plus row j of A.
     """
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    found = set(simple)
-    layers = [list(simple)]
-    while layers[-1]:
+    found = {tuple(int(i == j) for j in range(n)): tuple(a[i]) for i in range(n)}
+    layer = list(found)
+    while layer:
         nxt = []
-        for alpha in layers[-1]:
+        for alpha in layer:
+            pair_vec = found[alpha]
             for j in range(n):
-                pairing = sum(alpha[i] * a[i][j] for i in range(n))
-                p = 0
-                down = list(alpha)
-                while True:
-                    down[j] -= 1
-                    if tuple(down) in found:
+                if pair_vec[j] >= 0:
+                    p = 0
+                    down = list(alpha)
+                    while down[j] > 0:
+                        down[j] -= 1
+                        if tuple(down) not in found:
+                            break
                         p += 1
-                    else:
-                        break
-                if p - pairing > 0:
-                    up = list(alpha)
-                    up[j] += 1
-                    cand = tuple(up)
-                    if cand not in found:
-                        found.add(cand)
-                        nxt.append(cand)
-        layers.append(nxt)
-    return sorted(found, key=lambda c: (sum(c), c))
+                    if p <= pair_vec[j]:
+                        continue
+                cand = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:]
+                if cand not in found:
+                    found[cand] = tuple(x + y for x, y in zip(pair_vec, a[j]))
+                    nxt.append(cand)
+        layer = nxt
+    return dict(sorted(found.items(), key=lambda item: (sum(item[0]), item[0])))
+
+
+def _positive_roots_by_closure(a, n):
+    """Positive roots as coefficient tuples, sorted by (height, coefficients)."""
+    return list(_closure_pair_vecs(a, n))
+
+
+def _adjugate(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det A, adj A) from one fraction-free (Bareiss) Gauss-Jordan elimination of [A | I].
+
+    Step k clears column k outside row k; afterwards rows 0..k carry the
+    leading (k+1)-minor on the diagonal, and every division is exact
+    (Sylvester's identity).  At the end the left block is det(A) I and the
+    right block is adj(A).  The leading minors of a finite-type Cartan
+    matrix are positive, so no row is swapped.
+    """
+    n = len(a)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            raise AssertionError(f"leading {k + 1}-minor of the Cartan matrix is {pivot}, not positive")
+        for i, row in enumerate(rows):
+            if i != k:
+                factor = row[k]
+                rows[i] = [(pivot * x - factor * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    return prev, linalg.freeze(row[n:] for row in rows)
 
 
 @dataclass(frozen=True)
@@ -216,8 +246,7 @@ def build(t: CartanType) -> RootSystemData:
     r_d = [r // k for k in scale]
 
     roots = []
-    for coeffs in _positive_roots_by_closure(a, n):
-        pair_vec = tuple(sum(coeffs[j] * a[j][i] for j in range(n)) for i in range(n))
+    for coeffs, pair_vec in _closure_pair_vecs(a, n).items():
         # r |alpha|^2 = r sum_i c_i d_i <alphacheck_i, alpha>, an integer
         r_norm2 = sum(c * s * p for c, s, p in zip(coeffs, r_d, pair_vec) if c)
         roots.append(Root(coeffs, sum(coeffs), r_norm2 == 2 * r, pair_vec))
@@ -246,8 +275,7 @@ def build(t: CartanType) -> RootSystemData:
                              for j in range(1, mults[1] + 1)))
     assert len(exponents) == n
 
-    f = int(linalg.det(a))
-    adj = linalg.freeze(tuple(int(f * x) for x in row) for row in linalg.inverse(a))
+    f, adj = _adjugate(a)
     coweights = tuple(tuple(Fraction(adj[k][i], f) for k in range(n)) for i in range(n))
     rho = tuple(Fraction(sum(row), f) for row in adj)
     hr_coroot = tuple(c // k for c, k in zip(highest.coeffs, scale))

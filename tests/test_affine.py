@@ -334,6 +334,27 @@ def test_compute_w_b():
     assert w5(rho_over_h(g2)) == tuple(5 * c for c in rho_over_h(g2))
 
 
+@pytest.mark.parametrize("name, b, steps", [
+    ("E8", 31, 1240), ("E8", 61, 2480), ("E7", 55, 1197), ("A2", 4001, 5333),
+])
+def test_alcove_distance_of_dilated_rho(name, b, steps):
+    # b rhocheck / h pairs to b ht(alpha) / h > 0 with every positive root
+    rs = build_named(name)
+    x = tuple(b * c for c in rho_over_h(rs))
+    assert affine.alcove_distance(rs, x) == steps
+    assert sum(b * r.height // rs.coxeter_number for r in rs.positive_roots) == steps
+
+
+def test_alcove_reduce_step_count_guard(monkeypatch):
+    g2 = build_named("G2")
+    x = tuple(7 * c for c in rho_over_h(g2))
+    steps = affine.alcove_distance(g2, x)
+    for wrong in (steps - 1, steps + 1):
+        monkeypatch.setattr(affine, "alcove_distance", lambda rs, x, wrong=wrong: wrong)
+        with pytest.raises(AssertionError, match=f"predicted {wrong}"):
+            alcove_reduce(g2, x)
+
+
 def test_inversion_set_matches_word_sequence():
     rng = random.Random(41)
     for name in ("A2", "C2", "G2"):

@@ -1,0 +1,115 @@
+"""Hypothesis property tests for the alcove reduction and w_b.
+
+They run beside the fixed cases in test_affine.py, over random types of
+rank <= 8 and random dilations b coprime to h.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from corelat import affine, linalg
+from corelat.affine import PointOnWallError
+from corelat.rootsys import build_named
+
+TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+PROPERTY = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def type_and_b(draw, max_b=300):
+    rs = build_named(draw(st.sampled_from(TYPES)))
+    h = rs.coxeter_number
+    b = draw(st.integers(1, max_b).filter(lambda b: gcd(b, h) == 1))
+    return rs, b
+
+
+def rho_over_h(rs):
+    return tuple(c / rs.coxeter_number for c in rs.rho_check_coords)
+
+
+def reference_w_b(rs, b):
+    """w_b by the per-step route: reflect b rhocheck / h through the
+    lowest-index violated wall with Fraction arithmetic and fold
+    ``AffineElement.compose`` over ``letter_element``."""
+    n, a, hr = rs.rank, rs.cartan_matrix, rs.highest_root_coeffs
+    x = tuple(b * c for c in rho_over_h(rs))
+    u = affine.identity_element(rs)
+    while True:
+        vals = [sum(a[j][l] * x[l] for l in range(n)) for j in range(n)]
+        if sum(c * v for c, v in zip(hr, vals)) > 1:
+            letter = 0
+        else:
+            letter = next((j + 1 for j in range(n) if vals[j] < 0), None)
+        if letter is None:
+            return u.inverse()
+        x = affine.apply(rs, (letter,), x)
+        u = affine.letter_element(rs, letter).compose(u)
+
+
+@PROPERTY
+@given(type_and_b())
+def test_w_b_maps_rho_over_h_to_its_dilation(case):
+    rs, b = case
+    assert affine.compute_w_b(rs, b)(rho_over_h(rs)) == tuple(b * c for c in rho_over_h(rs))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(type_and_b(max_b=12))
+def test_w_b_matches_composed_letters(case):
+    rs, b = case
+    new, old = affine.compute_w_b(rs, b), reference_w_b(rs, b)
+    assert (new.m, new.m_inv, new.root_m, new.root_m_inv, new.v) == \
+        (old.m, old.m_inv, old.root_m, old.root_m_inv, old.v)
+
+
+@PROPERTY
+@given(type_and_b(), st.data())
+def test_w_b_inverses_and_invariant_pairing(case, data):
+    rs, b = case
+    n = rs.rank
+    el = affine.compute_w_b(rs, b)
+    eye = linalg.identity(n)
+    assert linalg.matmul(el.m, el.m_inv) == eye
+    assert linalg.matmul(el.root_m, el.root_m_inv) == eye
+    vec = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    alpha, x = data.draw(vec), data.draw(vec)
+
+    def pair(root, pt):  # <root, pt> = root^T A pt
+        return sum(r * sum(c * p for c, p in zip(row, pt))
+                   for r, row in zip(root, rs.cartan_matrix))
+
+    assert pair(linalg.matvec(el.root_m, alpha), linalg.matvec(el.m, x)) == pair(alpha, x)
+
+
+@PROPERTY
+@given(type_and_b())
+def test_w_b_length_is_the_step_count(case):
+    rs, b = case
+    h = rs.coxeter_number
+    steps = sum(b * r.height // h for r in rs.positive_roots)
+    assert affine.alcove_distance(rs, tuple(b * c for c in rho_over_h(rs))) == steps
+    assert len(affine.inversion_set(affine.compute_w_b(rs, b))) == steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(TYPES), st.data())
+def test_alcove_reduce_length_is_the_step_count(name, data):
+    rs = build_named(name)
+    denom = data.draw(st.integers(1, 40))
+    x = tuple(Fraction(data.draw(st.integers(-6 * denom, 6 * denom)), denom)
+              for _ in range(rs.rank))
+    try:
+        u, y = affine.alcove_reduce(rs, x)
+    except PointOnWallError:
+        return
+    assert u(x) == y
+    assert len(affine.inversion_set(u)) == affine.alcove_distance(rs, x)

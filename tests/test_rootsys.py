@@ -93,6 +93,9 @@ def test_structure_invariants(name):
     f = rs.index_of_connection
     assert linalg.matmul(rs.cartan_adjugate, a) == tuple(
         tuple(f * (i == j) for j in range(n)) for i in range(n))
+    # ... and entrywise f A^-1, with the inverse from Fraction Gauss-Jordan
+    inv = linalg.inverse(a)
+    assert all(rs.cartan_adjugate[i][j] == f * inv[i][j] for i in range(n) for j in range(n))
     # the coweight Gram inverts the root Gram <alpha_i, alpha_j> = d_j A[i][j]
     denom, scaled = ehrhart._coweight_gram_scaled(rs)
     root_gram = [[d[j] * a[i][j] for j in range(n)] for i in range(n)]
