@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
@@ -87,18 +87,24 @@ class AffineWord:
 class AffineElement:
     """An affine Weyl group element as the affine map x -> m @ x + v.
 
-    ``m`` acts on simple-coroot coordinates, ``root_m`` is the same finite
-    orthogonal map acting on simple-root coordinates; inverses are carried
-    along so that composition and inversion stay in integer arithmetic.
-    The semidirect decomposition w * t_q has ``w = m`` and ``q = m^-1 v``.
+    ``m`` acts on simple-coroot coordinates; its inverse is carried along
+    so that composition and inversion stay in integer arithmetic.  The
+    semidirect decomposition w * t_q has ``w = m`` and ``q = m^-1 v``.
     """
 
     rs: RootSystemData
     m: tuple[tuple[int, ...], ...]
     m_inv: tuple[tuple[int, ...], ...]
-    root_m: tuple[tuple[int, ...], ...]
-    root_m_inv: tuple[tuple[int, ...], ...]
     v: tuple[int, ...]
+
+    @cached_property
+    def root_m(self) -> tuple[tuple[int, ...], ...]:
+        """The finite part ``m`` acting on simple-root coordinates."""
+        return _on_roots(self.rs, self.m)
+
+    @cached_property
+    def root_m_inv(self) -> tuple[tuple[int, ...], ...]:
+        return _on_roots(self.rs, self.m_inv)
 
     def key(self):
         """Hashable identity that omits the root system (for dict grouping)."""
@@ -113,15 +119,12 @@ class AffineElement:
             self.rs,
             linalg.matmul(self.m, other.m),
             linalg.matmul(other.m_inv, self.m_inv),
-            linalg.matmul(self.root_m, other.root_m),
-            linalg.matmul(other.root_m_inv, self.root_m_inv),
             linalg.vec_add(linalg.matvec(self.m, other.v), self.v),
         )
 
     def inverse(self) -> "AffineElement":
         neg_v = tuple(-x for x in linalg.matvec(self.m_inv, self.v))
-        return AffineElement(self.rs, self.m_inv, self.m,
-                             self.root_m_inv, self.root_m, neg_v)
+        return AffineElement(self.rs, self.m_inv, self.m, neg_v)
 
     @property
     def finite_part(self):
@@ -145,27 +148,36 @@ class AffineElement:
         return {"matrix": [list(r) for r in self.m], "translation": list(self.v)}
 
 
+def _on_roots(rs: RootSystemData, mat) -> tuple[tuple[int, ...], ...]:
+    """A finite map on simple-coroot coordinates, moved to simple-root
+    coordinates: S mat S^-1 with S = diag(2 / |alpha_i|^2), as alpha_i^vee
+    = (2 / |alpha_i|^2) alpha_i.  The entries are integers for Weyl group
+    elements, so the division is exact."""
+    s = [rootsys.coroot_scale(rs, i) for i in range(rs.rank)]
+    return tuple(tuple(si * x // sj for x, sj in zip(row, s)) for row, si in zip(mat, s))
+
+
 def identity_element(rs: RootSystemData) -> AffineElement:
     eye = linalg.identity(rs.rank)
-    return AffineElement(rs, eye, eye, eye, eye, (0,) * rs.rank)
+    return AffineElement(rs, eye, eye, (0,) * rs.rank)
 
 
 def translation_element(rs: RootSystemData, q) -> AffineElement:
     eye = linalg.identity(rs.rank)
-    return AffineElement(rs, eye, eye, eye, eye, tuple(q))
+    return AffineElement(rs, eye, eye, tuple(q))
 
 
 class _Reflection(NamedTuple):
     """A generator s_i as sparse rank-one data, each field a tuple of the
     (index, value) pairs of a vector's nonzero entries.
 
-    On simple-coroot coordinates s_i is x -> x - (<p, x> - shift) c; its
-    finite part on simple-root coordinates is alpha -> alpha - <rp, alpha> rc.
+    On simple-coroot coordinates s_i is x -> x - (<p, x> - shift) c, and
+    rp holds the simple-root pairings <c, alpha_k>, so the step moves the
+    pairings of x by -(<p, x> - shift) rp.
     """
 
     c: tuple[tuple[int, int], ...]
     p: tuple[tuple[int, int], ...]
-    rc: tuple[tuple[int, int], ...]
     rp: tuple[tuple[int, int], ...]
     shift: int
 
@@ -179,8 +191,8 @@ def _reflections(rs: RootSystemData) -> tuple[_Reflection, ...]:
     """s_0, s_1, ..., s_n as sparse reflection data.
 
     s_0 reflects in <x, hr> = 1: p = hr^T A, c = hr_check, rp = A hr_check
-    (alpha -> <alpha, hr_check>), rc = hr.  s_i has p = row i of A,
-    rp = column i of A and c = rc = e_i.
+    (alpha -> <alpha, hr_check>).  s_i has p = row i of A, rp = column i
+    of A and c = e_i.
     """
     n = rs.rank
     a = rs.cartan_matrix
@@ -189,13 +201,12 @@ def _reflections(rs: RootSystemData) -> tuple[_Reflection, ...]:
     out = [_Reflection(
         _sparse(hrc),
         _sparse(sum(hr[j] * a[j][i] for j in range(n)) for i in range(n)),
-        _sparse(hr),
         _sparse(sum(a[j][i] * hrc[i] for i in range(n)) for j in range(n)),
         1,
     )]
     for i in range(n):
         e_i = ((i, 1),)
-        out.append(_Reflection(e_i, _sparse(a[i]), e_i, _sparse(a[j][i] for j in range(n)), 0))
+        out.append(_Reflection(e_i, _sparse(a[i]), _sparse(a[j][i] for j in range(n)), 0))
     return tuple(out)
 
 
@@ -215,24 +226,20 @@ def word_to_element(rs: RootSystemData, letters: Iterable[int]) -> AffineElement
     place and in integers.  A letter s = I - c p^T changes only the rows of
     ``m`` in the support of c; as s is an involution, m^-1 becomes m^-1 s,
     whose transpose changes only in the rows in the support of p, so the
-    inverses are carried transposed (the same holds on the root side).
+    inverse is carried transposed.
     """
     refl = _reflections(rs)
     n = rs.rank
-    m, m_inv_t, root_m, root_m_inv_t = (
-        [[int(i == j) for j in range(n)] for i in range(n)] for _ in range(4))
+    m, m_inv_t = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(2))
     v = [0] * n
     for i in reversed(tuple(letters)):
         r = refl[i]
         _reflect_rows(m, r.c, r.p)
         _reflect_rows(m_inv_t, r.p, r.c)
-        _reflect_rows(root_m, r.rc, r.rp)
-        _reflect_rows(root_m_inv_t, r.rp, r.rc)
         t = sum(x * v[l] for l, x in r.p) - r.shift
         for l, y in r.c:
             v[l] -= t * y
-    return AffineElement(rs, linalg.freeze(m), linalg.freeze(zip(*m_inv_t)),
-                         linalg.freeze(root_m), linalg.freeze(zip(*root_m_inv_t)), tuple(v))
+    return AffineElement(rs, linalg.freeze(m), linalg.freeze(zip(*m_inv_t)), tuple(v))
 
 
 @lru_cache(maxsize=None)

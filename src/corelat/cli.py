@@ -25,11 +25,6 @@ from .rootsys import CartanType
 
 USAGE_ERROR = 2
 
-VERIFY_THEOREMS = (
-    "arm", "main", "max", "transfer", "sizer", "welldef", "ip_content",
-    "models", "haiman", "strange", "typea", "fg_poly", "conjecture",
-)
-
 
 class UsageError(Exception):
     pass
@@ -57,25 +52,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _matrix_from_args(args):
-    if args.type:
-        types = [str(_parse_type(t)) for t in args.type]
-    else:
-        types = [t for t, _ in verify.DEFAULT_MATRIX]
-    default_bs = dict(verify.DEFAULT_MATRIX)
-    out = []
-    for t in types:
-        if args.b:
-            bs = args.b
-        elif t in default_bs:
-            bs = default_bs[t]
-        else:
-            rs = rootsys.build_named(t)
-            bs = [b for b in range(2, 40) if gcd(b, rs.coxeter_number) == 1][:2]
-        out.append((t, tuple(bs)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,98 +103,12 @@ def cmd_draw(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify subcommand: thin wrappers around the suites in corelat.verify
-# ---------------------------------------------------------------------------
-
-def _verify_arm(args, cap):
-    return verify.check_arm(cap=cap)
-
-
-def _verify_main(args, cap):
-    return verify.check_main(_matrix_from_args(args), cap=cap)
-
-
-def _verify_max(args, cap):
-    return verify.check_max(_matrix_from_args(args), cap=cap)
-
-
-def _verify_transfer(args, cap):
-    return verify.check_transfer(_matrix_from_args(args), cap=cap)
-
-
-def _verify_sizer(args, cap):
-    types = [t for t, _ in _matrix_from_args(args)]
-    return verify.check_sizer(count=args.count or 1000, types=types)
-
-
-def _verify_welldef(args, cap):
-    types = [t for t in verify.WELLDEF_TYPES
-             if not args.type or t in {str(_parse_type(x)) for x in args.type}]
-    return verify.check_welldef(types, max_len=args.length or 8)
-
-
-def _verify_ip_content(args, cap):
-    return verify.check_ip_content()
-
-
-def _verify_models(args, cap):
-    return verify.check_models()
-
-
-def _verify_haiman(args, cap):
-    return verify.check_haiman(_matrix_from_args(args) if args.type else None, cap=cap)
-
-
-def _verify_strange(args, cap):
-    return verify.check_strange()
-
-
-def _verify_typea(args, cap):
-    return verify.check_typea()
-
-
-def _verify_fg_poly(args, cap):
-    return verify.check_fg_poly(cap=cap)
-
-
-def _verify_conjecture(args, cap):
-    if args.type:
-        return verify.check_conjecture(_matrix_from_args(args), cap=cap)
-    return verify.check_conjecture(cap=cap)
-
-
-_VERIFIERS = {
-    "arm": _verify_arm,
-    "main": _verify_main,
-    "max": _verify_max,
-    "transfer": _verify_transfer,
-    "sizer": _verify_sizer,
-    "welldef": _verify_welldef,
-    "ip_content": _verify_ip_content,
-    "models": _verify_models,
-    "haiman": _verify_haiman,
-    "strange": _verify_strange,
-    "typea": _verify_typea,
-    "fg_poly": _verify_fg_poly,
-    "conjecture": _verify_conjecture,
-}
-
-
 def cmd_verify(args) -> int:
-    if args.theorem not in _VERIFIERS:
-        raise UsageError(
-            f"unknown theorem id {args.theorem!r}; choose from {', '.join(VERIFY_THEOREMS)}")
-    failures = _VERIFIERS[args.theorem](args, _cap(args))
-    report = {
-        "theorem": args.theorem,
-        "pass": not failures,
-        "counterexamples": failures,
-    }
-    if args.theorem == "conjecture":
-        report["note"] = "evidence only: exhaustive check at these parameters, not a proof"
+    types = [str(_parse_type(t)) for t in args.type] if args.type else None
+    report = verify.run(args.theorem, types=types, bs=args.b, cap=_cap(args),
+                        count=args.count, length=args.length)
     _emit(args, json.dumps(report, indent=2, sort_keys=True))
-    return 0 if not failures else 1
+    return 0 if report["pass"] else 1
 
 
 # ---------------------------------------------------------------------------

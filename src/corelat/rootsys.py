@@ -228,6 +228,12 @@ class RootSystemData:
     def __repr__(self):
         return f"RootSystemData({self.cartan_type})"
 
+    def __hash__(self):
+        # Only the cached ``build`` constructs this class, so the type
+        # identifies the system, and a cache lookup keyed on a system costs
+        # O(1) rather than a pass over every root.
+        return hash(self.cartan_type)
+
 
 @lru_cache(maxsize=None)
 def build(t: CartanType) -> RootSystemData:

@@ -1,7 +1,8 @@
-"""Verification suites: each function checks one family of identities by
-independent computation and returns a list of counterexample records
-(empty = pass).  The CLI ``verify`` subcommand and the acceptance tests are
-thin wrappers around these."""
+"""Verification suites: each ``check_<id>`` function checks one family of
+identities by independent computation and returns a list of counterexample
+records (empty = pass).  ``SUITES`` states what each suite reads, and
+``run`` scopes and runs one suite by its theorem id; the CLI ``verify``
+subcommand calls ``run`` and the acceptance tests call the checks directly."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb, gcd
+from typing import NamedTuple
 
 from . import affine, cores, ehrhart, models, rootsys, sommers
 from .rootsys import CartanType, build, build_named
@@ -34,6 +36,94 @@ WELLDEF_TYPES = ("A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3")
 MODEL_POINT_GRIDS = (
     ("B2", 16), ("B3", 5), ("C2", 16), ("C3", 5), ("D4", 3), ("G2", 16),
 )
+
+
+class Suite(NamedTuple):
+    """What ``run`` may pass to a suite's ``check_<id>`` function."""
+
+    reads: tuple[str, ...] = ()  # scoping options, of "type", "b", "count", "length"
+    cap: bool = False  # takes the feasibility cap
+    note: str | None = None  # added to the report
+
+
+#: theorem id -> suite, in the order the CLI lists them
+SUITES = {
+    "arm": Suite(cap=True),
+    "main": Suite(("type", "b"), cap=True),
+    "max": Suite(("type", "b"), cap=True),
+    "transfer": Suite(("type", "b"), cap=True),
+    "sizer": Suite(("type", "count")),
+    "welldef": Suite(("type", "length")),
+    "ip_content": Suite(),
+    "models": Suite(),
+    "haiman": Suite(("type", "b"), cap=True),
+    "strange": Suite(),
+    "typea": Suite(),
+    "fg_poly": Suite(cap=True),
+    "conjecture": Suite(("type", "b"), cap=True,
+                        note="evidence only: exhaustive check at these parameters, not a proof"),
+}
+
+THEOREMS = tuple(SUITES)
+
+
+def scoped_matrix(types=None, bs=None) -> list:
+    """(type, b values) pairs for a scoped run.
+
+    The types are the given names, else those of DEFAULT_MATRIX.  Each gets
+    the given b values, else its DEFAULT_MATRIX ones, else the first two
+    b < 40 coprime to h.
+    """
+    default_bs = dict(DEFAULT_MATRIX)
+    out = []
+    for t in types or default_bs:
+        if bs:
+            values = bs
+        elif t in default_bs:
+            values = default_bs[t]
+        else:
+            h = build_named(t).coxeter_number
+            values = [b for b in range(2, 40) if gcd(b, h) == 1][:2]
+        out.append((t, tuple(values)))
+    return out
+
+
+def run(theorem: str, *, types=None, bs=None, cap=None, count=None, length=None) -> dict:
+    """Run the suite ``theorem`` and return its report.
+
+    Only the options that are set are passed on, so every default lives in
+    the ``check_<id>`` signature.  The check is looked up as a module
+    attribute at call time, so a wrapper installed on it takes effect.
+    Raises ValueError for an unknown theorem id, a scoping option the suite
+    does not read, or a ``count`` or ``length`` below 1; ``cap`` is
+    accepted by every suite.
+    """
+    if theorem not in SUITES:
+        raise ValueError(f"unknown theorem id {theorem!r}; choose from {', '.join(THEOREMS)}")
+    suite = SUITES[theorem]
+    given = {"type": types, "b": bs, "count": count, "length": length}
+    unread = [f"--{k}" for k, v in given.items() if v is not None and k not in suite.reads]
+    if unread:
+        reads = ", ".join(f"--{k}" for k in suite.reads) or "no scoping flags"
+        raise ValueError(f"verify {theorem} does not read {', '.join(unread)}; it reads {reads}")
+    kwargs = {}
+    if cap is not None and suite.cap:
+        kwargs["cap"] = cap
+    if "b" in suite.reads:
+        if types or bs:
+            kwargs["matrix"] = scoped_matrix(types, bs)
+    elif types:
+        kwargs["types"] = types
+    for name, key, value in (("--count", "count", count), ("--length", "max_len", length)):
+        if value is not None:
+            if value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value}")
+            kwargs[key] = value
+    failures = globals()[f"check_{theorem}"](**kwargs)
+    report = {"theorem": theorem, "pass": not failures, "counterexamples": failures}
+    if suite.note:
+        report["note"] = suite.note
+    return report
 
 
 def check_arm(pairs=ARM_PAIRS, cap: int = DEFAULT_CAP) -> list:
@@ -127,6 +217,10 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
     """All reduced words of one element give one size vector, invariant under
     appending a finite letter on the left of the word (right-multiplication of
     the represented coset element)."""
+    unsupported = [t for t in types if t not in WELLDEF_TYPES]
+    if unsupported:
+        raise ValueError(f"welldef does not support {', '.join(unsupported)}; "
+                         f"supported types: {', '.join(WELLDEF_TYPES)}")
     failures = []
     for t in types:
         rs = build_named(t)

@@ -1,8 +1,9 @@
 import json
 
 import jsonschema
+import pytest
 
-from corelat import cli
+from corelat import cli, verify
 
 ROOTS_SCHEMA = {
     "type": "object",
@@ -117,6 +118,58 @@ def test_verify_conjecture_is_labeled_evidence(capsys):
 def test_verify_unknown_theorem(capsys):
     code, _ = run(capsys, "verify", "nonsense")
     assert code == 2
+
+
+def test_verify_unknown_theorem_lists_every_suite(capsys):
+    assert cli.main(["verify", "nonsense"]) == 2
+    listed = capsys.readouterr().err.strip().split("choose from ", 1)[1]
+    assert tuple(listed.split(", ")) == verify.THEOREMS
+
+
+def test_verify_dispatches_through_the_module_attribute(monkeypatch, capsys):
+    # perfbench/tracing.py times each suite by wrapping the check_* attributes
+    failure = {"type": "X1", "lhs": "1", "rhs": "2"}
+    monkeypatch.setattr(verify, "check_strange", lambda: [failure])
+    code, out = run(capsys, "verify", "strange")
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, VERIFY_SCHEMA)
+    assert doc["pass"] is False and doc["counterexamples"] == [failure]
+
+
+@pytest.mark.parametrize("argv, kwargs", [
+    (["main"], {"cap": 1000}),
+    (["fg_poly"], {"cap": 1000}),
+    (["strange"], {}),
+    (["haiman", "--b", "5"], {"cap": 1000, "matrix": verify.scoped_matrix(bs=(5,))}),
+    (["conjecture", "--type", "c2"], {"cap": 1000, "matrix": [("C2", (3, 5, 7))]}),
+    (["main", "--type", "E6"], {"cap": 1000, "matrix": [("E6", (5, 7))]}),
+    (["sizer", "--type", "A2", "--count", "5"], {"types": ["A2"], "count": 5}),
+    (["welldef", "--length", "3"], {"max_len": 3}),
+])
+def test_verify_passes_only_the_options_set(monkeypatch, capsys, argv, kwargs):
+    seen = []
+    monkeypatch.setattr(verify, f"check_{argv[0]}", lambda **kw: seen.append(kw) or [])
+    code, _ = run(capsys, "verify", *argv, "--cap", "1000")
+    assert code == 0
+    assert seen == [kwargs]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["strange", "--count", "3"], "verify strange does not read --count; it reads no scoping flags"),
+    (["sizer", "--b", "5"], "verify sizer does not read --b; it reads --type, --count"),
+    (["main", "--length", "4"], "verify main does not read --length; it reads --type, --b"),
+    (["welldef", "--type", "E8"], "supported types: A1, A2, B2, C2, G2, A3, B3, C3"),
+    (["haiman", "--b", "3"], "gcd(b, h) = 1"),
+    (["conjecture", "--b", "3"], "gcd(b, h) = 1"),
+    (["sizer", "--count", "0"], "--count must be a positive integer, got 0"),
+    (["welldef", "--length", "-1"], "--length must be a positive integer, got -1"),
+])
+def test_verify_scoping_errors_are_usage_errors(capsys, argv, message):
+    assert cli.main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_draw_deterministic(tmp_path, capsys):

@@ -1,8 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from corelat import ehrhart, linalg, rootsys
+from corelat import affine, ehrhart, linalg, rootsys
 from corelat.rootsys import CartanType, CartanTypeError, build_named
 
 # (h, dual Coxeter, exponents, marks, index of connection, r)
@@ -221,3 +222,18 @@ def test_weyl_group_orders():
         rs = build_named(name)
         expected = exceptional.get(name) or closed[name[0]](rs.rank)
         assert rs.weyl_order == expected
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "E8", "A40"])
+def test_hash_is_the_cartan_type_and_caches_hit(name):
+    t = CartanType.parse(name)
+    rs = rootsys.build(t)
+    assert hash(rs) == hash(t)
+    assert rootsys.build(t) is rs
+    affine.letter_element(rs, 1)
+    before = affine._letter_elements.cache_info()
+    copy = dataclasses.replace(rs)
+    assert copy is not rs and copy == rs
+    assert affine.letter_element(copy, 1) is affine.letter_element(rs, 1)
+    after = affine._letter_elements.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
