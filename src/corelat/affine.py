@@ -219,6 +219,13 @@ def _reflect_rows(mat: list[list[int]], c, p) -> None:
         mat[l] = [mk - y * wk for mk, wk in zip(mat[l], w)]
 
 
+def _reflect_point(x: list, r: _Reflection) -> None:
+    """x <- s(x) in place: x - (<p, x> - shift) c, for int or Fraction coordinates."""
+    t = sum(y * x[l] for l, y in r.p) - r.shift
+    for l, y in r.c:
+        x[l] -= t * y
+
+
 def word_to_element(rs: RootSystemData, letters: Iterable[int]) -> AffineElement:
     """The element s_{a_1} s_{a_2} ... s_{a_l} spelled by the letters a_1 ... a_l.
 
@@ -236,9 +243,7 @@ def word_to_element(rs: RootSystemData, letters: Iterable[int]) -> AffineElement
         r = refl[i]
         _reflect_rows(m, r.c, r.p)
         _reflect_rows(m_inv_t, r.p, r.c)
-        t = sum(x * v[l] for l, x in r.p) - r.shift
-        for l, y in r.c:
-            v[l] -= t * y
+        _reflect_point(v, r)
     return AffineElement(rs, linalg.freeze(m), linalg.freeze(zip(*m_inv_t)), tuple(v))
 
 
@@ -252,25 +257,6 @@ def letter_element(rs: RootSystemData, i: int) -> AffineElement:
     return _letter_elements(rs)[i]
 
 
-def _apply_letter(rs: RootSystemData, i: int, x):
-    """One simple reflection applied to a point (works for int or Fraction coords)."""
-    n = rs.rank
-    a = rs.cartan_matrix
-    if i == 0:
-        hr = rs.highest_root_coeffs
-        val = sum(hr[j] * sum(a[j][l] * x[l] for l in range(n)) for j in range(n))
-        t = val - 1
-        if t == 0:
-            return x  # fixed by s_0 only if on the wall; callers check separately
-        hrc = rs.highest_root_coroot_coords
-        return tuple(x[l] - t * hrc[l] for l in range(n))
-    j = i - 1
-    val = sum(a[j][l] * x[l] for l in range(n))
-    if val == 0:
-        return x
-    return tuple(x[l] - val * (1 if l == j else 0) for l in range(n))
-
-
 def apply(rs: RootSystemData, w, q):
     """Left action on a point in simple-coroot coordinates.
 
@@ -280,10 +266,11 @@ def apply(rs: RootSystemData, w, q):
     if isinstance(w, AffineElement):
         return w(q)
     letters = w.letters if isinstance(w, AffineWord) else tuple(w)
-    x = tuple(q)
+    refl = _reflections(rs)
+    x = list(q)
     for i in reversed(letters):
-        x = _apply_letter(rs, i, x)
-    return x
+        _reflect_point(x, refl[i])
+    return tuple(x)
 
 
 def affine_simple_root(rs: RootSystemData, i: int) -> AffineRoot:
@@ -539,7 +526,7 @@ def check_wb_maximality(rs: RootSystemData, b: int, cap: int = 10_000) -> Maxima
     """
     from . import sommers  # local import to avoid a cycle
 
-    core = sommers.enumerate_cores(rs, b, cap=cap, direct=False)
+    core = sommers.enumerate_cores(rs, b, cap=cap)
     wb = compute_w_b(rs, b)
     wb_inv_set = inversion_set(wb)
     q_star = wb.inverse()((0,) * rs.rank)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import rootsys, sommers
+from . import sommers
 from .rootsys import RootSystemData
 from .sommers import DEFAULT_CAP, FeasibilityError
 
@@ -28,14 +28,6 @@ class SeriesMismatchError(ValueError):
         super().__init__(f"power series disagree first at degree {degree}: {lhs} != {rhs}")
 
 
-def _coweight_gram_scaled(rs: RootSystemData):
-    """(f, f*G) with G = D^-1 A^-1 the Gram matrix of the fundamental
-    coweights, so that quadratic forms stay in integer arithmetic."""
-    scaled = tuple(tuple(rootsys.coroot_scale(rs, i) * x for x in row)
-                   for i, row in enumerate(rs.cartan_adjugate))
-    return rs.index_of_connection, scaled
-
-
 _ENUMERATOR_CACHE: dict = {}
 
 
@@ -44,11 +36,11 @@ def clear_enumerator_cache() -> None:
 
 
 def weighted_enumerator(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> Fraction:
-    """Sum of size^(b) over the coweight-lattice points of the b-dilated alcove.
+    """Sum of size_b over the coweight-lattice points of the b-dilated alcove.
 
-    Computed two ways that must agree: term by term from the defining
-    expression (h/2)(|x - b rho/h|^2 - |rho/h|^2), and via the three-term
-    split (h/2)|x|^2 - b<x, rho> + (b^2 - 1)|rho|^2/(2h).
+    One integer ``sommers.scaled_size_b`` value is added per point.  The
+    independent checks of the total are ``expected_size`` (region mean and
+    closed form) and ``verify fg_poly`` (fits against the predicted polynomial).
 
     Values are cached per (system, b); the cap only guards fresh work.
     """
@@ -57,32 +49,16 @@ def weighted_enumerator(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> F
         return cached
     if b < 1:
         raise ValueError("dilation factor must be >= 1")
-    n = rs.rank
-    h = rs.coxeter_number
-    denom, g = _coweight_gram_scaled(rs)
-    # In the coweight basis rho has coordinates (1, ..., 1).
-    g_rows = [sum(row) for row in g]           # N * <omega_i, rho>
-    rho_norm_scaled = sum(g_rows)              # N * <rho, rho>
-    count = 0
-    quad = 0        # N * sum |x|^2
-    lin = 0         # N * sum <x, rho>
-    direct = 0      # N * 2 * h * sum (|x - b rho / h|^2 - |rho/h|^2)
-    for m in sommers.iter_alcove_m(rs, b):
-        count += 1
-        if count > cap * max(rs.index_of_connection, 1):
+    denom, size = sommers.scaled_size_b(rs, b)
+    limit = cap * max(rs.index_of_connection, 1)
+    total = 0
+    for count, m in enumerate(sommers.iter_alcove_m(rs, b), 1):
+        if count > limit:
             raise FeasibilityError(f"weighted enumeration for {rs.cartan_type}, b={b} exceeds cap")
-        q = sum(g[i][j] * m[i] * m[j] for i in range(n) for j in range(n) if m[i] and m[j])
-        l = sum(g_rows[i] * m[i] for i in range(n) if m[i])
-        quad += q
-        lin += l
-        # h^2 |x - b rho/h|^2 = |h x - b rho|^2 (coweight coords h*m - b*1)
-        direct += (h * h * q - 2 * h * b * l + b * b * rho_norm_scaled) - rho_norm_scaled
-    split = (Fraction(h * quad, 2) - b * Fraction(lin)
-             + count * Fraction((b * b - 1) * rho_norm_scaled, 2 * h)) / denom
-    direct_total = Fraction(direct, 2 * h * denom)
-    assert split == direct_total, "three-term split disagrees with the direct definition"
-    _ENUMERATOR_CACHE[(rs.cartan_type, b)] = split
-    return split
+        total += size(m)
+    value = Fraction(total, denom)
+    _ENUMERATOR_CACHE[(rs.cartan_type, b)] = value
+    return value
 
 
 # ---------------------------------------------------------------------------

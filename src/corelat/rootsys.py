@@ -168,11 +168,6 @@ def _closure_pair_vecs(a, n) -> dict[tuple[int, ...], tuple[int, ...]]:
     return dict(sorted(found.items(), key=lambda item: (sum(item[0]), item[0])))
 
 
-def _positive_roots_by_closure(a, n):
-    """Positive roots as coefficient tuples, sorted by (height, coefficients)."""
-    return list(_closure_pair_vecs(a, n))
-
-
 def _adjugate(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(det A, adj A) from one fraction-free (Bareiss) Gauss-Jordan elimination of [A | I].
 
@@ -349,6 +344,13 @@ def norm2(rs: RootSystemData, v) -> Fraction:
 def coroot_scale(rs: RootSystemData, i: int) -> int:
     """2 / |alpha_i|^2 for the simple root alpha_i (0-based): 1 if long, r if short."""
     return rs.gram_coroot[i][i] // 2
+
+
+def coweight_gram(rs: RootSystemData) -> tuple[tuple[int, ...], ...]:
+    """f <omegacheck_i, omegacheck_j>, the integer matrix D^-1 adj(A): the
+    Gram matrix of the fundamental coweights scaled by f = det A."""
+    return tuple(tuple(coroot_scale(rs, i) * x for x in row)
+                 for i, row in enumerate(rs.cartan_adjugate))
 
 
 def coweight_pairing(rs: RootSystemData, i: int, x) -> Fraction:

@@ -29,7 +29,7 @@ from .rootsys import CartanType, Root, RootSystemData
 
 #: refuse enumerations whose predicted point count exceeds this
 DEFAULT_CAP = 10**6
-#: refuse direct bounding-box scans larger than this many candidate points
+#: skip the direct bounding-box scan when its box holds more candidate points
 DEFAULT_BOX_CAP = 3 * 10**7
 
 
@@ -177,29 +177,25 @@ def region_vertices(rs: RootSystemData, b: int) -> list[tuple[Fraction, ...]]:
     return [wb_inv(tuple(b * c for c in v)) for v in alcove_vertices(rs)]
 
 
-def _direct_scan(sr: SommersRegion, box_cap: int) -> list[tuple[int, ...]] | None:
+def _direct_scan(sr: SommersRegion) -> list[tuple[int, ...]] | None:
     """Scan the integer bounding box of the region's vertices, filter by the
-    defining inequalities.  Returns None when the box exceeds ``box_cap``."""
+    defining inequalities; None when the box holds over ``DEFAULT_BOX_CAP`` points."""
     rs = sr.rs
     n = rs.rank
     verts = region_vertices(rs, sr.b)
     lo = [min(floor(v[i]) for v in verts) - 1 for i in range(n)]
     hi = [max(ceil(v[i]) for v in verts) + 1 for i in range(n)]
-    volume = prod(h - l + 1 for l, h in zip(lo, hi))
-    if volume > box_cap:
+    sides = [h - l + 1 for l, h in zip(lo, hi)]
+    if prod(sides) > DEFAULT_BOX_CAP:
         return None
     # int64 is exact here: coordinates and pairing values are tiny integers
     assert all(abs(x) < 2**20 for x in lo + hi)
     low_mat = np.array([r.pair_vec for r in sr.height_low_roots], dtype=np.int64).T
     high_mat = np.array([r.pair_vec for r in sr.height_high_roots], dtype=np.int64).T
-    axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-    if n == 1:
-        grid = axes[0].reshape(-1, 1)
-        return [tuple(map(int, row)) for row in grid
-                if contains(sr, tuple(map(int, row)))]
-    tail = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, n - 1)
+    tail = (np.indices(sides[1:], dtype=np.int64).reshape(n - 1, prod(sides[1:])).T
+            + np.array(lo[1:], dtype=np.int64))
     found = []
-    for x0 in axes[0]:
+    for x0 in range(lo[0], hi[0] + 1):
         pts = np.concatenate([np.full((tail.shape[0], 1), x0, dtype=np.int64), tail], axis=1)
         mask = ((pts @ low_mat) >= -sr.t_b).all(axis=1) & ((pts @ high_mat) <= sr.t_b + 1).all(axis=1)
         found.extend(tuple(map(int, row)) for row in pts[mask])
@@ -207,14 +203,13 @@ def _direct_scan(sr: SommersRegion, box_cap: int) -> list[tuple[int, ...]] | Non
     return found
 
 
-def enumerate_cores(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP,
-                    direct: bool | None = None, box_cap: int = DEFAULT_BOX_CAP) -> CoreSet:
+def enumerate_cores(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> CoreSet:
     """The coroot-lattice points of the b-region, with their sizes.
 
-    Always computed by mapping the dilated-alcove points through the inverse
-    dilation element; additionally cross-checked against a direct inequality
-    scan (``direct=None`` skips the scan only when the bounding box exceeds
-    ``box_cap``; ``direct=True`` forces it; ``direct=False`` disables it).
+    Computed by mapping the dilated-alcove points through the inverse
+    dilation element, and cross-checked against a direct inequality scan
+    whenever the scan's bounding box holds at most ``DEFAULT_BOX_CAP``
+    points; ``direct_checked`` records whether the scan ran.
     """
     predicted = haiman_count(rs, b)
     if predicted > cap:
@@ -226,38 +221,41 @@ def enumerate_cores(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP,
     if len(mapped) != predicted:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: found {len(mapped)} alcove points, expected {predicted}")
-    checked = False
-    if direct or (direct is None):
-        scanned = _direct_scan(sr, box_cap)
-        if scanned is None and direct:
-            raise FeasibilityError(
-                f"bounding box for {rs.cartan_type}, b={b} exceeds the box cap {box_cap}")
-        if scanned is not None:
-            if scanned != mapped:
-                raise AssertionError(
-                    f"{rs.cartan_type}, b={b}: direct inequality scan disagrees with the "
-                    f"mapped alcove points ({len(scanned)} vs {len(mapped)})")
-            checked = True
+    scanned = _direct_scan(sr)
+    if scanned is not None and scanned != mapped:
+        raise AssertionError(
+            f"{rs.cartan_type}, b={b}: direct inequality scan disagrees with the "
+            f"mapped alcove points ({len(scanned)} vs {len(mapped)})")
     sizes = tuple(affine.size_lattice_total(rs, q) for q in mapped)
-    return CoreSet(rs, b, tuple(mapped), sizes, checked)
+    return CoreSet(rs, b, tuple(mapped), sizes, scanned is not None)
+
+
+def scaled_size_b(rs: RootSystemData, b: int):
+    """(d, s) with size_b(x) = s(A x) / d, d = 2 h f, and s the integer form
+    s(m) = h^2 m^T G m - 2 h b (G 1)^T m + (b^2 - 1) 1^T G 1 of the simple-root
+    pairings m, where G = ``rootsys.coweight_gram`` and 1 is rhocheck in
+    coweight coordinates."""
+    h = rs.coxeter_number
+    g = rootsys.coweight_gram(rs)
+    g1 = [sum(row) for row in g]
+    hh, hb2, const = h * h, 2 * h * b, (b * b - 1) * sum(g1)
+
+    def s(m):
+        nz = [(i, x) for i, x in enumerate(m) if x]
+        quad = lin = 0
+        for i, x in nz:
+            row = g[i]
+            quad += x * sum([row[j] * y for j, y in nz])
+            lin += g1[i] * x
+        return hh * quad - hb2 * lin + const
+
+    return 2 * h * rs.index_of_connection, s
 
 
 def size_b(rs: RootSystemData, b: int, x) -> Fraction:
     """(h/2) (|x - b rho/h|^2 - |rho/h|^2), the dilated-alcove avatar of size."""
-    h = rs.coxeter_number
-    shifted = tuple(Fraction(xi) - Fraction(b * ri, h) for xi, ri in
-                    zip(x, rs.rho_check_coords))
-    rho_norm = rootsys.norm2(rs, rs.rho_check_coords)
-    return Fraction(h, 2) * rootsys.norm2(rs, shifted) - rho_norm / (2 * h)
-
-
-def size_b_split(rs: RootSystemData, b: int, x) -> Fraction:
-    """Same value via (h/2)|x|^2 - b <x, rho> + (b^2 - 1)|rho|^2 / (2h)."""
-    h = rs.coxeter_number
-    rho_norm = rootsys.norm2(rs, rs.rho_check_coords)
-    return (Fraction(h, 2) * rootsys.norm2(rs, x)
-            - b * rootsys.rho_pairing(rs, x)
-            + Fraction(b * b - 1, 2 * h) * rho_norm)
+    d, s = scaled_size_b(rs, b)
+    return Fraction(s(linalg.matvec(rs.cartan_matrix, x))) / d
 
 
 def max_size(rs: RootSystemData, b: int, coreset: CoreSet | None = None):

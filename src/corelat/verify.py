@@ -23,6 +23,9 @@ DEFAULT_MATRIX = (
     ("F4", (5, 7, 11)),
 )
 
+#: exceptional (type, b values) added to the count suite's default matrix
+E_TYPES = (("E6", (5,)), ("E7", (5,)), ("E8", (7,)))
+
 ARM_PAIRS = ((3, 4), (3, 5), (4, 5), (5, 6), (4, 7))
 
 ALL_FAMILY_NAMES = (
@@ -72,18 +75,22 @@ def scoped_matrix(types=None, bs=None) -> list:
 
     The types are the given names, else those of DEFAULT_MATRIX.  Each gets
     the given b values, else its DEFAULT_MATRIX ones, else the first two
-    b < 40 coprime to h.
+    b < 40 coprime to h.  A b below 1 or not coprime to h raises ValueError.
     """
     default_bs = dict(DEFAULT_MATRIX)
     out = []
     for t in types or default_bs:
+        h = build_named(t).coxeter_number
         if bs:
             values = bs
         elif t in default_bs:
             values = default_bs[t]
         else:
-            h = build_named(t).coxeter_number
             values = [b for b in range(2, 40) if gcd(b, h) == 1][:2]
+        for b in values:
+            if b < 1 or gcd(b, h) != 1:
+                raise ValueError(
+                    f"{t}: b = {b} must be a positive integer with gcd(b, h) = 1, h = {h}")
         out.append((t, tuple(values)))
     return out
 
@@ -307,11 +314,10 @@ def check_models(grids=MODEL_POINT_GRIDS, minimum: int = 1000) -> list:
     return failures
 
 
-def check_haiman(matrix=None, cap: int = DEFAULT_CAP) -> list:
+def check_haiman(matrix=DEFAULT_MATRIX + E_TYPES, cap: int = DEFAULT_CAP) -> list:
     """Point counts of dilated alcoves against the product formula, in both
     the coroot and the coweight lattice."""
     failures = []
-    matrix = list(matrix or DEFAULT_MATRIX) + [("E6", (5,)), ("E7", (5,)), ("E8", (7,))]
     for t, bs in matrix:
         rs = build_named(t)
         for b in bs:

@@ -1,0 +1,63 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps package functions
+by name.  These tests install it as the benchmark does, so a refactor that
+renames or drops a wrapped function fails here rather than in a traced
+benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+# the tracer patches these modules through sys.modules, so all must be loaded
+from corelat import affine, cli, ehrhart, rootsys, sommers, verify  # noqa: F401
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_every_layer_of_enumerate_cores():
+    tracing = load_tracing()
+    rs = rootsys.build_named("A2")
+    ehrhart.clear_enumerator_cache()
+    wrapped = ("iter_alcove_m", "_direct_scan", "enumerate_alcove", "enumerate_cores")
+    originals = {name: getattr(sommers, name) for name in wrapped}
+    before = tracing.cache_counts()
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    try:
+        cs = sommers.enumerate_cores(rs, 5)
+        visited_by_cores = tracer.counts["sommers.alcove_m_visited"]
+        ehrhart.weighted_enumerator(rs, 4)
+    finally:
+        tracer.uninstall()
+    assert {name: getattr(sommers, name) for name in wrapped} == originals
+    assert cs.direct_checked and len(cs) == 7
+
+    spans = {}
+    for sid, name, _, _, parent in tracer.spans:
+        spans.setdefault(name, []).append((sid, parent))
+    (top, _), = spans["sommers.enumerate_cores"]
+    assert [parent for _, parent in spans["sommers.enumerate_alcove"]] == [top]
+    assert [parent for _, parent in spans["sommers.direct_scan"]] == [top]
+    assert len(spans["affine.size_lattice_total"]) == 7
+    assert spans["affine.compute_w_b"]
+    assert len(spans["ehrhart.weighted_enumerator"]) == 1
+    assert [kept for _, kept in tracer.scans] == [7]
+    assert tracer.enumerator_keys == {(rs.cartan_type, 4)}
+
+    # m1 + m2 <= 5 has 21 solutions, 7 in the coroot lattice; m1 + m2 <= 4 has 15
+    assert visited_by_cores == 21
+    after = tracing.cache_counts()
+    delta = {k: (after[k][0] - before[k][0], after[k][1] - before[k][1]) for k in after}
+    metrics = tracer.metrics(delta)
+    assert metrics["sommers.alcove_m_visited"] == 21 + 15
+    assert metrics["sommers.coroot_hit_ratio"] == 7 / 21
+    assert metrics["sommers.direct_scan_skipped"] == 0
+    assert metrics["sommers.box_volume"] == tracing.box_volume(sommers.sommers_region(rs, 5))
+    assert 0 < metrics["sommers.box_keep_ratio"] <= 1
+    assert metrics["affine.size_calls"] == 7
+    assert metrics["ehrhart.enumerator_fresh"] == 1

@@ -164,12 +164,33 @@ def test_verify_passes_only_the_options_set(monkeypatch, capsys, argv, kwargs):
     (["conjecture", "--b", "3"], "gcd(b, h) = 1"),
     (["sizer", "--count", "0"], "--count must be a positive integer, got 0"),
     (["welldef", "--length", "-1"], "--length must be a positive integer, got -1"),
+    (["max", "--b", "3"], "A2: b = 3 must be a positive integer with gcd(b, h) = 1, h = 3"),
+    (["transfer", "--b", "3"], "A2: b = 3 must be a positive integer with gcd(b, h) = 1, h = 3"),
+    (["main", "--type", "A2", "--b", "0"], "A2: b = 0 must be a positive integer"),
 ])
 def test_verify_scoping_errors_are_usage_errors(capsys, argv, message):
     assert cli.main(["verify", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_verify_rejects_a_non_coprime_b_before_any_suite_runs(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(verify, "check_main", lambda **kw: seen.append(kw) or [])
+    assert cli.main(["verify", "main", "--type", "G2", "--b", "5,6,7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and seen == []
+    assert "G2: b = 6 must be a positive integer with gcd(b, h) = 1, h = 6" in captured.err
+
+
+def test_scoped_haiman_checks_only_its_own_cases(monkeypatch):
+    seen = []
+    count = verify.sommers.haiman_count
+    monkeypatch.setattr(verify.sommers, "haiman_count",
+                        lambda rs, b: seen.append((str(rs.cartan_type), b)) or count(rs, b))
+    assert verify.run("haiman", types=["B3"], bs=(5,))["pass"]
+    assert seen == [("B3", 5)]
 
 
 def test_draw_deterministic(tmp_path, capsys):

@@ -1,16 +1,18 @@
-"""Hypothesis property tests for the alcove reduction and w_b.
+"""Hypothesis property tests for the alcove reduction, w_b, the word
+action and the shifted size statistic.
 
-They run beside the fixed cases in test_affine.py, over random types of
-rank <= 8 and random dilations b coprime to h.
+They run beside the fixed cases in test_affine.py and test_sommers.py,
+over random types of rank <= 8 and random dilations b.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from corelat import affine, linalg
+from corelat import affine, ehrhart, linalg, rootsys, sommers
 from corelat.affine import PointOnWallError
 from corelat.rootsys import build_named
 
@@ -113,3 +115,45 @@ def test_alcove_reduce_length_is_the_step_count(name, data):
         return
     assert u(x) == y
     assert len(affine.inversion_set(u)) == affine.alcove_distance(rs, x)
+
+
+def rational_point(data, n, bound=6):
+    denom = data.draw(st.integers(1, 40))
+    return tuple(Fraction(data.draw(st.integers(-bound * denom, bound * denom)), denom)
+                 for _ in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(TYPES), st.data())
+def test_word_action_matches_its_element(name, data):
+    rs = build_named(name)
+    word = data.draw(st.lists(st.integers(0, rs.rank), max_size=12))
+    q = rational_point(data, rs.rank)
+    assert affine.apply(rs, word, q) == affine.word_to_element(rs, word)(q)
+
+
+def size_b_by_definition(rs, b, x):
+    """(h/2)(|x - b rhocheck/h|^2 - |rhocheck/h|^2), with the norm read from rootsys.norm2."""
+    h = rs.coxeter_number
+    rho = rs.rho_check_coords
+    shifted = tuple(Fraction(xi) - Fraction(b, h) * ri for xi, ri in zip(x, rho))
+    return Fraction(h, 2) * (rootsys.norm2(rs, shifted)
+                             - rootsys.norm2(rs, tuple(ri / h for ri in rho)))
+
+
+@PROPERTY
+@given(st.sampled_from(TYPES), st.integers(1, 300), st.data())
+def test_size_b_matches_its_definition(name, b, data):
+    rs = build_named(name)
+    x = rational_point(data, rs.rank)
+    assert sommers.size_b(rs, b, x) == size_b_by_definition(rs, b, x)
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4", "A3"])
+def test_weighted_enumerator_is_the_sum_of_the_definition(name):
+    # every b <= 8, coprime to h or not
+    rs = build_named(name)
+    for b in range(1, 9):
+        points = sommers.enumerate_alcove(rs, b, "coweight")
+        expected = sum((size_b_by_definition(rs, b, x) for x in points), Fraction(0))
+        assert ehrhart.weighted_enumerator(rs, b) == expected

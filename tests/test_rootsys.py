@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from corelat import affine, ehrhart, linalg, rootsys
+from corelat import affine, linalg, rootsys
 from corelat.rootsys import CartanType, CartanTypeError, build_named
 
 # (h, dual Coxeter, exponents, marks, index of connection, r)
@@ -98,7 +98,7 @@ def test_structure_invariants(name):
     inv = linalg.inverse(a)
     assert all(rs.cartan_adjugate[i][j] == f * inv[i][j] for i in range(n) for j in range(n))
     # the coweight Gram inverts the root Gram <alpha_i, alpha_j> = d_j A[i][j]
-    denom, scaled = ehrhart._coweight_gram_scaled(rs)
+    denom, scaled = rs.index_of_connection, rootsys.coweight_gram(rs)
     root_gram = [[d[j] * a[i][j] for j in range(n)] for i in range(n)]
     assert linalg.matmul(scaled, root_gram) == tuple(
         tuple(denom * (i == j) for j in range(n)) for i in range(n))
@@ -183,7 +183,7 @@ def test_dual_system_check(name):
     rs = build_named(name)
     at = linalg.freeze(zip(*rs.cartan_matrix))
     d = rootsys._symmetrizer(at)
-    coeffs = rootsys._positive_roots_by_closure(at, rs.rank)
+    coeffs = list(rootsys._closure_pair_vecs(at, rs.rank))
     highest = coeffs[-1]
     assert 1 + sum(c * di for c, di in zip(highest, d)) == rs.dual_coxeter_number
 

@@ -198,7 +198,6 @@ def test_size_b_reference():
     target = tuple(Fraction(4 * c, 3) for c in a2.rho_check_coords)
     assert size_b(a2, 4, target) == -rho_norm / 6
     assert size_b(a2, 4, (0, 0)) == 5
-    assert sommers.size_b_split(a2, 4, (0, 0)) == 5
 
 
 def test_size_b_is_size_at_b1():
@@ -209,7 +208,6 @@ def test_size_b_is_size_at_b1():
         for _ in range(30):
             q = tuple(rng.randrange(-4, 5) for _ in range(rs.rank))
             assert size_b(rs, 1, q) == affine.size_lattice_total(rs, q)
-            assert sommers.size_b_split(rs, 1, q) == size_b(rs, 1, q)
 
 
 @pytest.mark.parametrize("name,b", [
@@ -269,12 +267,16 @@ def test_simultaneous_selfconjugate_counts():
         simultaneous_selfconjugate(2, 2)
 
 
-def test_direct_scan_forced():
+def test_direct_scan_forced(monkeypatch):
+    """The box scan is skipped, and the result says so, once its box holds
+    more than DEFAULT_BOX_CAP points; the cap is read at call time."""
     rs = build_named("B2")
-    cs = enumerate_cores(rs, 7, direct=True)
-    assert cs.direct_checked
-    cs = enumerate_cores(rs, 7, direct=False)
+    scanned = enumerate_cores(rs, 7)
+    assert scanned.direct_checked
+    monkeypatch.setattr(sommers, "DEFAULT_BOX_CAP", 10)
+    cs = enumerate_cores(rs, 7)
     assert not cs.direct_checked
+    assert len(cs) == haiman_count(rs, 7) and cs.points == scanned.points
 
 
 def test_json_report():
