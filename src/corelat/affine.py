@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, NamedTuple
 
 from . import linalg, rootsys
@@ -311,10 +311,7 @@ def _size_prefactor(rs: RootSystemData, i: int) -> int:
 
 def size_i_word(rs: RootSystemData, word, i: int) -> Fraction:
     """Letter-i contribution to the size of the element whose inverse the word spells."""
-    letters = word.letters if isinstance(word, AffineWord) else tuple(word)
-    entries = inversion_sequence(rs, letters)
-    total = sum(e.k for letter, e in zip(letters, entries) if letter == i)
-    return Fraction(_size_prefactor(rs, i) * total)
+    return size_vector_word(rs, word)[i]
 
 
 def size_vector_word(rs: RootSystemData, word) -> tuple[Fraction, ...]:
@@ -453,9 +450,8 @@ def compute_w_b(rs: RootSystemData, b: int) -> AffineElement:
     It maps the b-th simplex region onto the b-fold dilated alcove; computed
     as the inverse of the alcove reduction applied to b rhocheck / h.
     """
+    rootsys.check_dilation(rs, b)
     h = rs.coxeter_number
-    if b < 1 or gcd(b, h) != 1:
-        raise ValueError(f"b = {b} must be a positive integer coprime to h = {h}")
     target = tuple(Fraction(b) * c / h for c in rs.rho_check_coords)
     u, y = alcove_reduce(rs, target)
     expected = tuple(c / h for c in rs.rho_check_coords)

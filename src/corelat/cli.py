@@ -7,8 +7,11 @@ Subcommands::
     corelat verify THEOREM [flags]      run a verification suite
     corelat draw TYPE --b B             rank-2 SVG picture
 
-Exit codes: 0 = pass, 1 = verification failure, 2 = usage error.
-Rationals print as "p/q" in lowest terms, never as decimals.
+Exit codes: 0 = pass, 1 = verification failure, 2 = refused: an unknown
+type, a b not coprime to h, a rank ``draw`` cannot picture, a cap that is
+not a positive integer, or work over the cap.  The library raises
+ValueError for each of these, and ``main`` prints it as one ``error:``
+line.  Rationals print as "p/q" in lowest terms, never as decimals.
 The feasibility cap is --cap or the CORELAT_CAP environment variable.
 """
 
@@ -18,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from math import gcd
 
 from . import cores, draw, models, rootsys, sommers, verify
 from .rootsys import CartanType
@@ -26,22 +28,18 @@ from .rootsys import CartanType
 USAGE_ERROR = 2
 
 
-class UsageError(Exception):
-    pass
-
-
-def _parse_type(text: str) -> CartanType:
-    try:
-        return CartanType.parse(text)
-    except rootsys.CartanTypeError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get("CORELAT_CAP")
-    return int(env) if env else sommers.DEFAULT_CAP
+    """--cap, else a nonempty CORELAT_CAP, else the default; ValueError
+    naming its source unless it is a positive integer."""
+    if args.cap is not None:
+        source, text = "--cap", args.cap
+    elif os.environ.get("CORELAT_CAP"):
+        source, text = "CORELAT_CAP", os.environ["CORELAT_CAP"]
+    else:
+        return sommers.DEFAULT_CAP
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _emit(args, text: str) -> None:
@@ -59,16 +57,14 @@ def _emit(args, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_roots(args) -> int:
-    rs = rootsys.build(_parse_type(args.type))
+    rs = rootsys.build_named(args.type)
     _emit(args, rootsys.to_json(rs, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_cores(args) -> int:
-    t = _parse_type(args.type)
-    rs = rootsys.build(t)
-    if args.b < 1 or gcd(args.b, rs.coxeter_number) != 1:
-        raise UsageError(f"b = {args.b} must be a positive integer coprime to h = {rs.coxeter_number}")
+    rs = rootsys.build_named(args.type)
+    t = rs.cartan_type
     coreset = sommers.enumerate_cores(rs, args.b, cap=_cap(args))
     rows = []
     for q, s in zip(coreset.points, coreset.sizes):
@@ -93,18 +89,12 @@ def cmd_cores(args) -> int:
 
 
 def cmd_draw(args) -> int:
-    t = _parse_type(args.type)
-    if t.rank != 2:
-        raise UsageError(f"draw requires a rank-2 type, got {t}")
-    rs = rootsys.build(t)
-    if args.b < 1 or gcd(args.b, rs.coxeter_number) != 1:
-        raise UsageError(f"b = {args.b} must be a positive integer coprime to h = {rs.coxeter_number}")
-    _emit(args, draw.region_svg(rs, args.b))
+    _emit(args, draw.region_svg(rootsys.build_named(args.type), args.b))
     return 0
 
 
 def cmd_verify(args) -> int:
-    types = [str(_parse_type(t)) for t in args.type] if args.type else None
+    types = [str(CartanType.parse(t)) for t in args.type] if args.type else None
     report = verify.run(args.theorem, types=types, bs=args.b, cap=_cap(args),
                         count=args.count, length=args.length)
     _emit(args, json.dumps(report, indent=2, sort_keys=True))
@@ -128,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cores.add_argument("type")
     p_cores.add_argument("b", type=int)
     p_cores.add_argument("--format", choices=("json", "csv"), default="json")
-    p_cores.add_argument("--cap", type=int)
+    p_cores.add_argument("--cap")
     p_cores.add_argument("--out")
     p_cores.set_defaults(func=cmd_cores)
 
@@ -136,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("theorem")
     p_verify.add_argument("--type", action="append")
     p_verify.add_argument("--b", type=lambda s: tuple(int(x) for x in s.split(",")))
-    p_verify.add_argument("--cap", type=int)
+    p_verify.add_argument("--cap")
     p_verify.add_argument("--count", type=int)
     p_verify.add_argument("--length", type=int)
     p_verify.add_argument("--out")
@@ -159,10 +149,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (rootsys.CartanTypeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import sommers
 from .rootsys import RootSystemData
-from .sommers import DEFAULT_CAP, FeasibilityError
+from .sommers import DEFAULT_CAP
 
 
 class HeldOutMismatchError(ValueError):
@@ -50,13 +50,7 @@ def weighted_enumerator(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> F
     if b < 1:
         raise ValueError("dilation factor must be >= 1")
     denom, size = sommers.scaled_size_b(rs, b)
-    limit = cap * max(rs.index_of_connection, 1)
-    total = 0
-    for count, m in enumerate(sommers.iter_alcove_m(rs, b), 1):
-        if count > limit:
-            raise FeasibilityError(f"weighted enumeration for {rs.cartan_type}, b={b} exceeds cap")
-        total += size(m)
-    value = Fraction(total, denom)
+    value = Fraction(sum(map(size, sommers.iter_alcove_m(rs, b, cap))), denom)
     _ENUMERATOR_CACHE[(rs.cartan_type, b)] = value
     return value
 

@@ -242,10 +242,6 @@ def model_size_total(t: CartanType, k) -> Fraction:
     return Fraction(boxes - lam[0] - lam[t.rank], 2)
 
 
-def durfee_side(parts) -> int:
-    return sum(1 for i, p in enumerate(parts, start=1) if p >= i)
-
-
 def self_conjugate_cores(n: int, bound: int) -> list[tuple[tuple[int, ...], cores.CorePartition]]:
     """All self-conjugate 2n-cores with at most ``bound`` boxes, paired with
     their preimages in the C_n coroot lattice (simple-coroot coordinates)."""

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import NamedTuple
 
 from . import linalg
@@ -305,6 +305,15 @@ def build(t: CartanType) -> RootSystemData:
 
 def build_named(name: str) -> RootSystemData:
     return build(CartanType.parse(name))
+
+
+def check_dilation(rs: RootSystemData, b: int) -> None:
+    """Raise ValueError unless b is a positive integer coprime to h, the
+    condition under which the b-region and its simultaneous cores exist."""
+    h = rs.coxeter_number
+    if b < 1 or gcd(b, h) != 1:
+        raise ValueError(
+            f"{rs.cartan_type}: b = {b} must be a positive integer with gcd(b, h) = 1, h = {h}")
 
 
 def roots_of_height(rs: RootSystemData, i: int) -> list[Root]:

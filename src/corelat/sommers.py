@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, prod
+from itertools import islice
+from math import ceil, floor, prod
 from typing import Iterator
 
 import numpy as np
@@ -48,9 +49,8 @@ class SommersRegion:
 
 
 def sommers_region(rs: RootSystemData, b: int) -> SommersRegion:
+    rootsys.check_dilation(rs, b)
     h = rs.coxeter_number
-    if b < 1 or gcd(b, h) != 1:
-        raise ValueError(f"b = {b} must be a positive integer coprime to h = {h}")
     t_b, r_b = divmod(b, h)
     return SommersRegion(
         rs, b, t_b, r_b,
@@ -67,8 +67,7 @@ def contains(sr: SommersRegion, q) -> bool:
 
 def haiman_count(rs: RootSystemData, b: int) -> int:
     """|b-dilated alcove intersect coroot lattice| = prod(b + e_j) / |W|."""
-    if gcd(b, rs.coxeter_number) != 1:
-        raise ValueError(f"count formula requires gcd(b, h) = 1, got b = {b}")
+    rootsys.check_dilation(rs, b)
     num = prod(b + e for e in rs.exponents)
     count, rem = divmod(num, rs.weyl_order)
     assert rem == 0, "count formula must be an integer"
@@ -85,10 +84,12 @@ def alcove_vertices(rs: RootSystemData) -> list[tuple[Fraction, ...]]:
     return verts
 
 
-def iter_alcove_m(rs: RootSystemData, b: int) -> Iterator[tuple[int, ...]]:
+def iter_alcove_m(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:
     """Dominant tuples m with m_i = <q, alpha_i> >= 0 and sum c_i m_i <= b.
 
-    These index the coweight-lattice points of the b-dilated alcove.
+    These index the coweight-lattice points of the b-dilated alcove, f per
+    coroot point when gcd(b, h) = 1.  FeasibilityError is raised on
+    reaching a tuple past cap * f.
     """
     marks = rs.highest_root_coeffs
     n = rs.rank
@@ -104,7 +105,12 @@ def iter_alcove_m(rs: RootSystemData, b: int) -> Iterator[tuple[int, ...]]:
             yield from rec(i + 1, budget - c * val)
         m[i] = 0
 
-    yield from rec(0, b)
+    limit = cap * rs.index_of_connection
+    tuples = rec(0, b)
+    yield from islice(tuples, limit)
+    if next(tuples, None) is not None:
+        raise FeasibilityError(f"coweight points of the dilated alcove of {rs.cartan_type}, b={b} "
+                               f"exceed cap * f = {cap} * {rs.index_of_connection} = {limit}")
 
 
 def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot",
@@ -123,11 +129,7 @@ def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot",
     adj = rs.cartan_adjugate
     det = rs.index_of_connection
     points = []
-    count = 0
-    for m in iter_alcove_m(rs, b):
-        count += 1
-        if count > cap * max(det, 1):
-            raise FeasibilityError(f"alcove enumeration for {rs.cartan_type}, b={b} exceeds cap")
+    for m in iter_alcove_m(rs, b, cap):
         scaled = linalg.matvec(adj, m)
         if lattice == "coroot":
             if all(x % det == 0 for x in scaled):
@@ -293,8 +295,6 @@ class SelfConjugateReport:
 def simultaneous_selfconjugate(n: int, b: int, cap: int = DEFAULT_CAP) -> SelfConjugateReport:
     """Map the C_n b-region points to partitions and certify each one is a
     self-conjugate (2n, b)-core by a hook scan; the count must match."""
-    if gcd(b, 2 * n) != 1:
-        raise ValueError(f"b = {b} must be coprime to 2n = {2 * n}")
     t = CartanType("C", n)
     rs = rootsys.build(t)
     coreset = enumerate_cores(rs, b, cap=cap)

@@ -4,7 +4,10 @@ renames or drops a wrapped function fails here rather than in a traced
 benchmark run."""
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 # the tracer patches these modules through sys.modules, so all must be loaded
 from corelat import affine, cli, ehrhart, rootsys, sommers, verify  # noqa: F401
@@ -61,3 +64,24 @@ def test_tracer_sees_every_layer_of_enumerate_cores():
     assert 0 < metrics["sommers.box_keep_ratio"] <= 1
     assert metrics["affine.size_calls"] == 7
     assert metrics["ehrhart.enumerator_fresh"] == 1
+
+
+def test_a_refusal_passes_through_the_tracer():
+    tracing = load_tracing()
+    rs = rootsys.build_named("A2")
+    ehrhart.clear_enumerator_cache()
+    holders = [m for n, m in sys.modules.items() if n.split(".")[0] == "corelat"]
+    wrapped = {(holder, name): value for holder in holders + [affine.AffineElement]
+               for name, value in vars(holder).items() if callable(value)}
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    try:
+        assert sommers.iter_alcove_m is not wrapped[sommers, "iter_alcove_m"]
+        with pytest.raises(sommers.FeasibilityError, match="= 18"):
+            ehrhart.weighted_enumerator(rs, 5, cap=6)
+    finally:
+        tracer.uninstall()
+    # the wrapper yielded the 18 admitted tuples before the refusal reached it
+    assert tracer.counts["sommers.alcove_m_visited"] == 18
+    assert tracer.enumerator_keys == {(rs.cartan_type, 5)}
+    assert {(holder, name): vars(holder)[name] for holder, name in wrapped} == wrapped

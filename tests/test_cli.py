@@ -231,8 +231,50 @@ def test_out_flag(tmp_path, capsys):
 
 def test_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("CORELAT_CAP", "2")
-    code, _ = run(capsys, "cores", "A2", "5")
-    assert code == 2  # predicted count 7 exceeds cap
+    assert cli.main(["cores", "A2", "5"]) == 2  # predicted count 7 exceeds cap
+    err = capsys.readouterr().err
+    assert "predicted count 7" in err and "cap 2" in err
+
+
+@pytest.mark.parametrize("env, argv, message", [
+    ("abc", [], "CORELAT_CAP must be a positive integer, got 'abc'"),
+    ("-3", [], "CORELAT_CAP must be a positive integer, got '-3'"),
+    ("0", [], "CORELAT_CAP must be a positive integer, got '0'"),
+    (None, ["--cap", "0"], "--cap must be a positive integer, got '0'"),
+    (None, ["--cap", "abc"], "--cap must be a positive integer, got 'abc'"),
+    ("abc", ["--cap", "-1"], "--cap must be a positive integer, got '-1'"),
+])
+def test_cap_must_be_a_positive_integer(monkeypatch, capsys, env, argv, message):
+    if env is None:
+        monkeypatch.delenv("CORELAT_CAP", raising=False)
+    else:
+        monkeypatch.setenv("CORELAT_CAP", env)
+    for command in (["cores", "A2", "5"], ["verify", "strange"]):
+        assert cli.main([*command, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, b", [
+    (["cores", "A2", "3"], 3),
+    (["cores", "A2", "0"], 0),
+    (["draw", "A2", "--b", "3"], 3),
+    (["verify", "max", "--type", "A2", "--b", "3"], 3),
+])
+def test_a_b_not_coprime_to_h_is_one_error_line(capsys, argv, b):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: A2: b = {b} must be a positive integer "
+                            f"with gcd(b, h) = 1, h = 3\n")
+
+
+@pytest.mark.parametrize("theorem", ["main", "max"])
+def test_a_refusal_is_not_a_counterexample(capsys, theorem):
+    assert cli.main(["verify", theorem, "--type", "A2", "--b", "5", "--cap", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: predicted count 7 for A2, b=5 exceeds cap 1\n"
 
 
 def test_missing_subcommand(capsys):

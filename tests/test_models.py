@@ -30,6 +30,10 @@ def lattice_points(t, radius, limit=None, seed=0):
     return pts
 
 
+def durfee_side(parts) -> int:
+    return sum(1 for i, p in enumerate(parts, start=1) if p >= i)
+
+
 # ---------------------------------------------------------------------------
 # embedding basics
 # ---------------------------------------------------------------------------
@@ -164,7 +168,7 @@ def test_durfee_parity_model():
             amb = to_ambient(t, k)
             parts = embed(t, k).core().partition
             assert sum(abs(x) for x in amb) % 2 == 0
-            assert models.durfee_side(parts) % 2 == 0
+            assert durfee_side(parts) % 2 == 0
 
 
 def test_even_durfee_cores_are_hit():
@@ -178,7 +182,7 @@ def test_even_durfee_cores_are_hit():
         if sum(parts) <= 40:
             images.add(parts)
     for parts in cores.all_cores(2 * n, 40):
-        if parts == cores.conjugate(parts) and models.durfee_side(parts) % 2 == 0:
+        if parts == cores.conjugate(parts) and durfee_side(parts) % 2 == 0:
             assert parts in images
 
 

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from corelat import affine, cores, linalg, models, rootsys, sommers
+from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers
 from corelat.rootsys import CartanType, build, build_named
 from corelat.sommers import (
     FeasibilityError,
@@ -159,7 +159,43 @@ def test_enumerate_cores_cap():
         enumerate_cores(build_named("A3"), 101, cap=100)
 
 
-def test_region_vertices_and_hull():
+@pytest.mark.parametrize("b", [0, 3])
+@pytest.mark.parametrize("refuse", [sommers_region, haiman_count, affine.compute_w_b, enumerate_cores])
+def test_every_entry_point_refuses_a_b_not_coprime_to_h(refuse, b):
+    message = f"A2: b = {b} must be a positive integer with gcd(b, h) = 1, h = 3"
+    with pytest.raises(ValueError) as info:
+        refuse(build_named("A2"), b)
+    assert str(info.value) == message
+
+
+def test_selfconjugate_refuses_a_b_not_coprime_to_2n():
+    with pytest.raises(ValueError) as info:
+        simultaneous_selfconjugate(2, 4)
+    assert str(info.value) == "C2: b = 4 must be a positive integer with gcd(b, h) = 1, h = 4"
+
+
+def test_alcove_guard_boundary():
+    # A2, b = 5: m1 + m2 <= 5 has 21 tuples and f = 3, so cap 7 is the
+    # smallest cap that admits them all
+    rs = build_named("A2")
+    ehrhart.clear_enumerator_cache()
+    assert len(enumerate_alcove(rs, 5, cap=7)) == 7
+    coweights = enumerate_alcove(rs, 5, "coweight", cap=7)
+    assert ehrhart.weighted_enumerator(rs, 5, cap=7) == sum(size_b(rs, 5, x) for x in coweights)
+    ehrhart.clear_enumerator_cache()
+    for run in (lambda: enumerate_alcove(rs, 5, cap=6),
+                lambda: ehrhart.weighted_enumerator(rs, 5, cap=6)):
+        with pytest.raises(FeasibilityError, match="cap \\* f = 6 \\* 3 = 18"):
+            run()
+    # exactly cap * f tuples pass (b = 4: 15 = 5 * 3); one more is refused (b = 3: 10 = 3 * 3 + 1)
+    assert len(enumerate_alcove(rs, 4, "coweight", cap=5)) == 15
+    for run in (lambda: enumerate_alcove(rs, 3, cap=3),
+                lambda: ehrhart.weighted_enumerator(rs, 3, cap=3)):
+        with pytest.raises(FeasibilityError, match="= 9$"):
+            run()
+
+
+def test_region_vertices_and_hull(fraction_inverse):
     """w_b^{-1} carries the dilated-alcove vertex set onto the region's
     vertices; every region point lies in their rational convex hull."""
     for name, b in (("A2", 4), ("C2", 5), ("G2", 7), ("B3", 5)):
@@ -182,7 +218,7 @@ def test_region_vertices_and_hull():
             assert active >= n
         # barycentric coordinates of every enumerated point are >= 0
         mat = linalg.freeze([[Fraction(1)] * (n + 1)] + [[v[i] for v in verts] for i in range(n)])
-        inv = linalg.inverse(mat)
+        inv = fraction_inverse(mat)
         for q in enumerate_cores(rs, b).points:
             lam = linalg.matvec(inv, (Fraction(1),) + tuple(map(Fraction, q)))
             assert all(x >= 0 for x in lam) and sum(lam) == 1
