@@ -67,10 +67,7 @@ class AffineWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.rs.rank
-        for i in self.letters:
-            if not 0 <= i <= n:
-                raise ValueError(f"letter {i} out of range 0..{n}")
+        _letters(self.rs, self.letters)
 
     @classmethod
     def parse(cls, rs: RootSystemData, text: str) -> "AffineWord":
@@ -79,8 +76,14 @@ class AffineWord:
     def __str__(self):
         return " ".join(str(i) for i in self.letters)
 
-    def reversed(self) -> "AffineWord":
-        return AffineWord(self.rs, self.letters[::-1])
+
+def _letters(rs: RootSystemData, word) -> tuple[int, ...]:
+    """The letters of an AffineWord or a letter sequence, each checked to lie in 0..n."""
+    letters = word.letters if isinstance(word, AffineWord) else tuple(word)
+    for i in letters:
+        if not 0 <= i <= rs.rank:
+            raise ValueError(f"letter {i} out of range 0..{rs.rank}")
+    return letters
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,7 @@ def word_to_element(rs: RootSystemData, letters: Iterable[int]) -> AffineElement
     n = rs.rank
     m, m_inv_t = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(2))
     v = [0] * n
-    for i in reversed(tuple(letters)):
+    for i in reversed(_letters(rs, letters)):
         r = refl[i]
         _reflect_rows(m, r.c, r.p)
         _reflect_rows(m_inv_t, r.p, r.c)
@@ -265,10 +268,9 @@ def apply(rs: RootSystemData, w, q):
     """
     if isinstance(w, AffineElement):
         return w(q)
-    letters = w.letters if isinstance(w, AffineWord) else tuple(w)
     refl = _reflections(rs)
     x = list(q)
-    for i in reversed(letters):
+    for i in reversed(_letters(rs, w)):
         _reflect_point(x, refl[i])
     return tuple(x)
 
@@ -282,10 +284,9 @@ def affine_simple_root(rs: RootSystemData, i: int) -> AffineRoot:
 
 def inversion_sequence(rs: RootSystemData, word) -> list[AffineRoot]:
     """Inversion sequence of a reduced word; raises NotReducedError otherwise."""
-    letters = word.letters if isinstance(word, AffineWord) else tuple(word)
     prefix = identity_element(rs)
     entries: list[AffineRoot] = []
-    for pos, i in enumerate(letters):
+    for pos, i in enumerate(_letters(rs, word)):
         entry = prefix.act_root(affine_simple_root(rs, i))
         if not entry.is_positive():
             raise NotReducedError(pos, -entry)
@@ -315,7 +316,7 @@ def size_i_word(rs: RootSystemData, word, i: int) -> Fraction:
 
 
 def size_vector_word(rs: RootSystemData, word) -> tuple[Fraction, ...]:
-    letters = word.letters if isinstance(word, AffineWord) else tuple(word)
+    letters = _letters(rs, word)
     entries = inversion_sequence(rs, letters)
     totals = [0] * (rs.rank + 1)
     for letter, e in zip(letters, entries):
@@ -324,14 +325,42 @@ def size_vector_word(rs: RootSystemData, word) -> tuple[Fraction, ...]:
 
 
 def size_i_lattice(rs: RootSystemData, q, i: int) -> Fraction:
-    """size_i(q) = <(c_i / 2) q - omegacheck_i, q> with c_0 = 1, omegacheck_0 = 0."""
+    """size_i(q) = <(c_i / 2) q - omegacheck_i, q> with c_0 = 1, omegacheck_0 = 0,
+    from the integer coroot Gram and <omegacheck_i, q> = (2 / |alpha_i|^2) q_i."""
     marks = (1,) + rs.highest_root_coeffs
-    return Fraction(marks[i], 2) * rootsys.norm2(rs, q) - rootsys.coweight_pairing(rs, i, q)
+    norm2 = sum(x * g * y for x, row in zip(q, rs.gram_coroot, strict=True)
+                for g, y in zip(row, q, strict=True))
+    pairing = rootsys.coroot_scale(rs, i - 1) * q[i - 1] if i else 0
+    return Fraction(marks[i] * norm2 - 2 * pairing, 2)
 
 
 def size_lattice_total(rs: RootSystemData, q) -> Fraction:
-    """size(q) = <(h/2) q - rhocheck, q>."""
-    return Fraction(rs.coxeter_number, 2) * rootsys.norm2(rs, q) - rootsys.rho_pairing(rs, q)
+    """size(q) = <(h/2) q - rhocheck, q>, the form ``scaled_size_b`` at b = 1."""
+    d, s = scaled_size_b(rs, 1)
+    return Fraction(s(linalg.matvec(rs.cartan_matrix, q)), d)
+
+
+@lru_cache(maxsize=None)
+def scaled_size_b(rs: RootSystemData, b: int):
+    """(d, s) with size_b(x) = s(A x) / d, d = 2 h f, and s the integer form
+    s(m) = h^2 m^T G m - 2 h b (G 1)^T m + (b^2 - 1) 1^T G 1 of the simple-root
+    pairings m, where G = ``rootsys.coweight_gram`` and 1 is rhocheck in
+    coweight coordinates."""
+    h = rs.coxeter_number
+    g = rootsys.coweight_gram(rs)
+    g1 = [sum(row) for row in g]
+    hh, hb2, const = h * h, 2 * h * b, (b * b - 1) * sum(g1)
+
+    def s(m):
+        nz = [(i, x) for i, x in enumerate(m) if x]
+        quad = lin = 0
+        for i, x in nz:
+            row = g[i]
+            quad += x * sum([row[j] * y for j, y in nz])
+            lin += g1[i] * x
+        return hh * quad - hb2 * lin + const
+
+    return 2 * h * rs.index_of_connection, s
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ Subcommands::
 
 Exit codes: 0 = pass, 1 = verification failure, 2 = refused: an unknown
 type, a b not coprime to h, a rank ``draw`` cannot picture, a cap that is
-not a positive integer, or work over the cap.  The library raises
-ValueError for each of these, and ``main`` prints it as one ``error:``
-line.  Rationals print as "p/q" in lowest terms, never as decimals.
+not a positive integer, work over the cap, or an --out that cannot be
+written.  Each is raised as ValueError, and ``main`` prints it as one
+``error:`` line.  Rationals print as "p/q" in lowest terms, never as decimals.
 The feasibility cap is --cap or the CORELAT_CAP environment variable.
 """
 
@@ -43,9 +43,13 @@ def _cap(args) -> int:
 
 
 def _emit(args, text: str) -> None:
+    """Write to --out, else to stdout; ValueError when --out cannot be written."""
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

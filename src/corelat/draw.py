@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from . import affine, sommers
+from . import sommers
 from .rootsys import RootSystemData
 
 
@@ -45,10 +45,11 @@ class _Svg:
         )
 
 
-def region_svg(rs: RootSystemData, b: int, scale: float = 60.0) -> str:
+def region_svg(rs: RootSystemData, b: int) -> str:
     """SVG of the b-region of a rank-2 system."""
     if rs.rank != 2:
         raise ValueError(f"drawing requires rank 2, got {rs.cartan_type}")
+    scale = 60.0  # pixels per unit length
     v1, v2 = _embedding_basis(rs)
 
     def plane(k) -> tuple[float, float]:
@@ -94,22 +95,19 @@ def region_svg(rs: RootSystemData, b: int, scale: float = 60.0) -> str:
 
     # lattice points: all coroot points in view, region points marked and labeled
     core = sommers.enumerate_cores(rs, b)
-    core_set = set(core.points)
-    k_lo0 = math.floor(min(_apply_inverse(inv, cx, cy)[0] for cx, cy in corners)) - 1
-    k_hi0 = math.ceil(max(_apply_inverse(inv, cx, cy)[0] for cx, cy in corners)) + 1
-    k_lo1 = math.floor(min(_apply_inverse(inv, cx, cy)[1] for cx, cy in corners)) - 1
-    k_hi1 = math.ceil(max(_apply_inverse(inv, cx, cy)[1] for cx, cy in corners)) + 1
-    for ka in range(k_lo0, k_hi0 + 1):
-        for kb in range(k_lo1, k_hi1 + 1):
+    sizes = dict(zip(core.points, core.sizes))
+    ka_range, kb_range = (range(math.floor(min(c)) - 1, math.ceil(max(c)) + 2)
+                          for c in zip(*(_apply_inverse(inv, cx, cy) for cx, cy in corners)))
+    for ka in ka_range:
+        for kb in kb_range:
             px, py = plane((ka, kb))
             if not (x_lo <= px <= x_hi and y_lo <= py <= y_hi):
                 continue
             sx, sy = to_screen((px, py))
-            if (ka, kb) in core_set:
+            if (ka, kb) in sizes:
                 svg.add("circle", cx=_fmt(sx), cy=_fmt(sy), r=_fmt(scale * 0.09),
                         fill="#c03020")
-                size = affine.size_lattice_total(rs, (ka, kb))
-                svg.text(sx, sy - scale * 0.14, str(size), scale * 0.2)
+                svg.text(sx, sy - scale * 0.14, str(sizes[ka, kb]), scale * 0.2)
             else:
                 svg.add("circle", cx=_fmt(sx), cy=_fmt(sy), r=_fmt(scale * 0.05),
                         fill="#404040")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import sommers
+from . import affine, sommers
 from .rootsys import RootSystemData
 from .sommers import DEFAULT_CAP
 
@@ -38,7 +38,7 @@ def clear_enumerator_cache() -> None:
 def weighted_enumerator(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> Fraction:
     """Sum of size_b over the coweight-lattice points of the b-dilated alcove.
 
-    One integer ``sommers.scaled_size_b`` value is added per point.  The
+    One integer ``affine.scaled_size_b`` value is added per point.  The
     independent checks of the total are ``expected_size`` (region mean and
     closed form) and ``verify fg_poly`` (fits against the predicted polynomial).
 
@@ -49,7 +49,7 @@ def weighted_enumerator(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> F
         return cached
     if b < 1:
         raise ValueError("dilation factor must be >= 1")
-    denom, size = sommers.scaled_size_b(rs, b)
+    denom, size = affine.scaled_size_b(rs, b)
     value = Fraction(sum(map(size, sommers.iter_alcove_m(rs, b, cap))), denom)
     _ENUMERATOR_CACHE[(rs.cartan_type, b)] = value
     return value
@@ -120,23 +120,18 @@ class Quasipolynomial:
 
 
 def interpolate(rs: RootSystemData, residue: int, period: int | None = None,
-                cap: int = DEFAULT_CAP, samples: int | None = None,
-                held_out: int = 2) -> tuple[Fraction, ...]:
-    """Fit the degree-(n+2) polynomial matching the weighted enumerator on
-    b = residue mod period, then validate it on held-out samples.
+                cap: int = DEFAULT_CAP) -> tuple[Fraction, ...]:
+    """Fit the degree-(n+2) polynomial matching the weighted enumerator at
+    n + 3 values b = residue mod period, then validate it on two more.
 
     Raises HeldOutMismatchError when validation fails (wrong period or
     degree), and FeasibilityError when the sample values get too large.
     """
     period = period or rs.period_c
     residue %= period
-    if samples is None:
-        samples = rs.rank + 3
-    bs = []
-    b = residue if residue >= 1 else period
-    while len(bs) < samples + held_out:
-        bs.append(b)
-        b += period
+    samples, held_out = rs.rank + 3, 2
+    start = residue or period
+    bs = [start + k * period for k in range(samples + held_out)]
     values = [weighted_enumerator(rs, x, cap=cap) for x in bs]
     coeffs = lagrange_fit(bs[:samples], values[:samples])
     for x, y in zip(bs[samples:], values[samples:]):
@@ -147,29 +142,31 @@ def interpolate(rs: RootSystemData, residue: int, period: int | None = None,
     return coeffs
 
 
-def fit_quasipolynomial(rs: RootSystemData, residues=None, cap: int = DEFAULT_CAP,
-                        **kwargs) -> Quasipolynomial:
+def fit_quasipolynomial(rs: RootSystemData, residues=None,
+                        cap: int = DEFAULT_CAP) -> Quasipolynomial:
     period = rs.period_c
     if residues is None:
         residues = range(period)
-    components = {r % period: interpolate(rs, r, period, cap=cap, **kwargs)
-                  for r in residues}
+    components = {r % period: interpolate(rs, r, period, cap=cap) for r in residues}
     return Quasipolynomial(period, components)
+
+
+def _mean_size_polynomial(rs: RootSystemData) -> tuple[Fraction, ...]:
+    """The mean size (r g / h) n (b - 1)(h + b + 1) / 24 as a polynomial in b."""
+    h = rs.coxeter_number
+    return poly_from_roots(Fraction(rs.ratio_r * rs.dual_coxeter_number * rs.rank, 24 * h),
+                           [1, -h - 1])
 
 
 def predicted_enumerator_polynomial(rs: RootSystemData) -> tuple[Fraction, ...]:
     """Closed form implied by the count formula and the expected-size theorem:
-    f * prod(b + e_j)/|W| * (r g / h) * n (b - 1)(h + b + 1) / 24.
+    f * prod(b + e_j)/|W| times ``_mean_size_polynomial``.
 
     Valid on residues coprime to h.
     """
     count_poly = poly_from_roots(Fraction(1, rs.weyl_order), [-e for e in rs.exponents])
-    mean_poly = poly_from_roots(
-        Fraction(rs.ratio_r * rs.dual_coxeter_number * rs.rank, rs.coxeter_number * 24),
-        [1, -(rs.coxeter_number + 1)],
-    )
     return tuple(Fraction(rs.index_of_connection) * c
-                 for c in poly_mul(count_poly, mean_poly))
+                 for c in poly_mul(count_poly, _mean_size_polynomial(rs)))
 
 
 @dataclass(frozen=True)
@@ -200,15 +197,14 @@ def expected_size(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP,
 
     (i) direct average over the enumerated points; (ii) the coweight-lattice
     sum divided by f and the count; (iii) the closed form
-    (r g / h) n (b - 1)(h + b + 1) / 24.  Any disagreement raises.
+    ``_mean_size_polynomial`` at b.  Any disagreement raises.
     """
     if coreset is None:
         coreset = sommers.enumerate_cores(rs, b, cap=cap)
     count = len(coreset)
     direct_mean = coreset.mean_size
     coweight_mean = weighted_enumerator(rs, b, cap=cap) / (rs.index_of_connection * count)
-    closed = (Fraction(rs.ratio_r * rs.dual_coxeter_number, rs.coxeter_number)
-              * Fraction(rs.rank * (b - 1) * (rs.coxeter_number + b + 1), 24))
+    closed = poly_eval(_mean_size_polynomial(rs), b)
     if direct_mean != coweight_mean:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: direct mean {direct_mean} != coweight-sum mean {coweight_mean}")

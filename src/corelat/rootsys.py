@@ -362,18 +362,6 @@ def coweight_gram(rs: RootSystemData) -> tuple[tuple[int, ...], ...]:
                  for i, row in enumerate(rs.cartan_adjugate))
 
 
-def coweight_pairing(rs: RootSystemData, i: int, x) -> Fraction:
-    """<omegacheck_i, x> for x in simple-coroot coordinates; omegacheck_0 = 0."""
-    if i == 0:
-        return Fraction(0)
-    return Fraction(x[i - 1] * coroot_scale(rs, i - 1))
-
-
-def rho_pairing(rs: RootSystemData, x) -> Fraction:
-    """<rhocheck, x> = sum_i x_i * 2 / |alpha_i|^2."""
-    return Fraction(sum(xi * coroot_scale(rs, i) for i, xi in enumerate(x) if xi))
-
-
 def to_json_dict(rs: RootSystemData) -> dict:
     """JSON-ready description: exact values, rationals as 'p/q' strings."""
     return {

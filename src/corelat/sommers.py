@@ -74,6 +74,15 @@ def haiman_count(rs: RootSystemData, b: int) -> int:
     return count
 
 
+def capped_haiman_count(rs: RootSystemData, b: int, cap: int) -> int:
+    """``haiman_count``, refused up front with FeasibilityError above ``cap``."""
+    predicted = haiman_count(rs, b)
+    if predicted > cap:
+        raise FeasibilityError(
+            f"predicted count {predicted} for {rs.cartan_type}, b={b} exceeds cap {cap}")
+    return predicted
+
+
 def alcove_vertices(rs: RootSystemData) -> list[tuple[Fraction, ...]]:
     """Vertices of the fundamental alcove: 0 and omegacheck_i / c_i."""
     n = rs.rank
@@ -213,10 +222,7 @@ def enumerate_cores(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> CoreS
     whenever the scan's bounding box holds at most ``DEFAULT_BOX_CAP``
     points; ``direct_checked`` records whether the scan ran.
     """
-    predicted = haiman_count(rs, b)
-    if predicted > cap:
-        raise FeasibilityError(
-            f"predicted count {predicted} for {rs.cartan_type}, b={b} exceeds cap {cap}")
+    predicted = capped_haiman_count(rs, b, cap)
     sr = sommers_region(rs, b)
     wb_inv = affine.compute_w_b(rs, b).inverse()
     mapped = sorted(wb_inv(p) for p in enumerate_alcove(rs, b, "coroot", cap=cap))
@@ -232,31 +238,9 @@ def enumerate_cores(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> CoreS
     return CoreSet(rs, b, tuple(mapped), sizes, scanned is not None)
 
 
-def scaled_size_b(rs: RootSystemData, b: int):
-    """(d, s) with size_b(x) = s(A x) / d, d = 2 h f, and s the integer form
-    s(m) = h^2 m^T G m - 2 h b (G 1)^T m + (b^2 - 1) 1^T G 1 of the simple-root
-    pairings m, where G = ``rootsys.coweight_gram`` and 1 is rhocheck in
-    coweight coordinates."""
-    h = rs.coxeter_number
-    g = rootsys.coweight_gram(rs)
-    g1 = [sum(row) for row in g]
-    hh, hb2, const = h * h, 2 * h * b, (b * b - 1) * sum(g1)
-
-    def s(m):
-        nz = [(i, x) for i, x in enumerate(m) if x]
-        quad = lin = 0
-        for i, x in nz:
-            row = g[i]
-            quad += x * sum([row[j] * y for j, y in nz])
-            lin += g1[i] * x
-        return hh * quad - hb2 * lin + const
-
-    return 2 * h * rs.index_of_connection, s
-
-
 def size_b(rs: RootSystemData, b: int, x) -> Fraction:
     """(h/2) (|x - b rho/h|^2 - |rho/h|^2), the dilated-alcove avatar of size."""
-    d, s = scaled_size_b(rs, b)
+    d, s = affine.scaled_size_b(rs, b)
     return Fraction(s(linalg.matvec(rs.cartan_matrix, x))) / d
 
 

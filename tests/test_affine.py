@@ -147,6 +147,21 @@ def test_inversion_sequence_not_reduced():
     assert err.value.position == 1
 
 
+@pytest.mark.parametrize("letter", [-1, 3, 5])
+@pytest.mark.parametrize("use", [
+    lambda rs, w: apply(rs, w, (1, 0)),
+    affine.word_to_element,
+    inversion_sequence,
+    affine.size_vector_word,
+], ids=["apply", "word_to_element", "inversion_sequence", "size_vector_word"])
+def test_out_of_range_letter_is_refused(use, letter):
+    # -1 must not act as the last reflection, nor 5 as a zero root
+    a2 = build_named("A2")
+    with pytest.raises(ValueError, match=rf"^letter {letter} out of range 0\.\.2$") as err:
+        use(a2, (1, letter))
+    assert not isinstance(err.value, NotReducedError)
+
+
 def test_braid_moves_preserve_inversion_multiset():
     rng = random.Random(11)
     for name in ("A2", "C2", "G2"):

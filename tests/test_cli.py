@@ -229,6 +229,16 @@ def test_out_flag(tmp_path, capsys):
     assert doc["cartan_type"] == "C3"
 
 
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert cli.main(["roots", "A2", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not path.parent.exists()
+
+
 def test_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("CORELAT_CAP", "2")
     assert cli.main(["cores", "A2", "5"]) == 2  # predicted count 7 exceeds cap
@@ -275,6 +285,21 @@ def test_a_refusal_is_not_a_counterexample(capsys, theorem):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: predicted count 7 for A2, b=5 exceeds cap 1\n"
+
+
+def test_haiman_refuses_on_the_predicted_count_before_enumerating(monkeypatch, capsys):
+    visited = []
+    walk = verify.sommers.iter_alcove_m
+    monkeypatch.setattr(verify.sommers, "iter_alcove_m",
+                        lambda *args, **kw: visited.append(args) or walk(*args, **kw))
+    with pytest.raises(verify.sommers.FeasibilityError,
+                       match=r"^predicted count 34747713 for E8, b=97 exceeds cap 1000000$"):
+        verify.run("haiman", types=["E8"], bs=(97,))
+    assert cli.main(["verify", "haiman", "--type", "E8", "--b", "97"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: predicted count 34747713 for E8, b=97 exceeds cap 1000000\n"
+    assert visited == []
 
 
 def test_missing_subcommand(capsys):

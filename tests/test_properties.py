@@ -149,6 +149,29 @@ def test_size_b_matches_its_definition(name, b, data):
     assert sommers.size_b(rs, b, x) == size_b_by_definition(rs, b, x)
 
 
+def sizes_by_definition(rs, q):
+    """size(q) = (h/2)|q|^2 - <rhocheck, q> and size_i(q) = (c_i/2)|q|^2 -
+    <omegacheck_i, q> (c_0 = 1, omegacheck_0 = 0), with the norm and the
+    pairings read from rootsys.norm2 and rootsys.inner over Fractions."""
+    norm2 = rootsys.norm2(rs, q)
+    total = (Fraction(rs.coxeter_number, 2) * norm2
+             - rootsys.inner(rs, rs.rho_check_coords, q))
+    parts = [Fraction(1, 2) * norm2]
+    for c, omega in zip(rs.highest_root_coeffs, rs.coweight_coords):
+        parts.append(Fraction(c, 2) * norm2 - rootsys.inner(rs, omega, q))
+    return total, parts
+
+
+@PROPERTY
+@given(st.sampled_from(TYPES), st.data())
+def test_lattice_sizes_match_their_definitions(name, data):
+    rs = build_named(name)
+    q = tuple(data.draw(st.integers(-8, 8)) for _ in range(rs.rank))
+    total, parts = sizes_by_definition(rs, q)
+    assert affine.size_lattice_total(rs, q) == total
+    assert [affine.size_i_lattice(rs, q, i) for i in range(rs.rank + 1)] == parts
+
+
 @pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4", "A3"])
 def test_weighted_enumerator_is_the_sum_of_the_definition(name):
     # every b <= 8, coprime to h or not
