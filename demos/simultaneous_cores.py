@@ -1,7 +1,7 @@
 """Generalized simultaneous cores: the b-region of each type, its lattice
 points, their exact sizes, and the count / mean / max formulas."""
 
-from corelat import cores, draw, models, rootsys, sommers
+from corelat import draw, rootsys, sommers
 
 for name, b in [("A2", 4), ("C2", 5), ("G2", 5)]:
     rs = rootsys.build_named(name)
@@ -19,10 +19,8 @@ for q, core in sommers.simultaneous_selfconjugate(2, 5).pairs:
 
 print()
 print("type A2, b = 4, as (3,4)-cores:")
-cs = sommers.enumerate_cores(rootsys.build_named("A2"), 4)
-for q, s in zip(cs.points, cs.sizes):
-    ambient = models.type_a_ambient_from_coords(q)
-    print(f"  {q} <-> {cores.from_coroot(3, ambient)} ({s} boxes)")
+for q, s, parts in sommers.enumerate_cores(rootsys.build_named("A2"), 4).rows():
+    print(f"  {q} <-> {parts} ({s} boxes)")
 
 svg = draw.region_svg(rootsys.build_named("C2"), 5)
 with open("c2_region.svg", "w") as fh:

@@ -147,9 +147,6 @@ class AffineElement:
     def is_identity(self) -> bool:
         return self.m == linalg.identity(self.rs.rank) and not any(self.v)
 
-    def to_json_dict(self) -> dict:
-        return {"matrix": [list(r) for r in self.m], "translation": list(self.v)}
-
 
 def _on_roots(rs: RootSystemData, mat) -> tuple[tuple[int, ...], ...]:
     """A finite map on simple-coroot coordinates, moved to simple-root

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from . import cores, draw, models, rootsys, sommers, verify
+from . import draw, rootsys, sommers, verify
 from .rootsys import CartanType
 
 USAGE_ERROR = 2
@@ -43,7 +43,10 @@ def _cap(args) -> int:
 
 
 def _emit(args, text: str) -> None:
-    """Write to --out, else to stdout; ValueError when --out cannot be written."""
+    """Write ``text`` and a final newline to --out, else to stdout;
+    ValueError when --out cannot be written."""
+    if not text.endswith("\n"):
+        text += "\n"
     if getattr(args, "out", None):
         try:
             with open(args.out, "w") as fh:
@@ -52,8 +55,6 @@ def _emit(args, text: str) -> None:
             raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -62,33 +63,20 @@ def _emit(args, text: str) -> None:
 
 def cmd_roots(args) -> int:
     rs = rootsys.build_named(args.type)
-    _emit(args, rootsys.to_json(rs, indent=2, sort_keys=True))
+    _emit(args, json.dumps(rootsys.to_json_dict(rs), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_cores(args) -> int:
-    rs = rootsys.build_named(args.type)
-    t = rs.cartan_type
-    coreset = sommers.enumerate_cores(rs, args.b, cap=_cap(args))
-    rows = []
-    for q, s in zip(coreset.points, coreset.sizes):
-        row = {"coords": list(q), "size": str(s)}
-        if t.family == "A":
-            ambient = models.type_a_ambient_from_coords(q)
-            row["partition"] = list(cores.from_coroot(t.rank + 1, ambient))
-        elif t.family == "C":
-            row["partition"] = list(models.embed(t, q).core().partition)
-        rows.append(row)
+    coreset = sommers.enumerate_cores(rootsys.build_named(args.type), args.b, cap=_cap(args))
     if args.format == "csv":
         lines = ["coords,size,partition"]
-        for row in rows:
-            part = json.dumps(row.get("partition", "")).replace(",", " ")
-            lines.append(f"\"{tuple(row['coords'])}\",{row['size']},{part}")
-        _emit(args, "\n".join(lines) + "\n")
+        for q, s, part in coreset.rows():
+            cell = json.dumps("" if part is None else list(part)).replace(",", " ")
+            lines.append(f"\"{q}\",{s},{cell}")
+        _emit(args, "\n".join(lines))
     else:
-        doc = coreset.to_json_dict()
-        doc["rows"] = rows
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+        _emit(args, json.dumps(coreset.to_json_dict(), indent=2, sort_keys=True))
     return 0
 
 

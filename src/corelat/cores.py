@@ -17,11 +17,8 @@ Conventions:
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 Partition = tuple[int, ...]
 
@@ -87,8 +84,9 @@ class BoundaryWord:
             return False
         return self.beads[p - self.low]
 
-    def window(self, lo: int, hi: int, black: str = "•", white: str = "◦") -> str:
-        return "".join(black if self.bead(p) else white for p in range(lo, hi))
+    def window(self, lo: int, hi: int) -> str:
+        """The beads on [lo, hi): • black, ◦ white."""
+        return "".join("•" if self.bead(p) else "◦" for p in range(lo, hi))
 
     def __str__(self):
         return self.window(self.low, self.high)
@@ -312,19 +310,3 @@ def self_conjugate_partitions_up_to(max_boxes: int) -> list[Partition]:
 
     grow([], 0, max_boxes)
     return sorted(set(results), key=lambda p: (sum(p), p))
-
-
-def to_csv(rows: Iterable[CorePartition]) -> str:
-    """CSV export: partition, a, coroot tuple, content counts, total size."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["partition", "a", "coroot", "content_counts", "size"])
-    for core in rows:
-        writer.writerow([
-            json.dumps(list(core.partition)),
-            core.a,
-            json.dumps(list(core.coroot())),
-            json.dumps(list(core.content_counts)),
-            core.size,
-        ])
-    return buf.getvalue()

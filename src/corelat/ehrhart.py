@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import affine, sommers
 from .rootsys import RootSystemData
@@ -42,13 +43,17 @@ def weighted_enumerator(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> F
     independent checks of the total are ``expected_size`` (region mean and
     closed form) and ``verify fg_poly`` (fits against the predicted polynomial).
 
-    Values are cached per (system, b); the cap only guards fresh work.
+    Values are cached per (system, b); the cap only guards fresh work.  For
+    b coprime to h the f * ``haiman_count`` tuples are refused up front when
+    the count exceeds the cap; for other b, on reaching cap * f tuples.
     """
     cached = _ENUMERATOR_CACHE.get((rs.cartan_type, b))
     if cached is not None:
         return cached
     if b < 1:
         raise ValueError("dilation factor must be >= 1")
+    if gcd(b, rs.coxeter_number) == 1:
+        sommers.capped_haiman_count(rs, b, cap)
     denom, size = affine.scaled_size_b(rs, b)
     value = Fraction(sum(map(size, sommers.iter_alcove_m(rs, b, cap))), denom)
     _ENUMERATOR_CACHE[(rs.cartan_type, b)] = value
@@ -111,13 +116,6 @@ class Quasipolynomial:
     def evaluate(self, b: int) -> Fraction:
         return poly_eval(self.components[b % self.period], b)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "components": {str(r): [str(c) for c in coeffs]
-                           for r, coeffs in sorted(self.components.items())},
-        }
-
 
 def interpolate(rs: RootSystemData, residue: int, period: int | None = None,
                 cap: int = DEFAULT_CAP) -> tuple[Fraction, ...]:
@@ -142,13 +140,9 @@ def interpolate(rs: RootSystemData, residue: int, period: int | None = None,
     return coeffs
 
 
-def fit_quasipolynomial(rs: RootSystemData, residues=None,
-                        cap: int = DEFAULT_CAP) -> Quasipolynomial:
+def fit_quasipolynomial(rs: RootSystemData, cap: int = DEFAULT_CAP) -> Quasipolynomial:
     period = rs.period_c
-    if residues is None:
-        residues = range(period)
-    components = {r % period: interpolate(rs, r, period, cap=cap) for r in residues}
-    return Quasipolynomial(period, components)
+    return Quasipolynomial(period, {r: interpolate(rs, r, period, cap=cap) for r in range(period)})
 
 
 def _mean_size_polynomial(rs: RootSystemData) -> tuple[Fraction, ...]:
@@ -178,17 +172,6 @@ class ExpectationReport:
     mean: Fraction
     predicted: Fraction
     match: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": self.cartan_type,
-            "b": self.b,
-            "count": self.count,
-            "total_size": str(self.total_size),
-            "mean": str(self.mean),
-            "predicted": str(self.predicted),
-            "match": self.match,
-        }
 
 
 def expected_size(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP,

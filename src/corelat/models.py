@@ -258,30 +258,6 @@ def self_conjugate_cores(n: int, bound: int) -> list[tuple[tuple[int, ...], core
     return out
 
 
-def to_csv(t: CartanType, points) -> str:
-    """CSV export: type, coroot coords, image tuple, core partition,
-    per-index sizes, total size."""
-    import csv
-    import io
-    import json
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["type", "coords", "image", "partition", "sizes", "total_size"])
-    for k in points:
-        emb = embed(t, k)
-        sizes = model_size_vector(t, k)
-        writer.writerow([
-            str(t),
-            json.dumps(list(k)),
-            json.dumps(list(emb.image)),
-            json.dumps(list(emb.core().partition)),
-            json.dumps([str(s) for s in sizes]),
-            str(model_size_total(t, k)),
-        ])
-    return buf.getvalue()
-
-
 def type_a_coords_from_ambient(q) -> tuple[int, ...]:
     """Type A_{a-1}: ambient sum-zero a-tuple -> simple-coroot coordinates."""
     if sum(q) != 0:

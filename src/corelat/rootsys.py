@@ -18,7 +18,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -383,7 +382,3 @@ def to_json_dict(rs: RootSystemData) -> dict:
         "rho_check": [str(x) for x in rs.rho_check_coords],
         "coweights": [[str(x) for x in w] for w in rs.coweight_coords],
     }
-
-
-def to_json(rs: RootSystemData, **kwargs) -> str:
-    return json.dumps(to_json_dict(rs), **kwargs)

@@ -168,8 +168,32 @@ class CoreSet:
     def mean_size(self) -> Fraction:
         return self.total_size / len(self.points)
 
+    def rows(self) -> Iterator[tuple[tuple[int, ...], Fraction, tuple[int, ...] | None]]:
+        """(coords, size, partition or None) per region point, in point order.
+
+        The partition is given in the families whose core's box count is
+        the size: the (n+1)-core of the abacus bijection in type A_n, and
+        the self-conjugate 2n-core of the isometric model in type C_n.
+        """
+        t = self.rs.cartan_type
+        for q, s in zip(self.points, self.sizes):
+            if t.family == "A":
+                part = cores.from_coroot(t.rank + 1, models.type_a_ambient_from_coords(q))
+            elif t.family == "C":
+                part = models.embed(t, q).core().partition
+            else:
+                part = None
+            yield q, s, part
+
     def to_json_dict(self) -> dict:
+        """The ``corelat cores`` document: the summary and one row per point."""
         value, argmax = max(zip(self.sizes, self.points))
+        rows = []
+        for q, s, part in self.rows():
+            row = {"coords": list(q), "size": str(s)}
+            if part is not None:
+                row["partition"] = list(part)
+            rows.append(row)
         return {
             "type": str(self.rs.cartan_type),
             "b": self.b,
@@ -179,6 +203,7 @@ class CoreSet:
             "max": str(value),
             "argmax": list(argmax),
             "direct_checked": self.direct_checked,
+            "rows": rows,
         }
 
 

@@ -39,6 +39,8 @@ WELLDEF_TYPES = ("A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3")
 MODEL_POINT_GRIDS = (
     ("B2", 16), ("B3", 5), ("C2", 16), ("C3", 5), ("D4", 3), ("G2", 16),
 )
+#: the fewest points the models suite checks per type
+MODEL_MIN_POINTS = 1000
 
 
 class Suite(NamedTuple):
@@ -131,10 +133,10 @@ def run(theorem: str, *, types=None, bs=None, cap=None, count=None, length=None)
     return report
 
 
-def check_arm(pairs=ARM_PAIRS, cap: int = DEFAULT_CAP) -> list:
+def check_arm(cap: int = DEFAULT_CAP) -> list:
     """Count and mean of simultaneous (a, b)-cores via the region machinery."""
     failures = []
-    for a, b in pairs:
+    for a, b in ARM_PAIRS:
         rs = build(CartanType("A", a - 1))
         coreset = sommers.enumerate_cores(rs, b, cap=cap)
         expected_count = comb(a + b, b) // (a + b)
@@ -200,16 +202,17 @@ def random_reduced_word(rng, rs, max_len):
     return tuple(letters)
 
 
-def check_sizer(count: int = 1000, types=None, max_len: int = 10, seed: int = 7) -> list:
-    """Word-side size equals lattice-side size on random reduced words."""
-    rng = random.Random(seed)
+def check_sizer(count: int = 1000, types=None) -> list:
+    """Word-side size equals lattice-side size on random reduced words of
+    length at most 10 (seed 7)."""
+    rng = random.Random(7)
     failures = []
     types = types or [t for t, _ in DEFAULT_MATRIX]
     per_type = -(-count // len(types))  # ceil: at least ``count`` words total
     for t in types:
         rs = build_named(t)
         for _ in range(per_type):
-            letters = random_reduced_word(rng, rs, max_len)
+            letters = random_reduced_word(rng, rs, 10)
             q = affine.apply(rs, letters, (0,) * rs.rank)
             word_sizes = affine.size_vector_word(rs, letters[::-1])
             lattice = tuple(affine.size_i_lattice(rs, q, i) for i in range(rs.rank + 1))
@@ -260,13 +263,14 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
     return failures
 
 
-def check_ip_content(moduli=(3, 4, 5), max_boxes: int = 60) -> list:
+def check_ip_content() -> list:
     """Content-class counts equal the lattice statistics, and toggling is
-    equivariant with the simple reflections, over all small cores."""
+    equivariant with the simple reflections, over all a-cores with at most
+    60 boxes, a = 3, 4, 5."""
     failures = []
-    for a in moduli:
+    for a in (3, 4, 5):
         rs = build(CartanType("A", a - 1))
-        for parts in cores.all_cores(a, max_boxes):
+        for parts in cores.all_cores(a, 60):
             ambient = cores.to_coroot(parts, a)
             k = models.type_a_coords_from_ambient(ambient)
             counts = cores.content_counts(parts, a)
@@ -282,23 +286,23 @@ def check_ip_content(moduli=(3, 4, 5), max_boxes: int = 60) -> list:
     return failures
 
 
-def model_test_points(t: CartanType, radius: int, minimum: int = 1000, seed: int = 5):
-    """At least ``minimum`` distinct lattice points: the full grid of the
-    given radius when small enough, else a random sample of it."""
+def model_test_points(t: CartanType, radius: int):
+    """At least ``MODEL_MIN_POINTS`` distinct lattice points: the full grid of
+    the given radius when small enough, else a random sample (seed 5) of it."""
     pts = list(itertools.product(range(-radius, radius + 1), repeat=t.rank))
-    if len(pts) > 2 * minimum:
-        pts = random.Random(seed).sample(pts, minimum)
-    assert len(pts) >= minimum
+    if len(pts) > 2 * MODEL_MIN_POINTS:
+        pts = random.Random(5).sample(pts, MODEL_MIN_POINTS)
+    assert len(pts) >= MODEL_MIN_POINTS
     return pts
 
 
-def check_models(grids=MODEL_POINT_GRIDS, minimum: int = 1000) -> list:
+def check_models() -> list:
     """Embedding equivariance and the size correspondence per model type."""
     failures = []
-    for name, radius in grids:
+    for name, radius in MODEL_POINT_GRIDS:
         t = CartanType.parse(name)
         rs = build(t)
-        for k in model_test_points(t, radius, minimum):
+        for k in model_test_points(t, radius):
             emb = models.embed(t, k)
             sizes = models.model_size_vector(t, k)
             for i in range(t.rank + 1):
@@ -328,9 +332,9 @@ def check_haiman(matrix=DEFAULT_MATRIX + E_TYPES, cap: int = DEFAULT_CAP) -> lis
     return failures
 
 
-def check_strange(names=ALL_FAMILY_NAMES) -> list:
+def check_strange() -> list:
     failures = []
-    for name in names:
+    for name in ALL_FAMILY_NAMES:
         rs = build_named(name)
         lhs = rootsys.norm2(rs, rs.rho_check_coords)
         rhs = Fraction(rs.ratio_r * rs.dual_coxeter_number
@@ -340,11 +344,12 @@ def check_strange(names=ALL_FAMILY_NAMES) -> list:
     return failures
 
 
-def check_typea(moduli=(2, 3, 4), order: int = 20) -> list:
+def check_typea() -> list:
+    """The a-core factorization of the partition series to x^20, a = 2, 3, 4."""
     failures = []
-    for a in moduli:
+    for a in (2, 3, 4):
         try:
-            ehrhart.typea_series_check(a, order)
+            ehrhart.typea_series_check(a, 20)
         except (AssertionError, ehrhart.SeriesMismatchError) as exc:
             failures.append({"a": a, "error": str(exc)})
     return failures

@@ -209,8 +209,8 @@ def test_criterion_9_property_suites():
     failures = {
         "welldef": verify.check_welldef(max_len=8),
         "sizer": verify.check_sizer(count=1000),
-        "ip_content": verify.check_ip_content(moduli=(3, 4, 5), max_boxes=60),
-        "models": verify.check_models(minimum=1000),
+        "ip_content": verify.check_ip_content(),
+        "models": verify.check_models(),
     }
     bad = {k: v for k, v in failures.items() if v}
     report(9, not bad, "welldef (length <= 8, ranks <= 3), sizer (1000 words), "
@@ -219,7 +219,7 @@ def test_criterion_9_property_suites():
 
 
 def test_criterion_10_series_identity():
-    failures = verify.check_typea(moduli=(2, 3, 4), order=20)
+    failures = verify.check_typea()
     report(10, not failures, "truncated series identity to x^20 for a = 2, 3, 4"
            + (f"; failures: {failures}" if failures else ""))
 

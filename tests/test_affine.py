@@ -437,8 +437,5 @@ def test_size_welldef_small():
 
 def test_element_serialization():
     a2 = build_named("A2")
-    el = affine.word_to_element(a2, (0, 1))
-    doc = el.to_json_dict()
-    assert set(doc) == {"matrix", "translation"}
     w = AffineWord.parse(a2, "0 1 2 1 0 1")
     assert str(w) == "0 1 2 1 0 1"

@@ -77,11 +77,18 @@ def test_a_refusal_passes_through_the_tracer():
     tracer.install()
     try:
         assert sommers.iter_alcove_m is not wrapped[sommers, "iter_alcove_m"]
-        with pytest.raises(sommers.FeasibilityError, match="= 18"):
+        # gcd(3, h) = 3, so the walk itself refuses
+        with pytest.raises(sommers.FeasibilityError, match="= 9"):
+            ehrhart.weighted_enumerator(rs, 3, cap=3)
+        visited_at_b3 = tracer.counts["sommers.alcove_m_visited"]
+        # b = 5 is coprime to h: refused on the predicted count, before the walk
+        with pytest.raises(sommers.FeasibilityError, match="predicted count 7"):
             ehrhart.weighted_enumerator(rs, 5, cap=6)
     finally:
         tracer.uninstall()
-    # the wrapper yielded the 18 admitted tuples before the refusal reached it
-    assert tracer.counts["sommers.alcove_m_visited"] == 18
-    assert tracer.enumerator_keys == {(rs.cartan_type, 5)}
+    # the wrapper yielded the 9 admitted tuples before the b = 3 refusal
+    # reached it, and none at b = 5
+    assert visited_at_b3 == 9
+    assert tracer.counts["sommers.alcove_m_visited"] == visited_at_b3
+    assert tracer.enumerator_keys == {(rs.cartan_type, 3), (rs.cartan_type, 5)}
     assert {(holder, name): vars(holder)[name] for holder, name in wrapped} == wrapped

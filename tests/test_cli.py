@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 
 import jsonschema
@@ -91,6 +94,58 @@ def test_cores_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0].startswith("coords,")
     assert len(lines) == 6
+
+
+#: SHA-256 of each command's standard output: the documents are pinned byte for byte
+GOLDEN_STDOUT = {
+    ("cores", "A2", "5"): "88339180b6f7870c1a3291b1cb41c79161eaa4cf6e1ce80b35121ebb1a83e90e",
+    ("cores", "C2", "5"): "88d4ef5b41070ea1af09a0054d05f172e9310668678f8605eb73eb45506cc062",
+    ("cores", "G2", "7"): "5492492a2329f6e7d5fc5c0efed6dda45e4f82f2ee618778eae5100a9ed79b2f",
+    ("cores", "A2", "5", "--format", "csv"):
+        "bfc74fb89737f273eecb71e633dd35ed8fbe1b91fd798b9b0b2c19af78f1c62b",
+    ("cores", "C2", "5", "--format", "csv"):
+        "d130a20ad3edd594b57018a4d2212cea61741f2efee0b3b089a758a87eccddd5",
+    ("roots", "G2"): "ead6d555806f6eecfacb5fb7cbc0cfed27619d5e42a1db94a46062fab206a39b",
+    ("draw", "C2", "--b", "5"): "da2b7ca57168ef8c28faf5ff2a3f7ff90a7dd46d38f5af9f020028a1917b5bd0",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
+def test_stdout_matches_its_golden_digest(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+@pytest.mark.parametrize("name, b", [("A2", "5"), ("C2", "5"), ("G2", "7")])
+def test_cores_csv_lines_match_the_json_rows(capsys, name, b):
+    _, out = run(capsys, "cores", name, b)
+    rows = json.loads(out)["rows"]
+    _, out = run(capsys, "cores", name, b, "--format", "csv")
+    header, *lines = csv.reader(io.StringIO(out))
+    assert header == ["coords", "size", "partition"]
+    assert len(lines) == len(rows)
+    for (coords, size, part), row in zip(lines, rows):
+        assert coords == str(tuple(row["coords"])) and size == row["size"]
+        if part:
+            assert [int(x) for x in part.strip("[]").split()] == row["partition"]
+        else:
+            assert "partition" not in row
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "A2"],
+    ["cores", "A2", "5"],
+    ["cores", "C2", "5", "--format", "csv"],
+    ["verify", "strange"],
+    ["draw", "C2", "--b", "5"],
+])
+def test_out_file_equals_stdout(tmp_path, capsys, argv):
+    _, out = run(capsys, *argv)
+    path = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == out
 
 
 def test_verify_pass_and_schema(capsys):

@@ -211,15 +211,6 @@ def test_core_partition_class():
         CorePartition.from_partition((5, 3, 1, 1), 4)
 
 
-def test_csv_export():
-    rows = [CorePartition.from_partition(p, 3) for p in ((), (1,), (5, 3, 1, 1))]
-    text = cores.to_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "partition,a,coroot,content_counts,size"
-    assert len(lines) == 4
-    assert "[5, 3, 1, 1]" in lines[3]
-
-
 def test_self_conjugate_generator():
     seen = cores.self_conjugate_partitions_up_to(12)
     brute = []

@@ -202,12 +202,3 @@ def test_unsupported_model_families():
         embed(CartanType("A", 3), (0, 0, 0))
     with pytest.raises(models.UnsupportedModelError):
         generator_dictionary(CartanType("F", 4))
-
-
-def test_models_csv():
-    t = CartanType("C", 2)
-    text = models.to_csv(t, [(0, 0), (-1, 0)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "type,coords,image,partition,sizes,total_size"
-    assert "[4, 3, 2, 1]" in lines[2]
-    assert lines[2].endswith(",10")

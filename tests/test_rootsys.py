@@ -202,7 +202,7 @@ def test_coweights_dual_to_simple_roots():
 def test_json_roundtrip():
     import json
 
-    doc = json.loads(rootsys.to_json(build_named("G2")))
+    doc = json.loads(json.dumps(rootsys.to_json_dict(build_named("G2"))))
     assert doc["coxeter_number"] == 6
     assert doc["highest_root"] == [3, 2]
     assert doc["rho_check"] == ["3", "5"]

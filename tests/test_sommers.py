@@ -183,10 +183,11 @@ def test_alcove_guard_boundary():
     coweights = enumerate_alcove(rs, 5, "coweight", cap=7)
     assert ehrhart.weighted_enumerator(rs, 5, cap=7) == sum(size_b(rs, 5, x) for x in coweights)
     ehrhart.clear_enumerator_cache()
-    for run in (lambda: enumerate_alcove(rs, 5, cap=6),
-                lambda: ehrhart.weighted_enumerator(rs, 5, cap=6)):
-        with pytest.raises(FeasibilityError, match="cap \\* f = 6 \\* 3 = 18"):
-            run()
+    with pytest.raises(FeasibilityError, match="cap \\* f = 6 \\* 3 = 18"):
+        enumerate_alcove(rs, 5, cap=6)
+    # b = 5 is coprime to h = 3: the enumerator refuses on the predicted count
+    with pytest.raises(FeasibilityError, match="predicted count 7 for A2, b=5 exceeds cap 6"):
+        ehrhart.weighted_enumerator(rs, 5, cap=6)
     # exactly cap * f tuples pass (b = 4: 15 = 5 * 3); one more is refused (b = 3: 10 = 3 * 3 + 1)
     assert len(enumerate_alcove(rs, 4, "coweight", cap=5)) == 15
     for run in (lambda: enumerate_alcove(rs, 3, cap=3),
