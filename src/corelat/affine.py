@@ -18,7 +18,7 @@ Action conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -292,6 +292,21 @@ def inversion_sequence(rs: RootSystemData, word) -> list[AffineRoot]:
     return entries
 
 
+def random_reduced_word(rng, rs: RootSystemData, max_len: int) -> tuple[int, ...]:
+    """A reduced word of at most ``max_len`` letters, each drawn uniformly by
+    ``rng``; it stops at the first letter that would not keep it reduced."""
+    letters = []
+    prefix = identity_element(rs)
+    while len(letters) < max_len:
+        i = rng.randrange(rs.rank + 1)
+        entry = prefix.act_root(affine_simple_root(rs, i))
+        if not entry.is_positive():
+            break
+        letters.append(i)
+        prefix = prefix.compose(letter_element(rs, i))
+    return tuple(letters)
+
+
 def is_reduced(rs: RootSystemData, word) -> bool:
     try:
         inversion_sequence(rs, word)
@@ -528,23 +543,11 @@ def dominant_representative(rs: RootSystemData, q) -> AffineElement:
     return word_to_element(rs, _to_dominant(rs, vals)[::-1]).compose(shift)
 
 
-@dataclass
-class MaximalityReport:
-    rs: RootSystemData
-    b: int
-    n_elements: int
-    counterexamples: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
-def check_wb_maximality(rs: RootSystemData, b: int, cap: int = 10_000) -> MaximalityReport:
+def check_wb_maximality(rs: RootSystemData, b: int, cap: int = 10_000) -> list:
     """Check that inv(w~_q) is contained in inv(w_b) for every q in the b-region.
 
-    Evidence-level check of the weak-order maximality conjecture; reports
-    counterexamples (expected none).
+    Evidence-level check of the weak-order maximality conjecture; returns
+    the counterexamples as (q, reason) pairs, empty when it holds.
     """
     from . import sommers  # local import to avoid a cycle
 
@@ -552,13 +555,13 @@ def check_wb_maximality(rs: RootSystemData, b: int, cap: int = 10_000) -> Maxima
     wb = compute_w_b(rs, b)
     wb_inv_set = inversion_set(wb)
     q_star = wb.inverse()((0,) * rs.rank)
-    report = MaximalityReport(rs, b, len(core.points))
+    counterexamples = []
     for q in core.points:
         el = dominant_representative(rs, q)
         if q == q_star and el.key() != wb.key():
-            report.counterexamples.append((q, "w_b is not the dominant representative"))
+            counterexamples.append((q, "w_b is not the dominant representative"))
             continue
         extra = inversion_set(el) - wb_inv_set
         if extra:
-            report.counterexamples.append((q, sorted(extra)[:3]))
-    return report
+            counterexamples.append((q, sorted(extra)[:3]))
+    return counterexamples

@@ -7,11 +7,14 @@ Subcommands::
     corelat verify THEOREM [flags]      run a verification suite
     corelat draw TYPE --b B             rank-2 SVG picture
 
-Exit codes: 0 = pass, 1 = verification failure, 2 = refused: an unknown
+Exit codes: 0 = pass, 1 = a failed identity, 2 = refused: an unknown
 type, a b not coprime to h, a rank ``draw`` cannot picture, a cap that is
 not a positive integer, work over the cap, or an --out that cannot be
-written.  Each is raised as ValueError, and ``main`` prints it as one
-``error:`` line.  Rationals print as "p/q" in lowest terms, never as decimals.
+written.  A refusal is raised as ValueError, and ``main`` prints it as one
+``error:`` line.  A failed identity is raised as AssertionError: ``verify``
+reports it as a counterexample record, and for every other command
+``main`` prints it as one ``failed:`` line.  Rationals print as "p/q" in
+lowest terms, never as decimals.
 The feasibility cap is --cap or the CORELAT_CAP environment variable.
 """
 
@@ -23,8 +26,8 @@ import os
 import sys
 
 from . import draw, rootsys, sommers, verify
-from .rootsys import CartanType
 
+FAILED = 1
 USAGE_ERROR = 2
 
 
@@ -86,11 +89,10 @@ def cmd_draw(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    types = [str(CartanType.parse(t)) for t in args.type] if args.type else None
-    report = verify.run(args.theorem, types=types, bs=args.b, cap=_cap(args),
+    report = verify.run(args.theorem, types=args.type, bs=args.b, cap=_cap(args),
                         count=args.count, length=args.length)
     _emit(args, json.dumps(report, indent=2, sort_keys=True))
-    return 0 if report["pass"] else 1
+    return 0 if report["pass"] else FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except AssertionError as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        return FAILED
 
 
 if __name__ == "__main__":

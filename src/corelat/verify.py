@@ -2,13 +2,18 @@
 identities by independent computation and returns a list of counterexample
 records (empty = pass).  ``SUITES`` states what each suite reads, and
 ``run`` scopes and runs one suite by its theorem id; the CLI ``verify``
-subcommand calls ``run`` and the acceptance tests call the checks directly."""
+subcommand calls ``run`` and the acceptance tests call the checks directly.
+
+A ValueError is a refusal and propagates.  An AssertionError is a failed
+identity: every suite runs its cases through ``_counterexamples``, which
+turns it into a counterexample record and goes on to the next case."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb, gcd
 from typing import NamedTuple
 
@@ -83,6 +88,7 @@ def scoped_matrix(types=None, bs=None) -> list:
     out = []
     for t in types or default_bs:
         rs = build_named(t)
+        t = str(rs.cartan_type)
         if bs:
             values = bs
         elif t in default_bs:
@@ -101,10 +107,12 @@ def run(theorem: str, *, types=None, bs=None, cap=None, count=None, length=None)
     Only the options that are set are passed on, so every default lives in
     the ``check_<id>`` signature.  The check is looked up as a module
     attribute at call time, so a wrapper installed on it takes effect.
-    Raises ValueError for an unknown theorem id, a scoping option the suite
-    does not read, or a ``count`` or ``length`` below 1; ``cap`` is
-    accepted by every suite.
+    Raises ValueError for an unknown type or theorem id, a scoping option
+    the suite does not read, or a ``count`` or ``length`` below 1; ``cap``
+    is accepted by every suite.  Type names are normalized here ("a2" is A2).
     """
+    if types:
+        types = [str(CartanType.parse(t)) for t in types]
     if theorem not in SUITES:
         raise ValueError(f"unknown theorem id {theorem!r}; choose from {', '.join(THEOREMS)}")
     suite = SUITES[theorem]
@@ -133,92 +141,85 @@ def run(theorem: str, *, types=None, bs=None, cap=None, count=None, length=None)
     return report
 
 
+def _counterexamples(cases) -> list:
+    """The counterexample records of ``cases``, pairs (labels, check).
+
+    ``check()`` yields one dict per disagreement it finds, or returns
+    nothing; each record is ``labels`` merged with one such dict.  An
+    AssertionError (a failed identity) adds ``{**labels, "error": message}``
+    and the next case runs; a ValueError (a refusal) propagates.
+    """
+    records = []
+    for labels, check in cases:
+        try:
+            for found in check() or ():
+                records.append({**labels, **found})
+        except AssertionError as exc:
+            records.append({**labels, "error": str(exc)})
+    return records
+
+
+def _by_type_and_b(matrix, check):
+    """The ``{type, b}`` cases of a (type, b values) matrix, each running
+    ``check(rs, b)``; each type is built once."""
+    for t, bs in matrix:
+        rs = build_named(t)
+        for b in bs:
+            yield {"type": t, "b": b}, partial(check, rs, b)
+
+
 def check_arm(cap: int = DEFAULT_CAP) -> list:
     """Count and mean of simultaneous (a, b)-cores via the region machinery."""
-    failures = []
-    for a, b in ARM_PAIRS:
-        rs = build(CartanType("A", a - 1))
-        coreset = sommers.enumerate_cores(rs, b, cap=cap)
+    def check(a, b):
+        coreset = sommers.enumerate_cores(build(CartanType("A", a - 1)), b, cap=cap)
         expected_count = comb(a + b, b) // (a + b)
         expected_mean = Fraction((a - 1) * (b - 1) * (a + b + 1), 24)
         if len(coreset) != expected_count or coreset.mean_size != expected_mean:
-            failures.append({"pair": [a, b], "count": len(coreset),
-                             "mean": str(coreset.mean_size)})
-    return failures
+            yield {"count": len(coreset), "mean": str(coreset.mean_size)}
+    return _counterexamples(({"pair": [a, b]}, partial(check, a, b)) for a, b in ARM_PAIRS)
 
 
 def check_main(matrix=DEFAULT_MATRIX, cap: int = DEFAULT_CAP) -> list:
     """Three-way agreement of the expected size for every (type, b)."""
-    failures = []
-    for t, bs in matrix:
-        rs = build_named(t)
-        for b in bs:
-            try:
-                ehrhart.expected_size(rs, b, cap=cap)
-            except AssertionError as exc:
-                failures.append({"type": t, "b": b, "error": str(exc)})
-    return failures
+    def check(rs, b):
+        ehrhart.expected_size(rs, b, cap=cap)
+    return _counterexamples(_by_type_and_b(matrix, check))
 
 
 def check_max(matrix=DEFAULT_MATRIX, cap: int = DEFAULT_CAP) -> list:
-    failures = []
-    for t, bs in matrix:
-        rs = build_named(t)
-        for b in bs:
-            try:
-                sommers.max_size(rs, b, coreset=sommers.enumerate_cores(rs, b, cap=cap))
-            except AssertionError as exc:
-                failures.append({"type": t, "b": b, "error": str(exc)})
-    return failures
+    def check(rs, b):
+        sommers.max_size(rs, b, coreset=sommers.enumerate_cores(rs, b, cap=cap))
+    return _counterexamples(_by_type_and_b(matrix, check))
 
 
 def check_transfer(matrix=DEFAULT_MATRIX, cap: int = DEFAULT_CAP) -> list:
     """Multiset equality of region sizes and dilated-alcove shifted sizes."""
-    failures = []
-    for t, bs in matrix:
-        rs = build_named(t)
-        for b in bs:
-            coreset = sommers.enumerate_cores(rs, b, cap=cap)
-            alcove = sommers.enumerate_alcove(rs, b, "coroot", cap=cap)
-            lhs = sorted(coreset.sizes)
-            rhs = sorted(sommers.size_b(rs, b, q) for q in alcove)
-            if lhs != rhs:
-                failures.append({"type": t, "b": b,
-                                 "sizes": [str(x) for x in lhs],
-                                 "shifted_sizes": [str(x) for x in rhs]})
-    return failures
-
-
-def random_reduced_word(rng, rs, max_len):
-    letters = []
-    prefix = affine.identity_element(rs)
-    while len(letters) < max_len:
-        i = rng.randrange(rs.rank + 1)
-        entry = prefix.act_root(affine.affine_simple_root(rs, i))
-        if not entry.is_positive():
-            break
-        letters.append(i)
-        prefix = prefix.compose(affine.letter_element(rs, i))
-    return tuple(letters)
+    def check(rs, b):
+        coreset = sommers.enumerate_cores(rs, b, cap=cap)
+        alcove = sommers.enumerate_alcove(rs, b, "coroot", cap=cap)
+        lhs = sorted(coreset.sizes)
+        rhs = sorted(sommers.size_b(rs, b, q) for q in alcove)
+        if lhs != rhs:
+            yield {"sizes": [str(x) for x in lhs], "shifted_sizes": [str(x) for x in rhs]}
+    return _counterexamples(_by_type_and_b(matrix, check))
 
 
 def check_sizer(count: int = 1000, types=None) -> list:
     """Word-side size equals lattice-side size on random reduced words of
     length at most 10 (seed 7)."""
     rng = random.Random(7)
-    failures = []
     types = types or [t for t, _ in DEFAULT_MATRIX]
     per_type = -(-count // len(types))  # ceil: at least ``count`` words total
-    for t in types:
-        rs = build_named(t)
+
+    def check(rs):
         for _ in range(per_type):
-            letters = random_reduced_word(rng, rs, 10)
+            letters = affine.random_reduced_word(rng, rs, 10)
             q = affine.apply(rs, letters, (0,) * rs.rank)
             word_sizes = affine.size_vector_word(rs, letters[::-1])
             lattice = tuple(affine.size_i_lattice(rs, q, i) for i in range(rs.rank + 1))
             if word_sizes != lattice:
-                failures.append({"type": t, "word": list(letters)})
-    return failures
+                yield {"word": list(letters)}
+    return _counterexamples(({"type": t}, partial(check, build_named(t))) for t in types)
 
 
 def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
@@ -229,22 +230,17 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
     if unsupported:
         raise ValueError(f"welldef does not support {', '.join(unsupported)}; "
                          f"supported types: {', '.join(WELLDEF_TYPES)}")
-    failures = []
-    for t in types:
-        rs = build_named(t)
+
+    def check(rs):
         prefactors = [affine._size_prefactor(rs, i) for i in range(rs.rank + 1)]
         by_element: dict = {}
 
         def dfs(el, letters, totals):
             vec = tuple(p * s for p, s in zip(prefactors, totals))
-            key = el.key()
-            prior = by_element.get(key)
-            if prior is None:
-                by_element[key] = (vec, el)
-            elif prior[0] != vec:
-                failures.append({"type": t, "word": list(letters),
-                                 "sizes": [str(x) for x in vec],
-                                 "other": [str(x) for x in prior[0]]})
+            prior = by_element.setdefault(el.key(), (vec, el))
+            if prior[0] != vec:
+                yield {"word": list(letters), "sizes": [str(x) for x in vec],
+                       "other": [str(x) for x in prior[0]]}
             if len(letters) == max_len:
                 return
             for i in range(rs.rank + 1):
@@ -252,23 +248,23 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
                 if entry.is_positive():
                     new_totals = list(totals)
                     new_totals[i] += entry.k
-                    dfs(el.compose(affine.letter_element(rs, i)), letters + (i,), new_totals)
+                    yield from dfs(el.compose(affine.letter_element(rs, i)), letters + (i,),
+                                   new_totals)
 
-        dfs(affine.identity_element(rs), (), [0] * (rs.rank + 1))
+        yield from dfs(affine.identity_element(rs), (), [0] * (rs.rank + 1))
         for key, (vec, el) in by_element.items():
             for i in range(1, rs.rank + 1):
                 other = by_element.get(affine.letter_element(rs, i).compose(el).key())
                 if other is not None and other[0] != vec:
-                    failures.append({"type": t, "element": str(key), "finite_letter": i})
-    return failures
+                    yield {"element": str(key), "finite_letter": i}
+    return _counterexamples(({"type": t}, partial(check, build_named(t))) for t in types)
 
 
 def check_ip_content() -> list:
     """Content-class counts equal the lattice statistics, and toggling is
     equivariant with the simple reflections, over all a-cores with at most
     60 boxes, a = 3, 4, 5."""
-    failures = []
-    for a in (3, 4, 5):
+    def check(a):
         rs = build(CartanType("A", a - 1))
         for parts in cores.all_cores(a, 60):
             ambient = cores.to_coroot(parts, a)
@@ -276,14 +272,14 @@ def check_ip_content() -> list:
             counts = cores.content_counts(parts, a)
             lattice = tuple(affine.size_i_lattice(rs, k, i) for i in range(a))
             if tuple(map(Fraction, counts)) != lattice:
-                failures.append({"a": a, "partition": list(parts)})
+                yield {"partition": list(parts)}
                 continue
             for i in range(a):
                 toggled = cores.toggle_action(parts, a, i)
                 q2 = affine.apply(rs, (i,), k)
                 if cores.to_coroot(toggled, a) != models.type_a_ambient_from_coords(q2):
-                    failures.append({"a": a, "partition": list(parts), "letter": i})
-    return failures
+                    yield {"partition": list(parts), "letter": i}
+    return _counterexamples(({"a": a}, partial(check, a)) for a in (3, 4, 5))
 
 
 def model_test_points(t: CartanType, radius: int):
@@ -298,8 +294,7 @@ def model_test_points(t: CartanType, radius: int):
 
 def check_models() -> list:
     """Embedding equivariance and the size correspondence per model type."""
-    failures = []
-    for name, radius in MODEL_POINT_GRIDS:
+    def check(name, radius):
         t = CartanType.parse(name)
         rs = build(t)
         for k in model_test_points(t, radius):
@@ -308,79 +303,67 @@ def check_models() -> list:
             for i in range(t.rank + 1):
                 moved = models.embed(t, affine.apply(rs, (i,), k)).image
                 if moved != models.act_model_generator(t, i, emb.image):
-                    failures.append({"type": name, "point": list(k), "generator": i})
+                    yield {"point": list(k), "generator": i}
                 if sizes[i] != affine.size_i_lattice(rs, k, i):
-                    failures.append({"type": name, "point": list(k), "size_index": i})
+                    yield {"point": list(k), "size_index": i}
             if models.model_size_total(t, k) != affine.size_lattice_total(rs, k):
-                failures.append({"type": name, "point": list(k), "total": True})
-    return failures
+                yield {"point": list(k), "total": True}
+    return _counterexamples(({"type": name}, partial(check, name, radius))
+                            for name, radius in MODEL_POINT_GRIDS)
 
 
 def check_haiman(matrix=DEFAULT_MATRIX + E_TYPES, cap: int = DEFAULT_CAP) -> list:
     """Point counts of dilated alcoves against the product formula, in both the
     coroot and the coweight lattice; a count over the cap is refused up front."""
-    failures = []
-    for t, bs in matrix:
-        rs = build_named(t)
-        for b in bs:
-            predicted = sommers.capped_haiman_count(rs, b, cap)
-            coroot = len(sommers.enumerate_alcove(rs, b, "coroot", cap=cap))
-            coweight = len(sommers.enumerate_alcove(rs, b, "coweight", cap=cap))
-            if coroot != predicted or coweight != rs.index_of_connection * predicted:
-                failures.append({"type": t, "b": b, "count": coroot,
-                                 "coweight_count": coweight, "predicted": predicted})
-    return failures
+    def check(rs, b):
+        predicted = sommers.capped_haiman_count(rs, b, cap)
+        coroot = len(sommers.enumerate_alcove(rs, b, "coroot", cap=cap))
+        coweight = len(sommers.enumerate_alcove(rs, b, "coweight", cap=cap))
+        if coroot != predicted or coweight != rs.index_of_connection * predicted:
+            yield {"count": coroot, "coweight_count": coweight, "predicted": predicted}
+    return _counterexamples(_by_type_and_b(matrix, check))
 
 
 def check_strange() -> list:
-    failures = []
-    for name in ALL_FAMILY_NAMES:
-        rs = build_named(name)
+    def check(rs):
         lhs = rootsys.norm2(rs, rs.rho_check_coords)
         rhs = Fraction(rs.ratio_r * rs.dual_coxeter_number
                        * rs.rank * (rs.coxeter_number + 1), 12)
         if lhs != rhs:
-            failures.append({"type": name, "lhs": str(lhs), "rhs": str(rhs)})
-    return failures
+            yield {"lhs": str(lhs), "rhs": str(rhs)}
+    return _counterexamples(({"type": name}, partial(check, build_named(name)))
+                            for name in ALL_FAMILY_NAMES)
 
 
 def check_typea() -> list:
     """The a-core factorization of the partition series to x^20, a = 2, 3, 4."""
-    failures = []
-    for a in (2, 3, 4):
-        try:
-            ehrhart.typea_series_check(a, 20)
-        except (AssertionError, ehrhart.SeriesMismatchError) as exc:
-            failures.append({"a": a, "error": str(exc)})
-    return failures
+    def check(a):
+        ehrhart.typea_series_check(a, 20)
+    return _counterexamples(({"a": a}, partial(check, a)) for a in (2, 3, 4))
 
 
 def check_fg_poly(cap: int = DEFAULT_CAP) -> list:
     """F4/G2 quasipolynomial fits must match the closed form implied by the
     count and expectation formulas, on every residue coprime to h."""
-    failures = []
-    for name in ("G2", "F4"):
-        rs = build_named(name)
-        predicted = ehrhart.predicted_enumerator_polynomial(rs)
-        for residue in range(rs.period_c):
-            if gcd(residue, rs.coxeter_number) != 1:
-                continue
-            coeffs = ehrhart.interpolate(rs, residue, cap=cap)
-            if coeffs != predicted:
-                failures.append({"type": name, "residue": residue,
-                                 "fit": [str(c) for c in coeffs],
-                                 "predicted": [str(c) for c in predicted]})
-    return failures
+    def check(rs, residue, predicted):
+        coeffs = ehrhart.interpolate(rs, residue, cap=cap)
+        if coeffs != predicted:
+            yield {"fit": [str(c) for c in coeffs], "predicted": [str(c) for c in predicted]}
+
+    def cases():
+        for name in ("G2", "F4"):
+            rs = build_named(name)
+            predicted = ehrhart.predicted_enumerator_polynomial(rs)
+            for residue in range(rs.period_c):
+                if gcd(residue, rs.coxeter_number) == 1:
+                    yield {"type": name, "residue": residue}, partial(check, rs, residue, predicted)
+    return _counterexamples(cases())
 
 
 def check_conjecture(matrix=(("A2", (2, 4)), ("C2", (3, 5)), ("G2", (5, 7))),
                      cap: int = DEFAULT_CAP) -> list:
-    failures = []
-    for t, bs in matrix:
-        rs = build_named(t)
-        for b in bs:
-            report = affine.check_wb_maximality(rs, b, cap=cap)
-            if not report.ok:
-                failures.append({"type": t, "b": b,
-                                 "counterexamples": [str(c) for c in report.counterexamples]})
-    return failures
+    def check(rs, b):
+        found = affine.check_wb_maximality(rs, b, cap=cap)
+        if found:
+            yield {"counterexamples": [str(c) for c in found]}
+    return _counterexamples(_by_type_and_b(matrix, check))

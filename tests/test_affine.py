@@ -19,23 +19,11 @@ from corelat.affine import (
     size_lattice_total,
 )
 from corelat.rootsys import build_named
+from corelat.sommers import enumerate_cores
 
 
 def rho_over_h(rs):
     return tuple(c / Fraction(rs.coxeter_number) for c in rs.rho_check_coords)
-
-
-def random_reduced_word(rng, rs, max_len):
-    letters = []
-    prefix = affine.identity_element(rs)
-    while len(letters) < max_len:
-        i = rng.randrange(rs.rank + 1)
-        entry = prefix.act_root(affine.affine_simple_root(rs, i))
-        if not entry.is_positive():
-            break
-        letters.append(i)
-        prefix = prefix.compose(affine.letter_element(rs, i))
-    return tuple(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +59,7 @@ def test_apply_element_matches_word():
     for name in ("A2", "C2", "G2", "B3"):
         rs = build_named(name)
         for _ in range(20):
-            word = random_reduced_word(rng, rs, 8)
+            word = affine.random_reduced_word(rng, rs, 8)
             el = affine.word_to_element(rs, word)
             pt = tuple(rng.randrange(-3, 4) for _ in range(rs.rank))
             assert apply(rs, word, pt) == el(pt)
@@ -169,7 +157,7 @@ def test_braid_moves_preserve_inversion_multiset():
         ext = _extended_orders(rs)
         found = 0
         while found < 8:
-            word = random_reduced_word(rng, rs, 9)
+            word = affine.random_reduced_word(rng, rs, 9)
             for p in range(len(word) - 1):
                 i, j = word[p], word[p + 1]
                 m = ext.get((i, j))
@@ -263,7 +251,7 @@ def test_sizer_word_equals_lattice():
     for name in ("A2", "A3", "B2", "B3", "C2", "C3", "G2", "D4"):
         rs = build_named(name)
         for _ in range(60):
-            word = random_reduced_word(rng, rs, 10)
+            word = affine.random_reduced_word(rng, rs, 10)
             q = apply(rs, word, (0,) * rs.rank)
             word_sizes = affine.size_vector_word(rs, word[::-1])
             lattice = tuple(size_i_lattice(rs, q, i) for i in range(rs.rank + 1))
@@ -276,7 +264,7 @@ def test_coset_equivariance():
     for name in ("A2", "C2", "G2"):
         rs = build_named(name)
         for _ in range(40):
-            word = random_reduced_word(rng, rs, 8)
+            word = affine.random_reduced_word(rng, rs, 8)
             el = affine.word_to_element(rs, word)
             g = affine.identity_element(rs)
             for _ in range(rng.randrange(6)):
@@ -375,7 +363,7 @@ def test_inversion_set_matches_word_sequence():
     for name in ("A2", "C2", "G2"):
         rs = build_named(name)
         for _ in range(25):
-            word = random_reduced_word(rng, rs, 9)
+            word = affine.random_reduced_word(rng, rs, 9)
             el = affine.word_to_element(rs, word)
             assert affine.inversion_set(el) == frozenset(inversion_sequence(rs, word))
 
@@ -394,14 +382,10 @@ def test_dominant_representative():
 
 
 def test_wb_maximality_small():
-    a2 = build_named("A2")
-    rep = affine.check_wb_maximality(a2, 4)
-    assert rep.ok and rep.n_elements == 5
-    c2 = build_named("C2")
-    rep = affine.check_wb_maximality(c2, 5)
-    assert rep.ok and rep.n_elements == 6
-    rep = affine.check_wb_maximality(a2, 1)
-    assert rep.ok and rep.n_elements == 1
+    a2, c2 = build_named("A2"), build_named("C2")
+    for rs, b, count in ((a2, 4, 5), (c2, 5, 6), (a2, 1, 1)):
+        assert affine.check_wb_maximality(rs, b) == []
+        assert len(enumerate_cores(rs, b)) == count
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 import jsonschema
 import pytest
 
-from corelat import cli, verify
+from corelat import cli, ehrhart, sommers, verify
 
 ROOTS_SCHEMA = {
     "type": "object",
@@ -340,6 +340,73 @@ def test_a_refusal_is_not_a_counterexample(capsys, theorem):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: predicted count 7 for A2, b=5 exceeds cap 1\n"
+
+
+def test_the_suites_are_exactly_the_check_functions():
+    # perfbench/tracing.py times every check_* attribute of verify as a suite
+    checks = {name[len("check_"):] for name in vars(verify) if name.startswith("check_")}
+    assert checks == set(verify.SUITES)
+
+
+def test_run_normalizes_type_names():
+    assert verify.scoped_matrix(["a2"]) == verify.scoped_matrix(["A2"]) == [("A2", (2, 4, 5))]
+    assert verify.run("welldef", types=["a2"], length=2) == \
+        verify.run("welldef", types=["A2"], length=2)
+
+
+@pytest.fixture
+def scan_drops_a_point(monkeypatch):
+    """The direct box scan loses its first point, so the region cross-check fails."""
+    scan = sommers._direct_scan
+    monkeypatch.setattr(sommers, "_direct_scan", lambda sr: scan(sr)[1:])
+
+
+@pytest.mark.parametrize("argv, labels", [
+    (["arm"], ["pair"]),
+    (["transfer", "--type", "A2", "--b", "5"], ["type", "b"]),
+    (["conjecture", "--type", "A2", "--b", "4"], ["type", "b"]),
+])
+def test_a_failed_identity_is_a_counterexample(scan_drops_a_point, capsys, argv, labels):
+    code, out = run(capsys, "verify", *argv)
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, VERIFY_SCHEMA)
+    assert doc["pass"] is False and doc["counterexamples"]
+    for record in doc["counterexamples"]:
+        assert set(record) == {*labels, "error"}
+        assert "direct inequality scan disagrees" in record["error"]
+
+
+def test_a_failed_case_does_not_stop_the_suite(scan_drops_a_point, capsys):
+    code, out = run(capsys, "verify", "transfer", "--type", "A2", "--type", "G2", "--b", "5")
+    assert code == 1
+    records = json.loads(out)["counterexamples"]
+    assert [(r["type"], r["b"]) for r in records] == [("A2", 5), ("G2", 5)]
+    assert all("error" in r for r in records)
+
+
+@pytest.mark.parametrize("argv", [["cores", "A2", "5"], ["draw", "A2", "--b", "5"]])
+def test_a_failed_identity_is_one_failed_line(scan_drops_a_point, capsys, argv):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("failed: A2, b=5: direct inequality scan disagrees")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_a_held_out_mismatch_is_a_counterexample(monkeypatch, capsys):
+    enumerator = ehrhart.weighted_enumerator
+
+    def off_by_one(rs, b, cap=sommers.DEFAULT_CAP):
+        return enumerator(rs, b, cap=cap) + (str(rs.cartan_type) == "G2" and b == 37)
+
+    monkeypatch.setattr(ehrhart, "_ENUMERATOR_CACHE", {})
+    monkeypatch.setattr(ehrhart, "weighted_enumerator", off_by_one)
+    code, out = run(capsys, "verify", "fg_poly")
+    assert code == 1
+    [record] = json.loads(out)["counterexamples"]
+    assert set(record) == {"type", "residue", "error"}
+    assert (record["type"], record["residue"]) == ("G2", 1) and "held-out" in record["error"]
 
 
 def test_haiman_refuses_on_the_predicted_count_before_enumerating(monkeypatch, capsys):
