@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import draw, rootsys, sommers, verify
 
@@ -60,13 +61,34 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def to_json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for documents with string
+    keys, byte for byte.  With ``indent`` set, ``json`` always takes its
+    pure-Python encoder; here a list of plain ints is written by one join."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = (f"{encode_basestring_ascii(k)}: {to_json(v, inner)}"
+                 for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = map(str, obj) if set(map(type, obj)) == {int} else (to_json(v, inner) for v in obj)
+    elif isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_roots(args) -> int:
     rs = rootsys.build_named(args.type)
-    _emit(args, json.dumps(rootsys.to_json_dict(rs), indent=2, sort_keys=True))
+    _emit(args, to_json(rootsys.to_json_dict(rs)))
     return 0
 
 
@@ -79,7 +101,7 @@ def cmd_cores(args) -> int:
             lines.append(f"\"{q}\",{s},{cell}")
         _emit(args, "\n".join(lines))
     else:
-        _emit(args, json.dumps(coreset.to_json_dict(), indent=2, sort_keys=True))
+        _emit(args, to_json(coreset.to_json_dict()))
     return 0
 
 
@@ -91,7 +113,7 @@ def cmd_draw(args) -> int:
 def cmd_verify(args) -> int:
     report = verify.run(args.theorem, types=args.type, bs=args.b, cap=_cap(args),
                         count=args.count, length=args.length)
-    _emit(args, json.dumps(report, indent=2, sort_keys=True))
+    _emit(args, to_json(report))
     return 0 if report["pass"] else FAILED
 
 

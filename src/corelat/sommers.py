@@ -12,14 +12,18 @@ A_{a-1} they are exactly the (a, b)-cores under the abacus bijection.
 ``enumerate_cores`` computes the point set two independent ways — by
 mapping the dilated-alcove points through the inverse dilation element,
 and by scanning the integer bounding box of the region's vertices — and
-requires the two to agree.
+requires the two to agree.  The per-point arithmetic of both routes (the
+alcove's coroot mask, the map through w_b^-1 and the box scan) runs on
+numpy int64 arrays, each product under an asserted bound that keeps it
+exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import ceil, floor, prod
 from typing import Iterator
 
@@ -122,6 +126,11 @@ def iter_alcove_m(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> Iterato
                                f"exceed cap * f = {cap} * {rs.index_of_connection} = {limit}")
 
 
+def _sorted_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of a 2-d int64 array as tuples of Python ints, sorted lexicographically."""
+    return list(map(tuple, rows[np.lexsort(rows.T[::-1])].tolist()))
+
+
 def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot",
                      cap: int = DEFAULT_CAP) -> list[tuple]:
     """Lattice points of the b-dilated fundamental alcove, in simple-coroot
@@ -129,24 +138,24 @@ def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot",
 
     ``lattice`` is "coroot" or "coweight".  Coweight points may have
     rational coordinates; coroot points are the subset with integer ones,
-    recognized via the adjugate of the Cartan matrix.
+    recognized via the adjugate of the Cartan matrix.  The tuples m of
+    ``iter_alcove_m`` go through the adjugate as one int64 product, exact
+    under the asserted bound n * max|adj| * b < 2**62 (sum m_i <= b),
+    and one mask keeps the rows divisible by f.
     """
     if b < 0:
         raise ValueError("dilation factor must be nonnegative")
     if lattice not in ("coroot", "coweight"):
         raise ValueError(f"unknown lattice {lattice!r}")
-    adj = rs.cartan_adjugate
+    n = rs.rank
+    adj = np.array(rs.cartan_adjugate, dtype=np.int64)
     det = rs.index_of_connection
-    points = []
-    for m in iter_alcove_m(rs, b, cap):
-        scaled = linalg.matvec(adj, m)
-        if lattice == "coroot":
-            if all(x % det == 0 for x in scaled):
-                points.append(tuple(x // det for x in scaled))
-        else:
-            points.append(tuple(Fraction(x, det) for x in scaled))
-    points.sort()
-    return points
+    assert n * int(np.abs(adj).max()) * b < 2**62, "int64 bound of the alcove product"
+    m = np.fromiter(chain.from_iterable(iter_alcove_m(rs, b, cap)), dtype=np.int64)
+    scaled = m.reshape(-1, n) @ adj.T
+    if lattice == "coroot":
+        return _sorted_tuples(scaled[(scaled % det == 0).all(axis=1)] // det)
+    return [tuple(Fraction(x, det) for x in row) for row in _sorted_tuples(scaled)]
 
 
 @dataclass(frozen=True)
@@ -160,9 +169,16 @@ class CoreSet:
     def __len__(self):
         return len(self.points)
 
+    @cached_property
+    def _scaled_sizes(self) -> tuple[int, tuple[int, ...]]:
+        """(d, numerators): each size is its integer numerator over d = 2 h f."""
+        d = affine.scaled_size_b(self.rs, 1)[0]
+        return d, tuple(s.numerator * (d // s.denominator) for s in self.sizes)
+
     @property
     def total_size(self) -> Fraction:
-        return sum(self.sizes, Fraction(0))
+        d, nums = self._scaled_sizes
+        return Fraction(sum(nums), d)
 
     @property
     def mean_size(self) -> Fraction:
@@ -186,11 +202,15 @@ class CoreSet:
             yield q, s, part
 
     def to_json_dict(self) -> dict:
-        """The ``corelat cores`` document: the summary and one row per point."""
-        value, argmax = max(zip(self.sizes, self.points))
+        """The ``corelat cores`` document: the summary and one row per point.
+
+        The summary sorts and maximizes the integer numerators over 2 h f."""
+        d, nums = self._scaled_sizes
+        value, argmax = max(zip(nums, self.points))
+        texts = [str(s) for s in self.sizes]
         rows = []
-        for q, s, part in self.rows():
-            row = {"coords": list(q), "size": str(s)}
+        for (q, _, part), text in zip(self.rows(), texts):
+            row = {"coords": list(q), "size": text}
             if part is not None:
                 row["partition"] = list(part)
             rows.append(row)
@@ -198,9 +218,9 @@ class CoreSet:
             "type": str(self.rs.cartan_type),
             "b": self.b,
             "count": len(self.points),
-            "sizes": [str(s) for s in sorted(self.sizes)],
+            "sizes": [texts[i] for i in sorted(range(len(nums)), key=nums.__getitem__)],
             "mean": str(self.mean_size),
-            "max": str(value),
+            "max": str(Fraction(value, d)),
             "argmax": list(argmax),
             "direct_checked": self.direct_checked,
             "rows": rows,
@@ -234,9 +254,8 @@ def _direct_scan(sr: SommersRegion) -> list[tuple[int, ...]] | None:
     for x0 in range(lo[0], hi[0] + 1):
         pts = np.concatenate([np.full((tail.shape[0], 1), x0, dtype=np.int64), tail], axis=1)
         mask = ((pts @ low_mat) >= -sr.t_b).all(axis=1) & ((pts @ high_mat) <= sr.t_b + 1).all(axis=1)
-        found.extend(tuple(map(int, row)) for row in pts[mask])
-    found.sort()
-    return found
+        found.append(pts[mask])
+    return _sorted_tuples(np.concatenate(found))
 
 
 def enumerate_cores(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> CoreSet:
@@ -245,12 +264,19 @@ def enumerate_cores(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> CoreS
     Computed by mapping the dilated-alcove points through the inverse
     dilation element, and cross-checked against a direct inequality scan
     whenever the scan's bounding box holds at most ``DEFAULT_BOX_CAP``
-    points; ``direct_checked`` records whether the scan ran.
+    points; ``direct_checked`` records whether the scan ran.  The map is
+    one int64 product x -> M x + v, exact under the asserted bound
+    n * max|M| * max|x| + max|v| < 2**62.
     """
     predicted = capped_haiman_count(rs, b, cap)
     sr = sommers_region(rs, b)
     wb_inv = affine.compute_w_b(rs, b).inverse()
-    mapped = sorted(wb_inv(p) for p in enumerate_alcove(rs, b, "coroot", cap=cap))
+    alcove = np.array(enumerate_alcove(rs, b, "coroot", cap=cap), dtype=np.int64)
+    alcove = alcove.reshape(-1, rs.rank)
+    m, v = np.array(wb_inv.m, dtype=np.int64), np.array(wb_inv.v, dtype=np.int64)
+    assert (rs.rank * int(np.abs(m).max()) * int(np.abs(alcove).max(initial=0))
+            + int(np.abs(v).max()) < 2**62), "int64 bound of the map through w_b^-1"
+    mapped = _sorted_tuples(alcove @ m.T + v)
     if len(mapped) != predicted:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: found {len(mapped)} alcove points, expected {predicted}")

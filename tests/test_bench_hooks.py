@@ -4,6 +4,7 @@ renames or drops a wrapped function fails here rather than in a traced
 benchmark run."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -64,6 +65,30 @@ def test_tracer_sees_every_layer_of_enumerate_cores():
     assert 0 < metrics["sommers.box_keep_ratio"] <= 1
     assert metrics["affine.size_calls"] == 7
     assert metrics["ehrhart.enumerator_fresh"] == 1
+
+
+def test_tracer_sees_every_layer_of_the_cores_command(capsys):
+    """The per-layer cores-large metrics time the same calls through the CLI."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    try:
+        code = cli.main(["cores", "A2", "5"])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and json.loads(capsys.readouterr().out)["count"] == 7
+    assert tracer.counts["sommers.alcove_m_visited"] == 21
+
+    parent = {sid: p for sid, _, _, _, p in tracer.spans}
+    spans = {}
+    for sid, name, _, _, _ in tracer.spans:
+        spans.setdefault(name, []).append(sid)
+    assert len(spans["affine.size_lattice_total"]) == 7
+    assert len(spans["cores.from_coroot"]) == 7
+    (main,), (top,) = spans["cli.main"], spans["sommers.enumerate_cores"]
+    assert parent[main] == -1 and parent[top] == main
+    assert [parent[sid] for sid in spans["sommers.enumerate_alcove"]] == [top]
+    assert [parent[sid] for sid in spans["sommers.direct_scan"]] == [top]
 
 
 def test_a_refusal_passes_through_the_tracer():

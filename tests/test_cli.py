@@ -6,7 +6,7 @@ import json
 import jsonschema
 import pytest
 
-from corelat import cli, ehrhart, sommers, verify
+from corelat import cli, ehrhart, rootsys, sommers, verify
 
 ROOTS_SCHEMA = {
     "type": "object",
@@ -107,6 +107,15 @@ GOLDEN_STDOUT = {
         "d130a20ad3edd594b57018a4d2212cea61741f2efee0b3b089a758a87eccddd5",
     ("roots", "G2"): "ead6d555806f6eecfacb5fb7cbc0cfed27619d5e42a1db94a46062fab206a39b",
     ("draw", "C2", "--b", "5"): "da2b7ca57168ef8c28faf5ff2a3f7ff90a7dd46d38f5af9f020028a1917b5bd0",
+    ("cores", "A4", "11"): "2ec0d1c3333e9e46a365ae61a1b2d5ebb6be32601d58e2f3eca51cb899332885",
+    ("cores", "B3", "7"): "1a14a10e61a03b5e076c8932204bdc567b0edb526ad7243f3e6a186b11d5bc5a",
+    # P^/Q^ = Z/2 x Z/2: f = 4 with no cyclic generator
+    ("cores", "D4", "7"): "03a024f0b0878ba117c9b9d48bf0c30d05b47c4eb4b739865b9f7f8facb86f58",
+    # f = 3
+    ("cores", "E6", "7"): "c7cc763ce21374b92a3b331bd948b6b8a3c87a9b2df25397cbe29b757e192816",
+    ("cores", "F4", "13"): "a31489fc2ea046fbfa17e86913c650ef6ece1d1d53131baebee96f2b576ef200",
+    ("cores", "C3", "5", "--format", "csv"):
+        "e827877f360a962c4bfbe7250edb0c432a48c2aef2e5ffb722e9d7b94a8e4d4e",
 }
 
 
@@ -115,6 +124,63 @@ def test_stdout_matches_its_golden_digest(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [argv for argv in GOLDEN_STDOUT
+                                  if argv[0] in ("cores", "roots") and "--format" not in argv]
+                         + [("roots", "E8")])
+def test_writer_equals_json_dumps_on_command_documents(argv):
+    rs = rootsys.build_named(argv[1])
+    if argv[0] == "roots":
+        doc = rootsys.to_json_dict(rs)
+    else:
+        doc = sommers.enumerate_cores(rs, int(argv[2])).to_json_dict()
+    assert cli.to_json(doc) == dumps(doc)
+
+
+#: a small scope for each verify suite that reads one
+SMALL_SCOPE = {
+    "main": {"types": ["A2"], "bs": (5,)},
+    "max": {"types": ["G2"], "bs": (5,)},
+    "transfer": {"types": ["A2"], "bs": (5,)},
+    "sizer": {"types": ["A2"], "count": 5},
+    "welldef": {"types": ["A2"], "length": 2},
+    "haiman": {"types": ["B3"], "bs": (5,)},
+    "conjecture": {"types": ["A2"], "bs": (4,)},
+}
+
+
+@pytest.mark.parametrize("theorem", verify.THEOREMS)
+def test_writer_equals_json_dumps_on_verify_reports(theorem):
+    report = verify.run(theorem, **SMALL_SCOPE.get(theorem, {}))
+    assert cli.to_json(report) == dumps(report)
+
+
+def test_writer_equals_json_dumps_on_a_failed_report(scan_drops_a_point):
+    report = verify.run("transfer", types=["A2", "G2"], bs=(5,))
+    assert report["counterexamples"] and cli.to_json(report) == dumps(report)
+
+
+HAND_MADE = {
+    "empty": [[], {}, [[]], [{}], {"a": []}],
+    "nested": [{"z": [1, -2], "a": {"k": [{"x": None}]}}, [[3], [{"y": "v"}]]],
+    "mixed": [1, True],
+    "bools": [True, False],
+    "none": None,
+    "ints": [0, -7, 2**64 + 1, -(2**70), 10**30],
+    "tuple": (1, (2, 3)),
+    "text": ['quote "', "new\nline", "back\\slash", "omega\u2228 \u00e9 \U0001F600", ""],
+    "keys \u00e9\"\\": {"": 1, "b": 2, "A": 3},
+}
+
+
+@pytest.mark.parametrize("doc", [HAND_MADE, *HAND_MADE.values(), [], {}, 0, "x", False])
+def test_writer_equals_json_dumps_on_hand_made_documents(doc):
+    assert cli.to_json(doc) == dumps(doc)
 
 
 @pytest.mark.parametrize("name, b", [("A2", "5"), ("C2", "5"), ("G2", "7")])

@@ -1,5 +1,5 @@
 """Hypothesis property tests for the alcove reduction, w_b, the word
-action and the shifted size statistic.
+action, the shifted size statistic and the alcove and region points.
 
 They run beside the fixed cases in test_affine.py and test_sommers.py,
 over random types of rank <= 8 and random dilations b.
@@ -27,8 +27,8 @@ PROPERTY = settings(max_examples=40, deadline=None,
 
 
 @st.composite
-def type_and_b(draw, max_b=300):
-    rs = build_named(draw(st.sampled_from(TYPES)))
+def type_and_b(draw, max_b=300, types=TYPES):
+    rs = build_named(draw(st.sampled_from(types)))
     h = rs.coxeter_number
     b = draw(st.integers(1, max_b).filter(lambda b: gcd(b, h) == 1))
     return rs, b
@@ -180,3 +180,43 @@ def test_weighted_enumerator_is_the_sum_of_the_definition(name):
         points = sommers.enumerate_alcove(rs, b, "coweight")
         expected = sum((size_b_by_definition(rs, b, x) for x in points), Fraction(0))
         assert ehrhart.weighted_enumerator(rs, b) == expected
+
+
+def alcove_by_matvec(rs, b, lattice, cap):
+    """The ``iter_alcove_m`` tuples through ``linalg.matvec`` one at a time,
+    kept (coroot) when every coordinate is divisible by f, then sorted; a
+    refusal is returned as its message."""
+    f = rs.index_of_connection
+    points = []
+    try:
+        for m in sommers.iter_alcove_m(rs, b, cap):
+            x = linalg.matvec(rs.cartan_adjugate, m)
+            if lattice == "coweight":
+                points.append(tuple(Fraction(c, f) for c in x))
+            elif all(c % f == 0 for c in x):
+                points.append(tuple(c // f for c in x))
+    except sommers.FeasibilityError as exc:
+        return str(exc)
+    return sorted(points)
+
+
+@PROPERTY
+@given(st.sampled_from(TYPES), st.integers(0, 20), st.sampled_from(["coroot", "coweight"]))
+def test_enumerate_alcove_matches_the_tuple_loop(name, b, lattice):
+    rs, cap = build_named(name), 300
+    try:
+        found = sommers.enumerate_alcove(rs, b, lattice, cap=cap)
+    except sommers.FeasibilityError as exc:
+        found = str(exc)
+    assert found == alcove_by_matvec(rs, b, lattice, cap)
+
+
+@PROPERTY
+@given(type_and_b(max_b=13, types=[t for t in TYPES if build_named(t).rank <= 4]))
+def test_mapped_alcove_points_equal_the_box_scan(case):
+    # rank <= 4 and b <= 13 keep the box under 2 * 10**5 candidates
+    rs, b = case
+    wb_inv = affine.compute_w_b(rs, b).inverse()
+    mapped = sorted(wb_inv(p) for p in sommers.enumerate_alcove(rs, b))
+    assert mapped == sommers._direct_scan(sommers.sommers_region(rs, b))
+    assert sommers.enumerate_cores(rs, b).points == tuple(mapped)
