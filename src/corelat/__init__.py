@@ -67,6 +67,7 @@ from .rootsys import (
 from .sommers import (
     CoreSet,
     SommersRegion,
+    capped,
     contains,
     enumerate_alcove,
     enumerate_cores,

@@ -543,7 +543,7 @@ def dominant_representative(rs: RootSystemData, q) -> AffineElement:
     return word_to_element(rs, _to_dominant(rs, vals)[::-1]).compose(shift)
 
 
-def check_wb_maximality(rs: RootSystemData, b: int, cap: int = 10_000) -> list:
+def check_wb_maximality(rs: RootSystemData, b: int) -> list:
     """Check that inv(w~_q) is contained in inv(w_b) for every q in the b-region.
 
     Evidence-level check of the weak-order maximality conjecture; returns
@@ -551,7 +551,7 @@ def check_wb_maximality(rs: RootSystemData, b: int, cap: int = 10_000) -> list:
     """
     from . import sommers  # local import to avoid a cycle
 
-    core = sommers.enumerate_cores(rs, b, cap=cap)
+    core = sommers.enumerate_cores(rs, b)
     wb = compute_w_b(rs, b)
     wb_inv_set = inversion_set(wb)
     q_star = wb.inverse()((0,) * rs.rank)

@@ -15,7 +15,7 @@ written.  A refusal is raised as ValueError, and ``main`` prints it as one
 reports it as a counterexample record, and for every other command
 ``main`` prints it as one ``failed:`` line.  Rationals print as "p/q" in
 lowest terms, never as decimals.
-The feasibility cap is --cap or the CORELAT_CAP environment variable.
+``cores`` and ``verify`` each run in one ``sommers.capped`` block: --cap, else CORELAT_CAP.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_cores(args) -> int:
-    coreset = sommers.enumerate_cores(rootsys.build_named(args.type), args.b, cap=_cap(args))
+    with sommers.capped(_cap(args)):
+        coreset = sommers.enumerate_cores(rootsys.build_named(args.type), args.b)
     if args.format == "csv":
         lines = ["coords,size,partition"]
         for q, s, part in coreset.rows():
@@ -111,8 +112,9 @@ def cmd_draw(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify.run(args.theorem, types=args.type, bs=args.b, cap=_cap(args),
-                        count=args.count, length=args.length)
+    with sommers.capped(_cap(args)):
+        report = verify.run(args.theorem, types=args.type, bs=args.b,
+                            count=args.count, length=args.length)
     _emit(args, to_json(report))
     return 0 if report["pass"] else FAILED
 
@@ -158,9 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -15,7 +15,6 @@ from math import gcd
 
 from . import affine, sommers
 from .rootsys import RootSystemData
-from .sommers import DEFAULT_CAP
 
 
 class HeldOutMismatchError(AssertionError):
@@ -36,7 +35,7 @@ def clear_enumerator_cache() -> None:
     _ENUMERATOR_CACHE.clear()
 
 
-def weighted_enumerator(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> Fraction:
+def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     """Sum of size_b over the coweight-lattice points of the b-dilated alcove.
 
     One integer ``affine.scaled_size_b`` value is added per point.  The
@@ -53,9 +52,9 @@ def weighted_enumerator(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> F
     if b < 1:
         raise ValueError("dilation factor must be >= 1")
     if gcd(b, rs.coxeter_number) == 1:
-        sommers.capped_haiman_count(rs, b, cap)
+        sommers.capped_haiman_count(rs, b)
     denom, size = affine.scaled_size_b(rs, b)
-    value = Fraction(sum(map(size, sommers.iter_alcove_m(rs, b, cap))), denom)
+    value = Fraction(sum(map(size, sommers.iter_alcove_m(rs, b))), denom)
     _ENUMERATOR_CACHE[(rs.cartan_type, b)] = value
     return value
 
@@ -117,8 +116,7 @@ class Quasipolynomial:
         return poly_eval(self.components[b % self.period], b)
 
 
-def interpolate(rs: RootSystemData, residue: int, period: int | None = None,
-                cap: int = DEFAULT_CAP) -> tuple[Fraction, ...]:
+def interpolate(rs: RootSystemData, residue: int, period: int | None = None) -> tuple[Fraction, ...]:
     """Fit the degree-(n+2) polynomial matching the weighted enumerator at
     n + 3 values b = residue mod period, then validate it on two more.
 
@@ -130,7 +128,7 @@ def interpolate(rs: RootSystemData, residue: int, period: int | None = None,
     samples, held_out = rs.rank + 3, 2
     start = residue or period
     bs = [start + k * period for k in range(samples + held_out)]
-    values = [weighted_enumerator(rs, x, cap=cap) for x in bs]
+    values = [weighted_enumerator(rs, x) for x in bs]
     coeffs = lagrange_fit(bs[:samples], values[:samples])
     for x, y in zip(bs[samples:], values[samples:]):
         if poly_eval(coeffs, x) != y:
@@ -140,9 +138,9 @@ def interpolate(rs: RootSystemData, residue: int, period: int | None = None,
     return coeffs
 
 
-def fit_quasipolynomial(rs: RootSystemData, cap: int = DEFAULT_CAP) -> Quasipolynomial:
+def fit_quasipolynomial(rs: RootSystemData) -> Quasipolynomial:
     period = rs.period_c
-    return Quasipolynomial(period, {r: interpolate(rs, r, period, cap=cap) for r in range(period)})
+    return Quasipolynomial(period, {r: interpolate(rs, r, period) for r in range(period)})
 
 
 def _mean_size_polynomial(rs: RootSystemData) -> tuple[Fraction, ...]:
@@ -172,7 +170,7 @@ class ExpectationReport:
     mean: Fraction
 
 
-def expected_size(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP,
+def expected_size(rs: RootSystemData, b: int,
                   coreset: sommers.CoreSet | None = None) -> ExpectationReport:
     """Mean size over the b-region points, computed three independent ways.
 
@@ -181,10 +179,10 @@ def expected_size(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP,
     ``_mean_size_polynomial`` at b.  Any disagreement raises.
     """
     if coreset is None:
-        coreset = sommers.enumerate_cores(rs, b, cap=cap)
+        coreset = sommers.enumerate_cores(rs, b)
     count = len(coreset)
     direct_mean = coreset.mean_size
-    coweight_mean = weighted_enumerator(rs, b, cap=cap) / (rs.index_of_connection * count)
+    coweight_mean = weighted_enumerator(rs, b) / (rs.index_of_connection * count)
     closed = poly_eval(_mean_size_polynomial(rs), b)
     if direct_mean != coweight_mean:
         raise AssertionError(
@@ -202,15 +200,14 @@ class RootReport:
 
 
 def reciprocity_roots(rs: RootSystemData, residue: int,
-                      coeffs: tuple[Fraction, ...] | None = None,
-                      cap: int = DEFAULT_CAP) -> RootReport:
+                      coeffs: tuple[Fraction, ...] | None = None) -> RootReport:
     """Verify the vanishing of the fitted component at b = -e_j for the
     exponents in its residue class, and at b = 1 and b = -h-1 when those
     fall in the class.  A nonzero value raises."""
     period = rs.period_c
     residue %= period
     if coeffs is None:
-        coeffs = interpolate(rs, residue, cap=cap)
+        coeffs = interpolate(rs, residue)
     targets = [-e for e in rs.exponents if (-e) % period == residue]
     if 1 % period == residue:
         targets.append(1)

@@ -20,6 +20,8 @@ exact.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -32,14 +34,25 @@ import numpy as np
 from . import affine, cores, linalg, models, rootsys
 from .rootsys import CartanType, Root, RootSystemData
 
-#: refuse enumerations whose predicted point count exceeds this
+#: outside a ``capped`` block, refuse enumerations predicted to exceed this
 DEFAULT_CAP = 10**6
+_CAP = ContextVar("corelat_cap", default=DEFAULT_CAP)
 #: skip the direct bounding-box scan when its box holds more candidate points
 DEFAULT_BOX_CAP = 3 * 10**7
 
 
 class FeasibilityError(ValueError):
     pass
+
+
+@contextmanager
+def capped(cap: int):
+    """Run the enclosed block, in this thread only, under feasibility cap ``cap``."""
+    token = _CAP.set(cap)
+    try:
+        yield
+    finally:
+        _CAP.reset(token)
 
 
 @dataclass(frozen=True)
@@ -78,9 +91,9 @@ def haiman_count(rs: RootSystemData, b: int) -> int:
     return count
 
 
-def capped_haiman_count(rs: RootSystemData, b: int, cap: int) -> int:
-    """``haiman_count``, refused up front with FeasibilityError above ``cap``."""
-    predicted = haiman_count(rs, b)
+def capped_haiman_count(rs: RootSystemData, b: int) -> int:
+    """``haiman_count``, refused up front with FeasibilityError above the cap."""
+    predicted, cap = haiman_count(rs, b), _CAP.get()
     if predicted > cap:
         raise FeasibilityError(
             f"predicted count {predicted} for {rs.cartan_type}, b={b} exceeds cap {cap}")
@@ -97,12 +110,12 @@ def alcove_vertices(rs: RootSystemData) -> list[tuple[Fraction, ...]]:
     return verts
 
 
-def iter_alcove_m(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:
+def iter_alcove_m(rs: RootSystemData, b: int) -> Iterator[tuple[int, ...]]:
     """Dominant tuples m with m_i = <q, alpha_i> >= 0 and sum c_i m_i <= b.
 
     These index the coweight-lattice points of the b-dilated alcove, f per
     coroot point when gcd(b, h) = 1.  FeasibilityError is raised on
-    reaching a tuple past cap * f.
+    reaching a tuple past cap * f, the cap read when the walk starts.
     """
     marks = rs.highest_root_coeffs
     n = rs.rank
@@ -118,12 +131,12 @@ def iter_alcove_m(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> Iterato
             yield from rec(i + 1, budget - c * val)
         m[i] = 0
 
-    limit = cap * rs.index_of_connection
+    cap, f = _CAP.get(), rs.index_of_connection
     tuples = rec(0, b)
-    yield from islice(tuples, limit)
+    yield from islice(tuples, cap * f)
     if next(tuples, None) is not None:
         raise FeasibilityError(f"coweight points of the dilated alcove of {rs.cartan_type}, b={b} "
-                               f"exceed cap * f = {cap} * {rs.index_of_connection} = {limit}")
+                               f"exceed cap * f = {cap} * {f} = {cap * f}")
 
 
 def _sorted_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
@@ -131,8 +144,7 @@ def _sorted_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
     return list(map(tuple, rows[np.lexsort(rows.T[::-1])].tolist()))
 
 
-def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot",
-                     cap: int = DEFAULT_CAP) -> list[tuple]:
+def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> list[tuple]:
     """Lattice points of the b-dilated fundamental alcove, in simple-coroot
     coordinates, sorted lexicographically.
 
@@ -151,7 +163,7 @@ def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot",
     adj = np.array(rs.cartan_adjugate, dtype=np.int64)
     det = rs.index_of_connection
     assert n * int(np.abs(adj).max()) * b < 2**62, "int64 bound of the alcove product"
-    m = np.fromiter(chain.from_iterable(iter_alcove_m(rs, b, cap)), dtype=np.int64)
+    m = np.fromiter(chain.from_iterable(iter_alcove_m(rs, b)), dtype=np.int64)
     scaled = m.reshape(-1, n) @ adj.T
     if lattice == "coroot":
         return _sorted_tuples(scaled[(scaled % det == 0).all(axis=1)] // det)
@@ -258,7 +270,7 @@ def _direct_scan(sr: SommersRegion) -> list[tuple[int, ...]] | None:
     return _sorted_tuples(np.concatenate(found))
 
 
-def enumerate_cores(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> CoreSet:
+def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
     """The coroot-lattice points of the b-region, with their sizes.
 
     Computed by mapping the dilated-alcove points through the inverse
@@ -268,11 +280,10 @@ def enumerate_cores(rs: RootSystemData, b: int, cap: int = DEFAULT_CAP) -> CoreS
     one int64 product x -> M x + v, exact under the asserted bound
     n * max|M| * max|x| + max|v| < 2**62.
     """
-    predicted = capped_haiman_count(rs, b, cap)
+    predicted = capped_haiman_count(rs, b)
     sr = sommers_region(rs, b)
     wb_inv = affine.compute_w_b(rs, b).inverse()
-    alcove = np.array(enumerate_alcove(rs, b, "coroot", cap=cap), dtype=np.int64)
-    alcove = alcove.reshape(-1, rs.rank)
+    alcove = np.array(enumerate_alcove(rs, b, "coroot"), dtype=np.int64).reshape(-1, rs.rank)
     m, v = np.array(wb_inv.m, dtype=np.int64), np.array(wb_inv.v, dtype=np.int64)
     assert (rs.rank * int(np.abs(m).max()) * int(np.abs(alcove).max(initial=0))
             + int(np.abs(v).max()) < 2**62), "int64 bound of the map through w_b^-1"
@@ -327,12 +338,12 @@ class SelfConjugateReport:
         return len(self.pairs)
 
 
-def simultaneous_selfconjugate(n: int, b: int, cap: int = DEFAULT_CAP) -> SelfConjugateReport:
+def simultaneous_selfconjugate(n: int, b: int) -> SelfConjugateReport:
     """Map the C_n b-region points to partitions and certify each one is a
     self-conjugate (2n, b)-core by a hook scan; the count must match."""
     t = CartanType("C", n)
     rs = rootsys.build(t)
-    coreset = enumerate_cores(rs, b, cap=cap)
+    coreset = enumerate_cores(rs, b)
     pairs = []
     for q in coreset.points:
         emb = models.embed(t, q)

@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 from . import affine, cores, ehrhart, models, rootsys, sommers
 from .rootsys import CartanType, build, build_named
-from .sommers import DEFAULT_CAP
 
 #: (type, b values) used by the region-based suites
 DEFAULT_MATRIX = (
@@ -52,25 +51,24 @@ class Suite(NamedTuple):
     """What ``run`` may pass to a suite's ``check_<id>`` function."""
 
     reads: tuple[str, ...] = ()  # scoping options, of "type", "b", "count", "length"
-    cap: bool = False  # takes the feasibility cap
     note: str | None = None  # added to the report
 
 
 #: theorem id -> suite, in the order the CLI lists them
 SUITES = {
-    "arm": Suite(cap=True),
-    "main": Suite(("type", "b"), cap=True),
-    "max": Suite(("type", "b"), cap=True),
-    "transfer": Suite(("type", "b"), cap=True),
+    "arm": Suite(),
+    "main": Suite(("type", "b")),
+    "max": Suite(("type", "b")),
+    "transfer": Suite(("type", "b")),
     "sizer": Suite(("type", "count")),
     "welldef": Suite(("type", "length")),
     "ip_content": Suite(),
     "models": Suite(),
-    "haiman": Suite(("type", "b"), cap=True),
+    "haiman": Suite(("type", "b")),
     "strange": Suite(),
     "typea": Suite(),
-    "fg_poly": Suite(cap=True),
-    "conjecture": Suite(("type", "b"), cap=True,
+    "fg_poly": Suite(),
+    "conjecture": Suite(("type", "b"),
                         note="evidence only: exhaustive check at these parameters, not a proof"),
 }
 
@@ -101,15 +99,15 @@ def scoped_matrix(types=None, bs=None) -> list:
     return out
 
 
-def run(theorem: str, *, types=None, bs=None, cap=None, count=None, length=None) -> dict:
+def run(theorem: str, *, types=None, bs=None, count=None, length=None) -> dict:
     """Run the suite ``theorem`` and return its report.
 
     Only the options that are set are passed on, so every default lives in
     the ``check_<id>`` signature.  The check is looked up as a module
     attribute at call time, so a wrapper installed on it takes effect.
     Raises ValueError for an unknown type or theorem id, a scoping option
-    the suite does not read, or a ``count`` or ``length`` below 1; ``cap``
-    is accepted by every suite.  Type names are normalized here ("a2" is A2).
+    the suite does not read, or a ``count`` or ``length`` below 1.  Type
+    names are normalized here ("a2" is A2); the cap is ``sommers.capped``'s.
     """
     if types:
         types = [str(CartanType.parse(t)) for t in types]
@@ -122,8 +120,6 @@ def run(theorem: str, *, types=None, bs=None, cap=None, count=None, length=None)
         reads = ", ".join(f"--{k}" for k in suite.reads) or "no scoping flags"
         raise ValueError(f"verify {theorem} does not read {', '.join(unread)}; it reads {reads}")
     kwargs = {}
-    if cap is not None and suite.cap:
-        kwargs["cap"] = cap
     if "b" in suite.reads:
         if types or bs:
             kwargs["matrix"] = scoped_matrix(types, bs)
@@ -168,10 +164,10 @@ def _by_type_and_b(matrix, check):
             yield {"type": t, "b": b}, partial(check, rs, b)
 
 
-def check_arm(cap: int = DEFAULT_CAP) -> list:
+def check_arm() -> list:
     """Count and mean of simultaneous (a, b)-cores via the region machinery."""
     def check(a, b):
-        coreset = sommers.enumerate_cores(build(CartanType("A", a - 1)), b, cap=cap)
+        coreset = sommers.enumerate_cores(build(CartanType("A", a - 1)), b)
         expected_count = comb(a + b, b) // (a + b)
         expected_mean = Fraction((a - 1) * (b - 1) * (a + b + 1), 24)
         if len(coreset) != expected_count or coreset.mean_size != expected_mean:
@@ -179,24 +175,24 @@ def check_arm(cap: int = DEFAULT_CAP) -> list:
     return _counterexamples(({"pair": [a, b]}, partial(check, a, b)) for a, b in ARM_PAIRS)
 
 
-def check_main(matrix=DEFAULT_MATRIX, cap: int = DEFAULT_CAP) -> list:
+def check_main(matrix=DEFAULT_MATRIX) -> list:
     """Three-way agreement of the expected size for every (type, b)."""
     def check(rs, b):
-        ehrhart.expected_size(rs, b, cap=cap)
+        ehrhart.expected_size(rs, b)
     return _counterexamples(_by_type_and_b(matrix, check))
 
 
-def check_max(matrix=DEFAULT_MATRIX, cap: int = DEFAULT_CAP) -> list:
+def check_max(matrix=DEFAULT_MATRIX) -> list:
     def check(rs, b):
-        sommers.max_size(rs, b, coreset=sommers.enumerate_cores(rs, b, cap=cap))
+        sommers.max_size(rs, b)
     return _counterexamples(_by_type_and_b(matrix, check))
 
 
-def check_transfer(matrix=DEFAULT_MATRIX, cap: int = DEFAULT_CAP) -> list:
+def check_transfer(matrix=DEFAULT_MATRIX) -> list:
     """Multiset equality of region sizes and dilated-alcove shifted sizes."""
     def check(rs, b):
-        coreset = sommers.enumerate_cores(rs, b, cap=cap)
-        alcove = sommers.enumerate_alcove(rs, b, "coroot", cap=cap)
+        coreset = sommers.enumerate_cores(rs, b)
+        alcove = sommers.enumerate_alcove(rs, b, "coroot")
         lhs = sorted(coreset.sizes)
         rhs = sorted(sommers.size_b(rs, b, q) for q in alcove)
         if lhs != rhs:
@@ -312,13 +308,13 @@ def check_models() -> list:
                             for name, radius in MODEL_POINT_GRIDS)
 
 
-def check_haiman(matrix=DEFAULT_MATRIX + E_TYPES, cap: int = DEFAULT_CAP) -> list:
+def check_haiman(matrix=DEFAULT_MATRIX + E_TYPES) -> list:
     """Point counts of dilated alcoves against the product formula, in both the
     coroot and the coweight lattice; a count over the cap is refused up front."""
     def check(rs, b):
-        predicted = sommers.capped_haiman_count(rs, b, cap)
-        coroot = len(sommers.enumerate_alcove(rs, b, "coroot", cap=cap))
-        coweight = len(sommers.enumerate_alcove(rs, b, "coweight", cap=cap))
+        predicted = sommers.capped_haiman_count(rs, b)
+        coroot = len(sommers.enumerate_alcove(rs, b, "coroot"))
+        coweight = len(sommers.enumerate_alcove(rs, b, "coweight"))
         if coroot != predicted or coweight != rs.index_of_connection * predicted:
             yield {"count": coroot, "coweight_count": coweight, "predicted": predicted}
     return _counterexamples(_by_type_and_b(matrix, check))
@@ -342,11 +338,11 @@ def check_typea() -> list:
     return _counterexamples(({"a": a}, partial(check, a)) for a in (2, 3, 4))
 
 
-def check_fg_poly(cap: int = DEFAULT_CAP) -> list:
+def check_fg_poly() -> list:
     """F4/G2 quasipolynomial fits must match the closed form implied by the
     count and expectation formulas, on every residue coprime to h."""
     def check(rs, residue, predicted):
-        coeffs = ehrhart.interpolate(rs, residue, cap=cap)
+        coeffs = ehrhart.interpolate(rs, residue)
         if coeffs != predicted:
             yield {"fit": [str(c) for c in coeffs], "predicted": [str(c) for c in predicted]}
 
@@ -360,10 +356,9 @@ def check_fg_poly(cap: int = DEFAULT_CAP) -> list:
     return _counterexamples(cases())
 
 
-def check_conjecture(matrix=(("A2", (2, 4)), ("C2", (3, 5)), ("G2", (5, 7))),
-                     cap: int = DEFAULT_CAP) -> list:
+def check_conjecture(matrix=(("A2", (2, 4)), ("C2", (3, 5)), ("G2", (5, 7)))) -> list:
     def check(rs, b):
-        found = affine.check_wb_maximality(rs, b, cap=cap)
+        found = affine.check_wb_maximality(rs, b)
         if found:
             yield {"counterexamples": [str(c) for c in found]}
     return _counterexamples(_by_type_and_b(matrix, check))

@@ -103,12 +103,12 @@ def test_a_refusal_passes_through_the_tracer():
     try:
         assert sommers.iter_alcove_m is not wrapped[sommers, "iter_alcove_m"]
         # gcd(3, h) = 3, so the walk itself refuses
-        with pytest.raises(sommers.FeasibilityError, match="= 9"):
-            ehrhart.weighted_enumerator(rs, 3, cap=3)
+        with sommers.capped(3), pytest.raises(sommers.FeasibilityError, match="= 9"):
+            ehrhart.weighted_enumerator(rs, 3)
         visited_at_b3 = tracer.counts["sommers.alcove_m_visited"]
         # b = 5 is coprime to h: refused on the predicted count, before the walk
-        with pytest.raises(sommers.FeasibilityError, match="predicted count 7"):
-            ehrhart.weighted_enumerator(rs, 5, cap=6)
+        with sommers.capped(6), pytest.raises(sommers.FeasibilityError, match="predicted count 7"):
+            ehrhart.weighted_enumerator(rs, 5)
     finally:
         tracer.uninstall()
     # the wrapper yielded the 9 admitted tuples before the b = 3 refusal

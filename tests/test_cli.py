@@ -259,21 +259,24 @@ def test_verify_dispatches_through_the_module_attribute(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, kwargs", [
-    (["main"], {"cap": 1000}),
-    (["fg_poly"], {"cap": 1000}),
+    (["main"], {}),
+    (["fg_poly"], {}),
     (["strange"], {}),
-    (["haiman", "--b", "5"], {"cap": 1000, "matrix": verify.scoped_matrix(bs=(5,))}),
-    (["conjecture", "--type", "c2"], {"cap": 1000, "matrix": [("C2", (3, 5, 7))]}),
-    (["main", "--type", "E6"], {"cap": 1000, "matrix": [("E6", (5, 7))]}),
+    (["haiman", "--b", "5"], {"matrix": verify.scoped_matrix(bs=(5,))}),
+    (["conjecture", "--type", "c2"], {"matrix": [("C2", (3, 5, 7))]}),
+    (["main", "--type", "E6"], {"matrix": [("E6", (5, 7))]}),
     (["sizer", "--type", "A2", "--count", "5"], {"types": ["A2"], "count": 5}),
     (["welldef", "--length", "3"], {"max_len": 3}),
 ])
 def test_verify_passes_only_the_options_set(monkeypatch, capsys, argv, kwargs):
+    # the cap is not passed: every check runs under the one cap in force
     seen = []
-    monkeypatch.setattr(verify, f"check_{argv[0]}", lambda **kw: seen.append(kw) or [])
+    monkeypatch.setattr(verify, f"check_{argv[0]}",
+                        lambda **kw: seen.append((kw, sommers._CAP.get())) or [])
     code, _ = run(capsys, "verify", *argv, "--cap", "1000")
     assert code == 0
-    assert seen == [kwargs]
+    assert seen == [(kwargs, 1000)]
+    assert sommers._CAP.get() == sommers.DEFAULT_CAP
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -408,6 +411,23 @@ def test_a_refusal_is_not_a_counterexample(capsys, theorem):
     assert captured.err == "error: predicted count 7 for A2, b=5 exceeds cap 1\n"
 
 
+@pytest.mark.parametrize("theorem, cap, message", [
+    ("arm", 1, "predicted count 5 for A2, b=4 exceeds cap 1"),
+    ("transfer", 3, "predicted count 5 for A2, b=4 exceeds cap 3"),
+    ("haiman", 2, "predicted count 5 for A2, b=4 exceeds cap 2"),
+    # fg_poly reaches the cap through ehrhart, conjecture through affine
+    ("fg_poly", 1, "predicted count 8 for G2, b=7 exceeds cap 1"),
+    ("conjecture", 1, "predicted count 2 for A2, b=2 exceeds cap 1"),
+])
+def test_the_cap_reaches_every_suite_that_enumerates(monkeypatch, capsys, theorem, cap, message):
+    # the cap guards fresh work only, so start from an empty enumerator cache
+    monkeypatch.setattr(ehrhart, "_ENUMERATOR_CACHE", {})
+    assert cli.main(["verify", theorem, "--cap", str(cap)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_the_suites_are_exactly_the_check_functions():
     # perfbench/tracing.py times every check_* attribute of verify as a suite
     checks = {name[len("check_"):] for name in vars(verify) if name.startswith("check_")}
@@ -463,8 +483,8 @@ def test_a_failed_identity_is_one_failed_line(scan_drops_a_point, capsys, argv):
 def test_a_held_out_mismatch_is_a_counterexample(monkeypatch, capsys):
     enumerator = ehrhart.weighted_enumerator
 
-    def off_by_one(rs, b, cap=sommers.DEFAULT_CAP):
-        return enumerator(rs, b, cap=cap) + (str(rs.cartan_type) == "G2" and b == 37)
+    def off_by_one(rs, b):
+        return enumerator(rs, b) + (str(rs.cartan_type) == "G2" and b == 37)
 
     monkeypatch.setattr(ehrhart, "_ENUMERATOR_CACHE", {})
     monkeypatch.setattr(ehrhart, "weighted_enumerator", off_by_one)

@@ -1,8 +1,10 @@
 """Hypothesis property tests for the alcove reduction, w_b, the word
-action, the shifted size statistic and the alcove and region points.
+action, the shifted size statistic, the alcove and region points, and
+the a-core bijection with its toggles.
 
-They run beside the fixed cases in test_affine.py and test_sommers.py,
-over random types of rank <= 8 and random dilations b.
+They run beside the fixed cases in test_affine.py, test_sommers.py and
+test_cores.py, over random types of rank <= 8, random dilations b and
+random runner levels.
 """
 
 from fractions import Fraction
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from corelat import affine, ehrhart, linalg, rootsys, sommers
+from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers
 from corelat.affine import PointOnWallError
 from corelat.rootsys import build_named
 
@@ -182,14 +184,14 @@ def test_weighted_enumerator_is_the_sum_of_the_definition(name):
         assert ehrhart.weighted_enumerator(rs, b) == expected
 
 
-def alcove_by_matvec(rs, b, lattice, cap):
+def alcove_by_matvec(rs, b, lattice):
     """The ``iter_alcove_m`` tuples through ``linalg.matvec`` one at a time,
     kept (coroot) when every coordinate is divisible by f, then sorted; a
     refusal is returned as its message."""
     f = rs.index_of_connection
     points = []
     try:
-        for m in sommers.iter_alcove_m(rs, b, cap):
+        for m in sommers.iter_alcove_m(rs, b):
             x = linalg.matvec(rs.cartan_adjugate, m)
             if lattice == "coweight":
                 points.append(tuple(Fraction(c, f) for c in x))
@@ -203,12 +205,13 @@ def alcove_by_matvec(rs, b, lattice, cap):
 @PROPERTY
 @given(st.sampled_from(TYPES), st.integers(0, 20), st.sampled_from(["coroot", "coweight"]))
 def test_enumerate_alcove_matches_the_tuple_loop(name, b, lattice):
-    rs, cap = build_named(name), 300
-    try:
-        found = sommers.enumerate_alcove(rs, b, lattice, cap=cap)
-    except sommers.FeasibilityError as exc:
-        found = str(exc)
-    assert found == alcove_by_matvec(rs, b, lattice, cap)
+    rs = build_named(name)
+    with sommers.capped(300):
+        try:
+            found = sommers.enumerate_alcove(rs, b, lattice)
+        except sommers.FeasibilityError as exc:
+            found = str(exc)
+        assert found == alcove_by_matvec(rs, b, lattice)
 
 
 @PROPERTY
@@ -220,3 +223,32 @@ def test_mapped_alcove_points_equal_the_box_scan(case):
     mapped = sorted(wb_inv(p) for p in sommers.enumerate_alcove(rs, b))
     assert mapped == sommers._direct_scan(sommers.sommers_region(rs, b))
     assert sommers.enumerate_cores(rs, b).points == tuple(mapped)
+
+
+@st.composite
+def runner_levels(draw, max_level=4):
+    """(a, q): a = 2..7 and sum-zero levels q of the a runners of an abacus."""
+    a = draw(st.integers(2, 7))
+    head = draw(st.lists(st.integers(-max_level, max_level), min_size=a - 1, max_size=a - 1))
+    return a, (*head, -sum(head))
+
+
+@PROPERTY
+@given(runner_levels())
+def test_from_coroot_and_to_coroot_are_inverse(case):
+    a, q = case
+    parts = cores.from_coroot(a, q)
+    assert cores.is_core(parts, a)
+    assert cores.to_coroot(parts, a) == q
+
+
+@PROPERTY
+@given(runner_levels(), st.data())
+def test_toggling_a_content_class_is_the_simple_reflection(case, data):
+    # read through the type-A coordinates, toggle i is the letter s_i
+    a, q = case
+    i = data.draw(st.integers(0, a - 1))
+    rs = build_named(f"A{a - 1}")
+    moved = affine.apply(rs, (i,), models.type_a_coords_from_ambient(q))
+    toggled = cores.toggle_action(cores.from_coroot(a, q), a, i)
+    assert cores.to_coroot(toggled, a) == models.type_a_ambient_from_coords(moved)

@@ -1,12 +1,18 @@
+import importlib
+import inspect
+import pkgutil
+import threading
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+import corelat
 from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers
 from corelat.rootsys import CartanType, build, build_named
 from corelat.sommers import (
     FeasibilityError,
+    capped,
     contains,
     enumerate_alcove,
     enumerate_cores,
@@ -155,8 +161,74 @@ def test_enumerate_cores_matches_simultaneous_cores():
 
 
 def test_enumerate_cores_cap():
-    with pytest.raises(FeasibilityError):
-        enumerate_cores(build_named("A3"), 101, cap=100)
+    with capped(100), pytest.raises(FeasibilityError):
+        enumerate_cores(build_named("A3"), 101)
+
+
+def test_capped_sets_the_cap_for_its_block_only():
+    assert sommers._CAP.get() == sommers.DEFAULT_CAP
+    with capped(7):
+        assert sommers._CAP.get() == 7
+        assert len(enumerate_cores(build_named("A2"), 5)) == 7
+    assert sommers._CAP.get() == sommers.DEFAULT_CAP
+
+
+def test_capped_restores_the_cap_after_a_refusal():
+    with pytest.raises(FeasibilityError, match="exceeds cap 6$"):
+        with capped(6):
+            enumerate_cores(build_named("A2"), 5)
+    assert sommers._CAP.get() == sommers.DEFAULT_CAP
+    assert len(enumerate_cores(build_named("A2"), 5)) == 7
+
+
+def test_nested_capped_blocks_restore_the_outer_cap():
+    with capped(50):
+        with capped(3):
+            assert sommers._CAP.get() == 3
+            with pytest.raises(FeasibilityError, match="exceeds cap 3$"):
+                enumerate_cores(build_named("A2"), 5)
+        assert sommers._CAP.get() == 50
+        assert len(enumerate_cores(build_named("A2"), 5)) == 7
+    assert sommers._CAP.get() == sommers.DEFAULT_CAP
+
+
+def test_a_capped_block_is_not_seen_in_another_thread():
+    seen = []
+
+    def other():
+        seen.append(sommers._CAP.get())
+        seen.append(len(enumerate_cores(build_named("A2"), 5)))
+
+    with capped(1):
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert sommers._CAP.get() == 1
+    assert seen == [sommers.DEFAULT_CAP, 7]
+
+
+def test_only_capped_takes_a_cap():
+    # the cap is one setting per block, never a parameter of the work it guards
+    taking = set()
+    modules = [importlib.import_module(f"corelat.{m.name}")
+               for m in pkgutil.iter_modules(corelat.__path__)]
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not getattr(obj, "__module__", "").startswith("corelat"):
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", value) for attr, value in vars(obj).items()
+                            if not attr.startswith("_") and callable(value)]
+            for label, member in members:
+                try:
+                    params = inspect.signature(member).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "cap" in params:
+                    taking.add(f"{module.__name__}.{label}")
+    assert taking == {"corelat.sommers.capped"}
 
 
 @pytest.mark.parametrize("b", [0, 3])
@@ -179,20 +251,23 @@ def test_alcove_guard_boundary():
     # smallest cap that admits them all
     rs = build_named("A2")
     ehrhart.clear_enumerator_cache()
-    assert len(enumerate_alcove(rs, 5, cap=7)) == 7
-    coweights = enumerate_alcove(rs, 5, "coweight", cap=7)
-    assert ehrhart.weighted_enumerator(rs, 5, cap=7) == sum(size_b(rs, 5, x) for x in coweights)
+    with capped(7):
+        assert len(enumerate_alcove(rs, 5)) == 7
+        coweights = enumerate_alcove(rs, 5, "coweight")
+        assert ehrhart.weighted_enumerator(rs, 5) == sum(size_b(rs, 5, x) for x in coweights)
     ehrhart.clear_enumerator_cache()
-    with pytest.raises(FeasibilityError, match="cap \\* f = 6 \\* 3 = 18"):
-        enumerate_alcove(rs, 5, cap=6)
-    # b = 5 is coprime to h = 3: the enumerator refuses on the predicted count
-    with pytest.raises(FeasibilityError, match="predicted count 7 for A2, b=5 exceeds cap 6"):
-        ehrhart.weighted_enumerator(rs, 5, cap=6)
+    with capped(6):
+        with pytest.raises(FeasibilityError, match="cap \\* f = 6 \\* 3 = 18"):
+            enumerate_alcove(rs, 5)
+        # b = 5 is coprime to h = 3: the enumerator refuses on the predicted count
+        with pytest.raises(FeasibilityError, match="predicted count 7 for A2, b=5 exceeds cap 6"):
+            ehrhart.weighted_enumerator(rs, 5)
     # exactly cap * f tuples pass (b = 4: 15 = 5 * 3); one more is refused (b = 3: 10 = 3 * 3 + 1)
-    assert len(enumerate_alcove(rs, 4, "coweight", cap=5)) == 15
-    for run in (lambda: enumerate_alcove(rs, 3, cap=3),
-                lambda: ehrhart.weighted_enumerator(rs, 3, cap=3)):
-        with pytest.raises(FeasibilityError, match="= 9$"):
+    with capped(5):
+        assert len(enumerate_alcove(rs, 4, "coweight")) == 15
+    for run in (lambda: enumerate_alcove(rs, 3),
+                lambda: ehrhart.weighted_enumerator(rs, 3)):
+        with capped(3), pytest.raises(FeasibilityError, match="= 9$"):
             run()
 
 
