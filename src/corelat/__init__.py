@@ -18,7 +18,7 @@ from .affine import (
     inversion_sequence,
     is_reduced,
     size_i_lattice,
-    size_i_word,
+    size_b,
     size_lattice_total,
 )
 from .cores import (
@@ -48,9 +48,7 @@ from .models import (
     CONJUGATE,
     EmbeddedPoint,
     embed,
-    embed_ambient,
     generator_dictionary,
-    model_size_i,
     model_size_total,
     self_conjugate_cores,
 )
@@ -74,7 +72,6 @@ from .sommers import (
     haiman_count,
     max_size,
     simultaneous_selfconjugate,
-    size_b,
     sommers_region,
 )
 

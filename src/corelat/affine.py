@@ -14,6 +14,8 @@ Action conventions:
   is reduced iff every entry is a positive affine root.
 * ``size_i`` of a coset is computed from a reduced word of the *inverse*
   element: ``(2 / |alpha_i|^2) * sum of delta-coefficients at letter i``.
+* On the lattice side the total size and its shifted form ``size_b`` (size
+  is ``size_b`` at b = 1) are one integer form, ``scaled_size_b``, over 2hf.
 """
 
 from __future__ import annotations
@@ -128,10 +130,6 @@ class AffineElement:
     def inverse(self) -> "AffineElement":
         neg_v = tuple(-x for x in linalg.matvec(self.m_inv, self.v))
         return AffineElement(self.rs, self.m_inv, self.m, neg_v)
-
-    @property
-    def finite_part(self):
-        return self.m
 
     @property
     def translation(self) -> tuple[int, ...]:
@@ -279,16 +277,28 @@ def affine_simple_root(rs: RootSystemData, i: int) -> AffineRoot:
     return AffineRoot(tuple(int(l == i - 1) for l in range(rs.rank)), 0)
 
 
+def reduced_step(rs: RootSystemData, prefix: AffineElement, i: int):
+    """(entry, element) for letter i after a reduced word spelling ``prefix``.
+
+    The entry is prefix(alpha_i), the next inversion-sequence entry; the
+    element is prefix s_i when the entry is positive (the longer word is
+    reduced) and None otherwise.
+    """
+    entry = prefix.act_root(affine_simple_root(rs, i))
+    if not entry.is_positive():
+        return entry, None
+    return entry, prefix.compose(letter_element(rs, i))
+
+
 def inversion_sequence(rs: RootSystemData, word) -> list[AffineRoot]:
     """Inversion sequence of a reduced word; raises NotReducedError otherwise."""
     prefix = identity_element(rs)
     entries: list[AffineRoot] = []
     for pos, i in enumerate(_letters(rs, word)):
-        entry = prefix.act_root(affine_simple_root(rs, i))
-        if not entry.is_positive():
+        entry, prefix = reduced_step(rs, prefix, i)
+        if prefix is None:
             raise NotReducedError(pos, -entry)
         entries.append(entry)
-        prefix = prefix.compose(letter_element(rs, i))
     return entries
 
 
@@ -299,11 +309,10 @@ def random_reduced_word(rng, rs: RootSystemData, max_len: int) -> tuple[int, ...
     prefix = identity_element(rs)
     while len(letters) < max_len:
         i = rng.randrange(rs.rank + 1)
-        entry = prefix.act_root(affine_simple_root(rs, i))
-        if not entry.is_positive():
+        prefix = reduced_step(rs, prefix, i)[1]
+        if prefix is None:
             break
         letters.append(i)
-        prefix = prefix.compose(letter_element(rs, i))
     return tuple(letters)
 
 
@@ -315,25 +324,20 @@ def is_reduced(rs: RootSystemData, word) -> bool:
     return True
 
 
-def _size_prefactor(rs: RootSystemData, i: int) -> int:
-    """2 / |alpha_i|^2: 1 for long simple roots (and alpha_0), r for short."""
-    if i == 0:
-        return 1
-    return rootsys.coroot_scale(rs, i - 1)
-
-
-def size_i_word(rs: RootSystemData, word, i: int) -> Fraction:
-    """Letter-i contribution to the size of the element whose inverse the word spells."""
-    return size_vector_word(rs, word)[i]
+def scale_letter_totals(rs: RootSystemData, totals) -> tuple[int, ...]:
+    """(size_0, ..., size_n) from the per-letter sums of the delta-coefficients
+    of an inversion sequence: letter i's sum times 2 / |alpha_i|^2, which is
+    1 for alpha_0 and the long simple roots and r for the short ones."""
+    return (totals[0],) + tuple(rootsys.coroot_scale(rs, i) * t for i, t in enumerate(totals[1:]))
 
 
 def size_vector_word(rs: RootSystemData, word) -> tuple[Fraction, ...]:
+    """(size_0, ..., size_n) of the element whose inverse the word spells."""
     letters = _letters(rs, word)
-    entries = inversion_sequence(rs, letters)
     totals = [0] * (rs.rank + 1)
-    for letter, e in zip(letters, entries):
+    for letter, e in zip(letters, inversion_sequence(rs, letters)):
         totals[letter] += e.k
-    return tuple(Fraction(_size_prefactor(rs, i) * totals[i]) for i in range(rs.rank + 1))
+    return tuple(map(Fraction, scale_letter_totals(rs, totals)))
 
 
 def size_i_lattice(rs: RootSystemData, q, i: int) -> Fraction:
@@ -347,9 +351,8 @@ def size_i_lattice(rs: RootSystemData, q, i: int) -> Fraction:
 
 
 def size_lattice_total(rs: RootSystemData, q) -> Fraction:
-    """size(q) = <(h/2) q - rhocheck, q>, the form ``scaled_size_b`` at b = 1."""
-    d, s = scaled_size_b(rs, 1)
-    return Fraction(s(linalg.matvec(rs.cartan_matrix, q)), d)
+    """size(q) = <(h/2) q - rhocheck, q>, which is ``size_b`` at b = 1."""
+    return size_b(rs, 1, q)
 
 
 @lru_cache(maxsize=None)
@@ -373,6 +376,13 @@ def scaled_size_b(rs: RootSystemData, b: int):
         return hh * quad - hb2 * lin + const
 
     return 2 * h * rs.index_of_connection, s
+
+
+def size_b(rs: RootSystemData, b: int, x) -> Fraction:
+    """(h/2) (|x - b rho/h|^2 - |rho/h|^2), the dilated-alcove avatar of size,
+    for integer or rational x: the form ``scaled_size_b`` over its d."""
+    d, s = scaled_size_b(rs, b)
+    return Fraction(s(linalg.matvec(rs.cartan_matrix, x)), d)
 
 
 # ---------------------------------------------------------------------------

@@ -115,15 +115,22 @@ class Abacus:
             raise ValueError(f"abacus levels {self.levels} are not balanced (sum != 0)")
 
 
+def _check_core(parts, a: int) -> Partition:
+    """The partition as a tuple; NotACoreError names a hook of length a
+    when it is not an a-core."""
+    parts = check_partition(parts)
+    cell = first_hook_of_length(parts, a)
+    if cell is not None:
+        raise NotACoreError(parts, a, cell)
+    return parts
+
+
 def to_coroot(parts: Partition, a: int) -> tuple[int, ...]:
     """Runner levels of the balanced flush a-abacus of an a-core.
 
     Raises NotACoreError (naming an offending hook of length a) otherwise.
     """
-    parts = check_partition(parts)
-    cell = first_hook_of_length(parts, a)
-    if cell is not None:
-        raise NotACoreError(parts, a, cell)
+    parts = _check_core(parts, a)
     k = len(parts)
     levels = []
     for j in range(a):
@@ -201,21 +208,13 @@ def toggle_action(parts: Partition, a: int, i: int) -> Partition:
     rems = [r for r, c in removable if (c - r) % a == i]
     if adds and rems:
         raise ValueError(f"toggling class {i} of {parts} would both add and remove boxes")
-    if adds:
-        grown = list(parts) + [0]
-        for r in adds:
-            grown[r - 1] += 1
-        while grown and grown[-1] == 0:
-            grown.pop()
-        return tuple(grown)
-    if rems:
-        shrunk = list(parts)
-        for r in rems:
-            shrunk[r - 1] -= 1
-        while shrunk and shrunk[-1] == 0:
-            shrunk.pop()
-        return tuple(shrunk)
-    return parts
+    step, rows = (1, adds) if adds else (-1, rems)
+    toggled = list(parts) + [0]
+    for r in rows:
+        toggled[r - 1] += step
+    while toggled and toggled[-1] == 0:
+        toggled.pop()
+    return tuple(toggled)
 
 
 def conjugate_coroot(q) -> tuple[int, ...]:
@@ -231,10 +230,7 @@ class CorePartition:
 
     @classmethod
     def from_partition(cls, parts, a: int) -> "CorePartition":
-        parts = check_partition(parts)
-        cell = first_hook_of_length(parts, a)
-        if cell is not None:
-            raise NotACoreError(parts, a, cell)
+        parts = _check_core(parts, a)
         return cls(parts, a, content_counts(parts, a))
 
     @classmethod
@@ -247,9 +243,6 @@ class CorePartition:
     @property
     def size(self) -> int:
         return sum(self.partition)
-
-    def coroot(self) -> tuple[int, ...]:
-        return to_coroot(self.partition, self.a)
 
     def toggled(self, i: int) -> "CorePartition":
         return CorePartition.from_partition(toggle_action(self.partition, self.a, i), self.a)

@@ -120,10 +120,14 @@ def interpolate(rs: RootSystemData, residue: int, period: int | None = None) -> 
     """Fit the degree-(n+2) polynomial matching the weighted enumerator at
     n + 3 values b = residue mod period, then validate it on two more.
 
-    Raises HeldOutMismatchError when validation fails (wrong period or
+    The period defaults to ``rs.period_c``.  Raises ValueError for a period
+    below 1, HeldOutMismatchError when validation fails (wrong period or
     degree), and FeasibilityError when the sample values get too large.
     """
-    period = period or rs.period_c
+    if period is None:
+        period = rs.period_c
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
     residue %= period
     samples, held_out = rs.rank + 3, 2
     start = residue or period

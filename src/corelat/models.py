@@ -12,7 +12,10 @@ cores model its lattice points:
 Ambient coordinates: for B/C/D the source point with simple-coroot
 coordinates k becomes the integer vector x (the classical e_i coordinates,
 with the type-C sqrt(2) factor absorbed), and the image is the antisymmetric
-2n-tuple (x_1, ..., x_n, -x_n, ..., -x_1).
+2n-tuple (x_1, ..., x_n, -x_n, ..., -x_1).  ``embed`` takes simple-coroot
+coordinates; ambient ones go through ``from_ambient``, which checks that
+they lie in the lattice.  Both maps and their type-A counterparts are
+differences and partial sums of the coordinates.
 
 Generator dictionary (verified exhaustively by the equivariance tests; note
 that the G_2 numbering follows this package's Cartan matrix, where alpha_1
@@ -28,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 
 from . import cores
 from .rootsys import CartanType
@@ -62,14 +67,11 @@ def to_ambient(t: CartanType, k) -> tuple[int, ...]:
     if t.family == "G":
         k1, k2 = k
         return (k2 - k1, 2 * k1 - k2, -k1)
-    prev = (0,) + k
-    x = [k[i] - prev[i] for i in range(n)]
+    x = list(_differences((0,) + k))
     if t.family == "B":
-        x[n - 1] = 2 * k[n - 1] - prev[n - 1]
+        x[n - 1] += k[n - 1]
     elif t.family == "D":
-        if n >= 2:
-            x[n - 2] = k[n - 2] - prev[n - 2] + k[n - 1]
-            x[n - 1] = k[n - 1] - k[n - 2]
+        x[n - 2] += k[n - 1]
     return tuple(x)
 
 
@@ -91,18 +93,14 @@ def from_ambient(t: CartanType, x) -> tuple[int, ...]:
     total = sum(x)
     if t.family in ("B", "D") and total % 2 != 0:
         raise ValueError(f"{x} violates the even-coordinate-sum condition of {t}")
-    partial = []
-    acc = 0
-    for xi in x:
-        acc += xi
-        partial.append(acc)
+    partial = tuple(accumulate(x))
     if t.family == "C":
-        return tuple(partial)
+        return partial
     k_n = total // 2
     if t.family == "B":
-        return tuple(partial[: n - 1]) + (k_n,)
+        return partial[: n - 1] + (k_n,)
     # D: x_n = k_n - k_{n-1}
-    return tuple(partial[: n - 2]) + (k_n - x[n - 1], k_n)
+    return partial[: n - 2] + (k_n - x[n - 1], k_n)
 
 
 @dataclass(frozen=True)
@@ -129,11 +127,6 @@ def embed(t: CartanType, k) -> EmbeddedPoint:
         image = x + tuple(-xi for xi in reversed(x))
     assert sum(image) == 0
     return EmbeddedPoint(t, tuple(k), image)
-
-
-def embed_ambient(t: CartanType, x) -> EmbeddedPoint:
-    """Like ``embed`` but takes ambient coordinates, validating lattice membership."""
-    return embed(t, from_ambient(t, x))
 
 
 def generator_dictionary(t: CartanType) -> dict[int, tuple[int, ...] | str]:
@@ -221,11 +214,6 @@ def model_size_vector(t: CartanType, k) -> tuple[Fraction, ...]:
     return tuple(entry(i) for i in range(n + 1))
 
 
-def model_size_i(t: CartanType, k, i: int) -> Fraction:
-    """size_i via the combinatorial model; see ``model_size_vector``."""
-    return model_size_vector(t, k)[i]
-
-
 def model_size_total(t: CartanType, k) -> Fraction:
     """Total size via the model: the per-type closed forms on the core."""
     _require_model(t)
@@ -258,23 +246,18 @@ def self_conjugate_cores(n: int, bound: int) -> list[tuple[tuple[int, ...], core
     return out
 
 
+def _differences(seq) -> tuple[int, ...]:
+    """(seq[1] - seq[0], seq[2] - seq[1], ...): inverse to the partial sums."""
+    return tuple(map(sub, seq[1:], seq))
+
+
 def type_a_coords_from_ambient(q) -> tuple[int, ...]:
     """Type A_{a-1}: ambient sum-zero a-tuple -> simple-coroot coordinates."""
     if sum(q) != 0:
         raise ValueError(f"{q} must sum to zero")
-    partial = []
-    total = 0
-    for x in q[:-1]:
-        total += x
-        partial.append(total)
-    return tuple(partial)
+    return tuple(accumulate(q[:-1]))
 
 
 def type_a_ambient_from_coords(k) -> tuple[int, ...]:
-    prev = 0
-    out = []
-    for x in k:
-        out.append(x - prev)
-        prev = x
-    out.append(-prev)
-    return tuple(out)
+    """Type A_{a-1}: simple-coroot coordinates -> ambient sum-zero a-tuple."""
+    return _differences((0, *k, 0))

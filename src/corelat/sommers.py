@@ -1,4 +1,4 @@
-"""The b-dilation simplex region, its lattice points, and size statistics.
+"""The b-dilation simplex region, its lattice points, and their sizes.
 
 For b coprime to the Coxeter number h, write b = t_b*h + r_b with
 0 < r_b < h.  The region is cut out by
@@ -15,7 +15,8 @@ and by scanning the integer bounding box of the region's vertices — and
 requires the two to agree.  The per-point arithmetic of both routes (the
 alcove's coroot mask, the map through w_b^-1 and the box scan) runs on
 numpy int64 arrays, each product under an asserted bound that keeps it
-exact.
+exact.  The size statistics themselves (``size_lattice_total`` per region
+point, and the shifted ``size_b``) live in ``affine``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import affine, cores, linalg, models, rootsys
+from . import affine, cores, models, rootsys
 from .rootsys import CartanType, Root, RootSystemData
 
 #: outside a ``capped`` block, refuse enumerations predicted to exceed this
@@ -208,7 +209,8 @@ class CoreSet:
             if t.family == "A":
                 part = cores.from_coroot(t.rank + 1, models.type_a_ambient_from_coords(q))
             elif t.family == "C":
-                part = models.embed(t, q).core().partition
+                emb = models.embed(t, q)
+                part = cores.from_coroot(emb.modulus, emb.image)
             else:
                 part = None
             yield q, s, part
@@ -298,12 +300,6 @@ def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
             f"mapped alcove points ({len(scanned)} vs {len(mapped)})")
     sizes = tuple(affine.size_lattice_total(rs, q) for q in mapped)
     return CoreSet(rs, b, tuple(mapped), sizes, scanned is not None)
-
-
-def size_b(rs: RootSystemData, b: int, x) -> Fraction:
-    """(h/2) (|x - b rho/h|^2 - |rho/h|^2), the dilated-alcove avatar of size."""
-    d, s = affine.scaled_size_b(rs, b)
-    return Fraction(s(linalg.matvec(rs.cartan_matrix, x))) / d
 
 
 def max_size(rs: RootSystemData, b: int, coreset: CoreSet | None = None):

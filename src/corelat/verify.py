@@ -194,7 +194,7 @@ def check_transfer(matrix=DEFAULT_MATRIX) -> list:
         coreset = sommers.enumerate_cores(rs, b)
         alcove = sommers.enumerate_alcove(rs, b, "coroot")
         lhs = sorted(coreset.sizes)
-        rhs = sorted(sommers.size_b(rs, b, q) for q in alcove)
+        rhs = sorted(affine.size_b(rs, b, q) for q in alcove)
         if lhs != rhs:
             yield {"sizes": [str(x) for x in lhs], "shifted_sizes": [str(x) for x in rhs]}
     return _counterexamples(_by_type_and_b(matrix, check))
@@ -228,11 +228,10 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
                          f"supported types: {', '.join(WELLDEF_TYPES)}")
 
     def check(rs):
-        prefactors = [affine._size_prefactor(rs, i) for i in range(rs.rank + 1)]
         by_element: dict = {}
 
         def dfs(el, letters, totals):
-            vec = tuple(p * s for p, s in zip(prefactors, totals))
+            vec = affine.scale_letter_totals(rs, totals)
             prior = by_element.setdefault(el.key(), (vec, el))
             if prior[0] != vec:
                 yield {"word": list(letters), "sizes": [str(x) for x in vec],
@@ -240,12 +239,11 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
             if len(letters) == max_len:
                 return
             for i in range(rs.rank + 1):
-                entry = el.act_root(affine.affine_simple_root(rs, i))
-                if entry.is_positive():
+                entry, longer = affine.reduced_step(rs, el, i)
+                if longer is not None:
                     new_totals = list(totals)
                     new_totals[i] += entry.k
-                    yield from dfs(el.compose(affine.letter_element(rs, i)), letters + (i,),
-                                   new_totals)
+                    yield from dfs(longer, letters + (i,), new_totals)
 
         yield from dfs(affine.identity_element(rs), (), [0] * (rs.rank + 1))
         for key, (vec, el) in by_element.items():

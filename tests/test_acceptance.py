@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 from math import comb, gcd
 
-from corelat import cores, ehrhart, sommers, verify
+from corelat import affine, cores, ehrhart, sommers, verify
 from corelat.rootsys import CartanType, build, build_named
 
 MATRIX = verify.DEFAULT_MATRIX
@@ -244,7 +244,7 @@ def test_criterion_e_types_under_default_cap():
             ehrhart.expected_size(rs, b, coreset=cs)
             sommers.max_size(rs, b, coreset=cs)
             alcove = sommers.enumerate_alcove(rs, b, "coroot")
-            if sorted(cs.sizes) != sorted(sommers.size_b(rs, b, q) for q in alcove):
+            if sorted(cs.sizes) != sorted(affine.size_b(rs, b, q) for q in alcove):
                 failures.append(f"{name}: transfer mismatch")
         except (AssertionError, sommers.FeasibilityError) as exc:
             failures.append(f"{name} b={b}: {exc}")

@@ -15,7 +15,6 @@ from corelat.affine import (
     inversion_sequence,
     is_reduced,
     size_i_lattice,
-    size_i_word,
     size_lattice_total,
 )
 from corelat.rootsys import build_named
@@ -48,10 +47,10 @@ def test_apply_reference_element_c2():
     c2 = build_named("C2")
     el = affine.translation_element(c2, (-1, 0)).compose(affine.letter_element(c2, 2))
     assert apply(c2, el, (0, 0)) == (-1, 0)
-    # semidirect decomposition: el = finite_part o t_translation
-    rebuilt_v = tuple(sum(el.finite_part[i][j] * el.translation[j] for j in range(2))
+    # semidirect decomposition: el = m o t_translation
+    rebuilt_v = tuple(sum(el.m[i][j] * el.translation[j] for j in range(2))
                       for i in range(2))
-    assert rebuilt_v == el.v and el.finite_part == affine.letter_element(c2, 2).m
+    assert rebuilt_v == el.v and el.m == affine.letter_element(c2, 2).m
 
 
 def test_apply_element_matches_word():
@@ -212,17 +211,17 @@ def _extended_orders(rs):
 def test_size_word_reference_a2():
     a2 = build_named("A2")
     word = (0, 1, 2, 1, 0, 1)
-    assert [size_i_word(a2, word, i) for i in range(3)] == [4, 4, 2]
+    assert [affine.size_vector_word(a2, word)[i] for i in range(3)] == [4, 4, 2]
 
 
 def test_size_word_reference_c2():
     c2 = build_named("C2")
-    assert size_i_word(c2, (0, 1, 2, 0, 1), 1) == 6
+    assert affine.size_vector_word(c2, (0, 1, 2, 0, 1))[1] == 6
 
 
 def test_size_word_empty():
     a2 = build_named("A2")
-    assert all(size_i_word(a2, (), i) == 0 for i in range(3))
+    assert all(affine.size_vector_word(a2, ())[i] == 0 for i in range(3))
 
 
 def test_size_lattice_reference_values():

@@ -204,7 +204,7 @@ def test_core_partition_class():
     core = CorePartition.from_partition((5, 3, 1, 1), 3)
     assert core.content_counts == (4, 4, 2)
     assert core.size == 10
-    assert core.coroot() == (0, 2, -2)
+    assert to_coroot(core.partition, core.a) == (0, 2, -2)
     assert core.toggled(0).partition == toggle_action((5, 3, 1, 1), 3, 0)
     assert core.conjugated().partition == (4, 2, 2, 1, 1)
     with pytest.raises(NotACoreError):

@@ -138,6 +138,13 @@ def test_period_negative_controls():
         interpolate(build_named("G2"), 1, period=2)
 
 
+@pytest.mark.parametrize("period", [0, -2])
+def test_period_below_one_is_refused(period):
+    # 0 is not the default period, and -2 is refused for the period, not for b
+    with pytest.raises(ValueError, match=f"period must be >= 1, got {period}"):
+        interpolate(build_named("B2"), 1, period=period)
+
+
 def test_fit_quasipolynomial_object():
     rs = build_named("B2")
     qp = fit_quasipolynomial(rs)

@@ -8,10 +8,9 @@ from corelat.models import (
     CONJUGATE,
     act_model_generator,
     embed,
-    embed_ambient,
     from_ambient,
     generator_dictionary,
-    model_size_i,
+    model_size_vector,
     model_size_total,
     self_conjugate_cores,
     to_ambient,
@@ -56,18 +55,19 @@ def test_embed_zero():
 
 def test_embed_reference_b2():
     t = CartanType("B", 2)
-    emb = embed_ambient(t, (1, 1))
+    emb = embed(t, from_ambient(t, (1, 1)))
     assert emb.image == (1, 1, -1, -1)
     assert sum(emb.image) == 0
 
 
 def test_embed_ambient_parity_errors():
+    b2, d4, g2 = CartanType("B", 2), CartanType("D", 4), CartanType("G", 2)
     with pytest.raises(ValueError):
-        embed_ambient(CartanType("B", 2), (1, 0))
+        embed(b2, from_ambient(b2, (1, 0)))
     with pytest.raises(ValueError):
-        embed_ambient(CartanType("D", 4), (1, 0, 0, 0))
+        embed(d4, from_ambient(d4, (1, 0, 0, 0)))
     with pytest.raises(ValueError):
-        embed_ambient(CartanType("G", 2), (1, 0, 1))
+        embed(g2, from_ambient(g2, (1, 0, 1)))
 
 
 def test_ambient_roundtrip():
@@ -129,21 +129,23 @@ def test_size_correspondence(name):
     t = CartanType.parse(name)
     rs = build(t)
     for k in lattice_points(t, TYPES[name], limit=250, seed=2):
+        sizes = model_size_vector(t, k)
         for i in range(t.rank + 1):
-            assert model_size_i(t, k, i) == affine.size_i_lattice(rs, k, i)
+            assert sizes[i] == affine.size_i_lattice(rs, k, i)
         assert model_size_total(t, k) == affine.size_lattice_total(rs, k)
 
 
 def test_size_reference_values():
     t = CartanType("C", 2)
-    assert model_size_i(t, (-1, 0), 1) == 6
+    assert model_size_vector(t, (-1, 0))[1] == 6
     g2 = CartanType("G", 2)
     rs = build(g2)
     # every 3-core with <= 30 boxes, through the G2 model
     for parts in cores.all_cores(3, 30):
         k = from_ambient(g2, cores.to_coroot(parts, 3))
+        sizes = model_size_vector(g2, k)
         for i in range(3):
-            assert model_size_i(g2, k, i) == affine.size_i_lattice(rs, k, i)
+            assert sizes[i] == affine.size_i_lattice(rs, k, i)
         lam = cores.content_counts(parts, 3)
         assert model_size_total(g2, k) == sum(parts) + 3 * lam[2]
 

@@ -1,13 +1,17 @@
 """Hypothesis property tests for the alcove reduction, w_b, the word
-action, the shifted size statistic, the alcove and region points, and
-the a-core bijection with its toggles.
+action, the shifted size statistic and its invariance under the
+automorphisms of the extended Dynkin diagram, the alcove and region
+points, the a-core bijection with its toggles, and the model embeddings.
 
-They run beside the fixed cases in test_affine.py, test_sommers.py and
-test_cores.py, over random types of rank <= 8, random dilations b and
-random runner levels.
+They run beside the fixed cases in test_affine.py, test_sommers.py,
+test_cores.py, test_models.py and ``verify models``' point grids, over
+random types of rank <= 8, random dilations b, random runner levels and
+random lattice points.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 
 from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers
 from corelat.affine import PointOnWallError
-from corelat.rootsys import build_named
+from corelat.rootsys import CartanType, build, build_named
 
 TYPES = (
     [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
@@ -148,7 +152,7 @@ def size_b_by_definition(rs, b, x):
 def test_size_b_matches_its_definition(name, b, data):
     rs = build_named(name)
     x = rational_point(data, rs.rank)
-    assert sommers.size_b(rs, b, x) == size_b_by_definition(rs, b, x)
+    assert affine.size_b(rs, b, x) == size_b_by_definition(rs, b, x)
 
 
 def sizes_by_definition(rs, q):
@@ -252,3 +256,91 @@ def test_toggling_a_content_class_is_the_simple_reflection(case, data):
     moved = affine.apply(rs, (i,), models.type_a_coords_from_ambient(q))
     toggled = cores.toggle_action(cores.from_coroot(a, q), a, i)
     assert cores.to_coroot(toggled, a) == models.type_a_ambient_from_coords(moved)
+
+
+MODEL_TYPES = ([f"B{n}" for n in range(2, 7)] + [f"C{n}" for n in range(2, 7)]
+               + ["D4", "D5", "D6", "G2"])
+
+
+@PROPERTY
+@given(st.sampled_from(MODEL_TYPES), st.data())
+def test_model_embedding_is_an_equivariant_size_preserving_bijection(name, data):
+    t = CartanType.parse(name)
+    rs = build(t)
+    k = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=t.rank, max_size=t.rank)))
+    assert models.from_ambient(t, models.to_ambient(t, k)) == k
+    image = models.embed(t, k).image
+    assert sum(image) == 0
+    if t.family != "G":
+        assert image == tuple(-x for x in reversed(image))
+    for i in range(t.rank + 1):
+        moved = models.embed(t, affine.apply(rs, (i,), k)).image
+        assert models.act_model_generator(t, i, image) == moved
+    assert list(models.model_size_vector(t, k)) == \
+        [affine.size_i_lattice(rs, k, i) for i in range(t.rank + 1)]
+    assert models.model_size_total(t, k) == affine.size_lattice_total(rs, k)
+
+
+def extended_cartan(rs):
+    """E[i][j] = <alphacheck_j, alpha_i> for i, j = 0..n, with alpha_0 = -theta
+    + delta: row 0 is -theta's pairing vector, column 0 pairs each simple
+    root with -thetacheck (from the highest root's coroot coordinates)."""
+    theta = max(rs.positive_roots, key=lambda r: r.height)
+    hrc = rs.highest_root_coroot_coords
+    col0 = [-sum(c * x for c, x in zip(hrc, row)) for row in rs.cartan_matrix]
+    return ((2, *(-p for p in theta.pair_vec)),
+            *((c, *row) for c, row in zip(col0, rs.cartan_matrix)))
+
+
+@lru_cache(maxsize=None)
+def diagram_automorphisms(name):
+    """Every permutation sigma of 0..n with E[sigma i][sigma j] = E[i][j]."""
+    e = extended_cartan(build_named(name))
+    nodes = range(len(e))
+    return tuple(sigma for sigma in permutations(nodes)
+                 if all(e[sigma[i]][sigma[j]] == e[i][j] for i in nodes for j in nodes))
+
+
+@pytest.mark.parametrize("name, order", [
+    ("A1", 2), ("A3", 8), ("A4", 10), ("B3", 2), ("B4", 2), ("C3", 2), ("C4", 2),
+    ("D4", 24), ("D5", 8), ("E6", 6), ("F4", 1), ("G2", 1),
+])
+def test_extended_diagram_automorphism_counts(name, order):
+    assert len(diagram_automorphisms(name)) == order
+
+
+def moved_sizes(rs, b, autos):
+    """(s(m), s(sigma m)) for each alcove tuple m, extended by m_0 = b - sum
+    c_i m_i, and each permutation sigma in ``autos``, s the integer form of
+    ``affine.scaled_size_b``; sigma m must again be an alcove tuple."""
+    _, s = affine.scaled_size_b(rs, b)
+    marks = (1, *rs.highest_root_coeffs)
+    for m in sommers.iter_alcove_m(rs, b):
+        ext = (b - sum(c * x for c, x in zip(marks[1:], m)), *m)
+        size = s(m)
+        for sigma in autos:
+            moved = [0] * len(ext)
+            for i, x in enumerate(ext):
+                moved[sigma[i]] = x
+            assert min(moved) >= 0 and sum(c * x for c, x in zip(marks, moved)) == b
+            yield size, s(moved[1:])
+
+
+RANK_6_TYPES = [t for t in TYPES if build_named(t).rank <= 6]
+
+
+@PROPERTY
+@given(st.sampled_from(RANK_6_TYPES), st.integers(0, 12))
+def test_size_is_invariant_under_the_extended_diagram_automorphisms(name, b):
+    # Omega, the fundamental group, is among these automorphisms
+    rs = build_named(name)
+    for size, moved in moved_sizes(rs, b, diagram_automorphisms(name)):
+        assert moved == size
+
+
+def test_a_permutation_that_is_no_automorphism_moves_some_size():
+    # the extended A3 diagram is a 4-cycle: swapping two adjacent nodes alone
+    # keeps every mark (all 1) but is no symmetry of it
+    rs, swap = build_named("A3"), (1, 0, 2, 3)
+    assert swap not in diagram_automorphisms("A3")
+    assert any(moved != size for size, moved in moved_sizes(rs, 5, [swap]))

@@ -9,6 +9,7 @@ import pytest
 
 import corelat
 from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers
+from corelat.affine import size_b
 from corelat.rootsys import CartanType, build, build_named
 from corelat.sommers import (
     FeasibilityError,
@@ -19,7 +20,6 @@ from corelat.sommers import (
     haiman_count,
     max_size,
     simultaneous_selfconjugate,
-    size_b,
     sommers_region,
 )
 
