@@ -15,7 +15,7 @@ for name, b in [("A2", 4), ("C2", 5), ("G2", 5)]:
 print()
 print("type C2, b = 5, as self-conjugate (4,5)-cores:")
 for q, core in sommers.simultaneous_selfconjugate(2, 5).pairs:
-    print(f"  {q} <-> {core.partition}")
+    print(f"  {q} <-> {core}")
 
 print()
 print("type A2, b = 4, as (3,4)-cores:")

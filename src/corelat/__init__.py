@@ -22,8 +22,6 @@ from .affine import (
     size_lattice_total,
 )
 from .cores import (
-    Abacus,
-    CorePartition,
     all_cores,
     boundary_word,
     conjugate,
@@ -49,7 +47,6 @@ from .models import (
     EmbeddedPoint,
     embed,
     generator_dictionary,
-    model_size_total,
     self_conjugate_cores,
 )
 from .rootsys import (

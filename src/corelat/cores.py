@@ -102,42 +102,23 @@ def boundary_word(parts: Partition) -> BoundaryWord:
     return BoundaryWord(low, high, tuple(p in blacks for p in range(low, high)))
 
 
-@dataclass(frozen=True)
-class Abacus:
-    """Flush, balanced a-abacus: runner j holds black beads exactly at rows
-    below ``levels[j]`` (positions a*row + j)."""
-
-    a: int
-    levels: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.levels) != 0:
-            raise ValueError(f"abacus levels {self.levels} are not balanced (sum != 0)")
-
-
-def _check_core(parts, a: int) -> Partition:
-    """The partition as a tuple; NotACoreError names a hook of length a
-    when it is not an a-core."""
-    parts = check_partition(parts)
-    cell = first_hook_of_length(parts, a)
-    if cell is not None:
-        raise NotACoreError(parts, a, cell)
-    return parts
-
-
 def to_coroot(parts: Partition, a: int) -> tuple[int, ...]:
     """Runner levels of the balanced flush a-abacus of an a-core.
 
     Raises NotACoreError (naming an offending hook of length a) otherwise.
     """
-    parts = _check_core(parts, a)
+    parts = check_partition(parts)
+    cell = first_hook_of_length(parts, a)
+    if cell is not None:
+        raise NotACoreError(parts, a, cell)
     k = len(parts)
+    highest = {}  # runner -> its highest beta-set position
+    for p in beta_set(parts):  # strictly decreasing
+        highest.setdefault(p % a, p)
     levels = []
     for j in range(a):
-        rows = [p // a for p in beta_set(parts) if p % a == j]
         tail_top = -k - 1 - ((-k - 1 - j) % a)  # largest p <= -k-1 with p = j mod a
-        rows.append(tail_top // a)
-        levels.append(1 + max(rows))
+        levels.append(1 + highest.get(j, tail_top) // a)
     q = tuple(levels)
     assert sum(q) == 0, "balanced abacus must have levels summing to zero"
     return q
@@ -160,10 +141,6 @@ def from_coroot(a: int, q) -> Partition:
             if p + i > 0:
                 parts.append(p + i)
     return tuple(parts)
-
-
-def abacus(parts: Partition, a: int) -> Abacus:
-    return Abacus(a, to_coroot(parts, a))
 
 
 def content_counts(parts: Partition, a: int) -> tuple[int, ...]:
@@ -220,35 +197,6 @@ def toggle_action(parts: Partition, a: int, i: int) -> Partition:
 def conjugate_coroot(q) -> tuple[int, ...]:
     """Runner levels of the conjugate core: negate and reverse."""
     return tuple(-x for x in reversed(q))
-
-
-@dataclass(frozen=True)
-class CorePartition:
-    partition: Partition
-    a: int
-    content_counts: tuple[int, ...]
-
-    @classmethod
-    def from_partition(cls, parts, a: int) -> "CorePartition":
-        parts = _check_core(parts, a)
-        return cls(parts, a, content_counts(parts, a))
-
-    @classmethod
-    def from_coroot(cls, a: int, q) -> "CorePartition":
-        # the abacus construction cannot produce a hook of length a,
-        # so the hook scan of from_partition is skipped
-        parts = from_coroot(a, q)
-        return cls(parts, a, content_counts(parts, a))
-
-    @property
-    def size(self) -> int:
-        return sum(self.partition)
-
-    def toggled(self, i: int) -> "CorePartition":
-        return CorePartition.from_partition(toggle_action(self.partition, self.a, i), self.a)
-
-    def conjugated(self) -> "CorePartition":
-        return CorePartition.from_partition(conjugate(self.partition), self.a)
 
 
 def all_cores(a: int, max_boxes: int) -> list[Partition]:

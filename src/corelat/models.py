@@ -9,6 +9,9 @@ cores model its lattice points:
   boxes (the embedding doubles the form);
 * G_2  <-> 3-cores (the lattices literally coincide).
 
+A point's core, ``EmbeddedPoint.core()``, is a plain partition tuple, and
+``model_size_vector`` reads the point's size_i off its content classes.
+
 Ambient coordinates: for B/C/D the source point with simple-coroot
 coordinates k becomes the integer vector x (the classical e_i coordinates,
 with the type-C sqrt(2) factor absorbed), and the image is the antisymmetric
@@ -113,8 +116,9 @@ class EmbeddedPoint:
     def modulus(self) -> int:
         return 3 if self.source_type.family == "G" else 2 * self.source_type.rank
 
-    def core(self) -> cores.CorePartition:
-        return cores.CorePartition.from_coroot(self.modulus, self.image)
+    def core(self) -> cores.Partition:
+        """The ``modulus``-core whose runner levels are the image."""
+        return cores.from_coroot(self.modulus, self.image)
 
 
 def embed(t: CartanType, k) -> EmbeddedPoint:
@@ -181,11 +185,15 @@ def model_size_vector(t: CartanType, k) -> tuple[Fraction, ...]:
 
     Case formulas per type (lambda_j = boxes of content j in the image core);
     each equals ``affine.size_i_lattice`` for the source system, which the
-    test suite checks exhaustively.
+    test suite checks exhaustively.  The total size is the sum of the entries
+    (sum c_i = h and sum omega_i^vee = rho^vee); on the core it is the box
+    count in type C, (boxes - lambda_0 + lambda_n)/2 in type B,
+    (boxes - lambda_0 - lambda_n)/2 in type D and boxes + 3 lambda_2 in G_2.
     """
     _require_model(t)
     n = t.rank
-    lam = embed(t, k).core().content_counts
+    emb = embed(t, k)
+    lam = cores.content_counts(emb.core(), emb.modulus)
 
     def entry(i):
         if t.family == "G":
@@ -214,23 +222,7 @@ def model_size_vector(t: CartanType, k) -> tuple[Fraction, ...]:
     return tuple(entry(i) for i in range(n + 1))
 
 
-def model_size_total(t: CartanType, k) -> Fraction:
-    """Total size via the model: the per-type closed forms on the core."""
-    _require_model(t)
-    core = embed(t, k).core()
-    lam = core.content_counts
-    boxes = core.size
-    if t.family == "G":
-        return Fraction(boxes + 3 * lam[2])
-    if t.family == "C":
-        return Fraction(boxes)
-    if t.family == "B":
-        # summing the case formulas: the lam[n] class is counted with weight 1
-        return Fraction(boxes - lam[0] + lam[t.rank], 2)
-    return Fraction(boxes - lam[0] - lam[t.rank], 2)
-
-
-def self_conjugate_cores(n: int, bound: int) -> list[tuple[tuple[int, ...], cores.CorePartition]]:
+def self_conjugate_cores(n: int, bound: int) -> list[tuple[tuple[int, ...], cores.Partition]]:
     """All self-conjugate 2n-cores with at most ``bound`` boxes, paired with
     their preimages in the C_n coroot lattice (simple-coroot coordinates)."""
     t = CartanType("C", n)
@@ -242,7 +234,7 @@ def self_conjugate_cores(n: int, bound: int) -> list[tuple[tuple[int, ...], core
         assert image == tuple(-y for y in reversed(image)), "self-conjugate core image must be antisymmetric"
         k = from_ambient(t, image[:n])
         assert embed(t, k).image == image
-        out.append((k, cores.CorePartition.from_partition(parts, 2 * n)))
+        out.append((k, parts))
     return out
 
 

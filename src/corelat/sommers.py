@@ -8,6 +8,9 @@ For b coprime to the Coxeter number h, write b = t_b*h + r_b with
 
 Its coroot-lattice points generalize simultaneous (a, b)-cores: in type
 A_{a-1} they are exactly the (a, b)-cores under the abacus bijection.
+Their cores are plain partition tuples: ``CoreSet.rows()`` builds them with
+``cores.from_coroot`` in type A and with the model's ``EmbeddedPoint.core()``
+in type C, which ``simultaneous_selfconjugate`` also uses.
 
 ``enumerate_cores`` computes the point set two independent ways — by
 mapping the dilated-alcove points through the inverse dilation element,
@@ -209,8 +212,7 @@ class CoreSet:
             if t.family == "A":
                 part = cores.from_coroot(t.rank + 1, models.type_a_ambient_from_coords(q))
             elif t.family == "C":
-                emb = models.embed(t, q)
-                part = cores.from_coroot(emb.modulus, emb.image)
+                part = models.embed(t, q).core()
             else:
                 part = None
             yield q, s, part
@@ -327,7 +329,7 @@ def max_size(rs: RootSystemData, b: int, coreset: CoreSet | None = None):
 class SelfConjugateReport:
     n: int
     b: int
-    pairs: list  # (coroot point, CorePartition)
+    pairs: list  # (coroot point, partition)
 
     @property
     def count(self) -> int:
@@ -342,9 +344,7 @@ def simultaneous_selfconjugate(n: int, b: int) -> SelfConjugateReport:
     coreset = enumerate_cores(rs, b)
     pairs = []
     for q in coreset.points:
-        emb = models.embed(t, q)
-        core = emb.core()
-        parts = core.partition
+        parts = models.embed(t, q).core()
         if parts != cores.conjugate(parts):
             raise AssertionError(f"image of {q} is not self-conjugate: {parts}")
         for modulus in (2 * n, b):
@@ -352,5 +352,5 @@ def simultaneous_selfconjugate(n: int, b: int) -> SelfConjugateReport:
             if cell is not None:
                 raise AssertionError(
                     f"image {parts} of {q} has a hook of length {modulus} at {cell}")
-        pairs.append((q, core))
+        pairs.append((q, parts))
     return SelfConjugateReport(n, b, pairs)

@@ -271,7 +271,7 @@ def check_ip_content() -> list:
             for i in range(a):
                 toggled = cores.toggle_action(parts, a, i)
                 q2 = affine.apply(rs, (i,), k)
-                if cores.to_coroot(toggled, a) != models.type_a_ambient_from_coords(q2):
+                if toggled != cores.from_coroot(a, models.type_a_ambient_from_coords(q2)):
                     yield {"partition": list(parts), "letter": i}
     return _counterexamples(({"a": a}, partial(check, a)) for a in (3, 4, 5))
 
@@ -300,7 +300,7 @@ def check_models() -> list:
                     yield {"point": list(k), "generator": i}
                 if sizes[i] != affine.size_i_lattice(rs, k, i):
                     yield {"point": list(k), "size_index": i}
-            if models.model_size_total(t, k) != affine.size_lattice_total(rs, k):
+            if sum(sizes) != affine.size_lattice_total(rs, k):
                 yield {"point": list(k), "total": True}
     return _counterexamples(({"type": name}, partial(check, name, radius))
                             for name, radius in MODEL_POINT_GRIDS)

@@ -77,7 +77,7 @@ def test_criterion_3_self_conjugate_means():
                 continue
             expected = Fraction((2 * n - 1) * (b - 1) * (2 * n + b + 1), 24)
             rep = sommers.simultaneous_selfconjugate(n, b)
-            pipeline_sizes = [sum(core.partition) for _, core in rep.pairs]
+            pipeline_sizes = [sum(core) for _, core in rep.pairs]
             pipeline_mean = Fraction(sum(pipeline_sizes), len(pipeline_sizes))
             bound = (4 * n * n - 1) * (b * b - 1) // 24
             brute = [sum(p) for p in cores.self_conjugate_partitions_up_to(bound)

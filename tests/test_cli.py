@@ -6,7 +6,7 @@ import json
 import jsonschema
 import pytest
 
-from corelat import cli, ehrhart, rootsys, sommers, verify
+from corelat import cli, cores, ehrhart, rootsys, sommers, verify
 
 ROOTS_SCHEMA = {
     "type": "object",
@@ -493,6 +493,26 @@ def test_a_held_out_mismatch_is_a_counterexample(monkeypatch, capsys):
     [record] = json.loads(out)["counterexamples"]
     assert set(record) == {"type", "residue", "error"}
     assert (record["type"], record["residue"]) == ("G2", 1) and "held-out" in record["error"]
+
+
+def test_a_toggle_that_leaves_the_cores_is_a_counterexample(monkeypatch, capsys):
+    """A toggle whose result is no 4-core fails the identity (exit 1) and is
+    not refused as a partition that is not a core (exit 2)."""
+    every_core = {a: cores.all_cores(a, 60) for a in (3, 4, 5)}
+    toggle = cores.toggle_action
+
+    def broken(parts, a, i):
+        toggled = toggle(parts, a, i)
+        return (4,) if (a, toggled) == (4, (3, 1, 1)) else toggled
+
+    monkeypatch.setattr(cores, "all_cores", lambda a, max_boxes: every_core[a])
+    monkeypatch.setattr(cores, "toggle_action", broken)
+    code, out = run(capsys, "verify", "ip_content")
+    assert code == 1
+    records = json.loads(out)["counterexamples"]
+    assert sorted((tuple(r["partition"]), r["letter"]) for r in records) == \
+        [((2, 1), 2), ((3, 1, 1, 1), 1), ((3, 2, 1), 0), ((4, 1, 1), 3)]
+    assert all(set(r) == {"a", "partition", "letter"} and r["a"] == 4 for r in records)
 
 
 def test_haiman_refuses_on_the_predicted_count_before_enumerating(monkeypatch, capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from corelat import affine, cores, models, rootsys
 from corelat.cores import (
-    CorePartition,
     NotACoreError,
     all_cores,
     boundary_word,
@@ -197,18 +196,18 @@ def test_conjugate_compatible_with_coroot():
 
 
 # ---------------------------------------------------------------------------
-# CorePartition and serialization
+# a core is a partition tuple
 # ---------------------------------------------------------------------------
 
 def test_core_partition_class():
-    core = CorePartition.from_partition((5, 3, 1, 1), 3)
-    assert core.content_counts == (4, 4, 2)
-    assert core.size == 10
-    assert to_coroot(core.partition, core.a) == (0, 2, -2)
-    assert core.toggled(0).partition == toggle_action((5, 3, 1, 1), 3, 0)
-    assert core.conjugated().partition == (4, 2, 2, 1, 1)
+    core = (5, 3, 1, 1)
+    assert content_counts(core, 3) == (4, 4, 2)
+    assert sum(core) == 10
+    assert to_coroot(core, 3) == (0, 2, -2)
+    assert is_core(toggle_action(core, 3, 0), 3)
+    assert conjugate(core) == (4, 2, 2, 1, 1) and is_core(conjugate(core), 3)
     with pytest.raises(NotACoreError):
-        CorePartition.from_partition((5, 3, 1, 1), 4)
+        to_coroot(core, 4)
 
 
 def test_self_conjugate_generator():
@@ -228,9 +227,3 @@ def test_self_conjugate_generator():
                 brute.append(parts)
     assert sorted(seen) == sorted(brute)
 
-
-def test_abacus_wrapper():
-    ab = cores.abacus((5, 3, 1, 1), 3)
-    assert ab.a == 3 and ab.levels == (0, 2, -2)
-    with pytest.raises(ValueError):
-        cores.Abacus(3, (1, 0, 0))

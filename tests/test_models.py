@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,6 @@ from corelat.models import (
     from_ambient,
     generator_dictionary,
     model_size_vector,
-    model_size_total,
     self_conjugate_cores,
     to_ambient,
 )
@@ -42,7 +42,7 @@ def test_embed_reference_c2():
     emb = embed(t, (-1, 0))
     assert to_ambient(t, (-1, 0)) == (-1, 1)
     assert emb.image == (-1, 1, -1, 1)
-    assert emb.core().partition == (4, 3, 2, 1)
+    assert emb.core() == (4, 3, 2, 1)
 
 
 def test_embed_zero():
@@ -50,7 +50,7 @@ def test_embed_zero():
         t = CartanType.parse(name)
         emb = embed(t, (0,) * t.rank)
         assert set(emb.image) == {0}
-        assert emb.core().partition == ()
+        assert emb.core() == ()
 
 
 def test_embed_reference_b2():
@@ -83,7 +83,7 @@ def test_image_antisymmetric_and_selfconjugate():
         for k in lattice_points(t, 2, limit=100):
             emb = embed(t, k)
             assert emb.image == tuple(-y for y in reversed(emb.image))
-            parts = emb.core().partition
+            parts = emb.core()
             assert parts == cores.conjugate(parts)
 
 
@@ -116,9 +116,9 @@ def test_equivariance(name):
             # core-side route: toggles (or conjugation) on the partition
             word = generator_dictionary(t)[i]
             if word == CONJUGATE:
-                parts = cores.conjugate(core.partition)
+                parts = cores.conjugate(core)
             else:
-                parts = core.partition
+                parts = core
                 for letter in reversed(word):
                     parts = cores.toggle_action(parts, emb.modulus, letter)
             assert cores.to_coroot(parts, emb.modulus) == moved
@@ -132,7 +132,7 @@ def test_size_correspondence(name):
         sizes = model_size_vector(t, k)
         for i in range(t.rank + 1):
             assert sizes[i] == affine.size_i_lattice(rs, k, i)
-        assert model_size_total(t, k) == affine.size_lattice_total(rs, k)
+        assert sum(sizes) == affine.size_lattice_total(rs, k)
 
 
 def test_size_reference_values():
@@ -147,7 +147,26 @@ def test_size_reference_values():
         for i in range(3):
             assert sizes[i] == affine.size_i_lattice(rs, k, i)
         lam = cores.content_counts(parts, 3)
-        assert model_size_total(g2, k) == sum(parts) + 3 * lam[2]
+        assert sum(sizes) == sum(parts) + 3 * lam[2]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in TYPES if n[0] in "BCD"))
+def test_size_total_closed_forms(name):
+    """The total size on the core: the box count in type C, and
+    (boxes - lambda_0 + lambda_n)/2 in B, (boxes - lambda_0 - lambda_n)/2 in D."""
+    t = CartanType.parse(name)
+    n = t.rank
+    for k in lattice_points(t, TYPES[name], limit=250, seed=4):
+        emb = embed(t, k)
+        parts = emb.core()
+        boxes, lam = sum(parts), cores.content_counts(parts, emb.modulus)
+        total = sum(model_size_vector(t, k))
+        if t.family == "C":
+            assert total == boxes
+        elif t.family == "B":
+            assert total == Fraction(boxes - lam[0] + lam[n], 2)
+        else:
+            assert total == Fraction(boxes - lam[0] - lam[n], 2)
 
 
 def test_isometry_scaling():
@@ -168,7 +187,7 @@ def test_durfee_parity_model():
         t = CartanType.parse(name)
         for k in lattice_points(t, 2, limit=150, seed=3):
             amb = to_ambient(t, k)
-            parts = embed(t, k).core().partition
+            parts = embed(t, k).core()
             assert sum(abs(x) for x in amb) % 2 == 0
             assert durfee_side(parts) % 2 == 0
 
@@ -180,7 +199,7 @@ def test_even_durfee_cores_are_hit():
     t = CartanType("B", n)
     images = set()
     for k in lattice_points(t, 6):
-        parts = embed(t, k).core().partition
+        parts = embed(t, k).core()
         if sum(parts) <= 40:
             images.add(parts)
     for parts in cores.all_cores(2 * n, 40):
@@ -190,13 +209,13 @@ def test_even_durfee_cores_are_hit():
 
 def test_self_conjugate_cores_listing():
     pairs = self_conjugate_cores(2, 0)
-    assert [(k, c.partition) for k, c in pairs] == [((0, 0), ())]
+    assert pairs == [((0, 0), ())]
     pairs = self_conjugate_cores(2, 10)
-    parts = [c.partition for _, c in pairs]
+    parts = [c for _, c in pairs]
     assert (4, 3, 2, 1) in parts
     assert all(p == cores.conjugate(p) for p in parts)
     for k, core in pairs:
-        assert embed(CartanType("C", 2), k).core().partition == core.partition
+        assert embed(CartanType("C", 2), k).core() == core
 
 
 def test_unsupported_model_families():

@@ -278,7 +278,7 @@ def test_model_embedding_is_an_equivariant_size_preserving_bijection(name, data)
         assert models.act_model_generator(t, i, image) == moved
     assert list(models.model_size_vector(t, k)) == \
         [affine.size_i_lattice(rs, k, i) for i in range(t.rank + 1)]
-    assert models.model_size_total(t, k) == affine.size_lattice_total(rs, k)
+    assert sum(models.model_size_vector(t, k)) == affine.size_lattice_total(rs, k)
 
 
 def extended_cartan(rs):

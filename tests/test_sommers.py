@@ -368,13 +368,13 @@ def brute_self_conjugate_simultaneous(a, b):
 def test_simultaneous_selfconjugate_counts():
     rep = simultaneous_selfconjugate(2, 5)
     assert rep.count == 6
-    assert sorted(c.partition for _, c in rep.pairs) == brute_self_conjugate_simultaneous(4, 5)
+    assert sorted(c for _, c in rep.pairs) == brute_self_conjugate_simultaneous(4, 5)
     rep = simultaneous_selfconjugate(2, 1)
-    assert [c.partition for _, c in rep.pairs] == [()]
+    assert [c for _, c in rep.pairs] == [()]
     rep = simultaneous_selfconjugate(2, 3)
     for _, core in rep.pairs:
-        assert cores.first_hook_of_length(core.partition, 4) is None
-        assert cores.first_hook_of_length(core.partition, 3) is None
+        assert cores.first_hook_of_length(core, 4) is None
+        assert cores.first_hook_of_length(core, 3) is None
     with pytest.raises(ValueError):
         simultaneous_selfconjugate(2, 2)
 
