@@ -26,6 +26,8 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from . import linalg, rootsys
 from .rootsys import RootSystemData
 
@@ -355,8 +357,46 @@ def size_lattice_total(rs: RootSystemData, q) -> Fraction:
     return size_b(rs, 1, q)
 
 
+@dataclass(frozen=True)
+class SizeForm:
+    """The integer form s(m) = m^T Q m - L^T m + c of ``scaled_size_b``,
+    evaluated per tuple of Python ints or summed over the rows of an int64
+    array.  Both read the same coefficients."""
+
+    quad: tuple[tuple[int, ...], ...]
+    lin: tuple[int, ...]
+    const: int
+
+    def __call__(self, m) -> int:
+        rows, coeffs = self.quad, self.lin
+        nz = [(i, x) for i, x in enumerate(m) if x]
+        quad = lin = 0
+        for i, x in nz:
+            row = rows[i]
+            quad += x * sum([row[j] * y for j, y in nz])
+            lin += coeffs[i] * x
+        return quad - lin + self.const
+
+    def bound(self, mass: int) -> int:
+        """An upper bound of |s(m)|, and of every partial sum in ``block_total``'s
+        evaluation of one row, over m >= 0 with sum m_i <= mass."""
+        return (max(abs(x) for row in self.quad for x in row) * mass * mass
+                + max(map(abs, self.lin)) * mass + abs(self.const))
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.quad, dtype=np.int64), np.array(self.lin, dtype=np.int64)
+
+    def block_total(self, m: np.ndarray) -> int:
+        """The sum of s over the rows of the int64 array m, evaluated as
+        ((m Q) * m).sum(1) - m L + c; exact when len(m) * ``bound`` of the
+        rows' largest sum is below 2**63, which the caller asserts."""
+        q, l = self._arrays
+        return int((((m @ q) * m).sum(axis=1) - m @ l + self.const).sum())
+
+
 @lru_cache(maxsize=None)
-def scaled_size_b(rs: RootSystemData, b: int):
+def scaled_size_b(rs: RootSystemData, b: int) -> tuple[int, SizeForm]:
     """(d, s) with size_b(x) = s(A x) / d, d = 2 h f, and s the integer form
     s(m) = h^2 m^T G m - 2 h b (G 1)^T m + (b^2 - 1) 1^T G 1 of the simple-root
     pairings m, where G = ``rootsys.coweight_gram`` and 1 is rhocheck in
@@ -364,18 +404,9 @@ def scaled_size_b(rs: RootSystemData, b: int):
     h = rs.coxeter_number
     g = rootsys.coweight_gram(rs)
     g1 = [sum(row) for row in g]
-    hh, hb2, const = h * h, 2 * h * b, (b * b - 1) * sum(g1)
-
-    def s(m):
-        nz = [(i, x) for i, x in enumerate(m) if x]
-        quad = lin = 0
-        for i, x in nz:
-            row = g[i]
-            quad += x * sum([row[j] * y for j, y in nz])
-            lin += g1[i] * x
-        return hh * quad - hb2 * lin + const
-
-    return 2 * h * rs.index_of_connection, s
+    form = SizeForm(tuple(tuple(h * h * x for x in row) for row in g),
+                    tuple(2 * h * b * x for x in g1), (b * b - 1) * sum(g1))
+    return 2 * h * rs.index_of_connection, form
 
 
 def size_b(rs: RootSystemData, b: int, x) -> Fraction:

@@ -146,16 +146,16 @@ def from_coroot(a: int, q) -> Partition:
 def content_counts(parts: Partition, a: int) -> tuple[int, ...]:
     """Number of boxes in each content class (s - r) mod a, box = (row r, col s)."""
     counts = [0] * a
+    turns = 0
     for r, row_len in enumerate(parts, start=1):
-        # contents in row r run over (1 - r) .. (row_len - r)
+        # contents in row r run over (1 - r) .. (row_len - r): full turns of
+        # a add one box to every class, added once for all rows at the end
         full, rem = divmod(row_len, a)
-        if full:
-            for i in range(a):
-                counts[i] += full
+        turns += full
         start = (1 - r) % a
         for offset in range(rem):
             counts[(start + offset) % a] += 1
-    return tuple(counts)
+    return tuple(c + turns for c in counts)
 
 
 def _corners(parts: Partition):

@@ -4,7 +4,9 @@ quasipolynomial/expectation machinery built on it.
 Everything is exact: sums are accumulated as integers against a scaled
 Gram matrix of the fundamental coweights, polynomials are fitted by
 Lagrange interpolation over Fractions, and every identity asserted here
-is an equality of rationals.
+is an equality of rationals.  The weighted enumerator sums the alcove
+walk in numpy int64 blocks under an asserted bound that keeps every
+block sum exact, and adds the block sums as Python ints.
 """
 
 from __future__ import annotations
@@ -38,9 +40,14 @@ def clear_enumerator_cache() -> None:
 def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     """Sum of size_b over the coweight-lattice points of the b-dilated alcove.
 
-    One integer ``affine.scaled_size_b`` value is added per point.  The
-    independent checks of the total are ``expected_size`` (region mean and
-    closed form) and ``verify fg_poly`` (fits against the predicted polynomial).
+    The walk ``sommers.iter_alcove_m`` is read in int64 blocks of at most
+    ``sommers.ALCOVE_BLOCK`` rows (``sommers.alcove_blocks``), each summed
+    by the integer form of ``affine.scaled_size_b`` and added as a Python
+    int.  Every row has sum m_i <= b, so ALCOVE_BLOCK times
+    ``affine.SizeForm.bound`` at b, asserted below 2**63 before the walk
+    starts, keeps each block sum exact.  The independent checks of the
+    total are ``expected_size`` (region mean and closed form) and
+    ``verify fg_poly`` (fits against the predicted polynomial).
 
     Values are cached per (system, b); the cap only guards fresh work.  For
     b coprime to h the f * ``haiman_count`` tuples are refused up front when
@@ -54,7 +61,8 @@ def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     if gcd(b, rs.coxeter_number) == 1:
         sommers.capped_haiman_count(rs, b)
     denom, size = affine.scaled_size_b(rs, b)
-    value = Fraction(sum(map(size, sommers.iter_alcove_m(rs, b))), denom)
+    assert sommers.ALCOVE_BLOCK * size.bound(b) < 2**63, "int64 bound of the size blocks"
+    value = Fraction(sum(map(size.block_total, sommers.alcove_blocks(rs, b))), denom)
     _ENUMERATOR_CACHE[(rs.cartan_type, b)] = value
     return value
 

@@ -43,6 +43,9 @@ DEFAULT_CAP = 10**6
 _CAP = ContextVar("corelat_cap", default=DEFAULT_CAP)
 #: skip the direct bounding-box scan when its box holds more candidate points
 DEFAULT_BOX_CAP = 3 * 10**7
+#: rows per int64 block read from the alcove walk: bounds the memory of a
+#: block and, with the per-row bound, the int64 block sums
+ALCOVE_BLOCK = 2**11
 
 
 class FeasibilityError(ValueError):
@@ -114,33 +117,39 @@ def alcove_vertices(rs: RootSystemData) -> list[tuple[Fraction, ...]]:
     return verts
 
 
+def _extend(walk, c: int):
+    """Each (prefix, budget) of ``walk`` followed by every next coordinate v
+    with c * v <= budget, in increasing v, with the budget left over."""
+    return ((p + (v,), r - c * v) for p, r in walk for v in range(r // c + 1))
+
+
 def iter_alcove_m(rs: RootSystemData, b: int) -> Iterator[tuple[int, ...]]:
-    """Dominant tuples m with m_i = <q, alpha_i> >= 0 and sum c_i m_i <= b.
+    """Dominant tuples m with m_i = <q, alpha_i> >= 0 and sum c_i m_i <= b,
+    in lexicographic order.
 
     These index the coweight-lattice points of the b-dilated alcove, f per
     coroot point when gcd(b, h) = 1.  FeasibilityError is raised on
     reaching a tuple past cap * f, the cap read when the walk starts.
     """
-    marks = rs.highest_root_coeffs
-    n = rs.rank
-    m = [0] * n
-
-    def rec(i: int, budget: int):
-        if i == n:
-            yield tuple(m)
-            return
-        c = marks[i]
-        for val in range(budget // c + 1):
-            m[i] = val
-            yield from rec(i + 1, budget - c * val)
-        m[i] = 0
-
+    *prefix_marks, last = rs.highest_root_coeffs
+    walk = [((), b)]
+    for c in prefix_marks:
+        walk = _extend(walk, c)
+    tuples = (p + (v,) for p, r in walk for v in range(r // last + 1))
     cap, f = _CAP.get(), rs.index_of_connection
-    tuples = rec(0, b)
     yield from islice(tuples, cap * f)
     if next(tuples, None) is not None:
         raise FeasibilityError(f"coweight points of the dilated alcove of {rs.cartan_type}, b={b} "
                                f"exceed cap * f = {cap} * {f} = {cap * f}")
+
+
+def alcove_blocks(rs: RootSystemData, b: int) -> Iterator[np.ndarray]:
+    """The ``iter_alcove_m`` tuples, in order, as int64 arrays of at most
+    ``ALCOVE_BLOCK`` rows each; a refusal of the walk passes through."""
+    walk = iter_alcove_m(rs, b)
+    while (block := np.fromiter(chain.from_iterable(islice(walk, ALCOVE_BLOCK)),
+                                dtype=np.int64)).size:
+        yield block.reshape(-1, rs.rank)
 
 
 def _sorted_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
@@ -155,9 +164,10 @@ def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> lis
     ``lattice`` is "coroot" or "coweight".  Coweight points may have
     rational coordinates; coroot points are the subset with integer ones,
     recognized via the adjugate of the Cartan matrix.  The tuples m of
-    ``iter_alcove_m`` go through the adjugate as one int64 product, exact
-    under the asserted bound n * max|adj| * b < 2**62 (sum m_i <= b),
-    and one mask keeps the rows divisible by f.
+    ``iter_alcove_m`` go through the adjugate block by block
+    (``alcove_blocks``) as int64 products, exact under the asserted bound
+    n * max|adj| * b < 2**62 (sum m_i <= b), and one mask per block keeps
+    the rows divisible by f.
     """
     if b < 0:
         raise ValueError("dilation factor must be nonnegative")
@@ -167,11 +177,16 @@ def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> lis
     adj = np.array(rs.cartan_adjugate, dtype=np.int64)
     det = rs.index_of_connection
     assert n * int(np.abs(adj).max()) * b < 2**62, "int64 bound of the alcove product"
-    m = np.fromiter(chain.from_iterable(iter_alcove_m(rs, b)), dtype=np.int64)
-    scaled = m.reshape(-1, n) @ adj.T
+    kept = []
+    for m in alcove_blocks(rs, b):
+        scaled = m @ adj.T
+        if lattice == "coroot":
+            scaled = scaled[(scaled % det == 0).all(axis=1)] // det
+        kept.append(scaled)
+    rows = _sorted_tuples(np.concatenate(kept))
     if lattice == "coroot":
-        return _sorted_tuples(scaled[(scaled % det == 0).all(axis=1)] // det)
-    return [tuple(Fraction(x, det) for x in row) for row in _sorted_tuples(scaled)]
+        return rows
+    return [tuple(Fraction(x, det) for x in row) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -266,11 +281,15 @@ def _direct_scan(sr: SommersRegion) -> list[tuple[int, ...]] | None:
     high_mat = np.array([r.pair_vec for r in sr.height_high_roots], dtype=np.int64).T
     tail = (np.indices(sides[1:], dtype=np.int64).reshape(n - 1, prod(sides[1:])).T
             + np.array(lo[1:], dtype=np.int64))
+    # the pairings of (x0, tail) are x0 * (first row) + tail @ (other rows):
+    # the tail is multiplied once and each slab x0 only moves the bounds
+    tail_low, tail_high = tail @ low_mat[1:], tail @ high_mat[1:]
     found = []
     for x0 in range(lo[0], hi[0] + 1):
-        pts = np.concatenate([np.full((tail.shape[0], 1), x0, dtype=np.int64), tail], axis=1)
-        mask = ((pts @ low_mat) >= -sr.t_b).all(axis=1) & ((pts @ high_mat) <= sr.t_b + 1).all(axis=1)
-        found.append(pts[mask])
+        mask = ((tail_low >= -sr.t_b - x0 * low_mat[0]).all(axis=1)
+                & (tail_high <= sr.t_b + 1 - x0 * high_mat[0]).all(axis=1))
+        kept = tail[mask]
+        found.append(np.concatenate([np.full((len(kept), 1), x0, dtype=np.int64), kept], axis=1))
     return _sorted_tuples(np.concatenate(found))
 
 

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 
-from corelat import ehrhart, sommers
+from corelat import affine, ehrhart, sommers
 from corelat.ehrhart import (
     HeldOutMismatchError,
     SeriesMismatchError,
@@ -60,6 +61,51 @@ def test_enumerator_refuses_on_the_predicted_count_before_the_walk(monkeypatch):
                        match=r"^predicted count 34747713 for E8, b=97 exceeds cap 1000000$"):
         weighted_enumerator(build_named("E8"), 97)
     assert visited == []
+
+
+RANK_6_TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
+                + [f"C{n}" for n in range(2, 7)] + ["D4", "D5", "D6", "E6", "F4", "G2"])
+# b = h - 1 is coprime to h and b = h is not; both are <= 12 at rank <= 6
+WALK_GRID = [(name, b) for name in RANK_6_TYPES
+             for h in [build_named(name).coxeter_number] for b in (h - 1, h)]
+
+
+@pytest.mark.parametrize("name,b", WALK_GRID)
+def test_iter_alcove_m_is_the_filtered_product(name, b):
+    marks = build_named(name).highest_root_coeffs
+    oracle = [m for m in product(*(range(b // c + 1) for c in marks))
+              if sum(c * x for c, x in zip(marks, m)) <= b]
+    assert list(sommers.iter_alcove_m(build_named(name), b)) == oracle
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_enumerator_blocks_equal_the_per_tuple_sum(monkeypatch, rows):
+    """The int64 block sums equal the per-tuple Python form, also when the
+    blocks split the walk at every row or every third row."""
+    if rows is not None:
+        monkeypatch.setattr(sommers, "ALCOVE_BLOCK", rows)
+    for name, b in WALK_GRID:
+        rs = build_named(name)
+        monkeypatch.setattr(ehrhart, "_ENUMERATOR_CACHE", {})
+        d, s = affine.scaled_size_b(rs, b)
+        assert weighted_enumerator(rs, b) == Fraction(sum(map(s, sommers.iter_alcove_m(rs, b))), d)
+
+
+def test_enumerator_asserts_the_int64_bound_before_the_walk(monkeypatch):
+    # A1 at even b: gcd(b, h) = 2, so no count guard runs first; the form's
+    # bound 9 b^2 - 1 times 2**11 rows passes 2**63 at b = 2**26
+    seen = []
+    walk = sommers.iter_alcove_m
+
+    def recording(rs, b):
+        for m in walk(rs, b):
+            seen.append(m)
+            yield m
+
+    monkeypatch.setattr(sommers, "iter_alcove_m", recording)
+    with pytest.raises(AssertionError, match="int64 bound of the size blocks"):
+        weighted_enumerator(build_named("A1"), 2**26)
+    assert seen == []
 
 
 # ---------------------------------------------------------------------------
