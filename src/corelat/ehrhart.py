@@ -41,7 +41,7 @@ def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     """Sum of size_b over the coweight-lattice points of the b-dilated alcove.
 
     The walk ``sommers.iter_alcove_m`` is read in int64 blocks of at most
-    ``sommers.ALCOVE_BLOCK`` rows (``sommers.alcove_blocks``), each summed
+    ``sommers.ALCOVE_BLOCK`` rows (``sommers.walk_blocks``), each summed
     by the integer form of ``affine.scaled_size_b`` and added as a Python
     int.  Every row has sum m_i <= b, so ALCOVE_BLOCK times
     ``affine.SizeForm.bound`` at b, asserted below 2**63 before the walk
@@ -62,7 +62,8 @@ def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
         sommers.capped_haiman_count(rs, b)
     denom, size = affine.scaled_size_b(rs, b)
     assert sommers.ALCOVE_BLOCK * size.bound(b) < 2**63, "int64 bound of the size blocks"
-    value = Fraction(sum(map(size.block_total, sommers.alcove_blocks(rs, b))), denom)
+    blocks = sommers.walk_blocks(sommers.iter_alcove_m(rs, b), rs.rank)
+    value = Fraction(sum(map(size.block_total, blocks)), denom)
     _ENUMERATOR_CACHE[(rs.cartan_type, b)] = value
     return value
 

@@ -32,3 +32,29 @@ def matvec(a, v) -> tuple:
 
 def vec_add(u, v) -> tuple:
     return tuple(x + y for x, y in zip(u, v))
+
+
+def adjugate(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(|det A|, |det A| * A^-1) of a nonsingular integer matrix (ValueError if
+    singular), from one fraction-free (Bareiss) Gauss-Jordan elimination.
+
+    Step k swaps in a later row on a zero pivot and clears column k of
+    [A | I] outside row k; rows 0..k then carry the leading (k+1)-minor of
+    the row-permuted A on the diagonal, every division exact (Sylvester's
+    identity).  At the end [A | I] has become [d I | d A^-1], d = +-det A.
+    """
+    n = len(a)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        swap = next((i for i in range(k, n) if rows[i][k]), None)
+        if swap is None:
+            raise ValueError("matrix is singular")
+        rows[k], rows[swap] = rows[swap], rows[k]
+        pivot_row, pivot = rows[k], rows[k][k]
+        for i, row in enumerate(rows):
+            if i != k:
+                factor = row[k]
+                rows[i] = [(pivot * x - factor * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    return abs(prev), freeze((x if prev > 0 else -x for x in row[n:]) for row in rows)

@@ -167,34 +167,15 @@ def _closure_pair_vecs(a, n) -> dict[tuple[int, ...], tuple[int, ...]]:
     return dict(sorted(found.items(), key=lambda item: (sum(item[0]), item[0])))
 
 
-def _adjugate(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(det A, adj A) from one fraction-free (Bareiss) Gauss-Jordan elimination of [A | I].
-
-    Step k clears column k outside row k; afterwards rows 0..k carry the
-    leading (k+1)-minor on the diagonal, and every division is exact
-    (Sylvester's identity).  At the end the left block is det(A) I and the
-    right block is adj(A).  The leading minors of a finite-type Cartan
-    matrix are positive, so no row is swapped.
-    """
-    n = len(a)
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        if pivot <= 0:
-            raise AssertionError(f"leading {k + 1}-minor of the Cartan matrix is {pivot}, not positive")
-        for i, row in enumerate(rows):
-            if i != k:
-                factor = row[k]
-                rows[i] = [(pivot * x - factor * y) // prev for x, y in zip(row, pivot_row)]
-        prev = pivot
-    return prev, linalg.freeze(row[n:] for row in rows)
-
-
 @dataclass(frozen=True)
 class RootSystemData:
-    """An irreducible root system with every invariant the package needs."""
+    """An irreducible root system with every invariant the package needs.
+
+    ``dual_coxeter_number`` is 1 + the height of the highest short root (h
+    when every root is long).  That gives B3 -> 4 and C3 -> 5, the textbook
+    dual Coxeter numbers of the dual types, and it is the g of the strange
+    formula r g n (h + 1) / 12 that ``verify strange`` checks.
+    """
 
     cartan_type: CartanType
     cartan_matrix: tuple[tuple[int, ...], ...]
@@ -261,10 +242,7 @@ def build(t: CartanType) -> RootSystemData:
     if not highest.is_long:
         raise AssertionError(f"{t}: highest root is not normalized to length^2 = 2")
 
-    if r == 1:
-        dual_cox = h
-    else:
-        dual_cox = 1 + max(root.height for root in roots if not root.is_long)
+    dual_cox = 1 + max((root.height for root in roots if not root.is_long), default=h - 1)
 
     # exponents from the height staircase: conjugate the partition
     # (|Phi_1| >= |Phi_2| >= ...).
@@ -275,7 +253,9 @@ def build(t: CartanType) -> RootSystemData:
                              for j in range(1, mults[1] + 1)))
     assert len(exponents) == n
 
-    f, adj = _adjugate(a)
+    f, adj = linalg.adjugate(a)
+    # a Z-matrix (off-diagonal <= 0) with A^-1 >= 0 is an M-matrix: det A = f > 0
+    assert min(map(min, adj)) >= 0, f"{t}: the Cartan matrix inverse has a negative entry"
     coweights = tuple(tuple(Fraction(adj[k][i], f) for k in range(n)) for i in range(n))
     rho = tuple(Fraction(sum(row), f) for row in adj)
     hr_coroot = tuple(c // k for c, k in zip(highest.coeffs, scale))

@@ -14,12 +14,11 @@ in type C, which ``simultaneous_selfconjugate`` also uses.
 
 ``enumerate_cores`` computes the point set two independent ways — by
 mapping the dilated-alcove points through the inverse dilation element,
-and by scanning the integer bounding box of the region's vertices — and
-requires the two to agree.  The per-point arithmetic of both routes (the
-alcove's coroot mask, the map through w_b^-1 and the box scan) runs on
-numpy int64 arrays, each product under an asserted bound that keeps it
-exact.  The size statistics themselves (``size_lattice_total`` per region
-point, and the shifted ``size_b``) live in ``affine``.
+and by walking the region in the slack coordinates of its own n + 1
+inequalities — and requires the two to agree.  One knapsack walk serves
+both simplices, and one int64 step under an asserted bound
+(``_integral_solve``) maps walk rows to points.  The size statistics
+(``size_lattice_total``, ``size_b``) live in ``affine``.
 """
 
 from __future__ import annotations
@@ -30,21 +29,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, islice
-from math import ceil, floor, prod
+from math import gcd, prod
 from typing import Iterator
 
 import numpy as np
 
-from . import affine, cores, models, rootsys
+from . import affine, cores, linalg, models, rootsys
 from .rootsys import CartanType, Root, RootSystemData
 
 #: outside a ``capped`` block, refuse enumerations predicted to exceed this
 DEFAULT_CAP = 10**6
 _CAP = ContextVar("corelat_cap", default=DEFAULT_CAP)
-#: skip the direct bounding-box scan when its box holds more candidate points
-DEFAULT_BOX_CAP = 3 * 10**7
-#: rows per int64 block read from the alcove walk: bounds the memory of a
-#: block and, with the per-row bound, the int64 block sums
+#: rows per int64 block read from a walk: bounds the memory of a block
+#: and, with the per-row bound, the int64 block sums
 ALCOVE_BLOCK = 2**11
 
 
@@ -123,6 +120,16 @@ def _extend(walk, c: int):
     return ((p + (v,), r - c * v) for p, r in walk for v in range(r // c + 1))
 
 
+def _walk(marks, budget: int) -> Iterator[tuple[int, ...]]:
+    """Tuples v >= 0 with sum marks_i v_i <= budget, in lexicographic order:
+    the lattice points of a knapsack simplex, one coordinate per level."""
+    *prefix_marks, last = marks
+    walk = [((), budget)]
+    for c in prefix_marks:
+        walk = _extend(walk, c)
+    return (p + (v,) for p, r in walk for v in range(r // last + 1))
+
+
 def iter_alcove_m(rs: RootSystemData, b: int) -> Iterator[tuple[int, ...]]:
     """Dominant tuples m with m_i = <q, alpha_i> >= 0 and sum c_i m_i <= b,
     in lexicographic order.
@@ -131,11 +138,7 @@ def iter_alcove_m(rs: RootSystemData, b: int) -> Iterator[tuple[int, ...]]:
     coroot point when gcd(b, h) = 1.  FeasibilityError is raised on
     reaching a tuple past cap * f, the cap read when the walk starts.
     """
-    *prefix_marks, last = rs.highest_root_coeffs
-    walk = [((), b)]
-    for c in prefix_marks:
-        walk = _extend(walk, c)
-    tuples = (p + (v,) for p, r in walk for v in range(r // last + 1))
+    tuples = _walk(rs.highest_root_coeffs, b)
     cap, f = _CAP.get(), rs.index_of_connection
     yield from islice(tuples, cap * f)
     if next(tuples, None) is not None:
@@ -143,17 +146,27 @@ def iter_alcove_m(rs: RootSystemData, b: int) -> Iterator[tuple[int, ...]]:
                                f"exceed cap * f = {cap} * {f} = {cap * f}")
 
 
-def alcove_blocks(rs: RootSystemData, b: int) -> Iterator[np.ndarray]:
-    """The ``iter_alcove_m`` tuples, in order, as int64 arrays of at most
-    ``ALCOVE_BLOCK`` rows each; a refusal of the walk passes through."""
-    walk = iter_alcove_m(rs, b)
+def walk_blocks(walk: Iterator[tuple[int, ...]], n: int) -> Iterator[np.ndarray]:
+    """The n-tuples of ``walk``, in order, as int64 arrays of at most
+    ``ALCOVE_BLOCK`` rows each; an exception of the walk passes through."""
     while (block := np.fromiter(chain.from_iterable(islice(walk, ALCOVE_BLOCK)),
                                 dtype=np.int64)).size:
-        yield block.reshape(-1, rs.rank)
+        yield block.reshape(-1, n)
 
 
-def _sorted_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
-    """The rows of a 2-d int64 array as tuples of Python ints, sorted lexicographically."""
+def _integral_solve(walk: Iterator[tuple[int, ...]], mat, shift, det: int) -> list[tuple[int, ...]]:
+    """The integral points (M s + v) / det over the tuples s of ``walk``, sorted.
+
+    Each block of ``walk_blocks`` is one int64 product, exact under the bound
+    n * max|M| * max|s| + max|v| < 2**62 asserted on the block's own maxima."""
+    mat, shift = np.array(mat, dtype=np.int64), np.array(shift, dtype=np.int64)
+    n, mat_max, shift_max = mat.shape[1], int(np.abs(mat).max()), int(np.abs(shift).max())
+    kept = []
+    for s in walk_blocks(walk, n):
+        assert n * mat_max * int(np.abs(s).max()) + shift_max < 2**62, "int64 bound of the solve"
+        x = s @ mat.T + shift
+        kept.append(x[(x % det == 0).all(axis=1)] // det)
+    rows = np.concatenate(kept)
     return list(map(tuple, rows[np.lexsort(rows.T[::-1])].tolist()))
 
 
@@ -165,28 +178,19 @@ def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> lis
     rational coordinates; coroot points are the subset with integer ones,
     recognized via the adjugate of the Cartan matrix.  The tuples m of
     ``iter_alcove_m`` go through the adjugate block by block
-    (``alcove_blocks``) as int64 products, exact under the asserted bound
-    n * max|adj| * b < 2**62 (sum m_i <= b), and one mask per block keeps
-    the rows divisible by f.
+    (``_integral_solve``): coroot points are the rows divisible by f,
+    coweight points every row over f.
     """
     if b < 0:
         raise ValueError("dilation factor must be nonnegative")
     if lattice not in ("coroot", "coweight"):
         raise ValueError(f"unknown lattice {lattice!r}")
-    n = rs.rank
-    adj = np.array(rs.cartan_adjugate, dtype=np.int64)
-    det = rs.index_of_connection
-    assert n * int(np.abs(adj).max()) * b < 2**62, "int64 bound of the alcove product"
-    kept = []
-    for m in alcove_blocks(rs, b):
-        scaled = m @ adj.T
-        if lattice == "coroot":
-            scaled = scaled[(scaled % det == 0).all(axis=1)] // det
-        kept.append(scaled)
-    rows = _sorted_tuples(np.concatenate(kept))
+    f = rs.index_of_connection
+    rows = _integral_solve(iter_alcove_m(rs, b), rs.cartan_adjugate, [0] * rs.rank,
+                           f if lattice == "coroot" else 1)
     if lattice == "coroot":
         return rows
-    return [tuple(Fraction(x, det) for x in row) for row in rows]
+    return [tuple(Fraction(x, f) for x in row) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,6 @@ class CoreSet:
     b: int
     points: tuple[tuple[int, ...], ...]
     sizes: tuple[Fraction, ...]
-    direct_checked: bool
 
     def __len__(self):
         return len(self.points)
@@ -253,7 +256,7 @@ class CoreSet:
             "mean": str(self.mean_size),
             "max": str(Fraction(value, d)),
             "argmax": list(argmax),
-            "direct_checked": self.direct_checked,
+            "direct_checked": True,  # enumerate_cores checks every region or raises
             "rows": rows,
         }
 
@@ -264,63 +267,53 @@ def region_vertices(rs: RootSystemData, b: int) -> list[tuple[Fraction, ...]]:
     return [wb_inv(tuple(b * c for c in v)) for v in alcove_vertices(rs)]
 
 
-def _direct_scan(sr: SommersRegion) -> list[tuple[int, ...]] | None:
-    """Scan the integer bounding box of the region's vertices, filter by the
-    defining inequalities; None when the box holds over ``DEFAULT_BOX_CAP`` points."""
-    rs = sr.rs
-    n = rs.rank
-    verts = region_vertices(rs, sr.b)
-    lo = [min(floor(v[i]) for v in verts) - 1 for i in range(n)]
-    hi = [max(ceil(v[i]) for v in verts) + 1 for i in range(n)]
-    sides = [h - l + 1 for l, h in zip(lo, hi)]
-    if prod(sides) > DEFAULT_BOX_CAP:
-        return None
-    # int64 is exact here: coordinates and pairing values are tiny integers
-    assert all(abs(x) < 2**20 for x in lo + hi)
-    low_mat = np.array([r.pair_vec for r in sr.height_low_roots], dtype=np.int64).T
-    high_mat = np.array([r.pair_vec for r in sr.height_high_roots], dtype=np.int64).T
-    tail = (np.indices(sides[1:], dtype=np.int64).reshape(n - 1, prod(sides[1:])).T
-            + np.array(lo[1:], dtype=np.int64))
-    # the pairings of (x0, tail) are x0 * (first row) + tail @ (other rows):
-    # the tail is multiplied once and each slab x0 only moves the bounds
-    tail_low, tail_high = tail @ low_mat[1:], tail @ high_mat[1:]
-    found = []
-    for x0 in range(lo[0], hi[0] + 1):
-        mask = ((tail_low >= -sr.t_b - x0 * low_mat[0]).all(axis=1)
-                & (tail_high <= sr.t_b + 1 - x0 * high_mat[0]).all(axis=1))
-        kept = tail[mask]
-        found.append(np.concatenate([np.full((len(kept), 1), x0, dtype=np.int64), kept], axis=1))
-    return _sorted_tuples(np.concatenate(found))
+def _direct_scan(sr: SommersRegion) -> list[tuple[int, ...]]:
+    """The region's coroot points, sorted, by a walk in the slack coordinates
+    of its own inequalities; reads neither w_b nor the alcove.
+
+    Facet j has slack s_j = <x, N_j> + o_j >= 0, with (N_j, o_j) = (pair_vec,
+    t_b) for a height-r_b root and (-pair_vec, t_b + 1) for a height-(h - r_b)
+    root.  The adjugate of these rows inverts s = F (x, 1); its last row over
+    its gcd is the positive relation sum mu_j N_j = 0, so sum mu_j s_j =
+    sum mu_j o_j is the budget.  Facet k with mu_k = 1 (the image of the
+    affine wall) is dropped: the others walk like ``iter_alcove_m``."""
+    facets = ([r.pair_vec + (sr.t_b,) for r in sr.height_low_roots]
+              + [tuple(-p for p in r.pair_vec) + (sr.t_b + 1,) for r in sr.height_high_roots])
+    det, adj = linalg.adjugate(facets)
+    *solve, relation = adj
+    g = gcd(*relation)
+    marks, budget = [c // g for c in relation], det // g
+    assert min(marks) > 0 and 1 in marks, f"facet relation {marks} of {sr.rs.cartan_type}, b={sr.b}"
+    k = marks.index(1)
+    # x = solve (s_rest, s_k) / det with s_k = budget - sum_{j != k} mu_j s_j
+    rest = [j for j in range(len(marks)) if j != k]
+    mat = [[row[j] - row[k] * marks[j] for j in rest] for row in solve]
+    shift = [row[k] * budget for row in solve]
+    return _integral_solve(_walk([marks[j] for j in rest], budget), mat, shift, det)
 
 
 def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
     """The coroot-lattice points of the b-region, with their sizes.
 
     Computed by mapping the dilated-alcove points through the inverse
-    dilation element, and cross-checked against a direct inequality scan
-    whenever the scan's bounding box holds at most ``DEFAULT_BOX_CAP``
-    points; ``direct_checked`` records whether the scan ran.  The map is
-    one int64 product x -> M x + v, exact under the asserted bound
-    n * max|M| * max|x| + max|v| < 2**62.
+    dilation element (one ``_integral_solve`` step), and checked against the
+    walk of the region's own inequalities (``_direct_scan``); a disagreement
+    raises AssertionError.  When gcd(b, h) = 1 both walks visit f tuples per
+    point, so the up-front ``capped_haiman_count`` bounds them.
     """
     predicted = capped_haiman_count(rs, b)
-    sr = sommers_region(rs, b)
     wb_inv = affine.compute_w_b(rs, b).inverse()
-    alcove = np.array(enumerate_alcove(rs, b, "coroot"), dtype=np.int64).reshape(-1, rs.rank)
-    m, v = np.array(wb_inv.m, dtype=np.int64), np.array(wb_inv.v, dtype=np.int64)
-    assert (rs.rank * int(np.abs(m).max()) * int(np.abs(alcove).max(initial=0))
-            + int(np.abs(v).max()) < 2**62), "int64 bound of the map through w_b^-1"
-    mapped = _sorted_tuples(alcove @ m.T + v)
+    mapped = _integral_solve(iter(enumerate_alcove(rs, b, "coroot")), wb_inv.m, wb_inv.v, 1)
     if len(mapped) != predicted:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: found {len(mapped)} alcove points, expected {predicted}")
-    scanned = _direct_scan(sr)
-    if scanned is not None and scanned != mapped:
+    scanned = _direct_scan(sommers_region(rs, b))
+    if scanned != mapped:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: direct inequality scan disagrees with the "
             f"mapped alcove points ({len(scanned)} vs {len(mapped)})")
     sizes = tuple(affine.size_lattice_total(rs, q) for q in mapped)
-    return CoreSet(rs, b, tuple(mapped), sizes, scanned is not None)
+    return CoreSet(rs, b, tuple(mapped), sizes)
 
 
 def max_size(rs: RootSystemData, b: int, coreset: CoreSet | None = None):

@@ -83,6 +83,14 @@ def test_cores_json(capsys):
         assert cores_mod.conjugate(p) == p
 
 
+def test_cores_e7_11_is_direct_checked(capsys):
+    """The direct route runs on every region, E7 at b = 11 among them."""
+    code, out = run(capsys, "cores", "E7", "11")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 352 and '"direct_checked": true' in out
+
+
 def test_cores_gcd_usage_error(capsys):
     code, _ = run(capsys, "cores", "A2", "3")
     assert code == 2
@@ -442,7 +450,7 @@ def test_run_normalizes_type_names():
 
 @pytest.fixture
 def scan_drops_a_point(monkeypatch):
-    """The direct box scan loses its first point, so the region cross-check fails."""
+    """The direct facet walk loses its first point, so the region cross-check fails."""
     scan = sommers._direct_scan
     monkeypatch.setattr(sommers, "_direct_scan", lambda sr: scan(sr)[1:])
 

@@ -134,16 +134,16 @@ def test_exponent_dilations_have_no_interior_coweights():
 def test_enumerate_cores_counts():
     a2 = build_named("A2")
     cs = enumerate_cores(a2, 5)
-    assert len(cs) == 7 and cs.direct_checked
+    assert len(cs) == 7
     c2 = build_named("C2")
     cs = enumerate_cores(c2, 5)
     assert len(cs) == 6 and cs.mean_size == 5
     assert enumerate_cores(a2, 1).points == ((0, 0),)
-    # rank 1: the box scan runs over a single axis
+    # rank 1: the facet walk runs over a single slack
     a1 = build_named("A1")
     for b, count in ((1, 1), (3, 2), (5, 3), (7, 4)):
         cs = enumerate_cores(a1, b)
-        assert len(cs) == count and cs.direct_checked
+        assert len(cs) == count
 
 
 def test_enumerate_cores_matches_simultaneous_cores():
@@ -379,16 +379,28 @@ def test_simultaneous_selfconjugate_counts():
         simultaneous_selfconjugate(2, 2)
 
 
-def test_direct_scan_forced(monkeypatch):
-    """The box scan is skipped, and the result says so, once its box holds
-    more than DEFAULT_BOX_CAP points; the cap is read at call time."""
-    rs = build_named("B2")
-    scanned = enumerate_cores(rs, 7)
-    assert scanned.direct_checked
-    monkeypatch.setattr(sommers, "DEFAULT_BOX_CAP", 10)
-    cs = enumerate_cores(rs, 7)
-    assert not cs.direct_checked
-    assert len(cs) == haiman_count(rs, 7) and cs.points == scanned.points
+def test_facet_walk_checks_e7_b11(monkeypatch):
+    """E7 at b = 11 (352 points) is checked too: a facet walk that loses a
+    point makes enumerate_cores raise."""
+    rs = build_named("E7")
+    assert len(enumerate_cores(rs, 11)) == haiman_count(rs, 11) == 352
+    scan = sommers._direct_scan
+    monkeypatch.setattr(sommers, "_direct_scan", lambda sr: scan(sr)[:-1])
+    with pytest.raises(AssertionError, match="direct inequality scan disagrees"):
+        enumerate_cores(rs, 11)
+
+
+@pytest.mark.parametrize("name, b", [("A4", 11), ("C3", 7), ("E6", 7), ("G2", 13)])
+def test_facet_walk_reads_no_dilation_element(monkeypatch, name, b):
+    """The direct route needs neither w_b nor the alcove points."""
+    rs = build_named(name)
+    points = enumerate_cores(rs, b).points
+
+    def refuse(*args):
+        raise RuntimeError("the direct route read w_b or the alcove walk")
+    monkeypatch.setattr(affine, "compute_w_b", refuse)
+    monkeypatch.setattr(sommers, "iter_alcove_m", refuse)
+    assert sommers._direct_scan(sommers.sommers_region(rs, b)) == list(points)
 
 
 def test_json_report():
