@@ -360,8 +360,8 @@ def size_lattice_total(rs: RootSystemData, q) -> Fraction:
 @dataclass(frozen=True)
 class SizeForm:
     """The integer form s(m) = m^T Q m - L^T m + c of ``scaled_size_b``,
-    evaluated per tuple of Python ints or summed over the rows of an int64
-    array.  Both read the same coefficients."""
+    evaluated per tuple of Python ints or per row of an int64 array.  Both
+    read the same coefficients."""
 
     quad: tuple[tuple[int, ...], ...]
     lin: tuple[int, ...]
@@ -378,8 +378,9 @@ class SizeForm:
         return quad - lin + self.const
 
     def bound(self, mass: int) -> int:
-        """An upper bound of |s(m)|, and of every partial sum in ``block_total``'s
-        evaluation of one row, over m >= 0 with sum m_i <= mass."""
+        """An upper bound of |s(m)|, and of every partial sum in the array
+        evaluation of one row, over integer m (of either sign) with
+        sum |m_i| <= mass."""
         return (max(abs(x) for row in self.quad for x in row) * mass * mass
                 + max(map(abs, self.lin)) * mass + abs(self.const))
 
@@ -387,12 +388,23 @@ class SizeForm:
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array(self.quad, dtype=np.int64), np.array(self.lin, dtype=np.int64)
 
-    def block_total(self, m: np.ndarray) -> int:
-        """The sum of s over the rows of the int64 array m, evaluated as
-        ((m Q) * m).sum(1) - m L + c; exact when len(m) * ``bound`` of the
-        rows' largest sum is below 2**63, which the caller asserts."""
+    def _evaluate(self, m: np.ndarray) -> np.ndarray:
         q, l = self._arrays
-        return int((((m @ q) * m).sum(axis=1) - m @ l + self.const).sum())
+        return ((m @ q) * m).sum(axis=1) - m @ l + self.const
+
+    def per_row(self, m: np.ndarray) -> np.ndarray:
+        """s of each row of the int64 array m, as ((m Q) * m).sum(1) - m L + c;
+        exact under ``bound`` of the rows' largest sum |m_i| below 2**63,
+        asserted here on m's own rows."""
+        mass = int(np.abs(m).sum(axis=1).max(initial=0))
+        assert self.bound(mass) < 2**63, "int64 bound of the row sizes"
+        return self._evaluate(m)
+
+    def block_total(self, m: np.ndarray) -> int:
+        """The sum of s over the rows of the int64 array m; exact when
+        len(m) * ``bound`` of the rows' largest sum |m_i| is below 2**63,
+        which the caller asserts."""
+        return int(self._evaluate(m).sum())
 
 
 @lru_cache(maxsize=None)
@@ -407,6 +419,18 @@ def scaled_size_b(rs: RootSystemData, b: int) -> tuple[int, SizeForm]:
     form = SizeForm(tuple(tuple(h * h * x for x in row) for row in g),
                     tuple(2 * h * b * x for x in g1), (b * b - 1) * sum(g1))
     return 2 * h * rs.index_of_connection, form
+
+
+def size_numerators(rs: RootSystemData, x: np.ndarray) -> tuple[int, np.ndarray]:
+    """(d, s) with size(x_k) = s_k / d for each row x_k of the int64 array x
+    of coroot points: the pairings m = x A^T, one int64 product exact under
+    n * max|A| * max|x| < 2**63 asserted on x's own entries, then the
+    per-row form ``SizeForm.per_row`` of ``scaled_size_b`` at b = 1."""
+    d, form = scaled_size_b(rs, 1)
+    a = np.array(rs.cartan_matrix, dtype=np.int64)
+    assert rs.rank * int(np.abs(a).max()) * int(np.abs(x).max(initial=0)) < 2**63, \
+        "int64 bound of the pairings"
+    return d, form.per_row(x @ a.T)
 
 
 def size_b(rs: RootSystemData, b: int, x) -> Fraction:

@@ -17,8 +17,11 @@ mapping the dilated-alcove points through the inverse dilation element,
 and by walking the region in the slack coordinates of its own n + 1
 inequalities — and requires the two to agree.  One knapsack walk serves
 both simplices, and one int64 step under an asserted bound
-(``_integral_solve``) maps walk rows to points.  The size statistics
-(``size_lattice_total``, ``size_b``) live in ``affine``.
+(``_integral_solve``) maps walk rows to points.  The sizes of all the points
+are one per-row integer form over their int64 array
+(``affine.size_numerators``), kept on the ``CoreSet`` as numerators over
+2 h f; the per-point statistics (``size_lattice_total``, ``size_b``) live in
+``affine`` too.
 """
 
 from __future__ import annotations
@@ -154,8 +157,9 @@ def walk_blocks(walk: Iterator[tuple[int, ...]], n: int) -> Iterator[np.ndarray]
         yield block.reshape(-1, n)
 
 
-def _integral_solve(walk: Iterator[tuple[int, ...]], mat, shift, det: int) -> list[tuple[int, ...]]:
-    """The integral points (M s + v) / det over the tuples s of ``walk``, sorted.
+def _integral_solve(walk: Iterator[tuple[int, ...]], mat, shift, det: int) -> np.ndarray:
+    """The integral points (M s + v) / det over the tuples s of ``walk``, as
+    the rows of an int64 array in lexicographic order.
 
     Each block of ``walk_blocks`` is one int64 product, exact under the bound
     n * max|M| * max|s| + max|v| < 2**62 asserted on the block's own maxima."""
@@ -167,7 +171,12 @@ def _integral_solve(walk: Iterator[tuple[int, ...]], mat, shift, det: int) -> li
         x = s @ mat.T + shift
         kept.append(x[(x % det == 0).all(axis=1)] // det)
     rows = np.concatenate(kept)
-    return list(map(tuple, rows[np.lexsort(rows.T[::-1])].tolist()))
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows as tuples of Python ints, built from the columns: no list per row."""
+    return list(zip(*rows.T.tolist()))
 
 
 def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> list[tuple]:
@@ -186,33 +195,38 @@ def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> lis
     if lattice not in ("coroot", "coweight"):
         raise ValueError(f"unknown lattice {lattice!r}")
     f = rs.index_of_connection
-    rows = _integral_solve(iter_alcove_m(rs, b), rs.cartan_adjugate, [0] * rs.rank,
-                           f if lattice == "coroot" else 1)
+    rows = _tuples(_integral_solve(iter_alcove_m(rs, b), rs.cartan_adjugate, [0] * rs.rank,
+                                   f if lattice == "coroot" else 1))
     if lattice == "coroot":
         return rows
     return [tuple(Fraction(x, f) for x in row) for row in rows]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoreSet:
+    """The coroot points of a b-region, sorted, with their sizes: the size of
+    ``points[k]`` is the integer ``numerators[k]`` over ``denominator`` = 2 h f,
+    the per-row form of ``affine.scaled_size_b`` (``affine.size_numerators``).
+    The totals, the maximum and the JSON read these integers; ``sizes`` gives
+    the same values as Fractions."""
+
     rs: RootSystemData
     b: int
     points: tuple[tuple[int, ...], ...]
-    sizes: tuple[Fraction, ...]
+    denominator: int
+    numerators: np.ndarray  # int64, one per point
 
     def __len__(self):
         return len(self.points)
 
     @cached_property
-    def _scaled_sizes(self) -> tuple[int, tuple[int, ...]]:
-        """(d, numerators): each size is its integer numerator over d = 2 h f."""
-        d = affine.scaled_size_b(self.rs, 1)[0]
-        return d, tuple(s.numerator * (d // s.denominator) for s in self.sizes)
+    def sizes(self) -> tuple[Fraction, ...]:
+        d = self.denominator
+        return tuple(Fraction(s, d) for s in self.numerators.tolist())
 
     @property
     def total_size(self) -> Fraction:
-        d, nums = self._scaled_sizes
-        return Fraction(sum(nums), d)
+        return Fraction(sum(self.numerators.tolist()), self.denominator)
 
     @property
     def mean_size(self) -> Fraction:
@@ -225,25 +239,33 @@ class CoreSet:
         the size: the (n+1)-core of the abacus bijection in type A_n, and
         the self-conjugate 2n-core of the isometric model in type C_n.
         """
+        return zip(self.points, self.sizes, self._partitions())
+
+    def _partitions(self) -> Iterator[tuple[int, ...] | None]:
         t = self.rs.cartan_type
-        for q, s in zip(self.points, self.sizes):
+        for q in self.points:
             if t.family == "A":
-                part = cores.from_coroot(t.rank + 1, models.type_a_ambient_from_coords(q))
+                yield cores.from_coroot(t.rank + 1, models.type_a_ambient_from_coords(q))
             elif t.family == "C":
-                part = models.embed(t, q).core()
+                yield models.embed(t, q).core()
             else:
-                part = None
-            yield q, s, part
+                yield None
+
+    def _size_texts(self) -> list[str]:
+        """str of each size as a Fraction, from one gcd over the numerators."""
+        g = np.gcd(self.numerators, self.denominator)
+        return [f"{p}/{q}" if q != 1 else str(p)
+                for p, q in zip((self.numerators // g).tolist(), (self.denominator // g).tolist())]
 
     def to_json_dict(self) -> dict:
         """The ``corelat cores`` document: the summary and one row per point.
 
-        The summary sorts and maximizes the integer numerators over 2 h f."""
-        d, nums = self._scaled_sizes
-        value, argmax = max(zip(nums, self.points))
-        texts = [str(s) for s in self.sizes]
+        The summary sorts and maximizes the integer numerators over 2 h f;
+        the maximizer is unique (``max_size`` checks it)."""
+        nums, texts = self.numerators, self._size_texts()
+        top = int(np.argmax(nums))
         rows = []
-        for (q, _, part), text in zip(self.rows(), texts):
+        for q, part, text in zip(self.points, self._partitions(), texts):
             row = {"coords": list(q), "size": text}
             if part is not None:
                 row["partition"] = list(part)
@@ -252,10 +274,10 @@ class CoreSet:
             "type": str(self.rs.cartan_type),
             "b": self.b,
             "count": len(self.points),
-            "sizes": [texts[i] for i in sorted(range(len(nums)), key=nums.__getitem__)],
+            "sizes": [texts[i] for i in np.argsort(nums, kind="stable").tolist()],
             "mean": str(self.mean_size),
-            "max": str(Fraction(value, d)),
-            "argmax": list(argmax),
+            "max": texts[top],
+            "argmax": list(self.points[top]),
             "direct_checked": True,  # enumerate_cores checks every region or raises
             "rows": rows,
         }
@@ -289,7 +311,7 @@ def _direct_scan(sr: SommersRegion) -> list[tuple[int, ...]]:
     rest = [j for j in range(len(marks)) if j != k]
     mat = [[row[j] - row[k] * marks[j] for j in rest] for row in solve]
     shift = [row[k] * budget for row in solve]
-    return _integral_solve(_walk([marks[j] for j in rest], budget), mat, shift, det)
+    return _tuples(_integral_solve(_walk([marks[j] for j in rest], budget), mat, shift, det))
 
 
 def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
@@ -299,11 +321,14 @@ def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
     dilation element (one ``_integral_solve`` step), and checked against the
     walk of the region's own inequalities (``_direct_scan``); a disagreement
     raises AssertionError.  When gcd(b, h) = 1 both walks visit f tuples per
-    point, so the up-front ``capped_haiman_count`` bounds them.
+    point, so the up-front ``capped_haiman_count`` bounds them.  The sizes
+    are computed in one step over the mapped points' int64 array
+    (``affine.size_numerators``).
     """
     predicted = capped_haiman_count(rs, b)
     wb_inv = affine.compute_w_b(rs, b).inverse()
-    mapped = _integral_solve(iter(enumerate_alcove(rs, b, "coroot")), wb_inv.m, wb_inv.v, 1)
+    points = _integral_solve(iter(enumerate_alcove(rs, b, "coroot")), wb_inv.m, wb_inv.v, 1)
+    mapped = _tuples(points)
     if len(mapped) != predicted:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: found {len(mapped)} alcove points, expected {predicted}")
@@ -312,24 +337,25 @@ def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: direct inequality scan disagrees with the "
             f"mapped alcove points ({len(scanned)} vs {len(mapped)})")
-    sizes = tuple(affine.size_lattice_total(rs, q) for q in mapped)
-    return CoreSet(rs, b, tuple(mapped), sizes)
+    return CoreSet(rs, b, tuple(mapped), *affine.size_numerators(rs, points))
 
 
 def max_size(rs: RootSystemData, b: int, coreset: CoreSet | None = None):
     """(max size, argmax) over the b-region lattice points.
 
     The closed form (r g / h) * n (b^2 - 1)(h + 1) / 24 and the predicted
-    argmax w_b^{-1}(0) are verified against an exhaustive scan, including
-    uniqueness of the maximizer.
+    argmax w_b^{-1}(0) are verified against an exhaustive scan of the size
+    numerators, including uniqueness of the maximizer.
     """
     if coreset is None:
         coreset = enumerate_cores(rs, b)
     value = (Fraction(rs.ratio_r * rs.dual_coxeter_number, rs.coxeter_number)
              * Fraction(rs.rank * (b * b - 1) * (rs.coxeter_number + 1), 24))
     argmax = affine.compute_w_b(rs, b).inverse()(tuple(0 for _ in range(rs.rank)))
-    scan_max = max(coreset.sizes)
-    winners = [q for q, s in zip(coreset.points, coreset.sizes) if s == scan_max]
+    nums = coreset.numerators
+    top = int(nums.max())
+    scan_max = Fraction(top, coreset.denominator)
+    winners = [coreset.points[k] for k in np.flatnonzero(nums == top).tolist()]
     if scan_max != value or winners != [tuple(argmax)]:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: maximum-size scan disagrees with the closed form "

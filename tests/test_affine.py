@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from corelat import affine
@@ -243,6 +244,17 @@ def test_size_total_is_sum_of_parts():
             total = sum(size_i_lattice(rs, q, i) for i in range(rs.rank + 1))
             assert total == size_lattice_total(rs, q)
 
+
+
+def test_per_row_sizes_assert_their_int64_bound_on_signed_rows():
+    # s(m) = m_1^2 + m_2^2 has bound(mass) = mass^2, which first reaches
+    # 2**63 at mass = sum |m_i| = 3037000500
+    form = affine.SizeForm(((1, 0), (0, 1)), (0, 0), 0)
+    below = np.array([[0, 0], [-1518500249, 1518500250]], dtype=np.int64)
+    assert form.per_row(below).tolist() == [0, 1518500249**2 + 1518500250**2]
+    past = np.array([[0, 0], [-1518500250, 1518500250]], dtype=np.int64)
+    with pytest.raises(AssertionError, match="int64 bound of the row sizes"):
+        form.per_row(past)
 
 def test_sizer_word_equals_lattice():
     # word/lattice agreement on random reduced words

@@ -47,7 +47,7 @@ def test_tracer_sees_every_layer_of_enumerate_cores():
     (top, _), = spans["sommers.enumerate_cores"]
     assert [parent for _, parent in spans["sommers.enumerate_alcove"]] == [top]
     assert [parent for _, parent in spans["sommers.direct_scan"]] == [top]
-    assert len(spans["affine.size_lattice_total"]) == 7
+    assert len(spans.get("affine.size_lattice_total", [])) == 0
     assert spans["affine.compute_w_b"]
     assert len(spans["ehrhart.weighted_enumerator"]) == 1
     assert [kept for _, kept in tracer.scans] == [7]
@@ -63,7 +63,7 @@ def test_tracer_sees_every_layer_of_enumerate_cores():
     assert metrics["sommers.direct_scan_skipped"] == 0
     assert metrics["sommers.box_volume"] == tracing.box_volume(sommers.sommers_region(rs, 5))
     assert 0 < metrics["sommers.box_keep_ratio"] <= 1
-    assert metrics["affine.size_calls"] == 7
+    assert metrics["affine.size_calls"] == 0
     assert metrics["ehrhart.enumerator_fresh"] == 1
 
 
@@ -83,7 +83,7 @@ def test_tracer_sees_every_layer_of_the_cores_command(capsys):
     spans = {}
     for sid, name, _, _, _ in tracer.spans:
         spans.setdefault(name, []).append(sid)
-    assert len(spans["affine.size_lattice_total"]) == 7
+    assert len(spans.get("affine.size_lattice_total", [])) == 0
     assert len(spans["cores.from_coroot"]) == 7
     (main,), (top,) = spans["cli.main"], spans["sommers.enumerate_cores"]
     assert parent[main] == -1 and parent[top] == main

@@ -122,6 +122,8 @@ GOLDEN_STDOUT = {
     # f = 3
     ("cores", "E6", "7"): "c7cc763ce21374b92a3b331bd948b6b8a3c87a9b2df25397cbe29b757e192816",
     ("cores", "F4", "13"): "a31489fc2ea046fbfa17e86913c650ef6ece1d1d53131baebee96f2b576ef200",
+    # 352 points, f = 2
+    ("cores", "E7", "11"): "47d2ff0f2eddec878746b7d656472ab8e5589a961d872f18ba09a6f007c5e3b5",
     ("cores", "C3", "5", "--format", "csv"):
         "e827877f360a962c4bfbe7250edb0c432a48c2aef2e5ffb722e9d7b94a8e4d4e",
 }

@@ -15,7 +15,7 @@ from itertools import permutations
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers
@@ -227,6 +227,26 @@ def test_mapped_alcove_points_equal_the_facet_walk(case):
     assert mapped == sommers._direct_scan(sommers.sommers_region(rs, b))
     assert sommers.enumerate_cores(rs, b).points == tuple(mapped)
 
+
+
+@PROPERTY
+@given(type_and_b(max_b=13))
+@example((build_named("B3"), 7))
+@example((build_named("C3"), 5))
+@example((build_named("F4"), 7))
+@example((build_named("G2"), 13))
+def test_region_sizes_equal_the_per_point_fractions(case):
+    """The per-row integer sizes of ``enumerate_cores`` equal the per-point
+    Fraction route, and the JSON prints each size as that Fraction."""
+    rs, b = case
+    cs = sommers.enumerate_cores(rs, b)
+    expected = [affine.size_lattice_total(rs, q) for q in cs.points]
+    assert list(cs.sizes) == expected
+    assert cs.total_size == sum(expected)
+    doc = cs.to_json_dict()
+    assert [row["size"] for row in doc["rows"]] == [str(s) for s in expected]
+    assert doc["sizes"] == [str(s) for s in sorted(expected)]
+    assert doc["max"] == str(max(expected))
 
 @st.composite
 def runner_levels(draw, max_level=4):
