@@ -20,7 +20,7 @@ print(f"boxes per content class (col - row mod {a}): {counts}")
 rs = rootsys.build_named("A2")
 k = models.type_a_coords_from_ambient(q)
 print("the same counts from the lattice statistic:",
-      tuple(int(affine.size_i_lattice(rs, k, i)) for i in range(a)))
+      tuple(map(int, affine.size_vector_lattice(rs, k))))
 
 print()
 print("toggling all boxes of one content class is the reflection action:")

@@ -12,8 +12,15 @@ Action conventions:
 * The inversion sequence of a word ``a_1 ... a_l`` has j-th entry
   ``(a_1 ... a_{j-1})(alpha_{a_j})`` with ``alpha_0 = -hr + delta``; a word
   is reduced iff every entry is a positive affine root.
+* A generator is the sparse integer map s_i = I - c p^T plus a shift.
+  ``reduced_step`` extends a reduced word by one letter on the right with
+  u = m c alone, which gives both the inversion-sequence entry and the
+  longer word's element; ``left_step`` is the step ``word_to_element``
+  applies for each letter, a product on the left.
 * ``size_i`` of a coset is computed from a reduced word of the *inverse*
   element: ``(2 / |alpha_i|^2) * sum of delta-coefficients at letter i``.
+  On the lattice side ``size_vector_lattice`` gives every size_i of a
+  point from one integer coroot norm.
 * On the lattice side the total size and its shifted form ``size_b`` (size
   is ``size_b`` at b = 1) are one integer form, ``scaled_size_b``, over 2hf.
 """
@@ -133,7 +140,7 @@ class AffineElement:
         neg_v = tuple(-x for x in linalg.matvec(self.m_inv, self.v))
         return AffineElement(self.rs, self.m_inv, self.m, neg_v)
 
-    @property
+    @cached_property
     def translation(self) -> tuple[int, ...]:
         """q in the semidirect decomposition self = w * t_q."""
         return linalg.matvec(self.m_inv, self.v)
@@ -148,12 +155,18 @@ class AffineElement:
         return self.m == linalg.identity(self.rs.rank) and not any(self.v)
 
 
+@lru_cache(maxsize=None)
+def _coroot_scales(rs: RootSystemData) -> tuple[int, ...]:
+    """The diagonal of S = diag(2 / |alpha_i|^2), which takes simple-coroot
+    to simple-root coordinates, as alpha_i^vee = (2 / |alpha_i|^2) alpha_i."""
+    return tuple(rootsys.coroot_scale(rs, i) for i in range(rs.rank))
+
+
 def _on_roots(rs: RootSystemData, mat) -> tuple[tuple[int, ...], ...]:
     """A finite map on simple-coroot coordinates, moved to simple-root
-    coordinates: S mat S^-1 with S = diag(2 / |alpha_i|^2), as alpha_i^vee
-    = (2 / |alpha_i|^2) alpha_i.  The entries are integers for Weyl group
+    coordinates: S mat S^-1.  The entries are integers for Weyl group
     elements, so the division is exact."""
-    s = [rootsys.coroot_scale(rs, i) for i in range(rs.rank)]
+    s = _coroot_scales(rs)
     return tuple(tuple(si * x // sj for x, sj in zip(row, s)) for row, si in zip(mat, s))
 
 
@@ -226,24 +239,35 @@ def _reflect_point(x: list, r: _Reflection) -> None:
         x[l] -= t * y
 
 
+def _reflect_left(m: list, m_inv_t: list, v: list, r: _Reflection) -> None:
+    """(m, m^-1, v) <- s (m, m^-1, v) in place, for the generator s = I - c p^T
+    with its shift.  s changes only the rows of ``m`` in the support of c; as
+    s is an involution, m^-1 becomes m^-1 s, whose transpose changes only in
+    the rows in the support of p, so the inverse is carried transposed."""
+    _reflect_rows(m, r.c, r.p)
+    _reflect_rows(m_inv_t, r.p, r.c)
+    _reflect_point(v, r)
+
+
 def word_to_element(rs: RootSystemData, letters: Iterable[int]) -> AffineElement:
     """The element s_{a_1} s_{a_2} ... s_{a_l} spelled by the letters a_1 ... a_l.
 
     Left-multiplies the identity by the letters from the right end, in
-    place and in integers.  A letter s = I - c p^T changes only the rows of
-    ``m`` in the support of c; as s is an involution, m^-1 becomes m^-1 s,
-    whose transpose changes only in the rows in the support of p, so the
-    inverse is carried transposed.
+    place and in integers (``_reflect_left``).
     """
     refl = _reflections(rs)
     n = rs.rank
     m, m_inv_t = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(2))
     v = [0] * n
     for i in reversed(_letters(rs, letters)):
-        r = refl[i]
-        _reflect_rows(m, r.c, r.p)
-        _reflect_rows(m_inv_t, r.p, r.c)
-        _reflect_point(v, r)
+        _reflect_left(m, m_inv_t, v, refl[i])
+    return AffineElement(rs, linalg.freeze(m), linalg.freeze(zip(*m_inv_t)), tuple(v))
+
+
+def left_step(rs: RootSystemData, i: int, el: AffineElement) -> AffineElement:
+    """s_i el, by the step ``word_to_element`` applies for each letter."""
+    m, m_inv_t, v = [list(row) for row in el.m], [list(col) for col in zip(*el.m_inv)], list(el.v)
+    _reflect_left(m, m_inv_t, v, _reflections(rs)[i])
     return AffineElement(rs, linalg.freeze(m), linalg.freeze(zip(*m_inv_t)), tuple(v))
 
 
@@ -285,11 +309,40 @@ def reduced_step(rs: RootSystemData, prefix: AffineElement, i: int):
     The entry is prefix(alpha_i), the next inversion-sequence entry; the
     element is prefix s_i when the entry is positive (the longer word is
     reduced) and None otherwise.
+
+    With s_i = I - c p^T and u = m c (m = prefix.m), both come from u.  As
+    alpha_i^vee = c, the entry's root is S u / s_i for i >= 1 and -S u for
+    i = 0 (alpha_0 = -hr + delta, hr long), S = diag(2 / |alpha_j|^2); its
+    delta part is -<p, q> for i >= 1 and 1 + <p, q> for i = 0, with q the
+    translation of ``prefix``.  The element is (m - u p^T, v + shift u),
+    with inverse (I - c p^T) m^-1.
     """
-    entry = prefix.act_root(affine_simple_root(rs, i))
+    r = _reflections(rs)[i]
+    u = [0] * rs.rank
+    for l, y in r.c:
+        u = [uk + y * row[l] for uk, row in zip(u, prefix.m)]
+    q = prefix.translation
+    t = sum(y * q[l] for l, y in r.p)
+    scale = _coroot_scales(rs)
+    if i:
+        s = scale[i - 1]
+        entry = AffineRoot(tuple(sj * uj // s for sj, uj in zip(scale, u)), -t)
+    else:
+        entry = AffineRoot(tuple(-sj * uj for sj, uj in zip(scale, u)), 1 + t)
     if not entry.is_positive():
         return entry, None
-    return entry, prefix.compose(letter_element(rs, i))
+    m = []
+    for row, uk in zip(prefix.m, u):
+        if uk:
+            row = list(row)
+            for l, y in r.p:
+                row[l] -= uk * y
+            row = tuple(row)
+        m.append(row)
+    m_inv = list(prefix.m_inv)
+    _reflect_rows(m_inv, r.c, r.p)
+    v = tuple(x + r.shift * uk for x, uk in zip(prefix.v, u)) if r.shift else prefix.v
+    return entry, AffineElement(rs, tuple(m), linalg.freeze(m_inv), v)
 
 
 def inversion_sequence(rs: RootSystemData, word) -> list[AffineRoot]:
@@ -330,7 +383,7 @@ def scale_letter_totals(rs: RootSystemData, totals) -> tuple[int, ...]:
     """(size_0, ..., size_n) from the per-letter sums of the delta-coefficients
     of an inversion sequence: letter i's sum times 2 / |alpha_i|^2, which is
     1 for alpha_0 and the long simple roots and r for the short ones."""
-    return (totals[0],) + tuple(rootsys.coroot_scale(rs, i) * t for i, t in enumerate(totals[1:]))
+    return (totals[0],) + tuple(s * t for s, t in zip(_coroot_scales(rs), totals[1:]))
 
 
 def size_vector_word(rs: RootSystemData, word) -> tuple[Fraction, ...]:
@@ -342,14 +395,20 @@ def size_vector_word(rs: RootSystemData, word) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, scale_letter_totals(rs, totals)))
 
 
-def size_i_lattice(rs: RootSystemData, q, i: int) -> Fraction:
-    """size_i(q) = <(c_i / 2) q - omegacheck_i, q> with c_0 = 1, omegacheck_0 = 0,
-    from the integer coroot Gram and <omegacheck_i, q> = (2 / |alpha_i|^2) q_i."""
-    marks = (1,) + rs.highest_root_coeffs
+def size_vector_lattice(rs: RootSystemData, q) -> tuple[Fraction, ...]:
+    """(size_0(q), ..., size_n(q)) with size_i(q) = <(c_i / 2) q - omegacheck_i, q>,
+    c_0 = 1 and omegacheck_0 = 0: one norm |q|^2 from the integer coroot Gram,
+    and <omegacheck_i, q> = (2 / |alpha_i|^2) q_i."""
     norm2 = sum(x * g * y for x, row in zip(q, rs.gram_coroot, strict=True)
                 for g, y in zip(row, q, strict=True))
-    pairing = rootsys.coroot_scale(rs, i - 1) * q[i - 1] if i else 0
-    return Fraction(marks[i] * norm2 - 2 * pairing, 2)
+    return (Fraction(norm2, 2),) + tuple(
+        Fraction(c * norm2 - 2 * s * x, 2)
+        for c, s, x in zip(rs.highest_root_coeffs, _coroot_scales(rs), q))
+
+
+def size_i_lattice(rs: RootSystemData, q, i: int) -> Fraction:
+    """size_i(q), entry i of ``size_vector_lattice``."""
+    return size_vector_lattice(rs, q)[i]
 
 
 def size_lattice_total(rs: RootSystemData, q) -> Fraction:

@@ -212,8 +212,7 @@ def check_sizer(count: int = 1000, types=None) -> list:
             letters = affine.random_reduced_word(rng, rs, 10)
             q = affine.apply(rs, letters, (0,) * rs.rank)
             word_sizes = affine.size_vector_word(rs, letters[::-1])
-            lattice = tuple(affine.size_i_lattice(rs, q, i) for i in range(rs.rank + 1))
-            if word_sizes != lattice:
+            if word_sizes != affine.size_vector_lattice(rs, q):
                 yield {"word": list(letters)}
     return _counterexamples(({"type": t}, partial(check, build_named(t))) for t in types)
 
@@ -221,7 +220,10 @@ def check_sizer(count: int = 1000, types=None) -> list:
 def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
     """All reduced words of one element give one size vector, invariant under
     appending a finite letter on the left of the word (right-multiplication of
-    the represented coset element)."""
+    the represented coset element).  The walk visits every reduced word of at
+    most ``max_len`` letters, a number that grows exponentially in it, and
+    refuses with FeasibilityError on the word past the cap read when it
+    starts."""
     unsupported = [t for t in types if t not in WELLDEF_TYPES]
     if unsupported:
         raise ValueError(f"welldef does not support {', '.join(unsupported)}; "
@@ -229,8 +231,12 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
 
     def check(rs):
         by_element: dict = {}
+        cap, visited = sommers._CAP.get(), itertools.count(1)
 
         def dfs(el, letters, totals):
+            if next(visited) > cap:
+                raise sommers.FeasibilityError(
+                    f"reduced words of {rs.cartan_type} up to --length {max_len} exceed cap {cap}")
             vec = affine.scale_letter_totals(rs, totals)
             prior = by_element.setdefault(el.key(), (vec, el))
             if prior[0] != vec:
@@ -248,7 +254,7 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
         yield from dfs(affine.identity_element(rs), (), [0] * (rs.rank + 1))
         for key, (vec, el) in by_element.items():
             for i in range(1, rs.rank + 1):
-                other = by_element.get(affine.letter_element(rs, i).compose(el).key())
+                other = by_element.get(affine.left_step(rs, i, el).key())
                 if other is not None and other[0] != vec:
                     yield {"element": str(key), "finite_letter": i}
     return _counterexamples(({"type": t}, partial(check, build_named(t))) for t in types)
@@ -264,8 +270,7 @@ def check_ip_content() -> list:
             ambient = cores.to_coroot(parts, a)
             k = models.type_a_coords_from_ambient(ambient)
             counts = cores.content_counts(parts, a)
-            lattice = tuple(affine.size_i_lattice(rs, k, i) for i in range(a))
-            if tuple(map(Fraction, counts)) != lattice:
+            if tuple(map(Fraction, counts)) != affine.size_vector_lattice(rs, k):
                 yield {"partition": list(parts)}
                 continue
             for i in range(a):
@@ -294,11 +299,12 @@ def check_models() -> list:
         for k in model_test_points(t, radius):
             emb = models.embed(t, k)
             sizes = models.model_size_vector(t, k)
+            lattice = affine.size_vector_lattice(rs, k)
             for i in range(t.rank + 1):
                 moved = models.embed(t, affine.apply(rs, (i,), k)).image
                 if moved != models.act_model_generator(t, i, emb.image):
                     yield {"point": list(k), "generator": i}
-                if sizes[i] != affine.size_i_lattice(rs, k, i):
+                if sizes[i] != lattice[i]:
                     yield {"point": list(k), "size_index": i}
             if sum(sizes) != affine.size_lattice_total(rs, k):
                 yield {"point": list(k), "total": True}

@@ -117,3 +117,25 @@ def test_a_refusal_passes_through_the_tracer():
     assert tracer.counts["sommers.alcove_m_visited"] == visited_at_b3
     assert tracer.enumerator_keys == {(rs.cartan_type, 3), (rs.cartan_type, 5)}
     assert {(holder, name): vars(holder)[name] for holder, name in wrapped} == wrapped
+
+
+@pytest.mark.parametrize("argv, suite", [
+    (["verify", "sizer", "--type", "A2", "--count", "5"], "verify.sizer_s"),
+    (["verify", "welldef", "--type", "A2", "--length", "3"], "verify.welldef_s"),
+])
+def test_tracer_times_the_word_side_suites(capsys, argv, suite):
+    tracing = load_tracing()
+    originals = (affine.AffineElement.compose, affine.size_i_lattice, affine.inversion_sequence)
+    before = tracing.cache_counts()
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    try:
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0 and json.loads(capsys.readouterr().out)["pass"] is True
+    after = tracing.cache_counts()
+    delta = {k: (after[k][0] - before[k][0], after[k][1] - before[k][1]) for k in after}
+    assert suite in tracer.metrics(delta)
+    assert (affine.AffineElement.compose, affine.size_i_lattice,
+            affine.inversion_sequence) == originals

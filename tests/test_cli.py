@@ -428,6 +428,8 @@ def test_a_refusal_is_not_a_counterexample(capsys, theorem):
     # fg_poly reaches the cap through ehrhart, conjecture through affine
     ("fg_poly", 1, "predicted count 8 for G2, b=7 exceeds cap 1"),
     ("conjecture", 1, "predicted count 2 for A2, b=2 exceeds cap 1"),
+    # welldef caps the reduced words its walk visits, A1's 17 first
+    ("welldef", 16, "reduced words of A1 up to --length 8 exceed cap 16"),
 ])
 def test_the_cap_reaches_every_suite_that_enumerates(monkeypatch, capsys, theorem, cap, message):
     # the cap guards fresh work only, so start from an empty enumerator cache
@@ -542,3 +544,10 @@ def test_haiman_refuses_on_the_predicted_count_before_enumerating(monkeypatch, c
 
 def test_missing_subcommand(capsys):
     assert cli.main([]) == 2
+
+
+def test_the_welldef_cap_admits_as_many_words_as_it_names(capsys):
+    # A1 has 1 + 2 * 8 = 17 reduced words of length at most 8; cap 16 is
+    # refused in test_the_cap_reaches_every_suite_that_enumerates
+    assert cli.main(["verify", "welldef", "--type", "A1", "--cap", "17"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True

@@ -1,12 +1,13 @@
 """Hypothesis property tests for the alcove reduction, w_b, the word
-action, the shifted size statistic and its invariance under the
-automorphisms of the extended Dynkin diagram, the alcove and region
-points, the a-core bijection with its toggles, and the model embeddings.
+action, the generator steps of reduced words, the lattice sizes, the
+shifted size statistic and its invariance under the automorphisms of the
+extended Dynkin diagram, the alcove and region points, the a-core
+bijection with its toggles, and the model embeddings.
 
 They run beside the fixed cases in test_affine.py, test_sommers.py,
 test_cores.py, test_models.py and ``verify models``' point grids, over
-random types of rank <= 8, random dilations b, random runner levels and
-random lattice points.
+random types of rank <= 8, random dilations b, random reduced words,
+random runner levels and random lattice points.
 """
 
 from fractions import Fraction
@@ -176,6 +177,56 @@ def test_lattice_sizes_match_their_definitions(name, data):
     total, parts = sizes_by_definition(rs, q)
     assert affine.size_lattice_total(rs, q) == total
     assert [affine.size_i_lattice(rs, q, i) for i in range(rs.rank + 1)] == parts
+
+
+@PROPERTY
+@given(st.sampled_from(TYPES), st.data())
+def test_size_vector_is_the_definition_from_one_norm(name, data):
+    rs = build_named(name)
+    q = tuple(data.draw(st.integers(-8, 8)) for _ in range(rs.rank))
+    vector = affine.size_vector_lattice(rs, q)
+    assert vector == tuple(sizes_by_definition(rs, q)[1])
+    assert sum(vector) == affine.size_lattice_total(rs, q)
+
+
+#: types of every family but E, for the word-side generator steps
+WORD_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "F4", "G2"]
+
+
+def reduced_prefix(data, rs, max_len=10):
+    """A random reduced word's element, built by the oracles: a drawn letter
+    is kept when ``act_root`` sends its simple root to a positive root, and
+    the element grows by ``AffineElement.compose``."""
+    prefix = affine.identity_element(rs)
+    for i in data.draw(st.lists(st.integers(0, rs.rank), max_size=max_len)):
+        if prefix.act_root(affine.affine_simple_root(rs, i)).is_positive():
+            prefix = prefix.compose(affine.letter_element(rs, i))
+    return prefix
+
+
+@PROPERTY
+@given(st.sampled_from(WORD_TYPES), st.data())
+def test_reduced_step_is_the_root_action_and_the_product(name, data):
+    rs = build_named(name)
+    prefix = reduced_prefix(data, rs)
+    for i in range(rs.rank + 1):
+        entry, longer = affine.reduced_step(rs, prefix, i)
+        assert entry == prefix.act_root(affine.affine_simple_root(rs, i))
+        assert (longer is None) == (not entry.is_positive())
+        if longer is not None:
+            product = prefix.compose(affine.letter_element(rs, i))
+            assert (longer.m, longer.m_inv, longer.v) == (product.m, product.m_inv, product.v)
+
+
+@PROPERTY
+@given(st.sampled_from(WORD_TYPES), st.data())
+def test_left_step_is_the_left_product(name, data):
+    rs = build_named(name)
+    el = reduced_prefix(data, rs)
+    for i in range(rs.rank + 1):
+        step, product = affine.left_step(rs, i, el), affine.letter_element(rs, i).compose(el)
+        assert (step.m, step.m_inv, step.v) == (product.m, product.m_inv, product.v)
+        assert linalg.matmul(step.m, step.m_inv) == linalg.identity(rs.rank)
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4", "A3"])
