@@ -40,18 +40,18 @@ def clear_enumerator_cache() -> None:
 def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     """Sum of size_b over the coweight-lattice points of the b-dilated alcove.
 
-    The walk ``sommers.iter_alcove_m`` is read in int64 blocks of at most
-    ``sommers.ALCOVE_BLOCK`` rows (``sommers.walk_blocks``), each summed
-    by the integer form of ``affine.scaled_size_b`` and added as a Python
-    int.  Every row has sum m_i <= b, so ALCOVE_BLOCK times
+    The block walk ``sommers.alcove_blocks`` gives the tuples m in int64
+    blocks of at most ``sommers.ALCOVE_BLOCK`` rows, each summed by the
+    integer form of ``affine.scaled_size_b`` and added as a Python int.
+    Every row has sum m_i <= b, so ALCOVE_BLOCK times
     ``affine.SizeForm.bound`` at b, asserted below 2**63 before the walk
     starts, keeps each block sum exact.  The independent checks of the
     total are ``expected_size`` (region mean and closed form) and
     ``verify fg_poly`` (fits against the predicted polynomial).
 
     Values are cached per (system, b); the cap only guards fresh work.  For
-    b coprime to h the f * ``haiman_count`` tuples are refused up front when
-    the count exceeds the cap; for other b, on reaching cap * f tuples.
+    b coprime to h the f * ``haiman_count`` rows are refused up front when
+    the count exceeds the cap; for other b, before passing cap * f rows.
     """
     cached = _ENUMERATOR_CACHE.get((rs.cartan_type, b))
     if cached is not None:
@@ -62,8 +62,7 @@ def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
         sommers.capped_haiman_count(rs, b)
     denom, size = affine.scaled_size_b(rs, b)
     assert sommers.ALCOVE_BLOCK * size.bound(b) < 2**63, "int64 bound of the size blocks"
-    blocks = sommers.walk_blocks(sommers.iter_alcove_m(rs, b), rs.rank)
-    value = Fraction(sum(map(size.block_total, blocks)), denom)
+    value = Fraction(sum(map(size.block_total, sommers.alcove_blocks(rs, b))), denom)
     _ENUMERATOR_CACHE[(rs.cartan_type, b)] = value
     return value
 

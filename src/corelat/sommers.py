@@ -15,13 +15,12 @@ in type C, which ``simultaneous_selfconjugate`` also uses.
 ``enumerate_cores`` computes the point set two independent ways — by
 mapping the dilated-alcove points through the inverse dilation element,
 and by walking the region in the slack coordinates of its own n + 1
-inequalities — and requires the two to agree.  One knapsack walk serves
-both simplices, and one int64 step under an asserted bound
-(``_integral_solve``) maps walk rows to points.  The sizes of all the points
-are one per-row integer form over their int64 array
-(``affine.size_numerators``), kept on the ``CoreSet`` as numerators over
-2 h f; the per-point statistics (``size_lattice_total``, ``size_b``) live in
-``affine`` too.
+inequalities — and requires the two to agree.  One knapsack block walk
+(``_walk``) serves both simplices: int64 blocks built one coordinate per
+level, with no Python tuple per point.  One int64 step under an asserted
+bound (``_integral_solve``) maps its rows to points.  The points' sizes are
+one per-row integer form (``affine.size_numerators``), kept on the
+``CoreSet`` as numerators over 2 h f.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import gcd, prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -117,56 +116,59 @@ def alcove_vertices(rs: RootSystemData) -> list[tuple[Fraction, ...]]:
     return verts
 
 
-def _extend(walk, c: int):
-    """Each (prefix, budget) of ``walk`` followed by every next coordinate v
-    with c * v <= budget, in increasing v, with the budget left over."""
-    return ((p + (v,), r - c * v) for p, r in walk for v in range(r // c + 1))
+def _walk(marks, budget: int) -> Iterator[np.ndarray]:
+    """The v >= 0 with sum marks_i v_i <= budget (a knapsack simplex), in
+    lexicographic order, one coordinate per level, in int64 blocks of at most
+    ``ALCOVE_BLOCK`` rows cut anywhere.  No value passes ALCOVE_BLOCK * (budget + 1)."""
+    assert ALCOVE_BLOCK * (budget + 1) < 2**63, "int64 bound of the walk"
+
+    def expand(rows, rem, level):
+        if level == len(marks):
+            yield rows
+            return
+        c, counts = marks[level], rem // marks[level] + 1
+        ends = counts.cumsum()
+        starts, total = ends - counts, int(ends[-1])
+        for lo in range(0, total, ALCOVE_BLOCK):
+            hi = min(lo + ALCOVE_BLOCK, total)
+            first, last = ends.searchsorted(lo, side="right"), starts.searchsorted(hi)
+            parent = np.arange(first, last).repeat(
+                np.minimum(ends[first:last], hi) - np.maximum(starts[first:last], lo))
+            v = np.arange(lo, hi) - starts[parent]
+            rows_v = np.concatenate((rows[parent], v[:, None]), axis=1)
+            yield from expand(rows_v, rem[parent] - c * v, level + 1)
+    return expand(np.zeros((1, 0), dtype=np.int64), np.array([budget], dtype=np.int64), 0)
 
 
-def _walk(marks, budget: int) -> Iterator[tuple[int, ...]]:
-    """Tuples v >= 0 with sum marks_i v_i <= budget, in lexicographic order:
-    the lattice points of a knapsack simplex, one coordinate per level."""
-    *prefix_marks, last = marks
-    walk = [((), budget)]
-    for c in prefix_marks:
-        walk = _extend(walk, c)
-    return (p + (v,) for p, r in walk for v in range(r // last + 1))
+def alcove_blocks(rs: RootSystemData, b: int) -> Iterator[np.ndarray]:
+    """Dominant m with m_i = <q, alpha_i> >= 0 and sum c_i m_i <= b, the
+    coweight points of the b-dilated alcove (f per coroot point when
+    gcd(b, h) = 1), as the ``_walk`` blocks.  FeasibilityError is raised
+    before the block that passes cap * f rows, the cap read at the start."""
+    cap, f, rows = _CAP.get(), rs.index_of_connection, 0
+    for block in _walk(rs.highest_root_coeffs, b):
+        if (rows := rows + len(block)) > cap * f:
+            raise FeasibilityError(f"coweight points of the dilated alcove of {rs.cartan_type}, "
+                                   f"b={b} exceed cap * f = {cap} * {f} = {cap * f}")
+        yield block
 
 
 def iter_alcove_m(rs: RootSystemData, b: int) -> Iterator[tuple[int, ...]]:
-    """Dominant tuples m with m_i = <q, alpha_i> >= 0 and sum c_i m_i <= b,
-    in lexicographic order.
-
-    These index the coweight-lattice points of the b-dilated alcove, f per
-    coroot point when gcd(b, h) = 1.  FeasibilityError is raised on
-    reaching a tuple past cap * f, the cap read when the walk starts.
-    """
-    tuples = _walk(rs.highest_root_coeffs, b)
-    cap, f = _CAP.get(), rs.index_of_connection
-    yield from islice(tuples, cap * f)
-    if next(tuples, None) is not None:
-        raise FeasibilityError(f"coweight points of the dilated alcove of {rs.cartan_type}, b={b} "
-                               f"exceed cap * f = {cap} * {f} = {cap * f}")
+    """The rows of ``alcove_blocks`` as tuples of Python ints, with the same
+    refusal: a view for tests and tracing; the package reads the blocks."""
+    return chain.from_iterable(map(_tuples, alcove_blocks(rs, b)))
 
 
-def walk_blocks(walk: Iterator[tuple[int, ...]], n: int) -> Iterator[np.ndarray]:
-    """The n-tuples of ``walk``, in order, as int64 arrays of at most
-    ``ALCOVE_BLOCK`` rows each; an exception of the walk passes through."""
-    while (block := np.fromiter(chain.from_iterable(islice(walk, ALCOVE_BLOCK)),
-                                dtype=np.int64)).size:
-        yield block.reshape(-1, n)
+def _integral_solve(blocks: Iterable[np.ndarray], mat, shift, det: int) -> np.ndarray:
+    """The integral points (M s + v) / det over the rows s of the int64
+    ``blocks``, as the rows of an int64 array in lexicographic order.
 
-
-def _integral_solve(walk: Iterator[tuple[int, ...]], mat, shift, det: int) -> np.ndarray:
-    """The integral points (M s + v) / det over the tuples s of ``walk``, as
-    the rows of an int64 array in lexicographic order.
-
-    Each block of ``walk_blocks`` is one int64 product, exact under the bound
+    Each block is one int64 product, exact under the bound
     n * max|M| * max|s| + max|v| < 2**62 asserted on the block's own maxima."""
     mat, shift = np.array(mat, dtype=np.int64), np.array(shift, dtype=np.int64)
     n, mat_max, shift_max = mat.shape[1], int(np.abs(mat).max()), int(np.abs(shift).max())
     kept = []
-    for s in walk_blocks(walk, n):
+    for s in blocks:
         assert n * mat_max * int(np.abs(s).max()) + shift_max < 2**62, "int64 bound of the solve"
         x = s @ mat.T + shift
         kept.append(x[(x % det == 0).all(axis=1)] // det)
@@ -185,8 +187,8 @@ def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> lis
 
     ``lattice`` is "coroot" or "coweight".  Coweight points may have
     rational coordinates; coroot points are the subset with integer ones,
-    recognized via the adjugate of the Cartan matrix.  The tuples m of
-    ``iter_alcove_m`` go through the adjugate block by block
+    recognized via the adjugate of the Cartan matrix.  The int64 blocks of
+    ``alcove_blocks`` go through the adjugate block by block
     (``_integral_solve``): coroot points are the rows divisible by f,
     coweight points every row over f.
     """
@@ -195,11 +197,9 @@ def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> lis
     if lattice not in ("coroot", "coweight"):
         raise ValueError(f"unknown lattice {lattice!r}")
     f = rs.index_of_connection
-    rows = _tuples(_integral_solve(iter_alcove_m(rs, b), rs.cartan_adjugate, [0] * rs.rank,
+    rows = _tuples(_integral_solve(alcove_blocks(rs, b), rs.cartan_adjugate, [0] * rs.rank,
                                    f if lattice == "coroot" else 1))
-    if lattice == "coroot":
-        return rows
-    return [tuple(Fraction(x, f) for x in row) for row in rows]
+    return rows if lattice == "coroot" else [tuple(Fraction(x, f) for x in row) for row in rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +298,7 @@ def _direct_scan(sr: SommersRegion) -> list[tuple[int, ...]]:
     root.  The adjugate of these rows inverts s = F (x, 1); its last row over
     its gcd is the positive relation sum mu_j N_j = 0, so sum mu_j s_j =
     sum mu_j o_j is the budget.  Facet k with mu_k = 1 (the image of the
-    affine wall) is dropped: the others walk like ``iter_alcove_m``."""
+    affine wall) is dropped: the others walk like ``alcove_blocks``."""
     facets = ([r.pair_vec + (sr.t_b,) for r in sr.height_low_roots]
               + [tuple(-p for p in r.pair_vec) + (sr.t_b + 1,) for r in sr.height_high_roots])
     det, adj = linalg.adjugate(facets)
@@ -317,17 +317,18 @@ def _direct_scan(sr: SommersRegion) -> list[tuple[int, ...]]:
 def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
     """The coroot-lattice points of the b-region, with their sizes.
 
-    Computed by mapping the dilated-alcove points through the inverse
-    dilation element (one ``_integral_solve`` step), and checked against the
-    walk of the region's own inequalities (``_direct_scan``); a disagreement
-    raises AssertionError.  When gcd(b, h) = 1 both walks visit f tuples per
-    point, so the up-front ``capped_haiman_count`` bounds them.  The sizes
-    are computed in one step over the mapped points' int64 array
-    (``affine.size_numerators``).
+    Computed by mapping the dilated-alcove points, as one int64 block,
+    through the inverse dilation element (one ``_integral_solve`` step),
+    and checked against the walk of the region's own inequalities
+    (``_direct_scan``); a disagreement raises AssertionError.  When
+    gcd(b, h) = 1 both walks visit f rows per point, so the up-front
+    ``capped_haiman_count`` bounds them.  The sizes are one step over the
+    mapped points' int64 array (``affine.size_numerators``).
     """
     predicted = capped_haiman_count(rs, b)
     wb_inv = affine.compute_w_b(rs, b).inverse()
-    points = _integral_solve(iter(enumerate_alcove(rs, b, "coroot")), wb_inv.m, wb_inv.v, 1)
+    alcove = np.fromiter(chain.from_iterable(enumerate_alcove(rs, b, "coroot")), dtype=np.int64)
+    points = _integral_solve([alcove.reshape(-1, rs.rank)], wb_inv.m, wb_inv.v, 1)
     mapped = _tuples(points)
     if len(mapped) != predicted:
         raise AssertionError(

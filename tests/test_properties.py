@@ -1,8 +1,8 @@
 """Hypothesis property tests for the alcove reduction, w_b, the word
 action, the generator steps of reduced words, the lattice sizes, the
 shifted size statistic and its invariance under the automorphisms of the
-extended Dynkin diagram, the alcove and region points, the a-core
-bijection with its toggles, and the model embeddings.
+extended Dynkin diagram, the knapsack block walk, the alcove and region
+points, the a-core bijection with its toggles, and the model embeddings.
 
 They run beside the fixed cases in test_affine.py, test_sommers.py,
 test_cores.py, test_models.py and ``verify models``' point grids, over
@@ -12,8 +12,9 @@ random runner levels and random lattice points.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import gcd
+from itertools import permutations, product
+from math import gcd, prod
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -267,6 +268,36 @@ def test_enumerate_alcove_matches_the_tuple_loop(name, b, lattice):
         except sommers.FeasibilityError as exc:
             found = str(exc)
         assert found == alcove_by_matvec(rs, b, lattice)
+
+
+@st.composite
+def knapsacks(draw):
+    """Marks (1-6 entries, each 1-6) and a budget from 0 to 40, the budget
+    capped where the product oracle would pass 2,000 tuples."""
+    marks = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    top = max(b for b in range(41) if prod(b // c + 1 for c in marks) <= 2000)
+    return marks, draw(st.integers(0, top))
+
+
+@PROPERTY
+@given(knapsacks(), st.sampled_from([1, 3, sommers.ALCOVE_BLOCK]))
+def test_walk_blocks_are_the_filtered_product_within_the_limit(case, limit):
+    marks, budget = case
+    oracle = [m for m in product(*(range(budget // c + 1) for c in marks))
+              if sum(c * x for c, x in zip(marks, m)) <= budget]
+    with patch.object(sommers, "ALCOVE_BLOCK", limit):
+        blocks = list(sommers._walk(marks, budget))
+    assert [tuple(row) for block in blocks for row in block.tolist()] == oracle
+    assert max(map(len, blocks)) <= limit
+
+
+def test_a_prefix_longer_than_a_block_is_split():
+    """A1 at b = 10**4 is one range of 10**4 + 1 rows: every block stays
+    within ALCOVE_BLOCK, which keeps ALCOVE_BLOCK * SizeForm.bound(b) a
+    bound of each block sum."""
+    blocks = list(sommers.alcove_blocks(build_named("A1"), 10**4))
+    assert max(map(len, blocks)) <= sommers.ALCOVE_BLOCK
+    assert [m for block in blocks for (m,) in block.tolist()] == list(range(10**4 + 1))
 
 
 @PROPERTY

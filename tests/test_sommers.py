@@ -400,6 +400,7 @@ def test_facet_walk_reads_no_dilation_element(monkeypatch, name, b):
         raise RuntimeError("the direct route read w_b or the alcove walk")
     monkeypatch.setattr(affine, "compute_w_b", refuse)
     monkeypatch.setattr(sommers, "iter_alcove_m", refuse)
+    monkeypatch.setattr(sommers, "alcove_blocks", refuse)
     assert sommers._direct_scan(sommers.sommers_region(rs, b)) == list(points)
 
 
