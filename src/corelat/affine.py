@@ -418,9 +418,10 @@ def size_lattice_total(rs: RootSystemData, q) -> Fraction:
 
 @dataclass(frozen=True)
 class SizeForm:
-    """The integer form s(m) = m^T Q m - L^T m + c of ``scaled_size_b``,
-    evaluated per tuple of Python ints or per row of an int64 array.  Both
-    read the same coefficients."""
+    """The integer form s(m) = m^T Q m - L^T m + c of ``scaled_size_b``.
+    Called on a tuple of Python ints it is the reference; ``step`` is the
+    checked int64 kernel step ``linalg.QuadraticRows`` of the same
+    coefficients, for the rows of int64 arrays."""
 
     quad: tuple[tuple[int, ...], ...]
     lin: tuple[int, ...]
@@ -436,34 +437,14 @@ class SizeForm:
             lin += coeffs[i] * x
         return quad - lin + self.const
 
-    def bound(self, mass: int) -> int:
-        """An upper bound of |s(m)|, and of every partial sum in the array
-        evaluation of one row, over integer m (of either sign) with
-        sum |m_i| <= mass."""
-        return (max(abs(x) for row in self.quad for x in row) * mass * mass
-                + max(map(abs, self.lin)) * mass + abs(self.const))
-
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.quad, dtype=np.int64), np.array(self.lin, dtype=np.int64)
-
-    def _evaluate(self, m: np.ndarray) -> np.ndarray:
-        q, l = self._arrays
-        return ((m @ q) * m).sum(axis=1) - m @ l + self.const
+    def step(self) -> linalg.QuadraticRows:
+        return linalg.QuadraticRows(self.quad, self.lin, self.const)
 
     def per_row(self, m: np.ndarray) -> np.ndarray:
-        """s of each row of the int64 array m, as ((m Q) * m).sum(1) - m L + c;
-        exact under ``bound`` of the rows' largest sum |m_i| below 2**63,
-        asserted here on m's own rows."""
-        mass = int(np.abs(m).sum(axis=1).max(initial=0))
-        assert self.bound(mass) < 2**63, "int64 bound of the row sizes"
-        return self._evaluate(m)
-
-    def block_total(self, m: np.ndarray) -> int:
-        """The sum of s over the rows of the int64 array m; exact when
-        len(m) * ``bound`` of the rows' largest sum |m_i| is below 2**63,
-        which the caller asserts."""
-        return int(self._evaluate(m).sum())
+        """s of each row of the int64 array m, by ``step`` under the bound of
+        m's own rows."""
+        return self.step(m)
 
 
 @lru_cache(maxsize=None)
@@ -482,14 +463,10 @@ def scaled_size_b(rs: RootSystemData, b: int) -> tuple[int, SizeForm]:
 
 def size_numerators(rs: RootSystemData, x: np.ndarray) -> tuple[int, np.ndarray]:
     """(d, s) with size(x_k) = s_k / d for each row x_k of the int64 array x
-    of coroot points: the pairings m = x A^T, one int64 product exact under
-    n * max|A| * max|x| < 2**63 asserted on x's own entries, then the
-    per-row form ``SizeForm.per_row`` of ``scaled_size_b`` at b = 1."""
+    of coroot points: the pairings m = x A^T (``linalg.AffineRows``), then
+    the per-row form ``SizeForm.per_row`` of ``scaled_size_b`` at b = 1."""
     d, form = scaled_size_b(rs, 1)
-    a = np.array(rs.cartan_matrix, dtype=np.int64)
-    assert rs.rank * int(np.abs(a).max()) * int(np.abs(x).max(initial=0)) < 2**63, \
-        "int64 bound of the pairings"
-    return d, form.per_row(x @ a.T)
+    return d, form.per_row(linalg.AffineRows(rs.cartan_matrix, [0] * rs.rank)(x))
 
 
 def size_b(rs: RootSystemData, b: int, x) -> Fraction:

@@ -5,8 +5,9 @@ Everything is exact: sums are accumulated as integers against a scaled
 Gram matrix of the fundamental coweights, polynomials are fitted by
 Lagrange interpolation over Fractions, and every identity asserted here
 is an equality of rationals.  The weighted enumerator sums the alcove
-walk in numpy int64 blocks under an asserted bound that keeps every
-block sum exact, and adds the block sums as Python ints.
+walk in numpy int64 blocks, each by the checked kernel step
+``linalg.QuadraticRows``, whose bound is asserted once before the walk
+starts, and adds the block sums as Python ints.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     The block walk ``sommers.alcove_blocks`` gives the tuples m in int64
     blocks of at most ``sommers.ALCOVE_BLOCK`` rows, each summed by the
     integer form of ``affine.scaled_size_b`` and added as a Python int.
-    Every row has sum m_i <= b, so ALCOVE_BLOCK times
-    ``affine.SizeForm.bound`` at b, asserted below 2**63 before the walk
-    starts, keeps each block sum exact.  The independent checks of the
+    Every row has sum m_i <= b, so the kernel's check of ALCOVE_BLOCK rows
+    of mass b (``linalg.QuadraticRows.check_total``), run before the walk
+    starts, covers every block sum.  The independent checks of the
     total are ``expected_size`` (region mean and closed form) and
     ``verify fg_poly`` (fits against the predicted polynomial).
 
@@ -61,8 +62,8 @@ def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     if gcd(b, rs.coxeter_number) == 1:
         sommers.capped_haiman_count(rs, b)
     denom, size = affine.scaled_size_b(rs, b)
-    assert sommers.ALCOVE_BLOCK * size.bound(b) < 2**63, "int64 bound of the size blocks"
-    value = Fraction(sum(map(size.block_total, sommers.alcove_blocks(rs, b))), denom)
+    size.step.check_total(sommers.ALCOVE_BLOCK, b)
+    value = Fraction(sum(size.step.total(m, b) for m in sommers.alcove_blocks(rs, b)), denom)
     _ENUMERATOR_CACHE[(rs.cartan_type, b)] = value
     return value
 

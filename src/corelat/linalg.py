@@ -1,9 +1,19 @@
-"""Exact linear algebra for small dense matrices over the rationals.
+"""Exact linear algebra: small dense matrices over the rationals, and the
+checked int64 kernel.
 
 Matrices are immutable tuples of tuples; entries are ints or Fractions.
+The kernel's two steps on the rows of int64 arrays, ``AffineRows`` and
+``QuadraticRows``, are the package's only numpy array products.  Before
+it multiplies, each step asserts that every value it forms, partial sums
+included, stays below 2**63, so its results are exact.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+#: a checked step asserts that every value it forms is below this in absolute value
+INT64_LIMIT = 2**63
 
 
 def freeze(rows) -> tuple:
@@ -58,3 +68,75 @@ def adjugate(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
                 rows[i] = [(pivot * x - factor * y) // prev for x, y in zip(row, pivot_row)]
         prev = pivot
     return abs(prev), freeze((x if prev > 0 else -x for x in row[n:]) for row in rows)
+
+
+def _peak(a: np.ndarray) -> int:
+    """max |a_i| over an int64 array, 0 if it is empty, as a Python int."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _row_mass(m: np.ndarray) -> int:
+    """The largest sum |m_i| over the rows of an int64 array, or the upper
+    bound n * max|m| where int64 row sums could wrap."""
+    n, peak = m.shape[1], _peak(m)
+    if n * peak >= INT64_LIMIT:
+        return n * peak
+    return int(np.abs(m).sum(axis=1).max(initial=0))
+
+
+class AffineRows:
+    """The checked int64 step x -> x M^T + v on the rows x of an int64 array,
+    for an integer matrix M with n columns and an integer vector v.
+
+    An entry of x M^T is a sum of n products, each at most max|M| max|x| in
+    absolute value, so it and every partial sum, and then the entry plus v,
+    are within n max|M| max|x| + max|v|.  The step asserts this bound below
+    2**63 on x's own maximum before it multiplies."""
+
+    def __init__(self, mat, shift):
+        self.mat, self.shift = np.array(mat, dtype=np.int64), np.array(shift, dtype=np.int64)
+        self._scale, self._offset = self.mat.shape[1] * _peak(self.mat), _peak(self.shift)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        assert self._scale * _peak(x) + self._offset < INT64_LIMIT, "int64 bound of the affine rows"
+        return x @ self.mat.T + self.shift
+
+
+class QuadraticRows:
+    """The checked int64 step m -> s(m) = m^T Q m - L^T m + c on the rows m
+    of an int64 array, for an integer matrix Q, vector L and constant c,
+    evaluated as ((m Q) * m).sum(1) - m L + c.  Its values are the sizes of
+    ``affine.scaled_size_b``, whence the names in its messages."""
+
+    def __init__(self, quad, lin, const: int):
+        self.quad, self.lin, self.const = (np.array(quad, dtype=np.int64),
+                                           np.array(lin, dtype=np.int64), const)
+        self._peaks = (_peak(self.quad), _peak(self.lin), abs(const))
+
+    def bound(self, mass: int) -> int:
+        """An upper bound of |s(m)|, and of every partial sum of its evaluation,
+        over integer rows m of either sign with sum |m_i| <= mass: an entry of
+        m Q is within max|Q| mass, so sum_j (m Q)_j m_j is within max|Q| mass^2,
+        and m L within max|L| mass."""
+        quad, lin, const = self._peaks
+        return quad * mass * mass + lin * mass + const
+
+    def __call__(self, m: np.ndarray) -> np.ndarray:
+        """s of each row, under ``bound`` of the rows' own largest sum |m_i|."""
+        assert self.bound(_row_mass(m)) < INT64_LIMIT, "int64 bound of the row sizes"
+        return self._values(m)
+
+    def check_total(self, rows: int, mass: int) -> None:
+        """Assert that a sum of s over ``rows`` rows, each with sum |m_i| <= mass,
+        is exact: rows * ``bound``(mass) < 2**63 covers every partial sum."""
+        assert rows * self.bound(mass) < INT64_LIMIT, "int64 bound of the size blocks"
+
+    def total(self, m: np.ndarray, mass: int) -> int:
+        """The sum of s over the rows of m, whose sums |m_i| the caller states
+        are at most ``mass``; ``check_total`` runs on len(m) first, which reads
+        no entry of m."""
+        self.check_total(len(m), mass)
+        return int(self._values(m).sum())
+
+    def _values(self, m: np.ndarray) -> np.ndarray:
+        return ((m @ self.quad) * m).sum(axis=1) - m @ self.lin + self.const

@@ -17,10 +17,12 @@ mapping the dilated-alcove points through the inverse dilation element,
 and by walking the region in the slack coordinates of its own n + 1
 inequalities — and requires the two to agree.  One knapsack block walk
 (``_walk``) serves both simplices: int64 blocks built one coordinate per
-level, with no Python tuple per point.  One int64 step under an asserted
-bound (``_integral_solve``) maps its rows to points.  The points' sizes are
-one per-row integer form (``affine.size_numerators``), kept on the
-``CoreSet`` as numerators over 2 h f.
+level, with no Python tuple per point.  Its only bound, on the row
+offsets of a level, is asserted where it starts.  One checked step of the
+int64 kernel ``linalg.AffineRows`` (``_integral_solve``) maps its rows to
+points.  The points' sizes are one per-row integer form
+(``affine.size_numerators``), kept on the ``CoreSet`` as numerators over
+2 h f.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _walk(marks, budget: int) -> Iterator[np.ndarray]:
     """The v >= 0 with sum marks_i v_i <= budget (a knapsack simplex), in
     lexicographic order, one coordinate per level, in int64 blocks of at most
     ``ALCOVE_BLOCK`` rows cut anywhere.  No value passes ALCOVE_BLOCK * (budget + 1)."""
-    assert ALCOVE_BLOCK * (budget + 1) < 2**63, "int64 bound of the walk"
+    assert ALCOVE_BLOCK * (budget + 1) < linalg.INT64_LIMIT, "int64 bound of the walk"
 
     def expand(rows, rem, level):
         if level == len(marks):
@@ -161,16 +163,11 @@ def iter_alcove_m(rs: RootSystemData, b: int) -> Iterator[tuple[int, ...]]:
 
 def _integral_solve(blocks: Iterable[np.ndarray], mat, shift, det: int) -> np.ndarray:
     """The integral points (M s + v) / det over the rows s of the int64
-    ``blocks``, as the rows of an int64 array in lexicographic order.
-
-    Each block is one int64 product, exact under the bound
-    n * max|M| * max|s| + max|v| < 2**62 asserted on the block's own maxima."""
-    mat, shift = np.array(mat, dtype=np.int64), np.array(shift, dtype=np.int64)
-    n, mat_max, shift_max = mat.shape[1], int(np.abs(mat).max()), int(np.abs(shift).max())
-    kept = []
+    ``blocks``, as the rows of an int64 array in lexicographic order: one
+    checked kernel step ``linalg.AffineRows`` per block."""
+    step, kept = linalg.AffineRows(mat, shift), []
     for s in blocks:
-        assert n * mat_max * int(np.abs(s).max()) + shift_max < 2**62, "int64 bound of the solve"
-        x = s @ mat.T + shift
+        x = step(s)
         kept.append(x[(x % det == 0).all(axis=1)] // det)
     rows = np.concatenate(kept)
     return rows[np.lexsort(rows.T[::-1])]

@@ -529,8 +529,8 @@ def test_a_toggle_that_leaves_the_cores_is_a_counterexample(monkeypatch, capsys)
 
 def test_haiman_refuses_on_the_predicted_count_before_enumerating(monkeypatch, capsys):
     visited = []
-    walk = verify.sommers.iter_alcove_m
-    monkeypatch.setattr(verify.sommers, "iter_alcove_m",
+    walk = verify.sommers.alcove_blocks
+    monkeypatch.setattr(verify.sommers, "alcove_blocks",
                         lambda *args, **kw: visited.append(args) or walk(*args, **kw))
     with pytest.raises(verify.sommers.FeasibilityError,
                        match=r"^predicted count 34747713 for E8, b=97 exceeds cap 1000000$"):

@@ -54,8 +54,8 @@ def test_enumerator_agrees_with_region_sum():
 
 def test_enumerator_refuses_on_the_predicted_count_before_the_walk(monkeypatch):
     visited = []
-    walk = sommers.iter_alcove_m
-    monkeypatch.setattr(sommers, "iter_alcove_m",
+    walk = sommers.alcove_blocks
+    monkeypatch.setattr(sommers, "alcove_blocks",
                         lambda *args, **kw: visited.append(args) or walk(*args, **kw))
     with pytest.raises(sommers.FeasibilityError,
                        match=r"^predicted count 34747713 for E8, b=97 exceeds cap 1000000$"):
@@ -95,14 +95,14 @@ def test_enumerator_asserts_the_int64_bound_before_the_walk(monkeypatch):
     # A1 at even b: gcd(b, h) = 2, so no count guard runs first; the form's
     # bound 9 b^2 - 1 times 2**11 rows passes 2**63 at b = 2**26
     seen = []
-    walk = sommers.iter_alcove_m
+    walk = sommers.alcove_blocks
 
     def recording(rs, b):
-        for m in walk(rs, b):
-            seen.append(m)
-            yield m
+        for block in walk(rs, b):
+            seen.append(block)
+            yield block
 
-    monkeypatch.setattr(sommers, "iter_alcove_m", recording)
+    monkeypatch.setattr(sommers, "alcove_blocks", recording)
     with pytest.raises(AssertionError, match="int64 bound of the size blocks"):
         weighted_enumerator(build_named("A1"), 2**26)
     assert seen == []

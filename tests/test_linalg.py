@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from corelat import linalg, rootsys, verify
@@ -57,3 +58,43 @@ def test_cartan_adjugates(name, fraction_inverse):
     assert (rs.index_of_connection, rs.cartan_adjugate) == linalg.adjugate(a)
     # a finite-type Cartan matrix has a positive inverse
     assert all(Fraction(x, det) > 0 for row in rs.cartan_adjugate for x in row)
+
+
+@pytest.mark.parametrize("mat,shift,top", [
+    # 2 max|x| < 2**63: the two columns of M
+    (((1, 1),), (0,), 2**62 - 1),
+    # 3 max|x| < 2**63: the entry of M
+    (((3,),), (0,), (2**63 - 1) // 3),
+    # max|x| + 2**62 < 2**63: the shift
+    (((1,),), (2**62,), 2**62 - 1),
+])
+def test_affine_rows_assert_their_int64_bound(mat, shift, top):
+    """x -> x M^T + v is exact at the largest max|x| that the bound
+    n max|M| max|x| + max|v| < 2**63 admits, and refused one past it, where
+    the int64 product would wrap."""
+    step = linalg.AffineRows(mat, shift)
+    n = len(mat[0])
+    for x in (top, -top):
+        rows = np.array([[x] * n], dtype=np.int64)
+        assert step(rows).tolist() == [[sum(m * x for m in row) + v for row, v in zip(mat, shift)]]
+    with pytest.raises(AssertionError, match="int64 bound of the affine rows"):
+        step(np.array([[top + 1] * n], dtype=np.int64))
+
+
+def test_quadratic_row_totals_assert_their_int64_bound():
+    # s(m) = m^2 has bound(mass) = mass^2; two rows of mass 2**31 reach 2**63
+    step = linalg.QuadraticRows(((1,),), (0,), 0)
+    rows = np.array([[2**31 - 1], [-(2**31 - 1)]], dtype=np.int64)
+    assert step.total(rows, 2**31 - 1) == 2 * (2**31 - 1) ** 2
+    with pytest.raises(AssertionError, match="int64 bound of the size blocks"):
+        step.total(rows, 2**31)
+    with pytest.raises(AssertionError, match="int64 bound of the size blocks"):
+        step.check_total(2, 2**31)
+
+
+def test_a_row_mass_past_int64_is_refused():
+    # sum |m_i| = 2**64 wraps to 0 in an int64 row sum; the bound must not read 0
+    step = linalg.QuadraticRows(tuple(tuple(int(i == j) for j in range(4)) for i in range(4)),
+                                (0,) * 4, 0)
+    with pytest.raises(AssertionError, match="int64 bound of the row sizes"):
+        step(np.array([[2**62, -2**62, 2**62, -2**62]], dtype=np.int64))

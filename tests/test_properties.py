@@ -293,8 +293,9 @@ def test_walk_blocks_are_the_filtered_product_within_the_limit(case, limit):
 
 def test_a_prefix_longer_than_a_block_is_split():
     """A1 at b = 10**4 is one range of 10**4 + 1 rows: every block stays
-    within ALCOVE_BLOCK, which keeps ALCOVE_BLOCK * SizeForm.bound(b) a
-    bound of each block sum."""
+    within ALCOVE_BLOCK, which keeps the enumerator's check of ALCOVE_BLOCK
+    rows of mass b (``linalg.QuadraticRows.check_total``) a bound of each
+    block sum."""
     blocks = list(sommers.alcove_blocks(build_named("A1"), 10**4))
     assert max(map(len, blocks)) <= sommers.ALCOVE_BLOCK
     assert [m for block in blocks for (m,) in block.tolist()] == list(range(10**4 + 1))
