@@ -98,7 +98,7 @@ def cmd_cores(args) -> int:
     if args.format == "csv":
         lines = ["coords,size,partition"]
         for q, s, part in coreset.rows():
-            cell = json.dumps("" if part is None else list(part)).replace(",", " ")
+            cell = json.dumps("" if part is None else part).replace(",", " ")
             lines.append(f"\"{q}\",{s},{cell}")
         _emit(args, "\n".join(lines))
     else:

@@ -13,14 +13,28 @@ Conventions:
 * The content of the box in row r, column s is (s - r) mod a.  This is the
   convention under which the content class counts match the size_i lattice
   statistics and under which s_i toggles the class-i boxes equivariantly.
+
+The abacus route has one implementation in each direction: ``to_coroot``
+reads the levels off the beta-set after a hook scan, and ``from_coroot``
+turns a whole block of level rows into partitions in one checked int64
+step.  Each is the other's independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
+import numpy as np
+
+from . import linalg
+
 Partition = tuple[int, ...]
+
+#: bead positions per int64 step of ``from_coroot``: bounds the memory of a
+#: step (about 16 bytes per position) whatever the size of the block
+ABACUS_CELLS = 2**14
 
 
 class NotACoreError(ValueError):
@@ -124,23 +138,61 @@ def to_coroot(parts: Partition, a: int) -> tuple[int, ...]:
     return q
 
 
-def from_coroot(a: int, q) -> Partition:
-    """Inverse of ``to_coroot``: the a-core whose runner levels are q."""
-    q = tuple(q)
-    if len(q) != a:
-        raise ValueError(f"expected {a} runner levels, got {len(q)}")
-    if sum(q) != 0:
-        raise ValueError(f"runner levels {q} must sum to zero")
-    top = a * max(q)
-    bottom = a * (min(q) - 1)  # below this every position is black
-    parts = []
-    i = 0
-    for p in range(top - 1, bottom - 1, -1):
-        if p // a < q[p % a]:
-            i += 1
-            if p + i > 0:
-                parts.append(p + i)
-    return tuple(parts)
+def from_coroot(a: int, q):
+    """Inverse of ``to_coroot``: the a-core whose runner levels are q.
+
+    q is one sum-zero a-tuple, giving one partition tuple, or a block of
+    them (the rows of an int64 array, or a sequence of a-tuples), giving a
+    list of partition tuples.  Each row is read from its top position
+    p = a max(q) - 1 down; the bead at p is black iff p // a < q[p mod a],
+    and with i the black beads so far, each black bead with p + i > 0 is a
+    part p + i.  The block goes through this in int64 steps of whole rows,
+    at most ``ABACUS_CELLS`` bead positions each, padded to the widest row
+    of the step: a (max(q) - min(q) + 1) positions.  Below its own window
+    every bead of a row is black with p + i = 0, as the abacus is balanced,
+    so the padding adds no part.  The int64 bound (``abacus_bound``) is
+    asserted once per block, before any step.
+    """
+    levels = np.asarray(q, dtype=np.int64)
+    single = levels.ndim == 1
+    if single:
+        levels = levels[None, :]
+    if levels.ndim != 2 or levels.shape[1] != a:
+        raise ValueError(f"expected {a} runner levels, got {levels.shape[-1]}")
+    peak = max(int(levels.max(initial=0)), -int(levels.min(initial=0)))
+    assert abacus_bound(a, peak) < linalg.INT64_LIMIT, "int64 bound of the abacus"
+    unbalanced = np.flatnonzero(levels.sum(axis=1))
+    if unbalanced.size:
+        row = tuple(levels[unbalanced[0]].tolist())
+        raise ValueError(f"runner levels {row} must sum to zero")
+    rows = max(1, ABACUS_CELLS // (a * (2 * peak + 1)))  # no row is wider than a (2 peak + 1)
+    parts = [p for lo in range(0, len(levels), rows) for p in _abacus_step(a, levels[lo:lo + rows])]
+    return parts[0] if single else parts
+
+
+def _abacus_step(a: int, levels: np.ndarray) -> list[Partition]:
+    """The partitions of the rows of ``levels`` (``from_coroot``'s step)."""
+    hi = levels.max(axis=1)
+    depth = int((hi - levels.min(axis=1)).max(initial=0)) + 1
+    # window row m holds runners j = a - 1, ..., 0 at level hi - 1 - m: black iff q_j > hi - 1 - m
+    black = levels[:, None, ::-1] >= (hi[:, None] - np.arange(depth))[:, :, None]
+    black = black.reshape(len(levels), depth * a)
+    # p + i, formed in place: the step's one int64 array
+    values = black.cumsum(axis=1, dtype=np.int64)
+    values += (a * hi - 1)[:, None]
+    values -= np.arange(depth * a)
+    black &= values > 0
+    flat = iter(values[black].tolist())
+    return [tuple(islice(flat, n)) for n in black.sum(axis=1).tolist()]
+
+
+def abacus_bound(a: int, peak: int) -> int:
+    """a (3 peak + 1): no value that ``from_coroot`` forms on a block whose
+    largest |level| is ``peak`` exceeds it.  In a row with top a hi, a
+    position lies in [a hi - a (2 peak + 1), a hi), a bead count is at most
+    the window width a (2 peak + 1), and position + count at a black bead
+    lies between the position and a hi."""
+    return a * (3 * peak + 1)
 
 
 def content_counts(parts: Partition, a: int) -> tuple[int, ...]:

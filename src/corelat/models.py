@@ -11,6 +11,10 @@ cores model its lattice points:
 
 A point's core, ``EmbeddedPoint.core()``, is a plain partition tuple, and
 ``model_size_vector`` reads the point's size_i off its content classes.
+Both maps to runner levels, the model image and the type-A ambient tuple,
+are linear, so ``level_step`` maps a whole int64 block of points to levels
+in one checked kernel step; ``model_size_vectors`` and the region's
+partitions then turn the block into cores with one ``cores.from_coroot``.
 
 Ambient coordinates: for B/C/D the source point with simple-coroot
 coordinates k becomes the integer vector x (the classical e_i coordinates,
@@ -37,7 +41,9 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import sub
 
-from . import cores
+import numpy as np
+
+from . import cores, linalg
 from .rootsys import CartanType
 
 #: marker for the G_2 generator that acts by partition conjugation
@@ -181,7 +187,13 @@ def act_model_generator(t: CartanType, i: int, image) -> tuple[int, ...]:
 
 def model_size_vector(t: CartanType, k) -> tuple[Fraction, ...]:
     """(size_0, ..., size_n) of a lattice point read off the content classes
-    of its core.
+    of its core: ``model_size_vectors`` on a block of one point."""
+    return model_size_vectors(t, [k])[0]
+
+
+def model_size_vectors(t: CartanType, points) -> list[tuple[Fraction, ...]]:
+    """``model_size_vector`` of each of the points, sequences of simple-coroot
+    coordinates: one ``level_step`` and one ``cores.from_coroot`` on the block.
 
     Case formulas per type (lambda_j = boxes of content j in the image core);
     each equals ``affine.size_i_lattice`` for the source system, which the
@@ -192,10 +204,10 @@ def model_size_vector(t: CartanType, k) -> tuple[Fraction, ...]:
     """
     _require_model(t)
     n = t.rank
-    emb = embed(t, k)
-    lam = cores.content_counts(emb.core(), emb.modulus)
+    images = level_step(t)(np.array(points, dtype=np.int64).reshape(-1, n))
+    modulus = images.shape[1]
 
-    def entry(i):
+    def entry(lam, i):
         if t.family == "G":
             if i == 0:
                 return Fraction(lam[0])
@@ -219,7 +231,20 @@ def model_size_vector(t: CartanType, k) -> tuple[Fraction, ...]:
                 return Fraction(lam[n], 2)
         return Fraction(lam[i] + lam[two_n - i], 2)
 
-    return tuple(entry(i) for i in range(n + 1))
+    return [tuple(entry(lam, i) for i in range(n + 1))
+            for lam in (cores.content_counts(core, modulus)
+                        for core in cores.from_coroot(modulus, images))]
+
+
+def level_step(t: CartanType) -> linalg.AffineRows:
+    """The checked int64 step from rows of simple-coroot coordinates to the
+    runner levels of their cores: the ambient sum-zero tuple in type A
+    (``type_a_ambient_from_coords``), the model image (``embed``) in the
+    model families.  Both maps are linear, so column i of the step's matrix
+    is the image of the i-th unit vector."""
+    image = type_a_ambient_from_coords if t.family == "A" else lambda k: embed(t, k).image
+    columns = [image(tuple(int(i == j) for j in range(t.rank))) for i in range(t.rank)]
+    return linalg.AffineRows(tuple(zip(*columns)), (0,) * len(columns[0]))
 
 
 def self_conjugate_cores(n: int, bound: int) -> list[tuple[tuple[int, ...], cores.Partition]]:

@@ -8,9 +8,11 @@ For b coprime to the Coxeter number h, write b = t_b*h + r_b with
 
 Its coroot-lattice points generalize simultaneous (a, b)-cores: in type
 A_{a-1} they are exactly the (a, b)-cores under the abacus bijection.
-Their cores are plain partition tuples: ``CoreSet.rows()`` builds them with
-``cores.from_coroot`` in type A and with the model's ``EmbeddedPoint.core()``
-in type C, which ``simultaneous_selfconjugate`` also uses.
+Their cores are plain partition tuples: ``CoreSet.rows()`` maps the int64
+point array to runner levels in one ``models.level_step`` (the type-A
+ambient tuples, or the type-C model images) and turns them into partitions
+with one ``cores.from_coroot`` call; ``simultaneous_selfconjugate`` reads
+the same partitions.
 
 ``enumerate_cores`` computes the point set two independent ways — by
 mapping the dilated-alcove points through the inverse dilation element,
@@ -205,11 +207,13 @@ class CoreSet:
     ``points[k]`` is the integer ``numerators[k]`` over ``denominator`` = 2 h f,
     the per-row form of ``affine.scaled_size_b`` (``affine.size_numerators``).
     The totals, the maximum and the JSON read these integers; ``sizes`` gives
-    the same values as Fractions."""
+    the same values as Fractions.  ``point_rows`` holds the points as the
+    rows of an int64 array, which the partitions read."""
 
     rs: RootSystemData
     b: int
     points: tuple[tuple[int, ...], ...]
+    point_rows: np.ndarray  # int64, one row per point
     denominator: int
     numerators: np.ndarray  # int64, one per point
 
@@ -238,15 +242,14 @@ class CoreSet:
         """
         return zip(self.points, self.sizes, self._partitions())
 
-    def _partitions(self) -> Iterator[tuple[int, ...] | None]:
+    def _partitions(self) -> list[tuple[int, ...] | None]:
+        """The partition of each point, or None outside types A and C: one
+        ``models.level_step`` and one ``cores.from_coroot`` on all points."""
         t = self.rs.cartan_type
-        for q in self.points:
-            if t.family == "A":
-                yield cores.from_coroot(t.rank + 1, models.type_a_ambient_from_coords(q))
-            elif t.family == "C":
-                yield models.embed(t, q).core()
-            else:
-                yield None
+        if t.family not in ("A", "C"):
+            return [None] * len(self.points)
+        levels = models.level_step(t)(self.point_rows)
+        return cores.from_coroot(levels.shape[1], levels)
 
     def _size_texts(self) -> list[str]:
         """str of each size as a Fraction, from one gcd over the numerators."""
@@ -263,9 +266,9 @@ class CoreSet:
         top = int(np.argmax(nums))
         rows = []
         for q, part, text in zip(self.points, self._partitions(), texts):
-            row = {"coords": list(q), "size": text}
+            row = {"coords": q, "size": text}
             if part is not None:
-                row["partition"] = list(part)
+                row["partition"] = part
             rows.append(row)
         return {
             "type": str(self.rs.cartan_type),
@@ -335,7 +338,7 @@ def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: direct inequality scan disagrees with the "
             f"mapped alcove points ({len(scanned)} vs {len(mapped)})")
-    return CoreSet(rs, b, tuple(mapped), *affine.size_numerators(rs, points))
+    return CoreSet(rs, b, tuple(mapped), points, *affine.size_numerators(rs, points))
 
 
 def max_size(rs: RootSystemData, b: int, coreset: CoreSet | None = None):
@@ -379,8 +382,7 @@ def simultaneous_selfconjugate(n: int, b: int) -> SelfConjugateReport:
     rs = rootsys.build(t)
     coreset = enumerate_cores(rs, b)
     pairs = []
-    for q in coreset.points:
-        parts = models.embed(t, q).core()
+    for q, parts in zip(coreset.points, coreset._partitions()):
         if parts != cores.conjugate(parts):
             raise AssertionError(f"image of {q} is not self-conjugate: {parts}")
         for modulus in (2 * n, b):

@@ -17,6 +17,8 @@ from functools import partial
 from math import comb, gcd
 from typing import NamedTuple
 
+import numpy as np
+
 from . import affine, cores, ehrhart, models, rootsys, sommers
 from .rootsys import CartanType, build, build_named
 
@@ -263,20 +265,26 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
 def check_ip_content() -> list:
     """Content-class counts equal the lattice statistics, and toggling is
     equivariant with the simple reflections, over all a-cores with at most
-    60 boxes, a = 3, 4, 5."""
+    60 boxes, a = 3, 4, 5.  The cores of all moved points of one a come
+    from one ``cores.from_coroot`` block."""
     def check(a):
-        rs = build(CartanType("A", a - 1))
-        for parts in cores.all_cores(a, 60):
-            ambient = cores.to_coroot(parts, a)
-            k = models.type_a_coords_from_ambient(ambient)
+        t = CartanType("A", a - 1)
+        rs = build(t)
+        all_parts = cores.all_cores(a, 60)
+        ks = [models.type_a_coords_from_ambient(cores.to_coroot(parts, a)) for parts in all_parts]
+        moved = np.fromiter(itertools.chain.from_iterable(
+            affine.apply(rs, (i,), k) for k in ks for i in range(a)), dtype=np.int64)
+        # most letters fix their core: each distinct moved point is converted once
+        distinct, which = np.unique(moved.reshape(-1, a - 1), axis=0, return_inverse=True)
+        moved_cores = cores.from_coroot(a, models.level_step(t)(distinct))
+        which = which.reshape(-1).tolist()
+        for n, (parts, k) in enumerate(zip(all_parts, ks)):
             counts = cores.content_counts(parts, a)
             if tuple(map(Fraction, counts)) != affine.size_vector_lattice(rs, k):
                 yield {"partition": list(parts)}
                 continue
             for i in range(a):
-                toggled = cores.toggle_action(parts, a, i)
-                q2 = affine.apply(rs, (i,), k)
-                if toggled != cores.from_coroot(a, models.type_a_ambient_from_coords(q2)):
+                if cores.toggle_action(parts, a, i) != moved_cores[which[n * a + i]]:
                     yield {"partition": list(parts), "letter": i}
     return _counterexamples(({"a": a}, partial(check, a)) for a in (3, 4, 5))
 
@@ -296,9 +304,9 @@ def check_models() -> list:
     def check(name, radius):
         t = CartanType.parse(name)
         rs = build(t)
-        for k in model_test_points(t, radius):
+        points = model_test_points(t, radius)
+        for k, sizes in zip(points, models.model_size_vectors(t, points)):
             emb = models.embed(t, k)
-            sizes = models.model_size_vector(t, k)
             lattice = affine.size_vector_lattice(rs, k)
             for i in range(t.rank + 1):
                 moved = models.embed(t, affine.apply(rs, (i,), k)).image

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from corelat import affine, cores, models, rootsys
+from corelat import affine, cores, linalg, models, rootsys, verify
 from corelat.cores import (
     NotACoreError,
     all_cores,
@@ -67,6 +69,57 @@ def test_from_coroot_rejects_unbalanced():
         from_coroot(3, (1, 0, 0))
     with pytest.raises(ValueError):
         from_coroot(3, (1, -1))
+    with pytest.raises(ValueError, match=r"runner levels \(1, 0, -2\) must sum to zero"):
+        from_coroot(3, [(0, 0, 0), (1, 0, -2), (2, 0, -2)])
+
+
+def test_from_coroot_gives_a_tuple_for_a_row_and_a_list_for_a_block():
+    assert from_coroot(3, (0, 2, -2)) == (5, 3, 1, 1)
+    assert from_coroot(3, [(0, 2, -2), (0, 0, 0)]) == [(5, 3, 1, 1), ()]
+    assert from_coroot(3, [(0, 2, -2)]) == [(5, 3, 1, 1)]
+    assert from_coroot(3, np.zeros((0, 3), dtype=np.int64)) == []
+
+
+@pytest.mark.parametrize("a", [2, 3, 7])
+def test_from_coroot_asserts_its_int64_bound_once_per_block(a):
+    """Every value the block step forms is within a (3 L + 1) for the
+    block's largest |level| L: the bound admits L = top and refuses
+    L = top + 1.  A block with one row past it is refused before anything
+    is formed; the step at top itself would need a window of a (2 top + 1)
+    int64 positions per row, so it is not run."""
+    top = ((linalg.INT64_LIMIT - 1) // a - 1) // 3
+    assert cores.abacus_bound(a, top) < linalg.INT64_LIMIT <= cores.abacus_bound(a, top + 1)
+    far = (0,) * (a - 2) + (top + 1, -top - 1)
+    with pytest.raises(AssertionError, match="int64 bound of the abacus"):
+        from_coroot(a, [(0,) * a, far])
+
+
+def test_from_coroot_memory_does_not_grow_with_the_block():
+    # one wide row pads 20,000 rows to 404 positions: 8 M cells in a single
+    # step, about 130 MB; steps of ABACUS_CELLS positions stay under 1 MB
+    levels = np.zeros((20000, 4), dtype=np.int64)
+    levels[7] = (50, -50, 0, 0)
+    tracemalloc.start()
+    try:
+        parts = from_coroot(4, levels)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parts[7] == from_coroot(4, (50, -50, 0, 0)) and parts.count(()) == 19999
+    assert peak - current < 2**20
+
+
+@pytest.mark.parametrize("theorem,most", [("ip_content", 3), ("models", 6)])
+def test_verify_suites_call_from_coroot_once_per_block(monkeypatch, theorem, most):
+    # one call per a (ip_content) or per model type (models), not one per row
+    calls = []
+
+    def counted(a, q):
+        calls.append(a)
+        return from_coroot(a, q)
+    monkeypatch.setattr(cores, "from_coroot", counted)
+    assert verify.run(theorem)["pass"]
+    assert 0 < len(calls) <= most
 
 
 @pytest.mark.parametrize("a", [3, 4, 5])

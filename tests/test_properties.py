@@ -2,7 +2,8 @@
 action, the generator steps of reduced words, the lattice sizes, the
 shifted size statistic and its invariance under the automorphisms of the
 extended Dynkin diagram, the knapsack block walk, the alcove and region
-points, the a-core bijection with its toggles, and the model embeddings.
+points, the a-core bijection with its block step and its toggles, and
+the model embeddings.
 
 They run beside the fixed cases in test_affine.py, test_sommers.py,
 test_cores.py, test_models.py and ``verify models``' point grids, over
@@ -16,6 +17,7 @@ from itertools import permutations, product
 from math import gcd, prod
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -346,6 +348,62 @@ def test_from_coroot_and_to_coroot_are_inverse(case):
     parts = cores.from_coroot(a, q)
     assert cores.is_core(parts, a)
     assert cores.to_coroot(parts, a) == q
+
+
+@st.composite
+def level_blocks(draw):
+    """(a, rows): a = 1..7 and a block of 1..40 sum-zero level rows of the
+    a-runner abacus.  Each row draws its own level range, so the window
+    widths differ within a block, and all-zero rows (the empty partition)
+    are mixed in."""
+    a = draw(st.integers(1, 7))
+
+    def row(spread):
+        head = st.lists(st.integers(-spread, spread), min_size=a - 1, max_size=a - 1)
+        return head.map(lambda h: (*h, -sum(h)))
+    rows = st.one_of(st.just((0,) * a), st.integers(0, 6).flatmap(row))
+    return a, draw(st.lists(rows, min_size=1, max_size=40))
+
+
+def from_coroot_by_positions(a, q):
+    """The per-position loop that ``cores.from_coroot`` replaced, kept as
+    its reference: walk the beads from a max(q) - 1 down to a (min(q) - 1)
+    and emit p + i at each black bead with p + i > 0."""
+    parts, i = [], 0
+    for p in range(a * max(q) - 1, a * (min(q) - 1) - 1, -1):
+        if p // a < q[p % a]:
+            i += 1
+            if p + i > 0:
+                parts.append(p + i)
+    return tuple(parts)
+
+
+@PROPERTY
+@given(level_blocks())
+# the first row is the narrowest, and a zero row sits between wide ones
+@example((3, [(0, 0, 0), (0, 2, -2), (0, 0, 0), (-5, 1, 4)]))
+@example((4, [(1, 0, 0, -1), (-3, 3, -3, 3)]))
+def test_a_block_of_levels_gives_each_row_its_core(case):
+    a, rows = case
+    block = cores.from_coroot(a, rows)
+    assert block == cores.from_coroot(a, np.array(rows, dtype=np.int64))
+    assert len(block) == len(rows)
+    for q, parts in zip(rows, block):
+        assert parts == cores.from_coroot(a, q) == from_coroot_by_positions(a, q)
+        assert cores.is_core(parts, a)
+        assert cores.to_coroot(parts, a) == q
+
+
+def test_the_partitions_of_a_many_step_region_are_its_simultaneous_cores():
+    # 2,530 points: one from_coroot block, read in steps of ABACUS_CELLS positions
+    cs = sommers.enumerate_cores(build_named("A4"), 21)
+    with patch.object(cores, "_abacus_step", wraps=cores._abacus_step) as step:
+        rows = list(cs.rows())
+    assert step.call_count > 1 and len(rows) == len(cs) == 2530
+    for q, size, parts in rows:
+        assert cores.is_core(parts, 5) and cores.is_core(parts, 21)
+        assert cores.to_coroot(parts, 5) == models.type_a_ambient_from_coords(q)
+        assert sum(parts) == size
 
 
 @PROPERTY
