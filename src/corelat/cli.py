@@ -16,6 +16,9 @@ reports it as a counterexample record, and for every other command
 ``main`` prints it as one ``failed:`` line.  Rationals print as "p/q" in
 lowest terms, never as decimals.
 ``cores`` and ``verify`` each run in one ``sommers.capped`` block: --cap, else CORELAT_CAP.
+Every JSON document goes through ``to_json``, the one writer: it prints what
+``json.dumps(doc, indent=2, sort_keys=True)`` prints, with ``json``'s C
+encoder writing each container of scalars.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import draw, rootsys, sommers, verify
 
@@ -61,25 +64,52 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def to_json(obj, indent: str = "\n") -> str:
+#: value types that ``json``'s C encoder writes as ``json.dumps`` with an
+#: indent does (an ``int`` subclass or a float takes the leaf path instead)
+_SCALARS = frozenset((int, str, bool, type(None)))
+
+
+def to_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for documents with string
-    keys, byte for byte.  With ``indent`` set, ``json`` always takes its
-    pure-Python encoder; here a list of plain ints is written by one join."""
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        brackets = "{}"
-        items = (f"{encode_basestring_ascii(k)}: {to_json(v, inner)}"
-                 for k, v in sorted(obj.items()))
-    elif isinstance(obj, (list, tuple)):
-        brackets = "[]"
-        items = map(str, obj) if set(map(type, obj)) == {int} else (to_json(v, inner) for v in obj)
-    elif isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    else:
-        return json.dumps(obj)
-    if not obj:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+    keys, byte for byte.  With an indent, ``json`` takes its pure-Python
+    encoder.  Here one walk appends to one chunk list, joined once at the
+    end.  A nonempty dict, list or tuple whose values are all ``_SCALARS``
+    is written by one call of ``json``'s C encoder, made once per depth with
+    that depth's item separator; only the other containers are walked."""
+    chunks: list[str] = []
+    flat: dict = {}  # inner indent -> C encoder for a container of scalars
+
+    def write(obj, indent: str) -> None:
+        if not isinstance(obj, (dict, list, tuple)):
+            chunks.append(encode_basestring_ascii(obj) if isinstance(obj, str) else json.dumps(obj))
+            return
+        is_dict = isinstance(obj, dict)
+        if not obj:
+            chunks.append("{}" if is_dict else "[]")
+            return
+        inner = indent + "  "
+        if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+            encode = flat.get(inner)
+            if encode is None:
+                # no markers and no default: a container of scalars needs neither
+                encode = flat[inner] = c_make_encoder(None, None, encode_basestring_ascii, None,
+                                                      ": ", "," + inner, True, False, True)
+            text = "".join(encode(obj, 0))  # more than one chunk past ~50,000 items
+            chunks.extend((text[0], inner, text[1:-1], indent, text[-1]))
+            return
+        chunks.append("{" if is_dict else "[")
+        sep, comma = inner, "," + inner
+        for item in sorted(obj.items()) if is_dict else obj:
+            chunks.append(sep)
+            if is_dict:
+                key, item = item
+                chunks.extend((encode_basestring_ascii(key), ": "))
+            write(item, inner)
+            sep = comma
+        chunks.extend((indent, "}" if is_dict else "]"))
+
+    write(obj, "\n")
+    return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,7 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
 
     def check(rs):
         by_element: dict = {}
+        steps: dict = {}  # element key -> its reduced_step for every letter
         cap, visited = sommers._CAP.get(), itertools.count(1)
 
         def dfs(el, letters, totals):
@@ -240,14 +241,16 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
                 raise sommers.FeasibilityError(
                     f"reduced words of {rs.cartan_type} up to --length {max_len} exceed cap {cap}")
             vec = affine.scale_letter_totals(rs, totals)
-            prior = by_element.setdefault(el.key(), (vec, el))
+            key = el.key()
+            prior = by_element.setdefault(key, (vec, el))
             if prior[0] != vec:
                 yield {"word": list(letters), "sizes": [str(x) for x in vec],
                        "other": [str(x) for x in prior[0]]}
             if len(letters) == max_len:
                 return
-            for i in range(rs.rank + 1):
-                entry, longer = affine.reduced_step(rs, el, i)
+            if key not in steps:
+                steps[key] = [affine.reduced_step(rs, el, i) for i in range(rs.rank + 1)]
+            for i, (entry, longer) in enumerate(steps[key]):
                 if longer is not None:
                     new_totals = list(totals)
                     new_totals[i] += entry.k

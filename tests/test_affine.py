@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from corelat import affine
+from corelat import affine, verify
 from corelat.affine import (
     AffineRoot,
     AffineWord,
@@ -428,6 +428,54 @@ def test_size_welldef_small():
                 other = by_element.get(affine.letter_element(rs, i).compose(el).key())
                 if other is not None:
                     assert other[0] == vec
+
+
+def elements_shorter_than(rs, length):
+    """Keys of the elements of fewer than ``length`` letters, by the
+    per-letter route (``act_root`` and ``compose``), not ``reduced_step``."""
+    level, seen = [affine.identity_element(rs)], set()
+    for _ in range(length):
+        seen.update(el.key() for el in level)
+        longer = {}
+        for el in level:
+            for i in range(rs.rank + 1):
+                if el.act_root(affine.affine_simple_root(rs, i)).is_positive():
+                    nxt = el.compose(affine.letter_element(rs, i))
+                    longer.setdefault(nxt.key(), nxt)
+        level = list(longer.values())
+    return seen
+
+
+def test_welldef_takes_one_reduced_step_per_element_and_letter(monkeypatch):
+    rs, calls = build_named("A2"), []
+    real = affine.reduced_step
+
+    def counted(rs, prefix, i):
+        calls.append((prefix.key(), i))
+        return real(rs, prefix, i)
+
+    monkeypatch.setattr(affine, "reduced_step", counted)
+    assert verify.check_welldef(types=("A2",), max_len=4) == []
+    expected = {(key, i) for key in elements_shorter_than(rs, 4) for i in range(rs.rank + 1)}
+    assert sorted(calls) == sorted(expected)
+
+
+def test_welldef_finds_a_perturbed_reduced_step(monkeypatch):
+    rs = build_named("A2")
+    el = affine.identity_element(rs)
+    for i in (1, 2):
+        el = affine.reduced_step(rs, el, i)[1]
+    real = affine.reduced_step
+
+    def perturbed(rs, prefix, i):
+        entry, longer = real(rs, prefix, i)
+        if prefix.key() == el.key() and i == 1:
+            entry = entry._replace(k=entry.k + 1)
+        return entry, longer
+
+    monkeypatch.setattr(affine, "reduced_step", perturbed)
+    records = verify.check_welldef(types=("A2",), max_len=4)
+    assert any(r.get("word") == [2, 1, 2] for r in records), records
 
 
 def test_element_serialization():

@@ -1,10 +1,13 @@
 import csv
+import enum
 import hashlib
 import io
 import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corelat import cli, cores, ehrhart, rootsys, sommers, verify
 
@@ -181,6 +184,11 @@ def test_writer_equals_json_dumps_on_a_failed_report(scan_drops_a_point):
     assert report["counterexamples"] and cli.to_json(report) == dumps(report)
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
 HAND_MADE = {
     "empty": [[], {}, [[]], [{}], {"a": []}],
     "nested": [{"z": [1, -2], "a": {"k": [{"x": None}]}}, [[3], [{"y": "v"}]]],
@@ -191,11 +199,36 @@ HAND_MADE = {
     "tuple": (1, (2, 3)),
     "text": ['quote "', "new\nline", "back\\slash", "omega\u2228 \u00e9 \U0001F600", ""],
     "keys \u00e9\"\\": {"": 1, "b": 2, "A": 3},
+    # lists of scalars at seven depths, each written by its depth's encoder
+    "deep": [[1], [[2], [[3], [[4], [[5], [[6], [[7, "\u00e9"]]]]]]]],
+    "deep mixed": [[1, "a", {"k": None, "j": [True, (2, 3)]}], [[[[[-1, "\u00e9"]]]]], {"x": [[[{}]]]}],
+    # the C encoder returns a container this long in more than one chunk
+    "long": list(range(100_000)),
+    # a float or an int subclass is not one of the C encoder's scalars
+    "float": [1, 2.5, -0.0, 1e300, "x"],
+    "int enum": [Level.LOW, 3, {"level": Level.HIGH}],
+    "non-ascii keys": {"\u00e9t\u00e9": 1, "\U0001F600": "x", "z\u2228": None, "a": True},
 }
 
 
 @pytest.mark.parametrize("doc", [HAND_MADE, *HAND_MADE.values(), [], {}, 0, "x", False])
 def test_writer_equals_json_dumps_on_hand_made_documents(doc):
+    assert cli.to_json(doc) == dumps(doc)
+
+
+TEXT = st.text(st.characters() | st.sampled_from('"\\\n\x00\x1f\x7f\u00e9\u2028\U0001F600'))
+SCALARS = (st.integers(-(2**70), 2**70) | TEXT | st.booleans() | st.none()
+           | st.floats() | st.sampled_from([-0.0, 1e300, 2**64, -(2**64) - 1]))
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(DOCUMENTS)
+def test_writer_equals_json_dumps_on_random_documents(doc):
     assert cli.to_json(doc) == dumps(doc)
 
 
