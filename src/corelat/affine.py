@@ -128,7 +128,7 @@ class AffineElement:
         return linalg.vec_add(linalg.matvec(self.m, x), self.v)
 
     def compose(self, other: "AffineElement") -> "AffineElement":
-        """self âˆ˜ other (apply ``other`` first)."""
+        """self ∘ other (apply ``other`` first)."""
         return AffineElement(
             self.rs,
             linalg.matmul(self.m, other.m),
@@ -144,6 +144,11 @@ class AffineElement:
     def translation(self) -> tuple[int, ...]:
         """q in the semidirect decomposition self = w * t_q."""
         return linalg.matvec(self.m_inv, self.v)
+
+    @cached_property
+    def step(self) -> linalg.AffineRows:
+        """x -> m x + v as the checked int64 step on the rows of an int64 array."""
+        return linalg.AffineRows(self.m, self.v)
 
     def act_root(self, ar: AffineRoot) -> AffineRoot:
         """w~ . (alpha + k delta) = w(alpha) + (k - <alpha, q>) delta."""
@@ -397,13 +402,27 @@ def size_vector_word(rs: RootSystemData, word) -> tuple[Fraction, ...]:
 
 def size_vector_lattice(rs: RootSystemData, q) -> tuple[Fraction, ...]:
     """(size_0(q), ..., size_n(q)) with size_i(q) = <(c_i / 2) q - omegacheck_i, q>,
-    c_0 = 1 and omegacheck_0 = 0: one norm |q|^2 from the integer coroot Gram,
-    and <omegacheck_i, q> = (2 / |alpha_i|^2) q_i."""
-    norm2 = sum(x * g * y for x, row in zip(q, rs.gram_coroot, strict=True)
-                for g, y in zip(row, q, strict=True))
-    return (Fraction(norm2, 2),) + tuple(
-        Fraction(c * norm2 - 2 * s * x, 2)
-        for c, s, x in zip(rs.highest_root_coeffs, _coroot_scales(rs), q))
+    c_0 = 1 and omegacheck_0 = 0: the reference of ``size_vector_numerators``."""
+    norm, mat = _size_vector_form(rs)
+    return tuple(Fraction(x, 2) for x in linalg.matvec(mat, (norm(q), *q)))
+
+
+def size_vector_numerators(rs: RootSystemData, x: np.ndarray) -> tuple[int, np.ndarray]:
+    """(2, s) with size_i(x_k) = s[k, i] / 2 for each row x_k of the int64 array
+    x of coroot points: ``_size_vector_form`` as two checked steps."""
+    norm, mat = _size_vector_form(rs)
+    return 2, linalg.AffineRows(mat, (0,) * len(mat))(np.column_stack([norm.per_row(x), x]))
+
+
+@lru_cache(maxsize=None)
+def _size_vector_form(rs: RootSystemData) -> tuple["SizeForm", tuple[tuple[int, ...], ...]]:
+    """(|q|^2, M) with 2 size(q) = M (|q|^2, q): the norm of the integer coroot
+    Gram, and M with rows e_0 and c_i e_0 - 2 s_i e_i, <omegacheck_i, q> = s_i q_i."""
+    n = rs.rank
+    mat = ((1,) + (0,) * n,) + tuple(
+        (c,) + tuple(-2 * s * (j == i) for j in range(n))
+        for i, (c, s) in enumerate(zip(rs.highest_root_coeffs, _coroot_scales(rs))))
+    return SizeForm(rs.gram_coroot, (0,) * n, 0), mat
 
 
 def size_i_lattice(rs: RootSystemData, q, i: int) -> Fraction:
@@ -418,10 +437,10 @@ def size_lattice_total(rs: RootSystemData, q) -> Fraction:
 
 @dataclass(frozen=True)
 class SizeForm:
-    """The integer form s(m) = m^T Q m - L^T m + c of ``scaled_size_b``.
-    Called on a tuple of Python ints it is the reference; ``step`` is the
-    checked int64 kernel step ``linalg.QuadraticRows`` of the same
-    coefficients, for the rows of int64 arrays."""
+    """An integer form s(m) = m^T Q m - L^T m + c (``scaled_size_b``, the norm
+    of ``size_vector_lattice``).  Called on a tuple of Python ints it is the
+    reference; ``step`` is the checked int64 kernel step
+    ``linalg.QuadraticRows`` of the same coefficients, for int64 rows."""
 
     quad: tuple[tuple[int, ...], ...]
     lin: tuple[int, ...]
@@ -429,7 +448,7 @@ class SizeForm:
 
     def __call__(self, m) -> int:
         rows, coeffs = self.quad, self.lin
-        nz = [(i, x) for i, x in enumerate(m) if x]
+        nz = [(i, x) for i, (x, _) in enumerate(zip(m, rows, strict=True)) if x]
         quad = lin = 0
         for i, x in nz:
             row = rows[i]

@@ -23,7 +23,7 @@ step.  Each is the other's independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
@@ -32,8 +32,8 @@ from . import linalg
 
 Partition = tuple[int, ...]
 
-#: bead positions per int64 step of ``from_coroot``: bounds the memory of a
-#: step (about 16 bytes per position) whatever the size of the block
+#: bead positions per int64 step of ``from_coroot``, and (row, class) cells of
+#: ``content_counts``: bounds a step's memory whatever the size of the block
 ABACUS_CELLS = 2**14
 
 
@@ -195,19 +195,28 @@ def abacus_bound(a: int, peak: int) -> int:
     return a * (3 * peak + 1)
 
 
-def content_counts(parts: Partition, a: int) -> tuple[int, ...]:
-    """Number of boxes in each content class (s - r) mod a, box = (row r, col s)."""
-    counts = [0] * a
-    turns = 0
-    for r, row_len in enumerate(parts, start=1):
-        # contents in row r run over (1 - r) .. (row_len - r): full turns of
-        # a add one box to every class, added once for all rows at the end
-        full, rem = divmod(row_len, a)
-        turns += full
-        start = (1 - r) % a
-        for offset in range(rem):
-            counts[(start + offset) % a] += 1
-    return tuple(c + turns for c in counts)
+def content_counts(parts, a: int):
+    """Number of boxes in each content class (s - r) mod a, box = (row r, col s).
+
+    ``parts`` is one partition (a tuple), giving an a-tuple, or a list of
+    them, giving an int64 array with a row each.  Row r of length l has
+    (l + a - 1 - (c + r - 1) mod a) // a boxes of class c.  A step counts
+    whole partitions, at most ``ABACUS_CELLS`` (row, class) cells, and sums
+    them per partition by one cumulative sum, below (rows) (max(l) + a)."""
+    single = isinstance(parts, tuple)
+    block = [parts] if single else parts
+    sizes = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+    step = max(1, ABACUS_CELLS // (a * int(sizes.max(initial=1))))
+    counts = np.empty((len(block), a), dtype=np.int64)
+    for lo in range(0, len(block), step):
+        lengths = np.fromiter(chain.from_iterable(block[lo:lo + step]), dtype=np.int64)
+        assert len(lengths) * (int(lengths.max(initial=0)) + a) < linalg.INT64_LIMIT, "int64 bound of the contents"
+        ends, n = sizes[lo:lo + step].cumsum(), sizes[lo:lo + step]
+        rows = np.arange(len(lengths)) - np.repeat(ends - n, n)  # r - 1
+        totals = np.zeros((len(lengths) + 1, a), dtype=np.int64)
+        np.cumsum((lengths[:, None] + (a - 1) - (rows[:, None] + np.arange(a)) % a) // a, axis=0, out=totals[1:])
+        counts[lo:lo + step] = totals[ends] - totals[ends - n]
+    return tuple(counts[0].tolist()) if single else counts
 
 
 def _corners(parts: Partition):

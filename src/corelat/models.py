@@ -12,9 +12,9 @@ cores model its lattice points:
 A point's core, ``EmbeddedPoint.core()``, is a plain partition tuple, and
 ``model_size_vector`` reads the point's size_i off its content classes.
 Both maps to runner levels, the model image and the type-A ambient tuple,
-are linear, so ``level_step`` maps a whole int64 block of points to levels
-in one checked kernel step; ``model_size_vectors`` and the region's
-partitions then turn the block into cores with one ``cores.from_coroot``.
+are linear, and each generator acts affinely, so ``level_step`` and
+``generator_step`` move a whole int64 block of points in one checked step;
+``size_numerators`` then turns it into cores with one ``cores.from_coroot``.
 
 Ambient coordinates: for B/C/D the source point with simple-coroot
 coordinates k becomes the integer vector x (the classical e_i coordinates,
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from operator import sub
 
@@ -185,66 +186,70 @@ def act_model_generator(t: CartanType, i: int, image) -> tuple[int, ...]:
     return act_type_a(word, image)
 
 
+def generator_step(t: CartanType, i: int) -> linalg.AffineRows:
+    """``act_model_generator`` of generator i as the checked int64 step on the
+    rows of an int64 array of model images, read off the action at 0 and the
+    unit vectors: every dictionary word is affine, the G_2 conjugation linear."""
+    return _affine_step(partial(act_model_generator, t, i), 3 if t.family == "G" else 2 * t.rank)
+
+
 def model_size_vector(t: CartanType, k) -> tuple[Fraction, ...]:
     """(size_0, ..., size_n) of a lattice point read off the content classes
-    of its core: ``model_size_vectors`` on a block of one point."""
-    return model_size_vectors(t, [k])[0]
+    of its core: ``size_numerators`` on a block of one point."""
+    d, s = size_numerators(t, np.array([k], dtype=np.int64))
+    return tuple(Fraction(x, d) for x in s[0, :-1].tolist())
 
 
-def model_size_vectors(t: CartanType, points) -> list[tuple[Fraction, ...]]:
-    """``model_size_vector`` of each of the points, sequences of simple-coroot
-    coordinates: one ``level_step`` and one ``cores.from_coroot`` on the block.
+def size_numerators(t: CartanType, x: np.ndarray) -> tuple[int, np.ndarray]:
+    """(2, s) with s[k] = 2 (size_0, ..., size_n, size) of the row x_k of the
+    int64 array x of simple-coroot coordinates, read off the content classes
+    of its core: ``level_step``, ``cores.from_coroot``, ``cores.content_counts``
+    and the ``size_rows`` with their sum appended, each on the whole block."""
+    rows = size_rows(t)
+    modulus = len(rows[0])
+    counts = cores.content_counts(cores.from_coroot(modulus, level_step(t)(x)), modulus)
+    rows.append([sum(col) for col in zip(*rows)])
+    return 2, linalg.AffineRows(rows, [0] * len(rows))(counts)
 
-    Case formulas per type (lambda_j = boxes of content j in the image core);
-    each equals ``affine.size_i_lattice`` for the source system, which the
-    test suite checks exhaustively.  The total size is the sum of the entries
-    (sum c_i = h and sum omega_i^vee = rho^vee); on the core it is the box
-    count in type C, (boxes - lambda_0 + lambda_n)/2 in type B,
-    (boxes - lambda_0 - lambda_n)/2 in type D and boxes + 3 lambda_2 in G_2.
-    """
+
+def size_rows(t: CartanType) -> list[list[int]]:
+    """The model's case formulas: row i holds the coefficients of 2 size_i in
+    the box counts lambda_j of content j of the image core, and each size_i
+    equals ``affine.size_i_lattice`` of the source system (checked exhaustively
+    by the tests).  The total size is the sum of the entries (sum c_i = h and
+    sum omega_i^vee = rho^vee); on the core it is the box count in type C,
+    (boxes - lambda_0 + lambda_n)/2 in type B, (boxes - lambda_0 - lambda_n)/2
+    in type D and boxes + 3 lambda_2 in G_2."""
     _require_model(t)
     n = t.rank
-    images = level_step(t)(np.array(points, dtype=np.int64).reshape(-1, n))
-    modulus = images.shape[1]
-
-    def entry(lam, i):
-        if t.family == "G":
-            if i == 0:
-                return Fraction(lam[0])
-            if i == 1:
-                return Fraction(3 * lam[2])
-            return Fraction(lam[1] + lam[2])
-        two_n = 2 * n
-        if t.family == "C":
-            if i in (0, n):
-                return Fraction(lam[i])
-            return Fraction(lam[i] + lam[two_n - i])
-        # B and D share the generic cases
-        if i == 0:
-            return Fraction(lam[0], 2)
-        if i == 1:
-            return Fraction(lam[1] + lam[two_n - 1] - lam[0], 2)
-        if t.family == "D":
-            if i == n - 1:
-                return Fraction(lam[n - 1] - lam[n] + lam[n + 1], 2)
-            if i == n:
-                return Fraction(lam[n], 2)
-        return Fraction(lam[i] + lam[two_n - i], 2)
-
-    return [tuple(entry(lam, i) for i in range(n + 1))
-            for lam in (cores.content_counts(core, modulus)
-                        for core in cores.from_coroot(modulus, images))]
+    if t.family == "G":
+        return [[2, 0, 0], [0, 0, 6], [0, 2, 2]]
+    two_n, d = 2 * n, 2 if t.family == "C" else 1
+    rows = [[0] * two_n for _ in range(n + 1)]
+    rows[0][0], rows[n][n] = d, 2
+    for i in range(1, n):
+        rows[i][i] = rows[i][two_n - i] = d
+    if t.family != "C":
+        rows[1][0] = -1
+    if t.family == "D":
+        rows[n - 1][n], rows[n][n] = -1, 1
+    return rows
 
 
 def level_step(t: CartanType) -> linalg.AffineRows:
     """The checked int64 step from rows of simple-coroot coordinates to the
     runner levels of their cores: the ambient sum-zero tuple in type A
     (``type_a_ambient_from_coords``), the model image (``embed``) in the
-    model families.  Both maps are linear, so column i of the step's matrix
-    is the image of the i-th unit vector."""
+    model families."""
     image = type_a_ambient_from_coords if t.family == "A" else lambda k: embed(t, k).image
-    columns = [image(tuple(int(i == j) for j in range(t.rank))) for i in range(t.rank)]
-    return linalg.AffineRows(tuple(zip(*columns)), (0,) * len(columns[0]))
+    return _affine_step(image, t.rank)
+
+
+def _affine_step(f, dim: int) -> linalg.AffineRows:
+    """The checked int64 step of an affine map f: shift f(0), columns f(e_i) - f(0)."""
+    shift = f((0,) * dim)
+    columns = [tuple(map(sub, f(tuple(int(i == j) for j in range(dim))), shift)) for i in range(dim)]
+    return linalg.AffineRows(tuple(zip(*columns)), shift)
 
 
 def self_conjugate_cores(n: int, bound: int) -> list[tuple[tuple[int, ...], cores.Partition]]:

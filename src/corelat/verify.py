@@ -268,22 +268,23 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
 def check_ip_content() -> list:
     """Content-class counts equal the lattice statistics, and toggling is
     equivariant with the simple reflections, over all a-cores with at most
-    60 boxes, a = 3, 4, 5.  The cores of all moved points of one a come
-    from one ``cores.from_coroot`` block."""
+    60 boxes, a = 3, 4, 5, each a as whole arrays: one letter step per letter,
+    and the cores of all moved points from one ``cores.from_coroot`` block."""
     def check(a):
         t = CartanType("A", a - 1)
         rs = build(t)
         all_parts = cores.all_cores(a, 60)
-        ks = [models.type_a_coords_from_ambient(cores.to_coroot(parts, a)) for parts in all_parts]
-        moved = np.fromiter(itertools.chain.from_iterable(
-            affine.apply(rs, (i,), k) for k in ks for i in range(a)), dtype=np.int64)
+        x = np.array([models.type_a_coords_from_ambient(cores.to_coroot(parts, a))
+                      for parts in all_parts], dtype=np.int64)
+        moved = np.stack([affine.letter_element(rs, i).step(x) for i in range(a)], axis=1)
         # most letters fix their core: each distinct moved point is converted once
         distinct, which = np.unique(moved.reshape(-1, a - 1), axis=0, return_inverse=True)
         moved_cores = cores.from_coroot(a, models.level_step(t)(distinct))
         which = which.reshape(-1).tolist()
-        for n, (parts, k) in enumerate(zip(all_parts, ks)):
-            counts = cores.content_counts(parts, a)
-            if tuple(map(Fraction, counts)) != affine.size_vector_lattice(rs, k):
+        half, odd = np.divmod(affine.size_vector_numerators(rs, x)[1], 2)
+        wrong = ((odd != 0) | (half != cores.content_counts(all_parts, a))).any(axis=1).tolist()
+        for n, parts in enumerate(all_parts):
+            if wrong[n]:
                 yield {"partition": list(parts)}
                 continue
             for i in range(a):
@@ -303,22 +304,27 @@ def model_test_points(t: CartanType, radius: int):
 
 
 def check_models() -> list:
-    """Embedding equivariance and the size correspondence per model type."""
+    """Embedding equivariance and the size correspondence per model type, each
+    grid as one int64 block; a point's records: generator i, size_index i, total."""
     def check(name, radius):
         t = CartanType.parse(name)
         rs = build(t)
         points = model_test_points(t, radius)
-        for k, sizes in zip(points, models.model_size_vectors(t, points)):
-            emb = models.embed(t, k)
-            lattice = affine.size_vector_lattice(rs, k)
-            for i in range(t.rank + 1):
-                moved = models.embed(t, affine.apply(rs, (i,), k)).image
-                if moved != models.act_model_generator(t, i, emb.image):
-                    yield {"point": list(k), "generator": i}
-                if sizes[i] != lattice[i]:
-                    yield {"point": list(k), "size_index": i}
-            if sum(sizes) != affine.size_lattice_total(rs, k):
-                yield {"point": list(k), "total": True}
+        x = np.array(points, dtype=np.int64)
+        level = models.level_step(t)
+        images = level(x)
+        model, lattice = models.size_numerators(t, x)[1], affine.size_vector_numerators(rs, x)[1]
+        d, total = affine.size_numerators(rs, x)
+        twice, rest = np.divmod(total, d // 2)  # d = 2 h f is even, and 2 size = s / (h f)
+        wrong = []
+        for i in range(t.rank + 1):
+            moved = level(affine.letter_element(rs, i).step(x))
+            wrong += [(moved != models.generator_step(t, i)(images)).any(axis=1),
+                      model[:, i] != lattice[:, i]]
+        wrong.append((rest != 0) | (twice != model[:, -1]))
+        found = [{k: i} for i in range(t.rank + 1) for k in ("generator", "size_index")] + [{"total": True}]
+        for row, col in zip(*(a.tolist() for a in np.nonzero(np.column_stack(wrong)))):
+            yield {"point": list(points[row]), **found[col]}
     return _counterexamples(({"type": name}, partial(check, name, radius))
                             for name, radius in MODEL_POINT_GRIDS)
 

@@ -233,6 +233,9 @@ def test_size_lattice_reference_values():
     for rs in (a2, c2):
         zero = (0,) * rs.rank
         assert all(size_i_lattice(rs, zero, i) == 0 for i in range(rs.rank + 1))
+    for q in ((1,), (1, 2, 3), (0, 0, 3)):
+        with pytest.raises(ValueError):
+            affine.size_vector_lattice(a2, q)
 
 
 def test_size_total_is_sum_of_parts():

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from corelat import affine, cores, models, rootsys
+from corelat import affine, cores, models, rootsys, verify
 from corelat.models import (
     CONJUGATE,
     act_model_generator,
@@ -223,3 +226,91 @@ def test_unsupported_model_families():
         embed(CartanType("A", 3), (0, 0, 0))
     with pytest.raises(models.UnsupportedModelError):
         generator_dictionary(CartanType("F", 4))
+
+
+# ---------------------------------------------------------------------------
+# the models and ip_content suites find wrong inputs
+# ---------------------------------------------------------------------------
+# Each pin holds what the per-point loops of both suites returned under
+# the same perturbation: the number of records and the first 16 hex digits
+# of the SHA-256 of their JSON, so the block route returns the same records
+# in the same order.
+
+def digest(records):
+    return len(records), hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16]
+
+
+def wrong_dictionary(monkeypatch, words):
+    """``models.generator_dictionary`` with the word of (type, generator)
+    replaced as ``words`` says."""
+    real = models.generator_dictionary
+
+    def perturbed(t):
+        return {i: words.get((str(t), i), word) for i, word in real(t).items()}
+
+    monkeypatch.setattr(models, "generator_dictionary", perturbed)
+
+
+def wrong_d_size(monkeypatch):
+    """2 size_{n-1} of type D without its -lambda_n: the generic B/D case."""
+    real = models.size_rows
+
+    def perturbed(t):
+        rows = real(t)
+        if t.family == "D":
+            rows[t.rank - 1][t.rank] = 0
+        return rows
+
+    monkeypatch.setattr(models, "size_rows", perturbed)
+
+
+def test_models_suite_finds_a_wrong_dictionary_letter(monkeypatch):
+    wrong_dictionary(monkeypatch, {("B3", 2): (2, 3)})
+    records = verify.check_models()
+    assert digest(records) == (1326, "fb06eb90c268db15")
+    assert records[0] == {"type": "B3", "point": [-5, -5, -5], "generator": 2}
+
+
+def test_models_suite_finds_a_wrong_size_entry(monkeypatch):
+    wrong_d_size(monkeypatch)
+    records = verify.check_models()
+    assert digest(records) == (1990, "136a07f285e6406c")
+    assert records[:2] == [{"type": "D4", "point": [0, -3, -1, 0], "size_index": 3},
+                           {"type": "D4", "point": [0, -3, -1, 0], "total": True}]
+
+
+def test_models_suite_orders_the_records_of_a_point(monkeypatch):
+    wrong_dictionary(monkeypatch, {("B3", 2): (2, 3), ("D4", 1): (1, 6)})
+    wrong_d_size(monkeypatch)
+    records = verify.check_models()
+    assert digest(records) == (4308, "46e697a6b3169d4e")
+    assert [r for r in records if r["point"] == [0, -3, -1, 0]] == [
+        {"type": "D4", "point": [0, -3, -1, 0], "generator": 1},
+        {"type": "D4", "point": [0, -3, -1, 0], "size_index": 3},
+        {"type": "D4", "point": [0, -3, -1, 0], "total": True}]
+
+
+def test_ip_content_suite_finds_a_wrong_letter(monkeypatch):
+    # s_1 and s_2 trade places on the lattice side, in a fresh letter cache
+    real = affine._reflections
+
+    def swapped(rs):
+        r = real(rs)
+        return (r[0], r[2], r[1], *r[3:])
+
+    monkeypatch.setattr(affine, "_reflections", swapped)
+    monkeypatch.setattr(affine, "_letter_elements", lru_cache(affine._letter_elements.__wrapped__))
+    records = verify.check_ip_content()
+    assert digest(records) == (3512, "7df8b7e235c83098")
+    assert records[:2] == [{"a": 3, "partition": [1], "letter": 1},
+                           {"a": 3, "partition": [1], "letter": 2}]
+
+
+def test_ip_content_suite_finds_a_wrong_content_class(monkeypatch):
+    # contents read as (r - s) mod a, the mirror of the package's convention
+    real = cores.content_counts
+    monkeypatch.setattr(cores, "content_counts",
+                        lambda parts, a: real(parts, a)[..., [-c % a for c in range(a)]])
+    records = verify.check_ip_content()
+    assert digest(records) == (1684, "fa8b52b1f8f65a93")
+    assert records[:2] == [{"a": 3, "partition": [1, 1]}, {"a": 3, "partition": [2]}]

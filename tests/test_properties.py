@@ -3,7 +3,7 @@ action, the generator steps of reduced words, the lattice sizes, the
 shifted size statistic and its invariance under the automorphisms of the
 extended Dynkin diagram, the knapsack block walk, the alcove and region
 points, the a-core bijection with its block step and its toggles, and
-the model embeddings.
+the model embeddings with their block steps against the per-point ones.
 
 They run beside the fixed cases in test_affine.py, test_sommers.py,
 test_cores.py, test_models.py and ``verify models``' point grids, over
@@ -439,6 +439,31 @@ def test_model_embedding_is_an_equivariant_size_preserving_bijection(name, data)
     assert list(models.model_size_vector(t, k)) == \
         [affine.size_i_lattice(rs, k, i) for i in range(t.rank + 1)]
     assert sum(models.model_size_vector(t, k)) == affine.size_lattice_total(rs, k)
+
+
+@PROPERTY
+@given(st.sampled_from(MODEL_TYPES), st.data())
+def test_model_block_steps_match_their_per_point_references(name, data):
+    t = CartanType.parse(name)
+    rs = build(t)
+    points = data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * t.rank), min_size=1, max_size=8))
+    x = np.array(points, dtype=np.int64)
+    images = [models.embed(t, k).image for k in points]
+    for i in range(t.rank + 1):
+        assert models.generator_step(t, i)(np.array(images)).tolist() == \
+            [list(models.act_model_generator(t, i, image)) for image in images]
+        assert affine.letter_element(rs, i).step(x).tolist() == [list(affine.apply(rs, (i,), k)) for k in points]
+    lattice = [affine.size_vector_lattice(rs, k) for k in points]
+    d, s = affine.size_vector_numerators(rs, x)
+    assert [tuple(Fraction(v, d) for v in row) for row in s.tolist()] == lattice
+    d, s = models.size_numerators(t, x)
+    assert [tuple(Fraction(v, d) for v in row) for row in s.tolist()] == \
+        [(*sizes, affine.size_lattice_total(rs, k)) for k, sizes in zip(points, lattice)]
+    modulus = len(images[0])
+    parts = [cores.from_coroot(modulus, image) for image in images]
+    brute = [[sum(1 for r, length in enumerate(p, start=1) for c in range(1, length + 1)
+                  if (c - r) % modulus == j) for j in range(modulus)] for p in parts]
+    assert cores.content_counts(parts, modulus).tolist() == brute
 
 
 def extended_cartan(rs):
