@@ -101,15 +101,22 @@ def _letters(rs: RootSystemData, word) -> tuple[int, ...]:
 class AffineElement:
     """An affine Weyl group element as the affine map x -> m @ x + v.
 
-    ``m`` acts on simple-coroot coordinates; its inverse is carried along
-    so that composition and inversion stay in integer arithmetic.  The
-    semidirect decomposition w * t_q has ``w = m`` and ``q = m^-1 v``.
+    ``m`` acts on simple-coroot coordinates.  The semidirect decomposition
+    w * t_q has ``w = m`` and ``q = m^-1 v``; the word steps carry q along,
+    and m^-1 is formed in integers only when something reads it.
     """
 
     rs: RootSystemData
     m: tuple[tuple[int, ...], ...]
-    m_inv: tuple[tuple[int, ...], ...]
     v: tuple[int, ...]
+
+    @cached_property
+    def m_inv(self) -> tuple[tuple[int, ...], ...]:
+        """m^-1 = G^-1 m^T G, as m preserves the coroot Gram G: adj(G) m^T G
+        over det G, every division exact."""
+        det, adj = _gram_adjugate(self.rs)
+        scaled = linalg.matmul(linalg.matmul(adj, tuple(zip(*self.m))), self.rs.gram_coroot)
+        return tuple(tuple(x // det for x in row) for row in scaled)
 
     @cached_property
     def root_m(self) -> tuple[tuple[int, ...], ...]:
@@ -129,16 +136,13 @@ class AffineElement:
 
     def compose(self, other: "AffineElement") -> "AffineElement":
         """self ∘ other (apply ``other`` first)."""
-        return AffineElement(
-            self.rs,
-            linalg.matmul(self.m, other.m),
-            linalg.matmul(other.m_inv, self.m_inv),
-            linalg.vec_add(linalg.matvec(self.m, other.v), self.v),
-        )
+        return AffineElement(self.rs, linalg.matmul(self.m, other.m),
+                             linalg.vec_add(linalg.matvec(self.m, other.v), self.v))
 
     def inverse(self) -> "AffineElement":
-        neg_v = tuple(-x for x in linalg.matvec(self.m_inv, self.v))
-        return AffineElement(self.rs, self.m_inv, self.m, neg_v)
+        """x -> m^-1 x - q, whose inverse is m and translation is -v."""
+        return _known(AffineElement(self.rs, self.m_inv, tuple(-x for x in self.translation)),
+                      m_inv=self.m, translation=tuple(-x for x in self.v))
 
     @cached_property
     def translation(self) -> tuple[int, ...]:
@@ -175,14 +179,24 @@ def _on_roots(rs: RootSystemData, mat) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(si * x // sj for x, sj in zip(row, s)) for row, si in zip(mat, s))
 
 
+@lru_cache(maxsize=None)
+def _gram_adjugate(rs: RootSystemData) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    return linalg.adjugate(rs.gram_coroot)
+
+
+def _known(el: AffineElement, **values) -> AffineElement:
+    """``el`` with the cached properties it is given (``m_inv``, ``translation``) already set."""
+    vars(el).update(values)
+    return el
+
+
 def identity_element(rs: RootSystemData) -> AffineElement:
-    eye = linalg.identity(rs.rank)
-    return AffineElement(rs, eye, eye, (0,) * rs.rank)
+    return translation_element(rs, (0,) * rs.rank)
 
 
 def translation_element(rs: RootSystemData, q) -> AffineElement:
-    eye = linalg.identity(rs.rank)
-    return AffineElement(rs, eye, eye, tuple(q))
+    eye, q = linalg.identity(rs.rank), tuple(q)
+    return _known(AffineElement(rs, eye, q), m_inv=eye, translation=q)
 
 
 class _Reflection(NamedTuple):
@@ -244,13 +258,10 @@ def _reflect_point(x: list, r: _Reflection) -> None:
         x[l] -= t * y
 
 
-def _reflect_left(m: list, m_inv_t: list, v: list, r: _Reflection) -> None:
-    """(m, m^-1, v) <- s (m, m^-1, v) in place, for the generator s = I - c p^T
-    with its shift.  s changes only the rows of ``m`` in the support of c; as
-    s is an involution, m^-1 becomes m^-1 s, whose transpose changes only in
-    the rows in the support of p, so the inverse is carried transposed."""
+def _reflect_left(m: list, v: list, r: _Reflection) -> None:
+    """(m, v) <- s (m, v) in place, for the generator s = I - c p^T with its
+    shift: only the rows of ``m`` in the support of c change."""
     _reflect_rows(m, r.c, r.p)
-    _reflect_rows(m_inv_t, r.p, r.c)
     _reflect_point(v, r)
 
 
@@ -261,19 +272,18 @@ def word_to_element(rs: RootSystemData, letters: Iterable[int]) -> AffineElement
     place and in integers (``_reflect_left``).
     """
     refl = _reflections(rs)
-    n = rs.rank
-    m, m_inv_t = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(2))
-    v = [0] * n
+    m, v = [list(row) for row in linalg.identity(rs.rank)], [0] * rs.rank
     for i in reversed(_letters(rs, letters)):
-        _reflect_left(m, m_inv_t, v, refl[i])
-    return AffineElement(rs, linalg.freeze(m), linalg.freeze(zip(*m_inv_t)), tuple(v))
+        _reflect_left(m, v, refl[i])
+    return AffineElement(rs, linalg.freeze(m), tuple(v))
 
 
 def left_step(rs: RootSystemData, i: int, el: AffineElement) -> AffineElement:
-    """s_i el, by the step ``word_to_element`` applies for each letter."""
-    m, m_inv_t, v = [list(row) for row in el.m], [list(col) for col in zip(*el.m_inv)], list(el.v)
-    _reflect_left(m, m_inv_t, v, _reflections(rs)[i])
-    return AffineElement(rs, linalg.freeze(m), linalg.freeze(zip(*m_inv_t)), tuple(v))
+    """s_i el, by the step ``word_to_element`` applies for each letter; the
+    rows of ``el.m`` that it does not change are shared."""
+    m, v = list(el.m), list(el.v)
+    _reflect_left(m, v, _reflections(rs)[i])
+    return AffineElement(rs, linalg.freeze(m), tuple(v))
 
 
 @lru_cache(maxsize=None)
@@ -319,8 +329,8 @@ def reduced_step(rs: RootSystemData, prefix: AffineElement, i: int):
     alpha_i^vee = c, the entry's root is S u / s_i for i >= 1 and -S u for
     i = 0 (alpha_0 = -hr + delta, hr long), S = diag(2 / |alpha_j|^2); its
     delta part is -<p, q> for i >= 1 and 1 + <p, q> for i = 0, with q the
-    translation of ``prefix``.  The element is (m - u p^T, v + shift u),
-    with inverse (I - c p^T) m^-1.
+    translation of ``prefix``.  The element is (m - u p^T, v + shift u), with
+    translation s_i(q + shift c) = q - (<p, q> + shift) c, as <p, c> = 2.
     """
     r = _reflections(rs)[i]
     u = [0] * rs.rank
@@ -344,10 +354,11 @@ def reduced_step(rs: RootSystemData, prefix: AffineElement, i: int):
                 row[l] -= uk * y
             row = tuple(row)
         m.append(row)
-    m_inv = list(prefix.m_inv)
-    _reflect_rows(m_inv, r.c, r.p)
     v = tuple(x + r.shift * uk for x, uk in zip(prefix.v, u)) if r.shift else prefix.v
-    return entry, AffineElement(rs, tuple(m), linalg.freeze(m_inv), v)
+    q, t = list(q), t + r.shift
+    for l, y in r.c:
+        q[l] -= t * y
+    return entry, _known(AffineElement(rs, tuple(m), v), translation=tuple(q))
 
 
 def inversion_sequence(rs: RootSystemData, word) -> list[AffineRoot]:
@@ -391,13 +402,20 @@ def scale_letter_totals(rs: RootSystemData, totals) -> tuple[int, ...]:
     return (totals[0],) + tuple(s * t for s, t in zip(_coroot_scales(rs), totals[1:]))
 
 
-def size_vector_word(rs: RootSystemData, word) -> tuple[Fraction, ...]:
-    """(size_0, ..., size_n) of the element whose inverse the word spells."""
+def word_size_totals(rs: RootSystemData, word) -> tuple[int, ...]:
+    """(size_0, ..., size_n) of the element whose inverse the word spells, as
+    integers: the delta-coefficients of its inversion sequence summed per
+    letter, through ``scale_letter_totals``."""
     letters = _letters(rs, word)
     totals = [0] * (rs.rank + 1)
     for letter, e in zip(letters, inversion_sequence(rs, letters)):
         totals[letter] += e.k
-    return tuple(map(Fraction, scale_letter_totals(rs, totals)))
+    return scale_letter_totals(rs, totals)
+
+
+def size_vector_word(rs: RootSystemData, word) -> tuple[Fraction, ...]:
+    """``word_size_totals`` as Fractions, the type of ``size_vector_lattice``."""
+    return tuple(map(Fraction, word_size_totals(rs, word)))
 
 
 def size_vector_lattice(rs: RootSystemData, q) -> tuple[Fraction, ...]:

@@ -219,31 +219,20 @@ def content_counts(parts, a: int):
     return tuple(counts[0].tolist()) if single else counts
 
 
-def _corners(parts: Partition):
-    """(addable, removable) corner cells as (row, col) pairs, 1-indexed."""
-    k = len(parts)
-    addable = []
-    removable = []
-    for r in range(1, k + 2):
-        cur = parts[r - 1] if r <= k else 0
-        prev = parts[r - 2] if r >= 2 else None
-        if r == 1 or (prev is not None and prev > cur):
-            addable.append((r, cur + 1))
-        if r <= k and cur > 0 and (r == k or parts[r] < cur):
-            removable.append((r, cur))
-    return addable, removable
-
-
 def toggle_action(parts: Partition, a: int, i: int) -> Partition:
     """Add all addable, or remove all removable, boxes with content i mod a.
 
-    For an a-core the two cases never mix; a mixed case raises.
+    Row r of length l has an addable box (r, l + 1) when the row above is
+    longer (or r = 1) and a removable box (r, l) when the row below is
+    shorter.  For an a-core the two cases never mix; a mixed case raises.
     """
     if not 0 <= i < a:
         raise ValueError(f"content class {i} out of range 0..{a - 1}")
-    addable, removable = _corners(parts)
-    adds = [r for r, c in addable if (c - r) % a == i]
-    rems = [r for r, c in removable if (c - r) % a == i]
+    lengths = (*parts, 0)
+    adds = [r for r, (above, l) in enumerate(zip((lengths[0] + 1, *lengths), lengths), 1)
+            if above > l and (l + 1 - r) % a == i]
+    rems = [r for r, (l, below) in enumerate(zip(lengths, lengths[1:]), 1)
+            if l > below and (l - r) % a == i]
     if adds and rems:
         raise ValueError(f"toggling class {i} of {parts} would both add and remove boxes")
     step, rows = (1, adds) if adds else (-1, rems)
@@ -260,25 +249,30 @@ def conjugate_coroot(q) -> tuple[int, ...]:
     return tuple(-x for x in reversed(q))
 
 
-def all_cores(a: int, max_boxes: int) -> list[Partition]:
-    """All a-cores with at most ``max_boxes`` boxes.
-
-    Breadth-first closure under the toggle action starting from the empty
-    partition; every a-core of size <= max_boxes is reached because each
-    nonempty core admits a strictly size-decreasing toggle.
-    """
-    seen = {()}
+def core_closure(a: int, max_boxes: int) -> tuple[list[Partition], list[tuple[Partition, ...]]]:
+    """All a-cores with at most ``max_boxes`` boxes, sorted by size and then
+    parts, and the row of a toggles (``toggle_action``) of each, from one
+    breadth-first closure of the empty partition that toggles each core once
+    per class; every a-core of size <= max_boxes is reached because each
+    nonempty core admits a strictly size-decreasing toggle."""
+    toggles: dict = {(): None}
     frontier = [()]
     while frontier:
         nxt = []
         for parts in frontier:
-            for i in range(a):
-                other = toggle_action(parts, a, i)
-                if other not in seen and sum(other) <= max_boxes:
-                    seen.add(other)
+            toggles[parts] = row = tuple(toggle_action(parts, a, i) for i in range(a))
+            for other in row:
+                if other not in toggles and sum(other) <= max_boxes:
+                    toggles[other] = None
                     nxt.append(other)
         frontier = nxt
-    return sorted(seen, key=lambda p: (sum(p), p))
+    order = sorted(toggles, key=lambda p: (sum(p), p))
+    return order, [toggles[p] for p in order]
+
+
+def all_cores(a: int, max_boxes: int) -> list[Partition]:
+    """All a-cores with at most ``max_boxes`` boxes: the cores of ``core_closure``."""
+    return core_closure(a, max_boxes)[0]
 
 
 def self_conjugate_partitions_up_to(max_boxes: int) -> list[Partition]:

@@ -203,18 +203,24 @@ def check_transfer(matrix=DEFAULT_MATRIX) -> list:
 
 
 def check_sizer(count: int = 1000, types=None) -> list:
-    """Word-side size equals lattice-side size on random reduced words of
-    length at most 10 (seed 7)."""
+    """Word-side size equals lattice-side size on random reduced words (seed 7).
+    Each draws letters uniformly and stops at ten or at the first draw that
+    would break reducedness, so the 1,008 default words have 2,867 letters:
+    275 have one and 5 reach ten.  Per type, the integer letter totals of the
+    reversed words (``affine.word_size_totals``) meet one
+    ``affine.size_vector_numerators`` block of the words' images of 0."""
     rng = random.Random(7)
     types = types or [t for t, _ in DEFAULT_MATRIX]
     per_type = -(-count // len(types))  # ceil: at least ``count`` words total
 
     def check(rs):
-        for _ in range(per_type):
-            letters = affine.random_reduced_word(rng, rs, 10)
-            q = affine.apply(rs, letters, (0,) * rs.rank)
-            word_sizes = affine.size_vector_word(rs, letters[::-1])
-            if word_sizes != affine.size_vector_lattice(rs, q):
+        words = [affine.random_reduced_word(rng, rs, 10) for _ in range(per_type)]
+        totals = np.array([affine.word_size_totals(rs, w[::-1]) for w in words], dtype=np.int64)
+        x = np.array([affine.apply(rs, w, (0,) * rs.rank) for w in words], dtype=np.int64)
+        half, odd = np.divmod(affine.size_vector_numerators(rs, x)[1], 2)
+        wrong = ((odd != 0) | (half != totals)).any(axis=1).tolist()
+        for letters, bad in zip(words, wrong):
+            if bad:
                 yield {"word": list(letters)}
     return _counterexamples(({"type": t}, partial(check, build_named(t))) for t in types)
 
@@ -234,13 +240,13 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
     def check(rs):
         by_element: dict = {}
         steps: dict = {}  # element key -> its reduced_step for every letter
+        scales = affine.scale_letter_totals(rs, (1,) * (rs.rank + 1))  # size_i per unit of letter i
         cap, visited = sommers._CAP.get(), itertools.count(1)
 
-        def dfs(el, letters, totals):
+        def dfs(el, letters, vec):
             if next(visited) > cap:
                 raise sommers.FeasibilityError(
                     f"reduced words of {rs.cartan_type} up to --length {max_len} exceed cap {cap}")
-            vec = affine.scale_letter_totals(rs, totals)
             key = el.key()
             prior = by_element.setdefault(key, (vec, el))
             if prior[0] != vec:
@@ -252,11 +258,11 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
                 steps[key] = [affine.reduced_step(rs, el, i) for i in range(rs.rank + 1)]
             for i, (entry, longer) in enumerate(steps[key]):
                 if longer is not None:
-                    new_totals = list(totals)
-                    new_totals[i] += entry.k
-                    yield from dfs(longer, letters + (i,), new_totals)
+                    longer_vec = list(vec)
+                    longer_vec[i] += scales[i] * entry.k
+                    yield from dfs(longer, letters + (i,), tuple(longer_vec))
 
-        yield from dfs(affine.identity_element(rs), (), [0] * (rs.rank + 1))
+        yield from dfs(affine.identity_element(rs), (), (0,) * (rs.rank + 1))
         for key, (vec, el) in by_element.items():
             for i in range(1, rs.rank + 1):
                 other = by_element.get(affine.left_step(rs, i, el).key())
@@ -269,11 +275,12 @@ def check_ip_content() -> list:
     """Content-class counts equal the lattice statistics, and toggling is
     equivariant with the simple reflections, over all a-cores with at most
     60 boxes, a = 3, 4, 5, each a as whole arrays: one letter step per letter,
-    and the cores of all moved points from one ``cores.from_coroot`` block."""
+    the cores of all moved points from one ``cores.from_coroot`` block, and
+    the toggles that the closure ``cores.core_closure`` made."""
     def check(a):
         t = CartanType("A", a - 1)
         rs = build(t)
-        all_parts = cores.all_cores(a, 60)
+        all_parts, toggles = cores.core_closure(a, 60)
         x = np.array([models.type_a_coords_from_ambient(cores.to_coroot(parts, a))
                       for parts in all_parts], dtype=np.int64)
         moved = np.stack([affine.letter_element(rs, i).step(x) for i in range(a)], axis=1)
@@ -287,8 +294,8 @@ def check_ip_content() -> list:
             if wrong[n]:
                 yield {"partition": list(parts)}
                 continue
-            for i in range(a):
-                if cores.toggle_action(parts, a, i) != moved_cores[which[n * a + i]]:
+            for i, toggled in enumerate(toggles[n]):
+                if toggled != moved_cores[which[n * a + i]]:
                     yield {"partition": list(parts), "letter": i}
     return _counterexamples(({"a": a}, partial(check, a)) for a in (3, 4, 5))
 

@@ -3,13 +3,15 @@ import enum
 import hashlib
 import io
 import json
+import random
+from collections import Counter
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corelat import cli, cores, ehrhart, rootsys, sommers, verify
+from corelat import affine, cli, cores, ehrhart, rootsys, sommers, verify
 
 ROOTS_SCHEMA = {
     "type": "object",
@@ -548,7 +550,9 @@ def test_a_held_out_mismatch_is_a_counterexample(monkeypatch, capsys):
 
 def test_a_toggle_that_leaves_the_cores_is_a_counterexample(monkeypatch, capsys):
     """A toggle whose result is no 4-core fails the identity (exit 1) and is
-    not refused as a partition that is not a core (exit 2)."""
+    not refused as a partition that is not a core (exit 2).  The closure is
+    pinned to the true cores, so the broken toggle reaches only their toggle
+    rows and never adds its non-core to the cores."""
     every_core = {a: cores.all_cores(a, 60) for a in (3, 4, 5)}
     toggle = cores.toggle_action
 
@@ -556,14 +560,92 @@ def test_a_toggle_that_leaves_the_cores_is_a_counterexample(monkeypatch, capsys)
         toggled = toggle(parts, a, i)
         return (4,) if (a, toggled) == (4, (3, 1, 1)) else toggled
 
-    monkeypatch.setattr(cores, "all_cores", lambda a, max_boxes: every_core[a])
-    monkeypatch.setattr(cores, "toggle_action", broken)
+    def pinned(a, max_boxes):
+        return every_core[a], [tuple(broken(p, a, i) for i in range(a)) for p in every_core[a]]
+
+    monkeypatch.setattr(cores, "core_closure", pinned)
     code, out = run(capsys, "verify", "ip_content")
     assert code == 1
     records = json.loads(out)["counterexamples"]
     assert sorted((tuple(r["partition"]), r["letter"]) for r in records) == \
         [((2, 1), 2), ((3, 1, 1, 1), 1), ((3, 2, 1), 0), ((4, 1, 1), 3)]
     assert all(set(r) == {"a", "partition", "letter"} and r["a"] == 4 for r in records)
+
+
+#: the words of ``verify sizer --type A2 --count 5``, in order
+A2_SIZER_WORDS = [(1, 0, 1, 2, 0), (2, 0, 1, 2, 0, 2), (0,), (1,), (0,)]
+
+
+@pytest.mark.parametrize("word, flagged", [
+    ((2, 0, 1, 2, 0, 2), [[2, 0, 1, 2, 0, 2]]),
+    ((0,), [[0], [0]]),  # the word is drawn twice
+])
+def test_sizer_flags_a_perturbed_inversion_entry(monkeypatch, capsys, word, flagged):
+    """One more delta in the last inversion entry of the word side flags every
+    draw of that word and no other."""
+    real = affine.inversion_sequence
+
+    def perturbed(rs, letters):
+        entries = real(rs, letters)
+        if tuple(letters) == word[::-1]:
+            entries[-1] = entries[-1]._replace(k=entries[-1].k + 1)
+        return entries
+
+    monkeypatch.setattr(affine, "inversion_sequence", perturbed)
+    code, out = run(capsys, "verify", "sizer", "--type", "A2", "--count", "5")
+    assert code == 1
+    assert json.loads(out)["counterexamples"] == [{"type": "A2", "word": w} for w in flagged]
+
+
+@pytest.mark.parametrize("row", [1, 2])
+@pytest.mark.parametrize("delta", [1, 2])  # an odd numerator, then a wrong half
+def test_sizer_flags_a_perturbed_lattice_row(monkeypatch, capsys, row, delta):
+    """A lattice size numerator moved in one row flags that row's word only,
+    not a later draw of the same word."""
+    real = affine.size_vector_numerators
+
+    def perturbed(rs, x):
+        d, s = real(rs, x)
+        s = s.copy()
+        s[row, 0] += delta
+        return d, s
+
+    monkeypatch.setattr(affine, "size_vector_numerators", perturbed)
+    code, out = run(capsys, "verify", "sizer", "--type", "A2", "--count", "5")
+    assert code == 1
+    assert json.loads(out)["counterexamples"] == [{"type": "A2", "word": list(A2_SIZER_WORDS[row])}]
+
+
+def test_sizer_draws_short_words():
+    """The default words stop at the first letter that would break
+    reducedness: 1,008 words, 2,867 letters, 275 of one letter, 5 of ten."""
+    rng, words = random.Random(7), []
+    for t, _ in verify.DEFAULT_MATRIX:
+        rs = rootsys.build_named(t)
+        words += [affine.random_reduced_word(rng, rs, 10) for _ in range(112)]
+    lengths = [len(w) for w in words]
+    assert (len(words), sum(lengths), lengths.count(1), lengths.count(10)) == (1008, 2867, 275, 5)
+    rng = random.Random(7)
+    assert [affine.random_reduced_word(rng, rootsys.build_named("A2"), 10)
+            for _ in range(5)] == A2_SIZER_WORDS
+
+
+def test_ip_content_toggles_each_core_once_per_letter(monkeypatch, capsys):
+    """At its defaults the suite toggles every (core, letter) pair exactly
+    once: 3 * 75 + 4 * 356 + 5 * 1,349 = 8,394 calls."""
+    calls = Counter()
+    toggle = cores.toggle_action
+
+    def counted(parts, a, i):
+        calls[parts, a, i] += 1
+        return toggle(parts, a, i)
+
+    monkeypatch.setattr(cores, "toggle_action", counted)
+    code, out = run(capsys, "verify", "ip_content")
+    assert code == 0 and json.loads(out)["pass"]
+    assert sum(calls.values()) == 8394 == 3 * 75 + 4 * 356 + 5 * 1349
+    assert set(calls.values()) == {1}
+    assert Counter(a for _, a, _ in calls) == {3: 3 * 75, 4: 4 * 356, 5: 5 * 1349}
 
 
 def test_haiman_refuses_on_the_predicted_count_before_enumerating(monkeypatch, capsys):

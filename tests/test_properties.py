@@ -219,6 +219,10 @@ def test_reduced_step_is_the_root_action_and_the_product(name, data):
         if longer is not None:
             product = prefix.compose(affine.letter_element(rs, i))
             assert (longer.m, longer.m_inv, longer.v) == (product.m, product.m_inv, product.v)
+            # the carried translation, and the inverse formed on demand
+            assert longer.translation == product.translation
+            assert linalg.matvec(longer.m, longer.translation) == longer.v
+            assert linalg.matmul(longer.m, longer.m_inv) == linalg.identity(rs.rank)
 
 
 @PROPERTY
@@ -230,6 +234,7 @@ def test_left_step_is_the_left_product(name, data):
         step, product = affine.left_step(rs, i, el), affine.letter_element(rs, i).compose(el)
         assert (step.m, step.m_inv, step.v) == (product.m, product.m_inv, product.v)
         assert linalg.matmul(step.m, step.m_inv) == linalg.identity(rs.rank)
+        assert step.translation == product.translation
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4", "A3"])
