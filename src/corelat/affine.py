@@ -222,17 +222,16 @@ def _sparse(vec) -> tuple[tuple[int, int], ...]:
 def _reflections(rs: RootSystemData) -> tuple[_Reflection, ...]:
     """s_0, s_1, ..., s_n as sparse reflection data.
 
-    s_0 reflects in <x, hr> = 1: p = hr^T A, c = hr_check, rp = A hr_check
-    (alpha -> <alpha, hr_check>).  s_i has p = row i of A, rp = column i
-    of A and c = e_i.
+    s_0 reflects in <x, hr> = 1: p = hr^T A (the highest root's pairing
+    vector), c = hr_check, rp = A hr_check (alpha -> <alpha, hr_check>).
+    s_i has p = row i of A, rp = column i of A and c = e_i.
     """
     n = rs.rank
     a = rs.cartan_matrix
-    hr = rs.highest_root_coeffs
     hrc = rs.highest_root_coroot_coords
     out = [_Reflection(
         _sparse(hrc),
-        _sparse(sum(hr[j] * a[j][i] for j in range(n)) for i in range(n)),
+        _sparse(rs.positive_roots[-1].pair_vec),
         _sparse(sum(a[j][i] * hrc[i] for i in range(n)) for j in range(n)),
         1,
     )]
@@ -429,7 +428,7 @@ def size_vector_numerators(rs: RootSystemData, x: np.ndarray) -> tuple[int, np.n
     """(2, s) with size_i(x_k) = s[k, i] / 2 for each row x_k of the int64 array
     x of coroot points: ``_size_vector_form`` as two checked steps."""
     norm, mat = _size_vector_form(rs)
-    return 2, linalg.AffineRows(mat, (0,) * len(mat))(np.column_stack([norm.per_row(x), x]))
+    return 2, linalg.AffineRows(mat, (0,) * len(mat))(np.column_stack([norm.step(x), x]))
 
 
 @lru_cache(maxsize=None)
@@ -478,11 +477,6 @@ class SizeForm:
     def step(self) -> linalg.QuadraticRows:
         return linalg.QuadraticRows(self.quad, self.lin, self.const)
 
-    def per_row(self, m: np.ndarray) -> np.ndarray:
-        """s of each row of the int64 array m, by ``step`` under the bound of
-        m's own rows."""
-        return self.step(m)
-
 
 @lru_cache(maxsize=None)
 def scaled_size_b(rs: RootSystemData, b: int) -> tuple[int, SizeForm]:
@@ -501,9 +495,9 @@ def scaled_size_b(rs: RootSystemData, b: int) -> tuple[int, SizeForm]:
 def size_numerators(rs: RootSystemData, x: np.ndarray) -> tuple[int, np.ndarray]:
     """(d, s) with size(x_k) = s_k / d for each row x_k of the int64 array x
     of coroot points: the pairings m = x A^T (``linalg.AffineRows``), then
-    the per-row form ``SizeForm.per_row`` of ``scaled_size_b`` at b = 1."""
+    the per-row form ``SizeForm.step`` of ``scaled_size_b`` at b = 1."""
     d, form = scaled_size_b(rs, 1)
-    return d, form.per_row(linalg.AffineRows(rs.cartan_matrix, [0] * rs.rank)(x))
+    return d, form.step(linalg.AffineRows(rs.cartan_matrix, [0] * rs.rank)(x))
 
 
 def size_b(rs: RootSystemData, b: int, x) -> Fraction:

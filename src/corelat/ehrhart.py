@@ -206,7 +206,7 @@ def expected_size(rs: RootSystemData, b: int,
     return ExpectationReport(str(rs.cartan_type), b, count, coreset.total_size, direct_mean)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RootReport:
     residue: int
     checked: list  # (root location, value) pairs, each value 0

@@ -12,8 +12,8 @@ Conventions used throughout the package:
   integer Gram matrix ``gram_coroot[i][j] = <alphacheck_i, alphacheck_j>``,
   which is D^-1 A with D = diag(|alpha_i|^2 / 2), so no irrational ambient
   coordinates ever appear and integer inputs give integer sums.
-* Positive roots are generated by reflection closure from the simple roots
-  and sorted by (height, coefficient vector).
+* Positive roots are the reflection closure of the simple roots, sorted by
+  (height, coefficients); each is as long as the simple root it came from.
 """
 
 from __future__ import annotations
@@ -132,37 +132,28 @@ def _symmetrizer(a) -> tuple[Fraction, ...]:
     return tuple(x / top for x in d)
 
 
-def _closure_pair_vecs(a, n) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Positive roots mapped to their pairing vectors, in (height, coefficients) order.
+def _closure_pair_vecs(a, n) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
+    """Positive roots mapped to (pairing vector, origin), in (height, coefficients) order.
 
-    Closes the simple roots under 'add a simple root when the result is a
-    root': alpha + alpha_j is a root iff p - <alpha, alphacheck_j> > 0,
-    where p is the number of steps the root string through alpha extends in
-    the -alpha_j direction.  Building layer by layer makes p computable from
-    the roots already found; a negative pairing needs no walk, as p >= 0.
-    The pairing vector of alpha + alpha_j is that of alpha plus row j of A.
+    The reflection closure of the simple roots: for a root alpha and each j
+    with k = <alpha, alphacheck_j> < 0, s_j alpha = alpha - k alpha_j is a
+    higher root, whose pairing vector is alpha's minus k times row j of A.
+    It is complete, as every positive root of height > 1 is s_j of a lower
+    one (Humphreys, Lie Algebras, 10.2).  The origin is the simple root a
+    root was reflected from, as long as the root: reflections keep lengths.
     """
-    found = {tuple(int(i == j) for j in range(n)): tuple(a[i]) for i in range(n)}
+    found = {tuple(int(i == j) for j in range(n)): (tuple(a[i]), i) for i in range(n)}
     layer = list(found)
     while layer:
         nxt = []
         for alpha in layer:
-            pair_vec = found[alpha]
-            for j in range(n):
-                if pair_vec[j] >= 0:
-                    p = 0
-                    down = list(alpha)
-                    while down[j] > 0:
-                        down[j] -= 1
-                        if tuple(down) not in found:
-                            break
-                        p += 1
-                    if p <= pair_vec[j]:
-                        continue
-                cand = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:]
-                if cand not in found:
-                    found[cand] = tuple(x + y for x, y in zip(pair_vec, a[j]))
-                    nxt.append(cand)
+            pair_vec, origin = found[alpha]
+            for j, k in enumerate(pair_vec):
+                if k < 0:
+                    cand = alpha[:j] + (alpha[j] - k,) + alpha[j + 1:]
+                    if cand not in found:
+                        found[cand] = (tuple(x - k * y for x, y in zip(pair_vec, a[j])), origin)
+                        nxt.append(cand)
         layer = nxt
     return dict(sorted(found.items(), key=lambda item: (sum(item[0]), item[0])))
 
@@ -224,13 +215,8 @@ def build(t: CartanType) -> RootSystemData:
         for j in range(n):
             assert gram[i][j] == gram[j][i], "coroot Gram matrix must be symmetric"
     r = max(scale)
-    r_d = [r // k for k in scale]
-
-    roots = []
-    for coeffs, pair_vec in _closure_pair_vecs(a, n).items():
-        # r |alpha|^2 = r sum_i c_i d_i <alphacheck_i, alpha>, an integer
-        r_norm2 = sum(c * s * p for c, s, p in zip(coeffs, r_d, pair_vec) if c)
-        roots.append(Root(coeffs, sum(coeffs), r_norm2 == 2 * r, pair_vec))
+    roots = [Root(coeffs, sum(coeffs), scale[origin] == 1, pair_vec)
+             for coeffs, (pair_vec, origin) in _closure_pair_vecs(a, n).items()]
 
     h = 1 + roots[-1].height
     if len(roots) != n * h // 2:

@@ -364,7 +364,7 @@ def max_size(rs: RootSystemData, b: int, coreset: CoreSet | None = None):
     return value, tuple(argmax)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelfConjugateReport:
     n: int
     b: int

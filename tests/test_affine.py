@@ -254,10 +254,10 @@ def test_per_row_sizes_assert_their_int64_bound_on_signed_rows():
     # 2**63 at mass = sum |m_i| = 3037000500
     form = affine.SizeForm(((1, 0), (0, 1)), (0, 0), 0)
     below = np.array([[0, 0], [-1518500249, 1518500250]], dtype=np.int64)
-    assert form.per_row(below).tolist() == [0, 1518500249**2 + 1518500250**2]
+    assert form.step(below).tolist() == [0, 1518500249**2 + 1518500250**2]
     past = np.array([[0, 0], [-1518500250, 1518500250]], dtype=np.int64)
     with pytest.raises(AssertionError, match="int64 bound of the row sizes"):
-        form.per_row(past)
+        form.step(past)
 
 def test_sizer_word_equals_lattice():
     # word/lattice agreement on random reduced words

@@ -154,12 +154,14 @@ def test_pairing_examples():
 
 
 def test_reflection_closure_idempotent():
-    for name in ("A3", "B3", "C3", "G2", "F4"):
+    for name in ALL_IMPLEMENTED:
         rs = build_named(name)
         coeffs = {r.coeffs for r in rs.positive_roots}
         n = rs.rank
         a = rs.cartan_matrix
-        # re-close: adding a simple root to any root stays inside the found set
+        # re-close by the root-string rule, which the reflection closure does
+        # not use: alpha + alpha_j is a root iff p - <alpha, alphacheck_j> > 0,
+        # p the length of the alpha_j-string below alpha; each such root is found
         for root in rs.positive_roots:
             for j in range(n):
                 pair = sum(root.coeffs[i] * a[i][j] for i in range(n))
@@ -174,6 +176,33 @@ def test_reflection_closure_idempotent():
                     up = list(root.coeffs)
                     up[j] += 1
                     assert tuple(up) in coeffs
+
+
+def _reflection_closed(a, roots):
+    """Check that s_j of each (coeffs, pair_vec, is_long) in roots is a listed
+    root with the same length and pairing vector alpha's - k row j of A, or is
+    -alpha_j."""
+    by_coeffs = {coeffs: (pair_vec, is_long) for coeffs, pair_vec, is_long in roots}
+    for coeffs, pair_vec, is_long in roots:
+        for j, k in enumerate(pair_vec):
+            image = coeffs[:j] + (coeffs[j] - k,) + coeffs[j + 1:]
+            if image == tuple(-int(i == j) for i in range(len(a))):
+                continue
+            assert by_coeffs[image] == (tuple(x - k * y for x, y in zip(pair_vec, a[j])), is_long)
+
+
+@pytest.mark.parametrize("name", ALL_IMPLEMENTED)
+def test_simple_reflections_permute_the_roots_and_keep_lengths(name):
+    rs = build_named(name)
+    _reflection_closed(rs.cartan_matrix,
+                       [(r.coeffs, r.pair_vec, r.is_long) for r in rs.positive_roots])
+    # the dual system, whose long and short roots trade places when r > 1
+    at = linalg.freeze(zip(*rs.cartan_matrix))
+    scale = [x.denominator for x in rootsys._symmetrizer(at)]
+    closure = rootsys._closure_pair_vecs(at, rs.rank)
+    assert len(closure) == len(rs.positive_roots)
+    _reflection_closed(at, [(coeffs, pair_vec, scale[origin] == 1)
+                            for coeffs, (pair_vec, origin) in closure.items()])
 
 
 @pytest.mark.parametrize("name", ALL_IMPLEMENTED)
