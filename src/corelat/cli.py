@@ -18,7 +18,11 @@ lowest terms, never as decimals.
 ``cores`` and ``verify`` each run in one ``sommers.capped`` block: --cap, else CORELAT_CAP.
 Every JSON document goes through ``to_json``, the one writer: it prints what
 ``json.dumps(doc, indent=2, sort_keys=True)`` prints, with ``json``'s C
-encoder writing each container of scalars.
+encoder writing each container of scalars, and each list of same-keyed
+records column by column, one call per key.  A column's text is split back
+into rows on its item separator, which holds a newline that no encoded
+string holds, with ``]`` before it and ``[`` after it for containers, which
+no scalar ends or starts with.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 
 from . import draw, rootsys, sommers, verify
 
@@ -67,6 +73,7 @@ def _emit(args, text: str) -> None:
 #: value types that ``json``'s C encoder writes as ``json.dumps`` with an
 #: indent does (an ``int`` subclass or a float takes the leaf path instead)
 _SCALARS = frozenset((int, str, bool, type(None)))
+_ARRAYS = frozenset((list, tuple))
 
 
 def to_json(obj) -> str:
@@ -75,9 +82,80 @@ def to_json(obj) -> str:
     encoder.  Here one walk appends to one chunk list, joined once at the
     end.  A nonempty dict, list or tuple whose values are all ``_SCALARS``
     is written by one call of ``json``'s C encoder, made once per depth with
-    that depth's item separator; only the other containers are walked."""
+    that depth's item separator.
+
+    A nonempty list or tuple of records, dicts that share one set of ``str``
+    keys and whose values are ``_SCALARS`` or lists or tuples of them, is
+    written column by column: for each sorted key, the C encoder writes
+    every row's value in one call at that value's depth, the text is split
+    back into rows on the item separator ``"," + inner`` (scalars) or on
+    ``"]," + inner + "["`` (containers), and the rows are laid out around
+    the columns, an empty container as ``[]``.  The split cannot cut inside
+    a value: each separator holds a newline, which ``encode_basestring_ascii``
+    escapes in every string, and no scalar ends with ``]`` or starts with
+    ``[``.  Only the other containers are walked."""
     chunks: list[str] = []
     flat: dict = {}  # inner indent -> C encoder for a container of scalars
+
+    def encode(values, inner: str) -> str:
+        """The C encoder's text of ``values``, items apart by ``"," + inner``."""
+        encoder = flat.get(inner)
+        if encoder is None:
+            # no markers and no default: a container of scalars needs neither
+            encoder = flat[inner] = c_make_encoder(None, None, encode_basestring_ascii, None,
+                                                   ": ", "," + inner, True, False, True)
+        return "".join(encoder(values, 0))  # more than one chunk past ~50,000 items
+
+    def column(values: list, inner: str):
+        """Each value's text as a record value at item indent ``inner``; None
+        unless every value is a scalar or a container of scalars."""
+        kinds = set(map(type, values))
+        if kinds <= _SCALARS:
+            return encode(values, inner)[1:-1].split("," + inner)
+        if kinds <= _ARRAYS:
+            if not _SCALARS.issuperset(map(type, chain.from_iterable(values))):
+                return None
+            items = inner + "  "
+            pieces = encode(values, items)[2:-2].split("]," + items + "[")
+            return [f"[{items}{p}{inner}]" if p else "[]" for p in pieces]
+        if not kinds <= _SCALARS | _ARRAYS:
+            return None
+        is_scalar = [type(v) in _SCALARS for v in values]
+        scalars = column([v for v, s in zip(values, is_scalar) if s], inner)
+        containers = column([v for v, s in zip(values, is_scalar) if not s], inner)
+        if containers is None:
+            return None
+        scalars, containers = iter(scalars), iter(containers)
+        return [next(scalars) if s else next(containers) for s in is_scalar]
+
+    def write_records(rows, indent: str) -> bool:
+        """Write ``rows`` column by column if they are records; else False."""
+        if set(map(type, rows)) != {dict}:
+            return False
+        keys = rows[0].keys()
+        if not keys or not all(type(k) is str for k in keys) or not all(map(keys.__eq__, map(dict.keys, rows))):
+            return False
+        inner = indent + "  "
+        field = inner + "  "
+        keys = sorted(keys)
+        columns = []
+        for key in keys:
+            texts = column(list(map(itemgetter(key), rows)), field)
+            if texts is None:
+                return False
+            columns.append(texts)
+        # row i is pieces[i * width:(i + 1) * width]: each key's head, then its text
+        opening = f"{{{field}{encode_basestring_ascii(keys[0])}: "
+        heads = [f"{inner}}},{inner}{opening}"] + [f",{field}{encode_basestring_ascii(key)}: " for key in keys[1:]]
+        width, n = 2 * len(keys), len(rows)
+        pieces = [""] * (width * n)
+        for k, (head, texts) in enumerate(zip(heads, columns)):
+            pieces[2 * k::width] = [head] * n
+            pieces[2 * k + 1::width] = texts
+        pieces[0] = "[" + inner + opening
+        chunks.extend(pieces)
+        chunks.extend((inner, "}", indent, "]"))
+        return True
 
     def write(obj, indent: str) -> None:
         if not isinstance(obj, (dict, list, tuple)):
@@ -89,13 +167,10 @@ def to_json(obj) -> str:
             return
         inner = indent + "  "
         if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-            encode = flat.get(inner)
-            if encode is None:
-                # no markers and no default: a container of scalars needs neither
-                encode = flat[inner] = c_make_encoder(None, None, encode_basestring_ascii, None,
-                                                      ": ", "," + inner, True, False, True)
-            text = "".join(encode(obj, 0))  # more than one chunk past ~50,000 items
+            text = encode(obj, inner)
             chunks.extend((text[0], inner, text[1:-1], indent, text[-1]))
+            return
+        if not is_dict and write_records(obj, indent):
             return
         chunks.append("{" if is_dict else "[")
         sep, comma = inner, "," + inner

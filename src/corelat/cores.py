@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterator
 
 import numpy as np
 
@@ -51,24 +50,34 @@ def check_partition(parts) -> Partition:
 
 
 def conjugate(parts: Partition) -> Partition:
-    """Transpose of the Ferrers diagram."""
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p >= c) for c in range(1, parts[0] + 1))
-
-
-def hook_lengths(parts: Partition) -> Iterator[tuple[int, int, int]]:
-    """Yield (row, col, hook length) for every box, 1-indexed."""
-    conj = conjugate(parts)
-    for r, row_len in enumerate(parts, start=1):
-        for c in range(1, row_len + 1):
-            yield r, c, row_len - c + conj[c - 1] - r + 1
+    """Transpose of the Ferrers diagram, in one pass from the bottom row up:
+    row r adds a column of height r for each box it has past the rows below."""
+    conj: list[int] = []
+    for r in range(len(parts), 0, -1):
+        conj.extend([r] * (parts[r - 1] - len(conj)))
+    return tuple(conj)
 
 
 def first_hook_of_length(parts: Partition, a: int):
-    for r, c, h in hook_lengths(parts):
-        if h == a:
-            return (r, c)
+    """The first box (row, col), 1-indexed in row-major order, whose hook
+    has length a, or None: a hook scan that reads only the parts and their
+    conjugate.  The hook of (r, c) is parts[r-1] - c + conj[c-1] - r + 1.
+    It falls strictly along a row, so a row holds at most one such box,
+    found by bisection; and the first hook of a row falls strictly down the
+    rows, so the scan stops at the first row whose first hook is below a."""
+    conj = conjugate(parts)
+    for r, length in enumerate(parts, start=1):
+        if length + len(parts) - r < a:
+            return None
+        lo, hi = 1, length  # the first c with hook (r, c) <= a
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if length - mid + conj[mid - 1] - r + 1 > a:
+                lo = mid + 1
+            else:
+                hi = mid
+        if length - lo + conj[lo - 1] - r + 1 == a:
+            return (r, lo)
     return None
 
 

@@ -216,6 +216,21 @@ HAND_MADE = {
     "float": [1, 2.5, -0.0, 1e300, "x"],
     "int enum": [Level.LOW, 3, {"level": Level.HIGH}],
     "non-ascii keys": {"\u00e9t\u00e9": 1, "\U0001F600": "x", "z\u2228": None, "a": True},
+    # lists of same-keyed records, written column by column: the separators in the values
+    # are the split's, unescaped but for the newline
+    "records": [{"%d": "\"],\n      [\"", "q\"": [], "\u00e9t\u00e9": ["\",\n", ""], "%": ""},
+                {"%d": "", "q\"": [1, "\"],\n      [\""], "\u00e9t\u00e9": [], "%": "]"}],
+    "one record": [{"a": [], "b": ""}],
+    "lists and tuples": [{"a": [1, 2]}, {"a": (3, "["), "b": None}, {"a": ()}, {"a": []}],
+    "scalars and lists": [{"a": 1, "b": []}, {"a": [2, True], "b": "x"}, {"a": None, "b": ()}, {"a": [], "b": ["]"]}],
+    # records that fall back to the walk
+    "different keys": [{"a": 1}, {"a": 2, "b": 3}],
+    "record float": [{"a": 1}, {"a": [2.5]}],
+    "record int enum": [{"a": [1]}, {"a": Level.HIGH}],
+    "record dict": [{"a": {"b": [1]}}, {"a": {}}],
+    "empty records": [{}, {}],
+    "record lists in records": [{"rows": [{"x": 1, "y": [2]}, {"x": 3, "y": []}], "n": 2},
+                                {"rows": [{"x": [4]}], "n": 1}],
 }
 
 
@@ -238,6 +253,35 @@ DOCUMENTS = st.recursive(
 @given(DOCUMENTS)
 def test_writer_equals_json_dumps_on_random_documents(doc):
     assert cli.to_json(doc) == dumps(doc)
+
+
+C_SCALARS = st.integers(-(2**70), 2**70) | TEXT | st.booleans() | st.none()
+FLAT_VALUES = C_SCALARS | st.lists(C_SCALARS, max_size=3) | st.lists(C_SCALARS, max_size=3).map(tuple)
+RECORDS = st.lists(TEXT, min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries({key: FLAT_VALUES for key in keys}), min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(RECORDS | RECORDS.map(lambda rows: {"rows": rows, "count": len(rows)}))
+def test_writer_equals_json_dumps_on_random_records(doc):
+    assert cli.to_json(doc) == dumps(doc)
+
+
+def test_record_lists_take_as_many_encoder_calls_whatever_their_length(monkeypatch):
+    make_encoder, calls = cli.c_make_encoder, []
+
+    def counting(*args):
+        encode = make_encoder(*args)
+        return lambda obj, level: calls.append(len(obj)) or encode(obj, level)
+
+    monkeypatch.setattr(cli, "c_make_encoder", counting)
+    counts = {}
+    for b in (5, 11):
+        doc = sommers.enumerate_cores(rootsys.build_named("A2"), b).to_json_dict()
+        calls.clear()
+        assert cli.to_json(doc) == dumps(doc)
+        counts[len(doc["rows"])] = len(calls)
+    assert list(counts) == [7, 26] and counts[7] == counts[26]
 
 
 @pytest.mark.parametrize("name, b", [("A2", "5"), ("C2", "5"), ("G2", "7")])

@@ -1,17 +1,23 @@
 import itertools
 import tracemalloc
+from typing import Iterator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corelat import affine, cores, linalg, models, rootsys, verify
 from corelat.cores import (
     NotACoreError,
+    Partition,
     all_cores,
     boundary_word,
     conjugate,
     conjugate_coroot,
     content_counts,
+    core_closure,
+    first_hook_of_length,
     from_coroot,
     is_core,
     to_coroot,
@@ -154,6 +160,41 @@ def test_core_enumeration_complete(a):
     for parts in all_cores(a, cap)[:50]:
         q = to_coroot(parts, a)
         assert a * sum(x * x for x in q) + 2 * sum(j * x for j, x in enumerate(q)) == 2 * sum(parts)
+
+
+# ---------------------------------------------------------------------------
+# the hook scan against every box
+# ---------------------------------------------------------------------------
+
+def hook_lengths(parts: Partition) -> Iterator[tuple[int, int, int]]:
+    """Yield (row, col, hook length) for every box, 1-indexed."""
+    conj = conjugate(parts)
+    for r, row_len in enumerate(parts, start=1):
+        for c in range(1, row_len + 1):
+            yield r, c, row_len - c + conj[c - 1] - r + 1
+
+
+def first_hook_by_boxes(parts: Partition, a: int):
+    """The first box in row-major order whose hook has length a, box by box."""
+    return next(((r, c) for r, c, h in hook_lengths(parts) if h == a), None)
+
+
+@pytest.mark.parametrize("a", [3, 4, 5])
+def test_hook_bisection_equals_the_box_scan_on_cores(a):
+    for parts in core_closure(a, 60)[0]:
+        for length in range(1, 3 * a):
+            assert first_hook_of_length(parts, length) == first_hook_by_boxes(parts, length)
+        assert first_hook_of_length(parts, a) is None
+
+
+PARTITIONS = st.lists(st.integers(1, 15), max_size=12).map(lambda parts: tuple(sorted(parts, reverse=True)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(PARTITIONS, st.integers(1, 8))
+def test_hook_bisection_equals_the_box_scan(parts, a):
+    assert conjugate(parts) == tuple(sum(1 for p in parts if p >= c) for c in range(1, max(parts, default=0) + 1))
+    assert first_hook_of_length(parts, a) == first_hook_by_boxes(parts, a)
 
 
 # ---------------------------------------------------------------------------
