@@ -13,7 +13,6 @@ from .affine import (
     AffineWord,
     alcove_reduce,
     apply,
-    check_wb_maximality,
     compute_w_b,
     inversion_sequence,
     is_reduced,

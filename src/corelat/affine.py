@@ -164,18 +164,12 @@ class AffineElement:
         return self.m == linalg.identity(self.rs.rank) and not any(self.v)
 
 
-@lru_cache(maxsize=None)
-def _coroot_scales(rs: RootSystemData) -> tuple[int, ...]:
-    """The diagonal of S = diag(2 / |alpha_i|^2), which takes simple-coroot
-    to simple-root coordinates, as alpha_i^vee = (2 / |alpha_i|^2) alpha_i."""
-    return tuple(rootsys.coroot_scale(rs, i) for i in range(rs.rank))
-
-
 def _on_roots(rs: RootSystemData, mat) -> tuple[tuple[int, ...], ...]:
     """A finite map on simple-coroot coordinates, moved to simple-root
-    coordinates: S mat S^-1.  The entries are integers for Weyl group
-    elements, so the division is exact."""
-    s = _coroot_scales(rs)
+    coordinates: S mat S^-1, S = diag(2 / |alpha_i|^2) (``coroot_scales``), as
+    alpha_i^vee = (2 / |alpha_i|^2) alpha_i.  The entries are integers for
+    Weyl group elements, so the division is exact."""
+    s = rs.coroot_scales
     return tuple(tuple(si * x // sj for x, sj in zip(row, s)) for row, si in zip(mat, s))
 
 
@@ -241,15 +235,6 @@ def _reflections(rs: RootSystemData) -> tuple[_Reflection, ...]:
     return tuple(out)
 
 
-def _reflect_rows(mat: list[list[int]], c, p) -> None:
-    """mat <- (I - c p^T) mat in place: only the rows in the support of c change."""
-    w = [0] * len(mat)
-    for l, x in p:
-        w = [wk + x * mk for wk, mk in zip(w, mat[l])]
-    for l, y in c:
-        mat[l] = [mk - y * wk for mk, wk in zip(mat[l], w)]
-
-
 def _reflect_point(x: list, r: _Reflection) -> None:
     """x <- s(x) in place: x - (<p, x> - shift) c, for int or Fraction coordinates."""
     t = sum(y * x[l] for l, y in r.p) - r.shift
@@ -257,32 +242,27 @@ def _reflect_point(x: list, r: _Reflection) -> None:
         x[l] -= t * y
 
 
-def _reflect_left(m: list, v: list, r: _Reflection) -> None:
-    """(m, v) <- s (m, v) in place, for the generator s = I - c p^T with its
-    shift: only the rows of ``m`` in the support of c change."""
-    _reflect_rows(m, r.c, r.p)
-    _reflect_point(v, r)
-
-
 def word_to_element(rs: RootSystemData, letters: Iterable[int]) -> AffineElement:
-    """The element s_{a_1} s_{a_2} ... s_{a_l} spelled by the letters a_1 ... a_l.
-
-    Left-multiplies the identity by the letters from the right end, in
-    place and in integers (``_reflect_left``).
-    """
-    refl = _reflections(rs)
-    m, v = [list(row) for row in linalg.identity(rs.rank)], [0] * rs.rank
+    """The element s_{a_1} s_{a_2} ... s_{a_l} spelled by the letters a_1 ... a_l:
+    the identity left-multiplied by each letter from the right end (``left_step``)."""
+    el = identity_element(rs)
     for i in reversed(_letters(rs, letters)):
-        _reflect_left(m, v, refl[i])
-    return AffineElement(rs, linalg.freeze(m), tuple(v))
+        el = left_step(rs, i, el)
+    return el
 
 
 def left_step(rs: RootSystemData, i: int, el: AffineElement) -> AffineElement:
-    """s_i el, by the step ``word_to_element`` applies for each letter; the
-    rows of ``el.m`` that it does not change are shared."""
+    """s_i el, for s_i = I - c p^T with its shift: m - c (p^T m) changes only
+    the rows of ``el.m`` in the support of c, and the others are shared."""
+    r = _reflections(rs)[i]
+    w = [0] * rs.rank
+    for l, x in r.p:
+        w = [wk + x * mk for wk, mk in zip(w, el.m[l])]
     m, v = list(el.m), list(el.v)
-    _reflect_left(m, v, _reflections(rs)[i])
-    return AffineElement(rs, linalg.freeze(m), tuple(v))
+    for l, y in r.c:
+        m[l] = tuple(mk - y * wk for mk, wk in zip(m[l], w))
+    _reflect_point(v, r)
+    return AffineElement(rs, tuple(m), tuple(v))
 
 
 @lru_cache(maxsize=None)
@@ -337,7 +317,7 @@ def reduced_step(rs: RootSystemData, prefix: AffineElement, i: int):
         u = [uk + y * row[l] for uk, row in zip(u, prefix.m)]
     q = prefix.translation
     t = sum(y * q[l] for l, y in r.p)
-    scale = _coroot_scales(rs)
+    scale = rs.coroot_scales
     if i:
         s = scale[i - 1]
         entry = AffineRoot(tuple(sj * uj // s for sj, uj in zip(scale, u)), -t)
@@ -398,7 +378,7 @@ def scale_letter_totals(rs: RootSystemData, totals) -> tuple[int, ...]:
     """(size_0, ..., size_n) from the per-letter sums of the delta-coefficients
     of an inversion sequence: letter i's sum times 2 / |alpha_i|^2, which is
     1 for alpha_0 and the long simple roots and r for the short ones."""
-    return (totals[0],) + tuple(s * t for s, t in zip(_coroot_scales(rs), totals[1:]))
+    return (totals[0],) + tuple(s * t for s, t in zip(rs.coroot_scales, totals[1:]))
 
 
 def word_size_totals(rs: RootSystemData, word) -> tuple[int, ...]:
@@ -410,11 +390,6 @@ def word_size_totals(rs: RootSystemData, word) -> tuple[int, ...]:
     for letter, e in zip(letters, inversion_sequence(rs, letters)):
         totals[letter] += e.k
     return scale_letter_totals(rs, totals)
-
-
-def size_vector_word(rs: RootSystemData, word) -> tuple[Fraction, ...]:
-    """``word_size_totals`` as Fractions, the type of ``size_vector_lattice``."""
-    return tuple(map(Fraction, word_size_totals(rs, word)))
 
 
 def size_vector_lattice(rs: RootSystemData, q) -> tuple[Fraction, ...]:
@@ -438,7 +413,7 @@ def _size_vector_form(rs: RootSystemData) -> tuple["SizeForm", tuple[tuple[int, 
     n = rs.rank
     mat = ((1,) + (0,) * n,) + tuple(
         (c,) + tuple(-2 * s * (j == i) for j in range(n))
-        for i, (c, s) in enumerate(zip(rs.highest_root_coeffs, _coroot_scales(rs))))
+        for i, (c, s) in enumerate(zip(rs.highest_root_coeffs, rs.coroot_scales)))
     return SizeForm(rs.gram_coroot, (0,) * n, 0), mat
 
 
@@ -558,14 +533,14 @@ def _violated_wall(rs: RootSystemData, vals, scale: int) -> tuple[int, int] | No
 def _to_dominant(rs: RootSystemData, vals: list) -> list[int]:
     """Letters of the finite simple reflections that take a vector with
     simple-root pairings ``vals`` into the dominant chamber, in the order
-    applied (always the lowest-index negative pairing); updates ``vals``."""
-    n = rs.rank
-    a = rs.cartan_matrix
+    applied (always the lowest-index negative pairing); updates ``vals``
+    along the sparse pairings ``rp`` of each reflection."""
+    refl = _reflections(rs)
     applied = []
     while (j := next((j for j, v in enumerate(vals) if v < 0), None)) is not None:
         t = vals[j]
-        for k in range(n):
-            vals[k] -= t * a[k][j]
+        for k, y in refl[j + 1].rp:
+            vals[k] -= t * y
         applied.append(j + 1)
     return applied
 
@@ -634,7 +609,7 @@ def compute_w_b(rs: RootSystemData, b: int) -> AffineElement:
 
 
 # ---------------------------------------------------------------------------
-# Inversion sets without words, dominant representatives, weak-order check
+# Inversion sets without words and dominant representatives
 # ---------------------------------------------------------------------------
 
 def inversion_set(el: AffineElement) -> frozenset[AffineRoot]:
@@ -674,26 +649,3 @@ def dominant_representative(rs: RootSystemData, q) -> AffineElement:
     shift = translation_element(rs, tuple(-qi for qi in q))
     return word_to_element(rs, _to_dominant(rs, vals)[::-1]).compose(shift)
 
-
-def check_wb_maximality(rs: RootSystemData, b: int) -> list:
-    """Check that inv(w~_q) is contained in inv(w_b) for every q in the b-region.
-
-    Evidence-level check of the weak-order maximality conjecture; returns
-    the counterexamples as (q, reason) pairs, empty when it holds.
-    """
-    from . import sommers  # local import to avoid a cycle
-
-    core = sommers.enumerate_cores(rs, b)
-    wb = compute_w_b(rs, b)
-    wb_inv_set = inversion_set(wb)
-    q_star = wb.inverse()((0,) * rs.rank)
-    counterexamples = []
-    for q in core.points:
-        el = dominant_representative(rs, q)
-        if q == q_star and el.key() != wb.key():
-            counterexamples.append((q, "w_b is not the dominant representative"))
-            continue
-        extra = inversion_set(el) - wb_inv_set
-        if extra:
-            counterexamples.append((q, sorted(extra)[:3]))
-    return counterexamples

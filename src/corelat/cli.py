@@ -85,11 +85,11 @@ def to_json(obj) -> str:
     that depth's item separator.
 
     A nonempty list or tuple of records, dicts that share one set of ``str``
-    keys and whose values are ``_SCALARS`` or lists or tuples of them, is
-    written column by column: for each sorted key, the C encoder writes
-    every row's value in one call at that value's depth, the text is split
-    back into rows on the item separator ``"," + inner`` (scalars) or on
-    ``"]," + inner + "["`` (containers), and the rows are laid out around
+    keys where each key's values are all ``_SCALARS``, or all lists or tuples
+    of them, is written column by column: for each sorted key, the C encoder
+    writes every row's value in one call at that value's depth, the text is
+    split back into rows on the item separator ``"," + inner`` (scalars) or
+    on ``"]," + inner + "["`` (containers), and the rows are laid out around
     the columns, an empty container as ``[]``.  The split cannot cut inside
     a value: each separator holds a newline, which ``encode_basestring_ascii``
     escapes in every string, and no scalar ends with ``]`` or starts with
@@ -108,25 +108,15 @@ def to_json(obj) -> str:
 
     def column(values: list, inner: str):
         """Each value's text as a record value at item indent ``inner``; None
-        unless every value is a scalar or a container of scalars."""
+        unless the values are all scalars, or all flat lists or tuples of scalars."""
         kinds = set(map(type, values))
         if kinds <= _SCALARS:
             return encode(values, inner)[1:-1].split("," + inner)
-        if kinds <= _ARRAYS:
-            if not _SCALARS.issuperset(map(type, chain.from_iterable(values))):
-                return None
-            items = inner + "  "
-            pieces = encode(values, items)[2:-2].split("]," + items + "[")
-            return [f"[{items}{p}{inner}]" if p else "[]" for p in pieces]
-        if not kinds <= _SCALARS | _ARRAYS:
+        if not kinds <= _ARRAYS or not _SCALARS.issuperset(map(type, chain.from_iterable(values))):
             return None
-        is_scalar = [type(v) in _SCALARS for v in values]
-        scalars = column([v for v, s in zip(values, is_scalar) if s], inner)
-        containers = column([v for v, s in zip(values, is_scalar) if not s], inner)
-        if containers is None:
-            return None
-        scalars, containers = iter(scalars), iter(containers)
-        return [next(scalars) if s else next(containers) for s in is_scalar]
+        items = inner + "  "
+        pieces = encode(values, items)[2:-2].split("]," + items + "[")
+        return [f"[{items}{p}{inner}]" if p else "[]" for p in pieces]
 
     def write_records(rows, indent: str) -> bool:
         """Write ``rows`` column by column if they are records; else False."""

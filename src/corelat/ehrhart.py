@@ -2,9 +2,9 @@
 quasipolynomial/expectation machinery built on it.
 
 Everything is exact: sums are accumulated as integers against a scaled
-Gram matrix of the fundamental coweights, polynomials are fitted by
-Lagrange interpolation over Fractions, and every identity asserted here
-is an equality of rationals.  The weighted enumerator sums the alcove
+Gram matrix of the fundamental coweights, polynomials are fitted by the
+integer adjugate of their Vandermonde matrix, and every identity asserted
+here is an equality of rationals.  The weighted enumerator sums the alcove
 walk in numpy int64 blocks, each by the checked kernel step
 ``linalg.QuadraticRows``, whose bound is asserted once before the walk
 starts, and adds the block sums as Python ints.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import affine, sommers
+from . import affine, cores, linalg, sommers
 from .rootsys import RootSystemData
 
 
@@ -96,19 +96,11 @@ def poly_from_roots(leading, roots):
 
 
 def lagrange_fit(xs, ys) -> tuple[Fraction, ...]:
-    """Exact interpolating polynomial through the given rational points."""
-    m = len(xs)
-    coeffs = [Fraction(0)] * m
-    for i in range(m):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(m):
-            if j != i:
-                basis = poly_mul(basis, [Fraction(-xs[j]), Fraction(1)])
-                denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i]) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
+    """Exact interpolating polynomial through the points (x, y), for distinct
+    integers x and rational y: the Vandermonde system V c = y solved as
+    adj(V) y / det V (``linalg.adjugate``), trailing zeros stripped."""
+    det, adj = linalg.adjugate([[x**k for k in range(len(xs))] for x in xs])
+    coeffs = [Fraction(sum(a * y for a, y in zip(row, ys)), det) for row in adj]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -278,8 +270,6 @@ def typea_series_check(a: int, order: int) -> bool:
     Exact coefficient comparison; the left side is recomputed with the
     pentagonal-number recurrence as an independent oracle.
     """
-    from . import cores
-
     if a < 2:
         raise ValueError("modulus must be at least 2")
     if order < 0:
@@ -293,12 +283,7 @@ def typea_series_check(a: int, order: int) -> bool:
     core_poly = [0] * (order + 1)
     for parts in cores.all_cores(a, order):
         core_poly[sum(parts)] += 1
-    full = [0] * (order + 1)
-    for i, c in enumerate(rhs):
-        if c:
-            for j, d in enumerate(core_poly[: order + 1 - i]):
-                full[i + j] += c * d
-    for degree, (x, y) in enumerate(zip(lhs, full)):
+    for degree, (x, y) in enumerate(zip(lhs, poly_mul(rhs, core_poly))):
         if x != y:
             raise SeriesMismatchError(degree, x, y)
     return True

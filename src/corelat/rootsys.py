@@ -182,7 +182,7 @@ class RootSystemData:
     rho_check_coords: tuple[Fraction, ...]
     coweight_coords: tuple[tuple[Fraction, ...], ...]
     # derived helpers
-    simple_d: tuple[Fraction, ...]
+    coroot_scales: tuple[int, ...]  # 2 / |alpha_i|^2: 1 if long, r if short
     cartan_adjugate: tuple[tuple[int, ...], ...]  # f * A^-1
     highest_root_coroot_coords: tuple[int, ...]
     weyl_order: int
@@ -208,7 +208,7 @@ def build(t: CartanType) -> RootSystemData:
     a = cartan_matrix(t)
     d = _symmetrizer(a)
     # 2 / |alpha_i|^2 = 1 / d_i is 1 for long and r for short simple roots
-    scale = [x.denominator for x in d]
+    scale = tuple(x.denominator for x in d)
     assert all(x.numerator == 1 for x in d)
     gram = linalg.freeze(tuple(scale[i] * a[i][j] for j in range(n)) for i in range(n))
     for i in range(n):
@@ -261,7 +261,7 @@ def build(t: CartanType) -> RootSystemData:
         period_c=lcm(*marks),
         rho_check_coords=rho,
         coweight_coords=coweights,
-        simple_d=d,
+        coroot_scales=scale,
         cartan_adjugate=adj,
         highest_root_coroot_coords=hr_coroot,
         weyl_order=factorial(n) * prod(marks) * f,
@@ -315,16 +315,10 @@ def norm2(rs: RootSystemData, v) -> Fraction:
     return inner(rs, v, v)
 
 
-def coroot_scale(rs: RootSystemData, i: int) -> int:
-    """2 / |alpha_i|^2 for the simple root alpha_i (0-based): 1 if long, r if short."""
-    return rs.gram_coroot[i][i] // 2
-
-
 def coweight_gram(rs: RootSystemData) -> tuple[tuple[int, ...], ...]:
     """f <omegacheck_i, omegacheck_j>, the integer matrix D^-1 adj(A): the
     Gram matrix of the fundamental coweights scaled by f = det A."""
-    return tuple(tuple(coroot_scale(rs, i) * x for x in row)
-                 for i, row in enumerate(rs.cartan_adjugate))
+    return tuple(tuple(s * x for x in row) for s, row in zip(rs.coroot_scales, rs.cartan_adjugate))
 
 
 def to_json_dict(rs: RootSystemData) -> dict:

@@ -385,8 +385,21 @@ def check_fg_poly() -> list:
 
 
 def check_conjecture(matrix=(("A2", (2, 4)), ("C2", (3, 5)), ("G2", (5, 7)))) -> list:
+    """Weak-order maximality of w_b, as evidence: inv(w~_q) is contained in
+    inv(w_b) for the dominant representative w~_q of every q in the b-region,
+    and w_b is that of w_b^-1(0).  A failing point is a (q, reason) pair."""
     def check(rs, b):
-        found = affine.check_wb_maximality(rs, b)
+        points = sommers.enumerate_cores(rs, b).points
+        wb = affine.compute_w_b(rs, b)
+        wb_inv_set = affine.inversion_set(wb)
+        q_star = wb.inverse()((0,) * rs.rank)
+        found = []
+        for q in points:
+            el = affine.dominant_representative(rs, q)
+            if q == q_star and el.key() != wb.key():
+                found.append((q, "w_b is not the dominant representative"))
+            elif extra := affine.inversion_set(el) - wb_inv_set:
+                found.append((q, sorted(extra)[:3]))
         if found:
             yield {"counterexamples": [str(c) for c in found]}
     return _counterexamples(_by_type_and_b(matrix, check))

@@ -140,8 +140,8 @@ def test_inversion_sequence_not_reduced():
     lambda rs, w: apply(rs, w, (1, 0)),
     affine.word_to_element,
     inversion_sequence,
-    affine.size_vector_word,
-], ids=["apply", "word_to_element", "inversion_sequence", "size_vector_word"])
+    affine.word_size_totals,
+], ids=["apply", "word_to_element", "inversion_sequence", "word_size_totals"])
 def test_out_of_range_letter_is_refused(use, letter):
     # -1 must not act as the last reflection, nor 5 as a zero root
     a2 = build_named("A2")
@@ -212,17 +212,17 @@ def _extended_orders(rs):
 def test_size_word_reference_a2():
     a2 = build_named("A2")
     word = (0, 1, 2, 1, 0, 1)
-    assert [affine.size_vector_word(a2, word)[i] for i in range(3)] == [4, 4, 2]
+    assert [affine.word_size_totals(a2, word)[i] for i in range(3)] == [4, 4, 2]
 
 
 def test_size_word_reference_c2():
     c2 = build_named("C2")
-    assert affine.size_vector_word(c2, (0, 1, 2, 0, 1))[1] == 6
+    assert affine.word_size_totals(c2, (0, 1, 2, 0, 1))[1] == 6
 
 
 def test_size_word_empty():
     a2 = build_named("A2")
-    assert all(affine.size_vector_word(a2, ())[i] == 0 for i in range(3))
+    assert all(affine.word_size_totals(a2, ())[i] == 0 for i in range(3))
 
 
 def test_size_lattice_reference_values():
@@ -267,7 +267,7 @@ def test_sizer_word_equals_lattice():
         for _ in range(60):
             word = affine.random_reduced_word(rng, rs, 10)
             q = apply(rs, word, (0,) * rs.rank)
-            word_sizes = affine.size_vector_word(rs, word[::-1])
+            word_sizes = affine.word_size_totals(rs, word[::-1])
             lattice = tuple(size_i_lattice(rs, q, i) for i in range(rs.rank + 1))
             assert word_sizes == lattice
 
@@ -396,10 +396,9 @@ def test_dominant_representative():
 
 
 def test_wb_maximality_small():
-    a2, c2 = build_named("A2"), build_named("C2")
-    for rs, b, count in ((a2, 4, 5), (c2, 5, 6), (a2, 1, 1)):
-        assert affine.check_wb_maximality(rs, b) == []
-        assert len(enumerate_cores(rs, b)) == count
+    for name, b, count in (("A2", 4, 5), ("C2", 5, 6), ("A2", 1, 1)):
+        assert verify.check_conjecture(((name, (b,)),)) == []
+        assert len(enumerate_cores(build_named(name), b)) == count
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +412,7 @@ def test_size_welldef_small():
         by_element = {}
 
         def dfs(el, letters):
-            vec = affine.size_vector_word(rs, letters)
+            vec = affine.word_size_totals(rs, letters)
             key = el.key()
             if key in by_element:
                 assert by_element[key][0] == vec, (name, letters)

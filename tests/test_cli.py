@@ -222,8 +222,8 @@ HAND_MADE = {
                 {"%d": "", "q\"": [1, "\"],\n      [\""], "\u00e9t\u00e9": [], "%": "]"}],
     "one record": [{"a": [], "b": ""}],
     "lists and tuples": [{"a": [1, 2]}, {"a": (3, "["), "b": None}, {"a": ()}, {"a": []}],
-    "scalars and lists": [{"a": 1, "b": []}, {"a": [2, True], "b": "x"}, {"a": None, "b": ()}, {"a": [], "b": ["]"]}],
     # records that fall back to the walk
+    "scalars and lists": [{"a": 1, "b": []}, {"a": [2, True], "b": "x"}, {"a": None, "b": ()}, {"a": [], "b": ["]"]}],
     "different keys": [{"a": 1}, {"a": 2, "b": 3}],
     "record float": [{"a": 1}, {"a": [2.5]}],
     "record int enum": [{"a": [1]}, {"a": Level.HIGH}],

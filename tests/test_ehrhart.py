@@ -3,6 +3,8 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corelat import affine, ehrhart, sommers
 from corelat.ehrhart import (
@@ -15,6 +17,7 @@ from corelat.ehrhart import (
     partition_counts_euler,
     poly_eval,
     poly_from_roots,
+    poly_mul,
     predicted_enumerator_polynomial,
     reciprocity_roots,
     typea_series_check,
@@ -116,6 +119,38 @@ def test_lagrange_fit_exact():
     coeffs = lagrange_fit([1, 2, 3], [Fraction(2), Fraction(5), Fraction(10)])
     assert coeffs == (Fraction(1), Fraction(0), Fraction(1))
     assert poly_eval(coeffs, 7) == 50
+
+
+def lagrange_basis_fit(xs, ys) -> tuple[Fraction, ...]:
+    """Exact interpolating polynomial through the given rational points."""
+    m = len(xs)
+    coeffs = [Fraction(0)] * m
+    for i in range(m):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j in range(m):
+            if j != i:
+                basis = poly_mul(basis, [Fraction(-xs[j]), Fraction(1)])
+                denom *= xs[i] - xs[j]
+        scale = Fraction(ys[i]) / denom
+        for k, c in enumerate(basis):
+            coeffs[k] += scale * c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+POINTS = st.lists(st.integers(-10**3, 10**3), min_size=1, max_size=12, unique=True).flatmap(
+    lambda xs: st.tuples(st.just(xs), st.lists(st.fractions(), min_size=len(xs), max_size=len(xs))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(POINTS)
+def test_lagrange_fit_equals_the_lagrange_basis_oracle(points):
+    xs, ys = points
+    coeffs = lagrange_fit(xs, ys)
+    assert coeffs == lagrange_basis_fit(xs, ys)
+    assert [poly_eval(coeffs, x) for x in xs] == ys
 
 
 def test_poly_from_roots():

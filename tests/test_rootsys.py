@@ -87,7 +87,7 @@ def test_structure_invariants(name, fraction_inverse):
     for root in rs.positive_roots:
         assert root.is_long == (rootsys.norm2(rs, _root_vec(rs, root)) == 2)
     # the coroot Gram is the integer matrix D^-1 A, D = diag(|alpha_i|^2 / 2)
-    a, d = rs.cartan_matrix, rs.simple_d
+    a, d = rs.cartan_matrix, tuple(Fraction(1, s) for s in rs.coroot_scales)
     assert all(type(x) is int for row in rs.gram_coroot for x in row)
     assert rs.gram_coroot == tuple(tuple(a[i][j] / d[i] for j in range(n)) for i in range(n))
     # the adjugate: adj(A) A = f I
@@ -106,7 +106,7 @@ def test_structure_invariants(name, fraction_inverse):
 
 def _root_vec(rs, root):
     # root in simple-coroot coordinates: alpha_i = d_i alphacheck_i
-    return tuple(c * d for c, d in zip(root.coeffs, rs.simple_d))
+    return tuple(c * d for c, d in zip(root.coeffs, (Fraction(1, s) for s in rs.coroot_scales)))
 
 
 @pytest.mark.parametrize("name", ALL_IMPLEMENTED)
