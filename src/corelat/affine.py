@@ -13,10 +13,17 @@ Action conventions:
   ``(a_1 ... a_{j-1})(alpha_{a_j})`` with ``alpha_0 = -hr + delta``; a word
   is reduced iff every entry is a positive affine root.
 * A generator is the sparse integer map s_i = I - c p^T plus a shift.
-  ``reduced_step`` extends a reduced word by one letter on the right with
-  u = m c alone, which gives both the inversion-sequence entry and the
-  longer word's element; ``left_step`` is the step ``word_to_element``
-  applies for each letter, a product on the left.
+  ``reduced_steps`` extends a block of reduced words, each by its own
+  letter on the right, with u = m c alone, which gives both the
+  inversion-sequence entry and the longer word's element: one checked
+  int64 step (``linalg.ReflectionRows``) on rows of (m, v, q).  The word
+  side is built on it: ``inversion_sequences`` walks a list of words
+  position by position, ``word_size_block`` sums their entries per letter,
+  and ``random_reduced_words`` walks a word from every offset of a
+  drawn-ahead buffer of letters.  ``reduced_step``, ``inversion_sequence``,
+  ``word_size_totals`` and ``random_reduced_word`` are their one-row views.
+  ``left_step`` is the step ``word_to_element`` applies for each letter, a
+  product on the left.
 * ``size_i`` of a coset is computed from a reduced word of the *inverse*
   element: ``(2 / |alpha_i|^2) * sum of delta-coefficients at letter i``.
   On the lattice side ``size_vector_lattice`` gives every size_i of a
@@ -30,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import lcm
 from typing import Iterable, NamedTuple
 
@@ -297,73 +305,196 @@ def affine_simple_root(rs: RootSystemData, i: int) -> AffineRoot:
     return AffineRoot(tuple(int(l == i - 1) for l in range(rs.rank)), 0)
 
 
+class StepRows(NamedTuple):
+    """What ``reduced_steps`` gives for a block of rows: each row's inversion
+    entry, as simple-root coefficients ``roots`` and delta part ``k``,
+    whether that entry is positive, and the element prefix s_i as the int64
+    rows (m, v, q).  Where the entry is positive that element is the longer
+    word's; elsewhere it is shorter and only the entry is used."""
+
+    roots: np.ndarray
+    k: np.ndarray
+    positive: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    q: np.ndarray
+
+
+class _StepData(NamedTuple):
+    """``_reflections`` as the int64 tables of ``reduced_steps``, indexed by letter."""
+
+    kernel: linalg.ReflectionRows
+    sign: np.ndarray  # -1 for letter 0, 1 for the others
+    num: np.ndarray  # sign times (2 / |alpha_j|^2 for each j)
+    den: np.ndarray  # 1 for letter 0, 2 / |alpha_i|^2 for letter i
+
+
+@lru_cache(maxsize=None)
+def _step_data(rs: RootSystemData) -> _StepData:
+    n, refl, scales = rs.rank, _reflections(rs), rs.coroot_scales
+
+    def dense(field):
+        rows = np.zeros((n + 1, n), dtype=np.int64)
+        for i, r in enumerate(refl):
+            for l, x in getattr(r, field):
+                rows[i, l] = x
+        return rows
+
+    sign = np.array([-1] + [1] * n, dtype=np.int64)
+    return _StepData(linalg.ReflectionRows(dense("c"), dense("p"), [r.shift for r in refl], max(scales)),
+                     sign, sign[:, None] * np.array(scales, dtype=np.int64),
+                     np.array((1, *scales), dtype=np.int64))
+
+
+def reduced_steps(rs: RootSystemData, m: np.ndarray, v: np.ndarray, q: np.ndarray,
+                  letters: np.ndarray) -> StepRows:
+    """The reduced step of every row of a block, each with its own letter:
+    row r is the element x -> m[r] x + v[r] with translation q[r], which a
+    reduced word spells, and letters[r] the letter that extends that word.
+
+    With s_i = I - c p^T and u = m c, the entry is prefix(alpha_i): as
+    alpha_i^vee = c, its root is S u / s_i for i >= 1 and -S u for i = 0
+    (alpha_0 = -hr + delta, hr long), S = diag(2 / |alpha_j|^2); its delta
+    part is -<p, q> for i >= 1 and 1 + <p, q> for i = 0.  The longer word
+    is reduced iff the entry is positive.  The element prefix s_i and its
+    translation come from the same u, in one checked kernel step
+    (``linalg.ReflectionRows``) over the block, whose bound counts in the
+    entry's factor S."""
+    data = _step_data(rs)
+    u, dot, m, v, q = data.kernel(m, v, q, letters)
+    roots = u * data.num[letters] // data.den[letters][:, None]
+    k = data.kernel.shift[letters] - data.sign[letters] * dot
+    positive = (k > 0) | ((k == 0) & (roots > 0).any(axis=1))
+    return StepRows(roots, k, positive, m, v, q)
+
+
+def identity_rows(rs: RootSystemData, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, v, q) rows of ``count`` identity elements, for ``reduced_steps``."""
+    n = rs.rank
+    zeros = np.zeros((count, n), dtype=np.int64)
+    return np.broadcast_to(np.eye(n, dtype=np.int64), (count, n, n)), zeros, zeros
+
+
 def reduced_step(rs: RootSystemData, prefix: AffineElement, i: int):
-    """(entry, element) for letter i after a reduced word spelling ``prefix``.
-
-    The entry is prefix(alpha_i), the next inversion-sequence entry; the
+    """(entry, element) for letter i after a reduced word spelling ``prefix``:
+    the entry is prefix(alpha_i), the next inversion-sequence entry, and the
     element is prefix s_i when the entry is positive (the longer word is
-    reduced) and None otherwise.
-
-    With s_i = I - c p^T and u = m c (m = prefix.m), both come from u.  As
-    alpha_i^vee = c, the entry's root is S u / s_i for i >= 1 and -S u for
-    i = 0 (alpha_0 = -hr + delta, hr long), S = diag(2 / |alpha_j|^2); its
-    delta part is -<p, q> for i >= 1 and 1 + <p, q> for i = 0, with q the
-    translation of ``prefix``.  The element is (m - u p^T, v + shift u), with
-    translation s_i(q + shift c) = q - (<p, q> + shift) c, as <p, c> = 2.
-    """
-    r = _reflections(rs)[i]
-    u = [0] * rs.rank
-    for l, y in r.c:
-        u = [uk + y * row[l] for uk, row in zip(u, prefix.m)]
-    q = prefix.translation
-    t = sum(y * q[l] for l, y in r.p)
-    scale = rs.coroot_scales
-    if i:
-        s = scale[i - 1]
-        entry = AffineRoot(tuple(sj * uj // s for sj, uj in zip(scale, u)), -t)
-    else:
-        entry = AffineRoot(tuple(-sj * uj for sj, uj in zip(scale, u)), 1 + t)
-    if not entry.is_positive():
+    reduced) and None otherwise.  A one-row view of ``reduced_steps``."""
+    _letters(rs, (i,))
+    step = reduced_steps(rs, np.array([prefix.m], dtype=np.int64), np.array([prefix.v], dtype=np.int64),
+                         np.array([prefix.translation], dtype=np.int64), np.array([i]))
+    entry = AffineRoot(tuple(step.roots[0].tolist()), int(step.k[0]))
+    if not step.positive[0]:
         return entry, None
-    m = []
-    for row, uk in zip(prefix.m, u):
-        if uk:
-            row = list(row)
-            for l, y in r.p:
-                row[l] -= uk * y
-            row = tuple(row)
-        m.append(row)
-    v = tuple(x + r.shift * uk for x, uk in zip(prefix.v, u)) if r.shift else prefix.v
-    q, t = list(q), t + r.shift
-    for l, y in r.c:
-        q[l] -= t * y
-    return entry, _known(AffineElement(rs, tuple(m), v), translation=tuple(q))
+    m = tuple(map(tuple, step.m[0].tolist()))
+    return entry, _known(AffineElement(rs, m, tuple(step.v[0].tolist())), translation=tuple(step.q[0].tolist()))
+
+
+def _word_rows(rs: RootSystemData, words) -> tuple[np.ndarray, np.ndarray]:
+    """(letters, lengths): the words as int64 rows padded with letter 0, and
+    their lengths; each letter is checked to lie in 0..n."""
+    words = [_letters(rs, w) for w in words]
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    letters = np.zeros((len(words), int(lengths.max(initial=0))), dtype=np.int64)
+    letters[np.arange(letters.shape[1]) < lengths[:, None]] = list(chain.from_iterable(words))
+    return letters, lengths
+
+
+def inversion_sequences(rs: RootSystemData, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(letters, roots, k) for a list of reduced words: the words as padded
+    rows (``_word_rows``), and entry j of word r's inversion sequence as the
+    simple-root coefficients roots[r, j] and delta part k[r, j], zero past
+    the word's end.  The words are walked position by position, one
+    ``reduced_steps`` over the words that reach each position.  Raises
+    NotReducedError at the first position where a word is not reduced."""
+    letters, lengths = _word_rows(rs, words)
+    count, longest = letters.shape
+    order = np.argsort(-lengths, kind="stable")  # the words that reach position j come first
+    reach = np.count_nonzero(lengths[:, None] > np.arange(longest), axis=0)
+    roots = np.zeros((count, longest, rs.rank), dtype=np.int64)
+    k = np.zeros((count, longest), dtype=np.int64)
+    m, v, q = identity_rows(rs, count)
+    for j, n in enumerate(reach.tolist()):
+        rows = order[:n]
+        step = reduced_steps(rs, m[:n], v[:n], q[:n], letters[rows, j])
+        if not step.positive.all():
+            bad = np.flatnonzero(~step.positive)
+            r = bad[np.argmin(rows[bad])]
+            raise NotReducedError(j, -AffineRoot(tuple(step.roots[r].tolist()), int(step.k[r])))
+        roots[rows, j], k[rows, j] = step.roots, step.k
+        m, v, q = step.m, step.v, step.q
+    return letters, roots, k
 
 
 def inversion_sequence(rs: RootSystemData, word) -> list[AffineRoot]:
-    """Inversion sequence of a reduced word; raises NotReducedError otherwise."""
-    prefix = identity_element(rs)
-    entries: list[AffineRoot] = []
-    for pos, i in enumerate(_letters(rs, word)):
-        entry, prefix = reduced_step(rs, prefix, i)
-        if prefix is None:
-            raise NotReducedError(pos, -entry)
-        entries.append(entry)
-    return entries
+    """Inversion sequence of a reduced word; raises NotReducedError otherwise.
+    A one-row view of ``inversion_sequences``."""
+    _, roots, k = inversion_sequences(rs, [word])
+    return [AffineRoot(tuple(r), e) for r, e in zip(roots[0].tolist(), k[0].tolist())]
+
+
+#: letters drawn ahead at most at once by ``random_reduced_words``
+WORD_BLOCK = 2**12
+
+
+def random_reduced_words(rng, rs: RootSystemData, max_len: int, count: int) -> list[tuple[int, ...]]:
+    """``count`` reduced words of at most ``max_len`` letters each, drawn in
+    turn by ``rng``: each draws letters uniformly and stops at ``max_len``
+    letters or at the first draw that would not keep it reduced.
+
+    A buffer of letters is drawn ahead, a word is started at every offset
+    of it, and all of them are walked at once (``_offset_walks``).  The
+    words chain from offset 0, each starting after the draws of the last:
+    its letters, and the refused one if it stopped short.  Then ``rng`` is
+    set back and draws exactly the letters the chain used, so that the
+    words and its final state are those of drawing one letter at a time."""
+    if max_len < 1:
+        return [()] * count
+    words: list[tuple[int, ...]] = []
+    letters, block = rs.rank + 1, max(WORD_BLOCK, max_len + 1)
+    while len(words) < count:
+        state = rng.getstate()
+        # a word draws at most max_len + 1 letters, so this is enough for all the words left
+        ahead = [rng.randrange(letters) for _ in range(min((count - len(words)) * (max_len + 1), block))]
+        rng.setstate(state)
+        lengths, used = _offset_walks(rs, np.array(ahead, dtype=np.int64), max_len)
+        start = 0
+        while len(words) < count and used[start]:
+            words.append(tuple(ahead[start:start + lengths[start]]))
+            start += used[start]
+        redrawn = [rng.randrange(letters) for _ in range(start)]
+        assert redrawn == ahead[:start], "the redrawn letters are the drawn-ahead ones"
+    return words
+
+
+def _offset_walks(rs: RootSystemData, ahead: np.ndarray, max_len: int) -> tuple[list[int], list[int]]:
+    """(lengths, used) over the offsets o of ``ahead`` and one past its end:
+    the word that starts at o keeps lengths[o] letters and uses used[o] of
+    them, one more where a letter was refused; used[o] is 0 where the walk
+    runs past the end.  Step j moves the words still growing by their
+    letter ahead[o + j] in one ``reduced_steps``."""
+    size = len(ahead)
+    lengths, used = np.zeros(size + 1, dtype=np.int64), np.zeros(size + 1, dtype=np.int64)
+    alive = np.arange(size)
+    m, v, q = identity_rows(rs, size)
+    for j in range(max_len):
+        inside = alive + j < size
+        if not inside.all():
+            alive, m, v, q = alive[inside], m[inside], v[inside], q[inside]
+        step = reduced_steps(rs, m, v, q, ahead[alive + j])
+        refused = alive[~step.positive]
+        lengths[refused], used[refused] = j, j + 1
+        keep = step.positive
+        alive, m, v, q = alive[keep], step.m[keep], step.v[keep], step.q[keep]
+    lengths[alive] = used[alive] = max_len
+    return lengths.tolist(), used.tolist()
 
 
 def random_reduced_word(rng, rs: RootSystemData, max_len: int) -> tuple[int, ...]:
     """A reduced word of at most ``max_len`` letters, each drawn uniformly by
-    ``rng``; it stops at the first letter that would not keep it reduced."""
-    letters = []
-    prefix = identity_element(rs)
-    while len(letters) < max_len:
-        i = rng.randrange(rs.rank + 1)
-        prefix = reduced_step(rs, prefix, i)[1]
-        if prefix is None:
-            break
-        letters.append(i)
-    return tuple(letters)
+    ``rng``; it stops at the first letter that would not keep it reduced.
+    A one-row view of ``random_reduced_words``."""
+    return random_reduced_words(rng, rs, max_len, 1)[0]
 
 
 def is_reduced(rs: RootSystemData, word) -> bool:
@@ -381,15 +512,25 @@ def scale_letter_totals(rs: RootSystemData, totals) -> tuple[int, ...]:
     return (totals[0],) + tuple(s * t for s, t in zip(rs.coroot_scales, totals[1:]))
 
 
+def word_size_block(rs: RootSystemData, words) -> np.ndarray:
+    """(size_0, ..., size_n) of the element whose inverse each word spells,
+    an int64 row per word: the delta-coefficients of its inversion sequence
+    (``inversion_sequences``) summed per letter position by position, then
+    scaled by ``scale_letter_totals``."""
+    letters, _, k = inversion_sequences(rs, words)
+    scales = scale_letter_totals(rs, (1,) * (rs.rank + 1))
+    assert letters.shape[1] * linalg.peak(k) * max(scales) < linalg.INT64_LIMIT, "int64 bound of the letter totals"
+    totals = np.zeros((len(letters), rs.rank + 1), dtype=np.int64)
+    rows = np.arange(len(letters))
+    for j in range(letters.shape[1]):
+        totals[rows, letters[:, j]] += k[:, j]  # past a word's end k is 0
+    return totals * scales
+
+
 def word_size_totals(rs: RootSystemData, word) -> tuple[int, ...]:
     """(size_0, ..., size_n) of the element whose inverse the word spells, as
-    integers: the delta-coefficients of its inversion sequence summed per
-    letter, through ``scale_letter_totals``."""
-    letters = _letters(rs, word)
-    totals = [0] * (rs.rank + 1)
-    for letter, e in zip(letters, inversion_sequence(rs, letters)):
-        totals[letter] += e.k
-    return scale_letter_totals(rs, totals)
+    integers: a one-row view of ``word_size_block``."""
+    return tuple(word_size_block(rs, [word])[0].tolist())
 
 
 def size_vector_lattice(rs: RootSystemData, q) -> tuple[Fraction, ...]:

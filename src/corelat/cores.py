@@ -228,22 +228,29 @@ def content_counts(parts, a: int):
     return tuple(counts[0].tolist()) if single else counts
 
 
-def toggle_action(parts: Partition, a: int, i: int) -> Partition:
-    """Add all addable, or remove all removable, boxes with content i mod a.
-
-    Row r of length l has an addable box (r, l + 1) when the row above is
-    longer (or r = 1) and a removable box (r, l) when the row below is
-    shorter.  For an a-core the two cases never mix; a mixed case raises.
-    """
-    if not 0 <= i < a:
-        raise ValueError(f"content class {i} out of range 0..{a - 1}")
+def toggle_corners(parts: Partition, a: int) -> list[tuple[list[int], list[int]]]:
+    """The rows of the addable and of the removable boxes of each content
+    class, from one pass over the corners of ``parts``: row r of length l
+    has an addable box (r, l + 1), of class (l + 1 - r) mod a, when the row
+    above is longer (or r = 1), and a removable box (r, l), of class
+    (l - r) mod a, when the row below is shorter."""
+    corners: list = [([], []) for _ in range(a)]
     lengths = (*parts, 0)
-    adds = [r for r, (above, l) in enumerate(zip((lengths[0] + 1, *lengths), lengths), 1)
-            if above > l and (l + 1 - r) % a == i]
-    rems = [r for r, (l, below) in enumerate(zip(lengths, lengths[1:]), 1)
-            if l > below and (l - r) % a == i]
+    for r, (above, l, below) in enumerate(zip((lengths[0] + 1, *lengths), lengths, (*parts[1:], 0, 0)), 1):
+        if above > l:
+            corners[(l + 1 - r) % a][0].append(r)
+        if l > below:
+            corners[(l - r) % a][1].append(r)
+    return corners
+
+
+def _toggled(parts: Partition, i: int, adds: list[int], rems: list[int]) -> Partition:
+    """``parts`` with the boxes of class i added at the rows ``adds``, or
+    removed at the rows ``rems``; both at once raises."""
     if adds and rems:
         raise ValueError(f"toggling class {i} of {parts} would both add and remove boxes")
+    if not (adds or rems):
+        return parts
     step, rows = (1, adds) if adds else (-1, rems)
     toggled = list(parts) + [0]
     for r in rows:
@@ -251,6 +258,15 @@ def toggle_action(parts: Partition, a: int, i: int) -> Partition:
     while toggled and toggled[-1] == 0:
         toggled.pop()
     return tuple(toggled)
+
+
+def toggle_action(parts: Partition, a: int, i: int) -> Partition:
+    """Add all addable, or remove all removable, boxes with content i mod a:
+    class i of ``toggle_corners``.  For an a-core the two cases never mix;
+    a mixed case raises."""
+    if not 0 <= i < a:
+        raise ValueError(f"content class {i} out of range 0..{a - 1}")
+    return _toggled(parts, i, *toggle_corners(parts, a)[i])
 
 
 def conjugate_coroot(q) -> tuple[int, ...]:
@@ -261,15 +277,16 @@ def conjugate_coroot(q) -> tuple[int, ...]:
 def core_closure(a: int, max_boxes: int) -> tuple[list[Partition], list[tuple[Partition, ...]]]:
     """All a-cores with at most ``max_boxes`` boxes, sorted by size and then
     parts, and the row of a toggles (``toggle_action``) of each, from one
-    breadth-first closure of the empty partition that toggles each core once
-    per class; every a-core of size <= max_boxes is reached because each
+    breadth-first closure of the empty partition.  Each core's row comes
+    from one pass over its corners (``toggle_corners``), sorted by content
+    class; every a-core of size <= max_boxes is reached because each
     nonempty core admits a strictly size-decreasing toggle."""
     toggles: dict = {(): None}
     frontier = [()]
     while frontier:
         nxt = []
         for parts in frontier:
-            toggles[parts] = row = tuple(toggle_action(parts, a, i) for i in range(a))
+            toggles[parts] = row = tuple(_toggled(parts, i, *c) for i, c in enumerate(toggle_corners(parts, a)))
             for other in row:
                 if other not in toggles and sum(other) <= max_boxes:
                     toggles[other] = None

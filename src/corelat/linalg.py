@@ -2,8 +2,9 @@
 checked int64 kernel.
 
 Matrices are immutable tuples of tuples; entries are ints or Fractions.
-The kernel's two steps on the rows of int64 arrays, ``AffineRows`` and
-``QuadraticRows``, are the package's only numpy array products.  Before
+The kernel's three steps on the rows of int64 arrays, ``AffineRows``,
+``QuadraticRows`` and ``ReflectionRows``, are the package's only numpy
+array products.  Before
 it multiplies, each step asserts that every value it forms, partial sums
 included, stays below 2**63, so its results are exact.
 """
@@ -70,7 +71,7 @@ def adjugate(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return abs(prev), freeze((x if prev > 0 else -x for x in row[n:]) for row in rows)
 
 
-def _peak(a: np.ndarray) -> int:
+def peak(a: np.ndarray) -> int:
     """max |a_i| over an int64 array, 0 if it is empty, as a Python int."""
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
@@ -78,9 +79,9 @@ def _peak(a: np.ndarray) -> int:
 def _row_mass(m: np.ndarray) -> int:
     """The largest sum |m_i| over the rows of an int64 array, or the upper
     bound n * max|m| where int64 row sums could wrap."""
-    n, peak = m.shape[1], _peak(m)
-    if n * peak >= INT64_LIMIT:
-        return n * peak
+    n, top = m.shape[1], peak(m)
+    if n * top >= INT64_LIMIT:
+        return n * top
     return int(np.abs(m).sum(axis=1).max(initial=0))
 
 
@@ -95,10 +96,10 @@ class AffineRows:
 
     def __init__(self, mat, shift):
         self.mat, self.shift = np.array(mat, dtype=np.int64), np.array(shift, dtype=np.int64)
-        self._scale, self._offset = self.mat.shape[1] * _peak(self.mat), _peak(self.shift)
+        self._scale, self._offset = self.mat.shape[1] * peak(self.mat), peak(self.shift)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        assert self._scale * _peak(x) + self._offset < INT64_LIMIT, "int64 bound of the affine rows"
+        assert self._scale * peak(x) + self._offset < INT64_LIMIT, "int64 bound of the affine rows"
         return x @ self.mat.T + self.shift
 
 
@@ -111,7 +112,7 @@ class QuadraticRows:
     def __init__(self, quad, lin, const: int):
         self.quad, self.lin, self.const = (np.array(quad, dtype=np.int64),
                                            np.array(lin, dtype=np.int64), const)
-        self._peaks = (_peak(self.quad), _peak(self.lin), abs(const))
+        self._peaks = (peak(self.quad), peak(self.lin), abs(const))
 
     def bound(self, mass: int) -> int:
         """An upper bound of |s(m)|, and of every partial sum of its evaluation,
@@ -140,3 +141,38 @@ class QuadraticRows:
 
     def _values(self, m: np.ndarray) -> np.ndarray:
         return ((m @ self.quad) * m).sum(axis=1) - m @ self.lin + self.const
+
+
+class ReflectionRows:
+    """The checked int64 step of right multiplication by a reflection, on a
+    block of affine maps: row r is x -> m[r] x + v[r] with translation
+    q[r] = m[r]^-1 v[r], and letters[r] picks a row of the tables c, p and
+    shift, the reflection s = x -> x - (<p, x> - shift) c with <p, c> = 2.
+    With u = m c the product is (m - u p^T, v + shift u), with translation
+    s(q + shift c) = q - (<p, q> + shift) c; the step returns u and <p, q>
+    too.
+
+    With P the largest |entry| of m, v and q, |u| <= |c|_1 P and
+    |<p, q>| <= |p|_1 P, partial sums included, so every value the step
+    forms, and ``scale`` u for the largest factor ``scale`` >= 1 that the
+    caller multiplies u by, is within ``bound``(P) =
+    (1 + scale |c|_1)(1 + |p|_1 + |shift|)(P + 1), over the largest norms
+    of the tables.  The step asserts it below 2**63 before it multiplies."""
+
+    def __init__(self, c, p, shift, scale: int = 1):
+        self.c, self.p, self.shift = (np.array(c, dtype=np.int64), np.array(p, dtype=np.int64),
+                                      np.array(shift, dtype=np.int64))
+        c_norm, p_norm = (int(np.abs(a).sum(axis=1).max(initial=0)) for a in (self.c, self.p))
+        self._growth = (1 + scale * c_norm) * (1 + p_norm + peak(self.shift))
+
+    def bound(self, top: int) -> int:
+        return self._growth * (top + 1)
+
+    def __call__(self, m: np.ndarray, v: np.ndarray, q: np.ndarray, letters: np.ndarray):
+        """(u, <p, q>, m', v', q') of each row."""
+        assert self.bound(max(peak(m), peak(v), peak(q))) < INT64_LIMIT, "int64 bound of the reflection rows"
+        c, p, shift = self.c[letters], self.p[letters], self.shift[letters]
+        u = np.einsum("rjk,rk->rj", m, c)
+        dot = np.einsum("rk,rk->r", p, q)
+        return (u, dot, m - u[:, :, None] * p[:, None, :], v + shift[:, None] * u,
+                q - (dot + shift)[:, None] * c)

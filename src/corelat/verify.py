@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import affine, cores, ehrhart, models, rootsys, sommers
+from . import affine, cores, ehrhart, linalg, models, rootsys, sommers
 from .rootsys import CartanType, build, build_named
 
 #: (type, b values) used by the region-based suites
@@ -206,16 +206,17 @@ def check_sizer(count: int = 1000, types=None) -> list:
     """Word-side size equals lattice-side size on random reduced words (seed 7).
     Each draws letters uniformly and stops at ten or at the first draw that
     would break reducedness, so the 1,008 default words have 2,867 letters:
-    275 have one and 5 reach ten.  Per type, the integer letter totals of the
-    reversed words (``affine.word_size_totals``) meet one
+    275 have one and 5 reach ten.  Per type, the words are drawn at once
+    (``affine.random_reduced_words``), and the integer letter totals of the
+    reversed words (``affine.word_size_block``) meet one
     ``affine.size_vector_numerators`` block of the words' images of 0."""
     rng = random.Random(7)
     types = types or [t for t, _ in DEFAULT_MATRIX]
     per_type = -(-count // len(types))  # ceil: at least ``count`` words total
 
     def check(rs):
-        words = [affine.random_reduced_word(rng, rs, 10) for _ in range(per_type)]
-        totals = np.array([affine.word_size_totals(rs, w[::-1]) for w in words], dtype=np.int64)
+        words = affine.random_reduced_words(rng, rs, 10, per_type)
+        totals = affine.word_size_block(rs, [w[::-1] for w in words])
         x = np.array([affine.apply(rs, w, (0,) * rs.rank) for w in words], dtype=np.int64)
         half, odd = np.divmod(affine.size_vector_numerators(rs, x)[1], 2)
         wrong = ((odd != 0) | (half != totals)).any(axis=1).tolist()
@@ -225,49 +226,104 @@ def check_sizer(count: int = 1000, types=None) -> list:
     return _counterexamples(({"type": t}, partial(check, build_named(t))) for t in types)
 
 
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of an int64 array, a hashable key per row."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+def _first_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group) for the rows of an int64 array: the index where each
+    distinct row first occurs, in order, and the position in ``first`` of
+    each row's own."""
+    index: dict = {}
+    group = np.array([index.setdefault(key, len(index)) for key in _row_keys(rows)], dtype=np.int64)
+    return np.unique(group, return_index=True)[1], group  # groups are numbered as they first occur
+
+
+def _left_mismatches(rs, keys: np.ndarray, vecs: np.ndarray):
+    """welldef's left pass: a record for each (element, finite letter i) where
+    s_i times the element is also an element of the walk and has another
+    size vector.  Row r of ``keys`` is an element's m and v, flattened, and
+    row r of ``vecs`` its size vector; each finite letter's
+    ``AffineElement.step`` moves all of them at once."""
+    n, count = rs.rank, len(keys)
+    index = {key: r for r, key in enumerate(_row_keys(keys))}
+    # s_i (m, v) = (s_i m, s_i v): a finite letter fixes 0, so it moves v and m's columns as points
+    points = np.concatenate([keys[:, n * n:], keys[:, :n * n].reshape(count, n, n).transpose(0, 2, 1).reshape(-1, n)])
+    bad = np.zeros((count, n), dtype=bool)
+    for i in range(1, n + 1):
+        moved = affine.letter_element(rs, i).step(points)
+        moved_m = moved[count:].reshape(count, n, n).transpose(0, 2, 1).reshape(count, -1)
+        other = np.array([index.get(key, -1) for key in _row_keys(np.column_stack([moved_m, moved[:count]]))])
+        found = other >= 0
+        bad[found, i - 1] = (vecs[other[found]] != vecs[found]).any(axis=1)
+    for r, i in zip(*(a.tolist() for a in np.nonzero(bad))):
+        key = (tuple(map(tuple, keys[r, :n * n].reshape(n, n).tolist())), tuple(keys[r, n * n:].tolist()))
+        yield {"element": str(key), "finite_letter": i + 1}
+
+
 def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
     """All reduced words of one element give one size vector, invariant under
     appending a finite letter on the left of the word (right-multiplication of
-    the represented coset element).  The walk visits every reduced word of at
-    most ``max_len`` letters, a number that grows exponentially in it, and
-    refuses with FeasibilityError on the word past the cap read when it
-    starts."""
+    the represented coset element).
+
+    The walk goes level by level, over rows that are distinct (element, size
+    vector) pairs.  Each row carries the number of its words and the least
+    of them, for the report; a row whose vector differs from that of its
+    element's first row is a counterexample.  Each level takes one
+    ``affine.reduced_steps`` block over its distinct elements and every
+    letter.  The number of words of at most ``max_len`` letters grows
+    exponentially in it: the walk refuses with FeasibilityError at the
+    level whose words pass the cap read when it starts.  Then
+    ``_left_mismatches`` moves every element by each finite letter."""
     unsupported = [t for t in types if t not in WELLDEF_TYPES]
     if unsupported:
         raise ValueError(f"welldef does not support {', '.join(unsupported)}; "
                          f"supported types: {', '.join(WELLDEF_TYPES)}")
 
     def check(rs):
-        by_element: dict = {}
-        steps: dict = {}  # element key -> its reduced_step for every letter
-        scales = affine.scale_letter_totals(rs, (1,) * (rs.rank + 1))  # size_i per unit of letter i
-        cap, visited = sommers._CAP.get(), itertools.count(1)
-
-        def dfs(el, letters, vec):
-            if next(visited) > cap:
+        letters = rs.rank + 1
+        scales = np.array(affine.scale_letter_totals(rs, (1,) * letters), dtype=np.int64)
+        cap, total = sommers._CAP.get(), 0
+        m, v, q = affine.identity_rows(rs, 1)
+        vec = np.zeros((1, letters), dtype=np.int64)
+        counts, least = [1], [()]
+        elements, priors = [], []  # each level's distinct elements as (m, v) rows, and their vectors
+        for length in range(max_len + 1):
+            total += sum(counts)
+            if total > cap:
                 raise sommers.FeasibilityError(
                     f"reduced words of {rs.cartan_type} up to --length {max_len} exceed cap {cap}")
-            key = el.key()
-            prior = by_element.setdefault(key, (vec, el))
-            if prior[0] != vec:
-                yield {"word": list(letters), "sizes": [str(x) for x in vec],
-                       "other": [str(x) for x in prior[0]]}
-            if len(letters) == max_len:
-                return
-            if key not in steps:
-                steps[key] = [affine.reduced_step(rs, el, i) for i in range(rs.rank + 1)]
-            for i, (entry, longer) in enumerate(steps[key]):
-                if longer is not None:
-                    longer_vec = list(vec)
-                    longer_vec[i] += scales[i] * entry.k
-                    yield from dfs(longer, letters + (i,), tuple(longer_vec))
+            keys = np.column_stack([m.reshape(len(m), -1), v])
+            first, element = _first_rows(keys)
+            prior = vec[first]
+            for r in np.flatnonzero((vec != prior[element]).any(axis=1)).tolist():
+                yield {"word": list(least[r]), "sizes": [str(x) for x in vec[r].tolist()],
+                       "other": [str(x) for x in prior[element[r]].tolist()]}
+            elements.append(keys[first])
+            priors.append(prior)
+            if length == max_len:
+                break
+            step = affine.reduced_steps(rs, *(np.repeat(a[first], letters, axis=0) for a in (m, v, q)),
+                                        np.tile(np.arange(letters), len(first)))
+            assert linalg.peak(vec) + max(scales) * linalg.peak(step.k) < linalg.INT64_LIMIT, \
+                "int64 bound of the size vectors"
+            grid = element[:, None] * letters + np.arange(letters)  # (row, letter) -> step row
+            row, letter = np.nonzero(step.positive[grid])
+            src = grid[row, letter]
+            vec = vec[row]
+            vec[np.arange(len(row)), letter] += scales[letter] * step.k[src]
+            m, v, q = step.m[src], step.v[src], step.q[src]
+            first, group = _first_rows(np.column_stack([m.reshape(len(m), -1), v, vec]))
+            summed = [0] * len(first)
+            for g, r in zip(group.tolist(), row.tolist()):
+                summed[g] += counts[r]
+            counts = summed
+            least = [least[r] + (i,) for r, i in zip(row[first].tolist(), letter[first].tolist())]
+            m, v, q, vec = m[first], v[first], q[first], vec[first]
 
-        yield from dfs(affine.identity_element(rs), (), (0,) * (rs.rank + 1))
-        for key, (vec, el) in by_element.items():
-            for i in range(1, rs.rank + 1):
-                other = by_element.get(affine.left_step(rs, i, el).key())
-                if other is not None and other[0] != vec:
-                    yield {"element": str(key), "finite_letter": i}
+        yield from _left_mismatches(rs, np.concatenate(elements), np.concatenate(priors))
     return _counterexamples(({"type": t}, partial(check, build_named(t))) for t in types)
 
 

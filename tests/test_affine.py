@@ -448,15 +448,22 @@ def elements_shorter_than(rs, length):
     return seen
 
 
+def step_row_keys(m, v, letters):
+    """(element key, letter) of each row of a ``reduced_steps`` block."""
+    return [((tuple(map(tuple, mr)), tuple(vr)), i) for mr, vr, i in zip(m.tolist(), v.tolist(), letters.tolist())]
+
+
 def test_welldef_takes_one_reduced_step_per_element_and_letter(monkeypatch):
+    """One step row per (element shorter than max_len, letter), however
+    many words spell the element."""
     rs, calls = build_named("A2"), []
-    real = affine.reduced_step
+    real = affine.reduced_steps
 
-    def counted(rs, prefix, i):
-        calls.append((prefix.key(), i))
-        return real(rs, prefix, i)
+    def counted(rs, m, v, q, letters):
+        calls.extend(step_row_keys(m, v, letters))
+        return real(rs, m, v, q, letters)
 
-    monkeypatch.setattr(affine, "reduced_step", counted)
+    monkeypatch.setattr(affine, "reduced_steps", counted)
     assert verify.check_welldef(types=("A2",), max_len=4) == []
     expected = {(key, i) for key in elements_shorter_than(rs, 4) for i in range(rs.rank + 1)}
     assert sorted(calls) == sorted(expected)
@@ -467,15 +474,14 @@ def test_welldef_finds_a_perturbed_reduced_step(monkeypatch):
     el = affine.identity_element(rs)
     for i in (1, 2):
         el = affine.reduced_step(rs, el, i)[1]
-    real = affine.reduced_step
+    real = affine.reduced_steps
 
-    def perturbed(rs, prefix, i):
-        entry, longer = real(rs, prefix, i)
-        if prefix.key() == el.key() and i == 1:
-            entry = entry._replace(k=entry.k + 1)
-        return entry, longer
+    def perturbed(rs, m, v, q, letters):
+        step = real(rs, m, v, q, letters)
+        hit = [row == (el.key(), 1) for row in step_row_keys(m, v, letters)]
+        return step._replace(k=step.k + np.array(hit, dtype=np.int64))
 
-    monkeypatch.setattr(affine, "reduced_step", perturbed)
+    monkeypatch.setattr(affine, "reduced_steps", perturbed)
     records = verify.check_welldef(types=("A2",), max_len=4)
     assert any(r.get("word") == [2, 1, 2] for r in records), records
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 # the tracer patches these modules through sys.modules, so all must be loaded
-from corelat import affine, cli, ehrhart, rootsys, sommers, verify  # noqa: F401
+from corelat import affine, cli, cores, ehrhart, rootsys, sommers, verify  # noqa: F401
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -133,10 +133,12 @@ def test_tracer_counts_a_direct_read_of_the_tuple_view():
 @pytest.mark.parametrize("argv, suite", [
     (["verify", "sizer", "--type", "A2", "--count", "5"], "verify.sizer_s"),
     (["verify", "welldef", "--type", "A2", "--length", "3"], "verify.welldef_s"),
+    (["verify", "ip_content"], "verify.ip_content_s"),
 ])
 def test_tracer_times_the_word_side_suites(capsys, argv, suite):
     tracing = load_tracing()
-    originals = (affine.AffineElement.compose, affine.size_i_lattice, affine.inversion_sequence)
+    originals = (affine.AffineElement.compose, affine.size_i_lattice, affine.inversion_sequence,
+                 cores.toggle_action)
     before = tracing.cache_counts()
     tracer = tracing.Tracer("test")
     tracer.install()
@@ -149,4 +151,4 @@ def test_tracer_times_the_word_side_suites(capsys, argv, suite):
     delta = {k: (after[k][0] - before[k][0], after[k][1] - before[k][1]) for k in after}
     assert suite in tracer.metrics(delta)
     assert (affine.AffineElement.compose, affine.size_i_lattice,
-            affine.inversion_sequence) == originals
+            affine.inversion_sequence, cores.toggle_action) == originals

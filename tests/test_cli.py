@@ -221,8 +221,9 @@ HAND_MADE = {
     "records": [{"%d": "\"],\n      [\"", "q\"": [], "\u00e9t\u00e9": ["\",\n", ""], "%": ""},
                 {"%d": "", "q\"": [1, "\"],\n      [\""], "\u00e9t\u00e9": [], "%": "]"}],
     "one record": [{"a": [], "b": ""}],
-    "lists and tuples": [{"a": [1, 2]}, {"a": (3, "["), "b": None}, {"a": ()}, {"a": []}],
+    "lists and tuples": [{"a": [1, 2]}, {"a": (3, "[")}, {"a": ()}, {"a": []}],
     # records that fall back to the walk
+    "lists and tuples, different keys": [{"a": [1, 2]}, {"a": (3, "["), "b": None}, {"a": ()}, {"a": []}],
     "scalars and lists": [{"a": 1, "b": []}, {"a": [2, True], "b": "x"}, {"a": None, "b": ()}, {"a": [], "b": ["]"]}],
     "different keys": [{"a": 1}, {"a": 2, "b": 3}],
     "record float": [{"a": 1}, {"a": [2.5]}],
@@ -267,7 +268,8 @@ def test_writer_equals_json_dumps_on_random_records(doc):
     assert cli.to_json(doc) == dumps(doc)
 
 
-def test_record_lists_take_as_many_encoder_calls_whatever_their_length(monkeypatch):
+def counting_encoder_calls(monkeypatch) -> list:
+    """The item count of each call of ``json``'s C encoder that ``cli.to_json`` makes."""
     make_encoder, calls = cli.c_make_encoder, []
 
     def counting(*args):
@@ -275,6 +277,22 @@ def test_record_lists_take_as_many_encoder_calls_whatever_their_length(monkeypat
         return lambda obj, level: calls.append(len(obj)) or encode(obj, level)
 
     monkeypatch.setattr(cli, "c_make_encoder", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("lists and tuples", [4]),  # one column call over a list, a tuple, an empty () and []
+    ("lists and tuples, different keys", [2, 2]),  # the walk: one call per nonempty container
+])
+def test_same_keyed_lists_and_tuples_take_the_column(monkeypatch, name, calls):
+    counted = counting_encoder_calls(monkeypatch)
+    doc = HAND_MADE[name]
+    assert cli.to_json(doc) == dumps(doc)
+    assert counted == calls
+
+
+def test_record_lists_take_as_many_encoder_calls_whatever_their_length(monkeypatch):
+    calls = counting_encoder_calls(monkeypatch)
     counts = {}
     for b in (5, 11):
         doc = sommers.enumerate_cores(rootsys.build_named("A2"), b).to_json_dict()
@@ -633,15 +651,17 @@ A2_SIZER_WORDS = [(1, 0, 1, 2, 0), (2, 0, 1, 2, 0, 2), (0,), (1,), (0,)]
 def test_sizer_flags_a_perturbed_inversion_entry(monkeypatch, capsys, word, flagged):
     """One more delta in the last inversion entry of the word side flags every
     draw of that word and no other."""
-    real = affine.inversion_sequence
+    real = affine.inversion_sequences
 
-    def perturbed(rs, letters):
-        entries = real(rs, letters)
-        if tuple(letters) == word[::-1]:
-            entries[-1] = entries[-1]._replace(k=entries[-1].k + 1)
-        return entries
+    def perturbed(rs, words):
+        letters, roots, k = real(rs, words)
+        k = k.copy()
+        for r, letters_r in enumerate(words):
+            if tuple(letters_r) == word[::-1]:
+                k[r, len(letters_r) - 1] += 1
+        return letters, roots, k
 
-    monkeypatch.setattr(affine, "inversion_sequence", perturbed)
+    monkeypatch.setattr(affine, "inversion_sequences", perturbed)
     code, out = run(capsys, "verify", "sizer", "--type", "A2", "--count", "5")
     assert code == 1
     assert json.loads(out)["counterexamples"] == [{"type": "A2", "word": w} for w in flagged]
@@ -666,36 +686,41 @@ def test_sizer_flags_a_perturbed_lattice_row(monkeypatch, capsys, row, delta):
     assert json.loads(out)["counterexamples"] == [{"type": "A2", "word": list(A2_SIZER_WORDS[row])}]
 
 
+#: ``random.Random(7).getrandbits(64)`` after the 1,008 default words of ``verify sizer``
+SIZER_FINAL_BITS = 8218360498975652699
+
+
 def test_sizer_draws_short_words():
     """The default words stop at the first letter that would break
-    reducedness: 1,008 words, 2,867 letters, 275 of one letter, 5 of ten."""
+    reducedness: 1,008 words, 2,867 letters, 275 of one letter, 5 of ten.
+    The generator ends where drawing one letter at a time leaves it."""
     rng, words = random.Random(7), []
     for t, _ in verify.DEFAULT_MATRIX:
-        rs = rootsys.build_named(t)
-        words += [affine.random_reduced_word(rng, rs, 10) for _ in range(112)]
+        words += affine.random_reduced_words(rng, rootsys.build_named(t), 10, 112)
     lengths = [len(w) for w in words]
     assert (len(words), sum(lengths), lengths.count(1), lengths.count(10)) == (1008, 2867, 275, 5)
+    assert rng.getrandbits(64) == SIZER_FINAL_BITS
     rng = random.Random(7)
     assert [affine.random_reduced_word(rng, rootsys.build_named("A2"), 10)
             for _ in range(5)] == A2_SIZER_WORDS
 
 
 def test_ip_content_toggles_each_core_once_per_letter(monkeypatch, capsys):
-    """At its defaults the suite toggles every (core, letter) pair exactly
-    once: 3 * 75 + 4 * 356 + 5 * 1,349 = 8,394 calls."""
+    """At its defaults the suite makes each core's toggles for every letter
+    from one pass over its corners: 75 + 356 + 1,349 passes."""
     calls = Counter()
-    toggle = cores.toggle_action
+    corners = cores.toggle_corners
 
-    def counted(parts, a, i):
-        calls[parts, a, i] += 1
-        return toggle(parts, a, i)
+    def counted(parts, a):
+        calls[parts, a] += 1
+        return corners(parts, a)
 
-    monkeypatch.setattr(cores, "toggle_action", counted)
+    monkeypatch.setattr(cores, "toggle_corners", counted)
     code, out = run(capsys, "verify", "ip_content")
     assert code == 0 and json.loads(out)["pass"]
-    assert sum(calls.values()) == 8394 == 3 * 75 + 4 * 356 + 5 * 1349
+    assert sum(calls.values()) == 1780 == 75 + 356 + 1349
     assert set(calls.values()) == {1}
-    assert Counter(a for _, a, _ in calls) == {3: 3 * 75, 4: 4 * 356, 5: 5 * 1349}
+    assert Counter(a for _, a in calls) == {3: 75, 4: 356, 5: 1349}
 
 
 def test_haiman_refuses_on_the_predicted_count_before_enumerating(monkeypatch, capsys):

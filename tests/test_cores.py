@@ -233,6 +233,52 @@ def test_toggle_reference():
     assert toggle_action((1,), 3, 0) == ()
 
 
+def toggle_by_boxes(parts, a, i):
+    """The toggle of class i, box by box: the cells of content i mod a that
+    can be added to or removed from the diagram, one at a time; None when
+    there are both."""
+    boxes = {(r, c) for r, length in enumerate(parts, 1) for c in range(1, length + 1)}
+    cells = {(r, c) for r in range(1, len(parts) + 2) for c in range(1, (parts[0] if parts else 0) + 2)}
+    adds = {(r, c) for r, c in cells - boxes
+            if (c == 1 or (r, c - 1) in boxes) and (r == 1 or (r - 1, c) in boxes)}
+    rems = {(r, c) for r, c in boxes if (r, c + 1) not in boxes and (r + 1, c) not in boxes}
+    adds, rems = ({(r, c) for r, c in found if (c - r) % a == i} for found in (adds, rems))
+    if adds and rems:
+        return None
+    boxes = (boxes | adds) - rems
+    rows = [sum(1 for r, _ in boxes if r == row) for row in range(1, len(parts) + 2)]
+    return tuple(x for x in rows if x)
+
+
+def partitions_up_to(n):
+    """Every partition with at most n boxes."""
+    def below(total, largest):
+        yield ()
+        for first in range(min(total, largest), 0, -1):
+            for rest in below(total - first, first):
+                yield (first, *rest)
+    return list(below(n, n))
+
+
+@pytest.mark.parametrize("a", [2, 3, 4, 5])
+def test_toggle_equals_the_box_by_box_toggle(a):
+    """On every partition of at most 9 boxes, cores and non-cores: the same
+    partition, or a refusal exactly where the class both adds and removes."""
+    mixed = 0
+    for parts in partitions_up_to(9):
+        for i in range(a):
+            expected = toggle_by_boxes(parts, a, i)
+            if expected is None:
+                mixed += 1
+                with pytest.raises(ValueError, match="would both add and remove"):
+                    toggle_action(parts, a, i)
+            else:
+                assert toggle_action(parts, a, i) == expected, (parts, i)
+    assert mixed > 0
+    # class 1 of (2,) adds (2, 1) and removes (1, 2)
+    assert toggle_by_boxes((2,), 2, 1) is None
+
+
 def test_toggle_involution_and_core():
     for a in (3, 4):
         for parts in all_cores(a, 40):

@@ -1,5 +1,6 @@
 """Hypothesis property tests for the alcove reduction, w_b, the word
-action, the generator steps of reduced words, the lattice sizes, the
+action, the generator steps of reduced words one row and one block at a
+time, the words drawn at once, the lattice sizes, the
 shifted size statistic and its invariance under the automorphisms of the
 extended Dynkin diagram, the knapsack block walk, the alcove and region
 points, the a-core bijection with its block step and its toggles, and
@@ -11,6 +12,7 @@ random types of rank <= 8, random dilations b, random reduced words,
 random runner levels and random lattice points.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers
+from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers, verify
 from corelat.affine import PointOnWallError
 from corelat.rootsys import CartanType, build, build_named
 
@@ -235,6 +237,82 @@ def test_left_step_is_the_left_product(name, data):
         assert (step.m, step.m_inv, step.v) == (product.m, product.m_inv, product.v)
         assert linalg.matmul(step.m, step.m_inv) == linalg.identity(rs.rank)
         assert step.translation == product.translation
+
+
+def element_rows(prefixes):
+    """The (m, v, q) int64 rows of ``reduced_steps`` for a list of elements."""
+    return tuple(np.array([getattr(el, f) for el in prefixes], dtype=np.int64).reshape(len(prefixes), *shape)
+                 for f, shape in (("m", (prefixes[0].rs.rank,) * 2), ("v", (-1,)), ("translation", (-1,))))
+
+
+@PROPERTY
+@given(st.sampled_from(verify.ALL_FAMILY_NAMES), st.data())
+def test_block_step_is_the_root_action_and_the_product_row_by_row(name, data):
+    """Each row of one ``reduced_steps`` block, several reduced prefixes
+    times every letter, equals the per-element route: ``act_root`` for the
+    entry and its sign, ``compose`` for the element s_i and its translation."""
+    rs = build_named(name)
+    prefixes = [reduced_prefix(data, rs, 6) for _ in range(data.draw(st.integers(1, 3)))]
+    rows = [(el, i) for el in prefixes for i in range(rs.rank + 1)]
+    step = affine.reduced_steps(rs, *element_rows([el for el, _ in rows]), np.array([i for _, i in rows]))
+    for r, (el, i) in enumerate(rows):
+        entry = el.act_root(affine.affine_simple_root(rs, i))
+        product = el.compose(affine.letter_element(rs, i))
+        assert (tuple(step.roots[r].tolist()), int(step.k[r])) == entry
+        assert bool(step.positive[r]) == entry.is_positive()
+        assert tuple(map(tuple, step.m[r].tolist())) == product.m
+        assert tuple(step.v[r].tolist()) == product.v
+        assert tuple(step.q[r].tolist()) == product.translation
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "E8"])
+def test_block_step_asserts_its_int64_bound(name):
+    """At the largest entry that the kernel's bound admits the step is exact,
+    as Python ints compute it; one more trips the assertion before any product."""
+    rs = build_named(name)
+    n, bound = rs.rank, affine._step_data(rs).kernel.bound
+    top = (linalg.INT64_LIMIT - 1) // bound(0) - 1  # bound(x) is a constant times x + 1
+    assert bound(top) < linalg.INT64_LIMIT <= bound(top + 1)
+    # top times the identity acts on simple-root coordinates as on coroot ones, so act_root reads it exactly
+    prefix = affine._known(affine.AffineElement(rs, tuple(tuple(top * x for x in row) for row in linalg.identity(n)),
+                                                (top,) * n), translation=(-top,) * n)
+    rows = element_rows([prefix] * (n + 1))
+    letters = np.arange(n + 1)
+    step = affine.reduced_steps(rs, *rows, letters)
+    for i in range(n + 1):
+        product = prefix.compose(affine.letter_element(rs, i))
+        entry = prefix.act_root(affine.affine_simple_root(rs, i))
+        assert (tuple(step.roots[i].tolist()), int(step.k[i])) == entry
+        assert (tuple(map(tuple, step.m[i].tolist())), tuple(step.v[i].tolist())) == (product.m, product.v)
+    with pytest.raises(AssertionError, match="int64 bound of the reflection rows"):
+        affine.reduced_steps(rs, rows[0], rows[1], rows[2] - 1, letters)
+
+
+def one_letter_at_a_time(rng, rs, max_len):
+    """A random reduced word drawn a letter at a time, by the oracles of
+    ``reduced_prefix``: the oracle of ``affine.random_reduced_words``."""
+    prefix, letters = affine.identity_element(rs), []
+    while len(letters) < max_len:
+        i = rng.randrange(rs.rank + 1)
+        if not prefix.act_root(affine.affine_simple_root(rs, i)).is_positive():
+            break
+        prefix = prefix.compose(affine.letter_element(rs, i))
+        letters.append(i)
+    return tuple(letters)
+
+
+@PROPERTY
+@given(st.sampled_from(verify.ALL_FAMILY_NAMES), st.integers(0, 2**32), st.integers(0, 7),
+       st.integers(0, 25), st.integers(1, 12))
+def test_words_drawn_at_once_are_those_drawn_a_letter_at_a_time(name, seed, max_len, count, block):
+    """The same words, and the generator in the same state, whatever the
+    size of the drawn-ahead buffer, also when a chain runs off its end."""
+    rs = build_named(name)
+    rng, oracle = random.Random(seed), random.Random(seed)
+    with patch.object(affine, "WORD_BLOCK", block):
+        words = affine.random_reduced_words(rng, rs, max_len, count)
+    assert words == [one_letter_at_a_time(oracle, rs, max_len) for _ in range(count)]
+    assert rng.getstate() == oracle.getstate()
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4", "A3"])
