@@ -435,6 +435,9 @@ def inversion_sequence(rs: RootSystemData, word) -> list[AffineRoot]:
 
 #: letters drawn ahead at most at once by ``random_reduced_words``
 WORD_BLOCK = 2**12
+#: letters drawn ahead per word still to draw, past one longest word: a few
+#: more than a word uses on average, as each extra buffer costs a whole walk
+LETTERS_PER_WORD = 4
 
 
 def random_reduced_words(rng, rs: RootSystemData, max_len: int, count: int) -> list[tuple[int, ...]]:
@@ -447,15 +450,21 @@ def random_reduced_words(rng, rs: RootSystemData, max_len: int, count: int) -> l
     words chain from offset 0, each starting after the draws of the last:
     its letters, and the refused one if it stopped short.  Then ``rng`` is
     set back and draws exactly the letters the chain used, so that the
-    words and its final state are those of drawing one letter at a time."""
+    words and its final state are those of drawing one letter at a time.
+    The buffer holds ``LETTERS_PER_WORD`` letters per word left and one
+    longest word more (at most ``WORD_BLOCK``), never more than all the
+    words left can draw; the chain stops where the buffer runs out, and the
+    next buffer starts there."""
     if max_len < 1:
         return [()] * count
     words: list[tuple[int, ...]] = []
     letters, block = rs.rank + 1, max(WORD_BLOCK, max_len + 1)
     while len(words) < count:
         state = rng.getstate()
-        # a word draws at most max_len + 1 letters, so this is enough for all the words left
-        ahead = [rng.randrange(letters) for _ in range(min((count - len(words)) * (max_len + 1), block))]
+        left = count - len(words)
+        # a word draws at most max_len + 1 letters, so one longest word always fits
+        size = min(left * LETTERS_PER_WORD + max_len + 1, left * (max_len + 1), block)
+        ahead = [rng.randrange(letters) for _ in range(size)]
         rng.setstate(state)
         lengths, used = _offset_walks(rs, np.array(ahead, dtype=np.int64), max_len)
         start = 0
@@ -608,11 +617,12 @@ def scaled_size_b(rs: RootSystemData, b: int) -> tuple[int, SizeForm]:
     return 2 * h * rs.index_of_connection, form
 
 
-def size_numerators(rs: RootSystemData, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """(d, s) with size(x_k) = s_k / d for each row x_k of the int64 array x
-    of coroot points: the pairings m = x A^T (``linalg.AffineRows``), then
-    the per-row form ``SizeForm.step`` of ``scaled_size_b`` at b = 1."""
-    d, form = scaled_size_b(rs, 1)
+def size_numerators(rs: RootSystemData, x: np.ndarray, b: int = 1) -> tuple[int, np.ndarray]:
+    """(d, s) with size_b(x_k) = s_k / d for each row x_k of the int64 array
+    x of coroot points (size is size_b at b = 1): the pairings m = x A^T
+    (``linalg.AffineRows``), then the per-row form ``SizeForm.step`` of
+    ``scaled_size_b``."""
+    d, form = scaled_size_b(rs, b)
     return d, form.step(linalg.AffineRows(rs.cartan_matrix, [0] * rs.rank)(x))
 
 

@@ -19,7 +19,8 @@ lowest terms, never as decimals.
 Every JSON document goes through ``to_json``, the one writer: it prints what
 ``json.dumps(doc, indent=2, sort_keys=True)`` prints, with ``json``'s C
 encoder writing each container of scalars, and each list of same-keyed
-records column by column, one call per key.  A column's text is split back
+records column by column, one call per key and block of at most
+``COLUMN_BLOCK`` scalars.  A column's text is split back
 into rows on its item separator, which holds a newline that no encoded
 string holds, with ``]`` before it and ``[`` after it for containers, which
 no scalar ends or starts with.
@@ -31,7 +32,9 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from bisect import bisect_right
+from functools import cache
+from itertools import accumulate, chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 
@@ -74,6 +77,9 @@ def _emit(args, text: str) -> None:
 #: indent does (an ``int`` subclass or a float takes the leaf path instead)
 _SCALARS = frozenset((int, str, bool, type(None)))
 _ARRAYS = frozenset((list, tuple))
+#: scalars per C encoder call on a column of records: the encoder keeps each
+#: scalar's text as its own str until it joins them, so this bounds that list
+COLUMN_BLOCK = 2**14
 
 
 def to_json(obj) -> str:
@@ -87,13 +93,15 @@ def to_json(obj) -> str:
     A nonempty list or tuple of records, dicts that share one set of ``str``
     keys where each key's values are all ``_SCALARS``, or all lists or tuples
     of them, is written column by column: for each sorted key, the C encoder
-    writes every row's value in one call at that value's depth, the text is
-    split back into rows on the item separator ``"," + inner`` (scalars) or
-    on ``"]," + inner + "["`` (containers), and the rows are laid out around
-    the columns, an empty container as ``[]``.  The split cannot cut inside
-    a value: each separator holds a newline, which ``encode_basestring_ascii``
-    escapes in every string, and no scalar ends with ``]`` or starts with
-    ``[``.  Only the other containers are walked."""
+    writes the rows' values at that value's depth, in calls of whole values
+    of at most ``COLUMN_BLOCK`` scalars each unless one value alone has
+    more; the text is split back into rows on the item separator
+    ``"," + inner`` (scalars) or on ``"]," + inner + "["`` (containers), and
+    the rows are laid out around the columns, an empty container as ``[]``.
+    The split cannot cut inside a value: each separator holds a newline,
+    which ``encode_basestring_ascii`` escapes in every string, and no scalar
+    ends with ``]`` or starts with ``[``.  Only the other containers are
+    walked."""
     chunks: list[str] = []
     flat: dict = {}  # inner indent -> C encoder for a container of scalars
 
@@ -108,15 +116,24 @@ def to_json(obj) -> str:
 
     def column(values: list, inner: str):
         """Each value's text as a record value at item indent ``inner``; None
-        unless the values are all scalars, or all flat lists or tuples of scalars."""
+        unless the values are all scalars, or all flat lists or tuples of
+        scalars.  The C encoder writes the values in blocks of whole values,
+        at most ``COLUMN_BLOCK`` scalars each unless one value alone has more."""
         kinds = set(map(type, values))
+        texts: list[str] = []
         if kinds <= _SCALARS:
-            return encode(values, inner)[1:-1].split("," + inner)
+            for lo in range(0, len(values), COLUMN_BLOCK):
+                texts += encode(values[lo:lo + COLUMN_BLOCK], inner)[1:-1].split("," + inner)
+            return texts
         if not kinds <= _ARRAYS or not _SCALARS.issuperset(map(type, chain.from_iterable(values))):
             return None
         items = inner + "  "
-        pieces = encode(values, items)[2:-2].split("]," + items + "[")
-        return [f"[{items}{p}{inner}]" if p else "[]" for p in pieces]
+        ends, lo = list(accumulate(map(len, values))), 0  # ends[i]: the scalars of values[:i + 1]
+        while lo < len(values):
+            hi = max(lo + 1, bisect_right(ends, (ends[lo - 1] if lo else 0) + COLUMN_BLOCK))
+            texts += encode(values[lo:hi], items)[2:-2].split("]," + items + "[")
+            lo = hi
+        return [f"[{items}{p}{inner}]" if p else "[]" for p in texts]
 
     def write_records(rows, indent: str) -> bool:
         """Write ``rows`` column by column if they are records; else False."""
@@ -254,9 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser`` once per process.  Parses share no state: each fills
+    a new namespace, and the append action of --type copies its list."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

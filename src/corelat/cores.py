@@ -15,15 +15,19 @@ Conventions:
   statistics and under which s_i toggles the class-i boxes equivariantly.
 
 The abacus route has one implementation in each direction: ``to_coroot``
-reads the levels off the beta-set after a hook scan, and ``from_coroot``
-turns a whole block of level rows into partitions in one checked int64
-step.  Each is the other's independent check.
+reads the levels off the beta-set after a hook scan, and ``abacus_block``
+turns a whole block of level rows into partitions in checked int64 steps.
+Each is the other's independent check.  A block of partitions has one
+internal form, the ragged ``PartitionBlock``: a flat int64 array of part
+lengths and the number of parts of each partition.  ``abacus_block`` makes
+it, ``content_counts`` counts on it, and ``from_coroot`` is its tuple view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from . import linalg
 
 Partition = tuple[int, ...]
 
-#: bead positions per int64 step of ``from_coroot``, and (row, class) cells of
+#: bead positions per int64 step of ``_abacus_steps``, and (row, class) cells of
 #: ``content_counts``: bounds a step's memory whatever the size of the block
 ABACUS_CELLS = 2**14
 
@@ -147,25 +151,58 @@ def to_coroot(parts: Partition, a: int) -> tuple[int, ...]:
     return q
 
 
+@dataclass(frozen=True, eq=False)
+class PartitionBlock:
+    """A block of partitions in one ragged int64 form: ``lengths`` holds the
+    parts of every partition, partition after partition, and ``rows`` the
+    number of parts of each.  ``abacus_block`` makes it and
+    ``content_counts`` reads it; ``partitions`` is its tuple view."""
+
+    lengths: np.ndarray  # int64, every part of every partition
+    rows: np.ndarray  # int64, the number of parts of each partition
+
+    def partitions(self) -> list[Partition]:
+        flat = iter(self.lengths.tolist())
+        return [tuple(islice(flat, n)) for n in self.rows.tolist()]
+
+
 def from_coroot(a: int, q):
     """Inverse of ``to_coroot``: the a-core whose runner levels are q.
 
     q is one sum-zero a-tuple, giving one partition tuple, or a block of
     them (the rows of an int64 array, or a sequence of a-tuples), giving a
-    list of partition tuples.  Each row is read from its top position
-    p = a max(q) - 1 down; the bead at p is black iff p // a < q[p mod a],
-    and with i the black beads so far, each black bead with p + i > 0 is a
-    part p + i.  The block goes through this in int64 steps of whole rows,
-    at most ``ABACUS_CELLS`` bead positions each, padded to the widest row
-    of the step: a (max(q) - min(q) + 1) positions.  Below its own window
-    every bead of a row is black with p + i = 0, as the abacus is balanced,
-    so the padding adds no part.  The int64 bound (``abacus_bound``) is
-    asserted once per block, before any step.
-    """
+    list of partition tuples: the tuple view of ``abacus_block``, taken
+    step by step, so that one step's list of Python ints is alive at a
+    time."""
     levels = np.asarray(q, dtype=np.int64)
     single = levels.ndim == 1
-    if single:
-        levels = levels[None, :]
+    parts = [p for step in _abacus_steps(a, levels[None, :] if single else levels) for p in step.partitions()]
+    return parts[0] if single else parts
+
+
+def abacus_block(a: int, levels) -> PartitionBlock:
+    """The a-cores whose runner levels are the rows of the int64 array
+    ``levels``, as one ``PartitionBlock``: the steps of ``_abacus_steps``."""
+    steps = list(_abacus_steps(a, levels))
+    empty = np.zeros(0, dtype=np.int64)
+    return PartitionBlock(np.concatenate([s.lengths for s in steps] or [empty]),
+                          np.concatenate([s.rows for s in steps] or [empty]))
+
+
+def _abacus_steps(a: int, levels) -> Iterator[PartitionBlock]:
+    """The a-cores of the rows of ``levels``, one ``PartitionBlock`` per step.
+
+    Each row is read from its top position p = a max(q) - 1 down; the bead
+    at p is black iff p // a < q[p mod a], and with i the black beads so
+    far, each black bead with p + i > 0 is a part p + i.  The block goes
+    through this in int64 steps of whole rows, at most ``ABACUS_CELLS`` bead
+    positions each, padded to the widest row of the step: a (max(q) -
+    min(q) + 1) positions.  Below its own window every bead of a row is
+    black with p + i = 0, as the abacus is balanced, so the padding adds no
+    part.  The int64 bound (``abacus_bound``) is asserted once per block,
+    before any step.
+    """
+    levels = np.asarray(levels, dtype=np.int64)
     if levels.ndim != 2 or levels.shape[1] != a:
         raise ValueError(f"expected {a} runner levels, got {levels.shape[-1]}")
     peak = max(int(levels.max(initial=0)), -int(levels.min(initial=0)))
@@ -175,12 +212,12 @@ def from_coroot(a: int, q):
         row = tuple(levels[unbalanced[0]].tolist())
         raise ValueError(f"runner levels {row} must sum to zero")
     rows = max(1, ABACUS_CELLS // (a * (2 * peak + 1)))  # no row is wider than a (2 peak + 1)
-    parts = [p for lo in range(0, len(levels), rows) for p in _abacus_step(a, levels[lo:lo + rows])]
-    return parts[0] if single else parts
+    for lo in range(0, len(levels), rows):
+        yield _abacus_step(a, levels[lo:lo + rows])
 
 
-def _abacus_step(a: int, levels: np.ndarray) -> list[Partition]:
-    """The partitions of the rows of ``levels`` (``from_coroot``'s step)."""
+def _abacus_step(a: int, levels: np.ndarray) -> PartitionBlock:
+    """The partitions of the rows of ``levels`` (a step of ``_abacus_steps``)."""
     hi = levels.max(axis=1)
     depth = int((hi - levels.min(axis=1)).max(initial=0)) + 1
     # window row m holds runners j = a - 1, ..., 0 at level hi - 1 - m: black iff q_j > hi - 1 - m
@@ -191,12 +228,11 @@ def _abacus_step(a: int, levels: np.ndarray) -> list[Partition]:
     values += (a * hi - 1)[:, None]
     values -= np.arange(depth * a)
     black &= values > 0
-    flat = iter(values[black].tolist())
-    return [tuple(islice(flat, n)) for n in black.sum(axis=1).tolist()]
+    return PartitionBlock(values[black], black.sum(axis=1, dtype=np.int64))
 
 
 def abacus_bound(a: int, peak: int) -> int:
-    """a (3 peak + 1): no value that ``from_coroot`` forms on a block whose
+    """a (3 peak + 1): no value that ``_abacus_steps`` forms on a block whose
     largest |level| is ``peak`` exceeds it.  In a row with top a hi, a
     position lies in [a hi - a (2 peak + 1), a hi), a bead count is at most
     the window width a (2 peak + 1), and position + count at a black bead
@@ -207,24 +243,35 @@ def abacus_bound(a: int, peak: int) -> int:
 def content_counts(parts, a: int):
     """Number of boxes in each content class (s - r) mod a, box = (row r, col s).
 
-    ``parts`` is one partition (a tuple), giving an a-tuple, or a list of
-    them, giving an int64 array with a row each.  Row r of length l has
-    (l + a - 1 - (c + r - 1) mod a) // a boxes of class c.  A step counts
-    whole partitions, at most ``ABACUS_CELLS`` (row, class) cells, and sums
-    them per partition by one cumulative sum, below (rows) (max(l) + a)."""
+    ``parts`` is one partition (a tuple), giving an a-tuple, or a
+    ``PartitionBlock`` or a list of partitions, giving an int64 array with a
+    row each; a list is flattened once into a ``PartitionBlock``.  Row r of
+    length l has (l + a - 1 - (c + r - 1) mod a) // a boxes of class c.  A
+    step counts whole partitions, at most ``ABACUS_CELLS`` (row, class)
+    cells unless one partition alone has more, and sums them per partition
+    by one cumulative sum.  No value passes (rows) (max(l) + a), asserted
+    once per block."""
     single = isinstance(parts, tuple)
-    block = [parts] if single else parts
-    sizes = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
-    step = max(1, ABACUS_CELLS // (a * int(sizes.max(initial=1))))
-    counts = np.empty((len(block), a), dtype=np.int64)
-    for lo in range(0, len(block), step):
-        lengths = np.fromiter(chain.from_iterable(block[lo:lo + step]), dtype=np.int64)
-        assert len(lengths) * (int(lengths.max(initial=0)) + a) < linalg.INT64_LIMIT, "int64 bound of the contents"
-        ends, n = sizes[lo:lo + step].cumsum(), sizes[lo:lo + step]
-        rows = np.arange(len(lengths)) - np.repeat(ends - n, n)  # r - 1
-        totals = np.zeros((len(lengths) + 1, a), dtype=np.int64)
-        np.cumsum((lengths[:, None] + (a - 1) - (rows[:, None] + np.arange(a)) % a) // a, axis=0, out=totals[1:])
-        counts[lo:lo + step] = totals[ends] - totals[ends - n]
+    if isinstance(parts, PartitionBlock):
+        lengths, rows = parts.lengths, parts.rows
+    else:
+        block = [parts] if single else parts
+        lengths = np.fromiter(chain.from_iterable(block), dtype=np.int64)
+        rows = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+    assert len(lengths) * (int(lengths.max(initial=0)) + a) < linalg.INT64_LIMIT, "int64 bound of the contents"
+    ends = rows.cumsum()
+    starts = ends - rows
+    counts = np.empty((len(rows), a), dtype=np.int64)
+    lo = 0
+    while lo < len(rows):
+        hi = max(lo + 1, int(ends.searchsorted(starts[lo] + ABACUS_CELLS // a, side="right")))
+        first, n = starts[lo], rows[lo:hi]
+        step = lengths[first:ends[hi - 1]]
+        r = np.arange(len(step)) - np.repeat(starts[lo:hi] - first, n)  # r - 1
+        totals = np.zeros((len(step) + 1, a), dtype=np.int64)
+        np.cumsum((step[:, None] + (a - 1) - (r[:, None] + np.arange(a)) % a) // a, axis=0, out=totals[1:])
+        counts[lo:hi] = totals[ends[lo:hi] - first] - totals[starts[lo:hi] - first]
+        lo = hi
     return tuple(counts[0].tolist()) if single else counts
 
 

@@ -14,7 +14,9 @@ A point's core, ``EmbeddedPoint.core()``, is a plain partition tuple, and
 Both maps to runner levels, the model image and the type-A ambient tuple,
 are linear, and each generator acts affinely, so ``level_step`` and
 ``generator_step`` move a whole int64 block of points in one checked step;
-``size_numerators`` then turns it into cores with one ``cores.from_coroot``.
+``size_numerators`` then turns it into cores with one ``cores.abacus_block``,
+a ragged int64 block with no partition tuple, and counts their content
+classes on that block.
 
 Ambient coordinates: for B/C/D the source point with simple-coroot
 coordinates k becomes the integer vector x (the classical e_i coordinates,
@@ -203,11 +205,12 @@ def model_size_vector(t: CartanType, k) -> tuple[Fraction, ...]:
 def size_numerators(t: CartanType, x: np.ndarray) -> tuple[int, np.ndarray]:
     """(2, s) with s[k] = 2 (size_0, ..., size_n, size) of the row x_k of the
     int64 array x of simple-coroot coordinates, read off the content classes
-    of its core: ``level_step``, ``cores.from_coroot``, ``cores.content_counts``
-    and the ``size_rows`` with their sum appended, each on the whole block."""
+    of its core: ``level_step``, ``cores.abacus_block`` (the cores as one
+    ragged int64 block, no tuple per core), ``cores.content_counts`` and the
+    ``size_rows`` with their sum appended, each on the whole block."""
     rows = size_rows(t)
     modulus = len(rows[0])
-    counts = cores.content_counts(cores.from_coroot(modulus, level_step(t)(x)), modulus)
+    counts = cores.content_counts(cores.abacus_block(modulus, level_step(t)(x)), modulus)
     rows.append([sum(col) for col in zip(*rows)])
     return 2, linalg.AffineRows(rows, [0] * len(rows))(counts)
 

@@ -22,7 +22,9 @@ inequalities — and requires the two to agree.  One knapsack block walk
 level, with no Python tuple per point.  Its only bound, on the row
 offsets of a level, is asserted where it starts.  One checked step of the
 int64 kernel ``linalg.AffineRows`` (``_integral_solve``) maps its rows to
-points.  The points' sizes are one per-row integer form
+points: the dilated alcove's points are the sorted int64 rows of
+``alcove_rows``, and ``enumerate_alcove`` is their tuple view.  The
+points' sizes are one per-row integer form
 (``affine.size_numerators``), kept on the ``CoreSet`` as numerators over
 2 h f.
 """
@@ -180,25 +182,35 @@ def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
     return list(zip(*rows.T.tolist()))
 
 
-def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> list[tuple]:
-    """Lattice points of the b-dilated fundamental alcove, in simple-coroot
-    coordinates, sorted lexicographically.
+def alcove_rows(rs: RootSystemData, b: int, lattice: str = "coroot") -> np.ndarray:
+    """Lattice points of the b-dilated fundamental alcove as the rows of an
+    int64 array, sorted lexicographically: the alcove's one integer form.
 
-    ``lattice`` is "coroot" or "coweight".  Coweight points may have
-    rational coordinates; coroot points are the subset with integer ones,
-    recognized via the adjugate of the Cartan matrix.  The int64 blocks of
-    ``alcove_blocks`` go through the adjugate block by block
-    (``_integral_solve``): coroot points are the rows divisible by f,
-    coweight points every row over f.
+    ``lattice`` is "coroot" or "coweight".  The int64 blocks of
+    ``alcove_blocks`` go through the adjugate of the Cartan matrix block by
+    block (``_integral_solve``): coroot points are the rows divisible by f,
+    in simple-coroot coordinates; coweight points are every row, as
+    numerators over f.
     """
     if b < 0:
         raise ValueError("dilation factor must be nonnegative")
     if lattice not in ("coroot", "coweight"):
         raise ValueError(f"unknown lattice {lattice!r}")
     f = rs.index_of_connection
-    rows = _tuples(_integral_solve(alcove_blocks(rs, b), rs.cartan_adjugate, [0] * rs.rank,
-                                   f if lattice == "coroot" else 1))
-    return rows if lattice == "coroot" else [tuple(Fraction(x, f) for x in row) for row in rows]
+    return _integral_solve(alcove_blocks(rs, b), rs.cartan_adjugate, [0] * rs.rank,
+                           f if lattice == "coroot" else 1)
+
+
+def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> list[tuple]:
+    """Lattice points of the b-dilated fundamental alcove, in simple-coroot
+    coordinates, sorted lexicographically: the tuple view of ``alcove_rows``.
+    Coroot points are tuples of ints; coweight points may have rational
+    coordinates, tuples of Fractions over f."""
+    rows = _tuples(alcove_rows(rs, b, lattice))
+    if lattice == "coroot":
+        return rows
+    f = rs.index_of_connection
+    return [tuple(Fraction(x, f) for x in row) for row in rows]
 
 
 @dataclass(frozen=True, eq=False)

@@ -191,14 +191,21 @@ def check_max(matrix=DEFAULT_MATRIX) -> list:
 
 
 def check_transfer(matrix=DEFAULT_MATRIX) -> list:
-    """Multiset equality of region sizes and dilated-alcove shifted sizes."""
+    """Multiset equality of region sizes and dilated-alcove shifted sizes, as
+    sorted integer numerators over one denominator 2 h f: the numerators of
+    ``sommers.enumerate_cores`` against ``affine.size_numerators`` at b on
+    the int64 rows of ``sommers.alcove_rows``, with no Fraction and no
+    Python object per point.  Only a counterexample record turns the two
+    sorted lists into Fraction strings."""
     def check(rs, b):
         coreset = sommers.enumerate_cores(rs, b)
-        alcove = sommers.enumerate_alcove(rs, b, "coroot")
-        lhs = sorted(coreset.sizes)
-        rhs = sorted(affine.size_b(rs, b, q) for q in alcove)
-        if lhs != rhs:
-            yield {"sizes": [str(x) for x in lhs], "shifted_sizes": [str(x) for x in rhs]}
+        d, shifted = affine.size_numerators(rs, sommers.alcove_rows(rs, b), b)
+        assert d == coreset.denominator, \
+            f"shifted sizes over {d}, region sizes over {coreset.denominator}"
+        lhs, rhs = np.sort(coreset.numerators), np.sort(shifted)
+        if not np.array_equal(lhs, rhs):
+            yield {"sizes": [str(Fraction(x, d)) for x in lhs.tolist()],
+                   "shifted_sizes": [str(Fraction(x, d)) for x in rhs.tolist()]}
     return _counterexamples(_by_type_and_b(matrix, check))
 
 
@@ -394,11 +401,13 @@ def check_models() -> list:
 
 def check_haiman(matrix=DEFAULT_MATRIX + E_TYPES) -> list:
     """Point counts of dilated alcoves against the product formula, in both the
-    coroot and the coweight lattice; a count over the cap is refused up front."""
+    coroot and the coweight lattice: the rows of ``sommers.alcove_rows``,
+    counted with no tuple per point.  A count over the cap is refused up
+    front."""
     def check(rs, b):
         predicted = sommers.capped_haiman_count(rs, b)
-        coroot = len(sommers.enumerate_alcove(rs, b, "coroot"))
-        coweight = len(sommers.enumerate_alcove(rs, b, "coweight"))
+        coroot = len(sommers.alcove_rows(rs, b, "coroot"))
+        coweight = len(sommers.alcove_rows(rs, b, "coweight"))
         if coroot != predicted or coweight != rs.index_of_connection * predicted:
             yield {"count": coroot, "coweight_count": coweight, "predicted": predicted}
     return _counterexamples(_by_type_and_b(matrix, check))

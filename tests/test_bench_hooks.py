@@ -152,3 +152,33 @@ def test_tracer_times_the_word_side_suites(capsys, argv, suite):
     assert suite in tracer.metrics(delta)
     assert (affine.AffineElement.compose, affine.size_i_lattice,
             affine.inversion_sequence, cores.toggle_action) == originals
+
+
+@pytest.mark.parametrize("argv, suite", [
+    (["verify", "transfer", "--type", "A2", "--type", "G2", "--b", "5"], "verify.transfer_s"),
+    (["verify", "haiman", "--type", "B3", "--b", "5"], "verify.haiman_s"),
+    (["verify", "models"], "verify.models_s"),
+])
+def test_tracer_times_the_region_suites(capsys, argv, suite):
+    # the suites read the alcove's int64 rows and the ragged abacus block, so the
+    # tuple views that the tracer wraps run only where enumerate_cores calls them
+    tracing = load_tracing()
+    before = tracing.cache_counts()
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    try:
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0 and json.loads(capsys.readouterr().out)["pass"] is True
+    after = tracing.cache_counts()
+    delta = {k: (after[k][0] - before[k][0], after[k][1] - before[k][1]) for k in after}
+    metrics = tracer.metrics(delta)
+    assert metrics[suite] > 0
+    parent = {sid: p for sid, _, _, _, p in tracer.spans}
+    spans = {}
+    for sid, name, _, _, _ in tracer.spans:
+        spans.setdefault(name, []).append(sid)
+    assert [parent[sid] for sid in spans.get("sommers.enumerate_alcove", [])] == spans.get("sommers.enumerate_cores", [])
+    assert "cores.from_coroot" not in spans and metrics["cores.from_coroot_s"] == 0
+    assert tracer.counts["sommers.alcove_m_visited"] == 0

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import jsonschema
@@ -300,6 +301,30 @@ def test_record_lists_take_as_many_encoder_calls_whatever_their_length(monkeypat
         assert cli.to_json(doc) == dumps(doc)
         counts[len(doc["rows"])] = len(calls)
     assert list(counts) == [7, 26] and counts[7] == counts[26]
+
+
+def test_a_record_column_is_encoded_in_blocks_of_bounded_scalars(monkeypatch):
+    # the coeffs column of corelat roots A40: 820 roots of 40 ints, 0.36 MB of
+    # text, peaked at 2.5 MB in one C encoder call, which holds each int's text
+    doc = [{"coeffs": root["coeffs"]} for root in rootsys.to_json_dict(rootsys.build_named("A40"))["positive_roots"]]
+    tracemalloc.start()
+    try:
+        text = cli.to_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == dumps(doc)
+    assert peak < 2**21
+    calls = counting_encoder_calls(monkeypatch)
+    assert cli.to_json(doc) == text
+    assert len(calls) > 1 and sum(calls) == 820 and max(calls) * 40 <= cli.COLUMN_BLOCK
+
+
+def test_a_long_column_of_scalars_takes_one_encoder_call_per_block(monkeypatch):
+    calls = counting_encoder_calls(monkeypatch)
+    doc = [{"n": i, "s": str(i)} for i in range(2 * cli.COLUMN_BLOCK + 1)]
+    assert cli.to_json(doc) == dumps(doc)
+    assert calls == [cli.COLUMN_BLOCK, cli.COLUMN_BLOCK, 1] * 2
 
 
 @pytest.mark.parametrize("name, b", [("A2", "5"), ("C2", "5"), ("G2", "7")])
@@ -736,6 +761,72 @@ def test_haiman_refuses_on_the_predicted_count_before_enumerating(monkeypatch, c
     assert captured.out == ""
     assert captured.err == "error: predicted count 34747713 for E8, b=97 exceeds cap 1000000\n"
     assert visited == []
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # a scoped parse leaves nothing behind: the next plain run checks the whole default matrix
+    seen = []
+    enumerate_cores = sommers.enumerate_cores
+    monkeypatch.setattr(sommers, "enumerate_cores",
+                        lambda rs, b: seen.append((str(rs.cartan_type), b)) or enumerate_cores(rs, b))
+    assert cli.main(["verify", "transfer", "--type", "A2", "--b", "5"]) == 0
+    assert seen == [("A2", 5)]
+    seen.clear()
+    assert cli.main(["verify", "transfer"]) == 0
+    assert seen == [(t, b) for t, bs in verify.DEFAULT_MATRIX for b in bs]
+    capsys.readouterr()
+    assert cli._parser() is cli._parser()
+
+
+#: the A2 b = 5 region and alcove both hold 7 points; d = 2 h f = 18
+A2_SIZES = ["0", "1", "2", "2", "4", "4", "8"]
+A2_SHIFTED = ["1/18", "19/18", "37/18", "37/18", "73/18", "73/18", "145/18"]
+
+
+def test_transfer_reports_a_perturbed_shifted_size_as_fraction_strings(monkeypatch):
+    # each shifted size 1/(2hf) too large, the region sizes (b = 1) untouched
+    scaled = affine.scaled_size_b
+
+    def perturbed(rs, b):
+        d, form = scaled(rs, b)
+        return (d, form) if b == 1 else (d, affine.SizeForm(form.quad, form.lin, form.const + 1))
+    monkeypatch.setattr(affine, "scaled_size_b", perturbed)
+    records = verify.check_transfer([("A2", (5,)), ("G2", (5, 7))])
+    # the records of sorting Fractions of the per-point size_b, which reads the same form
+    expected = []
+    for t, b in [("A2", 5), ("G2", 5), ("G2", 7)]:
+        rs = rootsys.build_named(t)
+        sizes = sorted(sommers.enumerate_cores(rs, b).sizes)
+        shifted = sorted(affine.size_b(rs, b, q) for q in sommers.enumerate_alcove(rs, b))
+        expected.append({"type": t, "b": b, "sizes": [str(x) for x in sizes],
+                         "shifted_sizes": [str(x) for x in shifted]})
+    assert records == expected
+    assert records[0]["sizes"] == A2_SIZES and records[0]["shifted_sizes"] == A2_SHIFTED
+
+
+def test_transfer_asserts_one_denominator(monkeypatch):
+    scaled = affine.scaled_size_b
+
+    def doubled(rs, b):
+        d, form = scaled(rs, b)
+        quad, lin = tuple(tuple(2 * x for x in row) for row in form.quad), tuple(2 * x for x in form.lin)
+        return (d, form) if b == 1 else (2 * d, affine.SizeForm(quad, lin, 2 * form.const))
+    monkeypatch.setattr(affine, "scaled_size_b", doubled)
+    assert verify.check_transfer([("A2", (5,))]) == [
+        {"type": "A2", "b": 5, "error": "shifted sizes over 36, region sizes over 18"}]
+
+
+@pytest.mark.parametrize("theorem", ["transfer", "haiman"])
+def test_region_suites_make_no_per_point_size_or_tuple(monkeypatch, theorem):
+    # transfer reads the alcove rows, haiman counts them: enumerate_alcove
+    # runs only inside enumerate_cores, once per (type, b), for the map through w_b^-1
+    calls = Counter()
+    for module, name in [(affine, "size_b"), (sommers, "enumerate_alcove")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args))
+    assert verify.run(theorem)["pass"]
+    cases = sum(len(bs) for _, bs in verify.DEFAULT_MATRIX)
+    assert calls == (Counter(enumerate_alcove=cases) if theorem == "transfer" else Counter())
 
 
 def test_missing_subcommand(capsys):

@@ -117,15 +117,15 @@ def test_from_coroot_memory_does_not_grow_with_the_block():
 
 @pytest.mark.parametrize("theorem,most", [("ip_content", 3), ("models", 6)])
 def test_verify_suites_call_from_coroot_once_per_block(monkeypatch, theorem, most):
-    # one call per a (ip_content) or per model type (models), not one per row
-    calls = []
-
-    def counted(a, q):
-        calls.append(a)
-        return from_coroot(a, q)
-    monkeypatch.setattr(cores, "from_coroot", counted)
+    # one call per a (ip_content, from_coroot) or per model type (models, the
+    # ragged abacus_block, with no partition tuple), not one per row
+    calls = {"from_coroot": [], "abacus_block": []}
+    for name, seen in calls.items():
+        real = getattr(cores, name)
+        monkeypatch.setattr(cores, name, lambda a, q, real=real, seen=seen: seen.append(a) or real(a, q))
     assert verify.run(theorem)["pass"]
-    assert 0 < len(calls) <= most
+    counted, other = ("from_coroot", "abacus_block") if theorem == "ip_content" else ("abacus_block", "from_coroot")
+    assert 0 < len(calls[counted]) <= most and calls[other] == []
 
 
 @pytest.mark.parametrize("a", [3, 4, 5])

@@ -3,8 +3,9 @@ action, the generator steps of reduced words one row and one block at a
 time, the words drawn at once, the lattice sizes, the
 shifted size statistic and its invariance under the automorphisms of the
 extended Dynkin diagram, the knapsack block walk, the alcove and region
-points, the a-core bijection with its block step and its toggles, and
-the model embeddings with their block steps against the per-point ones.
+points, the a-core bijection with its block step and its toggles, the
+model embeddings with their block steps against the per-point ones, and
+the content counts of the ragged abacus block against the tuples'.
 
 They run beside the fixed cases in test_affine.py, test_sommers.py,
 test_cores.py, test_models.py and ``verify models``' point grids, over
@@ -477,6 +478,45 @@ def test_a_block_of_levels_gives_each_row_its_core(case):
         assert cores.to_coroot(parts, a) == q
 
 
+def content_counts_by_boxes(parts, a):
+    """The content classes (s - r) mod a counted one box at a time."""
+    counts = [0] * a
+    for r, length in enumerate(parts, start=1):
+        for s in range(1, length + 1):
+            counts[(s - r) % a] += 1
+    return counts
+
+
+#: 81 rows whose widest window, 5 (2 * 40 + 1) positions, fits 40 rows in an
+#: abacus step, and whose 8,120 parts take three content steps of
+#: ABACUS_CELLS // 5 = 3,276 parts
+MANY_STEPS = (5, [(k, 0, -k, 0, 0) for k in range(-40, 41)])
+
+
+@PROPERTY
+@given(level_blocks())
+@example((3, []))
+@example((4, [(1, 0, 0, -1)]))
+@example(MANY_STEPS)
+def test_ragged_content_counts_equal_the_tuple_counts(case):
+    a, rows = case
+    levels = np.array(rows, dtype=np.int64).reshape(len(rows), a)
+    block = cores.abacus_block(a, levels)
+    tuples = cores.from_coroot(a, levels)
+    assert len(block.rows) == len(rows) and block.partitions() == tuples
+    counts = cores.content_counts(block, a)
+    assert counts.shape == (len(rows), a)
+    assert counts.tolist() == cores.content_counts(tuples, a).tolist() == \
+        [content_counts_by_boxes(parts, a) for parts in tuples]
+
+
+def test_the_many_step_block_takes_many_steps():
+    a, rows = MANY_STEPS
+    with patch.object(cores, "_abacus_step", wraps=cores._abacus_step) as step:
+        block = cores.abacus_block(a, np.array(rows, dtype=np.int64))
+    assert step.call_count == 3 and len(block.lengths) == 8120 > 2 * cores.ABACUS_CELLS // a
+
+
 def test_the_partitions_of_a_many_step_region_are_its_simultaneous_cores():
     # 2,530 points: one from_coroot block, read in steps of ABACUS_CELLS positions
     cs = sommers.enumerate_cores(build_named("A4"), 21)
@@ -547,6 +587,21 @@ def test_model_block_steps_match_their_per_point_references(name, data):
     brute = [[sum(1 for r, length in enumerate(p, start=1) for c in range(1, length + 1)
                   if (c - r) % modulus == j) for j in range(modulus)] for p in parts]
     assert cores.content_counts(parts, modulus).tolist() == brute
+
+
+@PROPERTY
+@given(st.sampled_from(MODEL_TYPES), st.data())
+def test_model_size_numerators_count_the_ragged_block_as_the_tuples(name, data):
+    # the ragged route against the one it replaced: partition tuples, flattened by content_counts
+    t = CartanType.parse(name)
+    points = data.draw(st.lists(st.tuples(*[st.integers(-30, 30)] * t.rank), max_size=60))
+    x = np.array(points, dtype=np.int64).reshape(len(points), t.rank)
+    rows = models.size_rows(t)
+    modulus = len(rows[0])
+    counts = cores.content_counts(cores.from_coroot(modulus, models.level_step(t)(x)), modulus)
+    rows.append([sum(col) for col in zip(*rows)])
+    d, s = models.size_numerators(t, x)
+    assert d == 2 and s.tolist() == linalg.AffineRows(rows, [0] * len(rows))(counts).tolist()
 
 
 def extended_cartan(rs):

@@ -5,6 +5,7 @@ import threading
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 import corelat
@@ -91,6 +92,17 @@ def test_haiman_and_coweight_ratio(name, b):
     predicted = haiman_count(rs, b)
     assert len(enumerate_alcove(rs, b, "coroot")) == predicted
     assert len(enumerate_alcove(rs, b, "coweight")) == rs.index_of_connection * predicted
+
+
+@pytest.mark.parametrize("name,b", [("A2", 5), ("D4", 5), ("G2", 7), ("E6", 5)])
+def test_alcove_rows_are_the_points_over_f(name, b):
+    # the one integer form: coroot rows are the points, coweight rows their numerators over f
+    rs, f = build_named(name), build_named(name).index_of_connection
+    coroot, coweight = sommers.alcove_rows(rs, b, "coroot"), sommers.alcove_rows(rs, b, "coweight")
+    assert coroot.dtype == coweight.dtype == np.int64
+    assert [tuple(row) for row in coroot.tolist()] == enumerate_alcove(rs, b, "coroot")
+    assert [tuple(Fraction(x, f) for x in row) for row in coweight.tolist()] == enumerate_alcove(rs, b, "coweight")
+    assert (coweight[(coweight % f == 0).all(axis=1)] // f).tolist() == coroot.tolist()
 
 
 def test_coweight_inventory_b_and_c():
