@@ -214,7 +214,13 @@ def cmd_cores(args) -> int:
             lines.append(f"\"{q}\",{s},{cell}")
         _emit(args, "\n".join(lines))
     else:
-        _emit(args, to_json(coreset.to_json_dict()))
+        # the writer's peak holds the document and its text: let go of the
+        # point arrays, which the document does not hold, before it
+        doc = coreset.to_json_dict()
+        del coreset
+        text = to_json(doc)
+        del doc
+        _emit(args, text)
     return 0
 
 
