@@ -14,13 +14,14 @@ Conventions:
   convention under which the content class counts match the size_i lattice
   statistics and under which s_i toggles the class-i boxes equivariantly.
 
-The abacus route has one implementation in each direction: ``to_coroot``
-reads the levels off the beta-set after a hook scan, and ``abacus_block``
-turns a whole block of level rows into partitions in checked int64 steps.
-Each is the other's independent check.  A block of partitions has one
-internal form, the ragged ``PartitionBlock``: a flat int64 array of part
-lengths and the number of parts of each partition.  ``abacus_block`` makes
-it, ``content_counts`` counts on it, and ``from_coroot`` is its tuple view.
+The abacus route has one block implementation in each direction:
+``coroot_block`` reads the levels of a block of partitions off their
+beta-sets, and ``abacus_block`` turns a block of level rows into partitions,
+in checked int64 steps; each is the other's independent check, and
+``to_coroot`` and ``from_coroot`` are their views.  A block of partitions
+has one internal form, the ragged ``PartitionBlock``: a flat int64 array of
+part lengths and the number of parts of each partition.  ``abacus_block``
+and ``PartitionBlock.of`` make it, ``content_counts`` counts on it.
 """
 
 from __future__ import annotations
@@ -64,35 +65,17 @@ def conjugate(parts: Partition) -> Partition:
 
 def first_hook_of_length(parts: Partition, a: int):
     """The first box (row, col), 1-indexed in row-major order, whose hook
-    has length a, or None: a hook scan that reads only the parts and their
-    conjugate.  The hook of (r, c) is parts[r-1] - c + conj[c-1] - r + 1.
-    It falls strictly along a row, so a row holds at most one such box,
-    found by bisection; and the first hook of a row falls strictly down the
-    rows, so the scan stops at the first row whose first hook is below a."""
+    has length a, or None: a direct scan of each row's boxes that reads only
+    the parts and their conjugate.  The hook of (r, c) is
+    parts[r-1] - c + conj[c-1] - r + 1."""
     conj = conjugate(parts)
-    for r, length in enumerate(parts, start=1):
-        if length + len(parts) - r < a:
-            return None
-        lo, hi = 1, length  # the first c with hook (r, c) <= a
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if length - mid + conj[mid - 1] - r + 1 > a:
-                lo = mid + 1
-            else:
-                hi = mid
-        if length - lo + conj[lo - 1] - r + 1 == a:
-            return (r, lo)
-    return None
+    return next(((r, c) for r, length in enumerate(parts, start=1) for c in range(1, length + 1)
+                 if length - c + conj[c - 1] - r + 1 == a), None)
 
 
 def is_core(parts: Partition, a: int) -> bool:
     """True iff no hook of length a exists (direct hook scan)."""
     return first_hook_of_length(parts, a) is None
-
-
-def beta_set(parts: Partition) -> list[int]:
-    """The finite top of the beta-set: parts[i] - (i+1) for each row."""
-    return [p - i for i, p in enumerate(parts, start=1)]
 
 
 @dataclass(frozen=True)
@@ -124,13 +107,14 @@ def boundary_word(parts: Partition) -> BoundaryWord:
     if not parts:
         return BoundaryWord(0, 0, ())
     k = len(parts)
-    blacks = set(beta_set(parts))
+    blacks = {p - i for i, p in enumerate(parts, start=1)}  # the finite top of the beta-set
     low, high = -k, parts[0]
     return BoundaryWord(low, high, tuple(p in blacks for p in range(low, high)))
 
 
 def to_coroot(parts: Partition, a: int) -> tuple[int, ...]:
-    """Runner levels of the balanced flush a-abacus of an a-core.
+    """Runner levels of the balanced flush a-abacus of an a-core: the
+    one-row view of ``coroot_block``, after a hook scan.
 
     Raises NotACoreError (naming an offending hook of length a) otherwise.
     """
@@ -138,15 +122,7 @@ def to_coroot(parts: Partition, a: int) -> tuple[int, ...]:
     cell = first_hook_of_length(parts, a)
     if cell is not None:
         raise NotACoreError(parts, a, cell)
-    k = len(parts)
-    highest = {}  # runner -> its highest beta-set position
-    for p in beta_set(parts):  # strictly decreasing
-        highest.setdefault(p % a, p)
-    levels = []
-    for j in range(a):
-        tail_top = -k - 1 - ((-k - 1 - j) % a)  # largest p <= -k-1 with p = j mod a
-        levels.append(1 + highest.get(j, tail_top) // a)
-    q = tuple(levels)
+    q = tuple(coroot_block(PartitionBlock.of([parts]), a)[0].tolist())
     assert sum(q) == 0, "balanced abacus must have levels summing to zero"
     return q
 
@@ -155,15 +131,37 @@ def to_coroot(parts: Partition, a: int) -> tuple[int, ...]:
 class PartitionBlock:
     """A block of partitions in one ragged int64 form: ``lengths`` holds the
     parts of every partition, partition after partition, and ``rows`` the
-    number of parts of each.  ``abacus_block`` makes it and
-    ``content_counts`` reads it; ``partitions`` is its tuple view."""
+    number of parts of each.  ``abacus_block`` and ``of`` make it,
+    ``coroot_block`` and ``content_counts`` read it; ``partitions`` is its
+    tuple view."""
 
     lengths: np.ndarray  # int64, every part of every partition
     rows: np.ndarray  # int64, the number of parts of each partition
 
+    @classmethod
+    def of(cls, partitions) -> PartitionBlock:
+        """The block of a list of partition tuples, flattened in one pass."""
+        return cls(np.fromiter(chain.from_iterable(partitions), dtype=np.int64),
+                   np.fromiter(map(len, partitions), dtype=np.int64, count=len(partitions)))
+
     def partitions(self) -> list[Partition]:
         flat = iter(self.lengths.tolist())
         return [tuple(islice(flat, n)) for n in self.rows.tolist()]
+
+
+def coroot_block(block: PartitionBlock, a: int) -> np.ndarray:
+    """The runner levels of each partition of ``block``, a row each, in one
+    int64 pass with no hook scan: on runner j, 1 + p // a for the highest
+    beta-set position p = part_r - r on it, or with none, for the top of the
+    tail below -k (k parts): 1 + (-k - 1 - j) // a.  An a-core's levels sum
+    to zero, a non-core's to more.  No value passes max(l) + (parts) + a."""
+    lengths, rows = block.lengths, block.rows
+    assert int(lengths.max(initial=0)) + len(lengths) + a < linalg.INT64_LIMIT, "int64 bound of the levels"
+    which = np.repeat(np.arange(len(rows)), rows)
+    positions = lengths - 1 - np.arange(len(lengths)) + np.repeat(rows.cumsum() - rows, rows)  # part_r - r
+    levels = 1 + (-1 - rows[:, None] - np.arange(a)) // a
+    np.maximum.at(levels, (which, positions % a), 1 + positions // a)
+    return levels
 
 
 def from_coroot(a: int, q):
@@ -245,19 +243,15 @@ def content_counts(parts, a: int):
 
     ``parts`` is one partition (a tuple), giving an a-tuple, or a
     ``PartitionBlock`` or a list of partitions, giving an int64 array with a
-    row each; a list is flattened once into a ``PartitionBlock``.  Row r of
+    row each; a list is flattened once by ``PartitionBlock.of``.  Row r of
     length l has (l + a - 1 - (c + r - 1) mod a) // a boxes of class c.  A
     step counts whole partitions, at most ``ABACUS_CELLS`` (row, class)
     cells unless one partition alone has more, and sums them per partition
     by one cumulative sum.  No value passes (rows) (max(l) + a), asserted
     once per block."""
     single = isinstance(parts, tuple)
-    if isinstance(parts, PartitionBlock):
-        lengths, rows = parts.lengths, parts.rows
-    else:
-        block = [parts] if single else parts
-        lengths = np.fromiter(chain.from_iterable(block), dtype=np.int64)
-        rows = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+    block = parts if isinstance(parts, PartitionBlock) else PartitionBlock.of([parts] if single else parts)
+    lengths, rows = block.lengths, block.rows
     assert len(lengths) * (int(lengths.max(initial=0)) + a) < linalg.INT64_LIMIT, "int64 bound of the contents"
     ends = rows.cumsum()
     starts = ends - rows

@@ -337,22 +337,25 @@ def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
 def check_ip_content() -> list:
     """Content-class counts equal the lattice statistics, and toggling is
     equivariant with the simple reflections, over all a-cores with at most
-    60 boxes, a = 3, 4, 5, each a as whole arrays: one letter step per letter,
-    the cores of all moved points from one ``cores.from_coroot`` block, and
-    the toggles that the closure ``cores.core_closure`` made."""
+    60 boxes, a = 3, 4, 5, each a as whole arrays: one block of the cores
+    of ``cores.core_closure``, their levels from one ``cores.coroot_block``
+    and their coordinates (partial sums of the levels) in one checked step,
+    one letter step per letter, and one ``cores.from_coroot`` block of the
+    cores of all moved points, against the toggles that the closure made.
+    A non-core fails the identity: its content counts are no core's."""
     def check(a):
         t = CartanType("A", a - 1)
         rs = build(t)
         all_parts, toggles = cores.core_closure(a, 60)
-        x = np.array([models.type_a_coords_from_ambient(cores.to_coroot(parts, a))
-                      for parts in all_parts], dtype=np.int64)
+        block = cores.PartitionBlock.of(all_parts)
+        x = linalg.AffineRows(np.tri(a - 1, a, dtype=np.int64), [0] * (a - 1))(cores.coroot_block(block, a))
         moved = np.stack([affine.letter_element(rs, i).step(x) for i in range(a)], axis=1)
         # most letters fix their core: each distinct moved point is converted once
         distinct, which = np.unique(moved.reshape(-1, a - 1), axis=0, return_inverse=True)
         moved_cores = cores.from_coroot(a, models.level_step(t)(distinct))
         which = which.reshape(-1).tolist()
         half, odd = np.divmod(affine.size_vector_numerators(rs, x)[1], 2)
-        wrong = ((odd != 0) | (half != cores.content_counts(all_parts, a))).any(axis=1).tolist()
+        wrong = ((odd != 0) | (half != cores.content_counts(block, a))).any(axis=1).tolist()
         for n, parts in enumerate(all_parts):
             if wrong[n]:
                 yield {"partition": list(parts)}
@@ -400,14 +403,15 @@ def check_models() -> list:
 
 
 def check_haiman(matrix=DEFAULT_MATRIX + E_TYPES) -> list:
-    """Point counts of dilated alcoves against the product formula, in both the
-    coroot and the coweight lattice: the rows of ``sommers.alcove_rows``,
-    counted with no tuple per point.  A count over the cap is refused up
-    front."""
+    """Point counts of dilated alcoves against the product formula, in both
+    lattices from one walk: the coweight rows of ``sommers.alcove_rows``
+    (numerators over f) and, among them, the coroot points: the rows
+    divisible by f.  A count over the cap is refused up front."""
     def check(rs, b):
         predicted = sommers.capped_haiman_count(rs, b)
-        coroot = len(sommers.alcove_rows(rs, b, "coroot"))
-        coweight = len(sommers.alcove_rows(rs, b, "coweight"))
+        rows = sommers.alcove_rows(rs, b, "coweight")
+        coroot = int((rows % rs.index_of_connection == 0).all(axis=1).sum())
+        coweight = len(rows)
         if coroot != predicted or coweight != rs.index_of_connection * predicted:
             yield {"count": coroot, "coweight_count": coweight, "predicted": predicted}
     return _counterexamples(_by_type_and_b(matrix, check))

@@ -748,6 +748,35 @@ def test_ip_content_toggles_each_core_once_per_letter(monkeypatch, capsys):
     assert Counter(a for _, a in calls) == {3: 75, 4: 356, 5: 1349}
 
 
+def test_ip_content_reads_the_levels_of_each_a_in_one_block(monkeypatch, capsys):
+    """At its defaults the suite reads every core's runner levels with one
+    ``coroot_block`` call per a: no hook scan and no one-row ``to_coroot``."""
+    calls = Counter()
+    for name in ("coroot_block", "to_coroot", "first_hook_of_length"):
+        real = getattr(cores, name)
+        monkeypatch.setattr(cores, name, lambda *args, real=real, name=name: calls.update([(name, args[-1])])
+                            or real(*args))
+    code, out = run(capsys, "verify", "ip_content")
+    assert code == 0 and json.loads(out)["pass"]
+    assert calls == {("coroot_block", 3): 1, ("coroot_block", 4): 1, ("coroot_block", 5): 1}
+
+
+def test_a_non_core_from_the_closure_is_a_counterexample(monkeypatch, capsys):
+    """A partition of the closure that is no a-core fails the identity (exit
+    1) with a record of its own, and is not refused (exit 2): its content
+    counts are those of no core, so they differ from the lattice statistic."""
+    closure = cores.core_closure
+
+    def with_a_non_core(a, max_boxes):
+        found, toggles = closure(a, max_boxes)
+        return found + [(a,)], toggles + [((a,),) * a]
+
+    monkeypatch.setattr(cores, "core_closure", with_a_non_core)
+    code, out = run(capsys, "verify", "ip_content")
+    assert code == 1
+    assert json.loads(out)["counterexamples"] == [{"a": a, "partition": [a]} for a in (3, 4, 5)]
+
+
 def test_haiman_refuses_on_the_predicted_count_before_enumerating(monkeypatch, capsys):
     visited = []
     walk = verify.sommers.alcove_blocks

@@ -3,7 +3,7 @@ action, the generator steps of reduced words one row and one block at a
 time, the words drawn at once, the lattice sizes, the
 shifted size statistic and its invariance under the automorphisms of the
 extended Dynkin diagram, the knapsack block walk, the alcove and region
-points, the a-core bijection with its block step and its toggles, the
+points, the a-core bijection with a block step each way and its toggles, the
 model embeddings with their block steps against the per-point ones, and
 the content counts of the ragged abacus block against the tuples'.
 
@@ -515,6 +515,64 @@ def test_the_many_step_block_takes_many_steps():
     with patch.object(cores, "_abacus_step", wraps=cores._abacus_step) as step:
         block = cores.abacus_block(a, np.array(rows, dtype=np.int64))
     assert step.call_count == 3 and len(block.lengths) == 8120 > 2 * cores.ABACUS_CELLS // a
+
+
+@PROPERTY
+@given(level_blocks())
+@example((3, []))
+@example((4, [(0, 0, 0, 0)]))
+@example((4, [(1, 0, 0, -1)]))
+@example(MANY_STEPS)
+def test_coroot_block_gives_back_the_levels_of_abacus_block(case):
+    a, rows = case
+    levels = np.array(rows, dtype=np.int64).reshape(len(rows), a)
+    back = cores.coroot_block(cores.abacus_block(a, levels), a)
+    assert back.dtype == np.int64 and back.shape == (len(rows), a)
+    assert back.tolist() == levels.tolist()
+
+
+def to_coroot_by_beta_set(parts, a):
+    """The per-partition loop that ``cores.coroot_block`` replaced, kept as
+    its reference: the highest beta-set position on each runner, or the top
+    of the tail below -k when the runner holds no part."""
+    k, highest = len(parts), {}
+    for p in (length - r for r, length in enumerate(parts, start=1)):  # strictly decreasing
+        highest.setdefault(p % a, p)
+    return [1 + highest.get(j, -k - 1 - (-k - 1 - j) % a) // a for j in range(a)]
+
+
+@pytest.mark.parametrize("a", [2, 3, 4, 5, 6])
+def test_coroot_block_equals_to_coroot_on_every_core(a):
+    every = cores.all_cores(a, 40)
+    levels = cores.coroot_block(cores.PartitionBlock.of(every), a).tolist()
+    assert levels == [list(cores.to_coroot(parts, a)) for parts in every]
+    assert levels == [to_coroot_by_beta_set(parts, a) for parts in every]
+
+
+PARTITION_LISTS = st.lists(st.lists(st.integers(1, 20), max_size=10).map(lambda p: tuple(sorted(p, reverse=True))),
+                           max_size=20)
+
+
+@PROPERTY
+@given(PARTITION_LISTS)
+@example([])
+@example([()])
+def test_partition_block_of_flattens_the_tuples(partitions):
+    block = cores.PartitionBlock.of(partitions)
+    assert block.lengths.dtype == block.rows.dtype == np.int64
+    assert block.lengths.tolist() == [length for parts in partitions for length in parts]
+    assert block.rows.tolist() == [len(parts) for parts in partitions]
+    assert block.partitions() == partitions
+
+
+@PROPERTY
+@given(PARTITION_LISTS, st.integers(1, 7))
+def test_coroot_block_sums_to_zero_on_cores_only(partitions, a):
+    # a non-core has a white bead below the highest black one of some runner
+    levels = cores.coroot_block(cores.PartitionBlock.of(partitions), a)
+    assert levels.tolist() == [to_coroot_by_beta_set(parts, a) for parts in partitions]
+    assert [total == 0 for total in levels.sum(axis=1).tolist()] == [cores.is_core(p, a) for p in partitions]
+    assert (levels.sum(axis=1) >= 0).all()
 
 
 def test_the_partitions_of_a_many_step_region_are_its_simultaneous_cores():
