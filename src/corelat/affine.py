@@ -18,10 +18,9 @@ Action conventions:
   inversion-sequence entry and the longer word's element: one checked
   int64 step (``linalg.ReflectionRows``) on rows of (m, v, q).  The word
   side is built on it: ``inversion_sequences`` walks a list of words
-  position by position, ``word_size_block`` sums their entries per letter,
-  and ``random_reduced_words`` walks a word from every offset of a
-  drawn-ahead buffer of letters.  ``reduced_step``, ``inversion_sequence``,
-  ``word_size_totals`` and ``random_reduced_word`` are their one-row views.
+  position by position, and ``word_size_block`` sums their entries per
+  letter.  ``reduced_step``, ``inversion_sequence`` and
+  ``word_size_totals`` are their one-row views.
   ``left_step`` is the step ``word_to_element`` applies for each letter, a
   product on the left.
 * ``size_i`` of a coset is computed from a reduced word of the *inverse*
@@ -431,79 +430,6 @@ def inversion_sequence(rs: RootSystemData, word) -> list[AffineRoot]:
     A one-row view of ``inversion_sequences``."""
     _, roots, k = inversion_sequences(rs, [word])
     return [AffineRoot(tuple(r), e) for r, e in zip(roots[0].tolist(), k[0].tolist())]
-
-
-#: letters drawn ahead at most at once by ``random_reduced_words``
-WORD_BLOCK = 2**12
-#: letters drawn ahead per word still to draw, past one longest word: a few
-#: more than a word uses on average, as each extra buffer costs a whole walk
-LETTERS_PER_WORD = 4
-
-
-def random_reduced_words(rng, rs: RootSystemData, max_len: int, count: int) -> list[tuple[int, ...]]:
-    """``count`` reduced words of at most ``max_len`` letters each, drawn in
-    turn by ``rng``: each draws letters uniformly and stops at ``max_len``
-    letters or at the first draw that would not keep it reduced.
-
-    A buffer of letters is drawn ahead, a word is started at every offset
-    of it, and all of them are walked at once (``_offset_walks``).  The
-    words chain from offset 0, each starting after the draws of the last:
-    its letters, and the refused one if it stopped short.  Then ``rng`` is
-    set back and draws exactly the letters the chain used, so that the
-    words and its final state are those of drawing one letter at a time.
-    The buffer holds ``LETTERS_PER_WORD`` letters per word left and one
-    longest word more (at most ``WORD_BLOCK``), never more than all the
-    words left can draw; the chain stops where the buffer runs out, and the
-    next buffer starts there."""
-    if max_len < 1:
-        return [()] * count
-    words: list[tuple[int, ...]] = []
-    letters, block = rs.rank + 1, max(WORD_BLOCK, max_len + 1)
-    while len(words) < count:
-        state = rng.getstate()
-        left = count - len(words)
-        # a word draws at most max_len + 1 letters, so one longest word always fits
-        size = min(left * LETTERS_PER_WORD + max_len + 1, left * (max_len + 1), block)
-        ahead = [rng.randrange(letters) for _ in range(size)]
-        rng.setstate(state)
-        lengths, used = _offset_walks(rs, np.array(ahead, dtype=np.int64), max_len)
-        start = 0
-        while len(words) < count and used[start]:
-            words.append(tuple(ahead[start:start + lengths[start]]))
-            start += used[start]
-        redrawn = [rng.randrange(letters) for _ in range(start)]
-        assert redrawn == ahead[:start], "the redrawn letters are the drawn-ahead ones"
-    return words
-
-
-def _offset_walks(rs: RootSystemData, ahead: np.ndarray, max_len: int) -> tuple[list[int], list[int]]:
-    """(lengths, used) over the offsets o of ``ahead`` and one past its end:
-    the word that starts at o keeps lengths[o] letters and uses used[o] of
-    them, one more where a letter was refused; used[o] is 0 where the walk
-    runs past the end.  Step j moves the words still growing by their
-    letter ahead[o + j] in one ``reduced_steps``."""
-    size = len(ahead)
-    lengths, used = np.zeros(size + 1, dtype=np.int64), np.zeros(size + 1, dtype=np.int64)
-    alive = np.arange(size)
-    m, v, q = identity_rows(rs, size)
-    for j in range(max_len):
-        inside = alive + j < size
-        if not inside.all():
-            alive, m, v, q = alive[inside], m[inside], v[inside], q[inside]
-        step = reduced_steps(rs, m, v, q, ahead[alive + j])
-        refused = alive[~step.positive]
-        lengths[refused], used[refused] = j, j + 1
-        keep = step.positive
-        alive, m, v, q = alive[keep], step.m[keep], step.v[keep], step.q[keep]
-    lengths[alive] = used[alive] = max_len
-    return lengths.tolist(), used.tolist()
-
-
-def random_reduced_word(rng, rs: RootSystemData, max_len: int) -> tuple[int, ...]:
-    """A reduced word of at most ``max_len`` letters, each drawn uniformly by
-    ``rng``; it stops at the first letter that would not keep it reduced.
-    A one-row view of ``random_reduced_words``."""
-    return random_reduced_words(rng, rs, max_len, 1)[0]
 
 
 def is_reduced(rs: RootSystemData, word) -> bool:

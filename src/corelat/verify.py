@@ -40,8 +40,6 @@ ALL_FAMILY_NAMES = (
     + ["E6", "E7", "E8", "F4", "G2"]
 )
 
-WELLDEF_TYPES = ("A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3")
-
 MODEL_POINT_GRIDS = (
     ("B2", 16), ("B3", 5), ("C2", 16), ("C3", 5), ("D4", 3), ("G2", 16),
 )
@@ -209,30 +207,6 @@ def check_transfer(matrix=DEFAULT_MATRIX) -> list:
     return _counterexamples(_by_type_and_b(matrix, check))
 
 
-def check_sizer(count: int = 1000, types=None) -> list:
-    """Word-side size equals lattice-side size on random reduced words (seed 7).
-    Each draws letters uniformly and stops at ten or at the first draw that
-    would break reducedness, so the 1,008 default words have 2,867 letters:
-    275 have one and 5 reach ten.  Per type, the words are drawn at once
-    (``affine.random_reduced_words``), and the integer letter totals of the
-    reversed words (``affine.word_size_block``) meet one
-    ``affine.size_vector_numerators`` block of the words' images of 0."""
-    rng = random.Random(7)
-    types = types or [t for t, _ in DEFAULT_MATRIX]
-    per_type = -(-count // len(types))  # ceil: at least ``count`` words total
-
-    def check(rs):
-        words = affine.random_reduced_words(rng, rs, 10, per_type)
-        totals = affine.word_size_block(rs, [w[::-1] for w in words])
-        x = np.array([affine.apply(rs, w, (0,) * rs.rank) for w in words], dtype=np.int64)
-        half, odd = np.divmod(affine.size_vector_numerators(rs, x)[1], 2)
-        wrong = ((odd != 0) | (half != totals)).any(axis=1).tolist()
-        for letters, bad in zip(words, wrong):
-            if bad:
-                yield {"word": list(letters)}
-    return _counterexamples(({"type": t}, partial(check, build_named(t))) for t in types)
-
-
 def _row_keys(rows: np.ndarray) -> list[bytes]:
     """The bytes of each row of an int64 array, a hashable key per row."""
     rows = np.ascontiguousarray(rows)
@@ -270,66 +244,102 @@ def _left_mismatches(rs, keys: np.ndarray, vecs: np.ndarray):
         yield {"element": str(key), "finite_letter": i + 1}
 
 
-def check_welldef(types=WELLDEF_TYPES, max_len: int = 8) -> list:
+class _Level(NamedTuple):
+    """One level of ``_word_walk``: the distinct (element, size vector) rows
+    of the reduced words of one length, in the order of their least words."""
+
+    keys: np.ndarray  # each row's element u, its m and v flattened
+    first: np.ndarray  # the first row of each distinct element
+    element: np.ndarray  # each row's element, as a position in ``first``
+    vec: np.ndarray  # each row's word-side size vector
+    point: np.ndarray  # each row's u^-1(0)
+    least: np.ndarray  # each row's least word, a row of letters
+
+
+def _word_walk(rs):
+    """Levels 0, 1, 2, ... of the reduced words of ``rs``, each a ``_Level``.
+
+    A row's vector sums the delta parts of its words' inversion entries per
+    letter, scaled by ``affine.scale_letter_totals``.  Each level takes one
+    ``affine.reduced_steps`` block over the distinct elements of the last
+    and every letter.  A row's point moves by its last letter's
+    ``AffineElement.step``, as (u s_i)^-1(0) = s_i(u^-1(0)).  The walk
+    refuses with FeasibilityError at the level where its rows, counted from
+    level 0, pass the cap read when it starts."""
+    letters = rs.rank + 1
+    scales = np.array(affine.scale_letter_totals(rs, (1,) * letters), dtype=np.int64)
+    cap, total = sommers._CAP.get(), 0
+    m, v, q = affine.identity_rows(rs, 1)
+    vec = np.zeros((1, letters), dtype=np.int64)
+    point = np.zeros((1, rs.rank), dtype=np.int64)
+    least = np.zeros((1, 0), dtype=np.int64)
+    for length in itertools.count():
+        total += len(vec)
+        if total > cap:
+            raise sommers.FeasibilityError(
+                f"the word walk of {rs.cartan_type} has {total} rows up to length {length}, over cap {cap}")
+        keys = np.column_stack([m.reshape(len(m), -1), v])
+        first, element = _first_rows(keys)
+        yield _Level(keys, first, element, vec, point, least)
+        step = affine.reduced_steps(rs, *(np.repeat(a[first], letters, axis=0) for a in (m, v, q)),
+                                    np.tile(np.arange(letters), len(first)))
+        assert linalg.peak(vec) + max(scales) * linalg.peak(step.k) < linalg.INT64_LIMIT, \
+            "int64 bound of the size vectors"
+        grid = element[:, None] * letters + np.arange(letters)  # (row, letter) -> step row
+        row, letter = np.nonzero(step.positive[grid])
+        src = grid[row, letter]
+        vec = vec[row]
+        vec[np.arange(len(row)), letter] += scales[letter] * step.k[src]
+        kept = _first_rows(np.column_stack([step.m[src].reshape(len(src), -1), step.v[src], vec]))[0]
+        row, letter, src, vec = row[kept], letter[kept], src[kept], vec[kept]
+        m, v, q = step.m[src], step.v[src], step.q[src]
+        least = np.column_stack([least[row], letter])
+        moved = np.empty((len(row), rs.rank), dtype=np.int64)
+        for i in range(letters):
+            at = letter == i
+            moved[at] = affine.letter_element(rs, i).step(point[row[at]])
+        point = moved
+
+
+def check_sizer(count: int = 1000, types=tuple(dict(DEFAULT_MATRIX))) -> list:
+    """Word-side size equals lattice-side size on the shortest elements of
+    each type: ``_word_walk``'s rows, level by level, until a level ends
+    with at least ceil(count / types) rows checked, so at least ``count`` in
+    all.  Each level's vectors meet one ``affine.size_vector_numerators``
+    block of its points.  A record's word w is a row's least word reversed,
+    so that its point is apply(w, 0)."""
+    per_type = -(-count // len(types))  # ceil: at least ``count`` rows total
+
+    def check(rs):
+        checked = 0
+        for level in _word_walk(rs):
+            half, odd = np.divmod(affine.size_vector_numerators(rs, level.point)[1], 2)
+            for r in np.flatnonzero(((odd != 0) | (half != level.vec)).any(axis=1)).tolist():
+                yield {"word": level.least[r, ::-1].tolist()}
+            checked += len(level.vec)
+            if checked >= per_type:
+                break
+    return _counterexamples(({"type": t}, partial(check, build_named(t))) for t in types)
+
+
+def check_welldef(types=tuple(dict(DEFAULT_MATRIX)), max_len: int = 8) -> list:
     """All reduced words of one element give one size vector, invariant under
     appending a finite letter on the left of the word (right-multiplication of
     the represented coset element).
 
-    The walk goes level by level, over rows that are distinct (element, size
-    vector) pairs.  Each row carries the number of its words and the least
-    of them, for the report; a row whose vector differs from that of its
-    element's first row is a counterexample.  Each level takes one
-    ``affine.reduced_steps`` block over its distinct elements and every
-    letter.  The number of words of at most ``max_len`` letters grows
-    exponentially in it: the walk refuses with FeasibilityError at the
-    level whose words pass the cap read when it starts.  Then
-    ``_left_mismatches`` moves every element by each finite letter."""
-    unsupported = [t for t in types if t not in WELLDEF_TYPES]
-    if unsupported:
-        raise ValueError(f"welldef does not support {', '.join(unsupported)}; "
-                         f"supported types: {', '.join(WELLDEF_TYPES)}")
-
+    ``_word_walk`` goes to ``max_len``; a row whose vector differs from that
+    of its element's first row is a counterexample, reported with its least
+    word.  Then ``_left_mismatches`` moves every element by each finite
+    letter."""
     def check(rs):
-        letters = rs.rank + 1
-        scales = np.array(affine.scale_letter_totals(rs, (1,) * letters), dtype=np.int64)
-        cap, total = sommers._CAP.get(), 0
-        m, v, q = affine.identity_rows(rs, 1)
-        vec = np.zeros((1, letters), dtype=np.int64)
-        counts, least = [1], [()]
         elements, priors = [], []  # each level's distinct elements as (m, v) rows, and their vectors
-        for length in range(max_len + 1):
-            total += sum(counts)
-            if total > cap:
-                raise sommers.FeasibilityError(
-                    f"reduced words of {rs.cartan_type} up to --length {max_len} exceed cap {cap}")
-            keys = np.column_stack([m.reshape(len(m), -1), v])
-            first, element = _first_rows(keys)
-            prior = vec[first]
-            for r in np.flatnonzero((vec != prior[element]).any(axis=1)).tolist():
-                yield {"word": list(least[r]), "sizes": [str(x) for x in vec[r].tolist()],
-                       "other": [str(x) for x in prior[element[r]].tolist()]}
-            elements.append(keys[first])
+        for level in itertools.islice(_word_walk(rs), max_len + 1):
+            prior = level.vec[level.first]
+            for r in np.flatnonzero((level.vec != prior[level.element]).any(axis=1)).tolist():
+                yield {"word": level.least[r].tolist(), "sizes": [str(x) for x in level.vec[r].tolist()],
+                       "other": [str(x) for x in prior[level.element[r]].tolist()]}
+            elements.append(level.keys[level.first])
             priors.append(prior)
-            if length == max_len:
-                break
-            step = affine.reduced_steps(rs, *(np.repeat(a[first], letters, axis=0) for a in (m, v, q)),
-                                        np.tile(np.arange(letters), len(first)))
-            assert linalg.peak(vec) + max(scales) * linalg.peak(step.k) < linalg.INT64_LIMIT, \
-                "int64 bound of the size vectors"
-            grid = element[:, None] * letters + np.arange(letters)  # (row, letter) -> step row
-            row, letter = np.nonzero(step.positive[grid])
-            src = grid[row, letter]
-            vec = vec[row]
-            vec[np.arange(len(row)), letter] += scales[letter] * step.k[src]
-            m, v, q = step.m[src], step.v[src], step.q[src]
-            first, group = _first_rows(np.column_stack([m.reshape(len(m), -1), v, vec]))
-            summed = [0] * len(first)
-            for g, r in zip(group.tolist(), row.tolist()):
-                summed[g] += counts[r]
-            counts = summed
-            least = [least[r] + (i,) for r, i in zip(row[first].tolist(), letter[first].tolist())]
-            m, v, q, vec = m[first], v[first], q[first], vec[first]
-
         yield from _left_mismatches(rs, np.concatenate(elements), np.concatenate(priors))
     return _counterexamples(({"type": t}, partial(check, build_named(t))) for t in types)
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from corelat import affine
+
 
 def gauss_jordan_inverse(a):
     """Exact inverse of a nonsingular square matrix by Fraction Gauss-Jordan
@@ -19,6 +21,20 @@ def gauss_jordan_inverse(a):
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     return tuple(tuple(row[n:]) for row in rows)
+
+
+def one_letter_at_a_time(rng, rs, max_len):
+    """A random reduced word of at most ``max_len`` letters: each letter is
+    drawn uniformly by ``rng``, and the word stops at the first one that
+    would not keep it reduced (``act_root`` and ``compose``, one at a time)."""
+    prefix, letters = affine.identity_element(rs), []
+    while len(letters) < max_len:
+        i = rng.randrange(rs.rank + 1)
+        if not prefix.act_root(affine.affine_simple_root(rs, i)).is_positive():
+            break
+        prefix = prefix.compose(affine.letter_element(rs, i))
+        letters.append(i)
+    return tuple(letters)
 
 
 @pytest.fixture

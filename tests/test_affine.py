@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import one_letter_at_a_time
 
 from corelat import affine, verify
 from corelat.affine import (
@@ -59,7 +60,7 @@ def test_apply_element_matches_word():
     for name in ("A2", "C2", "G2", "B3"):
         rs = build_named(name)
         for _ in range(20):
-            word = affine.random_reduced_word(rng, rs, 8)
+            word = one_letter_at_a_time(rng, rs, 8)
             el = affine.word_to_element(rs, word)
             pt = tuple(rng.randrange(-3, 4) for _ in range(rs.rank))
             assert apply(rs, word, pt) == el(pt)
@@ -157,7 +158,7 @@ def test_braid_moves_preserve_inversion_multiset():
         ext = _extended_orders(rs)
         found = 0
         while found < 8:
-            word = affine.random_reduced_word(rng, rs, 9)
+            word = one_letter_at_a_time(rng, rs, 9)
             for p in range(len(word) - 1):
                 i, j = word[p], word[p + 1]
                 m = ext.get((i, j))
@@ -265,7 +266,7 @@ def test_sizer_word_equals_lattice():
     for name in ("A2", "A3", "B2", "B3", "C2", "C3", "G2", "D4"):
         rs = build_named(name)
         for _ in range(60):
-            word = affine.random_reduced_word(rng, rs, 10)
+            word = one_letter_at_a_time(rng, rs, 10)
             q = apply(rs, word, (0,) * rs.rank)
             word_sizes = affine.word_size_totals(rs, word[::-1])
             lattice = tuple(size_i_lattice(rs, q, i) for i in range(rs.rank + 1))
@@ -278,7 +279,7 @@ def test_coset_equivariance():
     for name in ("A2", "C2", "G2"):
         rs = build_named(name)
         for _ in range(40):
-            word = affine.random_reduced_word(rng, rs, 8)
+            word = one_letter_at_a_time(rng, rs, 8)
             el = affine.word_to_element(rs, word)
             g = affine.identity_element(rs)
             for _ in range(rng.randrange(6)):
@@ -377,7 +378,7 @@ def test_inversion_set_matches_word_sequence():
     for name in ("A2", "C2", "G2"):
         rs = build_named(name)
         for _ in range(25):
-            word = affine.random_reduced_word(rng, rs, 9)
+            word = one_letter_at_a_time(rng, rs, 9)
             el = affine.word_to_element(rs, word)
             assert affine.inversion_set(el) == frozenset(inversion_sequence(rs, word))
 

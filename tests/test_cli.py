@@ -3,11 +3,11 @@ import enum
 import hashlib
 import io
 import json
-import random
 import tracemalloc
 from collections import Counter
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -427,7 +427,7 @@ def test_verify_passes_only_the_options_set(monkeypatch, capsys, argv, kwargs):
     (["strange", "--count", "3"], "verify strange does not read --count; it reads no scoping flags"),
     (["sizer", "--b", "5"], "verify sizer does not read --b; it reads --type, --count"),
     (["main", "--length", "4"], "verify main does not read --length; it reads --type, --b"),
-    (["welldef", "--type", "E8"], "supported types: A1, A2, B2, C2, G2, A3, B3, C3"),
+    (["welldef", "--type", "Z3"], "cannot parse Cartan type from 'Z3'"),
     (["haiman", "--b", "3"], "gcd(b, h) = 1"),
     (["conjecture", "--b", "3"], "gcd(b, h) = 1"),
     (["sizer", "--count", "0"], "--count must be a positive integer, got 0"),
@@ -562,8 +562,8 @@ def test_a_refusal_is_not_a_counterexample(capsys, theorem):
     # fg_poly reaches the cap through ehrhart, conjecture through affine
     ("fg_poly", 1, "predicted count 8 for G2, b=7 exceeds cap 1"),
     ("conjecture", 1, "predicted count 2 for A2, b=2 exceeds cap 1"),
-    # welldef caps the reduced words its walk visits, A1's 17 first
-    ("welldef", 16, "reduced words of A1 up to --length 8 exceed cap 16"),
+    # welldef caps the rows of its word walk: A2's first 19, up to length 3
+    ("welldef", 16, "the word walk of A2 has 19 rows up to length 3, over cap 16"),
 ])
 def test_the_cap_reaches_every_suite_that_enumerates(monkeypatch, capsys, theorem, cap, message):
     # the cap guards fresh work only, so start from an empty enumerator cache
@@ -665,69 +665,66 @@ def test_a_toggle_that_leaves_the_cores_is_a_counterexample(monkeypatch, capsys)
     assert all(set(r) == {"a", "partition", "letter"} and r["a"] == 4 for r in records)
 
 
-#: the words of ``verify sizer --type A2 --count 5``, in order
-A2_SIZER_WORDS = [(1, 0, 1, 2, 0), (2, 0, 1, 2, 0, 2), (0,), (1,), (0,)]
+#: the words of ``verify sizer --type A2 --count 5``, in order: every element
+#: of length at most 2, as 1 + 3 rows do not reach 5; each is the reversed
+#: least word w of a row, whose point is apply(w, 0)
+A2_SIZER_WORDS = [[], [0], [1], [2], [1, 0], [2, 0], [0, 1], [2, 1], [0, 2], [1, 2]]
+
+
+@pytest.mark.parametrize("count, rows", [(4, 4), (5, 10), (10, 10)])
+def test_sizer_checks_the_shortest_elements_level_by_level(monkeypatch, capsys, count, rows):
+    """An odd lattice numerator in every row flags every row the walk checks:
+    whole levels, up to the first that ends at ``count`` rows or more."""
+    real = affine.size_vector_numerators
+    monkeypatch.setattr(affine, "size_vector_numerators", lambda rs, x: (2, real(rs, x)[1] + 1))
+    code, out = run(capsys, "verify", "sizer", "--type", "A2", "--count", str(count))
+    assert code == 1
+    assert json.loads(out)["counterexamples"] == [{"type": "A2", "word": w} for w in A2_SIZER_WORDS[:rows]]
 
 
 @pytest.mark.parametrize("word, flagged", [
-    ((2, 0, 1, 2, 0, 2), [[2, 0, 1, 2, 0, 2]]),
-    ((0,), [[0], [0]]),  # the word is drawn twice
+    ((1,), [[1], [0, 1], [2, 1]]),  # the row and the two rows that extend it
+    ((1, 2), [[2, 1]]),
 ])
 def test_sizer_flags_a_perturbed_inversion_entry(monkeypatch, capsys, word, flagged):
-    """One more delta in the last inversion entry of the word side flags every
-    draw of that word and no other."""
-    real = affine.inversion_sequences
+    """One more delta in the inversion entry of the last letter of ``word``,
+    a least word, flags the row it ends at and the rows the walk extends
+    from it, and no other."""
+    rs = rootsys.build_named("A2")
+    el = affine.word_to_element(rs, word[:-1])
+    real = affine.reduced_steps
 
-    def perturbed(rs, words):
-        letters, roots, k = real(rs, words)
-        k = k.copy()
-        for r, letters_r in enumerate(words):
-            if tuple(letters_r) == word[::-1]:
-                k[r, len(letters_r) - 1] += 1
-        return letters, roots, k
+    def perturbed(rs, m, v, q, letters):
+        step = real(rs, m, v, q, letters)
+        hit = [((tuple(map(tuple, mr)), tuple(vr)), i) == (el.key(), word[-1])
+               for mr, vr, i in zip(m.tolist(), v.tolist(), letters.tolist())]
+        return step._replace(k=step.k + np.array(hit, dtype=np.int64))
 
-    monkeypatch.setattr(affine, "inversion_sequences", perturbed)
+    monkeypatch.setattr(affine, "reduced_steps", perturbed)
     code, out = run(capsys, "verify", "sizer", "--type", "A2", "--count", "5")
     assert code == 1
     assert json.loads(out)["counterexamples"] == [{"type": "A2", "word": w} for w in flagged]
 
 
-@pytest.mark.parametrize("row", [1, 2])
+@pytest.mark.parametrize("row", [1, 2, 7])
 @pytest.mark.parametrize("delta", [1, 2])  # an odd numerator, then a wrong half
 def test_sizer_flags_a_perturbed_lattice_row(monkeypatch, capsys, row, delta):
-    """A lattice size numerator moved in one row flags that row's word only,
-    not a later draw of the same word."""
-    real = affine.size_vector_numerators
+    """A lattice size numerator moved in one row of the walk, counted over
+    all levels, flags that row's word only."""
+    real, seen = affine.size_vector_numerators, [0]
 
     def perturbed(rs, x):
         d, s = real(rs, x)
         s = s.copy()
-        s[row, 0] += delta
+        if 0 <= row - seen[0] < len(x):
+            s[row - seen[0], 0] += delta
+        seen[0] += len(x)
         return d, s
 
     monkeypatch.setattr(affine, "size_vector_numerators", perturbed)
     code, out = run(capsys, "verify", "sizer", "--type", "A2", "--count", "5")
     assert code == 1
-    assert json.loads(out)["counterexamples"] == [{"type": "A2", "word": list(A2_SIZER_WORDS[row])}]
-
-
-#: ``random.Random(7).getrandbits(64)`` after the 1,008 default words of ``verify sizer``
-SIZER_FINAL_BITS = 8218360498975652699
-
-
-def test_sizer_draws_short_words():
-    """The default words stop at the first letter that would break
-    reducedness: 1,008 words, 2,867 letters, 275 of one letter, 5 of ten.
-    The generator ends where drawing one letter at a time leaves it."""
-    rng, words = random.Random(7), []
-    for t, _ in verify.DEFAULT_MATRIX:
-        words += affine.random_reduced_words(rng, rootsys.build_named(t), 10, 112)
-    lengths = [len(w) for w in words]
-    assert (len(words), sum(lengths), lengths.count(1), lengths.count(10)) == (1008, 2867, 275, 5)
-    assert rng.getrandbits(64) == SIZER_FINAL_BITS
-    rng = random.Random(7)
-    assert [affine.random_reduced_word(rng, rootsys.build_named("A2"), 10)
-            for _ in range(5)] == A2_SIZER_WORDS
+    assert json.loads(out)["counterexamples"] == [{"type": "A2", "word": A2_SIZER_WORDS[row]}]
 
 
 def test_ip_content_toggles_each_core_once_per_letter(monkeypatch, capsys):
@@ -863,7 +860,19 @@ def test_missing_subcommand(capsys):
 
 
 def test_the_welldef_cap_admits_as_many_words_as_it_names(capsys):
-    # A1 has 1 + 2 * 8 = 17 reduced words of length at most 8; cap 16 is
-    # refused in test_the_cap_reaches_every_suite_that_enumerates
+    # A1 has 1 + 2 * 8 = 17 elements of length at most 8, each with one
+    # reduced word, so its walk has 17 rows
     assert cli.main(["verify", "welldef", "--type", "A1", "--cap", "17"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert cli.main(["verify", "welldef", "--type", "A1", "--cap", "16"]) == 2
+    assert capsys.readouterr().err == "error: the word walk of A1 has 17 rows up to length 8, over cap 16\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["welldef", "--type", "A3", "--length", "20"],  # over 10**6 reduced words, 5,781 elements
+    ["welldef", "--type", "E8", "--length", "4"],
+    ["sizer", "--type", "E8", "--count", "50"],
+])
+def test_the_word_walk_reaches_every_type_past_the_word_count(capsys, argv):
+    assert cli.main(["verify", *argv]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True

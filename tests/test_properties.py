@@ -1,6 +1,6 @@
 """Hypothesis property tests for the alcove reduction, w_b, the word
 action, the generator steps of reduced words one row and one block at a
-time, the words drawn at once, the lattice sizes, the
+time, the word walk of ``verify sizer`` and ``welldef``, the lattice sizes, the
 shifted size statistic and its invariance under the automorphisms of the
 extended Dynkin diagram, the knapsack block walk, the alcove and region
 points, the a-core bijection with a block step each way and its toggles, the
@@ -13,10 +13,9 @@ random types of rank <= 8, random dilations b, random reduced words,
 random runner levels and random lattice points.
 """
 
-import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from math import gcd, prod
 from unittest.mock import patch
 
@@ -24,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from test_affine import elements_shorter_than
 
 from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers, verify
 from corelat.affine import PointOnWallError
@@ -289,31 +289,27 @@ def test_block_step_asserts_its_int64_bound(name):
         affine.reduced_steps(rs, rows[0], rows[1], rows[2] - 1, letters)
 
 
-def one_letter_at_a_time(rng, rs, max_len):
-    """A random reduced word drawn a letter at a time, by the oracles of
-    ``reduced_prefix``: the oracle of ``affine.random_reduced_words``."""
-    prefix, letters = affine.identity_element(rs), []
-    while len(letters) < max_len:
-        i = rng.randrange(rs.rank + 1)
-        if not prefix.act_root(affine.affine_simple_root(rs, i)).is_positive():
-            break
-        prefix = prefix.compose(affine.letter_element(rs, i))
-        letters.append(i)
-    return tuple(letters)
-
-
 @PROPERTY
-@given(st.sampled_from(verify.ALL_FAMILY_NAMES), st.integers(0, 2**32), st.integers(0, 7),
-       st.integers(0, 25), st.integers(1, 12))
-def test_words_drawn_at_once_are_those_drawn_a_letter_at_a_time(name, seed, max_len, count, block):
-    """The same words, and the generator in the same state, whatever the
-    size of the drawn-ahead buffer, also when a chain runs off its end."""
+@given(st.sampled_from([t for t in verify.ALL_FAMILY_NAMES if CartanType.parse(t).rank <= 4]), st.integers(0, 5))
+@example("F4", 5)
+@example("D4", 5)
+def test_word_walk_carries_each_rows_point_and_vector(name, length):
+    """On every level of ``verify._word_walk``, one row per element, in the
+    order of the least words, each spelling its element: the carried point
+    is the reversed least word applied to 0, and the vector is
+    ``affine.word_size_block`` of the least word.  The elements are those of
+    ``elements_shorter_than``, which builds them letter by letter."""
     rs = build_named(name)
-    rng, oracle = random.Random(seed), random.Random(seed)
-    with patch.object(affine, "WORD_BLOCK", block):
-        words = affine.random_reduced_words(rng, rs, max_len, count)
-    assert words == [one_letter_at_a_time(oracle, rs, max_len) for _ in range(count)]
-    assert rng.getstate() == oracle.getstate()
+    n, seen = rs.rank, set()
+    for level in islice(verify._word_walk(rs), length + 1):
+        words = [tuple(w) for w in level.least.tolist()]
+        keys = [(tuple(map(tuple, np.reshape(k[:n * n], (n, n)).tolist())), tuple(k[n * n:])) for k in level.keys.tolist()]
+        assert len(level.first) == len(words) and words == sorted(words)
+        assert keys == [affine.word_to_element(rs, w).key() for w in words]
+        assert level.point.tolist() == [list(affine.apply(rs, w[::-1], (0,) * n)) for w in words]
+        assert level.vec.tolist() == affine.word_size_block(rs, words).tolist()
+        seen.update(keys)
+    assert seen == elements_shorter_than(rs, length + 1)
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4", "A3"])
