@@ -16,11 +16,10 @@ Action conventions:
   ``reduced_steps`` extends a block of reduced words, each by its own
   letter on the right, with u = m c alone, which gives both the
   inversion-sequence entry and the longer word's element: one checked
-  int64 step (``linalg.ReflectionRows``) on rows of (m, v, q).  The word
-  side is built on it: ``inversion_sequences`` walks a list of words
-  position by position, and ``word_size_block`` sums their entries per
-  letter.  ``reduced_step``, ``inversion_sequence`` and
-  ``word_size_totals`` are their one-row views.
+  int64 step (``linalg.ReflectionRows``) on rows of (m, v, q).
+  ``reduced_step`` is its one-row view, and the word side folds it:
+  ``inversion_sequence`` walks one word letter by letter from the
+  identity, and ``word_size_totals`` sums its entries per letter.
   ``left_step`` is the step ``word_to_element`` applies for each letter, a
   product on the left.
 * ``size_i`` of a coset is computed from a reduced word of the *inverse*
@@ -36,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import lcm
 from typing import Iterable, NamedTuple
 
@@ -367,11 +365,10 @@ def reduced_steps(rs: RootSystemData, m: np.ndarray, v: np.ndarray, q: np.ndarra
     return StepRows(roots, k, positive, m, v, q)
 
 
-def identity_rows(rs: RootSystemData, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m, v, q) rows of ``count`` identity elements, for ``reduced_steps``."""
-    n = rs.rank
-    zeros = np.zeros((count, n), dtype=np.int64)
-    return np.broadcast_to(np.eye(n, dtype=np.int64), (count, n, n)), zeros, zeros
+def identity_rows(rs: RootSystemData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, v, q) rows of one identity element, for ``reduced_steps``."""
+    zeros = np.zeros((1, rs.rank), dtype=np.int64)
+    return np.eye(rs.rank, dtype=np.int64)[None], zeros, zeros
 
 
 def reduced_step(rs: RootSystemData, prefix: AffineElement, i: int):
@@ -389,47 +386,16 @@ def reduced_step(rs: RootSystemData, prefix: AffineElement, i: int):
     return entry, _known(AffineElement(rs, m, tuple(step.v[0].tolist())), translation=tuple(step.q[0].tolist()))
 
 
-def _word_rows(rs: RootSystemData, words) -> tuple[np.ndarray, np.ndarray]:
-    """(letters, lengths): the words as int64 rows padded with letter 0, and
-    their lengths; each letter is checked to lie in 0..n."""
-    words = [_letters(rs, w) for w in words]
-    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    letters = np.zeros((len(words), int(lengths.max(initial=0))), dtype=np.int64)
-    letters[np.arange(letters.shape[1]) < lengths[:, None]] = list(chain.from_iterable(words))
-    return letters, lengths
-
-
-def inversion_sequences(rs: RootSystemData, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(letters, roots, k) for a list of reduced words: the words as padded
-    rows (``_word_rows``), and entry j of word r's inversion sequence as the
-    simple-root coefficients roots[r, j] and delta part k[r, j], zero past
-    the word's end.  The words are walked position by position, one
-    ``reduced_steps`` over the words that reach each position.  Raises
-    NotReducedError at the first position where a word is not reduced."""
-    letters, lengths = _word_rows(rs, words)
-    count, longest = letters.shape
-    order = np.argsort(-lengths, kind="stable")  # the words that reach position j come first
-    reach = np.count_nonzero(lengths[:, None] > np.arange(longest), axis=0)
-    roots = np.zeros((count, longest, rs.rank), dtype=np.int64)
-    k = np.zeros((count, longest), dtype=np.int64)
-    m, v, q = identity_rows(rs, count)
-    for j, n in enumerate(reach.tolist()):
-        rows = order[:n]
-        step = reduced_steps(rs, m[:n], v[:n], q[:n], letters[rows, j])
-        if not step.positive.all():
-            bad = np.flatnonzero(~step.positive)
-            r = bad[np.argmin(rows[bad])]
-            raise NotReducedError(j, -AffineRoot(tuple(step.roots[r].tolist()), int(step.k[r])))
-        roots[rows, j], k[rows, j] = step.roots, step.k
-        m, v, q = step.m, step.v, step.q
-    return letters, roots, k
-
-
 def inversion_sequence(rs: RootSystemData, word) -> list[AffineRoot]:
     """Inversion sequence of a reduced word; raises NotReducedError otherwise.
-    A one-row view of ``inversion_sequences``."""
-    _, roots, k = inversion_sequences(rs, [word])
-    return [AffineRoot(tuple(r), e) for r, e in zip(roots[0].tolist(), k[0].tolist())]
+    ``reduced_step`` folded over the letters from the identity."""
+    prefix, entries = identity_element(rs), []
+    for j, i in enumerate(_letters(rs, word)):
+        entry, prefix = reduced_step(rs, prefix, i)
+        if prefix is None:
+            raise NotReducedError(j, -entry)
+        entries.append(entry)
+    return entries
 
 
 def is_reduced(rs: RootSystemData, word) -> bool:
@@ -447,25 +413,15 @@ def scale_letter_totals(rs: RootSystemData, totals) -> tuple[int, ...]:
     return (totals[0],) + tuple(s * t for s, t in zip(rs.coroot_scales, totals[1:]))
 
 
-def word_size_block(rs: RootSystemData, words) -> np.ndarray:
-    """(size_0, ..., size_n) of the element whose inverse each word spells,
-    an int64 row per word: the delta-coefficients of its inversion sequence
-    (``inversion_sequences``) summed per letter position by position, then
-    scaled by ``scale_letter_totals``."""
-    letters, _, k = inversion_sequences(rs, words)
-    scales = scale_letter_totals(rs, (1,) * (rs.rank + 1))
-    assert letters.shape[1] * linalg.peak(k) * max(scales) < linalg.INT64_LIMIT, "int64 bound of the letter totals"
-    totals = np.zeros((len(letters), rs.rank + 1), dtype=np.int64)
-    rows = np.arange(len(letters))
-    for j in range(letters.shape[1]):
-        totals[rows, letters[:, j]] += k[:, j]  # past a word's end k is 0
-    return totals * scales
-
-
 def word_size_totals(rs: RootSystemData, word) -> tuple[int, ...]:
     """(size_0, ..., size_n) of the element whose inverse the word spells, as
-    integers: a one-row view of ``word_size_block``."""
-    return tuple(word_size_block(rs, [word])[0].tolist())
+    integers: the delta-coefficients of its inversion sequence summed per
+    letter, then scaled by ``scale_letter_totals``."""
+    letters = _letters(rs, word)
+    totals = [0] * (rs.rank + 1)
+    for i, entry in zip(letters, inversion_sequence(rs, letters)):
+        totals[i] += entry.k
+    return scale_letter_totals(rs, totals)
 
 
 def size_vector_lattice(rs: RootSystemData, q) -> tuple[Fraction, ...]:

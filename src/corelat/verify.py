@@ -269,7 +269,7 @@ def _word_walk(rs):
     letters = rs.rank + 1
     scales = np.array(affine.scale_letter_totals(rs, (1,) * letters), dtype=np.int64)
     cap, total = sommers._CAP.get(), 0
-    m, v, q = affine.identity_rows(rs, 1)
+    m, v, q = affine.identity_rows(rs)
     vec = np.zeros((1, letters), dtype=np.int64)
     point = np.zeros((1, rs.rank), dtype=np.int64)
     least = np.zeros((1, 0), dtype=np.int64)

@@ -142,13 +142,17 @@ def test_inversion_sequence_not_reduced():
     affine.word_to_element,
     inversion_sequence,
     affine.word_size_totals,
-], ids=["apply", "word_to_element", "inversion_sequence", "word_size_totals"])
+    is_reduced,
+    lambda rs, w: affine.reduced_step(rs, affine.identity_element(rs), w[-1]),
+], ids=["apply", "word_to_element", "inversion_sequence", "word_size_totals", "is_reduced", "reduced_step"])
 def test_out_of_range_letter_is_refused(use, letter):
-    # -1 must not act as the last reflection, nor 5 as a zero root
+    # -1 must not act as the last reflection, nor 5 as a zero root; (1, 1) is
+    # not reduced, so the letters are checked before any step
     a2 = build_named("A2")
-    with pytest.raises(ValueError, match=rf"^letter {letter} out of range 0\.\.2$") as err:
-        use(a2, (1, letter))
-    assert not isinstance(err.value, NotReducedError)
+    for word in ((1, letter), (1, 1, letter)):
+        with pytest.raises(ValueError, match=rf"^letter {letter} out of range 0\.\.2$") as err:
+            use(a2, word)
+        assert not isinstance(err.value, NotReducedError)
 
 
 def test_braid_moves_preserve_inversion_multiset():

@@ -230,6 +230,32 @@ def test_reduced_step_is_the_root_action_and_the_product(name, data):
 
 @PROPERTY
 @given(st.sampled_from(WORD_TYPES), st.data())
+def test_inversion_sequence_is_the_root_action_letter_by_letter(name, data):
+    """``inversion_sequence`` and ``is_reduced`` on letter lists, most of them
+    not reduced, against the per-letter oracle: entry j is ``act_root`` of
+    letter j's simple root under the prefix so far, which grows by
+    ``compose``; the first non-positive entry is where the word stops being
+    reduced, and its negative is the hyperplane the letter recrosses."""
+    rs = build_named(name)
+    word = data.draw(st.lists(st.integers(0, rs.rank), max_size=12))
+    prefix, entries = affine.identity_element(rs), []
+    for i in word:
+        entries.append(prefix.act_root(affine.affine_simple_root(rs, i)))
+        if not entries[-1].is_positive():
+            break
+        prefix = prefix.compose(affine.letter_element(rs, i))
+    if all(entry.is_positive() for entry in entries):
+        assert affine.inversion_sequence(rs, word) == entries
+        assert affine.is_reduced(rs, word)
+    else:
+        with pytest.raises(affine.NotReducedError) as err:
+            affine.inversion_sequence(rs, word)
+        assert (err.value.position, err.value.hyperplane) == (len(entries) - 1, -entries[-1])
+        assert not affine.is_reduced(rs, word)
+
+
+@PROPERTY
+@given(st.sampled_from(WORD_TYPES), st.data())
 def test_left_step_is_the_left_product(name, data):
     rs = build_named(name)
     el = reduced_prefix(data, rs)
@@ -297,7 +323,7 @@ def test_word_walk_carries_each_rows_point_and_vector(name, length):
     """On every level of ``verify._word_walk``, one row per element, in the
     order of the least words, each spelling its element: the carried point
     is the reversed least word applied to 0, and the vector is
-    ``affine.word_size_block`` of the least word.  The elements are those of
+    ``affine.word_size_totals`` of the least word.  The elements are those of
     ``elements_shorter_than``, which builds them letter by letter."""
     rs = build_named(name)
     n, seen = rs.rank, set()
@@ -307,7 +333,7 @@ def test_word_walk_carries_each_rows_point_and_vector(name, length):
         assert len(level.first) == len(words) and words == sorted(words)
         assert keys == [affine.word_to_element(rs, w).key() for w in words]
         assert level.point.tolist() == [list(affine.apply(rs, w[::-1], (0,) * n)) for w in words]
-        assert level.vec.tolist() == affine.word_size_block(rs, words).tolist()
+        assert level.vec.tolist() == [list(affine.word_size_totals(rs, w)) for w in words]
         seen.update(keys)
     assert seen == elements_shorter_than(rs, length + 1)
 
