@@ -206,21 +206,18 @@ def cmd_roots(args) -> int:
 
 def cmd_cores(args) -> int:
     with sommers.capped(_cap(args)):
-        coreset = sommers.enumerate_cores(rootsys.build_named(args.type), args.b)
+        # no name holds the CoreSet, so its point arrays go before the writer's peak
+        doc = sommers.enumerate_cores(rootsys.build_named(args.type), args.b).to_json_dict()
     if args.format == "csv":
         lines = ["coords,size,partition"]
-        for q, s, part in coreset.rows():
-            cell = json.dumps("" if part is None else part).replace(",", " ")
-            lines.append(f"\"{q}\",{s},{cell}")
-        _emit(args, "\n".join(lines))
+        for row in doc["rows"]:
+            cell = json.dumps(row.get("partition", "")).replace(",", " ")
+            lines.append(f"\"{row['coords']}\",{row['size']},{cell}")
+        text = "\n".join(lines)
     else:
-        # the writer's peak holds the document and its text: let go of the
-        # point arrays, which the document does not hold, before it
-        doc = coreset.to_json_dict()
-        del coreset
         text = to_json(doc)
-        del doc
-        _emit(args, text)
+    del doc
+    _emit(args, text)
     return 0
 
 

@@ -321,7 +321,10 @@ def core_closure(a: int, max_boxes: int) -> tuple[list[Partition], list[tuple[Pa
     breadth-first closure of the empty partition.  Each core's row comes
     from one pass over its corners (``toggle_corners``), sorted by content
     class; every a-core of size <= max_boxes is reached because each
-    nonempty core admits a strictly size-decreasing toggle."""
+    nonempty core admits a strictly size-decreasing toggle.  A modulus below
+    2 raises ValueError: mod 1 every box has content class 0."""
+    if a < 2:
+        raise ValueError("modulus must be at least 2")
     toggles: dict = {(): None}
     frontier = [()]
     while frontier:

@@ -15,34 +15,8 @@ from . import sommers
 from .rootsys import RootSystemData
 
 
-def _embedding_basis(rs: RootSystemData):
-    """Orthonormal-frame images of the simple coroots, from the Gram matrix."""
-    g = rs.gram_coroot
-    g11 = float(g[0][0])
-    g12 = float(g[0][1])
-    g22 = float(g[1][1])
-    v1 = (math.sqrt(g11), 0.0)
-    v2 = (g12 / math.sqrt(g11), math.sqrt(g22 - g12 * g12 / g11))
-    return v1, v2
-
-
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
-
-
-class _Svg:
-    def __init__(self):
-        self.lines: list[str] = []
-
-    def add(self, tag: str, **attrs):
-        parts = "".join(f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items())
-        self.lines.append(f"<{tag}{parts}/>")
-
-    def text(self, x, y, content, size):
-        self.lines.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{_fmt(size)}" '
-            f'font-family="monospace" text-anchor="middle">{content}</text>'
-        )
 
 
 def region_svg(rs: RootSystemData, b: int) -> str:
@@ -50,84 +24,69 @@ def region_svg(rs: RootSystemData, b: int) -> str:
     if rs.rank != 2:
         raise ValueError(f"drawing requires rank 2, got {rs.cartan_type}")
     scale = 60.0  # pixels per unit length
-    v1, v2 = _embedding_basis(rs)
+    # orthonormal-frame images of the simple coroots, from the Gram matrix
+    g = rs.gram_coroot
+    g11, g12, g22 = float(g[0][0]), float(g[0][1]), float(g[1][1])
+    v1 = (math.sqrt(g11), 0.0)
+    v2 = (g12 / math.sqrt(g11), math.sqrt(g22 - g12 * g12 / g11))
+    det = v1[0] * v2[1] - v2[0] * v1[1]
+    inv = (v2[1] / det, -v2[0] / det, -v1[1] / det, v1[0] / det)
 
     def plane(k) -> tuple[float, float]:
-        x = float(k[0]) * v1[0] + float(k[1]) * v2[0]
-        y = float(k[0]) * v1[1] + float(k[1]) * v2[1]
-        return x, y
+        return float(k[0]) * v1[0] + float(k[1]) * v2[0], float(k[0]) * v1[1] + float(k[1]) * v2[1]
 
     verts = [plane(v) for v in sommers.region_vertices(rs, b)]
     margin = 1.2
-    xs = [p[0] for p in verts]
-    ys = [p[1] for p in verts]
+    xs, ys = zip(*verts)
     x_lo, x_hi = min(xs) - margin, max(xs) + margin
     y_lo, y_hi = min(ys) - margin, max(ys) + margin
 
     def to_screen(p):
         return (scale * (p[0] - x_lo), scale * (y_hi - p[1]))
 
-    svg = _Svg()
-    width = scale * (x_hi - x_lo)
-    height = scale * (y_hi - y_lo)
+    lines: list[str] = []
+    width, height = scale * (x_hi - x_lo), scale * (y_hi - y_lo)
+
+    # the lattice coordinates of the view's corners
+    corners = [(inv[0] * cx + inv[1] * cy, inv[2] * cx + inv[3] * cy)
+               for cx, cy in [(x_lo, y_lo), (x_lo, y_hi), (x_hi, y_lo), (x_hi, y_hi)]]
 
     # affine hyperplanes <x, alpha> = k crossing the view
-    corners = [(x_lo, y_lo), (x_lo, y_hi), (x_hi, y_lo), (x_hi, y_hi)]
-    inv = _plane_inverse(v1, v2)
     for root in rs.positive_roots:
-        vals = []
-        for cx, cy in corners:
-            ka, kb = _apply_inverse(inv, cx, cy)
-            vals.append(ka * root.pair_vec[0] + kb * root.pair_vec[1])
-        k_min = math.floor(min(vals))
-        k_max = math.ceil(max(vals))
-        for k in range(k_min, k_max + 1):
+        vals = [ka * root.pair_vec[0] + kb * root.pair_vec[1] for ka, kb in corners]
+        for k in range(math.floor(min(vals)), math.ceil(max(vals)) + 1):
             seg = _clip_line(root.pair_vec, k, inv, (x_lo, y_lo, x_hi, y_hi))
             if seg:
                 (ax, ay), (bx, by) = (to_screen(seg[0]), to_screen(seg[1]))
-                svg.add("line", x1=_fmt(ax), y1=_fmt(ay), x2=_fmt(bx), y2=_fmt(by),
-                        stroke="#bbbbbb", stroke_width=_fmt(scale * 0.012))
+                lines.append(f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}" '
+                             f'stroke="#bbbbbb" stroke-width="{_fmt(scale * 0.012)}"/>')
 
     # the region boundary
     pts = " ".join(f"{_fmt(to_screen(p)[0])},{_fmt(to_screen(p)[1])}" for p in verts)
-    svg.lines.append(f'<polygon points="{pts}" fill="none" stroke="#202020" '
-                     f'stroke-width="{_fmt(scale * 0.035)}"/>')
+    lines.append(f'<polygon points="{pts}" fill="none" stroke="#202020" '
+                 f'stroke-width="{_fmt(scale * 0.035)}"/>')
 
     # lattice points: all coroot points in view, region points marked and labeled
     core = sommers.enumerate_cores(rs, b)
     sizes = dict(zip(core.points, core.sizes))
-    ka_range, kb_range = (range(math.floor(min(c)) - 1, math.ceil(max(c)) + 2)
-                          for c in zip(*(_apply_inverse(inv, cx, cy) for cx, cy in corners)))
+    ka_range, kb_range = (range(math.floor(min(c)) - 1, math.ceil(max(c)) + 2) for c in zip(*corners))
     for ka in ka_range:
         for kb in kb_range:
             px, py = plane((ka, kb))
             if not (x_lo <= px <= x_hi and y_lo <= py <= y_hi):
                 continue
             sx, sy = to_screen((px, py))
+            at = f'cx="{_fmt(sx)}" cy="{_fmt(sy)}"'
             if (ka, kb) in sizes:
-                svg.add("circle", cx=_fmt(sx), cy=_fmt(sy), r=_fmt(scale * 0.09),
-                        fill="#c03020")
-                svg.text(sx, sy - scale * 0.14, str(sizes[ka, kb]), scale * 0.2)
+                lines.append(f'<circle {at} r="{_fmt(scale * 0.09)}" fill="#c03020"/>')
+                lines.append(f'<text x="{_fmt(sx)}" y="{_fmt(sy - scale * 0.14)}" font-size="{_fmt(scale * 0.2)}" '
+                             f'font-family="monospace" text-anchor="middle">{sizes[ka, kb]}</text>')
             else:
-                svg.add("circle", cx=_fmt(sx), cy=_fmt(sy), r=_fmt(scale * 0.05),
-                        fill="#404040")
+                lines.append(f'<circle {at} r="{_fmt(scale * 0.05)}" fill="#404040"/>')
 
-    body = "\n".join(svg.lines)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
-        f"{body}\n</svg>\n"
-    )
-
-
-def _plane_inverse(v1, v2):
-    det = v1[0] * v2[1] - v2[0] * v1[1]
-    return (v2[1] / det, -v2[0] / det, -v1[1] / det, v1[0] / det)
-
-
-def _apply_inverse(inv, x, y):
-    a, b, c, d = inv
-    return (a * x + b * y, c * x + d * y)
+    body = "\n".join(lines)
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
+            f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n{body}\n</svg>\n')
 
 
 def _clip_line(pair_vec, k, inv, box):

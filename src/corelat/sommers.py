@@ -8,11 +8,11 @@ For b coprime to the Coxeter number h, write b = t_b*h + r_b with
 
 Its coroot-lattice points generalize simultaneous (a, b)-cores: in type
 A_{a-1} they are exactly the (a, b)-cores under the abacus bijection.
-Their cores are plain partition tuples: ``CoreSet.rows()`` maps the int64
-point array to runner levels in one ``models.level_step`` (the type-A
-ambient tuples, or the type-C model images) and turns them into partitions
-with one ``cores.from_coroot`` call; ``simultaneous_selfconjugate`` reads
-the same partitions.
+A ``CoreSet`` holds its points in one form, the sorted int64 rows, and
+maps them to runner levels in one ``models.level_step`` (the type-A ambient
+tuples, or the type-C model images) and to partitions with one
+``cores.from_coroot`` call.  ``simultaneous_selfconjugate`` certifies the
+same partitions on one ``cores.coroot_block`` at b.
 
 ``enumerate_cores`` computes the point set two independent ways — by
 mapping the dilated-alcove points through the inverse dilation element,
@@ -215,22 +215,25 @@ def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> lis
 
 @dataclass(frozen=True, eq=False)
 class CoreSet:
-    """The coroot points of a b-region, sorted, with their sizes: the size of
-    ``points[k]`` is the integer ``numerators[k]`` over ``denominator`` = 2 h f,
-    the per-row form of ``affine.scaled_size_b`` (``affine.size_numerators``).
-    The totals, the maximum and the JSON read these integers; ``sizes`` gives
-    the same values as Fractions.  ``point_rows`` holds the points as the
-    rows of an int64 array, which the partitions read."""
+    """The coroot points of a b-region, sorted, with their sizes: the points
+    are the rows of the int64 array ``point_rows``, and the size of row k is
+    the integer ``numerators[k]`` over ``denominator`` = 2 h f, the per-row
+    form of ``affine.scaled_size_b`` (``affine.size_numerators``).  The
+    totals, the maximum and the JSON read these integers; ``sizes`` gives
+    the same values as Fractions, and ``points`` the rows as tuples."""
 
     rs: RootSystemData
     b: int
-    points: tuple[tuple[int, ...], ...]
     point_rows: np.ndarray  # int64, one row per point
     denominator: int
     numerators: np.ndarray  # int64, one per point
 
     def __len__(self):
-        return len(self.points)
+        return len(self.point_rows)
+
+    @cached_property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_tuples(self.point_rows))
 
     @cached_property
     def sizes(self) -> tuple[Fraction, ...]:
@@ -243,7 +246,7 @@ class CoreSet:
 
     @property
     def mean_size(self) -> Fraction:
-        return self.total_size / len(self.points)
+        return self.total_size / len(self)
 
     def rows(self) -> Iterator[tuple[tuple[int, ...], Fraction, tuple[int, ...] | None]]:
         """(coords, size, partition or None) per region point, in point order.
@@ -259,7 +262,7 @@ class CoreSet:
         ``models.level_step`` and one ``cores.from_coroot`` on all points."""
         t = self.rs.cartan_type
         if t.family not in ("A", "C"):
-            return [None] * len(self.points)
+            return [None] * len(self)
         levels = models.level_step(t)(self.point_rows)
         return cores.from_coroot(levels.shape[1], levels)
 
@@ -272,10 +275,11 @@ class CoreSet:
     def to_json_dict(self) -> dict:
         """The ``corelat cores`` document: the summary and one row per point.
 
-        The summary sorts and maximizes the integer numerators over 2 h f;
-        the maximizer is unique (``max_size`` checks it)."""
-        nums, texts = self.numerators, self._size_texts()
-        top = int(np.argmax(nums))
+        The summary sorts the integer numerators over 2 h f; ``max`` and
+        ``argmax`` are ``max_size``'s closed form and w_b^{-1}(0); it raises
+        AssertionError unless the numerators' maximum and one maximizer agree."""
+        value, argmax = max_size(self.rs, self.b, self)
+        texts = self._size_texts()
         rows = []
         for q, part, text in zip(self.points, self._partitions(), texts):
             row = {"coords": q, "size": text}
@@ -285,11 +289,11 @@ class CoreSet:
         return {
             "type": str(self.rs.cartan_type),
             "b": self.b,
-            "count": len(self.points),
-            "sizes": [texts[i] for i in np.argsort(nums, kind="stable").tolist()],
+            "count": len(self),
+            "sizes": [texts[i] for i in np.argsort(self.numerators, kind="stable").tolist()],
             "mean": str(self.mean_size),
-            "max": texts[top],
-            "argmax": list(self.points[top]),
+            "max": str(value),
+            "argmax": list(argmax),
             "direct_checked": True,  # enumerate_cores checks every region or raises
             "rows": rows,
         }
@@ -301,9 +305,9 @@ def region_vertices(rs: RootSystemData, b: int) -> list[tuple[Fraction, ...]]:
     return [wb_inv(tuple(b * c for c in v)) for v in alcove_vertices(rs)]
 
 
-def _direct_scan(sr: SommersRegion) -> list[tuple[int, ...]]:
-    """The region's coroot points, sorted, by a walk in the slack coordinates
-    of its own inequalities; reads neither w_b nor the alcove.
+def _direct_scan(sr: SommersRegion) -> np.ndarray:
+    """The region's coroot points as sorted int64 rows, by a walk in the
+    slack coordinates of its own inequalities; reads neither w_b nor the alcove.
 
     Facet j has slack s_j = <x, N_j> + o_j >= 0, with (N_j, o_j) = (pair_vec,
     t_b) for a height-r_b root and (-pair_vec, t_b + 1) for a height-(h - r_b)
@@ -323,7 +327,7 @@ def _direct_scan(sr: SommersRegion) -> list[tuple[int, ...]]:
     rest = [j for j in range(len(marks)) if j != k]
     mat = [[row[j] - row[k] * marks[j] for j in rest] for row in solve]
     shift = [row[k] * budget for row in solve]
-    return _tuples(_integral_solve(_walk([marks[j] for j in rest], budget), mat, shift, det))
+    return _integral_solve(_walk([marks[j] for j in rest], budget), mat, shift, det)
 
 
 def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
@@ -341,16 +345,15 @@ def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
     wb_inv = affine.compute_w_b(rs, b).inverse()
     alcove = np.fromiter(chain.from_iterable(enumerate_alcove(rs, b, "coroot")), dtype=np.int64)
     points = _integral_solve([alcove.reshape(-1, rs.rank)], wb_inv.m, wb_inv.v, 1)
-    mapped = _tuples(points)
-    if len(mapped) != predicted:
+    if len(points) != predicted:
         raise AssertionError(
-            f"{rs.cartan_type}, b={b}: found {len(mapped)} alcove points, expected {predicted}")
+            f"{rs.cartan_type}, b={b}: found {len(points)} alcove points, expected {predicted}")
     scanned = _direct_scan(sommers_region(rs, b))
-    if scanned != mapped:
+    if not np.array_equal(scanned, points):
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: direct inequality scan disagrees with the "
-            f"mapped alcove points ({len(scanned)} vs {len(mapped)})")
-    return CoreSet(rs, b, tuple(mapped), points, *affine.size_numerators(rs, points))
+            f"mapped alcove points ({len(scanned)} vs {len(points)})")
+    return CoreSet(rs, b, points, *affine.size_numerators(rs, points))
 
 
 def max_size(rs: RootSystemData, b: int, coreset: CoreSet | None = None):
@@ -368,7 +371,7 @@ def max_size(rs: RootSystemData, b: int, coreset: CoreSet | None = None):
     nums = coreset.numerators
     top = int(nums.max())
     scan_max = Fraction(top, coreset.denominator)
-    winners = [coreset.points[k] for k in np.flatnonzero(nums == top).tolist()]
+    winners = _tuples(coreset.point_rows[nums == top])
     if scan_max != value or winners != [tuple(argmax)]:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: maximum-size scan disagrees with the closed form "
@@ -389,18 +392,20 @@ class SelfConjugateReport:
 
 def simultaneous_selfconjugate(n: int, b: int) -> SelfConjugateReport:
     """Map the C_n b-region points to partitions and certify each one is a
-    self-conjugate (2n, b)-core by a hook scan; the count must match."""
-    t = CartanType("C", n)
-    rs = rootsys.build(t)
-    coreset = enumerate_cores(rs, b)
-    pairs = []
-    for q, parts in zip(coreset.points, coreset._partitions()):
-        if parts != cores.conjugate(parts):
-            raise AssertionError(f"image of {q} is not self-conjugate: {parts}")
-        for modulus in (2 * n, b):
-            cell = cores.first_hook_of_length(parts, modulus)
-            if cell is not None:
-                raise AssertionError(
-                    f"image {parts} of {q} has a hook of length {modulus} at {cell}")
-        pairs.append((q, parts))
+    self-conjugate (2n, b)-core.  On one ``cores.coroot_block`` at b, a row
+    sums to zero exactly on a b-core, which is self-conjugate exactly when
+    its row is antisymmetric (``cores.conjugate_coroot``).  The 2n-cores get
+    a hook scan each, independent of the 2n-abacus that made them."""
+    coreset = enumerate_cores(rootsys.build(CartanType("C", n)), b)
+    pairs = list(zip(coreset.points, coreset._partitions()))
+    levels = cores.coroot_block(cores.PartitionBlock.of([parts for _, parts in pairs]), b)
+    sums = levels.sum(axis=1)
+    bad = np.flatnonzero((sums != 0) | (levels != -levels[:, ::-1]).any(axis=1))
+    if bad.size:
+        q, parts = pairs[bad[0]]
+        raise AssertionError(f"image {parts} of {q} is not "
+                             + (f"a {b}-core" if sums[bad[0]] else "self-conjugate"))
+    for q, parts in pairs:
+        if (cell := cores.first_hook_of_length(parts, 2 * n)) is not None:
+            raise AssertionError(f"image {parts} of {q} has a hook of length {2 * n} at {cell}")
     return SelfConjugateReport(n, b, pairs)

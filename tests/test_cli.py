@@ -145,6 +145,15 @@ GOLDEN_STDOUT = {
     ("roots", "D30"): "a51325605325e47d96f033e7f5069c72a2430bbc6889ecb874b207965960622c",
     ("roots", "E8"): "9415e3f213e484338ac46d52c311929c74df3dca8a93a4c2da5c62ef8a10fb7e",
     ("roots", "F4"): "e429276f6fd5bc2fef1224d5ecce461ed15c332e50c85f4fb219735c545e7dfd",
+    # the other rank-2 pictures: a simply laced, a doubly and a triply laced system
+    ("draw", "A2", "--b", "4"): "594e84eabc0189cdcd85b23b9467c008116ca0aa97c036d47aa5b8cca2abe646",
+    ("draw", "B2", "--b", "5"): "1f7753e1fda6a2b1a5f7ca2c9d0e7cec15bf673278e7dec9c0447802ac21a25f",
+    ("draw", "G2", "--b", "7"): "35ebf1f5798ec94a3971e6288216afc5f231765185de9ffc1ba2b9d4fff600d9",
+    # CSV rows with no partition column
+    ("cores", "G2", "7", "--format", "csv"):
+        "20a7ce60a63712ac395dda4f738265337c867989569e117cdc3df1a33e945b3c",
+    ("cores", "D4", "7", "--format", "csv"):
+        "1e58d276e4361aa11fa83e69d909008913c8ac265342d4ecab7c6ebb98621bf4",
 }
 
 
@@ -327,7 +336,7 @@ def test_a_long_column_of_scalars_takes_one_encoder_call_per_block(monkeypatch):
     assert calls == [cli.COLUMN_BLOCK, cli.COLUMN_BLOCK, 1] * 2
 
 
-@pytest.mark.parametrize("name, b", [("A2", "5"), ("C2", "5"), ("G2", "7")])
+@pytest.mark.parametrize("name, b", [("A2", "5"), ("C2", "5"), ("G2", "7"), ("B3", "7"), ("D4", "7"), ("A4", "21")])
 def test_cores_csv_lines_match_the_json_rows(capsys, name, b):
     _, out = run(capsys, "cores", name, b)
     rows = json.loads(out)["rows"]
@@ -623,6 +632,26 @@ def test_a_failed_identity_is_one_failed_line(scan_drops_a_point, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("failed: A2, b=5: direct inequality scan disagrees")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["cores", "A2", "5"], ["cores", "A2", "5", "--format", "csv"]])
+def test_a_maximum_off_the_closed_form_is_one_failed_line(monkeypatch, capsys, argv):
+    """Both formats read max and argmax from ``sommers.max_size``: a first
+    point raised above the closed form fails the document instead of being
+    printed as its maximum."""
+    numerators = affine.size_numerators
+
+    def first_raised(rs, points):
+        d, nums = numerators(rs, points)
+        nums = nums.copy()
+        nums[0] += 100 * d
+        return d, nums
+    monkeypatch.setattr(affine, "size_numerators", first_raised)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("failed: A2, b=5: maximum-size scan disagrees")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 

@@ -138,6 +138,16 @@ def test_bijection_roundtrip(a):
         assert is_core(parts, a)
 
 
+@pytest.mark.parametrize("a, max_boxes", [(1, 0), (1, 3), (0, 0), (0, 3), (-2, 3)])
+def test_core_closure_refuses_a_modulus_below_2(a, max_boxes):
+    """With a = 1 every box has content class 0, so toggling would reach the
+    non-core (1,); a = 0 would divide by zero.  Both are refused up front,
+    even when no box is allowed."""
+    for closure in (core_closure, all_cores):
+        with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+            closure(a, max_boxes)
+
+
 @pytest.mark.parametrize("a", [3, 4, 5])
 def test_core_enumeration_complete(a):
     """The toggle-closure count matches a direct lattice-ball count.

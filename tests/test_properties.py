@@ -414,9 +414,9 @@ def test_a_prefix_longer_than_a_block_is_split():
 def test_mapped_alcove_points_equal_the_facet_walk(case):
     rs, b = case
     wb_inv = affine.compute_w_b(rs, b).inverse()
-    mapped = sorted(wb_inv(p) for p in sommers.enumerate_alcove(rs, b))
-    assert mapped == sommers._direct_scan(sommers.sommers_region(rs, b))
-    assert sommers.enumerate_cores(rs, b).points == tuple(mapped)
+    mapped = np.array(sorted(wb_inv(p) for p in sommers.enumerate_alcove(rs, b)), dtype=np.int64)
+    assert np.array_equal(sommers._direct_scan(sommers.sommers_region(rs, b)), mapped)
+    assert np.array_equal(sommers.enumerate_cores(rs, b).point_rows, mapped)
 
 
 
@@ -589,12 +589,19 @@ def test_partition_block_of_flattens_the_tuples(partitions):
 
 @PROPERTY
 @given(PARTITION_LISTS, st.integers(1, 7))
+@example([(), (1,), (2,), (2, 1), (3, 1), (3, 1, 1), (4, 2, 1, 1), (5, 2, 1, 1, 1)], 5)
+@example([(1,), (2, 1), (3, 1, 1), (3, 2, 1), (4, 1, 1, 1), (4, 3, 2, 1)], 4)
 def test_coroot_block_sums_to_zero_on_cores_only(partitions, a):
     # a non-core has a white bead below the highest black one of some runner
     levels = cores.coroot_block(cores.PartitionBlock.of(partitions), a)
     assert levels.tolist() == [to_coroot_by_beta_set(parts, a) for parts in partitions]
-    assert [total == 0 for total in levels.sum(axis=1).tolist()] == [cores.is_core(p, a) for p in partitions]
+    on_cores = [total == 0 for total in levels.sum(axis=1).tolist()]
+    assert on_cores == [cores.is_core(p, a) for p in partitions]
     assert (levels.sum(axis=1) >= 0).all()
+    # on an a-core, conjugation negates and reverses the levels
+    antisymmetric = (levels == -levels[:, ::-1]).all(axis=1).tolist()
+    assert [sym for sym, core in zip(antisymmetric, on_cores) if core] == \
+        [p == cores.conjugate(p) for p, core in zip(partitions, on_cores) if core]
 
 
 def test_the_partitions_of_a_many_step_region_are_its_simultaneous_cores():

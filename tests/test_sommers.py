@@ -13,6 +13,7 @@ from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers
 from corelat.affine import size_b
 from corelat.rootsys import CartanType, build, build_named
 from corelat.sommers import (
+    CoreSet,
     FeasibilityError,
     capped,
     contains,
@@ -391,6 +392,28 @@ def test_simultaneous_selfconjugate_counts():
         simultaneous_selfconjugate(2, 2)
 
 
+@pytest.mark.parametrize("image, failure", [
+    ((3, 1, 1), "is not a 5-core"),  # self-conjugate, with a 5-hook
+    ((2,), "is not self-conjugate"),  # a (4, 5)-core
+    ((4, 2, 1, 1), "has a hook of length 4 at (1, 2)"),  # a self-conjugate 5-core
+])
+def test_selfconjugate_certificate_names_the_point(monkeypatch, image, failure):
+    """The b-abacus levels catch a non-b-core and a b-core that is not
+    self-conjugate; only the 2n hook scan catches a self-conjugate b-core
+    that is not a 2n-core."""
+    partitions = CoreSet._partitions
+
+    def one_replaced(self):
+        found = partitions(self)
+        found[2] = image
+        return found
+    monkeypatch.setattr(CoreSet, "_partitions", one_replaced)
+    point = enumerate_cores(build_named("C2"), 5).points[2]
+    with pytest.raises(AssertionError) as info:
+        simultaneous_selfconjugate(2, 5)
+    assert str(info.value).startswith(f"image {image} of {point} {failure}")
+
+
 def test_facet_walk_checks_e7_b11(monkeypatch):
     """E7 at b = 11 (352 points) is checked too: a facet walk that loses a
     point makes enumerate_cores raise."""
@@ -406,14 +429,14 @@ def test_facet_walk_checks_e7_b11(monkeypatch):
 def test_facet_walk_reads_no_dilation_element(monkeypatch, name, b):
     """The direct route needs neither w_b nor the alcove points."""
     rs = build_named(name)
-    points = enumerate_cores(rs, b).points
+    points = enumerate_cores(rs, b).point_rows
 
     def refuse(*args):
         raise RuntimeError("the direct route read w_b or the alcove walk")
     monkeypatch.setattr(affine, "compute_w_b", refuse)
     monkeypatch.setattr(sommers, "iter_alcove_m", refuse)
     monkeypatch.setattr(sommers, "alcove_blocks", refuse)
-    assert sommers._direct_scan(sommers.sommers_region(rs, b)) == list(points)
+    assert np.array_equal(sommers._direct_scan(sommers.sommers_region(rs, b)), points)
 
 
 def test_json_report():
