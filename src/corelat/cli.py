@@ -63,7 +63,7 @@ def _emit(args, text: str) -> None:
     ValueError when --out cannot be written."""
     if not text.endswith("\n"):
         text += "\n"
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
@@ -236,7 +236,10 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Parses share no state: each fills
+    a new namespace, and the append action of --type copies its list."""
     parser = argparse.ArgumentParser(prog="corelat",
                                      description="Exact lattice-point machinery for "
                                                  "affine Weyl groups and core partitions")
@@ -274,16 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser`` once per process.  Parses share no state: each fills
-    a new namespace, and the append action of --type copies its list."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

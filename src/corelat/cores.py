@@ -47,6 +47,11 @@ class NotACoreError(ValueError):
         super().__init__(f"{parts} has a hook of length {a} at cell {cell}")
 
 
+def _check_modulus(a: int) -> None:
+    if a < 1:
+        raise ValueError("modulus must be at least 1")
+
+
 def check_partition(parts) -> Partition:
     parts = tuple(parts)
     if any(p <= 0 for p in parts) or any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -67,7 +72,8 @@ def first_hook_of_length(parts: Partition, a: int):
     """The first box (row, col), 1-indexed in row-major order, whose hook
     has length a, or None: a direct scan of each row's boxes that reads only
     the parts and their conjugate.  The hook of (r, c) is
-    parts[r-1] - c + conj[c-1] - r + 1."""
+    parts[r-1] - c + conj[c-1] - r + 1.  A modulus below 1 raises ValueError."""
+    _check_modulus(a)
     conj = conjugate(parts)
     return next(((r, c) for r, length in enumerate(parts, start=1) for c in range(1, length + 1)
                  if length - c + conj[c - 1] - r + 1 == a), None)
@@ -154,7 +160,9 @@ def coroot_block(block: PartitionBlock, a: int) -> np.ndarray:
     int64 pass with no hook scan: on runner j, 1 + p // a for the highest
     beta-set position p = part_r - r on it, or with none, for the top of the
     tail below -k (k parts): 1 + (-k - 1 - j) // a.  An a-core's levels sum
-    to zero, a non-core's to more.  No value passes max(l) + (parts) + a."""
+    to zero, a non-core's to more.  No value passes max(l) + (parts) + a.
+    A modulus below 1 raises ValueError."""
+    _check_modulus(a)
     lengths, rows = block.lengths, block.rows
     assert int(lengths.max(initial=0)) + len(lengths) + a < linalg.INT64_LIMIT, "int64 bound of the levels"
     which = np.repeat(np.arange(len(rows)), rows)
@@ -198,8 +206,9 @@ def _abacus_steps(a: int, levels) -> Iterator[PartitionBlock]:
     min(q) + 1) positions.  Below its own window every bead of a row is
     black with p + i = 0, as the abacus is balanced, so the padding adds no
     part.  The int64 bound (``abacus_bound``) is asserted once per block,
-    before any step.
+    before any step.  A modulus below 1 raises ValueError.
     """
+    _check_modulus(a)
     levels = np.asarray(levels, dtype=np.int64)
     if levels.ndim != 2 or levels.shape[1] != a:
         raise ValueError(f"expected {a} runner levels, got {levels.shape[-1]}")
@@ -248,7 +257,8 @@ def content_counts(parts, a: int):
     step counts whole partitions, at most ``ABACUS_CELLS`` (row, class)
     cells unless one partition alone has more, and sums them per partition
     by one cumulative sum.  No value passes (rows) (max(l) + a), asserted
-    once per block."""
+    once per block.  A modulus below 1 raises ValueError."""
+    _check_modulus(a)
     single = isinstance(parts, tuple)
     block = parts if isinstance(parts, PartitionBlock) else PartitionBlock.of([parts] if single else parts)
     lengths, rows = block.lengths, block.rows
@@ -274,7 +284,9 @@ def toggle_corners(parts: Partition, a: int) -> list[tuple[list[int], list[int]]
     class, from one pass over the corners of ``parts``: row r of length l
     has an addable box (r, l + 1), of class (l + 1 - r) mod a, when the row
     above is longer (or r = 1), and a removable box (r, l), of class
-    (l - r) mod a, when the row below is shorter."""
+    (l - r) mod a, when the row below is shorter.  A modulus below 1
+    raises ValueError."""
+    _check_modulus(a)
     corners: list = [([], []) for _ in range(a)]
     lengths = (*parts, 0)
     for r, (above, l, below) in enumerate(zip((lengths[0] + 1, *lengths), lengths, (*parts[1:], 0, 0)), 1):

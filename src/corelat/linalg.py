@@ -159,7 +159,7 @@ class ReflectionRows:
     (1 + scale |c|_1)(1 + |p|_1 + |shift|)(P + 1), over the largest norms
     of the tables.  The step asserts it below 2**63 before it multiplies."""
 
-    def __init__(self, c, p, shift, scale: int = 1):
+    def __init__(self, c, p, shift, scale: int):
         self.c, self.p, self.shift = (np.array(c, dtype=np.int64), np.array(p, dtype=np.int64),
                                       np.array(shift, dtype=np.int64))
         c_norm, p_norm = (int(np.abs(a).sum(axis=1).max(initial=0)) for a in (self.c, self.p))

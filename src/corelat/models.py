@@ -22,8 +22,12 @@ Ambient coordinates: for B/C/D the source point with simple-coroot
 coordinates k becomes the integer vector x (the classical e_i coordinates,
 with the type-C sqrt(2) factor absorbed), and the image is the antisymmetric
 2n-tuple (x_1, ..., x_n, -x_n, ..., -x_1).  ``embed`` takes simple-coroot
-coordinates; ambient ones go through ``from_ambient``, which checks that
-they lie in the lattice.  Both maps and their type-A counterparts are
+coordinates; ambient ones go through ``from_ambient``, which solves
+``to_ambient`` exactly and so accepts only lattice points: an even
+coordinate sum in B_n and D_n, a zero sum in G_2.  A model is stated once,
+by its maps: a point's modulus is the width of its image, and G_2 is
+singled out only where a model is defined (``to_ambient``, ``embed``,
+``generator_dictionary`` and ``size_rows``).  The type-A maps are
 differences and partial sums of the coordinates.
 
 Generator dictionary (verified exhaustively by the equivariance tests; note
@@ -64,11 +68,6 @@ def _require_model(t: CartanType) -> None:
         raise UnsupportedModelError(f"no type-A combinatorial model for {t}")
 
 
-def ambient_dimension(t: CartanType) -> int:
-    """Dimension of the classical coordinate vector (before antisymmetrizing)."""
-    return 3 if t.family == "G" else t.rank
-
-
 def to_ambient(t: CartanType, k) -> tuple[int, ...]:
     """Simple-coroot coordinates -> integer ambient coordinates."""
     _require_model(t)
@@ -88,31 +87,21 @@ def to_ambient(t: CartanType, k) -> tuple[int, ...]:
 
 
 def from_ambient(t: CartanType, x) -> tuple[int, ...]:
-    """Ambient coordinates -> simple-coroot coordinates.
-
-    Raises ValueError when x is not in the coroot lattice (sum-zero failure
-    for G_2, parity violation for B_n / D_n).
-    """
-    _require_model(t)
-    n = t.rank
-    x = tuple(x)
-    if len(x) != ambient_dimension(t):
-        raise ValueError(f"expected {ambient_dimension(t)} ambient coordinates, got {len(x)}")
-    if t.family == "G":
-        if sum(x) != 0:
-            raise ValueError(f"{x} does not lie in the sum-zero lattice")
-        return (-x[2], x[0] - x[2])
-    total = sum(x)
-    if t.family in ("B", "D") and total % 2 != 0:
-        raise ValueError(f"{x} violates the even-coordinate-sum condition of {t}")
-    partial = tuple(accumulate(x))
-    if t.family == "C":
-        return partial
-    k_n = total // 2
-    if t.family == "B":
-        return partial[: n - 1] + (k_n,)
-    # D: x_n = k_n - k_{n-1}
-    return partial[: n - 2] + (k_n - x[n - 1], k_n)
+    """Ambient coordinates -> simple-coroot coordinates: the k with
+    ``to_ambient(t, k) == x``, by ``linalg.adjugate`` on the first n rows of
+    its matrix (``_affine_step``; rows 0-1, det -1, in G_2).  ValueError
+    unless the divisions are exact and k maps back to x: the lattice
+    condition, an even coordinate sum in B_n and D_n, a zero sum in G_2
+    (C_n takes every integer vector)."""
+    mat, x = _affine_step(partial(to_ambient, t), t.rank).mat.tolist(), tuple(x)
+    if len(x) != len(mat):
+        raise ValueError(f"expected {len(mat)} ambient coordinates, got {len(x)}")
+    det, adj = linalg.adjugate(mat[:t.rank])
+    scaled = linalg.matvec(adj, x[:t.rank])
+    k = tuple(v // det for v in scaled)
+    if any(v % det for v in scaled) or to_ambient(t, k) != x:
+        raise ValueError(f"{x} is not an ambient point of the {t} coroot lattice")
+    return k
 
 
 @dataclass(frozen=True)
@@ -123,7 +112,7 @@ class EmbeddedPoint:
 
     @property
     def modulus(self) -> int:
-        return 3 if self.source_type.family == "G" else 2 * self.source_type.rank
+        return len(self.image)
 
     def core(self) -> cores.Partition:
         """The ``modulus``-core whose runner levels are the image."""
@@ -132,7 +121,6 @@ class EmbeddedPoint:
 
 def embed(t: CartanType, k) -> EmbeddedPoint:
     """Embed a coroot-lattice point into the ambient type-A coroot lattice."""
-    _require_model(t)
     x = to_ambient(t, k)
     if t.family == "G":
         image = x
@@ -192,7 +180,7 @@ def generator_step(t: CartanType, i: int) -> linalg.AffineRows:
     """``act_model_generator`` of generator i as the checked int64 step on the
     rows of an int64 array of model images, read off the action at 0 and the
     unit vectors: every dictionary word is affine, the G_2 conjugation linear."""
-    return _affine_step(partial(act_model_generator, t, i), 3 if t.family == "G" else 2 * t.rank)
+    return _affine_step(partial(act_model_generator, t, i), len(embed(t, (0,) * t.rank).image))
 
 
 def model_size_vector(t: CartanType, k) -> tuple[Fraction, ...]:

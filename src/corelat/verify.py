@@ -1,8 +1,8 @@
 """Verification suites: each ``check_<id>`` function checks one family of
 identities by independent computation and returns a list of counterexample
-records (empty = pass).  ``SUITES`` states what each suite reads, and
-``run`` scopes and runs one suite by its theorem id; the CLI ``verify``
-subcommand calls ``run`` and the acceptance tests call the checks directly.
+records (empty = pass).  ``SUITES`` holds the flags each suite reads, off
+its check's keywords; ``run`` scopes and runs one suite by its theorem id;
+the CLI ``verify`` subcommand calls ``run``, the acceptance tests the checks.
 
 A ValueError is a refusal and propagates.  An AssertionError is a failed
 identity: every suite runs its cases through ``_counterexamples``, which
@@ -10,6 +10,7 @@ turns it into a counterexample record and goes on to the next case."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -47,32 +48,16 @@ MODEL_POINT_GRIDS = (
 MODEL_MIN_POINTS = 1000
 
 
-class Suite(NamedTuple):
-    """What ``run`` may pass to a suite's ``check_<id>`` function."""
+#: theorem ids in the order the CLI lists them: suite ``<id>`` runs ``check_<id>``
+THEOREMS = ("arm", "main", "max", "transfer", "sizer", "welldef", "ip_content", "models",
+            "haiman", "strange", "typea", "fg_poly", "conjecture")
 
-    reads: tuple[str, ...] = ()  # scoping options, of "type", "b", "count", "length"
-    note: str | None = None  # added to the report
+#: theorem id -> a note added to its report
+NOTES = {"conjecture": "evidence only: exhaustive check at these parameters, not a proof"}
 
-
-#: theorem id -> suite, in the order the CLI lists them
-SUITES = {
-    "arm": Suite(),
-    "main": Suite(("type", "b")),
-    "max": Suite(("type", "b")),
-    "transfer": Suite(("type", "b")),
-    "sizer": Suite(("type", "count")),
-    "welldef": Suite(("type", "length")),
-    "ip_content": Suite(),
-    "models": Suite(),
-    "haiman": Suite(("type", "b")),
-    "strange": Suite(),
-    "typea": Suite(),
-    "fg_poly": Suite(),
-    "conjecture": Suite(("type", "b"),
-                        note="evidence only: exhaustive check at these parameters, not a proof"),
-}
-
-THEOREMS = tuple(SUITES)
+#: a check's keyword -> the scoping flags that set it
+KEYWORD_FLAGS = {"types": ("--type",), "matrix": ("--type", "--b"), "count": ("--count",),
+                 "max_len": ("--length",)}
 
 
 def scoped_matrix(types=None, bs=None) -> list:
@@ -100,29 +85,28 @@ def scoped_matrix(types=None, bs=None) -> list:
 
 
 def run(theorem: str, *, types=None, bs=None, count=None, length=None) -> dict:
-    """Run the suite ``theorem`` and return its report.
+    """Run the suite ``theorem`` and return its report, with its ``NOTES`` entry.
 
     Only the options that are set are passed on, so every default lives in
     the ``check_<id>`` signature.  The check is looked up as a module
     attribute at call time, so a wrapper installed on it takes effect.
     Raises ValueError for an unknown type or theorem id, a scoping option
-    the suite does not read, or a ``count`` or ``length`` below 1.  Type
+    outside ``SUITES[theorem]``, or a ``count`` or ``length`` below 1.  Type
     names are normalized here ("a2" is A2); the cap is ``sommers.capped``'s.
     """
     if types:
         types = [str(CartanType.parse(t)) for t in types]
     if theorem not in SUITES:
         raise ValueError(f"unknown theorem id {theorem!r}; choose from {', '.join(THEOREMS)}")
-    suite = SUITES[theorem]
-    given = {"type": types, "b": bs, "count": count, "length": length}
-    unread = [f"--{k}" for k, v in given.items() if v is not None and k not in suite.reads]
+    reads = SUITES[theorem]
+    given = {"--type": types, "--b": bs, "--count": count, "--length": length}
+    unread = [flag for flag, v in given.items() if v is not None and flag not in reads]
     if unread:
-        reads = ", ".join(f"--{k}" for k in suite.reads) or "no scoping flags"
-        raise ValueError(f"verify {theorem} does not read {', '.join(unread)}; it reads {reads}")
+        raise ValueError(f"verify {theorem} does not read {', '.join(unread)}; "
+                         f"it reads {', '.join(reads) or 'no scoping flags'}")
     kwargs = {}
-    if "b" in suite.reads:
-        if types or bs:
-            kwargs["matrix"] = scoped_matrix(types, bs)
+    if "--b" in reads and (types or bs):
+        kwargs["matrix"] = scoped_matrix(types, bs)
     elif types:
         kwargs["types"] = types
     for name, key, value in (("--count", "count", count), ("--length", "max_len", length)):
@@ -132,8 +116,8 @@ def run(theorem: str, *, types=None, bs=None, count=None, length=None) -> dict:
             kwargs[key] = value
     failures = globals()[f"check_{theorem}"](**kwargs)
     report = {"theorem": theorem, "pass": not failures, "counterexamples": failures}
-    if suite.note:
-        report["note"] = suite.note
+    if theorem in NOTES:
+        report["note"] = NOTES[theorem]
     return report
 
 
@@ -301,7 +285,7 @@ def _word_walk(rs):
         point = moved
 
 
-def check_sizer(count: int = 1000, types=tuple(dict(DEFAULT_MATRIX))) -> list:
+def check_sizer(types=tuple(dict(DEFAULT_MATRIX)), count: int = 1000) -> list:
     """Word-side size equals lattice-side size on the shortest elements of
     each type: ``_word_walk``'s rows, level by level, until a level ends
     with at least ceil(count / types) rows checked, so at least ``count`` in
@@ -359,11 +343,11 @@ def check_ip_content() -> list:
         all_parts, toggles = cores.core_closure(a, 60)
         block = cores.PartitionBlock.of(all_parts)
         x = linalg.AffineRows(np.tri(a - 1, a, dtype=np.int64), [0] * (a - 1))(cores.coroot_block(block, a))
-        moved = np.stack([affine.letter_element(rs, i).step(x) for i in range(a)], axis=1)
+        moved = np.stack([affine.letter_element(rs, i).step(x) for i in range(a)], axis=1).reshape(-1, a - 1)
         # most letters fix their core: each distinct moved point is converted once
-        distinct, which = np.unique(moved.reshape(-1, a - 1), axis=0, return_inverse=True)
-        moved_cores = cores.from_coroot(a, models.level_step(t)(distinct))
-        which = which.reshape(-1).tolist()
+        first, which = _first_rows(moved)
+        moved_cores = cores.from_coroot(a, models.level_step(t)(moved[first]))
+        which = which.tolist()
         half, odd = np.divmod(affine.size_vector_numerators(rs, x)[1], 2)
         wrong = ((odd != 0) | (half != cores.content_counts(block, a))).any(axis=1).tolist()
         for n, parts in enumerate(all_parts):
@@ -482,3 +466,9 @@ def check_conjecture(matrix=(("A2", (2, 4)), ("C2", (3, 5)), ("G2", (5, 7)))) ->
         if found:
             yield {"counterexamples": [str(c) for c in found]}
     return _counterexamples(_by_type_and_b(matrix, check))
+
+
+#: theorem id -> the flags its check's keywords read, in order: read at import, before any
+#: ``*args, **kwargs`` wrapper replaces a check; a keyword not in ``KEYWORD_FLAGS`` fails here
+SUITES = {theorem: tuple(flag for keyword in inspect.signature(globals()[f"check_{theorem}"]).parameters
+                         for flag in KEYWORD_FLAGS[keyword]) for theorem in THEOREMS}

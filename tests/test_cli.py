@@ -589,6 +589,28 @@ def test_the_suites_are_exactly_the_check_functions():
     assert checks == set(verify.SUITES)
 
 
+#: the scoping flags each suite reads, in the order its usage message lists them
+SUITE_FLAGS = {
+    "arm": (), "main": ("--type", "--b"), "max": ("--type", "--b"), "transfer": ("--type", "--b"),
+    "sizer": ("--type", "--count"), "welldef": ("--type", "--length"), "ip_content": (), "models": (),
+    "haiman": ("--type", "--b"), "strange": (), "typea": (), "fg_poly": (),
+    "conjecture": ("--type", "--b"),
+}
+
+
+def test_the_suite_flags_come_from_the_check_keywords():
+    assert verify.SUITES == SUITE_FLAGS
+
+
+@pytest.mark.parametrize("theorem, flags", SUITE_FLAGS.items())
+def test_each_suite_reads_exactly_its_flags(theorem, flags):
+    unread = [flag for flag in ("--type", "--b", "--count", "--length") if flag not in flags]
+    with pytest.raises(ValueError) as refusal:
+        verify.run(theorem, types=["A2"], bs=(5,), count=1, length=1)
+    assert str(refusal.value) == (f"verify {theorem} does not read {', '.join(unread)}; "
+                                  f"it reads {', '.join(flags) or 'no scoping flags'}")
+
+
 def test_run_normalizes_type_names():
     assert verify.scoped_matrix(["a2"]) == verify.scoped_matrix(["A2"]) == [("A2", (2, 4, 5))]
     assert verify.run("welldef", types=["a2"], length=2) == \
@@ -803,6 +825,26 @@ def test_a_non_core_from_the_closure_is_a_counterexample(monkeypatch, capsys):
     assert json.loads(out)["counterexamples"] == [{"a": a, "partition": [a]} for a in (3, 4, 5)]
 
 
+def test_ip_content_names_the_core_and_letter_of_a_wrong_toggle(monkeypatch, capsys):
+    """One toggle of one core altered in the closure's row: the record names
+    that core and that letter, and nothing else."""
+    closure = cores.core_closure
+
+    def with_a_wrong_toggle(a, max_boxes):
+        found, toggles = closure(a, max_boxes)
+        if a == 4:
+            row = list(toggles[5])
+            row[2] = found[0] if row[2] != found[0] else found[1]
+            toggles = toggles[:5] + [tuple(row)] + toggles[6:]
+        return found, toggles
+
+    monkeypatch.setattr(cores, "core_closure", with_a_wrong_toggle)
+    code, out = run(capsys, "verify", "ip_content")
+    assert code == 1
+    assert json.loads(out)["counterexamples"] == [
+        {"a": 4, "partition": list(cores.core_closure(4, 60)[0][5]), "letter": 2}]
+
+
 def test_haiman_refuses_on_the_predicted_count_before_enumerating(monkeypatch, capsys):
     visited = []
     walk = verify.sommers.alcove_blocks
@@ -830,7 +872,7 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     assert cli.main(["verify", "transfer"]) == 0
     assert seen == [(t, b) for t, bs in verify.DEFAULT_MATRIX for b in bs]
     capsys.readouterr()
-    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is cli.build_parser()
 
 
 #: the A2 b = 5 region and alcove both hold 7 points; d = 2 h f = 18

@@ -148,6 +148,32 @@ def test_core_closure_refuses_a_modulus_below_2(a, max_boxes):
             closure(a, max_boxes)
 
 
+#: each entry point that reads a modulus, on a modulus below 1
+BELOW_ONE = {
+    "first_hook_of_length": lambda a: first_hook_of_length((1,), a),
+    "is_core": lambda a: is_core((2, 1), a),
+    "to_coroot": lambda a: to_coroot((1,), a),
+    "coroot_block": lambda a: cores.coroot_block(cores.PartitionBlock.of([(1,)]), a),
+    "content_counts": lambda a: content_counts((1,), a),
+    "toggle_corners": lambda a: cores.toggle_corners((1,), a),
+    "from_coroot": lambda a: from_coroot(a, ()),
+    "abacus_block": lambda a: cores.abacus_block(a, np.zeros((1, 0), dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("name", BELOW_ONE)
+@pytest.mark.parametrize("a", [0, -1])
+def test_a_modulus_below_1_is_refused(name, a):
+    with pytest.raises(ValueError, match="^modulus must be at least 1$"):
+        BELOW_ONE[name](a)
+
+
+def test_modulus_1_is_read():
+    assert from_coroot(1, (0,)) == ()
+    assert content_counts((2, 1), 1) == (3,)
+    assert is_core((1,), 1) is False
+
+
 @pytest.mark.parametrize("a", [3, 4, 5])
 def test_core_enumeration_complete(a):
     """The toggle-closure count matches a direct lattice-ball count.

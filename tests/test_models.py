@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -78,6 +79,26 @@ def test_ambient_roundtrip():
         t = CartanType.parse(name)
         for k in lattice_points(t, min(radius, 3), limit=200):
             assert from_ambient(t, to_ambient(t, k)) == k
+
+
+@pytest.mark.parametrize("name", ["B2", "B3", "C2", "D4", "G2"])
+def test_from_ambient_accepts_exactly_the_lattice(name):
+    """Every ambient vector of [-2, 2]^d: outside the lattice (an odd sum in
+    B and D, a nonzero sum in G2, never in C) it is refused, naming x; inside
+    it round-trips through ``to_ambient``."""
+    t = CartanType.parse(name)
+    for x in itertools.product(range(-2, 3), repeat=3 if t.family == "G" else t.rank):
+        if {"B": sum(x) % 2, "C": 0, "D": sum(x) % 2, "G": sum(x)}[t.family]:
+            with pytest.raises(ValueError, match=re.escape(str(x))):
+                from_ambient(t, x)
+        else:
+            assert to_ambient(t, from_ambient(t, x)) == x
+
+
+@pytest.mark.parametrize("name, modulus", [("B2", 4), ("B3", 6), ("C2", 4), ("C3", 6), ("D4", 8), ("G2", 3)])
+def test_the_modulus_is_2n_in_b_c_d_and_3_in_g2(name, modulus):
+    t = CartanType.parse(name)
+    assert embed(t, (1,) + (0,) * (t.rank - 1)).modulus == modulus
 
 
 def test_image_antisymmetric_and_selfconjugate():

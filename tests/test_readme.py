@@ -17,4 +17,4 @@ def test_readme_lists_every_verify_suite_and_its_flags():
     rows = re.findall(r"^\| `(\w+)` \|.*\| (.*) \|$", section, re.M)
     assert tuple(name for name, _ in rows) == verify.THEOREMS
     for name, reads in rows:
-        assert re.findall(r"`--(\w+)`", reads) == list(verify.SUITES[name].reads), name
+        assert tuple(re.findall(r"`(--\w+)`", reads)) == verify.SUITES[name], name
