@@ -23,7 +23,13 @@ records column by column, one call per key and block of at most
 ``COLUMN_BLOCK`` scalars.  A column's text is split back
 into rows on its item separator, which holds a newline that no encoded
 string holds, with ``]`` before it and ``[`` after it for containers, which
-no scalar ends or starts with.
+no scalar ends or starts with.  Every command writes through ``_emit`` into
+a sink, the write of --out or stdout.  The ``cores`` rows come as an
+iterator of blocks of points, and each block's text goes to the sink before
+the next block is made, so neither the rows nor the text are ever held
+whole; every check of the region runs before the first byte.  A reader
+that closes stdout early stops the writing, with nothing on stderr and the
+command's own exit code.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ import json
 import os
 import sys
 from bisect import bisect_right
-from functools import cache
+from collections.abc import Callable, Iterator
+from functools import cache, partial
 from itertools import accumulate, chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
@@ -42,6 +49,9 @@ from . import draw, rootsys, sommers, verify
 
 FAILED = 1
 USAGE_ERROR = 2
+
+#: where a writer puts its text: the ``write`` of a file, or any callable
+Sink = Callable[[str], object]
 
 
 def _cap(args) -> int:
@@ -58,19 +68,36 @@ def _cap(args) -> int:
     return int(text)
 
 
-def _emit(args, text: str) -> None:
-    """Write ``text`` and a final newline to --out, else to stdout;
-    ValueError when --out cannot be written."""
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
+def _emit(args, write_doc: Callable[[Sink], object]) -> None:
+    """Call ``write_doc(write)`` with a ``write`` to --out, else to stdout, and
+    end the output with a newline unless it ends with one.  --out is opened
+    here, after the command's checks, so a refused or failed command creates
+    no file; ValueError when --out cannot be written.  A reader that closes
+    stdout early ends the writing quietly, and the command keeps its exit code."""
+    def emit(out) -> None:
+        end = ""
+
+        def write(text: str) -> None:
+            nonlocal end
+            if text:
+                out.write(text)
+                end = text[-1]
+        write_doc(write)
+        if end != "\n":
+            out.write("\n")
+
+    if not args.out:
         try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+            emit(sys.stdout)
+        except BrokenPipeError:
+            # send the rest, and the flush at exit, nowhere: neither can raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return
+    try:
+        with open(args.out, "w") as fh:
+            emit(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
 
 
 #: value types that ``json``'s C encoder writes as ``json.dumps`` with an
@@ -82,26 +109,31 @@ _ARRAYS = frozenset((list, tuple))
 COLUMN_BLOCK = 2**14
 
 
-def to_json(obj) -> str:
+def to_json(obj, sink: Sink | None = None) -> str | None:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for documents with string
-    keys, byte for byte.  With an indent, ``json`` takes its pure-Python
-    encoder.  Here one walk appends to one chunk list, joined once at the
-    end.  A nonempty dict, list or tuple whose values are all ``_SCALARS``
-    is written by one call of ``json``'s C encoder, made once per depth with
-    that depth's item separator.
+    keys, byte for byte: returned, or with a ``sink`` given to it in pieces.
+    With an indent, ``json`` takes its pure-Python encoder.  Here one walk
+    appends to one chunk list, joined once at the end, or with a sink at the
+    end of each block of a stream.  A nonempty dict, list or tuple whose
+    values are all ``_SCALARS`` is written by one call of ``json``'s C
+    encoder, made once per depth with that depth's item separator.
+
+    A stream, an iterator of lists or tuples, is written as the one list of
+    their items, a block at a time: a sink gets each block's text before the
+    next block is read, so neither the items nor the text are held whole.
 
     A nonempty list or tuple of records, dicts that share one set of ``str``
     keys where each key's values are all ``_SCALARS``, or all lists or tuples
-    of them, is written column by column: for each sorted key, the C encoder
-    writes the rows' values at that value's depth, in calls of whole values
-    of at most ``COLUMN_BLOCK`` scalars each unless one value alone has
-    more; the text is split back into rows on the item separator
-    ``"," + inner`` (scalars) or on ``"]," + inner + "["`` (containers), and
-    the rows are laid out around the columns, an empty container as ``[]``.
-    The split cannot cut inside a value: each separator holds a newline,
-    which ``encode_basestring_ascii`` escapes in every string, and no scalar
-    ends with ``]`` or starts with ``[``.  Only the other containers are
-    walked."""
+    of them, is written column by column, and so is each block of records of
+    a stream: for each sorted key, the C encoder writes the rows' values at
+    that value's depth, in calls of whole values of at most ``COLUMN_BLOCK``
+    scalars each unless one value alone has more; the text is split back
+    into rows on the item separator ``"," + inner`` (scalars) or on
+    ``"]," + inner + "["`` (containers), and the rows are laid out around
+    the columns, an empty container as ``[]``.  The split cannot cut inside
+    a value: each separator holds a newline, which ``encode_basestring_ascii``
+    escapes in every string, and no scalar ends with ``]`` or starts with
+    ``[``.  Only the other containers are walked."""
     chunks: list[str] = []
     flat: dict = {}  # inner indent -> C encoder for a container of scalars
 
@@ -135,8 +167,9 @@ def to_json(obj) -> str:
             lo = hi
         return [f"[{items}{p}{inner}]" if p else "[]" for p in texts]
 
-    def write_records(rows, indent: str) -> bool:
-        """Write ``rows`` column by column if they are records; else False."""
+    def write_records(rows, indent: str, lead: str) -> bool:
+        """Write ``rows`` column by column if they are records, the first
+        after ``lead`` and the last left open; else False."""
         if set(map(type, rows)) != {dict}:
             return False
         keys = rows[0].keys()
@@ -159,12 +192,35 @@ def to_json(obj) -> str:
         for k, (head, texts) in enumerate(zip(heads, columns)):
             pieces[2 * k::width] = [head] * n
             pieces[2 * k + 1::width] = texts
-        pieces[0] = "[" + inner + opening
+        pieces[0] = lead + opening
         chunks.extend(pieces)
-        chunks.extend((inner, "}", indent, "]"))
         return True
 
+    def write_list(blocks, indent: str, stream: bool) -> None:
+        """Write the items of ``blocks``, lists or tuples, as one list: a block
+        of records by ``write_records``, any other item by ``write``.  In a
+        ``stream`` each block's text goes to the sink before the next is read."""
+        inner = indent + "  "
+        lead, close = "[" + inner, None  # text before the next item; after the last
+        for block in blocks:
+            if not block:
+                continue
+            if write_records(block, indent, lead):
+                lead, close = f"{inner}}},{inner}", inner + "}" + indent + "]"
+            else:
+                for item in block:
+                    chunks.append(lead)
+                    write(item, inner)
+                    lead, close = "," + inner, indent + "]"
+            if stream and sink is not None:
+                sink("".join(chunks))
+                chunks.clear()
+        chunks.append("[]" if close is None else close)
+
     def write(obj, indent: str) -> None:
+        if isinstance(obj, Iterator):
+            write_list(obj, indent, True)
+            return
         if not isinstance(obj, (dict, list, tuple)):
             chunks.append(encode_basestring_ascii(obj) if isinstance(obj, str) else json.dumps(obj))
             return
@@ -177,21 +233,21 @@ def to_json(obj) -> str:
             text = encode(obj, inner)
             chunks.extend((text[0], inner, text[1:-1], indent, text[-1]))
             return
-        if not is_dict and write_records(obj, indent):
+        if not is_dict:
+            write_list((obj,), indent, False)
             return
-        chunks.append("{" if is_dict else "[")
-        sep, comma = inner, "," + inner
-        for item in sorted(obj.items()) if is_dict else obj:
-            chunks.append(sep)
-            if is_dict:
-                key, item = item
-                chunks.extend((encode_basestring_ascii(key), ": "))
+        sep = "{" + inner
+        for key, item in sorted(obj.items()):
+            chunks.extend((sep, encode_basestring_ascii(key), ": "))
             write(item, inner)
-            sep = comma
-        chunks.extend((indent, "}" if is_dict else "]"))
+            sep = "," + inner
+        chunks.extend((indent, "}"))
 
     write(obj, "\n")
-    return "".join(chunks)
+    if sink is None:
+        return "".join(chunks)
+    sink("".join(chunks))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -200,29 +256,31 @@ def to_json(obj) -> str:
 
 def cmd_roots(args) -> int:
     rs = rootsys.build_named(args.type)
-    _emit(args, to_json(rootsys.to_json_dict(rs)))
+    _emit(args, partial(to_json, rootsys.to_json_dict(rs)))
     return 0
+
+
+def _write_csv(blocks, write: Sink) -> None:
+    """The CSV of the ``rows`` blocks of a ``corelat cores`` document, one
+    write per block: coordinates, size and the partition with its commas
+    as spaces, no partition outside types A and C."""
+    write("coords,size,partition")
+    for block in blocks:
+        write("".join(f"\n\"{row['coords']}\",{row['size']},"
+                      + json.dumps(row.get("partition", "")).replace(",", " ") for row in block))
 
 
 def cmd_cores(args) -> int:
     with sommers.capped(_cap(args)):
-        # no name holds the CoreSet, so its point arrays go before the writer's peak
-        doc = sommers.enumerate_cores(rootsys.build_named(args.type), args.b).to_json_dict()
-    if args.format == "csv":
-        lines = ["coords,size,partition"]
-        for row in doc["rows"]:
-            cell = json.dumps(row.get("partition", "")).replace(",", " ")
-            lines.append(f"\"{row['coords']}\",{row['size']},{cell}")
-        text = "\n".join(lines)
-    else:
-        text = to_json(doc)
-    del doc
-    _emit(args, text)
+        # every check of the region runs here; the rows come after, one block at a time
+        doc = sommers.enumerate_cores(rootsys.build_named(args.type), args.b).document()
+    _emit(args, partial(_write_csv, doc["rows"]) if args.format == "csv" else partial(to_json, doc))
     return 0
 
 
 def cmd_draw(args) -> int:
-    _emit(args, draw.region_svg(rootsys.build_named(args.type), args.b))
+    svg = draw.region_svg(rootsys.build_named(args.type), args.b)
+    _emit(args, lambda write: write(svg))
     return 0
 
 
@@ -230,7 +288,7 @@ def cmd_verify(args) -> int:
     with sommers.capped(_cap(args)):
         report = verify.run(args.theorem, types=args.type, bs=args.b,
                             count=args.count, length=args.length)
-    _emit(args, to_json(report))
+    _emit(args, partial(to_json, report))
     return 0 if report["pass"] else FAILED
 
 

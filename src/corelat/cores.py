@@ -205,11 +205,21 @@ def _abacus_steps(a: int, levels) -> Iterator[PartitionBlock]:
     positions each, padded to the widest row of the step: a (max(q) -
     min(q) + 1) positions.  Below its own window every bead of a row is
     black with p + i = 0, as the abacus is balanced, so the padding adds no
-    part.  The int64 bound (``abacus_bound``) is asserted once per block,
-    before any step.  A modulus below 1 raises ValueError.
+    part.  The block is checked once, before any step (``check_levels``).
     """
-    _check_modulus(a)
     levels = np.asarray(levels, dtype=np.int64)
+    peak = check_levels(a, levels)
+    rows = max(1, ABACUS_CELLS // (a * (2 * peak + 1)))  # no row is wider than a (2 peak + 1)
+    for lo in range(0, len(levels), rows):
+        yield _abacus_step(a, levels[lo:lo + rows])
+
+
+def check_levels(a: int, levels: np.ndarray) -> int:
+    """The largest |level| of the int64 block ``levels``, once its rows are
+    checked as a-abacus levels: a modulus below 1, a row not of a levels or
+    not summing to zero raises ValueError, and the int64 bound
+    (``abacus_bound``) is asserted.  A block that passes passes in every slice."""
+    _check_modulus(a)
     if levels.ndim != 2 or levels.shape[1] != a:
         raise ValueError(f"expected {a} runner levels, got {levels.shape[-1]}")
     peak = max(int(levels.max(initial=0)), -int(levels.min(initial=0)))
@@ -218,9 +228,7 @@ def _abacus_steps(a: int, levels) -> Iterator[PartitionBlock]:
     if unbalanced.size:
         row = tuple(levels[unbalanced[0]].tolist())
         raise ValueError(f"runner levels {row} must sum to zero")
-    rows = max(1, ABACUS_CELLS // (a * (2 * peak + 1)))  # no row is wider than a (2 peak + 1)
-    for lo in range(0, len(levels), rows):
-        yield _abacus_step(a, levels[lo:lo + rows])
+    return peak
 
 
 def _abacus_step(a: int, levels: np.ndarray) -> PartitionBlock:

@@ -11,7 +11,8 @@ A_{a-1} they are exactly the (a, b)-cores under the abacus bijection.
 A ``CoreSet`` holds its points in one form, the sorted int64 rows, and
 maps them to runner levels in one ``models.level_step`` (the type-A ambient
 tuples, or the type-C model images) and to partitions with one
-``cores.from_coroot`` call.  ``simultaneous_selfconjugate`` certifies the
+``cores.from_coroot`` call per block of ``ALCOVE_BLOCK`` points, the blocks
+of rows in which ``corelat cores`` writes its document.  ``simultaneous_selfconjugate`` certifies the
 same partitions on one ``cores.coroot_block`` at b.
 
 ``enumerate_cores`` computes the point set two independent ways — by
@@ -49,7 +50,8 @@ from .rootsys import CartanType, Root, RootSystemData
 DEFAULT_CAP = 10**6
 _CAP = ContextVar("corelat_cap", default=DEFAULT_CAP)
 #: rows per int64 block read from a walk: bounds the memory of a block
-#: and, with the per-row bound, the int64 block sums
+#: and, with the per-row bound, the int64 block sums; also the points per
+#: block of ``CoreSet.row_blocks``
 ALCOVE_BLOCK = 2**11
 
 
@@ -258,34 +260,49 @@ class CoreSet:
         return zip(self.points, self.sizes, self._partitions())
 
     def _partitions(self) -> list[tuple[int, ...] | None]:
-        """The partition of each point, or None outside types A and C: one
-        ``models.level_step`` and one ``cores.from_coroot`` on all points."""
-        t = self.rs.cartan_type
-        if t.family not in ("A", "C"):
-            return [None] * len(self)
-        levels = models.level_step(t)(self.point_rows)
-        return cores.from_coroot(levels.shape[1], levels)
+        """The partition of each point, or None outside types A and C: the
+        view of ``row_blocks``."""
+        return [row.get("partition") for row in chain.from_iterable(self.row_blocks())]
 
+    @cached_property
     def _size_texts(self) -> list[str]:
         """str of each size as a Fraction, from one gcd over the numerators."""
         g = np.gcd(self.numerators, self.denominator)
         return [f"{p}/{q}" if q != 1 else str(p)
                 for p, q in zip((self.numerators // g).tolist(), (self.denominator // g).tolist())]
 
-    def to_json_dict(self) -> dict:
-        """The ``corelat cores`` document: the summary and one row per point.
+    def row_blocks(self) -> Iterator[list[dict]]:
+        """The rows of the ``corelat cores`` document, ``{"coords", "size"}``
+        and in types A and C ``"partition"``, in blocks of ``ALCOVE_BLOCK``
+        points.
+
+        Each block is the tuples of its slice of ``point_rows``, its slice of
+        the size texts and, in types A and C, one ``cores.from_coroot`` call
+        on its slice of the runner levels.  The levels of all points are one
+        ``models.level_step``, checked whole by ``cores.check_levels`` here,
+        before the first block, so no block raises once a writer has begun."""
+        t, k, texts = self.rs.cartan_type, ALCOVE_BLOCK, self._size_texts
+        starts = range(0, len(self), k)
+        blocks = (zip(_tuples(self.point_rows[lo:lo + k]), texts[lo:lo + k]) for lo in starts)
+        if t.family not in ("A", "C"):
+            return ([{"coords": q, "size": text} for q, text in block] for block in blocks)
+        levels = models.level_step(t)(self.point_rows)
+        a = levels.shape[1]
+        cores.check_levels(a, levels)
+        parts = (cores.from_coroot(a, levels[lo:lo + k]) for lo in starts)
+        return ([{"coords": q, "size": text, "partition": part} for (q, text), part in zip(block, block_parts)]
+                for block, block_parts in zip(blocks, parts))
+
+    def document(self) -> dict:
+        """The ``corelat cores`` document with its ``rows`` as ``row_blocks``,
+        an iterator of blocks that ``cli.to_json`` writes as one list.
 
         The summary sorts the integer numerators over 2 h f; ``max`` and
-        ``argmax`` are ``max_size``'s closed form and w_b^{-1}(0); it raises
-        AssertionError unless the numerators' maximum and one maximizer agree."""
+        ``argmax`` are ``max_size``'s closed form and w_b^{-1}(0).  Every
+        check runs here, before a block is made: AssertionError unless the
+        numerators' maximum and one maximizer agree with them."""
         value, argmax = max_size(self.rs, self.b, self)
-        texts = self._size_texts()
-        rows = []
-        for q, part, text in zip(self.points, self._partitions(), texts):
-            row = {"coords": q, "size": text}
-            if part is not None:
-                row["partition"] = part
-            rows.append(row)
+        texts = self._size_texts
         return {
             "type": str(self.rs.cartan_type),
             "b": self.b,
@@ -295,8 +312,15 @@ class CoreSet:
             "max": str(value),
             "argmax": list(argmax),
             "direct_checked": True,  # enumerate_cores checks every region or raises
-            "rows": rows,
+            "rows": self.row_blocks(),
         }
+
+    def to_json_dict(self) -> dict:
+        """The ``corelat cores`` document: ``document`` with its row blocks
+        joined into one list of rows."""
+        doc = self.document()
+        doc["rows"] = list(chain.from_iterable(doc["rows"]))
+        return doc
 
 
 def region_vertices(rs: RootSystemData, b: int) -> list[tuple[Fraction, ...]]:

@@ -1,10 +1,15 @@
+import contextlib
 import csv
 import enum
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -12,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corelat import affine, cli, cores, ehrhart, rootsys, sommers, verify
+from corelat import affine, cli, cores, ehrhart, models, rootsys, sommers, verify
 
 ROOTS_SCHEMA = {
     "type": "object",
@@ -154,6 +159,15 @@ GOLDEN_STDOUT = {
         "20a7ce60a63712ac395dda4f738265337c867989569e117cdc3df1a33e945b3c",
     ("cores", "D4", "7", "--format", "csv"):
         "1e58d276e4361aa11fa83e69d909008913c8ac265342d4ecab7c6ebb98621bf4",
+    # the benchmark's cores-large job: 29,799 points in 15 row blocks
+    ("cores", "A4", "41"): "c52bcc44f87d0713382ca987c971e2d34d3c81a8796a9570f94c960908ff4b71",
+    # the small regions that test_every_row_block_size_writes_the_pinned_bytes cuts up
+    ("cores", "C3", "7"): "e6892b3db2af23649a8887bc7bfad3d2049996762d4bc83f2efc3430de4e8dbc",
+    ("cores", "C3", "7", "--format", "csv"):
+        "c8a56c280bb1fc8b121fa7547624ac60681208d7b493980df2168a8455317f6d",
+    ("cores", "G2", "13"): "72a8f173724d1d2c96c5bca712944e552e8d54883a30f6c30c6b98c7b5271660",
+    ("cores", "G2", "13", "--format", "csv"):
+        "bb42b77e63e820653049f46c6685113975931f0c8cf8bf395855c5a5b76e183e",
 }
 
 
@@ -162,6 +176,23 @@ def test_stdout_matches_its_golden_digest(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+@pytest.mark.parametrize("argv", [argv for argv in GOLDEN_STDOUT if argv[1:3] in (("A2", "5"), ("C3", "7"), ("G2", "13"))])
+def test_every_row_block_size_writes_the_pinned_bytes(monkeypatch, tmp_path, capsys, block, argv):
+    """Rows cut into blocks of 1, 2, 3 and 7 points, one ``cores.from_coroot``
+    call each in types A and C, write the same bytes to stdout and to --out."""
+    monkeypatch.setattr(sommers, "ALCOVE_BLOCK", block)
+    from_coroot, calls = cores.from_coroot, []
+    monkeypatch.setattr(cores, "from_coroot", lambda a, q: calls.append(len(q)) or from_coroot(a, q))
+    code, out = run(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+    count = sommers.haiman_count(rootsys.build_named(argv[1]), int(argv[2]))
+    assert calls == ([] if argv[1] == "G2" else [min(block, count - lo) for lo in range(0, count, block)])
+    path = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == "" and path.read_text() == out
 
 
 def dumps(doc) -> str:
@@ -278,6 +309,42 @@ def test_writer_equals_json_dumps_on_random_records(doc):
     assert cli.to_json(doc) == dumps(doc)
 
 
+def cut(items: list, cuts: list) -> list:
+    """``items`` cut at the sorted positions ``cuts``: a repeated cut, or one
+    at either end, makes an empty block."""
+    ends = [0, *sorted(cuts), len(items)]
+    return [items[lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+
+ITEMS = RECORDS | st.lists(DOCUMENTS | FLAT_VALUES.map(lambda v: {"a": v}), max_size=6)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(ITEMS.flatmap(lambda items: st.tuples(st.just(items), st.lists(st.integers(0, len(items)), max_size=4))),
+       st.booleans())
+def test_a_stream_of_blocks_is_written_as_their_joined_list(items_and_cuts, in_a_document):
+    """Blocks of records, or of any items, with empty blocks among them:
+    returned as a string, or into a sink that has each nonempty block's
+    text before the next block is read."""
+    items, cuts = items_and_cuts
+    blocks = cut(items, cuts)
+    expected = dumps({"rows": items, "count": len(items)} if in_a_document else items)
+
+    def doc(stream):
+        return {"rows": stream, "count": len(items)} if in_a_document else stream
+
+    assert cli.to_json(doc(iter(blocks))) == expected
+    written, seen = [], []
+
+    def stream():
+        for block in blocks:
+            seen.append(len(written))
+            yield block
+    assert cli.to_json(doc(stream()), written.append) is None
+    assert "".join(written) == expected
+    assert seen == [sum(map(bool, blocks[:j])) for j in range(len(blocks))]
+
+
 def counting_encoder_calls(monkeypatch) -> list:
     """The item count of each call of ``json``'s C encoder that ``cli.to_json`` makes."""
     make_encoder, calls = cli.c_make_encoder, []
@@ -329,6 +396,28 @@ def test_a_record_column_is_encoded_in_blocks_of_bounded_scalars(monkeypatch):
     assert len(calls) > 1 and sum(calls) == 820 and max(calls) * 40 <= cli.COLUMN_BLOCK
 
 
+def test_the_cores_document_is_written_in_less_memory_than_its_text():
+    """``corelat cores A4 41`` writes 14.8 MB in row blocks, to a sink that
+    only counts: nothing holds the whole text, nor every row (the writer
+    once peaked at 52 MB here)."""
+    class Counting:
+        length = 0
+
+        def write(self, text):
+            self.length += len(text)
+
+    sink = Counting()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(["cores", "A4", "41"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.length == 14_761_438
+    assert peak < sink.length
+
+
 def test_a_long_column_of_scalars_takes_one_encoder_call_per_block(monkeypatch):
     calls = counting_encoder_calls(monkeypatch)
     doc = [{"n": i, "s": str(i)} for i in range(2 * cli.COLUMN_BLOCK + 1)]
@@ -365,6 +454,24 @@ def test_out_file_equals_stdout(tmp_path, capsys, argv):
     assert cli.main([*argv, "--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert path.read_text() == out
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_command_quietly():
+    """``corelat cores A4 21 | head -1``: the writes after the reader has
+    gone end the command with exit 0 and nothing on stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "corelat.cli", "cores", "A4", "21"],
+                            env={**os.environ, "PYTHONPATH": path},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 def test_verify_pass_and_schema(capsys):
@@ -657,11 +764,9 @@ def test_a_failed_identity_is_one_failed_line(scan_drops_a_point, capsys, argv):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
-@pytest.mark.parametrize("argv", [["cores", "A2", "5"], ["cores", "A2", "5", "--format", "csv"]])
-def test_a_maximum_off_the_closed_form_is_one_failed_line(monkeypatch, capsys, argv):
-    """Both formats read max and argmax from ``sommers.max_size``: a first
-    point raised above the closed form fails the document instead of being
-    printed as its maximum."""
+@pytest.fixture
+def first_size_raised(monkeypatch):
+    """The first point's size is raised above the closed form of the maximum."""
     numerators = affine.size_numerators
 
     def first_raised(rs, points):
@@ -670,11 +775,66 @@ def test_a_maximum_off_the_closed_form_is_one_failed_line(monkeypatch, capsys, a
         nums[0] += 100 * d
         return d, nums
     monkeypatch.setattr(affine, "size_numerators", first_raised)
+
+
+@pytest.mark.parametrize("argv", [["cores", "A2", "5"], ["cores", "A2", "5", "--format", "csv"]])
+def test_a_maximum_off_the_closed_form_is_one_failed_line(first_size_raised, capsys, argv):
+    """Both formats read max and argmax from ``sommers.max_size``: a first
+    point raised above the closed form fails the document instead of being
+    printed as its maximum."""
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("failed: A2, b=5: maximum-size scan disagrees")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("fixture, argv, code, message", [
+    ("scan_drops_a_point", ["cores", "A2", "5"], 1, "failed: A2, b=5: direct inequality scan disagrees"),
+    ("scan_drops_a_point", ["cores", "A2", "5", "--format", "csv"], 1,
+     "failed: A2, b=5: direct inequality scan disagrees"),
+    ("scan_drops_a_point", ["draw", "A2", "--b", "5"], 1, "failed: A2, b=5: direct inequality scan disagrees"),
+    ("first_size_raised", ["cores", "A2", "5"], 1, "failed: A2, b=5: maximum-size scan disagrees"),
+    ("first_size_raised", ["cores", "A2", "5", "--format", "csv"], 1,
+     "failed: A2, b=5: maximum-size scan disagrees"),
+    (None, ["cores", "A2", "5", "--cap", "2"], 2, "error: predicted count 7 for A2, b=5 exceeds cap 2"),
+    (None, ["cores", "A2", "5", "--format", "csv", "--cap", "2"], 2,
+     "error: predicted count 7 for A2, b=5 exceeds cap 2"),
+], ids=["scan", "scan-csv", "scan-draw", "max", "max-csv", "cap", "cap-csv"])
+def test_a_failed_or_refused_region_creates_no_out_file(request, tmp_path, capsys, fixture, argv, code, message):
+    """Every check of a region runs before the first byte, so --out is never opened."""
+    if fixture:
+        request.getfixturevalue(fixture)
+    path = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_bad_levels_in_a_late_block_stop_the_command_before_its_first_byte(monkeypatch, tmp_path, capsys, out):
+    """The runner levels of every point are checked before the first row
+    block, so an unbalanced last row writes nothing, to stdout or --out."""
+    monkeypatch.setattr(sommers, "ALCOVE_BLOCK", 2)
+    level_step = models.level_step
+
+    def last_row_unbalanced(t):
+        step = level_step(t)
+
+        def shifted(rows):
+            levels = step(rows).copy()
+            levels[-1, 0] += 1
+            return levels
+        return shifted
+    monkeypatch.setattr(models, "level_step", last_row_unbalanced)
+    path = tmp_path / "out"
+    assert cli.main(["cores", "A2", "5", *(["--out", str(path)] if out else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: runner levels (")
+    assert captured.err.endswith(") must sum to zero\n") and captured.err.count("\n") == 1
+    assert not path.exists()
 
 
 def test_a_held_out_mismatch_is_a_counterexample(monkeypatch, capsys):
