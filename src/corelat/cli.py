@@ -18,18 +18,23 @@ lowest terms, never as decimals.
 ``cores`` and ``verify`` each run in one ``sommers.capped`` block: --cap, else CORELAT_CAP.
 Every JSON document goes through ``to_json``, the one writer: it prints what
 ``json.dumps(doc, indent=2, sort_keys=True)`` prints, with ``json``'s C
-encoder writing each container of scalars, and each list of same-keyed
-records column by column, one call per key and block of at most
-``COLUMN_BLOCK`` scalars.  A column's text is split back
-into rows on its item separator, which holds a newline that no encoded
-string holds, with ``]`` before it and ``[`` after it for containers, which
-no scalar ends or starts with.  Every command writes through ``_emit`` into
-a sink, the write of --out or stdout.  The ``cores`` rows come as an
-iterator of blocks of points, and each block's text goes to the sink before
-the next block is made, so neither the rows nor the text are ever held
-whole; every check of the region runs before the first byte.  A reader
-that closes stdout early stops the writing, with nothing on stderr and the
-command's own exit code.
+encoder writing each container of scalars.  Records, same-keyed dicts, are
+written column by column through one column writer.  A list of records is
+turned into its columns once; a column block already is its columns.  A
+column of scalars, or of lists of them, takes one C encoder call per block
+of at most ``COLUMN_BLOCK`` scalars, and its text is split back into rows
+on its item separator, which holds a newline that no encoded string holds,
+with ``]`` before it and ``[`` after it for containers, which no scalar
+ends or starts with.  An int64 column, a 2-D array or a
+``cores.PartitionBlock``, is formatted by ``_int_rows`` with no type scan
+and no Python int per value: each distinct value's text is made once, and
+the rows are cut from one ``str.join`` of the texts.  Every
+command writes through ``_emit`` into a sink, the write of --out or stdout.
+The ``cores`` rows come as an iterator of column blocks of points, and each
+block's text goes to the sink before the next block is made, so neither
+the rows nor the text are ever held whole; every check of the region runs
+before the first byte.  A reader that closes stdout early stops the
+writing, with nothing on stderr and the command's own exit code.
 """
 
 from __future__ import annotations
@@ -41,11 +46,13 @@ import sys
 from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from functools import cache, partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 
-from . import draw, rootsys, sommers, verify
+import numpy as np
+
+from . import cores, draw, rootsys, sommers, verify
 
 FAILED = 1
 USAGE_ERROR = 2
@@ -109,6 +116,39 @@ _ARRAYS = frozenset((list, tuple))
 COLUMN_BLOCK = 2**14
 
 
+def _is_int_column(values) -> bool:
+    """True for a column of int64 rows: a ``cores.PartitionBlock`` or a 2-D int64 array."""
+    return isinstance(values, cores.PartitionBlock) or (
+        isinstance(values, np.ndarray) and values.ndim == 2 and values.dtype == np.int64)
+
+
+def _int_rows(values, sep: str) -> Iterator[str]:
+    """The rows of the int64 column ``values`` (``_is_int_column``), each
+    as the texts of its ints joined by ``sep``.  An int's text is the one
+    ``json`` gives it, made once per distinct value and with no type scan:
+    the dtype is the check.  Values that span fewer ints than they number
+    index a table of that span, any others a table of their ``np.unique``.
+    The texts of all rows are one ``str.join``, cut into rows, as they are
+    read, at the offsets that the texts' lengths give."""
+    if isinstance(values, cores.PartitionBlock):
+        flat, counts = values.lengths, values.rows
+    else:
+        flat, counts = values.ravel(), np.full(len(values), values.shape[1])
+    lo, hi = int(flat.min(initial=0)), int(flat.max(initial=0))
+    if hi - lo < len(flat):
+        distinct, index = np.arange(lo, hi + 1), flat - lo
+    else:
+        distinct, index = np.unique(flat, return_inverse=True)
+    table = np.array(list(map(str, distinct.tolist())), dtype=object)
+    text = sep.join(table[index].tolist())
+    # int k starts at starts[k] of text, and a separator follows each int but the last
+    starts = np.zeros(len(flat) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, table), dtype=np.int64, count=len(table))[index] + len(sep), out=starts[1:])
+    last = counts.cumsum()
+    first = starts[last - counts]
+    return (text[a:b] for a, b in zip(first.tolist(), np.maximum(starts[last] - len(sep), first).tolist()))
+
+
 def to_json(obj, sink: Sink | None = None) -> str | None:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for documents with string
     keys, byte for byte: returned, or with a ``sink`` given to it in pieces.
@@ -118,22 +158,28 @@ def to_json(obj, sink: Sink | None = None) -> str | None:
     values are all ``_SCALARS`` is written by one call of ``json``'s C
     encoder, made once per depth with that depth's item separator.
 
-    A stream, an iterator of lists or tuples, is written as the one list of
-    their items, a block at a time: a sink gets each block's text before the
-    next block is read, so neither the items nor the text are held whole.
+    A stream, an iterator of blocks, is written as the one list of their
+    items, a block at a time: a sink gets each block's text before the next
+    block is read, so neither the items nor the text are held whole.  A
+    block is a list or tuple of items, or a column block: a dict that maps
+    ``str`` keys to equally long columns, and stands for the records whose
+    values at each key are that column's.
 
-    A nonempty list or tuple of records, dicts that share one set of ``str``
-    keys where each key's values are all ``_SCALARS``, or all lists or tuples
-    of them, is written column by column, and so is each block of records of
-    a stream: for each sorted key, the C encoder writes the rows' values at
-    that value's depth, in calls of whole values of at most ``COLUMN_BLOCK``
-    scalars each unless one value alone has more; the text is split back
-    into rows on the item separator ``"," + inner`` (scalars) or on
-    ``"]," + inner + "["`` (containers), and the rows are laid out around
-    the columns, an empty container as ``[]``.  The split cannot cut inside
-    a value: each separator holds a newline, which ``encode_basestring_ascii``
-    escapes in every string, and no scalar ends with ``]`` or starts with
-    ``[``.  Only the other containers are walked."""
+    Records are written column by column: a column block, and a nonempty
+    list or tuple of dicts that share one set of ``str`` keys, turned into
+    its columns once.  A column is an int64 column (``_is_int_column``),
+    whose rows are lists of ints and are formatted by ``_int_rows``, or a
+    list of values that are all ``_SCALARS``, or all lists or tuples of
+    them.  For such a list the C encoder writes the values at their depth,
+    in calls of whole values of at most ``COLUMN_BLOCK`` scalars each unless
+    one value alone has more; the text is split back into values on the
+    item separator ``"," + inner`` (scalars) or on ``"]," + inner + "["``
+    (containers).  The split cannot cut inside a value: each separator holds
+    a newline, which ``encode_basestring_ascii`` escapes in every string,
+    and no scalar ends with ``]`` or starts with ``[``.  The rows are laid
+    out around the columns' texts, an empty container as ``[]``.  Records
+    with another column are walked; a column block with one raises
+    TypeError.  Only the other containers are walked."""
     chunks: list[str] = []
     flat: dict = {}  # inner indent -> C encoder for a container of scalars
 
@@ -146,11 +192,15 @@ def to_json(obj, sink: Sink | None = None) -> str | None:
                                                    ": ", "," + inner, True, False, True)
         return "".join(encoder(values, 0))  # more than one chunk past ~50,000 items
 
-    def column(values: list, inner: str):
+    def column(values, inner: str):
         """Each value's text as a record value at item indent ``inner``; None
-        unless the values are all scalars, or all flat lists or tuples of
-        scalars.  The C encoder writes the values in blocks of whole values,
-        at most ``COLUMN_BLOCK`` scalars each unless one value alone has more."""
+        unless ``values`` is an int64 column, or a list whose values are all
+        scalars, or all flat lists or tuples of scalars.  The C encoder writes
+        a list in blocks of whole values, at most ``COLUMN_BLOCK`` scalars
+        each unless one value alone has more."""
+        items = inner + "  "
+        if _is_int_column(values):
+            return [f"[{items}{p}{inner}]" if p else "[]" for p in _int_rows(values, "," + items)]
         kinds = set(map(type, values))
         texts: list[str] = []
         if kinds <= _SCALARS:
@@ -159,7 +209,6 @@ def to_json(obj, sink: Sink | None = None) -> str | None:
             return texts
         if not kinds <= _ARRAYS or not _SCALARS.issuperset(map(type, chain.from_iterable(values))):
             return None
-        items = inner + "  "
         ends, lo = list(accumulate(map(len, values))), 0  # ends[i]: the scalars of values[:i + 1]
         while lo < len(values):
             hi = max(lo + 1, bisect_right(ends, (ends[lo - 1] if lo else 0) + COLUMN_BLOCK))
@@ -167,51 +216,68 @@ def to_json(obj, sink: Sink | None = None) -> str | None:
             lo = hi
         return [f"[{items}{p}{inner}]" if p else "[]" for p in texts]
 
-    def write_records(rows, indent: str, lead: str) -> bool:
-        """Write ``rows`` column by column if they are records, the first
-        after ``lead`` and the last left open; else False."""
-        if set(map(type, rows)) != {dict}:
-            return False
-        keys = rows[0].keys()
-        if not keys or not all(type(k) is str for k in keys) or not all(map(keys.__eq__, map(dict.keys, rows))):
+    def record_columns(block, field: str):
+        """(sorted keys, each key's column of value texts at item indent
+        ``field``) of a column block, or of a list or tuple of records; None
+        for any other list or tuple."""
+        if isinstance(block, dict):
+            columns = block
+        else:
+            if set(map(type, block)) != {dict}:
+                return None
+            keys = block[0].keys()
+            if not keys or not all(type(k) is str for k in keys) or not all(map(keys.__eq__, map(dict.keys, block))):
+                return None
+            columns = {key: list(map(itemgetter(key), block)) for key in keys}
+        keys = sorted(columns)
+        texts = []
+        for key in keys:
+            if (values := column(columns[key], field)) is None:
+                if columns is block:
+                    raise TypeError(f"column {key!r} of a column block is neither int64 rows nor a list of scalars")
+                return None
+            texts.append(values)
+        return keys, texts
+
+    def write_rows(keys: list[str], texts: list[list[str]], indent: str, lead: str) -> bool:
+        """Write the records whose value texts are the columns ``texts``, the
+        first after ``lead`` and the last left open; False if there are none."""
+        n = len(texts[0]) if texts else 0
+        if not n:
             return False
         inner = indent + "  "
         field = inner + "  "
-        keys = sorted(keys)
-        columns = []
-        for key in keys:
-            texts = column(list(map(itemgetter(key), rows)), field)
-            if texts is None:
-                return False
-            columns.append(texts)
         # row i is pieces[i * width:(i + 1) * width]: each key's head, then its text
         opening = f"{{{field}{encode_basestring_ascii(keys[0])}: "
         heads = [f"{inner}}},{inner}{opening}"] + [f",{field}{encode_basestring_ascii(key)}: " for key in keys[1:]]
-        width, n = 2 * len(keys), len(rows)
+        width = 2 * len(keys)
         pieces = [""] * (width * n)
-        for k, (head, texts) in enumerate(zip(heads, columns)):
+        for k, (head, column_texts) in enumerate(zip(heads, texts)):
             pieces[2 * k::width] = [head] * n
-            pieces[2 * k + 1::width] = texts
+            pieces[2 * k + 1::width] = column_texts
         pieces[0] = lead + opening
         chunks.extend(pieces)
         return True
 
     def write_list(blocks, indent: str, stream: bool) -> None:
-        """Write the items of ``blocks``, lists or tuples, as one list: a block
-        of records by ``write_records``, any other item by ``write``.  In a
-        ``stream`` each block's text goes to the sink before the next is read."""
+        """Write the items of ``blocks`` as one list: records by
+        ``write_rows``, any other item by ``write``.  In a ``stream`` each
+        nonempty block's text goes to the sink before the next is read."""
         inner = indent + "  "
         lead, close = "[" + inner, None  # text before the next item; after the last
         for block in blocks:
-            if not block:
-                continue
-            if write_records(block, indent, lead):
+            columns = record_columns(block, inner + "  ")
+            if columns is not None:
+                if not write_rows(*columns, indent, lead):
+                    continue
                 lead, close = f"{inner}}},{inner}", inner + "}" + indent + "]"
-            else:
+            elif block:
                 for item in block:
                     chunks.append(lead)
                     write(item, inner)
                     lead, close = "," + inner, indent + "]"
+            else:
+                continue
             if stream and sink is not None:
                 sink("".join(chunks))
                 chunks.clear()
@@ -261,13 +327,14 @@ def cmd_roots(args) -> int:
 
 
 def _write_csv(blocks, write: Sink) -> None:
-    """The CSV of the ``rows`` blocks of a ``corelat cores`` document, one
-    write per block: coordinates, size and the partition with its commas
-    as spaces, no partition outside types A and C."""
+    """The CSV of the ``rows`` column blocks of a ``corelat cores`` document,
+    one write per block: coordinates, size and the partition with its
+    commas as spaces, no partition outside types A and C."""
     write("coords,size,partition")
     for block in blocks:
-        write("".join(f"\n\"{row['coords']}\",{row['size']},"
-                      + json.dumps(row.get("partition", "")).replace(",", " ") for row in block))
+        coords = map(str, map(tuple, block["coords"].tolist()))
+        parts = (f"[{p}]" for p in _int_rows(block["partition"], "  ")) if "partition" in block else repeat('""')
+        write("".join(f'\n"{q}",{size},{part}' for q, size, part in zip(coords, block["size"], parts)))
 
 
 def cmd_cores(args) -> int:

@@ -10,10 +10,13 @@ Its coroot-lattice points generalize simultaneous (a, b)-cores: in type
 A_{a-1} they are exactly the (a, b)-cores under the abacus bijection.
 A ``CoreSet`` holds its points in one form, the sorted int64 rows, and
 maps them to runner levels in one ``models.level_step`` (the type-A ambient
-tuples, or the type-C model images) and to partitions with one
-``cores.from_coroot`` call per block of ``ALCOVE_BLOCK`` points, the blocks
-of rows in which ``corelat cores`` writes its document.  ``simultaneous_selfconjugate`` certifies the
-same partitions on one ``cores.coroot_block`` at b.
+tuples, or the type-C model images).  ``corelat cores`` writes its rows
+from column blocks of ``ALCOVE_BLOCK`` points (``CoreSet.row_blocks``): the
+int64 rows, the size texts and one ``cores.abacus_block`` of partitions
+each, with no Python object per point.  The library views, ``CoreSet.rows()``
+and ``CoreSet.to_json_dict()``, read the partitions of one
+``cores.from_coroot`` call, and ``simultaneous_selfconjugate`` certifies
+them on one ``cores.coroot_block`` at b.
 
 ``enumerate_cores`` computes the point set two independent ways — by
 mapping the dilated-alcove points through the inverse dilation element,
@@ -260,9 +263,16 @@ class CoreSet:
         return zip(self.points, self.sizes, self._partitions())
 
     def _partitions(self) -> list[tuple[int, ...] | None]:
-        """The partition of each point, or None outside types A and C: the
-        view of ``row_blocks``."""
-        return [row.get("partition") for row in chain.from_iterable(self.row_blocks())]
+        """The partition of each point, or None outside types A and C: one
+        ``cores.from_coroot`` on the runner levels of all points."""
+        levels = self._levels()
+        return [None] * len(self) if levels is None else cores.from_coroot(levels.shape[1], levels)
+
+    def _levels(self) -> np.ndarray | None:
+        """The runner levels of all points, one ``models.level_step``, in
+        types A and C: the type-A ambient tuples or the type-C model images."""
+        t = self.rs.cartan_type
+        return models.level_step(t)(self.point_rows) if t.family in ("A", "C") else None
 
     @cached_property
     def _size_texts(self) -> list[str]:
@@ -271,31 +281,33 @@ class CoreSet:
         return [f"{p}/{q}" if q != 1 else str(p)
                 for p, q in zip((self.numerators // g).tolist(), (self.denominator // g).tolist())]
 
-    def row_blocks(self) -> Iterator[list[dict]]:
-        """The rows of the ``corelat cores`` document, ``{"coords", "size"}``
-        and in types A and C ``"partition"``, in blocks of ``ALCOVE_BLOCK``
-        points.
+    def row_blocks(self) -> Iterator[dict]:
+        """The rows of the ``corelat cores`` document as column blocks of
+        ``ALCOVE_BLOCK`` points each: the record keys ``"coords"``,
+        ``"size"`` and in types A and C ``"partition"``, mapped to their
+        columns, which ``cli.to_json`` writes as the records.
 
-        Each block is the tuples of its slice of ``point_rows``, its slice of
-        the size texts and, in types A and C, one ``cores.from_coroot`` call
-        on its slice of the runner levels.  The levels of all points are one
-        ``models.level_step``, checked whole by ``cores.check_levels`` here,
-        before the first block, so no block raises once a writer has begun."""
-        t, k, texts = self.rs.cartan_type, ALCOVE_BLOCK, self._size_texts
-        starts = range(0, len(self), k)
-        blocks = (zip(_tuples(self.point_rows[lo:lo + k]), texts[lo:lo + k]) for lo in starts)
-        if t.family not in ("A", "C"):
-            return ([{"coords": q, "size": text} for q, text in block] for block in blocks)
-        levels = models.level_step(t)(self.point_rows)
-        a = levels.shape[1]
-        cores.check_levels(a, levels)
-        parts = (cores.from_coroot(a, levels[lo:lo + k]) for lo in starts)
-        return ([{"coords": q, "size": text, "partition": part} for (q, text), part in zip(block, block_parts)]
-                for block, block_parts in zip(blocks, parts))
+        A block's ``coords`` is its int64 slice of ``point_rows``, its
+        ``size`` its slice of the size texts and its ``partition`` one
+        ``cores.abacus_block`` on its slice of the runner levels: no Python
+        object per point.  The levels (``_levels``) are checked whole by
+        ``cores.check_levels`` here, before the first block, so no block
+        raises once a writer has begun."""
+        k, texts, levels = ALCOVE_BLOCK, self._size_texts, self._levels()
+        if levels is not None:
+            cores.check_levels(levels.shape[1], levels)
+
+        def block(lo: int) -> dict:
+            columns = {"coords": self.point_rows[lo:lo + k], "size": texts[lo:lo + k]}
+            if levels is not None:
+                columns["partition"] = cores.abacus_block(levels.shape[1], levels[lo:lo + k])
+            return columns
+        return map(block, range(0, len(self), k))
 
     def document(self) -> dict:
         """The ``corelat cores`` document with its ``rows`` as ``row_blocks``,
-        an iterator of blocks that ``cli.to_json`` writes as one list.
+        an iterator of column blocks that ``cli.to_json`` writes as one list
+        of records.
 
         The summary sorts the integer numerators over 2 h f; ``max`` and
         ``argmax`` are ``max_size``'s closed form and w_b^{-1}(0).  Every
@@ -316,10 +328,12 @@ class CoreSet:
         }
 
     def to_json_dict(self) -> dict:
-        """The ``corelat cores`` document: ``document`` with its row blocks
-        joined into one list of rows."""
+        """The ``corelat cores`` document with its rows as one list of
+        dicts: ``points``, the size texts and ``_partitions``."""
         doc = self.document()
-        doc["rows"] = list(chain.from_iterable(doc["rows"]))
+        keys = ("coords", "size", "partition")
+        doc["rows"] = [{key: value for key, value in zip(keys, row) if value is not None}
+                       for row in zip(self.points, self._size_texts, self._partitions())]
         return doc
 
 
@@ -395,7 +409,7 @@ def max_size(rs: RootSystemData, b: int, coreset: CoreSet | None = None):
     nums = coreset.numerators
     top = int(nums.max())
     scan_max = Fraction(top, coreset.denominator)
-    winners = _tuples(coreset.point_rows[nums == top])
+    winners = [tuple(row) for row in coreset.point_rows[nums == top].tolist()]
     if scan_max != value or winners != [tuple(argmax)]:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: maximum-size scan disagrees with the closed form "

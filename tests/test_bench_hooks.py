@@ -84,7 +84,7 @@ def test_tracer_sees_every_layer_of_the_cores_command(capsys):
     for sid, name, _, _, _ in tracer.spans:
         spans.setdefault(name, []).append(sid)
     assert len(spans.get("affine.size_lattice_total", [])) == 0
-    assert len(spans["cores.from_coroot"]) == 1
+    assert "cores.from_coroot" not in spans
     (main,), (top,) = spans["cli.main"], spans["sommers.enumerate_cores"]
     assert parent[main] == -1 and parent[top] == main
     assert [parent[sid] for sid in spans["sommers.enumerate_alcove"]] == [top]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import jsonschema
@@ -181,11 +182,11 @@ def test_stdout_matches_its_golden_digest(capsys, argv):
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 @pytest.mark.parametrize("argv", [argv for argv in GOLDEN_STDOUT if argv[1:3] in (("A2", "5"), ("C3", "7"), ("G2", "13"))])
 def test_every_row_block_size_writes_the_pinned_bytes(monkeypatch, tmp_path, capsys, block, argv):
-    """Rows cut into blocks of 1, 2, 3 and 7 points, one ``cores.from_coroot``
+    """Rows cut into blocks of 1, 2, 3 and 7 points, one ``cores.abacus_block``
     call each in types A and C, write the same bytes to stdout and to --out."""
     monkeypatch.setattr(sommers, "ALCOVE_BLOCK", block)
-    from_coroot, calls = cores.from_coroot, []
-    monkeypatch.setattr(cores, "from_coroot", lambda a, q: calls.append(len(q)) or from_coroot(a, q))
+    abacus_block, calls = cores.abacus_block, []
+    monkeypatch.setattr(cores, "abacus_block", lambda a, levels: calls.append(len(levels)) or abacus_block(a, levels))
     code, out = run(capsys, *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
     count = sommers.haiman_count(rootsys.build_named(argv[1]), int(argv[2]))
@@ -193,6 +194,60 @@ def test_every_row_block_size_writes_the_pinned_bytes(monkeypatch, tmp_path, cap
     path = tmp_path / "out"
     assert cli.main([*argv, "--out", str(path)]) == 0
     assert capsys.readouterr().out == "" and path.read_text() == out
+
+
+ORACLE_TYPES = ("A2", "A3", "A4", "A5", "B2", "B3", "C2", "C3", "D4", "G2", "F4")
+
+
+def stdout_of(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(ORACLE_TYPES).flatmap(lambda name: st.tuples(
+           st.just(name), st.sampled_from([b for b in range(1, 14)
+                                           if gcd(b, rootsys.build_named(name).coxeter_number) == 1]))),
+       st.sampled_from([1, 2, 3, 7, 2**11]))
+def test_the_row_stream_equals_the_row_dict_oracle(name_and_b, block):
+    """``corelat cores`` writes its column blocks as ``json.dumps`` writes the
+    row dicts of ``CoreSet.to_json_dict``, and its CSV as the lines of
+    ``CoreSet.rows()``, whatever the block size."""
+    name, b = name_and_b
+    coreset = sommers.enumerate_cores(rootsys.build_named(name), b)
+    lines = ["coords,size,partition"] + [
+        f'"{q}",{size},' + ('""' if part is None else json.dumps(list(part)).replace(",", " "))
+        for q, size, part in coreset.rows()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sommers, "ALCOVE_BLOCK", block)
+        assert stdout_of("cores", name, str(b)) == dumps(coreset.to_json_dict()) + "\n"
+        assert stdout_of("cores", name, str(b), "--format", "csv") == "\n".join(lines) + "\n"
+
+
+def test_the_json_rows_are_written_with_no_tuple_or_partition_per_row(monkeypatch, capsys):
+    """Once the region is enumerated, ``corelat cores`` writes its golden
+    bytes with no tuple view of the points and no partition tuples.  The
+    ban starts after ``enumerate_cores``, whose alcove walk goes through
+    its own tuple view, ``sommers.enumerate_alcove``."""
+    enumerate_cores = sommers.enumerate_cores
+
+    def refuse(*args):
+        raise AssertionError("a per-row object was built")
+
+    def enumerate_then_refuse(rs, b):
+        coreset = enumerate_cores(rs, b)
+        monkeypatch.setattr(sommers, "_tuples", refuse)
+        monkeypatch.setattr(cores.PartitionBlock, "partitions", refuse)
+        monkeypatch.setattr(cores, "from_coroot", refuse)
+        return coreset
+
+    monkeypatch.setattr(sommers, "enumerate_cores", enumerate_then_refuse)
+    code, out = run(capsys, "cores", "A4", "11")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[("cores", "A4", "11")]
+    with pytest.raises(AssertionError, match="per-row"):
+        cores.from_coroot(5, (0,) * 5)
 
 
 def dumps(doc) -> str:
@@ -343,6 +398,55 @@ def test_a_stream_of_blocks_is_written_as_their_joined_list(items_and_cuts, in_a
     assert cli.to_json(doc(stream()), written.append) is None
     assert "".join(written) == expected
     assert seen == [sum(map(bool, blocks[:j])) for j in range(len(blocks))]
+
+
+def column_block(rows: list[dict]) -> dict:
+    """The column block of rows ``{"coords", "size"}``, with or without ``"partition"``."""
+    block = {"coords": np.array([row["coords"] for row in rows], dtype=np.int64).reshape(len(rows), -1),
+             "size": [row["size"] for row in rows]}
+    if rows and "partition" in rows[0]:
+        block["partition"] = cores.PartitionBlock.of([row["partition"] for row in rows])
+    return block
+
+
+BIG = 2**62
+COLUMN_ROWS = {
+    "negative coords": [{"coords": [-3, 0, 5], "size": "1"}, {"coords": [-1, -20, -7], "size": "2/3"}],
+    "empty partitions first and last": [
+        {"coords": [0, 0], "partition": [], "size": "0"},
+        {"coords": [1, -1], "partition": [3, 1], "size": "4"},
+        {"coords": [-1, 1], "partition": [1, 1, 1], "size": "3"},
+        {"coords": [2, -2], "partition": [], "size": "0"}],
+    "all partitions empty": [{"coords": [i, -i], "partition": [], "size": "0"} for i in range(3)],
+    "one row": [{"coords": [7, -7, 0], "partition": [2, 2, 1], "size": "5"}],
+    "one coordinate": [{"coords": [4], "partition": [1], "size": "1"}, {"coords": [-4], "partition": [], "size": "0"}],
+    "near 2**62": [{"coords": [BIG, -BIG, BIG - 1], "partition": [BIG, BIG - 1, 1], "size": "x"},
+                   {"coords": [-BIG + 1, 0, 2**63 - 1], "partition": [2**63 - 1], "size": "y"}],
+}
+
+
+@pytest.mark.parametrize("name", list(COLUMN_ROWS))
+def test_a_column_block_is_written_as_its_rows(name):
+    rows = COLUMN_ROWS[name]
+    assert cli.to_json(iter([column_block(rows)])) == dumps(rows)
+    assert cli.to_json({"rows": iter([column_block(rows)]), "count": len(rows)}) == dumps({"rows": rows, "count": len(rows)})
+
+
+def test_column_blocks_mix_with_empty_blocks_in_a_stream():
+    rows = COLUMN_ROWS["empty partitions first and last"] + COLUMN_ROWS["one row"] + COLUMN_ROWS["near 2**62"]
+    empty = {"coords": np.zeros((0, 3), dtype=np.int64), "partition": cores.PartitionBlock.of([]), "size": []}
+    blocks = [[], column_block(rows[:1]), empty, column_block(rows[1:4]), [], rows[4:5], column_block(rows[5:]), empty]
+    expected = dumps({"rows": rows})
+    assert cli.to_json({"rows": iter(blocks)}) == expected
+    written = []
+    assert cli.to_json({"rows": iter(blocks)}, written.append) is None
+    assert "".join(written) == expected and len(written) == 5  # one write per nonempty block, then the rest
+
+
+@pytest.mark.parametrize("coords", [np.zeros((2, 2), dtype=np.int32), np.zeros((2, 2)), np.zeros(2, dtype=np.int64)])
+def test_a_column_block_with_no_writable_column_raises(coords):
+    with pytest.raises(TypeError, match="'coords'"):
+        cli.to_json(iter([{"coords": coords, "size": ["0", "1"]}]))
 
 
 def counting_encoder_calls(monkeypatch) -> list:
