@@ -578,6 +578,31 @@ def _to_dominant(rs: RootSystemData, vals: list) -> list[int]:
     return applied
 
 
+def dominant_rows(rs: RootSystemData, v: np.ndarray) -> np.ndarray:
+    """The simple-root pairings of the dominant W-conjugate of each row's
+    vector, from the int64 rows ``v`` of its pairings: ``_to_dominant`` in
+    sweeps over the block.  A sweep takes each row with a negative entry,
+    at its lowest-index one j, to v - v_j A[:, j].
+
+    Each sweep makes one more positive root pair positively with every row
+    it moves, so the sweeps end within |Phi+| passes.  Every entry a sweep
+    forms is a pairing with a root, within (h - 1) max|v|, and an update
+    forms it from a product with an entry of A, so every value is within
+    (h - 1) max|v| (1 + max|A|); that bound is asserted once, up front."""
+    a = np.array(rs.cartan_matrix, dtype=np.int64)
+    assert (rs.coxeter_number - 1) * linalg.peak(v) * (1 + linalg.peak(a)) < linalg.INT64_LIMIT, \
+        "int64 bound of the dominant sweep"
+    v, passes = v.copy(), len(rs.positive_roots)
+    for _ in range(passes):
+        rows = np.flatnonzero((v < 0).any(axis=1))
+        if not len(rows):
+            break
+        j = (v[rows] < 0).argmax(axis=1)
+        v[rows] -= v[rows, j][:, None] * a[:, j].T
+    assert (v >= 0).all(), f"the dominant sweep in {rs.cartan_type} took more than {passes} passes"
+    return v
+
+
 def alcove_reduce(rs: RootSystemData, x):
     """Map x into the open fundamental alcove.
 
@@ -639,46 +664,3 @@ def compute_w_b(rs: RootSystemData, b: int) -> AffineElement:
     if y != expected:
         raise AssertionError(f"alcove reduction of b*rho/h missed rho/h for {rs.cartan_type}, b={b}")
     return u.inverse()
-
-
-# ---------------------------------------------------------------------------
-# Inversion sets without words and dominant representatives
-# ---------------------------------------------------------------------------
-
-def inversion_set(el: AffineElement) -> frozenset[AffineRoot]:
-    """inv(w~) = {beta in positive affine roots : w~^-1(beta) < 0}.
-
-    Computed in closed form from the semidirect decomposition of w~^-1:
-    for a finite root alpha and c = <alpha, q'>, the inversions above alpha
-    are the k in [k_min, c), plus k = c when w'(alpha) < 0.
-    """
-    rs = el.rs
-    inv = el.inverse()
-    q1 = inv.translation
-    out = []
-    for root in rs.positive_roots:
-        for sign in (1, -1):
-            coeffs = root.coeffs if sign == 1 else tuple(-x for x in root.coeffs)
-            cutoff = sign * rootsys.pairing(rs, q1, root)
-            k_min = 0 if sign == 1 else 1
-            for k in range(k_min, cutoff):
-                out.append(AffineRoot(coeffs, k))
-            if cutoff >= k_min:
-                image = linalg.matvec(inv.root_m, coeffs)
-                if not AffineRoot(image, 0).is_positive():
-                    out.append(AffineRoot(coeffs, cutoff))
-    return frozenset(out)
-
-
-def dominant_representative(rs: RootSystemData, q) -> AffineElement:
-    """The dominant element w~ with w~^-1(0) = q.
-
-    Dominant means w~ maps the fundamental alcove into the dominant cone;
-    it is found by W-reducing a generic interior point of t_{-q}(alcove).
-    """
-    h = rs.coxeter_number
-    x = tuple(Fraction(c) / h - qi for c, qi in zip(rs.rho_check_coords, q))
-    vals = [sum(c * xl for c, xl in zip(row, x)) for row in rs.cartan_matrix]
-    shift = translation_element(rs, tuple(-qi for qi in q))
-    return word_to_element(rs, _to_dominant(rs, vals)[::-1]).compose(shift)
-

@@ -447,22 +447,38 @@ def check_fg_poly() -> list:
     return _counterexamples(cases())
 
 
-def check_conjecture(matrix=(("A2", (2, 4)), ("C2", (3, 5)), ("G2", (5, 7)))) -> list:
-    """Weak-order maximality of w_b, as evidence: inv(w~_q) is contained in
-    inv(w_b) for the dominant representative w~_q of every q in the b-region,
-    and w_b is that of w_b^-1(0).  A failing point is a (q, reason) pair."""
+def check_conjecture(matrix=None) -> list:
+    """Weak-order maximality of w_b, as evidence: for the dominant
+    representative w~_q of every q in the b-region, inv(w~_q) lies in
+    inv(w_b), and w_b is that of q* = w_b^-1(0).  The inversions of a
+    dominant alcove with interior point y are the H_{alpha,k}, alpha > 0 and
+    1 <= k <= floor(<y, alpha>); w~_q has y_q, the dominant conjugate of
+    rhocheck/h - q, and w_b has b rhocheck/h.  So a case is one block: the
+    pairings h <y_q, alpha_j> from 1 - h <q, alpha_j> by
+    ``affine.dominant_rows``, one product with the positive roots, and
+    floor(<y_q, alpha>) <= floor(b ht(alpha) / h); q*'s row must pair to
+    (b, ..., b).  A failing point is a (q, reason) pair, the reason the
+    first three sorted -alpha + k delta of inv(w~_q) - inv(w_b).  The
+    default is every ``ALL_FAMILY_NAMES`` type at b = h - 1 and h + 1, each
+    h read when the suite runs."""
+    if matrix is None:
+        matrix = [(t, (h - 1, h + 1)) for t in ALL_FAMILY_NAMES for h in [build_named(t).coxeter_number]]
+
     def check(rs, b):
-        points = sommers.enumerate_cores(rs, b).points
-        wb = affine.compute_w_b(rs, b)
-        wb_inv_set = affine.inversion_set(wb)
-        q_star = wb.inverse()((0,) * rs.rank)
+        h, roots = rs.coxeter_number, [r.coeffs for r in rs.positive_roots]
+        rows = sommers.enumerate_cores(rs, b).point_rows
+        pairings = linalg.AffineRows([[-h * x for x in row] for row in rs.cartan_matrix], [1] * rs.rank)(rows)
+        dominant = affine.dominant_rows(rs, pairings)
+        floors = linalg.AffineRows(roots, [0] * len(roots))(dominant) // h
+        tops = [b * r.height // h for r in rs.positive_roots]
+        q_star = affine.compute_w_b(rs, b).inverse()((0,) * rs.rank)
+        moved, over = (rows == q_star).all(axis=1) & (dominant != b).any(axis=1), floors > tops
         found = []
-        for q in points:
-            el = affine.dominant_representative(rs, q)
-            if q == q_star and el.key() != wb.key():
-                found.append((q, "w_b is not the dominant representative"))
-            elif extra := affine.inversion_set(el) - wb_inv_set:
-                found.append((q, sorted(extra)[:3]))
+        for r in np.flatnonzero(moved | over.any(axis=1)).tolist():
+            extra = [affine.AffineRoot(tuple(-c for c in roots[j]), k) for j in np.flatnonzero(over[r]).tolist()
+                     for k in range(tops[j] + 1, floors[r, j] + 1)]
+            found.append((tuple(rows[r].tolist()),
+                          "w_b is not the dominant representative" if moved[r] else sorted(extra)[:3]))
         if found:
             yield {"counterexamples": [str(c) for c in found]}
     return _counterexamples(_by_type_and_b(matrix, check))

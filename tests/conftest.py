@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from corelat import affine
+from corelat import affine, linalg, rootsys
+from corelat.affine import AffineRoot
 
 
 def gauss_jordan_inverse(a):
@@ -35,6 +36,66 @@ def one_letter_at_a_time(rng, rs, max_len):
         prefix = prefix.compose(affine.letter_element(rs, i))
         letters.append(i)
     return tuple(letters)
+
+
+# ---------------------------------------------------------------------------
+# Inversion sets without words and dominant representatives: the per-point
+# oracle of ``verify conjecture``'s block route
+# ---------------------------------------------------------------------------
+
+def inversion_set(el):
+    """inv(w~) = {beta in positive affine roots : w~^-1(beta) < 0}.
+
+    Computed in closed form from the semidirect decomposition of w~^-1:
+    for a finite root alpha and c = <alpha, q'>, the inversions above alpha
+    are the k in [k_min, c), plus k = c when w'(alpha) < 0.
+    """
+    rs = el.rs
+    inv = el.inverse()
+    q1 = inv.translation
+    out = []
+    for root in rs.positive_roots:
+        for sign in (1, -1):
+            coeffs = root.coeffs if sign == 1 else tuple(-x for x in root.coeffs)
+            cutoff = sign * rootsys.pairing(rs, q1, root)
+            k_min = 0 if sign == 1 else 1
+            for k in range(k_min, cutoff):
+                out.append(AffineRoot(coeffs, k))
+            if cutoff >= k_min:
+                image = linalg.matvec(inv.root_m, coeffs)
+                if not AffineRoot(image, 0).is_positive():
+                    out.append(AffineRoot(coeffs, cutoff))
+    return frozenset(out)
+
+
+def dominant_representative(rs, q):
+    """The dominant element w~ with w~^-1(0) = q.
+
+    Dominant means w~ maps the fundamental alcove into the dominant cone;
+    it is found by W-reducing a generic interior point of t_{-q}(alcove).
+    """
+    h = rs.coxeter_number
+    x = tuple(Fraction(c) / h - qi for c, qi in zip(rs.rho_check_coords, q))
+    vals = [sum(c * xl for c, xl in zip(row, x)) for row in rs.cartan_matrix]
+    shift = affine.translation_element(rs, tuple(-qi for qi in q))
+    return affine.word_to_element(rs, affine._to_dominant(rs, vals)[::-1]).compose(shift)
+
+
+def conjecture_records(rs, b, points, q_star):
+    """``verify conjecture``'s counterexample strings for ``points`` by the
+    per-point route: a point fails when it is ``q_star`` and its dominant
+    representative is not w_b, else when its dominant representative has an
+    inversion outside inv(w_b); the reason is then the first three of those."""
+    wb = affine.compute_w_b(rs, b)
+    wb_set = inversion_set(wb)
+    found = []
+    for q in points:
+        el = dominant_representative(rs, q)
+        if q == q_star and el.key() != wb.key():
+            found.append((q, "w_b is not the dominant representative"))
+        elif extra := inversion_set(el) - wb_set:
+            found.append((q, sorted(extra)[:3]))
+    return [str(c) for c in found]
 
 
 @pytest.fixture

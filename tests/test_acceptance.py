@@ -226,9 +226,9 @@ def test_criterion_10_series_identity():
 
 def test_criterion_11_weak_order_maximality_evidence():
     """Evidence-level check (not a proof): no weak-order counterexamples on
-    {A2, C2, G2} at the two smallest valid b."""
+    every type of rank <= 8 at b = h - 1 and h + 1."""
     failures = verify.check_conjecture()
-    report(11, not failures, "zero counterexamples on A2 (b=2,4), C2 (b=3,5), G2 (b=5,7)"
+    report(11, not failures, "zero counterexamples on every type of rank <= 8 at b = h - 1, h + 1"
            + (f"; failures: {failures}" if failures else ""))
 
 

@@ -1,11 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import one_letter_at_a_time
+from conftest import conjecture_records, dominant_representative, inversion_set, one_letter_at_a_time
 
-from corelat import affine, verify
+from corelat import affine, sommers, verify
 from corelat.affine import (
     AffineRoot,
     AffineWord,
@@ -384,15 +385,15 @@ def test_inversion_set_matches_word_sequence():
         for _ in range(25):
             word = one_letter_at_a_time(rng, rs, 9)
             el = affine.word_to_element(rs, word)
-            assert affine.inversion_set(el) == frozenset(inversion_sequence(rs, word))
+            assert inversion_set(el) == frozenset(inversion_sequence(rs, word))
 
 
 def test_dominant_representative():
     for name in ("A2", "C2"):
         rs = build_named(name)
-        assert affine.dominant_representative(rs, (0,) * rs.rank).is_identity()
+        assert dominant_representative(rs, (0,) * rs.rank).is_identity()
         q = (1, 1)
-        el = affine.dominant_representative(rs, q)
+        el = dominant_representative(rs, q)
         assert el.inverse()((0,) * rs.rank) == q
         # image of an interior alcove point is strictly dominant
         x = el(tuple(c - qi for c, qi in zip(rho_over_h(rs), q)))
@@ -404,6 +405,55 @@ def test_wb_maximality_small():
     for name, b, count in (("A2", 4, 5), ("C2", 5, 6), ("A2", 1, 1)):
         assert verify.check_conjecture(((name, (b,)),)) == []
         assert len(enumerate_cores(build_named(name), b)) == count
+
+
+def read_as_region(monkeypatch, rs, b, points):
+    """Make ``sommers.enumerate_cores`` give ``points`` as the b-region of ``rs``."""
+    coreset = dataclasses.replace(enumerate_cores(rs, b), point_rows=np.array(points, dtype=np.int64))
+    monkeypatch.setattr(sommers, "enumerate_cores", lambda rs, b: coreset)
+
+
+def test_conjecture_reports_a_failing_point_as_the_oracle_does(monkeypatch):
+    g2 = build_named("G2")
+    points = [*enumerate_cores(g2, 7).points, (2, -2)]
+    expected = conjecture_records(g2, 7, points, compute_w_b(g2, 7).inverse()((0, 0)))
+    # (2, -2) lies outside the region, and 13 of its inversions outside inv(w_7)
+    assert expected == [str(((2, -2), [AffineRoot((-3, -2), k) for k in (6, 7, 8)]))]
+    read_as_region(monkeypatch, g2, 7, points)
+    assert verify.check_conjecture((("G2", (7,)),)) == [{"type": "G2", "b": 7, "counterexamples": expected}]
+
+
+def test_conjecture_reports_a_moved_argmax(monkeypatch):
+    a2 = build_named("A2")
+    wb = compute_w_b(a2, 4)
+    q_star, points = wb.inverse()((0, 0)), enumerate_cores(a2, 4).points
+    other = next(q for q in points if q != q_star)
+    expected = conjecture_records(a2, 4, points, other)
+    assert expected == [str((other, "w_b is not the dominant representative"))]
+    # w_b t_(q* - other) sends other to 0, so it reads as w_b with q* moved to other
+    moved = wb.compose(affine.translation_element(a2, tuple(x - y for x, y in zip(q_star, other))))
+    read_as_region(monkeypatch, a2, 4, points)
+    monkeypatch.setattr(affine, "compute_w_b", lambda rs, b: moved)
+    assert verify.check_conjecture((("A2", (4,)),)) == [{"type": "A2", "b": 4, "counterexamples": expected}]
+
+
+def test_dominant_sweep_int64_bound():
+    a2 = build_named("A2")  # h - 1 = 2 and max|A| = 2: every value within 6 max|v|
+    top = (2**63 - 1) // 6
+    assert affine.dominant_rows(a2, np.array([[-top, 0]])).tolist() == [[0, top]]
+    with pytest.raises(AssertionError, match="int64 bound of the dominant sweep"):
+        affine.dominant_rows(a2, np.array([[-top - 1, 0]]))
+
+
+def test_dominant_sweep_pass_guard():
+    # -rhocheck has every positive root negative, so it takes one pass per positive root
+    for name in ("A3", "B3", "G2"):
+        rs = build_named(name)
+        minus_rho = np.full((1, rs.rank), -1)
+        assert affine.dominant_rows(rs, minus_rho).tolist() == [[1] * rs.rank]
+        fewer = dataclasses.replace(rs, positive_roots=rs.positive_roots[1:])
+        with pytest.raises(AssertionError, match=f"took more than {len(rs.positive_roots) - 1} passes"):
+            affine.dominant_rows(fewer, minus_rho)
 
 
 # ---------------------------------------------------------------------------

@@ -779,9 +779,9 @@ def test_a_refusal_is_not_a_counterexample(capsys, theorem):
     ("arm", 1, "predicted count 5 for A2, b=4 exceeds cap 1"),
     ("transfer", 3, "predicted count 5 for A2, b=4 exceeds cap 3"),
     ("haiman", 2, "predicted count 5 for A2, b=4 exceeds cap 2"),
-    # fg_poly reaches the cap through ehrhart, conjecture through affine
+    # fg_poly reaches the cap through ehrhart; conjecture's first case, A1 at b = h - 1 = 1, is under it
     ("fg_poly", 1, "predicted count 8 for G2, b=7 exceeds cap 1"),
-    ("conjecture", 1, "predicted count 2 for A2, b=2 exceeds cap 1"),
+    ("conjecture", 1, "predicted count 2 for A1, b=3 exceeds cap 1"),
     # welldef caps the rows of its word walk: A2's first 19, up to length 3
     ("welldef", 16, "the word walk of A2 has 19 rows up to length 3, over cap 16"),
 ])

@@ -4,8 +4,9 @@ time, the word walk of ``verify sizer`` and ``welldef``, the lattice sizes, the
 shifted size statistic and its invariance under the automorphisms of the
 extended Dynkin diagram, the knapsack block walk, the alcove and region
 points, the a-core bijection with a block step each way and its toggles, the
-model embeddings with their block steps against the per-point ones, and
-the content counts of the ragged abacus block against the tuples'.
+model embeddings with their block steps against the per-point ones, the
+block route of ``verify conjecture`` against its per-point oracle, and the
+content counts of the ragged abacus block against the tuples'.
 
 They run beside the fixed cases in test_affine.py, test_sommers.py,
 test_cores.py, test_models.py and ``verify models``' point grids, over
@@ -13,6 +14,7 @@ random types of rank <= 8, random dilations b, random reduced words,
 random runner levels and random lattice points.
 """
 
+import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, permutations, product
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from conftest import conjecture_records, inversion_set
 from test_affine import elements_shorter_than
 
 from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers, verify
@@ -112,7 +115,7 @@ def test_w_b_length_is_the_step_count(case):
     h = rs.coxeter_number
     steps = sum(b * r.height // h for r in rs.positive_roots)
     assert affine.alcove_distance(rs, tuple(b * c for c in rho_over_h(rs))) == steps
-    assert len(affine.inversion_set(affine.compute_w_b(rs, b))) == steps
+    assert len(inversion_set(affine.compute_w_b(rs, b))) == steps
 
 
 @settings(max_examples=100, deadline=None)
@@ -127,7 +130,38 @@ def test_alcove_reduce_length_is_the_step_count(name, data):
     except PointOnWallError:
         return
     assert u(x) == y
-    assert len(affine.inversion_set(u)) == affine.alcove_distance(rs, x)
+    assert len(inversion_set(u)) == affine.alcove_distance(rs, x)
+
+
+#: the regions on which ``verify conjecture``'s block route meets the per-point oracle
+CONJECTURE_CASES = (("A2", 4), ("B2", 5), ("G2", 7), ("A3", 5), ("C3", 7), ("B3", 11), ("D4", 5), ("F4", 7))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(CONJECTURE_CASES), st.data())
+def test_conjecture_blocks_match_the_per_point_oracle(case, data):
+    """``verify conjecture`` on random coroot points within 2 of a region
+    point, w_b's argmax q* moved to a random one of them or kept, gives the
+    records of ``conjecture_records``: the same failing points, the same
+    argmax verdict and the same first three extra inversions.  Many points
+    outside the region pass, as the lower interval of w_b is larger."""
+    name, b = case
+    rs = build_named(name)
+    region = sommers.enumerate_cores(rs, b)
+    zero, near = (0,) * rs.rank, st.tuples(*[st.integers(-2, 2)] * rs.rank)
+    pairs = st.tuples(st.sampled_from(region.points), st.one_of(st.just(zero), near))
+    points = sorted({tuple(x + y for x, y in zip(q, d)) for q, d in data.draw(st.lists(pairs, min_size=1, max_size=12))})
+    wb = affine.compute_w_b(rs, b)
+    true_star = wb.inverse()(zero)
+    q_star = data.draw(st.sampled_from([true_star, *points]))
+    expected = conjecture_records(rs, b, points, q_star)
+    # w_b t_(q* - q_star) sends q_star to 0: it reads as w_b with its argmax at q_star
+    moved = wb.compose(affine.translation_element(rs, tuple(x - y for x, y in zip(true_star, q_star))))
+    coreset = dataclasses.replace(region, point_rows=np.array(points, dtype=np.int64))
+    with patch.object(sommers, "enumerate_cores", lambda rs, b: coreset), \
+            patch.object(affine, "compute_w_b", lambda rs, b: moved):
+        found = verify.check_conjecture(((name, (b,)),))
+    assert found == ([{"type": name, "b": b, "counterexamples": expected}] if expected else [])
 
 
 def rational_point(data, n, bound=6):
