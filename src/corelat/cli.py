@@ -18,17 +18,14 @@ lowest terms, never as decimals.
 ``cores`` and ``verify`` each run in one ``sommers.capped`` block: --cap, else CORELAT_CAP.
 Every JSON document goes through ``to_json``, the one writer: it prints what
 ``json.dumps(doc, indent=2, sort_keys=True)`` prints, with ``json``'s C
-encoder writing each container of scalars.  Records, same-keyed dicts, are
-written column by column through one column writer.  A list of records is
-turned into its columns once; a column block already is its columns.  A
-column of scalars, or of lists of them, takes one C encoder call per block
-of at most ``COLUMN_BLOCK`` scalars, and its text is split back into rows
-on its item separator, which holds a newline that no encoded string holds,
-with ``]`` before it and ``[`` after it for containers, which no scalar
-ends or starts with.  An int64 column, a 2-D array or a
+encoder writing each container of scalars.  Records have one path, the
+column block: a dict of equal-length columns in a stream, standing for its
+rows.  A column that is a list of scalars takes one C encoder call, split
+back into rows on its item separator, which holds a newline that no
+encoded string holds.  An int64 column, a 2-D array or a
 ``cores.PartitionBlock``, is formatted by ``_int_rows`` with no type scan
-and no Python int per value: each distinct value's text is made once, and
-the rows are cut from one ``str.join`` of the texts.  Every
+and no Python int per value.  Any other list, a list of dicts too, is
+walked.  ``roots`` hands its positive roots over as one column block.  Every
 command writes through ``_emit`` into a sink, the write of --out or stdout.
 The ``cores`` rows come as an iterator of column blocks of points, and each
 block's text goes to the sink before the next block is made, so neither
@@ -43,12 +40,10 @@ import argparse
 import json
 import os
 import sys
-from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from functools import cache, partial
-from itertools import accumulate, chain, repeat
+from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
@@ -110,10 +105,6 @@ def _emit(args, write_doc: Callable[[Sink], object]) -> None:
 #: value types that ``json``'s C encoder writes as ``json.dumps`` with an
 #: indent does (an ``int`` subclass or a float takes the leaf path instead)
 _SCALARS = frozenset((int, str, bool, type(None)))
-_ARRAYS = frozenset((list, tuple))
-#: scalars per C encoder call on a column of records: the encoder keeps each
-#: scalar's text as its own str until it joins them, so this bounds that list
-COLUMN_BLOCK = 2**14
 
 
 def _is_int_column(values) -> bool:
@@ -161,25 +152,17 @@ def to_json(obj, sink: Sink | None = None) -> str | None:
     A stream, an iterator of blocks, is written as the one list of their
     items, a block at a time: a sink gets each block's text before the next
     block is read, so neither the items nor the text are held whole.  A
-    block is a list or tuple of items, or a column block: a dict that maps
-    ``str`` keys to equally long columns, and stands for the records whose
-    values at each key are that column's.
-
-    Records are written column by column: a column block, and a nonempty
-    list or tuple of dicts that share one set of ``str`` keys, turned into
-    its columns once.  A column is an int64 column (``_is_int_column``),
-    whose rows are lists of ints and are formatted by ``_int_rows``, or a
-    list of values that are all ``_SCALARS``, or all lists or tuples of
-    them.  For such a list the C encoder writes the values at their depth,
-    in calls of whole values of at most ``COLUMN_BLOCK`` scalars each unless
-    one value alone has more; the text is split back into values on the
-    item separator ``"," + inner`` (scalars) or on ``"]," + inner + "["``
-    (containers).  The split cannot cut inside a value: each separator holds
-    a newline, which ``encode_basestring_ascii`` escapes in every string,
-    and no scalar ends with ``]`` or starts with ``[``.  The rows are laid
-    out around the columns' texts, an empty container as ``[]``.  Records
-    with another column are walked; a column block with one raises
-    TypeError.  Only the other containers are walked."""
+    block is a list or tuple of items, walked like any list, or a column
+    block: a dict that maps ``str`` keys to equally long columns, and stands
+    for the records whose values at each key are that column's.  Column
+    blocks are the one record path.  A column is an int64 column
+    (``_is_int_column``), whose rows are lists of ints formatted by
+    ``_int_rows``, or a list of ``_SCALARS``, written by one C encoder call,
+    since its producer bounds its length, and split back into values on the
+    item separator ``"," + inner``: it holds a newline, which
+    ``encode_basestring_ascii`` escapes in every string.  The records are
+    laid out around the columns' texts; a column of another kind raises
+    TypeError."""
     chunks: list[str] = []
     flat: dict = {}  # inner indent -> C encoder for a container of scalars
 
@@ -192,61 +175,23 @@ def to_json(obj, sink: Sink | None = None) -> str | None:
                                                    ": ", "," + inner, True, False, True)
         return "".join(encoder(values, 0))  # more than one chunk past ~50,000 items
 
-    def column(values, inner: str):
-        """Each value's text as a record value at item indent ``inner``; None
-        unless ``values`` is an int64 column, or a list whose values are all
-        scalars, or all flat lists or tuples of scalars.  The C encoder writes
-        a list in blocks of whole values, at most ``COLUMN_BLOCK`` scalars
-        each unless one value alone has more."""
-        items = inner + "  "
+    def column(values, key: str, inner: str) -> list[str]:
+        """The text of each value of the column ``key`` as a record value at item indent ``inner``."""
         if _is_int_column(values):
-            return [f"[{items}{p}{inner}]" if p else "[]" for p in _int_rows(values, "," + items)]
-        kinds = set(map(type, values))
-        texts: list[str] = []
-        if kinds <= _SCALARS:
-            for lo in range(0, len(values), COLUMN_BLOCK):
-                texts += encode(values[lo:lo + COLUMN_BLOCK], inner)[1:-1].split("," + inner)
-            return texts
-        if not kinds <= _ARRAYS or not _SCALARS.issuperset(map(type, chain.from_iterable(values))):
-            return None
-        ends, lo = list(accumulate(map(len, values))), 0  # ends[i]: the scalars of values[:i + 1]
-        while lo < len(values):
-            hi = max(lo + 1, bisect_right(ends, (ends[lo - 1] if lo else 0) + COLUMN_BLOCK))
-            texts += encode(values[lo:hi], items)[2:-2].split("]," + items + "[")
-            lo = hi
-        return [f"[{items}{p}{inner}]" if p else "[]" for p in texts]
+            return [f"[{inner}  {p}{inner}]" if p else "[]" for p in _int_rows(values, "," + inner + "  ")]
+        if isinstance(values, list) and _SCALARS.issuperset(map(type, values)):
+            return encode(values, inner)[1:-1].split("," + inner) if values else []
+        raise TypeError(f"column {key!r} of a column block is neither int64 rows nor a list of scalars")
 
-    def record_columns(block, field: str):
-        """(sorted keys, each key's column of value texts at item indent
-        ``field``) of a column block, or of a list or tuple of records; None
-        for any other list or tuple."""
-        if isinstance(block, dict):
-            columns = block
-        else:
-            if set(map(type, block)) != {dict}:
-                return None
-            keys = block[0].keys()
-            if not keys or not all(type(k) is str for k in keys) or not all(map(keys.__eq__, map(dict.keys, block))):
-                return None
-            columns = {key: list(map(itemgetter(key), block)) for key in keys}
-        keys = sorted(columns)
-        texts = []
-        for key in keys:
-            if (values := column(columns[key], field)) is None:
-                if columns is block:
-                    raise TypeError(f"column {key!r} of a column block is neither int64 rows nor a list of scalars")
-                return None
-            texts.append(values)
-        return keys, texts
-
-    def write_rows(keys: list[str], texts: list[list[str]], indent: str, lead: str) -> bool:
-        """Write the records whose value texts are the columns ``texts``, the
-        first after ``lead`` and the last left open; False if there are none."""
+    def write_rows(block: dict, indent: str, lead: str) -> bool:
+        """Write the records of the column block ``block``, the first after
+        ``lead`` and the last left open; False if there are none."""
+        inner, field = indent + "  ", indent + "    "
+        keys = sorted(block)
+        texts = [column(block[key], key, field) for key in keys]
         n = len(texts[0]) if texts else 0
         if not n:
             return False
-        inner = indent + "  "
-        field = inner + "  "
         # row i is pieces[i * width:(i + 1) * width]: each key's head, then its text
         opening = f"{{{field}{encode_basestring_ascii(keys[0])}: "
         heads = [f"{inner}}},{inner}{opening}"] + [f",{field}{encode_basestring_ascii(key)}: " for key in keys[1:]]
@@ -260,15 +205,15 @@ def to_json(obj, sink: Sink | None = None) -> str | None:
         return True
 
     def write_list(blocks, indent: str, stream: bool) -> None:
-        """Write the items of ``blocks`` as one list: records by
-        ``write_rows``, any other item by ``write``.  In a ``stream`` each
-        nonempty block's text goes to the sink before the next is read."""
+        """Write the items of ``blocks`` as one list: a column block's records
+        by ``write_rows``, the items of any other block by ``write``.  In a
+        ``stream`` each nonempty block's text goes to the sink before the
+        next is read."""
         inner = indent + "  "
         lead, close = "[" + inner, None  # text before the next item; after the last
         for block in blocks:
-            columns = record_columns(block, inner + "  ")
-            if columns is not None:
-                if not write_rows(*columns, indent, lead):
+            if isinstance(block, dict):
+                if not write_rows(block, indent, lead):
                     continue
                 lead, close = f"{inner}}},{inner}", inner + "}" + indent + "]"
             elif block:
@@ -321,8 +266,13 @@ def to_json(obj, sink: Sink | None = None) -> str | None:
 # ---------------------------------------------------------------------------
 
 def cmd_roots(args) -> int:
-    rs = rootsys.build_named(args.type)
-    _emit(args, partial(to_json, rootsys.to_json_dict(rs)))
+    doc = rootsys.to_json_dict(rootsys.build_named(args.type))
+    roots = doc["positive_roots"]
+    # the records as one column block: the lists of ints as int64 rows, the scalars as lists
+    columns = {key: [root[key] for root in roots] for key in roots[0]}
+    doc["positive_roots"] = iter([{key: np.array(values, dtype=np.int64) if isinstance(values[0], list) else values
+                                   for key, values in columns.items()}])
+    _emit(args, partial(to_json, doc))
     return 0
 
 
@@ -361,6 +311,14 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _bs(text: str) -> tuple[int, ...]:
+    """The values of --b; each suite refuses one that is not positive."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}") from None
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process.  Parses share no state: each fills
@@ -386,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("theorem")
     p_verify.add_argument("--type", action="append")
-    p_verify.add_argument("--b", type=lambda s: tuple(int(x) for x in s.split(",")))
+    p_verify.add_argument("--b", type=_bs)
     p_verify.add_argument("--cap")
     p_verify.add_argument("--count", type=int)
     p_verify.add_argument("--length", type=int)

@@ -342,9 +342,12 @@ def core_closure(a: int, max_boxes: int) -> tuple[list[Partition], list[tuple[Pa
     from one pass over its corners (``toggle_corners``), sorted by content
     class; every a-core of size <= max_boxes is reached because each
     nonempty core admits a strictly size-decreasing toggle.  A modulus below
-    2 raises ValueError: mod 1 every box has content class 0."""
+    2 raises ValueError: mod 1 every box has content class 0.  So does a
+    negative ``max_boxes``, which no core fits."""
     if a < 2:
         raise ValueError("modulus must be at least 2")
+    if max_boxes < 0:
+        raise ValueError("max_boxes must be nonnegative")
     toggles: dict = {(): None}
     frontier = [()]
     while frontier:

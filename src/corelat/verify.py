@@ -292,7 +292,7 @@ def check_sizer(types=tuple(dict(DEFAULT_MATRIX)), count: int = 1000) -> list:
     all.  Each level's vectors meet one ``affine.size_vector_numerators``
     block of its points.  A record's word w is a row's least word reversed,
     so that its point is apply(w, 0)."""
-    per_type = -(-count // len(types))  # ceil: at least ``count`` rows total
+    per_type = -(-count // len(types)) if types else 0  # ceil: at least ``count`` rows total; no types, no rows
 
     def check(rs):
         checked = 0

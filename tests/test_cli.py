@@ -169,6 +169,8 @@ GOLDEN_STDOUT = {
     ("cores", "G2", "13"): "72a8f173724d1d2c96c5bca712944e552e8d54883a30f6c30c6b98c7b5271660",
     ("cores", "G2", "13", "--format", "csv"):
         "bb42b77e63e820653049f46c6685113975931f0c8cf8bf395855c5a5b76e183e",
+    # a column block of one row
+    ("roots", "A1"): "f442bf8cde18b049550975060d0629bbcb33f0950f04eb1b4133cbde8062d481",
 }
 
 
@@ -265,6 +267,13 @@ def test_writer_equals_json_dumps_on_command_documents(argv):
     assert cli.to_json(doc) == dumps(doc)
 
 
+@pytest.mark.parametrize("name", verify.ALL_FAMILY_NAMES)
+def test_roots_prints_the_json_dumps_of_its_document(name):
+    """``corelat roots`` hands its positive roots to the writer as a column
+    block, and prints ``rootsys.to_json_dict`` as ``json.dumps`` would."""
+    assert stdout_of("roots", name) == dumps(rootsys.to_json_dict(rootsys.build_named(name))) + "\n"
+
+
 #: a small scope for each verify suite that reads one
 SMALL_SCOPE = {
     "main": {"types": ["A2"], "bs": (5,)},
@@ -312,13 +321,12 @@ HAND_MADE = {
     "float": [1, 2.5, -0.0, 1e300, "x"],
     "int enum": [Level.LOW, 3, {"level": Level.HIGH}],
     "non-ascii keys": {"\u00e9t\u00e9": 1, "\U0001F600": "x", "z\u2228": None, "a": True},
-    # lists of same-keyed records, written column by column: the separators in the values
-    # are the split's, unescaped but for the newline
+    # lists of same-keyed records, walked like any list: the values hold a column's item
+    # separators, unescaped but for the newline
     "records": [{"%d": "\"],\n      [\"", "q\"": [], "\u00e9t\u00e9": ["\",\n", ""], "%": ""},
                 {"%d": "", "q\"": [1, "\"],\n      [\""], "\u00e9t\u00e9": [], "%": "]"}],
     "one record": [{"a": [], "b": ""}],
     "lists and tuples": [{"a": [1, 2]}, {"a": (3, "[")}, {"a": ()}, {"a": []}],
-    # records that fall back to the walk
     "lists and tuples, different keys": [{"a": [1, 2]}, {"a": (3, "["), "b": None}, {"a": ()}, {"a": []}],
     "scalars and lists": [{"a": 1, "b": []}, {"a": [2, True], "b": "x"}, {"a": None, "b": ()}, {"a": [], "b": ["]"]}],
     "different keys": [{"a": 1}, {"a": 2, "b": 3}],
@@ -435,7 +443,8 @@ def test_a_column_block_is_written_as_its_rows(name):
 def test_column_blocks_mix_with_empty_blocks_in_a_stream():
     rows = COLUMN_ROWS["empty partitions first and last"] + COLUMN_ROWS["one row"] + COLUMN_ROWS["near 2**62"]
     empty = {"coords": np.zeros((0, 3), dtype=np.int64), "partition": cores.PartitionBlock.of([]), "size": []}
-    blocks = [[], column_block(rows[:1]), empty, column_block(rows[1:4]), [], rows[4:5], column_block(rows[5:]), empty]
+    blocks = [[], column_block(rows[:1]), empty, column_block(rows[1:4]), [], rows[4:5], column_block(rows[5:]), empty,
+              {"size": []}]
     expected = dumps({"rows": rows})
     assert cli.to_json({"rows": iter(blocks)}) == expected
     written = []
@@ -443,7 +452,8 @@ def test_column_blocks_mix_with_empty_blocks_in_a_stream():
     assert "".join(written) == expected and len(written) == 5  # one write per nonempty block, then the rest
 
 
-@pytest.mark.parametrize("coords", [np.zeros((2, 2), dtype=np.int32), np.zeros((2, 2)), np.zeros(2, dtype=np.int64)])
+@pytest.mark.parametrize("coords", [np.zeros((2, 2), dtype=np.int32), np.zeros((2, 2)), np.zeros(2, dtype=np.int64),
+                                    [[0, 1], [2, 3]]])
 def test_a_column_block_with_no_writable_column_raises(coords):
     with pytest.raises(TypeError, match="'coords'"):
         cli.to_json(iter([{"coords": coords, "size": ["0", "1"]}]))
@@ -461,43 +471,45 @@ def counting_encoder_calls(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("name, calls", [
-    ("lists and tuples", [4]),  # one column call over a list, a tuple, an empty () and []
-    ("lists and tuples, different keys", [2, 2]),  # the walk: one call per nonempty container
-])
-def test_same_keyed_lists_and_tuples_take_the_column(monkeypatch, name, calls):
+@pytest.mark.parametrize("name", ["lists and tuples", "lists and tuples, different keys"])
+def test_records_in_a_list_are_walked_whatever_their_keys(monkeypatch, name):
+    """Only a column block is written as columns: a list of records, with one
+    set of keys or not, takes one call per nonempty container."""
     counted = counting_encoder_calls(monkeypatch)
     doc = HAND_MADE[name]
     assert cli.to_json(doc) == dumps(doc)
-    assert counted == calls
+    assert counted == [2, 2]
 
 
 def test_record_lists_take_as_many_encoder_calls_whatever_their_length(monkeypatch):
+    """The rows of ``corelat cores A2 5`` and ``A2 11``, one column block each,
+    take one C encoder call for their one column of scalars, the sizes."""
     calls = counting_encoder_calls(monkeypatch)
     counts = {}
     for b in (5, 11):
-        doc = sommers.enumerate_cores(rootsys.build_named("A2"), b).to_json_dict()
+        coreset = sommers.enumerate_cores(rootsys.build_named("A2"), b)
         calls.clear()
-        assert cli.to_json(doc) == dumps(doc)
-        counts[len(doc["rows"])] = len(calls)
+        assert cli.to_json(coreset.document()) == dumps(coreset.to_json_dict())
+        counts[len(coreset)] = len(calls)
     assert list(counts) == [7, 26] and counts[7] == counts[26]
 
 
-def test_a_record_column_is_encoded_in_blocks_of_bounded_scalars(monkeypatch):
-    # the coeffs column of corelat roots A40: 820 roots of 40 ints, 0.36 MB of
-    # text, peaked at 2.5 MB in one C encoder call, which holds each int's text
-    doc = [{"coeffs": root["coeffs"]} for root in rootsys.to_json_dict(rootsys.build_named("A40"))["positive_roots"]]
+def test_the_roots_column_block_is_written_in_bounded_memory(monkeypatch):
+    # corelat roots A40: 820 roots of 40 ints, their coeffs an int64 column; one
+    # C encoder call over them as lists would hold each int's text, 2.5 MB here
+    docs = []
+    with monkeypatch.context() as patch:  # the document as cmd_roots hands it over
+        patch.setattr(cli, "to_json", lambda doc, sink=None: docs.append(doc))
+        stdout_of("roots", "A40")
+    doc, = docs
     tracemalloc.start()
     try:
         text = cli.to_json(doc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text == dumps(doc)
+    assert text == dumps(rootsys.to_json_dict(rootsys.build_named("A40")))
     assert peak < 2**21
-    calls = counting_encoder_calls(monkeypatch)
-    assert cli.to_json(doc) == text
-    assert len(calls) > 1 and sum(calls) == 820 and max(calls) * 40 <= cli.COLUMN_BLOCK
 
 
 def test_the_cores_document_is_written_in_less_memory_than_its_text():
@@ -524,9 +536,11 @@ def test_the_cores_document_is_written_in_less_memory_than_its_text():
 
 def test_a_long_column_of_scalars_takes_one_encoder_call_per_block(monkeypatch):
     calls = counting_encoder_calls(monkeypatch)
-    doc = [{"n": i, "s": str(i)} for i in range(2 * cli.COLUMN_BLOCK + 1)]
-    assert cli.to_json(doc) == dumps(doc)
-    assert calls == [cli.COLUMN_BLOCK, cli.COLUMN_BLOCK, 1] * 2
+    rows = [{"n": i, "s": str(i)} for i in range(100_002)]
+    blocks = [{key: [row[key] for row in rows[lo:hi]] for key in ("n", "s")}
+              for lo, hi in ((0, 1), (1, 100_001), (100_001, 100_001), (100_001, 100_002))]
+    assert cli.to_json(iter(blocks)) == dumps(rows)
+    assert calls == [1, 1, 100_000, 100_000, 1, 1]
 
 
 @pytest.mark.parametrize("name, b", [("A2", "5"), ("C2", "5"), ("G2", "7"), ("B3", "7"), ("D4", "7"), ("A4", "21")])
@@ -655,6 +669,7 @@ def test_verify_passes_only_the_options_set(monkeypatch, capsys, argv, kwargs):
     (["max", "--b", "3"], "A2: b = 3 must be a positive integer with gcd(b, h) = 1, h = 3"),
     (["transfer", "--b", "3"], "A2: b = 3 must be a positive integer with gcd(b, h) = 1, h = 3"),
     (["main", "--type", "A2", "--b", "0"], "A2: b = 0 must be a positive integer"),
+    (["main", "--b", "5,,7"], "argument --b: expected comma-separated positive integers, got '5,,7'"),
 ])
 def test_verify_scoping_errors_are_usage_errors(capsys, argv, message):
     assert cli.main(["verify", *argv]) == 2
@@ -1040,6 +1055,10 @@ def test_sizer_flags_a_perturbed_lattice_row(monkeypatch, capsys, row, delta):
     code, out = run(capsys, "verify", "sizer", "--type", "A2", "--count", "5")
     assert code == 1
     assert json.loads(out)["counterexamples"] == [{"type": "A2", "word": A2_SIZER_WORDS[row]}]
+
+
+def test_sizer_and_welldef_check_nothing_on_no_types():
+    assert verify.check_sizer(types=()) == [] and verify.check_welldef(types=()) == []
 
 
 def test_ip_content_toggles_each_core_once_per_letter(monkeypatch, capsys):

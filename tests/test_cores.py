@@ -148,6 +148,15 @@ def test_core_closure_refuses_a_modulus_below_2(a, max_boxes):
             closure(a, max_boxes)
 
 
+@pytest.mark.parametrize("a", [2, 5])
+def test_core_closure_refuses_a_negative_max_boxes(a):
+    """No core has fewer than 0 boxes, not even the empty one."""
+    assert all_cores(a, 0) == [()]
+    for closure in (core_closure, all_cores):
+        with pytest.raises(ValueError, match="^max_boxes must be nonnegative$"):
+            closure(a, -1)
+
+
 #: each entry point that reads a modulus, on a modulus below 1
 BELOW_ONE = {
     "first_hook_of_length": lambda a: first_hook_of_length((1,), a),
