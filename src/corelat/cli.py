@@ -161,8 +161,8 @@ def to_json(obj, sink: Sink | None = None) -> str | None:
     since its producer bounds its length, and split back into values on the
     item separator ``"," + inner``: it holds a newline, which
     ``encode_basestring_ascii`` escapes in every string.  The records are
-    laid out around the columns' texts; a column of another kind raises
-    TypeError."""
+    laid out around the columns' texts, after a check: a column of another
+    kind raises TypeError, columns of unequal lengths AssertionError."""
     chunks: list[str] = []
     flat: dict = {}  # inner indent -> C encoder for a container of scalars
 
@@ -189,6 +189,8 @@ def to_json(obj, sink: Sink | None = None) -> str | None:
         inner, field = indent + "  ", indent + "    "
         keys = sorted(block)
         texts = [column(block[key], key, field) for key in keys]
+        if len(set(map(len, texts))) > 1:
+            raise AssertionError("unequal columns: " + ", ".join(f"{k!r} {len(t)}" for k, t in zip(keys, texts)))
         n = len(texts[0]) if texts else 0
         if not n:
             return False

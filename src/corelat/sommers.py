@@ -15,22 +15,21 @@ from column blocks of ``ALCOVE_BLOCK`` points (``CoreSet.row_blocks``): the
 int64 rows, the size texts and one ``cores.abacus_block`` of partitions
 each, with no Python object per point.  The library views, ``CoreSet.rows()``
 and ``CoreSet.to_json_dict()``, read the partitions of one
-``cores.from_coroot`` call, and ``simultaneous_selfconjugate`` certifies
-them on one ``cores.coroot_block`` at b.
+``cores.from_coroot`` call, and ``simultaneous_selfconjugate`` reads them
+back on one ``cores.coroot_block`` per modulus, b and 2n.
 
 ``enumerate_cores`` computes the point set two independent ways — by
-mapping the dilated-alcove points through the inverse dilation element,
-and by walking the region in the slack coordinates of its own n + 1
-inequalities — and requires the two to agree.  One knapsack block walk
-(``_walk``) serves both simplices: int64 blocks built one coordinate per
-level, with no Python tuple per point.  Its only bound, on the row
-offsets of a level, is asserted where it starts.  One checked step of the
-int64 kernel ``linalg.AffineRows`` (``_integral_solve``) maps its rows to
-points: the dilated alcove's points are the sorted int64 rows of
-``alcove_rows``, and ``enumerate_alcove`` is their tuple view.  The
-points' sizes are one per-row integer form
-(``affine.size_numerators``), kept on the ``CoreSet`` as numerators over
-2 h f.
+mapping the sorted int64 rows of ``alcove_rows`` through the inverse
+dilation element, and by walking the region in the slack coordinates of
+its own n + 1 inequalities — and requires the two to agree.  One knapsack
+block walk (``_walk``) serves both simplices: int64 blocks built one
+coordinate per level, with no Python tuple per point, its one bound
+asserted where it starts.  One checked step of the int64 kernel
+``linalg.AffineRows`` (``_integral_solve``) maps a walk's rows to points,
+and another maps the alcove's through w_b^{-1}.  The tuple views
+``enumerate_alcove`` and ``iter_alcove_m`` have no package caller.  The
+points' sizes are one per-row integer form (``affine.size_numerators``),
+kept on the ``CoreSet`` as numerators over 2 h f.
 """
 
 from __future__ import annotations
@@ -208,14 +207,12 @@ def alcove_rows(rs: RootSystemData, b: int, lattice: str = "coroot") -> np.ndarr
 
 def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> list[tuple]:
     """Lattice points of the b-dilated fundamental alcove, in simple-coroot
-    coordinates, sorted lexicographically: the tuple view of ``alcove_rows``.
-    Coroot points are tuples of ints; coweight points may have rational
-    coordinates, tuples of Fractions over f."""
-    rows = _tuples(alcove_rows(rs, b, lattice))
-    if lattice == "coroot":
-        return rows
-    f = rs.index_of_connection
-    return [tuple(Fraction(x, f) for x in row) for row in rows]
+    coordinates, sorted lexicographically: the tuple view of ``alcove_rows``,
+    for tests and tracing; no package path calls it.  Coroot points are
+    tuples of ints; coweight points may have rational coordinates, tuples of
+    Fractions over f."""
+    rows, f = _tuples(alcove_rows(rs, b, lattice)), rs.index_of_connection
+    return rows if lattice == "coroot" else [tuple(Fraction(x, f) for x in row) for row in rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,9 +368,9 @@ def _direct_scan(sr: SommersRegion) -> np.ndarray:
 def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
     """The coroot-lattice points of the b-region, with their sizes.
 
-    Computed by mapping the dilated-alcove points, as one int64 block,
-    through the inverse dilation element (one ``_integral_solve`` step),
-    and checked against the walk of the region's own inequalities
+    Computed by mapping the int64 rows of ``alcove_rows`` through the
+    inverse dilation element (one ``_integral_solve`` step), with no tuple
+    per point, and checked against the walk of the region's own inequalities
     (``_direct_scan``); a disagreement raises AssertionError.  When
     gcd(b, h) = 1 both walks visit f rows per point, so the up-front
     ``capped_haiman_count`` bounds them.  The sizes are one step over the
@@ -381,8 +378,7 @@ def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
     """
     predicted = capped_haiman_count(rs, b)
     wb_inv = affine.compute_w_b(rs, b).inverse()
-    alcove = np.fromiter(chain.from_iterable(enumerate_alcove(rs, b, "coroot")), dtype=np.int64)
-    points = _integral_solve([alcove.reshape(-1, rs.rank)], wb_inv.m, wb_inv.v, 1)
+    points = _integral_solve([alcove_rows(rs, b)], wb_inv.m, wb_inv.v, 1)
     if len(points) != predicted:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: found {len(points)} alcove points, expected {predicted}")
@@ -429,21 +425,23 @@ class SelfConjugateReport:
 
 
 def simultaneous_selfconjugate(n: int, b: int) -> SelfConjugateReport:
-    """Map the C_n b-region points to partitions and certify each one is a
-    self-conjugate (2n, b)-core.  On one ``cores.coroot_block`` at b, a row
-    sums to zero exactly on a b-core, which is self-conjugate exactly when
-    its row is antisymmetric (``cores.conjugate_coroot``).  The 2n-cores get
-    a hook scan each, independent of the 2n-abacus that made them."""
+    """Map the C_n b-region points to partitions and certify each is a
+    self-conjugate (2n, b)-core of its own point, on one ``cores.coroot_block``
+    per modulus.  At b, a row sums to zero exactly on a b-core, self-conjugate
+    exactly when the row is antisymmetric (``cores.conjugate_coroot``).  At 2n,
+    each row must be its partition's model image (``CoreSet._levels``), which
+    sums to zero.  Only a failing row gets a hook scan, for its message."""
     coreset = enumerate_cores(rootsys.build(CartanType("C", n)), b)
     pairs = list(zip(coreset.points, coreset._partitions()))
-    levels = cores.coroot_block(cores.PartitionBlock.of([parts for _, parts in pairs]), b)
-    sums = levels.sum(axis=1)
-    bad = np.flatnonzero((sums != 0) | (levels != -levels[:, ::-1]).any(axis=1))
+    block = cores.PartitionBlock.of([parts for _, parts in pairs])
+    levels, images, made = cores.coroot_block(block, b), cores.coroot_block(block, 2 * n), coreset._levels()
+    sums, skew = levels.sum(axis=1), (levels != -levels[:, ::-1]).any(axis=1)
+    bad = np.flatnonzero((sums != 0) | skew | (images != made).any(axis=1))
     if bad.size:
-        q, parts = pairs[bad[0]]
-        raise AssertionError(f"image {parts} of {q} is not "
-                             + (f"a {b}-core" if sums[bad[0]] else "self-conjugate"))
-    for q, parts in pairs:
-        if (cell := cores.first_hook_of_length(parts, 2 * n)) is not None:
-            raise AssertionError(f"image {parts} of {q} has a hook of length {2 * n} at {cell}")
+        q, parts = pairs[k := bad[0]]
+        cell = None if sums[k] or skew[k] else cores.first_hook_of_length(parts, 2 * n)
+        raise AssertionError(f"image {parts} of {q} " + (
+            f"is not a {b}-core" if sums[k] else "is not self-conjugate" if skew[k]
+            else f"has a hook of length {2 * n} at {cell}" if cell else
+            f"has {2 * n}-abacus levels {tuple(images[k].tolist())}, not its point's {tuple(made[k].tolist())}"))
     return SelfConjugateReport(n, b, pairs)

@@ -459,6 +459,22 @@ def test_a_column_block_with_no_writable_column_raises(coords):
         cli.to_json(iter([{"coords": coords, "size": ["0", "1"]}]))
 
 
+def test_a_column_block_of_unequal_columns_fails_before_its_text():
+    with pytest.raises(AssertionError, match=r"^unequal columns: 'a' 2, 'b' 1$"):
+        cli.to_json(iter([{"a": [1, 2], "b": [1]}]))
+    written = []
+    blocks = [{"size": ["0"]}, {"coords": np.zeros((2, 2), dtype=np.int64), "size": ["1"]}]
+    with pytest.raises(AssertionError, match=r"^unequal columns: 'coords' 2, 'size' 1$"):
+        cli.to_json(iter(blocks), written.append)
+    assert written == ['[\n  {\n    "size": "0"']  # the first block only
+
+
+def test_the_cores_command_reports_unequal_columns_as_a_failure(monkeypatch, capsys):
+    monkeypatch.setattr(sommers.CoreSet, "row_blocks", lambda self: iter([{"coords": self.point_rows, "size": []}]))
+    assert cli.main(["cores", "A2", "5"]) == 1
+    assert capsys.readouterr().err == "failed: unequal columns: 'coords' 7, 'size' 0\n"
+
+
 def counting_encoder_calls(monkeypatch) -> list:
     """The item count of each call of ``json``'s C encoder that ``cli.to_json`` makes."""
     make_encoder, calls = cli.c_make_encoder, []
@@ -1198,15 +1214,14 @@ def test_transfer_asserts_one_denominator(monkeypatch):
 
 @pytest.mark.parametrize("theorem", ["transfer", "haiman"])
 def test_region_suites_make_no_per_point_size_or_tuple(monkeypatch, theorem):
-    # transfer reads the alcove rows, haiman counts them: enumerate_alcove
-    # runs only inside enumerate_cores, once per (type, b), for the map through w_b^-1
+    # transfer reads the alcove rows, haiman counts them, and enumerate_cores
+    # maps them through w_b^-1: no suite reaches the tuple view enumerate_alcove
     calls = Counter()
     for module, name in [(affine, "size_b"), (sommers, "enumerate_alcove")]:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args))
     assert verify.run(theorem)["pass"]
-    cases = sum(len(bs) for _, bs in verify.DEFAULT_MATRIX)
-    assert calls == (Counter(enumerate_alcove=cases) if theorem == "transfer" else Counter())
+    assert calls == Counter()
 
 
 def test_missing_subcommand(capsys):

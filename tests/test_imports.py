@@ -1,13 +1,15 @@
 """No module of the package imports a name it never uses, none imports
-from the package inside a function, and every private module-level name of
-the package is read somewhere outside its own definition.
+from the package inside a function, every private module-level name of
+the package is read somewhere outside its own definition, and no module
+reads the tuple and one-row views that are kept only for tests and tracing.
 
 ``__init__`` is exempt from the import checks: its imports are the public
 re-exports.  The checks read each module with the standard library's
 ``ast``, so they need no linter.  The first catches an import left behind
 when code is deleted; the second, an import that hides a cycle or a step up
 the module order; the third, a private helper left behind when its last
-caller is deleted.
+caller is deleted; the fourth, a package path that returns to a view its
+block twin replaced, which would stop the view from being deleted.
 """
 
 import ast
@@ -21,6 +23,10 @@ PACKAGE = ROOT / "src" / "corelat"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 #: the trees whose Python files may read a private name of the package
 READERS = ("src", "tests", "demos", "perfbench")
+#: the tuple and one-row views with no package caller: tests and the
+#: benchmark's tracer read them until their block twins replace them
+VIEWS = ("enumerate_alcove", "iter_alcove_m", "size_lattice_total", "size_i_lattice",
+         "word_size_totals", "toggle_action")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -87,6 +93,12 @@ def unread_private_names(source: str, readers: list[str]) -> list[str]:
     return [name for name in private_names(source) if name not in read]
 
 
+def views_read(source: str) -> list[str]:
+    """The ``VIEWS`` that ``source`` reads."""
+    read = names_read(source)
+    return [name for name in VIEWS if name in read]
+
+
 @lru_cache(maxsize=None)
 def reader_sources() -> tuple[str, ...]:
     return tuple(p.read_text() for tree in READERS for p in sorted((ROOT / tree).rglob("*.py")))
@@ -105,6 +117,11 @@ def test_module_imports_the_package_only_at_the_top(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_name_is_read(path):
     assert unread_private_names(path.read_text(), list(reader_sources())) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_a_view_kept_for_tests(path):
+    assert views_read(path.read_text()) == []
 
 
 def test_an_import_inside_a_function_is_found():
@@ -126,3 +143,10 @@ def test_an_unread_private_name_is_found():
              "def _g():\n    return _A\nx = _B\n"
     reader = "import m\nm._C()\n"
     assert unread_private_names(source, [source, reader]) == ["_f", "_g"]
+
+
+def test_a_reader_of_a_view_is_found():
+    # defining a view is not reading it; a call or an attribute read is
+    source = "from . import affine, sommers\n\ndef toggle_action(p):\n    return p\n\n" \
+             "def f(rs):\n    return sommers.enumerate_alcove(rs, 5), affine.size_i_lattice\n"
+    assert views_read(source) == ["enumerate_alcove", "size_i_lattice"]

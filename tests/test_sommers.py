@@ -414,6 +414,37 @@ def test_selfconjugate_certificate_names_the_point(monkeypatch, image, failure):
     assert str(info.value).startswith(f"image {image} of {point} {failure}")
 
 
+def test_selfconjugate_certificate_catches_swapped_partitions(monkeypatch):
+    """Two swapped partitions are each a self-conjugate (4, 5)-core, so only
+    the 2n-abacus levels, read back against the model images, catch them."""
+    partitions = CoreSet._partitions
+
+    def two_swapped(self):
+        found = partitions(self)
+        found[1], found[4] = found[4], found[1]
+        return found
+    coreset = enumerate_cores(build_named("C2"), 5)
+    found = two_swapped(coreset)
+    for parts in found:
+        assert cores.is_core(parts, 4) and cores.is_core(parts, 5) and cores.conjugate(parts) == parts
+    monkeypatch.setattr(CoreSet, "_partitions", two_swapped)
+    with pytest.raises(AssertionError) as info:
+        simultaneous_selfconjugate(2, 5)
+    assert str(info.value).startswith(f"image {found[1]} of {coreset.points[1]} has 4-abacus levels ")
+
+
+def test_a_passing_selfconjugate_certificate_scans_no_hook(monkeypatch):
+    """One coroot_block per modulus, b and 2n, and no hook scan."""
+    calls = []
+    for name in ("first_hook_of_length", "coroot_block"):
+        real = getattr(cores, name)
+        monkeypatch.setattr(cores, name,
+                            lambda parts, a, real=real, name=name: calls.append((name, a)) or real(parts, a))
+    report = simultaneous_selfconjugate(3, 11)
+    assert report.count == comb(3 + 5, 3)
+    assert sorted(calls) == [("coroot_block", 6), ("coroot_block", 11)]
+
+
 def test_facet_walk_checks_e7_b11(monkeypatch):
     """E7 at b = 11 (352 points) is checked too: a facet walk that loses a
     point makes enumerate_cores raise."""
