@@ -19,14 +19,14 @@ and ``CoreSet.to_json_dict()``, read the partitions of one
 back on one ``cores.coroot_block`` per modulus, b and 2n.
 
 ``enumerate_cores`` computes the point set two independent ways — by
-mapping the sorted int64 rows of ``alcove_rows`` through the inverse
-dilation element, and by walking the region in the slack coordinates of
-its own n + 1 inequalities — and requires the two to agree.  One knapsack
-block walk (``_walk``) serves both simplices: int64 blocks built one
-coordinate per level, with no Python tuple per point, its one bound
-asserted where it starts.  One checked step of the int64 kernel
-``linalg.AffineRows`` (``_integral_solve``) maps a walk's rows to points,
-and another maps the alcove's through w_b^{-1}.  The tuple views
+mapping the alcove walk's blocks through w_b^{-1} adj(A) / f, and by
+walking the region in the slack coordinates of its own n + 1 inequalities
+— and requires the two to agree.  One knapsack block walk (``_walk``)
+serves both simplices: int64 blocks built one coordinate per level, with
+no Python tuple per point, its one bound asserted where it starts.  Each
+route is one checked step of the int64 kernel ``linalg.AffineRows``
+(``_integral_solve``) from a walk's rows to sorted points; ``alcove_rows``
+is the same step through adj(A) / f alone.  The tuple views
 ``enumerate_alcove`` and ``iter_alcove_m`` have no package caller.  The
 points' sizes are one per-row integer form (``affine.size_numerators``),
 kept on the ``CoreSet`` as numerators over 2 h f.
@@ -172,12 +172,10 @@ def iter_alcove_m(rs: RootSystemData, b: int) -> Iterator[tuple[int, ...]]:
 def _integral_solve(blocks: Iterable[np.ndarray], mat, shift, det: int) -> np.ndarray:
     """The integral points (M s + v) / det over the rows s of the int64
     ``blocks``, as the rows of an int64 array in lexicographic order: one
-    checked kernel step ``linalg.AffineRows`` per block."""
-    step, kept = linalg.AffineRows(mat, shift), []
-    for s in blocks:
-        x = step(s)
-        kept.append(x[(x % det == 0).all(axis=1)] // det)
-    rows = np.concatenate(kept)
+    checked kernel step ``linalg.AffineRows`` per block.  The kept blocks
+    are freed by the one concatenate, so the sort holds two copies."""
+    step = linalg.AffineRows(mat, shift)
+    rows = np.concatenate([x[(x % det == 0).all(axis=1)] // det for x in map(step, blocks)])
     return rows[np.lexsort(rows.T[::-1])]
 
 
@@ -368,17 +366,19 @@ def _direct_scan(sr: SommersRegion) -> np.ndarray:
 def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
     """The coroot-lattice points of the b-region, with their sizes.
 
-    Computed by mapping the int64 rows of ``alcove_rows`` through the
-    inverse dilation element (one ``_integral_solve`` step), with no tuple
-    per point, and checked against the walk of the region's own inequalities
+    Computed by mapping the blocks of ``alcove_blocks`` through
+    w_b^{-1} adj(A) / f (one ``_integral_solve`` step; w_b^{-1} is
+    unimodular, so a row is kept exactly when adj(A) m is a coroot point),
+    and checked against the walk of the region's own inequalities
     (``_direct_scan``); a disagreement raises AssertionError.  When
     gcd(b, h) = 1 both walks visit f rows per point, so the up-front
     ``capped_haiman_count`` bounds them.  The sizes are one step over the
     mapped points' int64 array (``affine.size_numerators``).
     """
     predicted = capped_haiman_count(rs, b)
-    wb_inv = affine.compute_w_b(rs, b).inverse()
-    points = _integral_solve([alcove_rows(rs, b)], wb_inv.m, wb_inv.v, 1)
+    wb_inv, f = affine.compute_w_b(rs, b).inverse(), rs.index_of_connection
+    points = _integral_solve(alcove_blocks(rs, b), linalg.matmul(wb_inv.m, rs.cartan_adjugate),
+                             [f * x for x in wb_inv.v], f)
     if len(points) != predicted:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: found {len(points)} alcove points, expected {predicted}")

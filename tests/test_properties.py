@@ -445,6 +445,9 @@ def test_a_prefix_longer_than_a_block_is_split():
 
 @PROPERTY
 @given(type_and_b(max_b=13))
+@example((build_named("A4"), 11))
+@example((build_named("E6"), 7))
+@example((build_named("D5"), 9))
 def test_mapped_alcove_points_equal_the_facet_walk(case):
     rs, b = case
     wb_inv = affine.compute_w_b(rs, b).inverse()
