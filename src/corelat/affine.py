@@ -499,12 +499,11 @@ def scaled_size_b(rs: RootSystemData, b: int) -> tuple[int, SizeForm]:
     return 2 * h * rs.index_of_connection, form
 
 
-def size_numerators(rs: RootSystemData, x: np.ndarray, b: int = 1) -> tuple[int, np.ndarray]:
-    """(d, s) with size_b(x_k) = s_k / d for each row x_k of the int64 array
-    x of coroot points (size is size_b at b = 1): the pairings m = x A^T
-    (``linalg.AffineRows``), then the per-row form ``SizeForm.step`` of
-    ``scaled_size_b``."""
-    d, form = scaled_size_b(rs, b)
+def size_numerators(rs: RootSystemData, x: np.ndarray) -> tuple[int, np.ndarray]:
+    """(d, s) with size(x_k) = s_k / d for each row x_k of the int64 array x
+    of coroot points: the pairings m = x A^T (``linalg.AffineRows``), then
+    the per-row form ``SizeForm.step`` of ``scaled_size_b`` at b = 1."""
+    d, form = scaled_size_b(rs, 1)
     return d, form.step(linalg.AffineRows(rs.cartan_matrix, [0] * rs.rank)(x))
 
 

@@ -25,8 +25,8 @@ walking the region in the slack coordinates of its own n + 1 inequalities
 serves both simplices: int64 blocks built one coordinate per level, with
 no Python tuple per point, its one bound asserted where it starts.  Each
 route is one checked step of the int64 kernel ``linalg.AffineRows``
-(``_integral_solve``) from a walk's rows to sorted points; ``alcove_rows``
-is the same step through adj(A) / f alone.  The tuple views
+(``_integral_solve``) from a walk's rows to sorted points; ``coroot_mask``
+marks the walk's rows m whose adj(A) m / f is a coroot point.  The tuple views
 ``enumerate_alcove`` and ``iter_alcove_m`` have no package caller.  The
 points' sizes are one per-row integer form (``affine.size_numerators``),
 kept on the ``CoreSet`` as numerators over 2 h f.
@@ -184,32 +184,27 @@ def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
     return list(zip(*rows.T.tolist()))
 
 
-def alcove_rows(rs: RootSystemData, b: int, lattice: str = "coroot") -> np.ndarray:
-    """Lattice points of the b-dilated fundamental alcove as the rows of an
-    int64 array, sorted lexicographically: the alcove's one integer form.
+def coroot_mask(rs: RootSystemData, m: np.ndarray) -> np.ndarray:
+    """Which rows m of an ``alcove_blocks`` block are coroot points: those
+    with adj(A) m divisible by f, one ``linalg.AffineRows`` step.  A kept
+    row is the point adj(A) m / f, and m its pairings with the simple roots."""
+    adj = linalg.AffineRows(rs.cartan_adjugate, [0] * rs.rank)
+    return (adj(m) % rs.index_of_connection == 0).all(axis=1)
 
-    ``lattice`` is "coroot" or "coweight".  The int64 blocks of
-    ``alcove_blocks`` go through the adjugate of the Cartan matrix block by
-    block (``_integral_solve``): coroot points are the rows divisible by f,
-    in simple-coroot coordinates; coweight points are every row, as
-    numerators over f.
-    """
+
+def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> list[tuple]:
+    """Lattice points of the b-dilated fundamental alcove, in simple-coroot
+    coordinates, sorted lexicographically, for tests and tracing; no package
+    path calls it.  The blocks of ``alcove_blocks`` go through adj(A) in one
+    ``_integral_solve`` step: "coroot" points are the rows divisible by f, as
+    tuples of ints; "coweight" points are every row, as Fractions over f."""
     if b < 0:
         raise ValueError("dilation factor must be nonnegative")
     if lattice not in ("coroot", "coweight"):
         raise ValueError(f"unknown lattice {lattice!r}")
     f = rs.index_of_connection
-    return _integral_solve(alcove_blocks(rs, b), rs.cartan_adjugate, [0] * rs.rank,
-                           f if lattice == "coroot" else 1)
-
-
-def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> list[tuple]:
-    """Lattice points of the b-dilated fundamental alcove, in simple-coroot
-    coordinates, sorted lexicographically: the tuple view of ``alcove_rows``,
-    for tests and tracing; no package path calls it.  Coroot points are
-    tuples of ints; coweight points may have rational coordinates, tuples of
-    Fractions over f."""
-    rows, f = _tuples(alcove_rows(rs, b, lattice)), rs.index_of_connection
+    rows = _tuples(_integral_solve(alcove_blocks(rs, b), rs.cartan_adjugate, [0] * rs.rank,
+                                   f if lattice == "coroot" else 1))
     return rows if lattice == "coroot" else [tuple(Fraction(x, f) for x in row) for row in rows]
 
 

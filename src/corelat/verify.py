@@ -174,16 +174,18 @@ def check_max(matrix=DEFAULT_MATRIX) -> list:
 
 def check_transfer(matrix=DEFAULT_MATRIX) -> list:
     """Multiset equality of region sizes and dilated-alcove shifted sizes, as
-    sorted integer numerators over one denominator 2 h f: the numerators of
-    ``sommers.enumerate_cores`` against ``affine.size_numerators`` at b on
-    the int64 rows of ``sommers.alcove_rows``, with no Fraction and no
-    Python object per point.  Only a counterexample record turns the two
-    sorted lists into Fraction strings."""
+    sorted integer numerators over one denominator 2 h f: those of
+    ``sommers.enumerate_cores`` against the form step of ``affine.scaled_size_b``
+    at b on the pairings m that ``sommers.coroot_mask`` keeps in each block of
+    ``sommers.alcove_blocks``, with no Fraction and no Python object per
+    point.  Only a counterexample record makes Fraction strings."""
     def check(rs, b):
         coreset = sommers.enumerate_cores(rs, b)
-        d, shifted = affine.size_numerators(rs, sommers.alcove_rows(rs, b), b)
+        d, form = affine.scaled_size_b(rs, b)
         assert d == coreset.denominator, \
             f"shifted sizes over {d}, region sizes over {coreset.denominator}"
+        shifted = np.concatenate([form.step(m[sommers.coroot_mask(rs, m)])
+                                  for m in sommers.alcove_blocks(rs, b)])
         lhs, rhs = np.sort(coreset.numerators), np.sort(shifted)
         if not np.array_equal(lhs, rhs):
             yield {"sizes": [str(Fraction(x, d)) for x in lhs.tolist()],
@@ -398,14 +400,15 @@ def check_models() -> list:
 
 def check_haiman(matrix=DEFAULT_MATRIX + E_TYPES) -> list:
     """Point counts of dilated alcoves against the product formula, in both
-    lattices from one walk: the coweight rows of ``sommers.alcove_rows``
-    (numerators over f) and, among them, the coroot points: the rows
-    divisible by f.  A count over the cap is refused up front."""
+    lattices from one walk, block by block with no array kept: the coweight
+    points are the rows of ``sommers.alcove_blocks``, the coroot points the
+    rows ``sommers.coroot_mask`` keeps.  A count over the cap is refused up front."""
     def check(rs, b):
         predicted = sommers.capped_haiman_count(rs, b)
-        rows = sommers.alcove_rows(rs, b, "coweight")
-        coroot = int((rows % rs.index_of_connection == 0).all(axis=1).sum())
-        coweight = len(rows)
+        coroot = coweight = 0
+        for m in sommers.alcove_blocks(rs, b):
+            coroot += int(sommers.coroot_mask(rs, m).sum())
+            coweight += len(m)
         if coroot != predicted or coweight != rs.index_of_connection * predicted:
             yield {"count": coroot, "coweight_count": coweight, "predicted": predicted}
     return _counterexamples(_by_type_and_b(matrix, check))

@@ -1214,14 +1214,19 @@ def test_transfer_asserts_one_denominator(monkeypatch):
 
 @pytest.mark.parametrize("theorem", ["transfer", "haiman"])
 def test_region_suites_make_no_per_point_size_or_tuple(monkeypatch, theorem):
-    # transfer reads the alcove rows, haiman counts them, and enumerate_cores
-    # maps them through w_b^-1: no suite reaches the tuple view enumerate_alcove
+    # haiman counts the alcove walk's blocks and their coroot_mask, transfer
+    # sizes the masked rows, and enumerate_cores maps the blocks through
+    # w_b^-1: no suite reaches the tuple view enumerate_alcove, and no alcove
+    # row reaches size_numerators or a sorted _integral_solve array
     calls = Counter()
-    for module, name in [(affine, "size_b"), (sommers, "enumerate_alcove")]:
+    for module, name in [(affine, "size_b"), (sommers, "enumerate_alcove"),
+                         (affine, "size_numerators"), (sommers, "_integral_solve")]:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args))
     assert verify.run(theorem)["pass"]
-    assert calls == Counter()
+    # transfer's only calls are enumerate_cores's: two solves and one size step per case
+    cases = sum(len(bs) for _, bs in verify.DEFAULT_MATRIX) if theorem == "transfer" else 0
+    assert calls == Counter({"_integral_solve": 2 * cases, "size_numerators": cases})
 
 
 def test_missing_subcommand(capsys):

@@ -38,6 +38,9 @@ TYPES = (
     + ["E6", "E7", "E8", "F4", "G2"]
 )
 
+#: the ``verify.ALL_FAMILY_NAMES`` types of rank at most 4
+SMALL_FAMILY_NAMES = [t for t in verify.ALL_FAMILY_NAMES if CartanType.parse(t).rank <= 4]
+
 PROPERTY = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -350,7 +353,7 @@ def test_block_step_asserts_its_int64_bound(name):
 
 
 @PROPERTY
-@given(st.sampled_from([t for t in verify.ALL_FAMILY_NAMES if CartanType.parse(t).rank <= 4]), st.integers(0, 5))
+@given(st.sampled_from(SMALL_FAMILY_NAMES), st.integers(0, 5))
 @example("F4", 5)
 @example("D4", 5)
 def test_word_walk_carries_each_rows_point_and_vector(name, length):
@@ -410,6 +413,22 @@ def test_enumerate_alcove_matches_the_tuple_loop(name, b, lattice):
         except sommers.FeasibilityError as exc:
             found = str(exc)
         assert found == alcove_by_matvec(rs, b, lattice)
+
+
+@PROPERTY
+@given(st.sampled_from(SMALL_FAMILY_NAMES), st.integers(1, 12))
+@example("F4", 12)
+@example("G2", 6)
+def test_coroot_mask_keeps_the_pairings_of_the_coroot_points(name, b):
+    """At every b, coprime to h or not: the rows of ``alcove_blocks`` that
+    ``coroot_mask`` keeps are the pairings A q of the coroot points q of
+    ``enumerate_alcove``, and the blocks hold one row per coweight point."""
+    rs = build_named(name)
+    blocks = list(sommers.alcove_blocks(rs, b))
+    kept = np.concatenate([m[sommers.coroot_mask(rs, m)] for m in blocks])
+    pairings = sorted(linalg.matvec(rs.cartan_matrix, q) for q in sommers.enumerate_alcove(rs, b, "coroot"))
+    assert sorted(map(tuple, kept.tolist())) == pairings
+    assert sum(map(len, blocks)) == len(sommers.enumerate_alcove(rs, b, "coweight"))
 
 
 @st.composite

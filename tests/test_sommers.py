@@ -98,13 +98,16 @@ def test_haiman_and_coweight_ratio(name, b):
 
 @pytest.mark.parametrize("name,b", [("A2", 5), ("D4", 5), ("G2", 7), ("E6", 5)])
 def test_alcove_rows_are_the_points_over_f(name, b):
-    # the one integer form: coroot rows are the points, coweight rows their numerators over f
+    # the one integer form: through adj(A) the walk's rows are the coweight
+    # points' numerators over f, and the rows coroot_mask keeps the coroot points
     rs, f = build_named(name), build_named(name).index_of_connection
-    coroot, coweight = sommers.alcove_rows(rs, b, "coroot"), sommers.alcove_rows(rs, b, "coweight")
-    assert coroot.dtype == coweight.dtype == np.int64
-    assert [tuple(row) for row in coroot.tolist()] == enumerate_alcove(rs, b, "coroot")
-    assert [tuple(Fraction(x, f) for x in row) for row in coweight.tolist()] == enumerate_alcove(rs, b, "coweight")
-    assert (coweight[(coweight % f == 0).all(axis=1)] // f).tolist() == coroot.tolist()
+    rows = np.concatenate(list(sommers.alcove_blocks(rs, b)))
+    mask = np.concatenate([sommers.coroot_mask(rs, m) for m in sommers.alcove_blocks(rs, b)])
+    x = (rows @ np.array(rs.cartan_adjugate, dtype=np.int64).T).tolist()
+    assert rows.dtype == np.int64 and mask.dtype == bool
+    assert sorted(tuple(Fraction(c, f) for c in row) for row in x) == enumerate_alcove(rs, b, "coweight")
+    assert sorted(tuple(c // f for c in row) for row, kept in zip(x, mask) if kept) == enumerate_alcove(rs, b)
+    assert int(mask.sum()) == haiman_count(rs, b)
 
 
 def test_coweight_inventory_b_and_c():
@@ -474,16 +477,11 @@ def test_facet_walk_reads_no_dilation_element(monkeypatch, name, b):
 @pytest.mark.parametrize("name, b", [("A4", 11), ("C3", 7), ("E6", 7), ("F4", 13)])
 def test_each_route_is_one_integral_solve(monkeypatch, name, b):
     """The alcove route maps the walk's blocks through w_b^{-1} adj(A) / f
-    in one step, as the facet walk maps its own: neither reads the sorted
-    ``alcove_rows`` array, and each sorts once."""
+    in one step, as the facet walk maps its own, and each sorts once."""
     rs = build_named(name)
     wb_inv = affine.compute_w_b(rs, b).inverse()
     oracle = np.array(sorted(wb_inv(p) for p in enumerate_alcove(rs, b)), dtype=np.int64)
-
-    def refuse(*args):
-        raise RuntimeError("enumerate_cores read alcove_rows")
     solve, calls = sommers._integral_solve, []
-    monkeypatch.setattr(sommers, "alcove_rows", refuse)
     monkeypatch.setattr(sommers, "_integral_solve", lambda *args: calls.append(args) or solve(*args))
     assert np.array_equal(enumerate_cores(rs, b).point_rows, oracle)
     assert len(calls) == 2
