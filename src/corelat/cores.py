@@ -18,17 +18,17 @@ The abacus route has one block implementation in each direction:
 ``coroot_block`` reads the levels of a block of partitions off their
 beta-sets, and ``abacus_block`` turns a block of level rows into partitions,
 in checked int64 steps; each is the other's independent check, and
-``to_coroot`` and ``from_coroot`` are their views.  A block of partitions
-has one internal form, the ragged ``PartitionBlock``: a flat int64 array of
-part lengths and the number of parts of each partition.  ``abacus_block``
-and ``PartitionBlock.of`` make it, ``content_counts`` counts on it.
+``to_coroot`` and ``from_coroot`` are their one-row views: one tuple in,
+one tuple out.  A block of partitions has one internal form, the ragged
+``PartitionBlock``: a flat int64 array of part lengths and the number of
+parts of each partition.  ``abacus_block`` and ``PartitionBlock.of`` make
+it, ``content_counts`` counts on it (or on one partition tuple).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from . import linalg
 
 Partition = tuple[int, ...]
 
-#: bead positions per int64 step of ``_abacus_steps``, and (row, class) cells of
+#: bead positions per int64 step of ``abacus_block``, and (row, class) cells of
 #: ``content_counts``: bounds a step's memory whatever the size of the block
 ABACUS_CELLS = 2**14
 
@@ -172,31 +172,19 @@ def coroot_block(block: PartitionBlock, a: int) -> np.ndarray:
     return levels
 
 
-def from_coroot(a: int, q):
-    """Inverse of ``to_coroot``: the a-core whose runner levels are q.
-
-    q is one sum-zero a-tuple, giving one partition tuple, or a block of
-    them (the rows of an int64 array, or a sequence of a-tuples), giving a
-    list of partition tuples: the tuple view of ``abacus_block``, taken
-    step by step, so that one step's list of Python ints is alive at a
-    time."""
+def from_coroot(a: int, q) -> Partition:
+    """Inverse of ``to_coroot``: the a-core whose runner levels are the one
+    sum-zero a-tuple q, the one-row view of ``abacus_block``.  Any q that
+    is not one row raises ValueError."""
     levels = np.asarray(q, dtype=np.int64)
-    single = levels.ndim == 1
-    parts = [p for step in _abacus_steps(a, levels[None, :] if single else levels) for p in step.partitions()]
-    return parts[0] if single else parts
+    if levels.ndim != 1:
+        raise ValueError(f"expected one row of {a} runner levels, got shape {levels.shape}")
+    return abacus_block(a, levels[None, :]).partitions()[0]
 
 
 def abacus_block(a: int, levels) -> PartitionBlock:
     """The a-cores whose runner levels are the rows of the int64 array
-    ``levels``, as one ``PartitionBlock``: the steps of ``_abacus_steps``."""
-    steps = list(_abacus_steps(a, levels))
-    empty = np.zeros(0, dtype=np.int64)
-    return PartitionBlock(np.concatenate([s.lengths for s in steps] or [empty]),
-                          np.concatenate([s.rows for s in steps] or [empty]))
-
-
-def _abacus_steps(a: int, levels) -> Iterator[PartitionBlock]:
-    """The a-cores of the rows of ``levels``, one ``PartitionBlock`` per step.
+    ``levels``, as one ``PartitionBlock``.
 
     Each row is read from its top position p = a max(q) - 1 down; the bead
     at p is black iff p // a < q[p mod a], and with i the black beads so
@@ -210,18 +198,21 @@ def _abacus_steps(a: int, levels) -> Iterator[PartitionBlock]:
     levels = np.asarray(levels, dtype=np.int64)
     peak = check_levels(a, levels)
     rows = max(1, ABACUS_CELLS // (a * (2 * peak + 1)))  # no row is wider than a (2 peak + 1)
-    for lo in range(0, len(levels), rows):
-        yield _abacus_step(a, levels[lo:lo + rows])
+    steps = [_abacus_step(a, levels[lo:lo + rows]) for lo in range(0, len(levels), rows)]
+    empty = np.zeros(0, dtype=np.int64)
+    return PartitionBlock(np.concatenate([s.lengths for s in steps] or [empty]),
+                          np.concatenate([s.rows for s in steps] or [empty]))
 
 
 def check_levels(a: int, levels: np.ndarray) -> int:
     """The largest |level| of the int64 block ``levels``, once its rows are
-    checked as a-abacus levels: a modulus below 1, a row not of a levels or
-    not summing to zero raises ValueError, and the int64 bound
-    (``abacus_bound``) is asserted.  A block that passes passes in every slice."""
+    checked as a-abacus levels: a modulus below 1, a block that is not a 2-D
+    array of rows of a levels, or a row not summing to zero raises
+    ValueError, and the int64 bound (``abacus_bound``) is asserted.  A block
+    that passes passes in every slice."""
     _check_modulus(a)
     if levels.ndim != 2 or levels.shape[1] != a:
-        raise ValueError(f"expected {a} runner levels, got {levels.shape[-1]}")
+        raise ValueError(f"expected rows of {a} runner levels, got shape {levels.shape}")
     peak = max(int(levels.max(initial=0)), -int(levels.min(initial=0)))
     assert abacus_bound(a, peak) < linalg.INT64_LIMIT, "int64 bound of the abacus"
     unbalanced = np.flatnonzero(levels.sum(axis=1))
@@ -232,7 +223,7 @@ def check_levels(a: int, levels: np.ndarray) -> int:
 
 
 def _abacus_step(a: int, levels: np.ndarray) -> PartitionBlock:
-    """The partitions of the rows of ``levels`` (a step of ``_abacus_steps``)."""
+    """The partitions of the rows of ``levels`` (a step of ``abacus_block``)."""
     hi = levels.max(axis=1)
     depth = int((hi - levels.min(axis=1)).max(initial=0)) + 1
     # window row m holds runners j = a - 1, ..., 0 at level hi - 1 - m: black iff q_j > hi - 1 - m
@@ -247,7 +238,7 @@ def _abacus_step(a: int, levels: np.ndarray) -> PartitionBlock:
 
 
 def abacus_bound(a: int, peak: int) -> int:
-    """a (3 peak + 1): no value that ``_abacus_steps`` forms on a block whose
+    """a (3 peak + 1): no value that ``abacus_block`` forms on a block whose
     largest |level| is ``peak`` exceeds it.  In a row with top a hi, a
     position lies in [a hi - a (2 peak + 1), a hi), a bead count is at most
     the window width a (2 peak + 1), and position + count at a black bead
@@ -259,16 +250,15 @@ def content_counts(parts, a: int):
     """Number of boxes in each content class (s - r) mod a, box = (row r, col s).
 
     ``parts`` is one partition (a tuple), giving an a-tuple, or a
-    ``PartitionBlock`` or a list of partitions, giving an int64 array with a
-    row each; a list is flattened once by ``PartitionBlock.of``.  Row r of
+    ``PartitionBlock``, giving an int64 array with a row each.  Row r of
     length l has (l + a - 1 - (c + r - 1) mod a) // a boxes of class c.  A
     step counts whole partitions, at most ``ABACUS_CELLS`` (row, class)
     cells unless one partition alone has more, and sums them per partition
     by one cumulative sum.  No value passes (rows) (max(l) + a), asserted
     once per block.  A modulus below 1 raises ValueError."""
     _check_modulus(a)
-    single = isinstance(parts, tuple)
-    block = parts if isinstance(parts, PartitionBlock) else PartitionBlock.of([parts] if single else parts)
+    single = not isinstance(parts, PartitionBlock)
+    block = PartitionBlock.of([parts]) if single else parts
     lengths, rows = block.lengths, block.rows
     assert len(lengths) * (int(lengths.max(initial=0)) + a) < linalg.INT64_LIMIT, "int64 bound of the contents"
     ends = rows.cumsum()

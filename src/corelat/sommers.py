@@ -14,9 +14,9 @@ tuples, or the type-C model images).  ``corelat cores`` writes its rows
 from column blocks of ``ALCOVE_BLOCK`` points (``CoreSet.row_blocks``): the
 int64 rows, the size texts and one ``cores.abacus_block`` of partitions
 each, with no Python object per point.  The library views, ``CoreSet.rows()``
-and ``CoreSet.to_json_dict()``, read the partitions of one
-``cores.from_coroot`` call, and ``simultaneous_selfconjugate`` reads them
-back on one ``cores.coroot_block`` per modulus, b and 2n.
+and ``CoreSet.to_json_dict()``, read the records of the same blocks, and
+``simultaneous_selfconjugate`` makes one ``cores.abacus_block`` of all
+points and reads it back on one ``cores.coroot_block`` per modulus, b and 2n.
 
 ``enumerate_cores`` computes the point set two independent ways — by
 mapping the alcove walk's blocks through w_b^{-1} adj(A) / f, and by
@@ -249,14 +249,10 @@ class CoreSet:
         The partition is given in the families whose core's box count is
         the size: the (n+1)-core of the abacus bijection in type A_n, and
         the self-conjugate 2n-core of the isometric model in type C_n.
+        The rows are the records of ``row_blocks``, as in the document.
         """
-        return zip(self.points, self.sizes, self._partitions())
-
-    def _partitions(self) -> list[tuple[int, ...] | None]:
-        """The partition of each point, or None outside types A and C: one
-        ``cores.from_coroot`` on the runner levels of all points."""
-        levels = self._levels()
-        return [None] * len(self) if levels is None else cores.from_coroot(levels.shape[1], levels)
+        records = chain.from_iterable(map(_block_records, self.row_blocks()))
+        return ((record["coords"], size, record.get("partition")) for record, size in zip(records, self.sizes))
 
     def _levels(self) -> np.ndarray | None:
         """The runner levels of all points, one ``models.level_step``, in
@@ -318,13 +314,20 @@ class CoreSet:
         }
 
     def to_json_dict(self) -> dict:
-        """The ``corelat cores`` document with its rows as one list of
-        dicts: ``points``, the size texts and ``_partitions``."""
+        """The ``corelat cores`` document with its ``row_blocks`` written
+        out as one list of dicts."""
         doc = self.document()
-        keys = ("coords", "size", "partition")
-        doc["rows"] = [{key: value for key, value in zip(keys, row) if value is not None}
-                       for row in zip(self.points, self._size_texts, self._partitions())]
+        doc["rows"] = list(chain.from_iterable(map(_block_records, doc["rows"])))
         return doc
+
+
+def _block_records(block: dict) -> Iterator[dict]:
+    """The record of each row of one ``CoreSet.row_blocks`` block: its
+    coords and partition as tuples and its size text."""
+    columns = {"coords": _tuples(block["coords"]), "size": block["size"]}
+    if "partition" in block:
+        columns["partition"] = block["partition"].partitions()
+    return (dict(zip(columns, row)) for row in zip(*columns.values()))
 
 
 def region_vertices(rs: RootSystemData, b: int) -> list[tuple[Fraction, ...]]:
@@ -425,11 +428,13 @@ def simultaneous_selfconjugate(n: int, b: int) -> SelfConjugateReport:
     per modulus.  At b, a row sums to zero exactly on a b-core, self-conjugate
     exactly when the row is antisymmetric (``cores.conjugate_coroot``).  At 2n,
     each row must be its partition's model image (``CoreSet._levels``), which
-    sums to zero.  Only a failing row gets a hook scan, for its message."""
+    sums to zero.  The partitions are one ``cores.abacus_block`` of those
+    images.  Only a failing row gets a hook scan, for its message."""
     coreset = enumerate_cores(rootsys.build(CartanType("C", n)), b)
-    pairs = list(zip(coreset.points, coreset._partitions()))
-    block = cores.PartitionBlock.of([parts for _, parts in pairs])
-    levels, images, made = cores.coroot_block(block, b), cores.coroot_block(block, 2 * n), coreset._levels()
+    made = coreset._levels()
+    block = cores.abacus_block(2 * n, made)
+    pairs = list(zip(coreset.points, block.partitions()))
+    levels, images = cores.coroot_block(block, b), cores.coroot_block(block, 2 * n)
     sums, skew = levels.sum(axis=1), (levels != -levels[:, ::-1]).any(axis=1)
     bad = np.flatnonzero((sums != 0) | skew | (images != made).any(axis=1))
     if bad.size:

@@ -336,7 +336,7 @@ def check_ip_content() -> list:
     60 boxes, a = 3, 4, 5, each a as whole arrays: one block of the cores
     of ``cores.core_closure``, their levels from one ``cores.coroot_block``
     and their coordinates (partial sums of the levels) in one checked step,
-    one letter step per letter, and one ``cores.from_coroot`` block of the
+    one letter step per letter, and one ``cores.abacus_block`` of the
     cores of all moved points, against the toggles that the closure made.
     A non-core fails the identity: its content counts are no core's."""
     def check(a):
@@ -348,7 +348,7 @@ def check_ip_content() -> list:
         moved = np.stack([affine.letter_element(rs, i).step(x) for i in range(a)], axis=1).reshape(-1, a - 1)
         # most letters fix their core: each distinct moved point is converted once
         first, which = _first_rows(moved)
-        moved_cores = cores.from_coroot(a, models.level_step(t)(moved[first]))
+        moved_cores = cores.abacus_block(a, models.level_step(t)(moved[first])).partitions()
         which = which.tolist()
         half, odd = np.divmod(affine.size_vector_numerators(rs, x)[1], 2)
         wrong = ((odd != 0) | (half != cores.content_counts(block, a))).any(axis=1).tolist()

@@ -138,7 +138,7 @@ GOLDEN_STDOUT = {
     ("cores", "E7", "11"): "47d2ff0f2eddec878746b7d656472ab8e5589a961d872f18ba09a6f007c5e3b5",
     ("cores", "C3", "5", "--format", "csv"):
         "e827877f360a962c4bfbe7250edb0c432a48c2aef2e5ffb722e9d7b94a8e4d4e",
-    # 2,530 points: one from_coroot block of many cores.ABACUS_CELLS steps
+    # 2,530 points: two abacus_block row blocks of many cores.ABACUS_CELLS steps
     ("cores", "A4", "21"): "a6352db257910a25c4a91d30badaaaa0df4f89e66d745a2bb4aed458fffd0162",
     ("cores", "A4", "21", "--format", "csv"):
         "a31f47609f9bd28b5fdf1946469753bb804d6b8800c84722dd5e4dadb7dced27",

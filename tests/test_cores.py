@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from typing import Iterator
 
@@ -76,56 +77,71 @@ def test_from_coroot_rejects_unbalanced():
     with pytest.raises(ValueError):
         from_coroot(3, (1, -1))
     with pytest.raises(ValueError, match=r"runner levels \(1, 0, -2\) must sum to zero"):
-        from_coroot(3, [(0, 0, 0), (1, 0, -2), (2, 0, -2)])
+        cores.abacus_block(3, [(0, 0, 0), (1, 0, -2), (2, 0, -2)])
 
 
-def test_from_coroot_gives_a_tuple_for_a_row_and_a_list_for_a_block():
+def test_from_coroot_is_the_one_row_view_of_abacus_block():
     assert from_coroot(3, (0, 2, -2)) == (5, 3, 1, 1)
-    assert from_coroot(3, [(0, 2, -2), (0, 0, 0)]) == [(5, 3, 1, 1), ()]
-    assert from_coroot(3, [(0, 2, -2)]) == [(5, 3, 1, 1)]
-    assert from_coroot(3, np.zeros((0, 3), dtype=np.int64)) == []
+    assert cores.abacus_block(3, [(0, 2, -2), (0, 0, 0)]).partitions() == [(5, 3, 1, 1), ()]
+    assert cores.abacus_block(3, [(0, 2, -2)]).partitions() == [(5, 3, 1, 1)]
+    assert cores.abacus_block(3, np.zeros((0, 3), dtype=np.int64)).partitions() == []
+
+
+@pytest.mark.parametrize("make, levels, shape", [
+    (cores.abacus_block, np.array([0, 0, 0]), "(3,)"),  # one row, not a block of rows
+    (cores.abacus_block, np.zeros((2, 2, 3), dtype=np.int64), "(2, 2, 3)"),
+    (cores.abacus_block, np.zeros((2, 4), dtype=np.int64), "(2, 4)"),
+    (from_coroot, [[(0, 0, 0)]], "(1, 1, 3)"),  # a block, not one row
+    (from_coroot, [(0, 0, 0), (1, 0, -1)], "(2, 3)"),
+])
+def test_levels_of_the_wrong_shape_are_refused_by_their_shape(make, levels, shape):
+    with pytest.raises(ValueError, match=rf"runner levels, got shape {re.escape(shape)}$"):
+        make(3, levels)
 
 
 @pytest.mark.parametrize("a", [2, 3, 7])
 def test_from_coroot_asserts_its_int64_bound_once_per_block(a):
-    """Every value the block step forms is within a (3 L + 1) for the
+    """Every value ``abacus_block`` forms is within a (3 L + 1) for the
     block's largest |level| L: the bound admits L = top and refuses
     L = top + 1.  A block with one row past it is refused before anything
-    is formed; the step at top itself would need a window of a (2 top + 1)
-    int64 positions per row, so it is not run."""
+    is formed, and so is that row alone, through its one-row view
+    ``from_coroot``; the step at top itself would need a window of
+    a (2 top + 1) int64 positions per row, so it is not run."""
     top = ((linalg.INT64_LIMIT - 1) // a - 1) // 3
     assert cores.abacus_bound(a, top) < linalg.INT64_LIMIT <= cores.abacus_bound(a, top + 1)
     far = (0,) * (a - 2) + (top + 1, -top - 1)
     with pytest.raises(AssertionError, match="int64 bound of the abacus"):
-        from_coroot(a, [(0,) * a, far])
+        cores.abacus_block(a, [(0,) * a, far])
+    with pytest.raises(AssertionError, match="int64 bound of the abacus"):
+        from_coroot(a, far)
 
 
-def test_from_coroot_memory_does_not_grow_with_the_block():
+def test_abacus_block_memory_does_not_grow_with_the_block():
     # one wide row pads 20,000 rows to 404 positions: 8 M cells in a single
     # step, about 130 MB; steps of ABACUS_CELLS positions stay under 1 MB
     levels = np.zeros((20000, 4), dtype=np.int64)
     levels[7] = (50, -50, 0, 0)
     tracemalloc.start()
     try:
-        parts = from_coroot(4, levels)
+        block = cores.abacus_block(4, levels)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    parts = block.partitions()
     assert parts[7] == from_coroot(4, (50, -50, 0, 0)) and parts.count(()) == 19999
     assert peak - current < 2**20
 
 
 @pytest.mark.parametrize("theorem,most", [("ip_content", 3), ("models", 6)])
-def test_verify_suites_call_from_coroot_once_per_block(monkeypatch, theorem, most):
-    # one call per a (ip_content, from_coroot) or per model type (models, the
-    # ragged abacus_block, with no partition tuple), not one per row
+def test_verify_suites_call_abacus_block_once_per_block(monkeypatch, theorem, most):
+    # one abacus_block per a (ip_content) or per model type (models), not
+    # one from_coroot per row
     calls = {"from_coroot": [], "abacus_block": []}
     for name, seen in calls.items():
         real = getattr(cores, name)
         monkeypatch.setattr(cores, name, lambda a, q, real=real, seen=seen: seen.append(a) or real(a, q))
     assert verify.run(theorem)["pass"]
-    counted, other = ("from_coroot", "abacus_block") if theorem == "ip_content" else ("abacus_block", "from_coroot")
-    assert 0 < len(calls[counted]) <= most and calls[other] == []
+    assert 0 < len(calls["abacus_block"]) <= most and calls["from_coroot"] == []
 
 
 @pytest.mark.parametrize("a", [3, 4, 5])

@@ -547,8 +547,8 @@ def from_coroot_by_positions(a, q):
 @example((4, [(1, 0, 0, -1), (-3, 3, -3, 3)]))
 def test_a_block_of_levels_gives_each_row_its_core(case):
     a, rows = case
-    block = cores.from_coroot(a, rows)
-    assert block == cores.from_coroot(a, np.array(rows, dtype=np.int64))
+    block = cores.abacus_block(a, rows).partitions()
+    assert block == cores.abacus_block(a, np.array(rows, dtype=np.int64)).partitions()
     assert len(block) == len(rows)
     for q, parts in zip(rows, block):
         assert parts == cores.from_coroot(a, q) == from_coroot_by_positions(a, q)
@@ -580,11 +580,11 @@ def test_ragged_content_counts_equal_the_tuple_counts(case):
     a, rows = case
     levels = np.array(rows, dtype=np.int64).reshape(len(rows), a)
     block = cores.abacus_block(a, levels)
-    tuples = cores.from_coroot(a, levels)
-    assert len(block.rows) == len(rows) and block.partitions() == tuples
+    tuples = block.partitions()
+    assert len(block.rows) == len(tuples) == len(rows)
     counts = cores.content_counts(block, a)
     assert counts.shape == (len(rows), a)
-    assert counts.tolist() == cores.content_counts(tuples, a).tolist() == \
+    assert counts.tolist() == [list(cores.content_counts(parts, a)) for parts in tuples] == \
         [content_counts_by_boxes(parts, a) for parts in tuples]
 
 
@@ -661,7 +661,7 @@ def test_coroot_block_sums_to_zero_on_cores_only(partitions, a):
 
 
 def test_the_partitions_of_a_many_step_region_are_its_simultaneous_cores():
-    # 2,530 points: one from_coroot block, read in steps of ABACUS_CELLS positions
+    # 2,530 points: abacus_block row blocks, read in steps of ABACUS_CELLS positions
     cs = sommers.enumerate_cores(build_named("A4"), 21)
     with patch.object(cores, "_abacus_step", wraps=cores._abacus_step) as step:
         rows = list(cs.rows())
@@ -726,22 +726,23 @@ def test_model_block_steps_match_their_per_point_references(name, data):
     assert [tuple(Fraction(v, d) for v in row) for row in s.tolist()] == \
         [(*sizes, affine.size_lattice_total(rs, k)) for k, sizes in zip(points, lattice)]
     modulus = len(images[0])
-    parts = [cores.from_coroot(modulus, image) for image in images]
+    block = cores.abacus_block(modulus, images)
     brute = [[sum(1 for r, length in enumerate(p, start=1) for c in range(1, length + 1)
-                  if (c - r) % modulus == j) for j in range(modulus)] for p in parts]
-    assert cores.content_counts(parts, modulus).tolist() == brute
+                  if (c - r) % modulus == j) for j in range(modulus)] for p in block.partitions()]
+    assert cores.content_counts(block, modulus).tolist() == brute
 
 
 @PROPERTY
 @given(st.sampled_from(MODEL_TYPES), st.data())
 def test_model_size_numerators_count_the_ragged_block_as_the_tuples(name, data):
-    # the ragged route against the one it replaced: partition tuples, flattened by content_counts
+    # the ragged route against the one it replaced: partition tuples, counted one by one
     t = CartanType.parse(name)
     points = data.draw(st.lists(st.tuples(*[st.integers(-30, 30)] * t.rank), max_size=60))
     x = np.array(points, dtype=np.int64).reshape(len(points), t.rank)
     rows = models.size_rows(t)
     modulus = len(rows[0])
-    counts = cores.content_counts(cores.from_coroot(modulus, models.level_step(t)(x)), modulus)
+    parts = cores.abacus_block(modulus, models.level_step(t)(x)).partitions()
+    counts = np.array([cores.content_counts(p, modulus) for p in parts], dtype=np.int64).reshape(len(parts), modulus)
     rows.append([sum(col) for col in zip(*rows)])
     d, s = models.size_numerators(t, x)
     assert d == 2 and s.tolist() == linalg.AffineRows(rows, [0] * len(rows))(counts).tolist()

@@ -14,7 +14,6 @@ from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers
 from corelat.affine import size_b
 from corelat.rootsys import CartanType, build, build_named
 from corelat.sommers import (
-    CoreSet,
     FeasibilityError,
     capped,
     contains,
@@ -396,6 +395,36 @@ def test_simultaneous_selfconjugate_counts():
         simultaneous_selfconjugate(2, 2)
 
 
+@pytest.mark.parametrize("name, b", [("A4", 11), ("C3", 11)])
+def test_the_library_views_and_the_document_share_one_row_path(monkeypatch, name, b):
+    """``rows()``, ``to_json_dict()`` and the ``document()`` rows each make
+    one ``cores.abacus_block`` per row block and no ``cores.from_coroot``."""
+    coreset = enumerate_cores(build_named(name), b)
+    monkeypatch.setattr(sommers, "ALCOVE_BLOCK", 7)
+    calls = {"abacus_block": 0, "from_coroot": 0}
+    for fn in calls:
+        real = getattr(cores, fn)
+
+        def counted(a, levels, real=real, fn=fn):
+            calls[fn] += 1
+            return real(a, levels)
+        monkeypatch.setattr(cores, fn, counted)
+    views = {"rows": lambda: list(coreset.rows()), "to_json_dict": coreset.to_json_dict,
+             "document": lambda: list(coreset.document()["rows"])}
+    for view, read in views.items():
+        calls.update(abacus_block=0, from_coroot=0)
+        read()
+        assert calls == {"abacus_block": -(-len(coreset) // 7), "from_coroot": 0}, view
+
+
+def replace_partitions(monkeypatch, change):
+    """Make ``cores.abacus_block`` give the partitions of ``change`` on its
+    list of partition tuples."""
+    abacus_block = cores.abacus_block
+    monkeypatch.setattr(cores, "abacus_block",
+                        lambda a, levels: cores.PartitionBlock.of(change(abacus_block(a, levels).partitions())))
+
+
 @pytest.mark.parametrize("image, failure", [
     ((3, 1, 1), "is not a 5-core"),  # self-conjugate, with a 5-hook
     ((2,), "is not self-conjugate"),  # a (4, 5)-core
@@ -403,15 +432,10 @@ def test_simultaneous_selfconjugate_counts():
 ])
 def test_selfconjugate_certificate_names_the_point(monkeypatch, image, failure):
     """The b-abacus levels catch a non-b-core and a b-core that is not
-    self-conjugate; only the 2n hook scan catches a self-conjugate b-core
-    that is not a 2n-core."""
-    partitions = CoreSet._partitions
-
-    def one_replaced(self):
-        found = partitions(self)
-        found[2] = image
-        return found
-    monkeypatch.setattr(CoreSet, "_partitions", one_replaced)
+    self-conjugate.  The 2n-abacus levels catch a self-conjugate b-core that
+    is not a 2n-core, as they are not its point's model image; only then
+    does the hook scan run, on that one partition, to name its 2n-hook."""
+    replace_partitions(monkeypatch, lambda found: found[:2] + [image] + found[3:])
     point = enumerate_cores(build_named("C2"), 5).points[2]
     with pytest.raises(AssertionError) as info:
         simultaneous_selfconjugate(2, 5)
@@ -421,17 +445,14 @@ def test_selfconjugate_certificate_names_the_point(monkeypatch, image, failure):
 def test_selfconjugate_certificate_catches_swapped_partitions(monkeypatch):
     """Two swapped partitions are each a self-conjugate (4, 5)-core, so only
     the 2n-abacus levels, read back against the model images, catch them."""
-    partitions = CoreSet._partitions
-
-    def two_swapped(self):
-        found = partitions(self)
+    def two_swapped(found):
         found[1], found[4] = found[4], found[1]
         return found
     coreset = enumerate_cores(build_named("C2"), 5)
-    found = two_swapped(coreset)
+    found = two_swapped(cores.abacus_block(4, coreset._levels()).partitions())
     for parts in found:
         assert cores.is_core(parts, 4) and cores.is_core(parts, 5) and cores.conjugate(parts) == parts
-    monkeypatch.setattr(CoreSet, "_partitions", two_swapped)
+    replace_partitions(monkeypatch, two_swapped)
     with pytest.raises(AssertionError) as info:
         simultaneous_selfconjugate(2, 5)
     assert str(info.value).startswith(f"image {found[1]} of {coreset.points[1]} has 4-abacus levels ")
