@@ -530,8 +530,9 @@ def alcove_distance(rs: RootSystemData, x) -> int:
 
     With p = <x, alpha> off the walls, they are k = 1, ..., floor(p) for
     p > 0 and k = 0, -1, ..., ceil(p) for p < 0.  This is the length of the
-    element ``alcove_reduce`` returns and its number of reflection steps;
-    for b rhocheck / h it is the sum over alpha > 0 of floor(b ht(alpha) / h).
+    element ``alcove_reduce`` returns; its reflection walk, from x - floor(x),
+    takes this distance of that point.  For b rhocheck / h it is the sum
+    over alpha > 0 of floor(b ht(alpha) / h).
     """
     scale, pt = _scaled(x)
     total = 0
@@ -605,11 +606,15 @@ def dominant_rows(rs: RootSystemData, v: np.ndarray) -> np.ndarray:
 def alcove_reduce(rs: RootSystemData, x):
     """Map x into the open fundamental alcove.
 
-    Returns (u, y) with y = u(x) strictly inside the alcove; u is the
-    product of the applied simple affine reflections.  At each step the
-    lowest-index violated wall is reflected (0 = the affine wall).  Each
-    step crosses one separating hyperplane, so the reduction takes exactly
-    ``alcove_distance(rs, x)`` steps.
+    Returns (u, y) with y = u(x) strictly inside the alcove.  As
+    W_aff = W ⋉ Q^vee, the coroot floor(x) (the floors of x's simple-coroot
+    coordinates) is taken out first, and u is the translation by -floor(x)
+    followed by the applied simple affine reflections.  The walk starts in
+    the unit box: at each step the lowest-index violated wall is reflected
+    (0 = the affine wall), and each step crosses one separating hyperplane,
+    so it takes exactly ``alcove_distance`` of x - floor(x) steps, at most
+    |Phi+| + the sum over alpha > 0 and i of |<alpha_i^vee, alpha>|,
+    however far x lies from the alcove.
 
     The point is kept as the integer vector L x, and a reflection updates
     its simple-root pairings along one sparse column of A (A hr_check for
@@ -618,13 +623,13 @@ def alcove_reduce(rs: RootSystemData, x):
     spelled by the reflections that bring w(rhocheck) back to the dominant
     chamber, and u = t_v w with v = y - w(x).
     """
-    scale, pt = _scaled(x)
-    start = list(pt)
+    scale, start = _scaled(x)
+    pt = [k % scale for k in start]
     vals = [sum(c * k for c, k in zip(row, pt)) for row in rs.cartan_matrix]
     rho_vals = [1] * rs.rank
     hr = rs.highest_root_coeffs
     refl = _reflections(rs)
-    steps = alcove_distance(rs, x)
+    steps = alcove_distance(rs, [Fraction(k, scale) for k in pt])
     taken = 0
     while (wall := _violated_wall(rs, vals, scale)) is not None and taken < steps:
         letter, t = wall
@@ -653,7 +658,9 @@ def compute_w_b(rs: RootSystemData, b: int) -> AffineElement:
     """The unique element with w_b(rhocheck / h) = b rhocheck / h.
 
     It maps the b-th simplex region onto the b-fold dilated alcove; computed
-    as the inverse of the alcove reduction applied to b rhocheck / h.
+    as the inverse of the alcove reduction applied to b rhocheck / h, whose
+    walk starts from b rhocheck / h - floor(b rhocheck / h), so its cost
+    does not grow with b (the element's length, ``alcove_distance``, does).
     """
     rootsys.check_dilation(rs, b)
     h = rs.coxeter_number

@@ -137,12 +137,14 @@ def _closure_pair_vecs(a, n) -> dict[tuple[int, ...], tuple[tuple[int, ...], int
 
     The reflection closure of the simple roots: for a root alpha and each j
     with k = <alpha, alphacheck_j> < 0, s_j alpha = alpha - k alpha_j is a
-    higher root, whose pairing vector is alpha's minus k times row j of A.
-    It is complete, as every positive root of height > 1 is s_j of a lower
-    one (Humphreys, Lie Algebras, 10.2).  The origin is the simple root a
-    root was reflected from, as long as the root: reflections keep lengths.
+    higher root, whose pairing vector is alpha's minus k times row j of A,
+    updated only at that row's nonzero entries.  It is complete, as every
+    positive root of height > 1 is s_j of a lower one (Humphreys, Lie
+    Algebras, 10.2).  The origin is the simple root a root was reflected
+    from, as long as the root: reflections keep lengths.
     """
     found = {tuple(int(i == j) for j in range(n)): (tuple(a[i]), i) for i in range(n)}
+    rows = [[(l, y) for l, y in enumerate(row) if y] for row in a]
     layer = list(found)
     while layer:
         nxt = []
@@ -152,7 +154,10 @@ def _closure_pair_vecs(a, n) -> dict[tuple[int, ...], tuple[tuple[int, ...], int
                 if k < 0:
                     cand = alpha[:j] + (alpha[j] - k,) + alpha[j + 1:]
                     if cand not in found:
-                        found[cand] = (tuple(x - k * y for x, y in zip(pair_vec, a[j])), origin)
+                        vec = list(pair_vec)
+                        for l, y in rows[j]:
+                            vec[l] -= k * y
+                        found[cand] = (tuple(vec), origin)
                         nxt.append(cand)
         layer = nxt
     return dict(sorted(found.items(), key=lambda item: (sum(item[0]), item[0])))

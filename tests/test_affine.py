@@ -1,6 +1,8 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import floor
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -368,10 +370,27 @@ def test_alcove_distance_of_dilated_rho(name, b, steps):
     assert sum(b * r.height // rs.coxeter_number for r in rs.positive_roots) == steps
 
 
+@pytest.mark.parametrize("name, b", [
+    ("E8", 7919), ("E7", 10007), ("D30", 1001), ("A40", 1001), ("A2", 4001),
+])
+def test_compute_w_b_walk_does_not_grow_with_b(name, b):
+    # the walk starts from b rhocheck / h - floor(b rhocheck / h), in the unit
+    # box, so it crosses at most |Phi+| + sum |<alpha_i^vee, alpha>| walls
+    rs = build_named(name)
+    bound = len(rs.positive_roots) + sum(abs(p) for r in rs.positive_roots for p in r.pair_vec)
+    with patch.object(affine, "_violated_wall", wraps=affine._violated_wall) as wall:
+        w = compute_w_b.__wrapped__(rs, b)
+    assert w(rho_over_h(rs)) == tuple(b * c for c in rho_over_h(rs))
+    assert wall.call_count <= bound + 1
+
+
 def test_alcove_reduce_step_count_guard(monkeypatch):
+    # the guard counts the walk from x - floor(x), and floor(x) != 0 here
     g2 = build_named("G2")
     x = tuple(7 * c for c in rho_over_h(g2))
-    steps = affine.alcove_distance(g2, x)
+    box = tuple(c - floor(c) for c in x)
+    assert box != x
+    steps = affine.alcove_distance(g2, box)
     for wrong in (steps - 1, steps + 1):
         monkeypatch.setattr(affine, "alcove_distance", lambda rs, x, wrong=wrong: wrong)
         with pytest.raises(AssertionError, match=f"predicted {wrong}"):

@@ -136,6 +136,32 @@ def test_alcove_reduce_length_is_the_step_count(name, data):
     assert len(inversion_set(u)) == affine.alcove_distance(rs, x)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(TYPES), st.data())
+def test_alcove_reduce_is_translation_equivariant(name, data):
+    """Moving x by a coroot lam moves u by t_-lam alone: the same y, the same
+    finite part, v - m lam, and the same walk, counted in wall tests."""
+    rs = build_named(name)
+    denom = data.draw(st.integers(1, 40))
+    x = tuple(Fraction(data.draw(st.integers(-6 * denom, 6 * denom)), denom)
+              for _ in range(rs.rank))
+    lam = data.draw(st.tuples(*[st.integers(-10**6, 10**6)] * rs.rank))
+    moved = tuple(c + k for c, k in zip(x, lam))
+    with patch.object(affine, "_violated_wall", wraps=affine._violated_wall) as wall:
+        try:
+            u, y = affine.alcove_reduce(rs, x)
+        except PointOnWallError:
+            with pytest.raises(PointOnWallError):
+                affine.alcove_reduce(rs, moved)
+            return
+        calls = wall.call_count
+        u2, y2 = affine.alcove_reduce(rs, moved)
+    assert y2 == y
+    assert u2.m == u.m
+    assert u2.v == tuple(v - k for v, k in zip(u.v, linalg.matvec(u.m, lam)))
+    assert wall.call_count == 2 * calls
+
+
 #: the regions on which ``verify conjecture``'s block route meets the per-point oracle
 CONJECTURE_CASES = (("A2", 4), ("B2", 5), ("G2", 7), ("A3", 5), ("C3", 7), ("B3", 11), ("D4", 5), ("F4", 7))
 
