@@ -117,11 +117,17 @@ class AffineElement:
 
     @cached_property
     def m_inv(self) -> tuple[tuple[int, ...], ...]:
-        """m^-1 = G^-1 m^T G, as m preserves the coroot Gram G: adj(G) m^T G
-        over det G, every division exact."""
-        det, adj = _gram_adjugate(self.rs)
-        scaled = linalg.matmul(linalg.matmul(adj, tuple(zip(*self.m))), self.rs.gram_coroot)
-        return tuple(tuple(x // det for x in row) for row in scaled)
+        """m^-1 = G^-1 m^T G, as m preserves the coroot Gram G = S A, S =
+        diag(``coroot_scales``): with G^-1 = adj(A) S^-1 / f, the transpose of
+        (G m S^-1) adj(A)^T over f, by two checked int64 steps
+        (``linalg.AffineRows``), every division exact.  adj(A) stays small at
+        any rank, where adj(G) would not (det G = 2^n in C_n)."""
+        rs, zero = self.rs, (0,) * self.rs.rank
+        gram_m = linalg.AffineRows(tuple(zip(*self.m)), zero)(np.array(rs.gram_coroot, dtype=np.int64))
+        moved, rem = np.divmod(gram_m, rs.coroot_scales)
+        inv, rem_f = np.divmod(linalg.AffineRows(rs.cartan_adjugate, zero)(moved).T, rs.index_of_connection)
+        assert not rem.any() and not rem_f.any(), f"{self.m} does not preserve the coroot Gram matrix"
+        return linalg.freeze(inv.tolist())
 
     @cached_property
     def root_m(self) -> tuple[tuple[int, ...], ...]:
@@ -176,11 +182,6 @@ def _on_roots(rs: RootSystemData, mat) -> tuple[tuple[int, ...], ...]:
     Weyl group elements, so the division is exact."""
     s = rs.coroot_scales
     return tuple(tuple(si * x // sj for x, sj in zip(row, s)) for row, si in zip(mat, s))
-
-
-@lru_cache(maxsize=None)
-def _gram_adjugate(rs: RootSystemData) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    return linalg.adjugate(rs.gram_coroot)
 
 
 def _known(el: AffineElement, **values) -> AffineElement:

@@ -2,8 +2,8 @@
 quasipolynomial/expectation machinery built on it.
 
 Everything is exact: sums are accumulated as integers against a scaled
-Gram matrix of the fundamental coweights, polynomials are fitted by the
-integer adjugate of their Vandermonde matrix, and every identity asserted
+Gram matrix of the fundamental coweights, polynomials are fitted by
+Newton's divided differences over Fractions, and every identity asserted
 here is an equality of rationals.  The weighted enumerator sums the alcove
 walk in numpy int64 blocks, each by the checked kernel step
 ``linalg.QuadraticRows``, whose bound is asserted once before the walk
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import affine, cores, linalg, sommers
+from . import affine, cores, sommers
 from .rootsys import RootSystemData
 
 
@@ -97,13 +97,23 @@ def poly_from_roots(leading, roots):
 
 def lagrange_fit(xs, ys) -> tuple[Fraction, ...]:
     """Exact interpolating polynomial through the points (x, y), for distinct
-    integers x and rational y: the Vandermonde system V c = y solved as
-    adj(V) y / det V (``linalg.adjugate``), trailing zeros stripped."""
-    det, adj = linalg.adjugate([[x**k for k in range(len(xs))] for x in xs])
-    coeffs = [Fraction(sum(a * y for a, y in zip(row, ys)), det) for row in adj]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    integers x (ValueError otherwise) and rational y, trailing zeros stripped:
+    Newton's divided differences c_i = y[x_0, ..., x_i], and the Newton form
+    c_0 + (X - x_0)(c_1 + (X - x_1)(c_2 + ...)) expanded from the inside out,
+    O(k^2) Fraction operations for k points."""
+    if len(set(xs)) < len(xs):
+        raise ValueError(f"interpolation points {list(xs)} repeat an x")
+    coeffs = [Fraction(y) for y in ys]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+    poly: list[Fraction] = []
+    for c, x in zip(reversed(coeffs), reversed(xs)):
+        poly = [lo - x * hi for lo, hi in zip([0, *poly], [*poly, 0])]
+        poly[0] += c
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    return tuple(poly)
 
 
 @dataclass(frozen=True)

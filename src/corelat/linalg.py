@@ -2,11 +2,12 @@
 checked int64 kernel.
 
 Matrices are immutable tuples of tuples; entries are ints or Fractions.
-The kernel's three steps on the rows of int64 arrays, ``AffineRows``,
-``QuadraticRows`` and ``ReflectionRows``, are the package's only numpy
-array products.  Before
-it multiplies, each step asserts that every value it forms, partial sums
-included, stays below 2**63, so its results are exact.
+The kernel's four steps on the rows of int64 arrays, ``AffineRows``,
+``QuadraticRows``, ``ReflectionRows`` and the row step of ``adjugate``, are
+the package's only numpy array products.  Before it multiplies, each step
+asserts that every value it forms, partial sums included, stays below
+2**63, so its results are exact; the adjugate's step asserts
+2 max|rows|^2 < 2**63 on the rows it eliminates.
 """
 
 from __future__ import annotations
@@ -45,30 +46,48 @@ def vec_add(u, v) -> tuple:
     return tuple(x + y for x, y in zip(u, v))
 
 
+def _check_adjugate_step(top: int) -> None:
+    """A row step forms pivot x - factor y from entries of at most ``top`` in
+    absolute value, so every value is within 2 top^2."""
+    assert 2 * top * top < INT64_LIMIT, "int64 bound of the adjugate"
+
+
 def adjugate(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(|det A|, |det A| * A^-1) of a nonsingular integer matrix (ValueError if
-    singular), from one fraction-free (Bareiss) Gauss-Jordan elimination.
+    singular), from one fraction-free (Bareiss) Gauss-Jordan elimination on
+    the int64 array [A | I].
 
-    Step k swaps in a later row on a zero pivot and clears column k of
-    [A | I] outside row k; rows 0..k then carry the leading (k+1)-minor of
-    the row-permuted A on the diagonal, every division exact (Sylvester's
-    identity).  At the end [A | I] has become [d I | d A^-1], d = +-det A.
+    Step k swaps in a later row on a zero pivot, then clears column k outside
+    row k in one whole-array row step, rows <- (pivot rows - column k (x) row k)
+    // previous pivot, row k kept; rows 0..k then carry the leading
+    (k+1)-minor of the row-permuted A on the diagonal, every division exact
+    (Sylvester's identity).  Each step first asserts 2 max|rows|^2 < 2**63,
+    which bounds every value it forms.  At the end [A | I] has become
+    [d I | d A^-1], d = +-det A.
     """
     n = len(a)
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    _check_adjugate_step(max((abs(x) for row in a for x in row), default=0))
+    rows = np.eye(n, 2 * n, n, dtype=np.int64)
+    rows[:, :n] = a
     prev = 1
     for k in range(n):
-        swap = next((i for i in range(k, n) if rows[i][k]), None)
-        if swap is None:
-            raise ValueError("matrix is singular")
-        rows[k], rows[swap] = rows[swap], rows[k]
-        pivot_row, pivot = rows[k], rows[k][k]
-        for i, row in enumerate(rows):
-            if i != k:
-                factor = row[k]
-                rows[i] = [(pivot * x - factor * y) // prev for x, y in zip(row, pivot_row)]
+        if not rows[k, k]:
+            swap = np.flatnonzero(rows[k:, k])
+            if not len(swap):
+                raise ValueError("matrix is singular")
+            rows[[k, k + swap[0]]] = rows[[k + swap[0], k]]
+        # no entry is -2**63, which abs would wrap: each is within the last step's bound
+        _check_adjugate_step(int(np.abs(rows).max()))
+        pivot_row = rows[k].copy()
+        pivot = int(pivot_row[k])
+        factors = rows[:, k, None] * pivot_row
+        rows *= pivot
+        rows -= factors
+        rows //= prev
+        rows[k] = pivot_row
         prev = pivot
-    return abs(prev), freeze((x if prev > 0 else -x for x in row[n:]) for row in rows)
+    adj = rows[:, n:] if prev > 0 else -rows[:, n:]
+    return abs(prev), freeze(adj.tolist())
 
 
 def peak(a: np.ndarray) -> int:

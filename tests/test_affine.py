@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import conjecture_records, dominant_representative, inversion_set, one_letter_at_a_time
 
-from corelat import affine, sommers, verify
+from corelat import affine, linalg, sommers, verify
 from corelat.affine import (
     AffineRoot,
     AffineWord,
@@ -382,6 +382,15 @@ def test_compute_w_b_walk_does_not_grow_with_b(name, b):
         w = compute_w_b.__wrapped__(rs, b)
     assert w(rho_over_h(rs)) == tuple(b * c for c in rho_over_h(rs))
     assert wall.call_count <= bound + 1
+
+
+@pytest.mark.parametrize("name, b", [("C30", 61), ("C40", 81), ("B30", 61), ("A40", 1001), ("E8", 31)])
+def test_m_inv_at_high_rank(name, b):
+    # det of the coroot Gram matrix of C_n is 2^n, so m^-1 must not need its int64 adjugate
+    w = compute_w_b(build_named(name), b)
+    n = len(w.m)
+    assert linalg.matmul(w.m, w.m_inv) == linalg.identity(n)
+    assert w.inverse()(w(rho_over_h(w.rs))) == rho_over_h(w.rs)
 
 
 def test_alcove_reduce_step_count_guard(monkeypatch):

@@ -153,6 +153,26 @@ def test_lagrange_fit_equals_the_lagrange_basis_oracle(points):
     assert [poly_eval(coeffs, x) for x in xs] == ys
 
 
+def test_lagrange_fit_refuses_a_repeated_x():
+    # a ValueError, as from the singular Vandermonde matrix, not a ZeroDivisionError
+    with pytest.raises(ValueError):
+        lagrange_fit([1, 2, 1], [Fraction(1), Fraction(2), Fraction(3)])
+
+
+def test_lagrange_fit_of_no_points_is_empty():
+    assert lagrange_fit([], []) == ()
+
+
+def test_lagrange_fit_at_the_e8_sample_spacing():
+    """interpolate's 11 samples for E8, residue 1 of period 60, fitted to
+    values of the degree-10 closed form."""
+    closed = predicted_enumerator_polynomial(build_named("E8"))
+    xs = list(range(1, 602, 60))
+    ys = [poly_eval(closed, x) for x in xs]
+    assert len(closed) == len(xs) == 11
+    assert lagrange_fit(xs, ys) == lagrange_basis_fit(xs, ys) == closed
+
+
 def test_poly_from_roots():
     coeffs = poly_from_roots(Fraction(1, 2), [1, -1])
     assert coeffs == (Fraction(-1, 2), Fraction(0), Fraction(1, 2))

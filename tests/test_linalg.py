@@ -1,7 +1,11 @@
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
+from conftest import gauss_jordan_inverse
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corelat import linalg, rootsys, verify
 
@@ -41,6 +45,66 @@ def test_facet_matrices(fraction_inverse):
 def test_singular_matrix_is_refused(a):
     with pytest.raises(ValueError, match="singular"):
         linalg.adjugate(a)
+
+
+@pytest.mark.parametrize("top,past", [
+    # diag(1, t): before step 1 the rows hold t, so the bound needs 2 t^2 < 2**63
+    (((1, 0), (0, 2**31 - 1)), ((1, 0), (0, 2**31))),
+    # diag(t, t): after step 0 row 1 holds t^2, so 2 t^4 < 2**63
+    (((46340, 0), (0, 46340)), ((46341, 0), (0, 46341))),
+])
+def test_adjugate_asserts_its_int64_bound(top, past, fraction_inverse):
+    """The elimination is exact at the largest diagonal matrices that its step
+    bound 2 max|rows|^2 < 2**63 admits, and refused one past them, where an
+    int64 product pivot x - factor y could wrap."""
+    check_adjugate(top, fraction_inverse, top[0][0] * top[1][1])
+    with pytest.raises(AssertionError, match="int64 bound of the adjugate"):
+        linalg.adjugate(past)
+
+
+@pytest.mark.parametrize("entry", [2**63, -2**64])
+def test_adjugate_asserts_its_bound_on_an_entry_past_int64(entry):
+    # the bound is checked on the Python ints, before numpy would raise OverflowError
+    with pytest.raises(AssertionError, match="int64 bound of the adjugate"):
+        linalg.adjugate(((entry, 0), (0, 1)))
+
+
+def fraction_det(a) -> Fraction:
+    """det A by Fraction Gaussian elimination, 0 if A is singular."""
+    rows, det = [[Fraction(x) for x in row] for row in a], Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot], det = rows[pivot], rows[col], -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+SQUARE = st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-100, 100), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(SQUARE)
+def test_adjugate_is_exact_or_refused(a):
+    """A nonsingular integer matrix gets the Fraction oracle's adjugate, or the
+    int64 bound refuses it.  Every entry the elimination holds is a minor of
+    [A | I], at most H = prod |row_i| (Hadamard), so it is never refused when
+    2 H^2 < 2**63: always for n <= 4 at entries in +-100, not always above."""
+    det = fraction_det(a)
+    assume(det != 0)
+    try:
+        linalg.adjugate(a)
+    except AssertionError as refused:
+        assert str(refused) == "int64 bound of the adjugate"
+        assert 2 * prod(sum(x * x for x in row) for row in a) >= linalg.INT64_LIMIT
+    else:
+        check_adjugate(a, gauss_jordan_inverse, det)
 
 
 #: det of the Cartan matrix, the index of connection |P/Q|

@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from corelat import affine, linalg, rootsys
@@ -251,6 +252,23 @@ def test_weyl_group_orders():
         rs = build_named(name)
         expected = exceptional.get(name) or closed[name[0]](rs.rank)
         assert rs.weyl_order == expected
+
+
+@pytest.mark.parametrize("name,f", [("A100", 101), ("B80", 2), ("C80", 2), ("D60", 4)])
+def test_high_rank_builds(name, f):
+    rs = build_named(name)
+    n, h = rs.rank, rs.coxeter_number
+    assert rs.index_of_connection == f
+    assert len(rs.positive_roots) == n * h // 2
+    adj = np.array(rs.cartan_adjugate, dtype=np.int64)
+    assert (adj @ np.array(rs.cartan_matrix, dtype=np.int64) == f * np.eye(n, dtype=np.int64)).all()
+
+
+def test_a100_cartan_adjugate_closed_form():
+    # (n + 1) A^-1 of A_n is min(i, j) (n + 1 - max(i, j)), 1-indexed
+    n = 100
+    assert build_named(f"A{n}").cartan_adjugate == tuple(
+        tuple(min(i, j) * (n + 1 - max(i, j)) for j in range(1, n + 1)) for i in range(1, n + 1))
 
 
 @pytest.mark.parametrize("name", ["A2", "G2", "E8", "A40"])
