@@ -1,15 +1,15 @@
 """Generalized simultaneous cores: the b-region of each type, its lattice
 points, their exact sizes, and the count / mean / max formulas."""
 
-from corelat import draw, rootsys, sommers
+from corelat import draw, ehrhart, rootsys, sommers
 
 for name, b in [("A2", 4), ("C2", 5), ("G2", 5)]:
     rs = rootsys.build_named(name)
     cs = sommers.enumerate_cores(rs, b)
-    value, argmax = sommers.max_size(rs, b, coreset=cs)
+    value, argmax = sommers.max_size(cs)
     print(f"{name}, b = {b}: {len(cs)} lattice points in the region")
     print(f"  sizes: {sorted(int(s) for s in cs.sizes)}")
-    print(f"  mean {cs.mean_size} = (r g^/h) n (b-1)(h+b+1)/24, "
+    print(f"  mean {ehrhart.expected_size(cs).mean} = (r g^/h) n (b-1)(h+b+1)/24, "
           f"max {value} at {argmax}")
 
 print()

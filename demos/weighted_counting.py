@@ -1,11 +1,11 @@
 """Weighted Ehrhart enumeration: exact expectation checks, quasipolynomial
 interpolation, and the type-A generating function identity."""
 
-from corelat import ehrhart, rootsys
+from corelat import ehrhart, rootsys, sommers
 
 print("three-way expected-size agreement (direct / coweight sum / closed form):")
 for name, b in [("A3", 5), ("B3", 7), ("C3", 5), ("D4", 7), ("F4", 5), ("G2", 7)]:
-    rep = ehrhart.expected_size(rootsys.build_named(name), b)
+    rep = ehrhart.expected_size(sommers.enumerate_cores(rootsys.build_named(name), b))
     print(f"  {name}, b = {b}: count {rep.count}, mean {rep.mean}")
 
 print()
@@ -17,7 +17,7 @@ print("  factored form: (1/72)(b-1)(b+1)(b+5)(b+7)")
 print("  equals the closed form f * count(b) * mean(b):",
       coeffs == ehrhart.predicted_enumerator_polynomial(g2))
 print("  vanishing at the reciprocity roots:",
-      [(t, str(v)) for t, v in ehrhart.reciprocity_roots(g2, 1, coeffs).checked])
+      [(t, str(v)) for t, v in ehrhart.reciprocity_roots(g2, 1).checked])
 
 print()
 b2 = rootsys.build_named("B2")

@@ -12,6 +12,7 @@ starts, and adds the block sums as Python ints.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -31,13 +32,11 @@ class SeriesMismatchError(AssertionError):
         super().__init__(f"power series disagree first at degree {degree}: {lhs} != {rhs}")
 
 
-_ENUMERATOR_CACHE: dict = {}
-
-
 def clear_enumerator_cache() -> None:
-    _ENUMERATOR_CACHE.clear()
+    weighted_enumerator.cache_clear()
 
 
+@functools.cache
 def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     """Sum of size_b over the coweight-lattice points of the b-dilated alcove.
 
@@ -50,22 +49,18 @@ def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     total are ``expected_size`` (region mean and closed form) and
     ``verify fg_poly`` (fits against the predicted polynomial).
 
-    Values are cached per (system, b); the cap only guards fresh work.  For
-    b coprime to h the f * ``haiman_count`` rows are refused up front when
-    the count exceeds the cap; for other b, before passing cap * f rows.
+    Values are cached per (system, b), refusals are not, so the cap only
+    guards fresh work.  For b coprime to h the f * ``haiman_count`` rows are
+    refused up front when the count exceeds the cap; for other b, before
+    passing cap * f rows.
     """
-    cached = _ENUMERATOR_CACHE.get((rs.cartan_type, b))
-    if cached is not None:
-        return cached
     if b < 1:
         raise ValueError("dilation factor must be >= 1")
     if gcd(b, rs.coxeter_number) == 1:
         sommers.capped_haiman_count(rs, b)
     denom, size = affine.scaled_size_b(rs, b)
     size.step.check_total(sommers.ALCOVE_BLOCK, b)
-    value = Fraction(sum(size.step.total(m, b) for m in sommers.alcove_blocks(rs, b)), denom)
-    _ENUMERATOR_CACHE[(rs.cartan_type, b)] = value
-    return value
+    return Fraction(sum(size.step.total(m, b) for m in sommers.alcove_blocks(rs, b)), denom)
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +122,14 @@ class Quasipolynomial:
         return poly_eval(self.components[b % self.period], b)
 
 
-def interpolate(rs: RootSystemData, residue: int, period: int | None = None) -> tuple[Fraction, ...]:
+def interpolate(rs: RootSystemData, residue: int) -> tuple[Fraction, ...]:
     """Fit the degree-(n+2) polynomial matching the weighted enumerator at
-    n + 3 values b = residue mod period, then validate it on two more.
+    n + 3 values b = residue mod ``rs.period_c``, then validate it on two more.
 
-    The period defaults to ``rs.period_c``.  Raises ValueError for a period
-    below 1, HeldOutMismatchError when validation fails (wrong period or
+    Raises HeldOutMismatchError when validation fails (wrong period or
     degree), and FeasibilityError when the sample values get too large.
     """
-    if period is None:
-        period = rs.period_c
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+    period = rs.period_c
     residue %= period
     samples, held_out = rs.rank + 3, 2
     start = residue or period
@@ -154,8 +145,7 @@ def interpolate(rs: RootSystemData, residue: int, period: int | None = None) -> 
 
 
 def fit_quasipolynomial(rs: RootSystemData) -> Quasipolynomial:
-    period = rs.period_c
-    return Quasipolynomial(period, {r: interpolate(rs, r, period) for r in range(period)})
+    return Quasipolynomial(rs.period_c, {r: interpolate(rs, r) for r in range(rs.period_c)})
 
 
 def _mean_size_polynomial(rs: RootSystemData) -> tuple[Fraction, ...]:
@@ -185,16 +175,14 @@ class ExpectationReport:
     mean: Fraction
 
 
-def expected_size(rs: RootSystemData, b: int,
-                  coreset: sommers.CoreSet | None = None) -> ExpectationReport:
-    """Mean size over the b-region points, computed three independent ways.
+def expected_size(coreset: sommers.CoreSet) -> ExpectationReport:
+    """Mean size over the points of one b-region, computed three independent ways.
 
-    (i) direct average over the enumerated points; (ii) the coweight-lattice
+    (i) direct average over the region's points; (ii) the coweight-lattice
     sum divided by f and the count; (iii) the closed form
     ``_mean_size_polynomial`` at b.  Any disagreement raises.
     """
-    if coreset is None:
-        coreset = sommers.enumerate_cores(rs, b)
+    rs, b = coreset.rs, coreset.b
     count = len(coreset)
     direct_mean = coreset.mean_size
     coweight_mean = weighted_enumerator(rs, b) / (rs.index_of_connection * count)
@@ -214,15 +202,13 @@ class RootReport:
     checked: list  # (root location, value) pairs, each value 0
 
 
-def reciprocity_roots(rs: RootSystemData, residue: int,
-                      coeffs: tuple[Fraction, ...] | None = None) -> RootReport:
-    """Verify the vanishing of the fitted component at b = -e_j for the
-    exponents in its residue class, and at b = 1 and b = -h-1 when those
-    fall in the class.  A nonzero value raises."""
+def reciprocity_roots(rs: RootSystemData, residue: int) -> RootReport:
+    """Verify the vanishing of the fitted component (``interpolate``) at
+    b = -e_j for the exponents in its residue class, and at b = 1 and
+    b = -h-1 when those fall in the class.  A nonzero value raises."""
     period = rs.period_c
     residue %= period
-    if coeffs is None:
-        coeffs = interpolate(rs, residue)
+    coeffs = interpolate(rs, residue)
     targets = [-e for e in rs.exponents if (-e) % period == residue]
     if 1 % period == residue:
         targets.append(1)

@@ -299,7 +299,7 @@ class CoreSet:
         ``argmax`` are ``max_size``'s closed form and w_b^{-1}(0).  Every
         check runs here, before a block is made: AssertionError unless the
         numerators' maximum and one maximizer agree with them."""
-        value, argmax = max_size(self.rs, self.b, self)
+        value, argmax = max_size(self)
         texts = self._size_texts
         return {
             "type": str(self.rs.cartan_type),
@@ -388,27 +388,27 @@ def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
     return CoreSet(rs, b, points, *affine.size_numerators(rs, points))
 
 
-def max_size(rs: RootSystemData, b: int, coreset: CoreSet | None = None):
-    """(max size, argmax) over the b-region lattice points.
+def max_size(coreset: CoreSet):
+    """(max size, argmax) over the lattice points of one b-region.
 
     The closed form (r g / h) * n (b^2 - 1)(h + 1) / 24 and the predicted
-    argmax w_b^{-1}(0) are verified against an exhaustive scan of the size
-    numerators, including uniqueness of the maximizer.
+    argmax w_b^{-1}(0), the shift of w_b^{-1}, are verified against an
+    exhaustive scan of the size numerators, including uniqueness of the
+    maximizer.
     """
-    if coreset is None:
-        coreset = enumerate_cores(rs, b)
+    rs, b = coreset.rs, coreset.b
     value = (Fraction(rs.ratio_r * rs.dual_coxeter_number, rs.coxeter_number)
              * Fraction(rs.rank * (b * b - 1) * (rs.coxeter_number + 1), 24))
-    argmax = affine.compute_w_b(rs, b).inverse()(tuple(0 for _ in range(rs.rank)))
+    argmax = affine.compute_w_b(rs, b).inverse().v
     nums = coreset.numerators
     top = int(nums.max())
     scan_max = Fraction(top, coreset.denominator)
     winners = [tuple(row) for row in coreset.point_rows[nums == top].tolist()]
-    if scan_max != value or winners != [tuple(argmax)]:
+    if scan_max != value or winners != [argmax]:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: maximum-size scan disagrees with the closed form "
-            f"(scan {scan_max} at {winners}, formula {value} at {tuple(argmax)})")
-    return value, tuple(argmax)
+            f"(scan {scan_max} at {winners}, formula {value} at {argmax})")
+    return value, argmax
 
 
 @dataclass(frozen=True)

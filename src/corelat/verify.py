@@ -162,13 +162,13 @@ def check_arm() -> list:
 def check_main(matrix=DEFAULT_MATRIX) -> list:
     """Three-way agreement of the expected size for every (type, b)."""
     def check(rs, b):
-        ehrhart.expected_size(rs, b)
+        ehrhart.expected_size(sommers.enumerate_cores(rs, b))
     return _counterexamples(_by_type_and_b(matrix, check))
 
 
 def check_max(matrix=DEFAULT_MATRIX) -> list:
     def check(rs, b):
-        sommers.max_size(rs, b)
+        sommers.max_size(sommers.enumerate_cores(rs, b))
     return _counterexamples(_by_type_and_b(matrix, check))
 
 
@@ -474,7 +474,7 @@ def check_conjecture(matrix=None) -> list:
         dominant = affine.dominant_rows(rs, pairings)
         floors = linalg.AffineRows(roots, [0] * len(roots))(dominant) // h
         tops = [b * r.height // h for r in rs.positive_roots]
-        q_star = affine.compute_w_b(rs, b).inverse()((0,) * rs.rank)
+        q_star = affine.compute_w_b(rs, b).inverse().v
         moved, over = (rows == q_star).all(axis=1) & (dominant != b).any(axis=1), floors > tops
         found = []
         for r in np.flatnonzero(moved | over.any(axis=1)).tolist():

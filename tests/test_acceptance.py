@@ -54,10 +54,9 @@ def test_criterion_2_expected_size_three_ways():
     start = time.perf_counter()
     failures = []
     for name, bs in MATRIX:
-        rs = build_named(name)
         for b in bs:
             try:
-                ehrhart.expected_size(rs, b, coreset=coreset(name, b))
+                ehrhart.expected_size(coreset(name, b))
             except AssertionError as exc:
                 failures.append(str(exc))
     elapsed = time.perf_counter() - start
@@ -95,10 +94,9 @@ def test_criterion_4_maximum_size():
     inverse dilation image of the origin, for every matrix pair."""
     failures = []
     for name, bs in MATRIX:
-        rs = build_named(name)
         for b in bs:
             try:
-                sommers.max_size(rs, b, coreset=coreset(name, b))
+                sommers.max_size(coreset(name, b))
             except AssertionError as exc:
                 failures.append(str(exc))
     report(4, not failures, f"exhaustive scans over {sum(len(bs) for _, bs in MATRIX)} pairs"
@@ -241,8 +239,8 @@ def test_criterion_e_types_under_default_cap():
         rs = build_named(name)
         try:
             cs = sommers.enumerate_cores(rs, b)
-            ehrhart.expected_size(rs, b, coreset=cs)
-            sommers.max_size(rs, b, coreset=cs)
+            ehrhart.expected_size(cs)
+            sommers.max_size(cs)
             alcove = sommers.enumerate_alcove(rs, b, "coroot")
             if sorted(cs.sizes) != sorted(affine.size_b(rs, b, q) for q in alcove):
                 failures.append(f"{name}: transfer mismatch")

@@ -818,7 +818,7 @@ def test_a_refusal_is_not_a_counterexample(capsys, theorem):
 ])
 def test_the_cap_reaches_every_suite_that_enumerates(monkeypatch, capsys, theorem, cap, message):
     # the cap guards fresh work only, so start from an empty enumerator cache
-    monkeypatch.setattr(ehrhart, "_ENUMERATOR_CACHE", {})
+    ehrhart.clear_enumerator_cache()
     assert cli.main(["verify", theorem, "--cap", str(cap)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -978,7 +978,7 @@ def test_a_held_out_mismatch_is_a_counterexample(monkeypatch, capsys):
     def off_by_one(rs, b):
         return enumerator(rs, b) + (str(rs.cartan_type) == "G2" and b == 37)
 
-    monkeypatch.setattr(ehrhart, "_ENUMERATOR_CACHE", {})
+    ehrhart.clear_enumerator_cache()
     monkeypatch.setattr(ehrhart, "weighted_enumerator", off_by_one)
     code, out = run(capsys, "verify", "fg_poly")
     assert code == 1

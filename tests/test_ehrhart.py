@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -24,6 +25,7 @@ from corelat.ehrhart import (
     weighted_enumerator,
 )
 from corelat.rootsys import CartanType, build, build_named
+from corelat.sommers import enumerate_cores
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +91,7 @@ def test_enumerator_blocks_equal_the_per_tuple_sum(monkeypatch, rows):
         monkeypatch.setattr(sommers, "ALCOVE_BLOCK", rows)
     for name, b in WALK_GRID:
         rs = build_named(name)
-        monkeypatch.setattr(ehrhart, "_ENUMERATOR_CACHE", {})
+        ehrhart.clear_enumerator_cache()
         d, s = affine.scaled_size_b(rs, b)
         assert weighted_enumerator(rs, b) == Fraction(sum(map(s, sommers.iter_alcove_m(rs, b))), d)
 
@@ -234,16 +236,9 @@ def _factorial(n):
 def test_period_negative_controls():
     """Merging inequivalent residues must fail held-out validation."""
     with pytest.raises(HeldOutMismatchError):
-        interpolate(build_named("B2"), 1, period=1)
+        interpolate(dataclasses.replace(build_named("B2"), period_c=1), 1)
     with pytest.raises(HeldOutMismatchError):
-        interpolate(build_named("G2"), 1, period=2)
-
-
-@pytest.mark.parametrize("period", [0, -2])
-def test_period_below_one_is_refused(period):
-    # 0 is not the default period, and -2 is refused for the period, not for b
-    with pytest.raises(ValueError, match=f"period must be >= 1, got {period}"):
-        interpolate(build_named("B2"), 1, period=period)
+        interpolate(dataclasses.replace(build_named("G2"), period_c=2), 1)
 
 
 def test_fit_quasipolynomial_object():
@@ -258,12 +253,27 @@ def test_fit_quasipolynomial_object():
 # ---------------------------------------------------------------------------
 
 def test_expected_size_reference():
-    rep = expected_size(build_named("A2"), 5)
+    rep = expected_size(enumerate_cores(build_named("A2"), 5))
     assert rep.mean == 3
-    rep = expected_size(build_named("A2"), 1)
+    rep = expected_size(enumerate_cores(build_named("A2"), 1))
     assert rep.mean == 0
-    rep = expected_size(build_named("G2"), 5)
+    rep = expected_size(enumerate_cores(build_named("G2"), 5))
     assert rep.mean == 8 and rep.count == 5
+
+
+def test_a_region_fact_reads_only_its_region(monkeypatch):
+    """``expected_size`` and ``max_size`` read the system and b off the
+    region they are given and never enumerate it again."""
+    # A2 at b = 4 has mean (3 - 1)(4 - 1)(3 + 4 + 1) / 24 = 2
+    cases = [(enumerate_cores(build_named(name), b), top, mean)
+             for name, b, top, mean in (("A2", 4, 5, 2), ("G2", 5, 28, 8))]
+
+    def refuse(rs, b):
+        raise AssertionError(f"{rs.cartan_type}, b={b} enumerated again")
+    monkeypatch.setattr(sommers, "enumerate_cores", refuse)
+    for cs, top, mean in cases:
+        assert sommers.max_size(cs) == (top, affine.compute_w_b(cs.rs, cs.b).inverse().v)
+        assert expected_size(cs).mean == mean
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +282,16 @@ def test_expected_size_reference():
 
 def test_reciprocity_b2():
     rs = build_named("B2")
-    coeffs = interpolate(rs, 1)
-    report = reciprocity_roots(rs, 1, coeffs)
+    report = reciprocity_roots(rs, 1)
     assert {t for t, _ in report.checked} == {-1, -3, 1, -5}
+
+
+def test_reciprocity_names_a_root_that_fails_to_vanish(monkeypatch):
+    rs = build_named("B2")
+    constant, *rest = interpolate(rs, 1)
+    monkeypatch.setattr(ehrhart, "interpolate", lambda rs, residue: (constant + 1, *rest))
+    with pytest.raises(AssertionError, match="B2: component 1 mod 2 fails to vanish at"):
+        reciprocity_roots(rs, 1)
 
 
 def test_reciprocity_g2_f4():

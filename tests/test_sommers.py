@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import corelat
-from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers
+from corelat import affine, cores, ehrhart, linalg, models, rootsys, sommers, verify
 from corelat.affine import size_b
 from corelat.rootsys import CartanType, build, build_named
 from corelat.sommers import (
@@ -224,14 +224,16 @@ def test_a_capped_block_is_not_seen_in_another_thread():
     assert seen == [sommers.DEFAULT_CAP, 7]
 
 
-def test_only_capped_takes_a_cap():
-    # the cap is one setting per block, never a parameter of the work it guards
-    taking = set()
+def public_signatures():
+    """(label, parameters) of every public callable of the package: the
+    module-level functions and classes, and the public methods of each
+    class, labelled by the module that defines them."""
     modules = [importlib.import_module(f"corelat.{m.name}")
                for m in pkgutil.iter_modules(corelat.__path__)]
     for module in modules:
         for name, obj in vars(module).items():
-            if name.startswith("_") or not getattr(obj, "__module__", "").startswith("corelat"):
+            owner = getattr(obj, "__module__", None) or ""
+            if name.startswith("_") or not owner.startswith("corelat"):
                 continue
             members = [(name, obj)]
             if inspect.isclass(obj):
@@ -239,12 +241,32 @@ def test_only_capped_takes_a_cap():
                             if not attr.startswith("_") and callable(value)]
             for label, member in members:
                 try:
-                    params = inspect.signature(member).parameters
+                    yield f"{owner}.{label}", inspect.signature(member).parameters
                 except (TypeError, ValueError):
                     continue
-                if "cap" in params:
-                    taking.add(f"{module.__name__}.{label}")
+
+
+def test_only_capped_takes_a_cap():
+    # the cap is one setting per block, never a parameter of the work it guards
+    taking = {label for label, params in public_signatures() if "cap" in params}
     assert taking == {"corelat.sommers.capped"}
+
+
+def test_every_optional_parameter_is_listed():
+    """A ratchet on options: the public parameters with a default are the
+    CLI's argv and sink, ``enumerate_alcove``'s lattice, the scoping
+    keywords of ``verify.run`` and ``verify.scoped_matrix``, and each suite
+    keyword that a ``verify.KEYWORD_FLAGS`` flag sets.  A new one needs an
+    edit here."""
+    optional = {f"{label}:{name}" for label, params in public_signatures()
+                for name, p in params.items() if p.default is not p.empty}
+    suites = {f"corelat.verify.{check}:{name}" for check in vars(verify) if check.startswith("check_")
+              for name in inspect.signature(getattr(verify, check)).parameters if name in verify.KEYWORD_FLAGS}
+    assert optional == {
+        "corelat.cli.main:argv", "corelat.cli.to_json:sink", "corelat.sommers.enumerate_alcove:lattice",
+        "corelat.verify.run:types", "corelat.verify.run:bs", "corelat.verify.run:count",
+        "corelat.verify.run:length", "corelat.verify.scoped_matrix:types", "corelat.verify.scoped_matrix:bs",
+    } | suites
 
 
 @pytest.mark.parametrize("b", [0, 3])
@@ -354,17 +376,17 @@ def test_multiset_transfer(name, b):
 
 def test_max_size_reference():
     a2 = build_named("A2")
-    value, argmax = max_size(a2, 4)
+    value, argmax = max_size(enumerate_cores(a2, 4))
     assert value == 5
     assert argmax == affine.compute_w_b(a2, 4).inverse()((0, 0))
-    assert max_size(a2, 1)[0] == 0
+    assert max_size(enumerate_cores(a2, 1))[0] == 0
     g2 = build_named("G2")
-    assert max_size(g2, 5)[0] == 28
+    assert max_size(enumerate_cores(g2, 5))[0] == 28
 
 
 def test_max_size_matches_largest_simultaneous_core():
     # the largest (3,4)-core has (3^2-1)(4^2-1)/24 = 5 boxes
-    value, _ = max_size(build_named("A2"), 4)
+    value, _ = max_size(enumerate_cores(build_named("A2"), 4))
     assert value == Fraction((9 - 1) * (16 - 1), 24)
 
 
