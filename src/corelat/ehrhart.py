@@ -32,10 +32,6 @@ class SeriesMismatchError(AssertionError):
         super().__init__(f"power series disagree first at degree {degree}: {lhs} != {rhs}")
 
 
-def clear_enumerator_cache() -> None:
-    weighted_enumerator.cache_clear()
-
-
 @functools.cache
 def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     """Sum of size_b over the coweight-lattice points of the b-dilated alcove.
@@ -61,6 +57,11 @@ def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     denom, size = affine.scaled_size_b(rs, b)
     size.step.check_total(sommers.ALCOVE_BLOCK, b)
     return Fraction(sum(size.step.total(m, b) for m in sommers.alcove_blocks(rs, b)), denom)
+
+
+#: empties the cache of ``weighted_enumerator``; bound to the cached function
+#: itself, so it reaches the cache also while a wrapper replaces the attribute
+clear_enumerator_cache = weighted_enumerator.cache_clear
 
 
 # ---------------------------------------------------------------------------

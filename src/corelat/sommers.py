@@ -23,10 +23,15 @@ mapping the alcove walk's blocks through w_b^{-1} adj(A) / f, and by
 walking the region in the slack coordinates of its own n + 1 inequalities
 — and requires the two to agree.  One knapsack block walk (``_walk``)
 serves both simplices: int64 blocks built one coordinate per level, with
-no Python tuple per point, its one bound asserted where it starts.  Each
-route is one checked step of the int64 kernel ``linalg.AffineRows``
-(``_integral_solve``) from a walk's rows to sorted points; ``coroot_mask``
-marks the walk's rows m whose adj(A) m / f is a coroot point.  The tuple views
+no Python tuple per point, that keep the rows of one linear congruence,
+its one bound asserted where it starts.  Each route is one checked step of
+the int64 kernel ``linalg.AffineRows`` (``_integral_solve``) from a walk's
+rows to sorted points, its walk held to the congruence of one coordinate
+(``_congruent_solve``): one row per point where P/Q is cyclic, two in
+D_{2k}, not the f coweight rows per point.  ``alcove_blocks``, which the
+weighted enumerator and ``verify haiman`` read, walks at modulus 1, every
+coweight row; ``coroot_mask`` marks its rows m whose adj(A) m / f is a
+coroot point.  The tuple views
 ``enumerate_alcove`` and ``iter_alcove_m`` have no package caller.  The
 points' sizes are one per-row integer form (``affine.size_numerators``),
 kept on the ``CoreSet`` as numerators over 2 h f.
@@ -126,25 +131,49 @@ def alcove_vertices(rs: RootSystemData) -> list[tuple[Fraction, ...]]:
     return verts
 
 
-def _walk(marks, budget: int) -> Iterator[np.ndarray]:
-    """The v >= 0 with sum marks_i v_i <= budget (a knapsack simplex), in
-    lexicographic order, one coordinate per level, in int64 blocks of at most
-    ``ALCOVE_BLOCK`` rows cut anywhere.  No value passes ALCOVE_BLOCK * (budget + 1)."""
-    assert ALCOVE_BLOCK * (budget + 1) < linalg.INT64_LIMIT, "int64 bound of the walk"
+def _walk(marks, budget: int, congruence) -> Iterator[np.ndarray]:
+    """The v >= 0 with sum marks_i v_i <= budget (a knapsack simplex) and
+    sum w_i v_i = t mod M, for ``congruence`` = (w, t, M), in lexicographic
+    order, one coordinate per level, in int64 blocks of at most
+    ``ALCOVE_BLOCK`` rows cut anywhere.  Modulus 1 keeps every row.
+
+    Every level but the last keeps its whole range, as does the last when
+    every w_i and t are 0 mod M (at modulus 1, say).  Otherwise the last
+    level reads each prefix's residue off its columns of nonzero weight and
+    emits only the v = v_0 mod M / g, g = gcd(w_last, M), v_0 from the
+    inverse of w_last / g mod M / g; a prefix with no solution emits nothing.  No value passes
+    max(ALCOVE_BLOCK, M) * (budget + M)."""
+    weights, target, modulus = congruence
+    assert max(ALCOVE_BLOCK, modulus) * (budget + modulus) < linalg.INT64_LIMIT, "int64 bound of the walk"
+    weights, target, last = [w % modulus for w in weights], target % modulus, len(marks) - 1
+    prefix = [(k, w) for k, w in enumerate(weights[:last]) if w]
+    every = not any(weights) and target == 0
+    g = gcd(weights[last], modulus)
+    stride = modulus // g
+    inverse = pow(weights[last] // g, -1, stride)
 
     def expand(rows, rem, level):
         if level == len(marks):
             yield rows
             return
-        c, counts = marks[level], rem // marks[level] + 1
+        c, top = marks[level], rem // marks[level]
+        if level < last or every:
+            least, step, counts = None, 1, top + 1
+        else:
+            # the least v with w_last v = t - (the prefix's residue) mod M, or top + 1 if none
+            need = (target - sum(w * rows[:, k] for k, w in prefix)) % modulus
+            least, step = np.where(need % g == 0, need // g * inverse % stride, top + 1), stride
+            counts = (top - least) // step + 1
         ends = counts.cumsum()
         starts, total = ends - counts, int(ends[-1])
+        # row i of the level, in prefix p's range, is v = least[p] + step (i - starts[p])
+        offset = starts if least is None else step * starts - least
         for lo in range(0, total, ALCOVE_BLOCK):
             hi = min(lo + ALCOVE_BLOCK, total)
-            first, last = ends.searchsorted(lo, side="right"), starts.searchsorted(hi)
-            parent = np.arange(first, last).repeat(
-                np.minimum(ends[first:last], hi) - np.maximum(starts[first:last], lo))
-            v = np.arange(lo, hi) - starts[parent]
+            first, stop = ends.searchsorted(lo, side="right"), starts.searchsorted(hi)
+            parent = np.arange(first, stop).repeat(
+                np.minimum(ends[first:stop], hi) - np.maximum(starts[first:stop], lo))
+            v = np.arange(step * lo, step * hi, step) - offset[parent]
             rows_v = np.concatenate((rows[parent], v[:, None]), axis=1)
             yield from expand(rows_v, rem[parent] - c * v, level + 1)
     return expand(np.zeros((1, 0), dtype=np.int64), np.array([budget], dtype=np.int64), 0)
@@ -153,10 +182,10 @@ def _walk(marks, budget: int) -> Iterator[np.ndarray]:
 def alcove_blocks(rs: RootSystemData, b: int) -> Iterator[np.ndarray]:
     """Dominant m with m_i = <q, alpha_i> >= 0 and sum c_i m_i <= b, the
     coweight points of the b-dilated alcove (f per coroot point when
-    gcd(b, h) = 1), as the ``_walk`` blocks.  FeasibilityError is raised
+    gcd(b, h) = 1), as the ``_walk`` blocks at modulus 1.  FeasibilityError is raised
     before the block that passes cap * f rows, the cap read at the start."""
     cap, f, rows = _CAP.get(), rs.index_of_connection, 0
-    for block in _walk(rs.highest_root_coeffs, b):
+    for block in _walk(rs.highest_root_coeffs, b, ([0] * rs.rank, 0, 1)):
         if (rows := rows + len(block)) > cap * f:
             raise FeasibilityError(f"coweight points of the dilated alcove of {rs.cartan_type}, "
                                    f"b={b} exceed cap * f = {cap} * {f} = {cap * f}")
@@ -177,6 +206,25 @@ def _integral_solve(blocks: Iterable[np.ndarray], mat, shift, det: int) -> np.nd
     step = linalg.AffineRows(mat, shift)
     rows = np.concatenate([x[(x % det == 0).all(axis=1)] // det for x in map(step, blocks)])
     return rows[np.lexsort(rows.T[::-1])]
+
+
+def _congruent_solve(marks, budget: int, mat, shift, det: int) -> np.ndarray:
+    """``_integral_solve`` of the ``_walk`` of (marks, budget) through
+    (mat, shift) over det, the walk held to one coordinate's congruence.
+
+    Coordinate i of an integral point has sum_j mat[i][j] s_j = -shift[i]
+    mod det.  The (i, j) with the least gcd(mat[i][j], det) gives the walk
+    that congruence, column j walked last, so its last level steps by det
+    over that gcd; the columns of ``mat`` follow the walk's order.  Ties go
+    to the last column: where every gcd is det (f = 1) the walk keeps its
+    own order.  The congruence is a pre-filter: ``_integral_solve`` still
+    keeps only the rows divisible by det."""
+    i, j = min(((i, j) for j in reversed(range(len(marks))) for i in range(len(mat))),
+               key=lambda ij: gcd(mat[ij[0]][ij[1]], det))
+    order = [k for k in range(len(marks)) if k != j] + [j]
+    congruence = ([mat[i][k] for k in order], -shift[i], det)
+    return _integral_solve(_walk([marks[k] for k in order], budget, congruence),
+                           [[row[k] for k in order] for row in mat], shift, det)
 
 
 def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
@@ -345,7 +393,8 @@ def _direct_scan(sr: SommersRegion) -> np.ndarray:
     root.  The adjugate of these rows inverts s = F (x, 1); its last row over
     its gcd is the positive relation sum mu_j N_j = 0, so sum mu_j s_j =
     sum mu_j o_j is the budget.  Facet k with mu_k = 1 (the image of the
-    affine wall) is dropped: the others walk like ``alcove_blocks``."""
+    affine wall) is dropped: the others walk like the alcove's marks, held
+    to one coordinate's congruence (``_congruent_solve``)."""
     facets = ([r.pair_vec + (sr.t_b,) for r in sr.height_low_roots]
               + [tuple(-p for p in r.pair_vec) + (sr.t_b + 1,) for r in sr.height_high_roots])
     det, adj = linalg.adjugate(facets)
@@ -358,25 +407,26 @@ def _direct_scan(sr: SommersRegion) -> np.ndarray:
     rest = [j for j in range(len(marks)) if j != k]
     mat = [[row[j] - row[k] * marks[j] for j in rest] for row in solve]
     shift = [row[k] * budget for row in solve]
-    return _integral_solve(_walk([marks[j] for j in rest], budget), mat, shift, det)
+    return _congruent_solve([marks[j] for j in rest], budget, mat, shift, det)
 
 
 def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
     """The coroot-lattice points of the b-region, with their sizes.
 
-    Computed by mapping the blocks of ``alcove_blocks`` through
-    w_b^{-1} adj(A) / f (one ``_integral_solve`` step; w_b^{-1} is
-    unimodular, so a row is kept exactly when adj(A) m is a coroot point),
-    and checked against the walk of the region's own inequalities
-    (``_direct_scan``); a disagreement raises AssertionError.  When
-    gcd(b, h) = 1 both walks visit f rows per point, so the up-front
-    ``capped_haiman_count`` bounds them.  The sizes are one step over the
+    Computed by mapping the alcove's walk through w_b^{-1} adj(A) / f (one
+    ``_congruent_solve``; w_b^{-1} is unimodular, so a row is kept exactly
+    when adj(A) m is a coroot point), and checked against the walk of the
+    region's own inequalities (``_direct_scan``); a disagreement raises
+    AssertionError.  Each walk is held to one coordinate's congruence, so
+    it emits one row per point (two in D_{2k}) where the alcove has f
+    coweight rows per point, and the up-front ``capped_haiman_count``
+    bounds both: it is the one refusal.  The sizes are one step over the
     mapped points' int64 array (``affine.size_numerators``).
     """
     predicted = capped_haiman_count(rs, b)
     wb_inv, f = affine.compute_w_b(rs, b).inverse(), rs.index_of_connection
-    points = _integral_solve(alcove_blocks(rs, b), linalg.matmul(wb_inv.m, rs.cartan_adjugate),
-                             [f * x for x in wb_inv.v], f)
+    points = _congruent_solve(rs.highest_root_coeffs, b, linalg.matmul(wb_inv.m, rs.cartan_adjugate),
+                              [f * x for x in wb_inv.v], f)
     if len(points) != predicted:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: found {len(points)} alcove points, expected {predicted}")

@@ -120,6 +120,31 @@ def test_a_refusal_passes_through_the_tracer():
     assert {(holder, name): vars(holder)[name] for holder, name in wrapped} == wrapped
 
 
+def test_the_enumerator_cache_clears_under_the_tracer(monkeypatch):
+    """``ehrhart.clear_enumerator_cache`` reaches the cache while the tracer's
+    wrapper stands in for ``weighted_enumerator``: after it, the same (rs, b)
+    walks the alcove again."""
+    tracing = load_tracing()
+    rs = rootsys.build_named("A2")
+    walks, walk = [], sommers.alcove_blocks
+    monkeypatch.setattr(sommers, "alcove_blocks", lambda rs, b: walks.append(b) or walk(rs, b))
+    cached = ehrhart.weighted_enumerator
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    try:
+        assert ehrhart.weighted_enumerator is not cached
+        ehrhart.clear_enumerator_cache()
+        value = ehrhart.weighted_enumerator(rs, 4)
+        assert ehrhart.weighted_enumerator(rs, 4) == value and walks == [4]
+        ehrhart.clear_enumerator_cache()
+        assert cached.cache_info().currsize == 0
+        assert ehrhart.weighted_enumerator(rs, 4) == value
+    finally:
+        tracer.uninstall()
+    assert walks == [4, 4]
+    assert ehrhart.weighted_enumerator is cached
+
+
 def test_tracer_counts_a_direct_read_of_the_tuple_view():
     tracing = load_tracing()
     tracer = tracing.Tracer("test")

@@ -473,9 +473,35 @@ def test_walk_blocks_are_the_filtered_product_within_the_limit(case, limit):
     oracle = [m for m in product(*(range(budget // c + 1) for c in marks))
               if sum(c * x for c, x in zip(marks, m)) <= budget]
     with patch.object(sommers, "ALCOVE_BLOCK", limit):
-        blocks = list(sommers._walk(marks, budget))
+        blocks = list(sommers._walk(marks, budget, ([0] * len(marks), 0, 1)))
     assert [tuple(row) for block in blocks for row in block.tolist()] == oracle
     assert max(map(len, blocks)) <= limit
+
+
+@st.composite
+def congruences(draw, length):
+    """(weights, target, modulus) for a walk of ``length`` coordinates:
+    modulus 1-8, weights and target of either sign, up to 3 moduli each way."""
+    modulus = draw(st.integers(1, 8))
+    entry = st.integers(-3 * modulus, 3 * modulus)
+    return draw(st.lists(entry, min_size=length, max_size=length)), draw(entry), modulus
+
+
+@PROPERTY
+@given(knapsacks().flatmap(lambda case: st.tuples(st.just(case), congruences(len(case[0])))),
+       st.sampled_from([1, 3, sommers.ALCOVE_BLOCK]))
+def test_walk_keeps_the_rows_of_its_congruence(case_and_congruence, limit):
+    """The walk of a congruence sum w_i v_i = t mod M yields the rows of the
+    filtered product that satisfy it, in lexicographic order, with no block
+    past ALCOVE_BLOCK rows; a modulus that no row meets yields no row."""
+    (marks, budget), (weights, target, modulus) = case_and_congruence
+    oracle = [m for m in product(*(range(budget // c + 1) for c in marks))
+              if sum(c * x for c, x in zip(marks, m)) <= budget
+              and (sum(w * x for w, x in zip(weights, m)) - target) % modulus == 0]
+    with patch.object(sommers, "ALCOVE_BLOCK", limit):
+        blocks = list(sommers._walk(marks, budget, (weights, target, modulus)))
+    assert [tuple(row) for block in blocks for row in block.tolist()] == oracle
+    assert all(len(block) <= limit for block in blocks)
 
 
 def test_a_prefix_longer_than_a_block_is_split():

@@ -530,6 +530,40 @@ def test_each_route_is_one_integral_solve(monkeypatch, name, b):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("name, b, per_point", [
+    ("A4", 41, 2), ("B4", 9, 2), ("C3", 11, 2), ("D5", 11, 2), ("E6", 13, 2), ("E7", 19, 2),
+    ("E8", 31, 2), ("D4", 11, 4), ("D6", 13, 4)])
+def test_each_route_walks_one_row_per_point(monkeypatch, name, b, per_point):
+    """Each route's walk keeps one congruence of its solve, so it emits one
+    row per point where P/Q is cyclic (f rows before), and two in D4 and D6,
+    whose P/Q = (Z/2)^2 no one coordinate's congruence separates."""
+    walk, rows = sommers._walk, []
+
+    def counted(*args):
+        for block in walk(*args):
+            rows.append(len(block))
+            yield block
+    monkeypatch.setattr(sommers, "_walk", counted)
+    cs = enumerate_cores(build_named(name), b)
+    assert sum(rows) == per_point * len(cs)
+
+
+@pytest.mark.parametrize("name, b", [("A4", 11), ("E7", 11), ("D4", 7)])
+def test_enumerate_cores_refuses_before_its_walks(monkeypatch, name, b):
+    """Neither route passes through the row guard of ``alcove_blocks``, so
+    the one refusal is the up-front predicted count: one point past the cap
+    is refused before either walk starts."""
+    rs = build_named(name)
+    count = haiman_count(rs, b)
+
+    def refuse(*args):
+        raise RuntimeError("a walk started")
+    monkeypatch.setattr(sommers, "_walk", refuse)
+    with capped(count - 1), pytest.raises(
+            FeasibilityError, match=f"^predicted count {count} for {name}, b={b} exceeds cap {count - 1}$"):
+        enumerate_cores(rs, b)
+
+
 def test_enumerate_cores_holds_few_copies_of_its_points():
     """The alcove route keeps no sorted intermediate array, and each route
     frees its kept blocks before it sorts: A4 at b = 41 (29,799 points)
