@@ -31,10 +31,17 @@ rows to sorted points, its walk held to the congruence of one coordinate
 D_{2k}, not the f coweight rows per point.  ``alcove_blocks``, which the
 weighted enumerator and ``verify haiman`` read, walks at modulus 1, every
 coweight row; ``coroot_mask`` marks its rows m whose adj(A) m / f is a
-coroot point.  The tuple views
+coroot point.  ``coroot_blocks``, which ``verify transfer`` reads, holds
+the same walk to one coordinate's congruence of adj(A) m = 0 mod f and
+keeps the rows ``coroot_mask`` marks.  The tuple views
 ``enumerate_alcove`` and ``iter_alcove_m`` have no package caller.  The
 points' sizes are one per-row integer form (``affine.size_numerators``),
 kept on the ``CoreSet`` as numerators over 2 h f.
+
+Each region is made once per process: ``enumerate_cores`` refuses on its
+predicted count first, on every call, and then reads the cache
+``_region``, which runs both routes and their checks on a miss.  A cached
+``CoreSet`` holds only its int64 arrays, and they are read-only.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 from fractions import Fraction
 from itertools import chain
 from math import gcd, prod
@@ -208,23 +215,30 @@ def _integral_solve(blocks: Iterable[np.ndarray], mat, shift, det: int) -> np.nd
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def _congruent_solve(marks, budget: int, mat, shift, det: int) -> np.ndarray:
-    """``_integral_solve`` of the ``_walk`` of (marks, budget) through
-    (mat, shift) over det, the walk held to one coordinate's congruence.
+def _congruent_walk(marks, budget: int, mat, shift, det: int) -> tuple[list[int], Iterator[np.ndarray]]:
+    """(order, blocks): the ``_walk`` of (marks, budget), its columns in
+    ``order``, held to one coordinate's congruence of the integral points
+    (M s + shift) / det.
 
     Coordinate i of an integral point has sum_j mat[i][j] s_j = -shift[i]
     mod det.  The (i, j) with the least gcd(mat[i][j], det) gives the walk
     that congruence, column j walked last, so its last level steps by det
-    over that gcd; the columns of ``mat`` follow the walk's order.  Ties go
-    to the last column: where every gcd is det (f = 1) the walk keeps its
-    own order.  The congruence is a pre-filter: ``_integral_solve`` still
-    keeps only the rows divisible by det."""
+    over that gcd.  Ties go to the last column: where every gcd is det
+    (f = 1) the walk keeps its own order.  The congruence is a pre-filter:
+    a reader still keeps only the rows whose points are integral."""
     i, j = min(((i, j) for j in reversed(range(len(marks))) for i in range(len(mat))),
                key=lambda ij: gcd(mat[ij[0]][ij[1]], det))
     order = [k for k in range(len(marks)) if k != j] + [j]
     congruence = ([mat[i][k] for k in order], -shift[i], det)
-    return _integral_solve(_walk([marks[k] for k in order], budget, congruence),
-                           [[row[k] for k in order] for row in mat], shift, det)
+    return order, _walk([marks[k] for k in order], budget, congruence)
+
+
+def _congruent_solve(marks, budget: int, mat, shift, det: int) -> np.ndarray:
+    """``_integral_solve`` of the ``_congruent_walk`` of (marks, budget)
+    through (mat, shift) over det, the columns of ``mat`` in the walk's
+    order: ``_integral_solve`` keeps only the rows divisible by det."""
+    order, blocks = _congruent_walk(marks, budget, mat, shift, det)
+    return _integral_solve(blocks, [[row[k] for k in order] for row in mat], shift, det)
 
 
 def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
@@ -238,6 +252,23 @@ def coroot_mask(rs: RootSystemData, m: np.ndarray) -> np.ndarray:
     row is the point adj(A) m / f, and m its pairings with the simple roots."""
     adj = linalg.AffineRows(rs.cartan_adjugate, [0] * rs.rank)
     return (adj(m) % rs.index_of_connection == 0).all(axis=1)
+
+
+def coroot_blocks(rs: RootSystemData, b: int) -> Iterator[np.ndarray]:
+    """The rows m of ``alcove_blocks`` that ``coroot_mask`` keeps, the
+    pairings of the coroot points of the b-dilated alcove, in int64 blocks,
+    columns in the alcove's order.  The walk is held to one coordinate's
+    congruence of adj(A) m = 0 mod f (``_congruent_walk``), so it emits one
+    row per point where P/Q is cyclic and two in D_{2k}, where
+    ``coroot_mask`` is the exact filter.  Refused up front, when the
+    first block is asked for, by ``capped_haiman_count``."""
+    capped_haiman_count(rs, b)
+    order, blocks = _congruent_walk(rs.highest_root_coeffs, b, rs.cartan_adjugate, [0] * rs.rank,
+                                    rs.index_of_connection)
+    back = np.argsort(order)
+    for block in blocks:
+        m = block[:, back]
+        yield m[coroot_mask(rs, m)]
 
 
 def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> list[tuple]:
@@ -274,11 +305,11 @@ class CoreSet:
     def __len__(self):
         return len(self.point_rows)
 
-    @cached_property
+    @property
     def points(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_tuples(self.point_rows))
 
-    @cached_property
+    @property
     def sizes(self) -> tuple[Fraction, ...]:
         d = self.denominator
         return tuple(Fraction(s, d) for s in self.numerators.tolist())
@@ -308,9 +339,9 @@ class CoreSet:
         t = self.rs.cartan_type
         return models.level_step(t)(self.point_rows) if t.family in ("A", "C") else None
 
-    @cached_property
     def _size_texts(self) -> list[str]:
-        """str of each size as a Fraction, from one gcd over the numerators."""
+        """str of each size as a Fraction, from one gcd over the numerators:
+        made per call, so a cached region holds only its int64 arrays."""
         g = np.gcd(self.numerators, self.denominator)
         return [f"{p}/{q}" if q != 1 else str(p)
                 for p, q in zip((self.numerators // g).tolist(), (self.denominator // g).tolist())]
@@ -327,7 +358,12 @@ class CoreSet:
         object per point.  The levels (``_levels``) are checked whole by
         ``cores.check_levels`` here, before the first block, so no block
         raises once a writer has begun."""
-        k, texts, levels = ALCOVE_BLOCK, self._size_texts, self._levels()
+        return self._row_blocks(self._size_texts())
+
+    def _row_blocks(self, texts: list[str]) -> Iterator[dict]:
+        """``row_blocks`` with its size column cut from ``texts``, the
+        ``_size_texts`` that ``document`` has made for its summary."""
+        k, levels = ALCOVE_BLOCK, self._levels()
         if levels is not None:
             cores.check_levels(levels.shape[1], levels)
 
@@ -348,7 +384,7 @@ class CoreSet:
         check runs here, before a block is made: AssertionError unless the
         numerators' maximum and one maximizer agree with them."""
         value, argmax = max_size(self)
-        texts = self._size_texts
+        texts = self._size_texts()
         return {
             "type": str(self.rs.cartan_type),
             "b": self.b,
@@ -358,7 +394,7 @@ class CoreSet:
             "max": str(value),
             "argmax": list(argmax),
             "direct_checked": True,  # enumerate_cores checks every region or raises
-            "rows": self.row_blocks(),
+            "rows": self._row_blocks(texts),
         }
 
     def to_json_dict(self) -> dict:
@@ -422,8 +458,22 @@ def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
     coweight rows per point, and the up-front ``capped_haiman_count``
     bounds both: it is the one refusal.  The sizes are one step over the
     mapped points' int64 array (``affine.size_numerators``).
+
+    The refusal comes first, on every call; after it, each (rs, b) is
+    computed and checked once per process (``_region``), so a cached
+    region is refused under a cap exactly as a fresh one would be.  Its
+    ``point_rows`` and ``numerators`` are read-only.
     """
-    predicted = capped_haiman_count(rs, b)
+    capped_haiman_count(rs, b)
+    return _region(rs, b)
+
+
+@cache
+def _region(rs: RootSystemData, b: int) -> CoreSet:
+    """``enumerate_cores`` past its refusal: both routes and their checks,
+    run once per (rs, b) in a process.  A failed check raises and caches
+    nothing.  ``_direct_scan`` is read off the module at each call."""
+    predicted = haiman_count(rs, b)
     wb_inv, f = affine.compute_w_b(rs, b).inverse(), rs.index_of_connection
     points = _congruent_solve(rs.highest_root_coeffs, b, linalg.matmul(wb_inv.m, rs.cartan_adjugate),
                               [f * x for x in wb_inv.v], f)
@@ -435,7 +485,9 @@ def enumerate_cores(rs: RootSystemData, b: int) -> CoreSet:
         raise AssertionError(
             f"{rs.cartan_type}, b={b}: direct inequality scan disagrees with the "
             f"mapped alcove points ({len(scanned)} vs {len(points)})")
-    return CoreSet(rs, b, points, *affine.size_numerators(rs, points))
+    denominator, numerators = affine.size_numerators(rs, points)
+    points.flags.writeable = numerators.flags.writeable = False
+    return CoreSet(rs, b, points, denominator, numerators)
 
 
 def max_size(coreset: CoreSet):

@@ -6,13 +6,21 @@ the CLI ``verify`` subcommand calls ``run``, the acceptance tests the checks.
 
 A ValueError is a refusal and propagates.  An AssertionError is a failed
 identity: every suite runs its cases through ``_counterexamples``, which
-turns it into a counterexample record and goes on to the next case."""
+turns it into a counterexample record and goes on to the next case.
+
+Suites run in one process share what they compute: ``main``, ``max``,
+``transfer``, ``arm`` and ``conjecture`` read each region from
+``sommers.enumerate_cores``, made once per (type, b), and ``sizer`` and
+``welldef`` read one word walk per type (``_word_walk``), made as deep as
+any reader has asked.  Each reader still applies its own cap, read when it
+starts, and is refused exactly where a fresh computation would be."""
 
 from __future__ import annotations
 
 import inspect
 import itertools
 import random
+import threading
 from fractions import Fraction
 from functools import partial
 from math import comb, gcd
@@ -176,16 +184,16 @@ def check_transfer(matrix=DEFAULT_MATRIX) -> list:
     """Multiset equality of region sizes and dilated-alcove shifted sizes, as
     sorted integer numerators over one denominator 2 h f: those of
     ``sommers.enumerate_cores`` against the form step of ``affine.scaled_size_b``
-    at b on the pairings m that ``sommers.coroot_mask`` keeps in each block of
-    ``sommers.alcove_blocks``, with no Fraction and no Python object per
-    point.  Only a counterexample record makes Fraction strings."""
+    at b on each block of ``sommers.coroot_blocks``, the coroot points'
+    pairings m, walked one row per point (two in D_{2k}), with no Fraction
+    and no Python object per point.  Only a counterexample record makes
+    Fraction strings."""
     def check(rs, b):
         coreset = sommers.enumerate_cores(rs, b)
         d, form = affine.scaled_size_b(rs, b)
         assert d == coreset.denominator, \
             f"shifted sizes over {d}, region sizes over {coreset.denominator}"
-        shifted = np.concatenate([form.step(m[sommers.coroot_mask(rs, m)])
-                                  for m in sommers.alcove_blocks(rs, b)])
+        shifted = np.concatenate([form.step(m) for m in sommers.coroot_blocks(rs, b)])
         lhs, rhs = np.sort(coreset.numerators), np.sort(shifted)
         if not np.array_equal(lhs, rhs):
             yield {"sizes": [str(Fraction(x, d)) for x in lhs.tolist()],
@@ -242,49 +250,84 @@ class _Level(NamedTuple):
     least: np.ndarray  # each row's least word, a row of letters
 
 
-def _word_walk(rs):
-    """Levels 0, 1, 2, ... of the reduced words of ``rs``, each a ``_Level``.
+#: the one word walk per root system that every ``_word_walk`` reads:
+#: rs -> (its levels made so far, the translations q of the last level's rows)
+_WALKS: dict = {}
+#: held while a walk is read or extended, so no level is made twice
+_WALKS_LOCK = threading.Lock()
 
-    A row's vector sums the delta parts of its words' inversion entries per
-    letter, scaled by ``affine.scale_letter_totals``.  Each level takes one
-    ``affine.reduced_steps`` block over the distinct elements of the last
-    and every letter.  A row's point moves by its last letter's
-    ``AffineElement.step``, as (u s_i)^-1(0) = s_i(u^-1(0)).  The walk
-    refuses with FeasibilityError at the level where its rows, counted from
-    level 0, pass the cap read when it starts."""
-    letters = rs.rank + 1
-    scales = np.array(affine.scale_letter_totals(rs, (1,) * letters), dtype=np.int64)
+
+def _word_walk(rs):
+    """Levels 0, 1, 2, ... of the reduced words of ``rs``, each a ``_Level``
+    of read-only arrays, from the one walk per ``rs`` in a process.
+
+    The levels are made by ``_next_level`` as far as any reader has asked,
+    and kept in ``_WALKS``; a reader makes a missing level under
+    ``_WALKS_LOCK``, and a level that fails to be made changes nothing.
+    Each reader counts its rows from level 0 and refuses with
+    FeasibilityError at the level where they pass the cap read when it
+    starts, whether that level was made for it or read."""
     cap, total = sommers._CAP.get(), 0
-    m, v, q = affine.identity_rows(rs)
-    vec = np.zeros((1, letters), dtype=np.int64)
-    point = np.zeros((1, rs.rank), dtype=np.int64)
-    least = np.zeros((1, 0), dtype=np.int64)
     for length in itertools.count():
-        total += len(vec)
+        with _WALKS_LOCK:
+            levels, q = _WALKS.get(rs) or _first_level(rs)
+            while len(levels) <= length:
+                level, q = _next_level(rs, levels[-1], q)
+                levels = [*levels, level]
+            _WALKS[rs] = levels, q
+        total += len(levels[length].vec)
         if total > cap:
             raise sommers.FeasibilityError(
                 f"the word walk of {rs.cartan_type} has {total} rows up to length {length}, over cap {cap}")
-        keys = np.column_stack([m.reshape(len(m), -1), v])
-        first, element = _first_rows(keys)
-        yield _Level(keys, first, element, vec, point, least)
-        step = affine.reduced_steps(rs, *(np.repeat(a[first], letters, axis=0) for a in (m, v, q)),
-                                    np.tile(np.arange(letters), len(first)))
-        assert linalg.peak(vec) + max(scales) * linalg.peak(step.k) < linalg.INT64_LIMIT, \
-            "int64 bound of the size vectors"
-        grid = element[:, None] * letters + np.arange(letters)  # (row, letter) -> step row
-        row, letter = np.nonzero(step.positive[grid])
-        src = grid[row, letter]
-        vec = vec[row]
-        vec[np.arange(len(row)), letter] += scales[letter] * step.k[src]
-        kept = _first_rows(np.column_stack([step.m[src].reshape(len(src), -1), step.v[src], vec]))[0]
-        row, letter, src, vec = row[kept], letter[kept], src[kept], vec[kept]
-        m, v, q = step.m[src], step.v[src], step.q[src]
-        least = np.column_stack([least[row], letter])
-        moved = np.empty((len(row), rs.rank), dtype=np.int64)
-        for i in range(letters):
-            at = letter == i
-            moved[at] = affine.letter_element(rs, i).step(point[row[at]])
-        point = moved
+        yield levels[length]
+
+
+def _first_level(rs) -> tuple[list[_Level], np.ndarray]:
+    """([level 0], q): the identity element, its empty word and zero vector."""
+    m, v, q = affine.identity_rows(rs)
+    zeros = partial(np.zeros, dtype=np.int64)
+    return [_frozen_level(m, v, zeros((1, rs.rank + 1)), zeros((1, rs.rank)), zeros((1, 0)))], q
+
+
+def _frozen_level(m, v, vec, point, least) -> _Level:
+    """The ``_Level`` of the rows (m, v), with read-only arrays."""
+    keys = np.column_stack([m.reshape(len(m), -1), v])
+    level = _Level(keys, *_first_rows(keys), vec, point, least)
+    for array in level:
+        array.flags.writeable = False
+    return level
+
+
+def _next_level(rs, level: _Level, q: np.ndarray) -> tuple[_Level, np.ndarray]:
+    """(the level after ``level``, its rows' translations), from the
+    translations q of ``level``'s rows.
+
+    A row's vector sums the delta parts of its words' inversion entries per
+    letter, scaled by ``affine.scale_letter_totals``.  The level takes one
+    ``affine.reduced_steps`` block over the distinct elements of the last
+    and every letter.  A row's point moves by its last letter's
+    ``AffineElement.step``, as (u s_i)^-1(0) = s_i(u^-1(0))."""
+    n, letters = rs.rank, rs.rank + 1
+    scales = np.array(affine.scale_letter_totals(rs, (1,) * letters), dtype=np.int64)
+    first, element, vec = level.first, level.element, level.vec
+    m, v = level.keys[:, :n * n].reshape(-1, n, n), level.keys[:, n * n:]
+    step = affine.reduced_steps(rs, *(np.repeat(a[first], letters, axis=0) for a in (m, v, q)),
+                                np.tile(np.arange(letters), len(first)))
+    assert linalg.peak(vec) + max(scales) * linalg.peak(step.k) < linalg.INT64_LIMIT, \
+        "int64 bound of the size vectors"
+    grid = element[:, None] * letters + np.arange(letters)  # (row, letter) -> step row
+    row, letter = np.nonzero(step.positive[grid])
+    src = grid[row, letter]
+    vec = vec[row]
+    vec[np.arange(len(row)), letter] += scales[letter] * step.k[src]
+    kept = _first_rows(np.column_stack([step.m[src].reshape(len(src), -1), step.v[src], vec]))[0]
+    row, letter, src, vec = row[kept], letter[kept], src[kept], vec[kept]
+    point = np.empty((len(row), n), dtype=np.int64)
+    for i in range(letters):
+        at = letter == i
+        point[at] = affine.letter_element(rs, i).step(level.point[row[at]])
+    least = np.column_stack([level.least[row], letter])
+    return _frozen_level(step.m[src], step.v[src], vec, point, least), step.q[src]
 
 
 def check_sizer(types=tuple(dict(DEFAULT_MATRIX)), count: int = 1000) -> list:

@@ -101,3 +101,22 @@ def conjecture_records(rs, b, points, q_star):
 @pytest.fixture
 def fraction_inverse():
     return gauss_jordan_inverse
+
+
+# ---------------------------------------------------------------------------
+# Session caches: each test starts with none of the computed regions or word
+# walks that an earlier test left, so a test that patches a step sees it run
+# ---------------------------------------------------------------------------
+
+#: the caches the fixture below empties, by name; ``test_session_caches``
+#: pins every cache of the package, and which of them are here
+CLEARED_CACHES = ("corelat.sommers._region", "corelat.verify._WALKS")
+
+
+@pytest.fixture(autouse=True)
+def fresh_session_caches():
+    from corelat import sommers, verify
+
+    sommers._region.cache_clear()
+    with verify._WALKS_LOCK:
+        verify._WALKS.clear()

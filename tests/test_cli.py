@@ -470,7 +470,7 @@ def test_a_column_block_of_unequal_columns_fails_before_its_text():
 
 
 def test_the_cores_command_reports_unequal_columns_as_a_failure(monkeypatch, capsys):
-    monkeypatch.setattr(sommers.CoreSet, "row_blocks", lambda self: iter([{"coords": self.point_rows, "size": []}]))
+    monkeypatch.setattr(sommers.CoreSet, "_row_blocks", lambda self, texts: iter([{"coords": self.point_rows, "size": []}]))
     assert cli.main(["cores", "A2", "5"]) == 1
     assert capsys.readouterr().err == "failed: unequal columns: 'coords' 7, 'size' 0\n"
 

@@ -497,6 +497,7 @@ def test_facet_walk_checks_e7_b11(monkeypatch):
     point makes enumerate_cores raise."""
     rs = build_named("E7")
     assert len(enumerate_cores(rs, 11)) == haiman_count(rs, 11) == 352
+    sommers._region.cache_clear()
     scan = sommers._direct_scan
     monkeypatch.setattr(sommers, "_direct_scan", lambda sr: scan(sr)[:-1])
     with pytest.raises(AssertionError, match="direct inequality scan disagrees"):
@@ -530,13 +531,8 @@ def test_each_route_is_one_integral_solve(monkeypatch, name, b):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("name, b, per_point", [
-    ("A4", 41, 2), ("B4", 9, 2), ("C3", 11, 2), ("D5", 11, 2), ("E6", 13, 2), ("E7", 19, 2),
-    ("E8", 31, 2), ("D4", 11, 4), ("D6", 13, 4)])
-def test_each_route_walks_one_row_per_point(monkeypatch, name, b, per_point):
-    """Each route's walk keeps one congruence of its solve, so it emits one
-    row per point where P/Q is cyclic (f rows before), and two in D4 and D6,
-    whose P/Q = (Z/2)^2 no one coordinate's congruence separates."""
+def counted_walk_rows(monkeypatch) -> list:
+    """The length of each block that ``sommers._walk`` yields from now on."""
     walk, rows = sommers._walk, []
 
     def counted(*args):
@@ -544,8 +540,46 @@ def test_each_route_walks_one_row_per_point(monkeypatch, name, b, per_point):
             rows.append(len(block))
             yield block
     monkeypatch.setattr(sommers, "_walk", counted)
+    return rows
+
+
+@pytest.mark.parametrize("name, b, per_point", [
+    ("A4", 41, 2), ("B4", 9, 2), ("C3", 11, 2), ("D5", 11, 2), ("E6", 13, 2), ("E7", 19, 2),
+    ("E8", 31, 2), ("D4", 11, 4), ("D6", 13, 4)])
+def test_each_route_walks_one_row_per_point(monkeypatch, name, b, per_point):
+    """Each route's walk keeps one congruence of its solve, so it emits one
+    row per point where P/Q is cyclic (f rows before), and two in D4 and D6,
+    whose P/Q = (Z/2)^2 no one coordinate's congruence separates."""
+    rows = counted_walk_rows(monkeypatch)
     cs = enumerate_cores(build_named(name), b)
     assert sum(rows) == per_point * len(cs)
+
+
+@pytest.mark.parametrize("name, b, per_point", [
+    ("A4", 11, 1), ("B4", 9, 1), ("C3", 11, 1), ("D5", 11, 1), ("E6", 13, 1), ("E7", 11, 1),
+    ("G2", 13, 1), ("D4", 11, 2), ("D6", 13, 2)])
+def test_coroot_blocks_walk_one_row_per_point(monkeypatch, name, b, per_point):
+    """``coroot_blocks`` gives the rows of ``alcove_blocks`` that ``coroot_mask``
+    keeps, columns in the alcove's order, from a walk of one row per coroot
+    point (two in D4 and D6)."""
+    rs = build_named(name)
+    masked = np.concatenate([m[sommers.coroot_mask(rs, m)] for m in sommers.alcove_blocks(rs, b)])
+    rows = counted_walk_rows(monkeypatch)
+    kept = np.concatenate(list(sommers.coroot_blocks(rs, b)))
+    assert len(kept) == haiman_count(rs, b) and sum(rows) == per_point * len(kept)
+    assert np.array_equal(kept[np.lexsort(kept.T)], masked[np.lexsort(masked.T)])
+
+
+def test_transfer_walks_one_row_per_coroot_point(monkeypatch):
+    """With its regions made, ``verify transfer`` walks 931 rows over its
+    default matrix: one per coroot point, 665 in all, and a second for each
+    of the 266 of D4 (the alcove has 1,848 coweight rows)."""
+    for t, bs in verify.DEFAULT_MATRIX:
+        for b in bs:
+            enumerate_cores(build_named(t), b)
+    rows = counted_walk_rows(monkeypatch)
+    assert verify.check_transfer() == []
+    assert sum(rows) == 931
 
 
 @pytest.mark.parametrize("name, b", [("A4", 11), ("E7", 11), ("D4", 7)])
@@ -570,6 +604,7 @@ def test_enumerate_cores_holds_few_copies_of_its_points():
     peaks below 4.75 times the bytes of the points."""
     rs = build_named("A4")
     enumerate_cores(rs, 41)
+    sommers._region.cache_clear()
     tracemalloc.start()
     try:
         cs = enumerate_cores(rs, 41)
