@@ -12,7 +12,6 @@ starts, and adds the block sums as Python ints.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -32,7 +31,6 @@ class SeriesMismatchError(AssertionError):
         super().__init__(f"power series disagree first at degree {degree}: {lhs} != {rhs}")
 
 
-@functools.cache
 def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     """Sum of size_b over the coweight-lattice points of the b-dilated alcove.
 
@@ -45,10 +43,8 @@ def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     total are ``expected_size`` (region mean and closed form) and
     ``verify fg_poly`` (fits against the predicted polynomial).
 
-    Values are cached per (system, b), refusals are not, so the cap only
-    guards fresh work.  For b coprime to h the f * ``haiman_count`` rows are
-    refused up front when the count exceeds the cap; for other b, before
-    passing cap * f rows.
+    For b coprime to h the f * ``haiman_count`` rows are refused up front
+    when the count exceeds the cap; for other b, before passing cap * f rows.
     """
     if b < 1:
         raise ValueError("dilation factor must be >= 1")
@@ -57,11 +53,6 @@ def weighted_enumerator(rs: RootSystemData, b: int) -> Fraction:
     denom, size = affine.scaled_size_b(rs, b)
     size.step.check_total(sommers.ALCOVE_BLOCK, b)
     return Fraction(sum(size.step.total(m, b) for m in sommers.alcove_blocks(rs, b)), denom)
-
-
-#: empties the cache of ``weighted_enumerator``; bound to the cached function
-#: itself, so it reaches the cache also while a wrapper replaces the attribute
-clear_enumerator_cache = weighted_enumerator.cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,17 @@ its one bound asserted where it starts.  Each route is one checked step of
 the int64 kernel ``linalg.AffineRows`` (``_integral_solve``) from a walk's
 rows to sorted points, its walk held to the congruence of one coordinate
 (``_congruent_solve``): one row per point where P/Q is cyclic, two in
-D_{2k}, not the f coweight rows per point.  ``alcove_blocks``, which the
-weighted enumerator and ``verify haiman`` read, walks at modulus 1, every
-coweight row; ``coroot_mask`` marks its rows m whose adj(A) m / f is a
-coroot point.  ``coroot_blocks``, which ``verify transfer`` reads, holds
-the same walk to one coordinate's congruence of adj(A) m = 0 mod f and
-keeps the rows ``coroot_mask`` marks.  The tuple views
-``enumerate_alcove`` and ``iter_alcove_m`` have no package caller.  The
-points' sizes are one per-row integer form (``affine.size_numerators``),
-kept on the ``CoreSet`` as numerators over 2 h f.
+D_{2k}, not the f coweight rows per point.  The package reads the alcove
+through two entries only.  ``alcove_blocks`` streams every coweight
+row, the walk at modulus 1: the weighted enumerator, ``verify haiman``
+(with ``coroot_mask``, which marks the rows m whose adj(A) m / f is a
+coroot point) and the tuple views ``enumerate_alcove`` and
+``iter_alcove_m``, which have no package caller, read it.
+``_congruent_solve`` gives sorted integral points through a map: both
+region routes and ``verify transfer``, whose coroot points are the solve
+of adj(A) over f.  The points' sizes are one per-row integer form
+(``affine.size_numerators``), kept on the ``CoreSet`` as numerators over
+2 h f.
 
 Each region is made once per process: ``enumerate_cores`` refuses on its
 predicted count first, on every call, and then reads the cache
@@ -215,30 +217,23 @@ def _integral_solve(blocks: Iterable[np.ndarray], mat, shift, det: int) -> np.nd
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def _congruent_walk(marks, budget: int, mat, shift, det: int) -> tuple[list[int], Iterator[np.ndarray]]:
-    """(order, blocks): the ``_walk`` of (marks, budget), its columns in
-    ``order``, held to one coordinate's congruence of the integral points
-    (M s + shift) / det.
+def _congruent_solve(marks, budget: int, mat, shift, det: int) -> np.ndarray:
+    """``_integral_solve`` of the ``_walk`` of (marks, budget) through
+    (mat, shift) over det, the walk held to one coordinate's congruence of
+    the integral points (M s + shift) / det.
 
     Coordinate i of an integral point has sum_j mat[i][j] s_j = -shift[i]
     mod det.  The (i, j) with the least gcd(mat[i][j], det) gives the walk
     that congruence, column j walked last, so its last level steps by det
     over that gcd.  Ties go to the last column: where every gcd is det
     (f = 1) the walk keeps its own order.  The congruence is a pre-filter:
-    a reader still keeps only the rows whose points are integral."""
+    ``_integral_solve`` keeps only the rows divisible by det."""
     i, j = min(((i, j) for j in reversed(range(len(marks))) for i in range(len(mat))),
                key=lambda ij: gcd(mat[ij[0]][ij[1]], det))
     order = [k for k in range(len(marks)) if k != j] + [j]
-    congruence = ([mat[i][k] for k in order], -shift[i], det)
-    return order, _walk([marks[k] for k in order], budget, congruence)
-
-
-def _congruent_solve(marks, budget: int, mat, shift, det: int) -> np.ndarray:
-    """``_integral_solve`` of the ``_congruent_walk`` of (marks, budget)
-    through (mat, shift) over det, the columns of ``mat`` in the walk's
-    order: ``_integral_solve`` keeps only the rows divisible by det."""
-    order, blocks = _congruent_walk(marks, budget, mat, shift, det)
-    return _integral_solve(blocks, [[row[k] for k in order] for row in mat], shift, det)
+    mat = [[row[k] for k in order] for row in mat]
+    blocks = _walk([marks[k] for k in order], budget, (mat[i], -shift[i], det))
+    return _integral_solve(blocks, mat, shift, det)
 
 
 def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
@@ -252,23 +247,6 @@ def coroot_mask(rs: RootSystemData, m: np.ndarray) -> np.ndarray:
     row is the point adj(A) m / f, and m its pairings with the simple roots."""
     adj = linalg.AffineRows(rs.cartan_adjugate, [0] * rs.rank)
     return (adj(m) % rs.index_of_connection == 0).all(axis=1)
-
-
-def coroot_blocks(rs: RootSystemData, b: int) -> Iterator[np.ndarray]:
-    """The rows m of ``alcove_blocks`` that ``coroot_mask`` keeps, the
-    pairings of the coroot points of the b-dilated alcove, in int64 blocks,
-    columns in the alcove's order.  The walk is held to one coordinate's
-    congruence of adj(A) m = 0 mod f (``_congruent_walk``), so it emits one
-    row per point where P/Q is cyclic and two in D_{2k}, where
-    ``coroot_mask`` is the exact filter.  Refused up front, when the
-    first block is asked for, by ``capped_haiman_count``."""
-    capped_haiman_count(rs, b)
-    order, blocks = _congruent_walk(rs.highest_root_coeffs, b, rs.cartan_adjugate, [0] * rs.rank,
-                                    rs.index_of_connection)
-    back = np.argsort(order)
-    for block in blocks:
-        m = block[:, back]
-        yield m[coroot_mask(rs, m)]
 
 
 def enumerate_alcove(rs: RootSystemData, b: int, lattice: str = "coroot") -> list[tuple]:

@@ -13,7 +13,9 @@ Suites run in one process share what they compute: ``main``, ``max``,
 ``sommers.enumerate_cores``, made once per (type, b), and ``sizer`` and
 ``welldef`` read one word walk per type (``_word_walk``), made as deep as
 any reader has asked.  Each reader still applies its own cap, read when it
-starts, and is refused exactly where a fresh computation would be."""
+starts, and is refused exactly where a fresh computation would be.
+``haiman`` streams ``sommers.alcove_blocks``; ``transfer`` takes the
+alcove's coroot points from ``sommers._congruent_solve``."""
 
 from __future__ import annotations
 
@@ -184,16 +186,20 @@ def check_transfer(matrix=DEFAULT_MATRIX) -> list:
     """Multiset equality of region sizes and dilated-alcove shifted sizes, as
     sorted integer numerators over one denominator 2 h f: those of
     ``sommers.enumerate_cores`` against the form step of ``affine.scaled_size_b``
-    at b on each block of ``sommers.coroot_blocks``, the coroot points'
-    pairings m, walked one row per point (two in D_{2k}), with no Fraction
-    and no Python object per point.  Only a counterexample record makes
-    Fraction strings."""
+    at b on the pairings A x of the alcove's coroot points x, the
+    ``sommers._congruent_solve`` of adj(A) over f, walked one row per point
+    (two in D_{2k}), with no Fraction and no Python object per point.  The
+    region's predicted count is refused first.  Only a counterexample record
+    makes Fraction strings."""
     def check(rs, b):
         coreset = sommers.enumerate_cores(rs, b)
         d, form = affine.scaled_size_b(rs, b)
         assert d == coreset.denominator, \
             f"shifted sizes over {d}, region sizes over {coreset.denominator}"
-        shifted = np.concatenate([form.step(m) for m in sommers.coroot_blocks(rs, b)])
+        zero = [0] * rs.rank
+        points = sommers._congruent_solve(rs.highest_root_coeffs, b, rs.cartan_adjugate, zero,
+                                          rs.index_of_connection)
+        shifted = form.step(linalg.AffineRows(rs.cartan_matrix, zero)(points))
         lhs, rhs = np.sort(coreset.numerators), np.sort(shifted)
         if not np.array_equal(lhs, rhs):
             yield {"sizes": [str(Fraction(x, d)) for x in lhs.tolist()],

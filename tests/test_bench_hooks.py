@@ -26,7 +26,6 @@ def load_tracing():
 def test_tracer_sees_every_layer_of_enumerate_cores():
     tracing = load_tracing()
     rs = rootsys.build_named("A2")
-    ehrhart.clear_enumerator_cache()
     wrapped = ("iter_alcove_m", "_direct_scan", "enumerate_alcove", "enumerate_cores")
     originals = {name: getattr(sommers, name) for name in wrapped}
     before = tracing.cache_counts()
@@ -96,7 +95,6 @@ def test_tracer_sees_every_layer_of_the_cores_command(capsys):
 def test_a_refusal_passes_through_the_tracer():
     tracing = load_tracing()
     rs = rootsys.build_named("A2")
-    ehrhart.clear_enumerator_cache()
     holders = [m for n, m in sys.modules.items() if n.split(".")[0] == "corelat"]
     wrapped = {(holder, name): value for holder in holders + [affine.AffineElement]
                for name, value in vars(holder).items() if callable(value)}
@@ -118,31 +116,6 @@ def test_a_refusal_passes_through_the_tracer():
     assert tracer.counts["sommers.alcove_m_visited"] == visited_at_b3
     assert tracer.enumerator_keys == {(rs.cartan_type, 3), (rs.cartan_type, 5)}
     assert {(holder, name): vars(holder)[name] for holder, name in wrapped} == wrapped
-
-
-def test_the_enumerator_cache_clears_under_the_tracer(monkeypatch):
-    """``ehrhart.clear_enumerator_cache`` reaches the cache while the tracer's
-    wrapper stands in for ``weighted_enumerator``: after it, the same (rs, b)
-    walks the alcove again."""
-    tracing = load_tracing()
-    rs = rootsys.build_named("A2")
-    walks, walk = [], sommers.alcove_blocks
-    monkeypatch.setattr(sommers, "alcove_blocks", lambda rs, b: walks.append(b) or walk(rs, b))
-    cached = ehrhart.weighted_enumerator
-    tracer = tracing.Tracer("test")
-    tracer.install()
-    try:
-        assert ehrhart.weighted_enumerator is not cached
-        ehrhart.clear_enumerator_cache()
-        value = ehrhart.weighted_enumerator(rs, 4)
-        assert ehrhart.weighted_enumerator(rs, 4) == value and walks == [4]
-        ehrhart.clear_enumerator_cache()
-        assert cached.cache_info().currsize == 0
-        assert ehrhart.weighted_enumerator(rs, 4) == value
-    finally:
-        tracer.uninstall()
-    assert walks == [4, 4]
-    assert ehrhart.weighted_enumerator is cached
 
 
 def test_tracer_counts_a_direct_read_of_the_tuple_view():

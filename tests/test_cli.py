@@ -817,8 +817,6 @@ def test_a_refusal_is_not_a_counterexample(capsys, theorem):
     ("welldef", 16, "the word walk of A2 has 19 rows up to length 3, over cap 16"),
 ])
 def test_the_cap_reaches_every_suite_that_enumerates(monkeypatch, capsys, theorem, cap, message):
-    # the cap guards fresh work only, so start from an empty enumerator cache
-    ehrhart.clear_enumerator_cache()
     assert cli.main(["verify", theorem, "--cap", str(cap)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -978,7 +976,6 @@ def test_a_held_out_mismatch_is_a_counterexample(monkeypatch, capsys):
     def off_by_one(rs, b):
         return enumerator(rs, b) + (str(rs.cartan_type) == "G2" and b == 37)
 
-    ehrhart.clear_enumerator_cache()
     monkeypatch.setattr(ehrhart, "weighted_enumerator", off_by_one)
     code, out = run(capsys, "verify", "fg_poly")
     assert code == 1
@@ -1215,18 +1212,20 @@ def test_transfer_asserts_one_denominator(monkeypatch):
 @pytest.mark.parametrize("theorem", ["transfer", "haiman"])
 def test_region_suites_make_no_per_point_size_or_tuple(monkeypatch, theorem):
     # haiman counts the alcove walk's blocks and their coroot_mask, transfer
-    # sizes the masked rows, and enumerate_cores maps the blocks through
-    # w_b^-1: no suite reaches the tuple view enumerate_alcove, and no alcove
-    # row reaches size_numerators or a sorted _integral_solve array
+    # sizes the alcove's coroot points of one congruent solve, and
+    # enumerate_cores maps the blocks through w_b^-1: no suite reaches the
+    # tuple view enumerate_alcove, no alcove row reaches size_numerators, and
+    # haiman makes no sorted _integral_solve array
     calls = Counter()
     for module, name in [(affine, "size_b"), (sommers, "enumerate_alcove"),
                          (affine, "size_numerators"), (sommers, "_integral_solve")]:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args))
     assert verify.run(theorem)["pass"]
-    # transfer's only calls are enumerate_cores's: two solves and one size step per case
+    # per case, transfer calls enumerate_cores (two solves and one size step)
+    # and solves once for the alcove's coroot points
     cases = sum(len(bs) for _, bs in verify.DEFAULT_MATRIX) if theorem == "transfer" else 0
-    assert calls == Counter({"_integral_solve": 2 * cases, "size_numerators": cases})
+    assert calls == Counter({"_integral_solve": 3 * cases, "size_numerators": cases})
 
 
 def test_missing_subcommand(capsys):

@@ -68,6 +68,20 @@ def test_enumerator_refuses_on_the_predicted_count_before_the_walk(monkeypatch):
     assert visited == []
 
 
+@pytest.mark.parametrize("name, b, cap, message", [
+    ("F4", 13, 10, r"^predicted count 105 for F4, b=13 exceeds cap 10$"),
+    ("A2", 3, 3, r"= 9$"),
+])
+def test_a_computed_sum_is_refused_again_under_a_cap(name, b, cap, message):
+    """An enumerator value computed once is refused under a cap exactly as
+    it was never computed: on the predicted count for b coprime to h (F4,
+    h = 12), and by the alcove's row guard otherwise (A2, h = 3)."""
+    rs = build_named(name)
+    weighted_enumerator(rs, b)
+    with sommers.capped(cap), pytest.raises(sommers.FeasibilityError, match=message):
+        weighted_enumerator(rs, b)
+
+
 RANK_6_TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
                 + [f"C{n}" for n in range(2, 7)] + ["D4", "D5", "D6", "E6", "F4", "G2"])
 # b = h - 1 is coprime to h and b = h is not; both are <= 12 at rank <= 6
@@ -91,7 +105,6 @@ def test_enumerator_blocks_equal_the_per_tuple_sum(monkeypatch, rows):
         monkeypatch.setattr(sommers, "ALCOVE_BLOCK", rows)
     for name, b in WALK_GRID:
         rs = build_named(name)
-        ehrhart.clear_enumerator_cache()
         d, s = affine.scaled_size_b(rs, b)
         assert weighted_enumerator(rs, b) == Fraction(sum(map(s, sommers.iter_alcove_m(rs, b))), d)
 

@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses, none imports
 from the package inside a function, every private module-level name of
-the package is read somewhere outside its own definition, and no module
-reads the tuple and one-row views that are kept only for tests and tracing.
+the package is read somewhere outside its own definition, no module
+reads the tuple and one-row views that are kept only for tests and tracing,
+and the public functions that only tests read are exactly ``TEST_ONLY``.
 
 ``__init__`` is exempt from the import checks: its imports are the public
 re-exports.  The checks read each module with the standard library's
@@ -9,7 +10,9 @@ re-exports.  The checks read each module with the standard library's
 when code is deleted; the second, an import that hides a cycle or a step up
 the module order; the third, a private helper left behind when its last
 caller is deleted; the fourth, a package path that returns to a view its
-block twin replaced, which would stop the view from being deleted.
+block twin replaced, which would stop the view from being deleted; the
+fifth, a public function left behind for tests alone when its last package
+reader is deleted.
 """
 
 import ast
@@ -17,6 +20,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+
+from corelat import verify
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "corelat"
@@ -27,6 +32,12 @@ READERS = ("src", "tests", "demos", "perfbench")
 #: benchmark's tracer read them until their block twins replace them
 VIEWS = ("enumerate_alcove", "iter_alcove_m", "size_lattice_total", "size_i_lattice",
          "word_size_totals", "toggle_action")
+
+#: the public module-level functions that no package module, demo or
+#: benchmark file reads, and ``__init__`` does not re-export: tests alone
+#: read them, so each is a candidate to move into the tests or delete
+TEST_ONLY = ("affine.word_size_totals", "cores.self_conjugate_partitions_up_to",
+             "models.model_size_vector")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -99,6 +110,38 @@ def views_read(source: str) -> list[str]:
     return [name for name in VIEWS if name in read]
 
 
+def public_functions(source: str) -> list[str]:
+    """The names of the module-level functions ``source`` defines, not ``_``-prefixed."""
+    return [stmt.name for stmt in ast.parse(source).body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("_")]
+
+
+def names_and_strings(source: str) -> set[str]:
+    """The names ``source`` reads, and its string constants, which may name a
+    function to look up by attribute."""
+    strings = {n.value for n in ast.walk(ast.parse(source))
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return names_read(source) | strings
+
+
+def reexports(source: str) -> set[str]:
+    """The names ``source`` binds by its imports from other modules."""
+    return {a.asname or a.name for stmt in ast.parse(source).body
+            if isinstance(stmt, ast.ImportFrom) for a in stmt.names}
+
+
+def functions_only_tests_read(modules: dict[str, str], demos: list[str], bench: list[str], init: str,
+                              suites: set[str]) -> list[str]:
+    """The ``module.name`` of each public function of ``modules`` (stem ->
+    source) that none of them reads outside its own definition, no demo
+    reads, no ``bench`` source names and ``init`` does not re-export; the
+    names in ``suites`` are read by their theorem ids."""
+    read = set().union(*map(names_read, [*modules.values(), *demos]), *map(names_and_strings, bench),
+                       reexports(init), suites)
+    return sorted(f"{stem}.{name}" for stem, source in modules.items()
+                  for name in public_functions(source) if name not in read)
+
+
 @lru_cache(maxsize=None)
 def reader_sources() -> tuple[str, ...]:
     return tuple(p.read_text() for tree in READERS for p in sorted((ROOT / tree).rglob("*.py")))
@@ -150,3 +193,24 @@ def test_a_reader_of_a_view_is_found():
     source = "from . import affine, sommers\n\ndef toggle_action(p):\n    return p\n\n" \
              "def f(rs):\n    return sommers.enumerate_alcove(rs, 5), affine.size_i_lattice\n"
     assert views_read(source) == ["enumerate_alcove", "size_i_lattice"]
+
+
+def test_the_functions_only_tests_read_are_pinned():
+    """A public function whose last package reader is deleted joins this
+    list and fails the test: delete it, move it into the tests, or pin it."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+    demos, bench = ([p.read_text() for p in sorted((ROOT / tree).rglob("*.py"))] for tree in ("demos", "perfbench"))
+    suites = {f"check_{theorem}" for theorem in verify.SUITES}
+    found = functions_only_tests_read(sources, demos, bench, (PACKAGE / "__init__.py").read_text(), suites)
+    assert found == sorted(TEST_ONLY)
+
+
+def test_a_function_only_tests_read_is_found():
+    # f reads g, the demo h, the benchmark names k as a string, __init__
+    # re-exports e and check_x is a suite; only t and the self-recursive r are left
+    source = "def e():\n    pass\ndef f():\n    return g()\ndef g():\n    pass\ndef h():\n    pass\n" \
+             "def k():\n    pass\ndef r():\n    return r()\ndef t():\n    pass\ndef check_x():\n    pass\n" \
+             "def _p():\n    pass\n"
+    found = functions_only_tests_read({"m": source}, ["m.h()\n"], ["SPANS = (('m', 'k'),)\n"],
+                                      "from .m import e\n", {"check_x"})
+    assert found == ["m.f", "m.r", "m.t"]

@@ -29,7 +29,6 @@ SESSION_CACHES = {
     "corelat.affine._size_vector_form": False,
     "corelat.affine._step_data": False,
     "corelat.affine.scaled_size_b": False,
-    "corelat.ehrhart.weighted_enumerator": False,
     "corelat.cli.build_parser": False,
     "corelat.sommers._region": True,
     "corelat.verify._WALKS": True,

@@ -288,12 +288,10 @@ def test_alcove_guard_boundary():
     # A2, b = 5: m1 + m2 <= 5 has 21 tuples and f = 3, so cap 7 is the
     # smallest cap that admits them all
     rs = build_named("A2")
-    ehrhart.clear_enumerator_cache()
     with capped(7):
         assert len(enumerate_alcove(rs, 5)) == 7
         coweights = enumerate_alcove(rs, 5, "coweight")
         assert ehrhart.weighted_enumerator(rs, 5) == sum(size_b(rs, 5, x) for x in coweights)
-    ehrhart.clear_enumerator_cache()
     with capped(6):
         with pytest.raises(FeasibilityError, match="cap \\* f = 6 \\* 3 = 18"):
             enumerate_alcove(rs, 5)
@@ -559,15 +557,20 @@ def test_each_route_walks_one_row_per_point(monkeypatch, name, b, per_point):
     ("A4", 11, 1), ("B4", 9, 1), ("C3", 11, 1), ("D5", 11, 1), ("E6", 13, 1), ("E7", 11, 1),
     ("G2", 13, 1), ("D4", 11, 2), ("D6", 13, 2)])
 def test_coroot_blocks_walk_one_row_per_point(monkeypatch, name, b, per_point):
-    """``coroot_blocks`` gives the rows of ``alcove_blocks`` that ``coroot_mask``
-    keeps, columns in the alcove's order, from a walk of one row per coroot
-    point (two in D4 and D6)."""
+    """``verify transfer`` reads the alcove's coroot points from one
+    congruent solve: with its region made, the suite solves once, for
+    ``enumerate_alcove``'s points, ``haiman_count`` of them, from a walk of
+    one row per point (two in D4 and D6)."""
     rs = build_named(name)
-    masked = np.concatenate([m[sommers.coroot_mask(rs, m)] for m in sommers.alcove_blocks(rs, b)])
+    oracle = np.array(enumerate_alcove(rs, b), dtype=np.int64)
+    enumerate_cores(rs, b)
+    solve, solved = sommers._congruent_solve, []
+    monkeypatch.setattr(sommers, "_congruent_solve", lambda *args: solved.append(solve(*args)) or solved[-1])
     rows = counted_walk_rows(monkeypatch)
-    kept = np.concatenate(list(sommers.coroot_blocks(rs, b)))
-    assert len(kept) == haiman_count(rs, b) and sum(rows) == per_point * len(kept)
-    assert np.array_equal(kept[np.lexsort(kept.T)], masked[np.lexsort(masked.T)])
+    assert verify.check_transfer([(name, (b,))]) == []
+    (points,) = solved
+    assert np.array_equal(points, oracle) and len(points) == haiman_count(rs, b)
+    assert sum(rows) == per_point * len(points)
 
 
 def test_transfer_walks_one_row_per_coroot_point(monkeypatch):
