@@ -20,8 +20,8 @@ Action conventions:
   ``reduced_step`` is its one-row view, and the word side folds it:
   ``inversion_sequence`` walks one word letter by letter from the
   identity, and ``word_size_totals`` sums its entries per letter.
-  ``left_step`` is the step ``word_to_element`` applies for each letter, a
-  product on the left.
+  ``word_to_element`` folds a word's letters into one element's rows by
+  products on the left, and ``left_step`` is that fold's one-letter view.
 * ``size_i`` of a coset is computed from a reduced word of the *inverse*
   element: ``(2 / |alpha_i|^2) * sum of delta-coefficients at letter i``.
   On the lattice side ``size_vector_lattice`` gives every size_i of a
@@ -250,31 +250,38 @@ def _reflect_point(x: list, r: _Reflection) -> None:
 
 def word_to_element(rs: RootSystemData, letters: Iterable[int]) -> AffineElement:
     """The element s_{a_1} s_{a_2} ... s_{a_l} spelled by the letters a_1 ... a_l:
-    the identity left-multiplied by each letter from the right end (``left_step``)."""
-    el = identity_element(rs)
+    the identity's rows, left-multiplied in place by each letter from the
+    right end (``_left_multiply``), made into one element at the end."""
+    m, v = [list(row) for row in linalg.identity(rs.rank)], [0] * rs.rank
     for i in reversed(_letters(rs, letters)):
-        el = left_step(rs, i, el)
-    return el
+        _left_multiply(rs, i, m, v)
+    return AffineElement(rs, linalg.freeze(m), tuple(v))
 
 
 def left_step(rs: RootSystemData, i: int, el: AffineElement) -> AffineElement:
-    """s_i el, for s_i = I - c p^T with its shift: m - c (p^T m) changes only
-    the rows of ``el.m`` in the support of c, and the others are shared."""
+    """s_i el: the one-letter view of the fold of ``word_to_element``."""
+    m, v = [list(row) for row in el.m], list(el.v)
+    _left_multiply(rs, i, m, v)
+    return AffineElement(rs, linalg.freeze(m), tuple(v))
+
+
+def _left_multiply(rs: RootSystemData, i: int, m: list, v: list) -> None:
+    """The rows m and shift v of an element, left-multiplied in place by
+    s_i = I - c p^T with its shift: m - c (p^T m) changes only the rows in
+    the support of c."""
     r = _reflections(rs)[i]
     w = [0] * rs.rank
     for l, x in r.p:
-        w = [wk + x * mk for wk, mk in zip(w, el.m[l])]
-    m, v = list(el.m), list(el.v)
+        w = [wk + x * mk for wk, mk in zip(w, m[l])]
     for l, y in r.c:
-        m[l] = tuple(mk - y * wk for mk, wk in zip(m[l], w))
+        m[l] = [mk - y * wk for mk, wk in zip(m[l], w)]
     _reflect_point(v, r)
-    return AffineElement(rs, tuple(m), tuple(v))
 
 
 @lru_cache(maxsize=None)
 def _letter_elements(rs: RootSystemData) -> tuple[AffineElement, ...]:
-    """The generators s_0, s_1, ..., s_n as affine elements."""
-    return tuple(word_to_element(rs, (i,)) for i in range(rs.rank + 1))
+    """The generators s_0, s_1, ..., s_n as affine elements: s_i times the identity."""
+    return tuple(left_step(rs, i, identity_element(rs)) for i in range(rs.rank + 1))
 
 
 def letter_element(rs: RootSystemData, i: int) -> AffineElement:

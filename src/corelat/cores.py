@@ -23,6 +23,13 @@ one tuple out.  A block of partitions has one internal form, the ragged
 ``PartitionBlock``: a flat int64 array of part lengths and the number of
 parts of each partition.  ``abacus_block`` and ``PartitionBlock.of`` make
 it, ``content_counts`` counts on it (or on one partition tuple).
+
+A block of level rows has two readers, which share one window per step
+(``_abacus_window``: the beads of each row and their running count) and
+one cut into steps (``_row_steps``): ``abacus_block`` reads partitions off
+it, and ``abacus_content_counts`` reads the content-class counts straight
+off the bead counts, with no partition made.  ``content_counts`` on the
+partitions of ``abacus_block`` is that counter's independent check.
 """
 
 from __future__ import annotations
@@ -36,8 +43,9 @@ from . import linalg
 
 Partition = tuple[int, ...]
 
-#: bead positions per int64 step of ``abacus_block``, and (row, class) cells of
-#: ``content_counts``: bounds a step's memory whatever the size of the block
+#: bead positions per int64 step of ``abacus_block`` and
+#: ``abacus_content_counts``, and (row, class) cells of ``content_counts``:
+#: bounds a step's memory whatever the size of the block
 ABACUS_CELLS = 2**14
 
 
@@ -189,19 +197,44 @@ def abacus_block(a: int, levels) -> PartitionBlock:
     Each row is read from its top position p = a max(q) - 1 down; the bead
     at p is black iff p // a < q[p mod a], and with i the black beads so
     far, each black bead with p + i > 0 is a part p + i.  The block goes
-    through this in int64 steps of whole rows, at most ``ABACUS_CELLS`` bead
-    positions each, padded to the widest row of the step: a (max(q) -
-    min(q) + 1) positions.  Below its own window every bead of a row is
-    black with p + i = 0, as the abacus is balanced, so the padding adds no
-    part.  The block is checked once, before any step (``check_levels``).
+    through this in the steps of ``_row_steps`` (one ``_abacus_window``
+    each), padded to the widest row of the step: a (max(q) - min(q) + 1)
+    positions.  Below its own window every bead of a row is black with
+    p + i = 0, as the abacus is balanced, so the padding adds no part.  The
+    block is checked once, before any step (``check_levels``).
     """
     levels = np.asarray(levels, dtype=np.int64)
-    peak = check_levels(a, levels)
-    rows = max(1, ABACUS_CELLS // (a * (2 * peak + 1)))  # no row is wider than a (2 peak + 1)
-    steps = [_abacus_step(a, levels[lo:lo + rows]) for lo in range(0, len(levels), rows)]
+    steps = [_abacus_step(a, levels[rows]) for rows in _row_steps(a, levels, check_levels(a, levels))]
     empty = np.zeros(0, dtype=np.int64)
     return PartitionBlock(np.concatenate([s.lengths for s in steps] or [empty]),
                           np.concatenate([s.rows for s in steps] or [empty]))
+
+
+def abacus_content_counts(a: int, levels) -> np.ndarray:
+    """The (rows, a) int64 content-class counts of the a-cores whose runner
+    levels are the rows of ``levels``: ``content_counts(abacus_block(a,
+    levels), a)`` with no partition made.
+
+    With B(d) the number of black beads at positions >= d, the core has
+    B(d) + min(d, 0) boxes of content d: each black bead part_i - i >= d is
+    a row i with a box of content d, except, for d < 0, the -d rows
+    i <= -d, whose column i + d would be below 1.
+    B is the running bead count of ``_abacus_window``, so class j is that
+    count plus min(d, 0), summed over the window positions d on runner j;
+    below a row's own window every term is 0, so the padding adds nothing.
+    The block is checked once (``check_levels``), its int64 bound
+    (``content_bound``) asserted once, and it goes through the steps of
+    ``abacus_block``.
+    """
+    levels = np.asarray(levels, dtype=np.int64)
+    peak = check_levels(a, levels)
+    assert content_bound(a, peak) < linalg.INT64_LIMIT, "int64 bound of the content counts"
+    counts = np.empty((len(levels), a), dtype=np.int64)
+    for rows in _row_steps(a, levels, peak):
+        top, _, beads = _abacus_window(a, levels[rows])
+        beads += np.minimum(top[:, None] - np.arange(beads.shape[1]), 0)
+        counts[rows] = beads.reshape(len(top), -1, a).sum(axis=1)[:, ::-1]  # window column a - 1 - j is runner j
+    return counts
 
 
 def check_levels(a: int, levels: np.ndarray) -> int:
@@ -222,17 +255,35 @@ def check_levels(a: int, levels: np.ndarray) -> int:
     return peak
 
 
-def _abacus_step(a: int, levels: np.ndarray) -> PartitionBlock:
-    """The partitions of the rows of ``levels`` (a step of ``abacus_block``)."""
+def _row_steps(a: int, levels: np.ndarray, peak: int) -> list[slice]:
+    """The steps of whole rows in which ``abacus_block`` and
+    ``abacus_content_counts`` read a block whose largest |level| is
+    ``peak``: at most ``ABACUS_CELLS`` bead positions each, as no row's
+    window is wider than a (2 peak + 1)."""
+    rows = max(1, ABACUS_CELLS // (a * (2 * peak + 1)))
+    return [slice(lo, lo + rows) for lo in range(0, len(levels), rows)]
+
+
+def _abacus_window(a: int, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The abacus window of a step of rows: (top, black, beads).  Position
+    t of row k is the bead at p = top[k] - t, from top[k] = a max(q) - 1
+    down through as many levels as the step's widest row; ``black`` marks
+    its black beads and ``beads``, the step's one int64 array, counts the
+    black beads at positions >= p."""
     hi = levels.max(axis=1)
     depth = int((hi - levels.min(axis=1)).max(initial=0)) + 1
     # window row m holds runners j = a - 1, ..., 0 at level hi - 1 - m: black iff q_j > hi - 1 - m
     black = levels[:, None, ::-1] >= (hi[:, None] - np.arange(depth))[:, :, None]
     black = black.reshape(len(levels), depth * a)
-    # p + i, formed in place: the step's one int64 array
-    values = black.cumsum(axis=1, dtype=np.int64)
-    values += (a * hi - 1)[:, None]
-    values -= np.arange(depth * a)
+    return a * hi - 1, black, black.cumsum(axis=1, dtype=np.int64)
+
+
+def _abacus_step(a: int, levels: np.ndarray) -> PartitionBlock:
+    """The partitions of the rows of ``levels`` (a step of ``abacus_block``)."""
+    top, black, values = _abacus_window(a, levels)
+    # p + i, formed in place
+    values += top[:, None]
+    values -= np.arange(values.shape[1])
     black &= values > 0
     return PartitionBlock(values[black], black.sum(axis=1, dtype=np.int64))
 
@@ -244,6 +295,14 @@ def abacus_bound(a: int, peak: int) -> int:
     the window width a (2 peak + 1), and position + count at a black bead
     lies between the position and a hi."""
     return a * (3 * peak + 1)
+
+
+def content_bound(a: int, peak: int) -> int:
+    """a (2 peak + 1)^2: no value that ``abacus_content_counts`` forms on a
+    block whose largest |level| is ``peak`` exceeds it.  A bead count and
+    |min(d, 0)| are at most a (2 peak + 1), and a class count is a sum of
+    at most 2 peak + 1 box counts of one content, each at most that."""
+    return a * (2 * peak + 1) ** 2
 
 
 def content_counts(parts, a: int):

@@ -14,9 +14,8 @@ A point's core, ``EmbeddedPoint.core()``, is a plain partition tuple, and
 Both maps to runner levels, the model image and the type-A ambient tuple,
 are linear, and each generator acts affinely, so ``level_step`` and
 ``generator_step`` move a whole int64 block of points in one checked step;
-``size_numerators`` then turns it into cores with one ``cores.abacus_block``,
-a ragged int64 block with no partition tuple, and counts their content
-classes on that block.
+``size_numerators`` then reads the content classes of their cores off the
+abacus with one ``cores.abacus_content_counts``, and makes no partition.
 
 Ambient coordinates: for B/C/D the source point with simple-coroot
 coordinates k becomes the integer vector x (the classical e_i coordinates,
@@ -193,12 +192,12 @@ def model_size_vector(t: CartanType, k) -> tuple[Fraction, ...]:
 def size_numerators(t: CartanType, x: np.ndarray) -> tuple[int, np.ndarray]:
     """(2, s) with s[k] = 2 (size_0, ..., size_n, size) of the row x_k of the
     int64 array x of simple-coroot coordinates, read off the content classes
-    of its core: ``level_step``, ``cores.abacus_block`` (the cores as one
-    ragged int64 block, no tuple per core), ``cores.content_counts`` and the
-    ``size_rows`` with their sum appended, each on the whole block."""
+    of its core: ``level_step``, ``cores.abacus_content_counts`` (the counts
+    read off the abacus, no partition made) and the ``size_rows`` with their
+    sum appended, each on the whole block."""
     rows = size_rows(t)
     modulus = len(rows[0])
-    counts = cores.content_counts(cores.abacus_block(modulus, level_step(t)(x)), modulus)
+    counts = cores.abacus_content_counts(modulus, level_step(t)(x))
     rows.append([sum(col) for col in zip(*rows)])
     return 2, linalg.AffineRows(rows, [0] * len(rows))(counts)
 

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import floor
@@ -382,6 +384,16 @@ def test_compute_w_b_walk_does_not_grow_with_b(name, b):
         w = compute_w_b.__wrapped__(rs, b)
     assert w(rho_over_h(rs)) == tuple(b * c for c in rho_over_h(rs))
     assert wall.call_count <= bound + 1
+
+
+@pytest.mark.parametrize("name, b, pinned", [
+    ("D30", 1001, "4570a0cb03dc6dff"), ("A40", 43, "7325539b9fc3048b"), ("E8", 7919, "7ff4566aeb0f9052"),
+])
+def test_compute_w_b_at_high_rank_is_pinned(name, b, pinned):
+    # the first 16 hex digits of the SHA-256 of the JSON of (m, v), as the
+    # walk and the per-letter word_to_element gave them
+    w = compute_w_b.__wrapped__(build_named(name), b)
+    assert hashlib.sha256(json.dumps([w.m, w.v]).encode()).hexdigest()[:16] == pinned
 
 
 @pytest.mark.parametrize("name, b", [("C30", 61), ("C40", 81), ("B30", 61), ("A40", 1001), ("E8", 31)])

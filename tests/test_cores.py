@@ -1,7 +1,9 @@
 import itertools
+import math
 import re
 import tracemalloc
 from typing import Iterator
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -116,6 +118,53 @@ def test_from_coroot_asserts_its_int64_bound_once_per_block(a):
         from_coroot(a, far)
 
 
+@pytest.mark.parametrize("a", [2, 3, 7])
+def test_abacus_content_counts_asserts_its_int64_bound_once_per_block(a):
+    """Every value ``abacus_content_counts`` forms is within a (2 L + 1)^2
+    for the block's largest |level| L, which grows quadratically in L where
+    ``abacus_bound`` grows linearly: the bound admits L = top and refuses
+    L = top + 1, which ``check_levels`` passes.  A block with one row past
+    it is refused before any window is made."""
+    top = (math.isqrt((linalg.INT64_LIMIT - 1) // a) - 1) // 2
+    assert cores.content_bound(a, top) < linalg.INT64_LIMIT <= cores.content_bound(a, top + 1)
+    assert cores.abacus_bound(a, top + 1) < linalg.INT64_LIMIT
+    far = (0,) * (a - 2) + (top + 1, -top - 1)
+    with patch.object(cores, "_abacus_window", wraps=cores._abacus_window) as window:
+        with pytest.raises(AssertionError, match="int64 bound of the content counts"):
+            cores.abacus_content_counts(a, [(0,) * a, far])
+    assert window.call_count == 0
+
+
+@pytest.mark.parametrize("levels, error", [
+    (np.array([0, 0, 0]), r"runner levels, got shape \(3,\)$"),
+    (np.zeros((2, 2, 3), dtype=np.int64), r"runner levels, got shape \(2, 2, 3\)$"),
+    (np.zeros((2, 4), dtype=np.int64), r"runner levels, got shape \(2, 4\)$"),
+    ([(0, 0, 0), (1, 0, -2)], r"^runner levels \(1, 0, -2\) must sum to zero$"),
+])
+def test_abacus_content_counts_refuses_what_check_levels_refuses(levels, error):
+    with pytest.raises(ValueError, match=error):
+        cores.abacus_content_counts(3, levels)
+    with pytest.raises(ValueError, match=error):
+        cores.check_levels(3, np.asarray(levels, dtype=np.int64))
+
+
+def test_abacus_content_counts_memory_does_not_grow_with_the_block():
+    # as for abacus_block: one wide row would pad 20,000 rows to 404
+    # positions in a single step; steps of ABACUS_CELLS positions stay under 1 MB
+    levels = np.zeros((20000, 4), dtype=np.int64)
+    levels[7] = (50, -50, 0, 0)
+    tracemalloc.start()
+    try:
+        counts = cores.abacus_content_counts(4, levels)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (20000, 4) and counts.dtype == np.int64
+    assert tuple(counts[7].tolist()) == content_counts(from_coroot(4, (50, -50, 0, 0)), 4)
+    assert counts.sum() == counts[7].sum() == sum(from_coroot(4, (50, -50, 0, 0)))
+    assert peak - current < 2**20
+
+
 def test_abacus_block_memory_does_not_grow_with_the_block():
     # one wide row pads 20,000 rows to 404 positions: 8 M cells in a single
     # step, about 130 MB; steps of ABACUS_CELLS positions stay under 1 MB
@@ -132,16 +181,36 @@ def test_abacus_block_memory_does_not_grow_with_the_block():
     assert peak - current < 2**20
 
 
-@pytest.mark.parametrize("theorem,most", [("ip_content", 3), ("models", 6)])
-def test_verify_suites_call_abacus_block_once_per_block(monkeypatch, theorem, most):
-    # one abacus_block per a (ip_content) or per model type (models), not
-    # one from_coroot per row
-    calls = {"from_coroot": [], "abacus_block": []}
+def count_calls(monkeypatch, *names) -> dict:
+    """The moduli each of the ``cores`` functions ``names`` is called with."""
+    calls = {name: [] for name in names}
     for name, seen in calls.items():
         real = getattr(cores, name)
         monkeypatch.setattr(cores, name, lambda a, q, real=real, seen=seen: seen.append(a) or real(a, q))
+    return calls
+
+
+@pytest.mark.parametrize("theorem,most", [("ip_content", 3)])
+def test_verify_suites_call_abacus_block_once_per_block(monkeypatch, theorem, most):
+    # one abacus_block per a, not one from_coroot per row
+    calls = count_calls(monkeypatch, "from_coroot", "abacus_block")
     assert verify.run(theorem)["pass"]
     assert 0 < len(calls["abacus_block"]) <= most and calls["from_coroot"] == []
+
+
+def test_models_suite_counts_contents_on_the_abacus_and_makes_no_partition(monkeypatch):
+    # one abacus_content_counts per model type, and no PartitionBlock at all
+    calls = count_calls(monkeypatch, "from_coroot", "abacus_block", "abacus_content_counts")
+    made = []
+
+    class Counted(cores.PartitionBlock):
+        def __init__(self, *fields):
+            made.append(len(fields))
+            super().__init__(*fields)
+    monkeypatch.setattr(cores, "PartitionBlock", Counted)
+    assert verify.run("models")["pass"]
+    assert 0 < len(calls["abacus_content_counts"]) <= len(verify.MODEL_POINT_GRIDS) == 6
+    assert calls["abacus_block"] == calls["from_coroot"] == made == []
 
 
 @pytest.mark.parametrize("a", [3, 4, 5])
@@ -183,6 +252,7 @@ BELOW_ONE = {
     "toggle_corners": lambda a: cores.toggle_corners((1,), a),
     "from_coroot": lambda a: from_coroot(a, ()),
     "abacus_block": lambda a: cores.abacus_block(a, np.zeros((1, 0), dtype=np.int64)),
+    "abacus_content_counts": lambda a: cores.abacus_content_counts(a, np.zeros((1, 0), dtype=np.int64)),
 }
 
 

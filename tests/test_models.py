@@ -327,6 +327,21 @@ def test_ip_content_suite_finds_a_wrong_letter(monkeypatch):
                            {"a": 3, "partition": [1], "letter": 2}]
 
 
+def test_models_suite_finds_a_mirrored_content_class(monkeypatch):
+    # the counter reads contents as (r - s) mod a: the B, C and D size rows
+    # are symmetric under the mirror, so only G2's size_1 and size_2 move
+    real = cores.abacus_content_counts
+    monkeypatch.setattr(cores, "abacus_content_counts",
+                        lambda a, levels: real(a, levels)[:, [-c % a for c in range(a)]])
+    records = verify.check_models()
+    assert digest(records) == (2144, "4b895da3cb17edbb")
+    assert records[:3] == [{"type": "G2", "point": [-16, -16], "size_index": 1},
+                           {"type": "G2", "point": [-16, -16], "total": True},
+                           {"type": "G2", "point": [-16, -15], "size_index": 1}]
+    assert {r["type"] for r in records} == {"G2"}
+    assert {next(iter(r.keys() - {"type", "point"})) for r in records} == {"size_index", "total"}
+
+
 def test_ip_content_suite_finds_a_wrong_content_class(monkeypatch):
     # contents read as (r - s) mod a, the mirror of the package's convention
     real = cores.content_counts

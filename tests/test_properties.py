@@ -640,6 +640,24 @@ def test_ragged_content_counts_equal_the_tuple_counts(case):
         [content_counts_by_boxes(parts, a) for parts in tuples]
 
 
+@PROPERTY
+@given(level_blocks())
+@example((3, []))
+@example((1, [(0,), (0,)]))
+@example((4, [(0, 0, 0, 0), (0, 0, 0, 0)]))
+# one wide row pads the narrow ones of its step
+@example((4, [(0, 0, 0, 0), (40, -40, 0, 0), (1, 0, 0, -1)]))
+@example(MANY_STEPS)
+def test_abacus_content_counts_are_the_counts_of_the_abacus_block(case):
+    a, rows = case
+    levels = np.array(rows, dtype=np.int64).reshape(len(rows), a)
+    counts = cores.abacus_content_counts(a, levels)
+    assert counts.dtype == np.int64 and counts.shape == (len(rows), a)
+    block = cores.abacus_block(a, levels)
+    assert counts.tolist() == cores.content_counts(block, a).tolist() == \
+        [content_counts_by_boxes(parts, a) for parts in block.partitions()]
+
+
 def test_the_many_step_block_takes_many_steps():
     a, rows = MANY_STEPS
     with patch.object(cores, "_abacus_step", wraps=cores._abacus_step) as step:
